@@ -734,12 +734,10 @@ func BenchmarkLargeSparseGen(b *testing.B) {
 // same benchmark compiles on the pre-slicing tree for the before/after
 // comparison.
 //
-// The grid runs a quiet channel (ε = 0) on purpose: the determinism
-// contract pins each lane's noise stream to the serial replay, so on
-// noisy channels the geometric-skip flip sampling (one log per flip,
-// per lane) is an irreducible floor that slicing cannot amortize — see
-// DESIGN.md §2.14. Quiet and moderate channels are where replicate
-// slicing pays; ε = 0 isolates that win.
+// The grid runs a quiet channel (ε = 0) on purpose: replicate slicing
+// runs only on channels that cannot flip a bit, because on noisy ones
+// per-lane flip replay costs the same in either layout and the lane
+// path measured slower than serial runs (DESIGN.md §2.14).
 func BenchmarkSweepReplicateHeavy(b *testing.B) {
 	scs, err := sweep.Grid{
 		Families:   []string{sweep.FamilyHard},

@@ -92,6 +92,13 @@ func main() {
 	defer svc.Close()
 
 	srv := newServer(store, svc, reg)
+	// Orderly shutdown on SIGINT/SIGTERM: stop the listener so the
+	// deferred service drain and store close (index sidecar rewrite) run
+	// instead of dying mid-append. The handler is armed before the
+	// listener exists, so a signal that lands as soon as /healthz can
+	// answer never takes the default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -101,11 +108,6 @@ func main() {
 
 	httpSrv := &http.Server{Handler: srv}
 	go func() {
-		// Orderly shutdown on SIGINT/SIGTERM: stop the listener so the
-		// deferred service drain and store close (index sidecar rewrite)
-		// run instead of dying mid-append.
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		httpSrv.Close()
 	}()

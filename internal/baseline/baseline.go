@@ -120,13 +120,17 @@ type shardScratch struct {
 	truthPool congest.MessagePool
 }
 
-// NewRunner builds a baseline runner over g.
-func NewRunner(g *graph.Graph, cfg Config) (*Runner, error) {
+// resolveChannel validates cfg's bandwidth and channel, returns the
+// channel model, and defaults cfg.Rho. A non-empty Noise spec owns the
+// channel (ε must be 0); otherwise the channel is symmetric{Epsilon}.
+// Hostile models calibrate ρ against their worst-case per-window rate,
+// stochastic ones against their worst marginal flip rate. Both runners
+// resolve their channel here.
+func resolveChannel(cfg *Config) (noise.Model, error) {
 	if cfg.MsgBits <= 0 {
 		return nil, fmt.Errorf("baseline: MsgBits = %d", cfg.MsgBits)
 	}
-	var model noise.Model
-	calibEps := cfg.Epsilon
+	var model noise.Model = noise.Symmetric{Eps: cfg.Epsilon}
 	if cfg.Noise != "" {
 		if cfg.Epsilon != 0 {
 			return nil, fmt.Errorf("baseline: both ε = %v and channel %s given; the model owns the channel, leave ε 0", cfg.Epsilon, cfg.Noise)
@@ -135,18 +139,27 @@ func NewRunner(g *graph.Graph, cfg Config) (*Runner, error) {
 		if model, err = noise.Parse(cfg.Noise); err != nil {
 			return nil, fmt.Errorf("baseline: %w", err)
 		}
-		// Hostile models calibrate against their worst-case per-window
-		// rate; stochastic ones against the worst marginal flip rate.
-		calibEps = noise.CalibrationRate(model)
-		if calibEps >= 0.5 {
-			return nil, fmt.Errorf("baseline: channel %s: calibration rate %v outside [0, 0.5)", cfg.Noise, calibEps)
-		}
+	} else if err := model.Validate(); err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
+	}
+	calibEps := noise.CalibrationRate(model)
+	if calibEps >= 0.5 {
+		return nil, fmt.Errorf("baseline: channel %s: calibration rate %v outside [0, 0.5)", model.Spec(), calibEps)
 	}
 	if cfg.Rho == 0 {
 		cfg.Rho = DefaultRho(calibEps)
 	}
 	if cfg.Rho < 1 || cfg.Rho%2 == 0 {
 		return nil, fmt.Errorf("baseline: repetition ρ = %d must be odd and positive", cfg.Rho)
+	}
+	return model, nil
+}
+
+// NewRunner builds a baseline runner over g.
+func NewRunner(g *graph.Graph, cfg Config) (*Runner, error) {
+	model, err := resolveChannel(&cfg)
+	if err != nil {
+		return nil, err
 	}
 	beepParams := beep.Params{
 		Epsilon:  cfg.Epsilon,
@@ -156,8 +169,8 @@ func NewRunner(g *graph.Graph, cfg Config) (*Runner, error) {
 		Shards:   cfg.Shards,
 		Metrics:  cfg.Metrics,
 	}
-	if model != nil {
-		beepParams.Epsilon, beepParams.Noise = 0, model
+	if cfg.Noise != "" {
+		beepParams.Noise = model
 	}
 	nw, err := beep.NewNetwork(g, beepParams)
 	if err != nil {

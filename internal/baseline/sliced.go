@@ -4,68 +4,44 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/beep"
-	"repro/internal/bitstring"
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/noise"
 	"repro/internal/obs"
-	"repro/internal/wire"
 )
 
-// LaneConfig is one replicate's private randomness in a sliced run: the
-// two seeds that distinguish replicates of the same scenario.
-type LaneConfig struct {
-	ChannelSeed uint64
-	AlgSeed     uint64
-}
-
-// SlicedRunner advances up to 64 replicates of the TDMA baseline at
-// once: lane k of every word belongs to replicate k. All replicates
-// share the graph, the coloring, and every Config field except the
-// seeds; each lane runs its own algorithm instances against its own
-// channel and algorithm streams.
+// SlicedRunner advances up to 64 replicates of the TDMA baseline over a
+// noiseless channel at once: lane k of every mask word belongs to
+// replicate k. All replicates share the graph, the coloring, and every
+// Config field except AlgSeed, the only seed a quiet channel reads.
 //
-// The data layout is lane-transposed. A node's slot pattern is
-// []uint64 of slotLen() words — word j holds all lanes' beep decisions
-// for slot j of the node's own color slot (patterns are zero outside
-// it, which is what makes sliced propagation cheap: the OR over the
-// inclusive neighborhood touches (deg+1)·slotLen words instead of the
-// serial path's per-lane full windows). Receptions are []uint64 of
-// RoundsPerSimRound() words per node; TDMA majorities become vertical
-// counters over ρ words (bitstring.LaneCountAtLeast), resolving all
-// lanes of one beacon or payload bit together.
+// On a channel that cannot flip a bit the schedule delivers exactly:
+// the distance-2 coloring gives every neighbor of a listener a slot of
+// its own, and each majority over ρ unflipped copies reads back the sent
+// bit. So a round needs no beep windows. The runner collects every
+// lane's broadcasts, charges each lane that has senders ρ·(senders +
+// payload ones) beeps and one schedule of beep rounds, hands each
+// listener its neighbors' messages zero-padded to the bandwidth, and
+// receives. Membership and message errors are zero by construction.
 //
-// Every observable is bit-identical to running each lane through a
-// standalone Runner with the lane's seeds (the conformance suite pins
-// this per engine × workload × noise model × lane count). The
-// ingredients: per-(lane, node) noise samplers over the lane's own
-// absolute round counter (beep.SlicedChannel), advanced only on the
-// lane's sending rounds; per-lane sender counts, so a lane whose round
-// has no senders skips the radio entirely — no noise consumed, no beep
-// rounds — exactly like the serial zero-sender short-circuit; and
-// per-lane done/retire tracking replicating engine.Pool.Loop round
-// accounting.
+// Every lane is bit-identical to a standalone Runner with the lane's
+// AlgSeed. The serial Runner decodes real reception windows, so the
+// conformance suite (per noiseless channel × lane count × workers, lane
+// skew included) checks the shortcut rather than assumes it. Per-lane
+// done/retire tracking replicates engine.Pool.Loop round accounting, and
+// a lane whose round has no senders spends no beep rounds, exactly like
+// the serial zero-sender short-circuit. Channels that can flip a bit are
+// rejected: their replicates run one by one through Runner.
 type SlicedRunner struct {
 	g         *graph.Graph
 	cfg       Config
-	lanes     []LaneConfig
-	colors    []int
+	algSeeds  []uint64
 	numColors int
 	pool      *engine.Pool
-	channel   *beep.SlicedChannel
-	// quiet records that the channel model can never flip a bit
-	// (noise.Model.Noiseless). On a quiet channel decode is exact —
-	// every majority resolves to the transmitted pattern — so both
-	// score counters are provably zero and the scoring pass is skipped.
-	quiet bool
 
-	patterns [][]uint64          // [v][slotLen()], own-color-slot transposed beeps
 	sendMask []uint64            // [v] lanes in which v transmits this round
 	doneMask []uint64            // [v] lanes whose node v was done at collect time
-	heard    [][]uint64          // [v][RoundsPerSimRound()] transposed receptions
 	msgs     [][]congest.Message // [lane][v]
 	scratch  []*slicedScratch
 	m        slicedMetrics
@@ -79,79 +55,34 @@ type slicedMetrics struct {
 	lanes      *obs.Counter   // lanes started (one per replicate per Run)
 	laneRounds *obs.Counter   // sum over rounds of active lanes
 	retired    *obs.Counter   // lanes retired before the round budget
-	windows    *obs.Counter   // transposed radio windows executed
 	occupancy  *obs.Histogram // active lanes per executed round
+	decodeT    *obs.Timer     // phase: delivery, the serial runner's decode timer
 }
 
 // slicedScratch is one pool shard's reusable per-round state.
 type slicedScratch struct {
-	inbox     [][]congest.Message   // per lane
-	msgPool   []congest.MessagePool // per lane
-	truth     []congest.Message
-	truthPool congest.MessagePool
-	protect   []uint64          // zero except while one node's noise is applied
-	bm        []uint64          // [MsgBits] per-bit lane masks (encodePhase scatter)
-	scores    []core.ScoreDelta // per lane, current round
-	sends     []int64           // per lane, current round
-	ones      []int64           // per lane, payload bits set this round
-	err       error
-	errNode   int
+	inbox   [][]congest.Message   // per lane
+	msgPool []congest.MessagePool // per lane
+	sends   []int64               // per lane, current round
+	ones    []int64               // per lane, payload bits set this round
+	err     error
+	errNode int
 }
 
 // NewSlicedRunner builds a sliced baseline runner over g with one lane
-// per entry of lanes (at most 64). cfg's ChannelSeed and AlgSeed are
-// ignored — seeds are per-lane.
-func NewSlicedRunner(g *graph.Graph, cfg Config, lanes []LaneConfig) (*SlicedRunner, error) {
-	if cfg.MsgBits <= 0 {
-		return nil, fmt.Errorf("baseline: MsgBits = %d", cfg.MsgBits)
+// per algorithm seed (at most 64). cfg's AlgSeed is ignored, and so is
+// ChannelSeed: the channel must be noiseless (ε = 0, or a Noise model
+// that can never flip a bit), which draws no channel randomness.
+func NewSlicedRunner(g *graph.Graph, cfg Config, algSeeds []uint64) (*SlicedRunner, error) {
+	if len(algSeeds) == 0 || len(algSeeds) > 64 {
+		return nil, fmt.Errorf("baseline: %d lanes outside [1, 64]", len(algSeeds))
 	}
-	if len(lanes) == 0 || len(lanes) > 64 {
-		return nil, fmt.Errorf("baseline: %d lanes outside [1, 64]", len(lanes))
-	}
-	var model noise.Model
-	calibEps := cfg.Epsilon
-	if cfg.Noise != "" {
-		if cfg.Epsilon != 0 {
-			return nil, fmt.Errorf("baseline: both ε = %v and channel %s given; the model owns the channel, leave ε 0", cfg.Epsilon, cfg.Noise)
-		}
-		var err error
-		if model, err = noise.Parse(cfg.Noise); err != nil {
-			return nil, fmt.Errorf("baseline: %w", err)
-		}
-		// Hostile models calibrate against their worst-case per-window
-		// rate; stochastic ones against the worst marginal flip rate.
-		calibEps = noise.CalibrationRate(model)
-		if calibEps >= 0.5 {
-			return nil, fmt.Errorf("baseline: channel %s: calibration rate %v outside [0, 0.5)", cfg.Noise, calibEps)
-		}
-	} else {
-		if cfg.Epsilon < 0 || cfg.Epsilon >= 0.5 {
-			return nil, fmt.Errorf("baseline: ε = %v outside [0, 0.5)", cfg.Epsilon)
-		}
-		model = noise.Symmetric{Eps: cfg.Epsilon}
-	}
-	if cfg.Rho == 0 {
-		cfg.Rho = DefaultRho(calibEps)
-	}
-	if cfg.Rho < 1 || cfg.Rho%2 == 0 {
-		return nil, fmt.Errorf("baseline: repetition ρ = %d must be odd and positive", cfg.Rho)
-	}
-	seeds := make([]uint64, len(lanes))
-	for k, lc := range lanes {
-		seeds[k] = lc.ChannelSeed
-	}
-	// Topology-aware models bind here exactly as beep.NewNetwork binds for
-	// flat runs, so a lane's receptions match its lane-serial twin.
-	if tb, ok := model.(noise.TopologyBinder); ok {
-		deg := make([]int, g.N())
-		for v := range deg {
-			deg[v] = g.Degree(v)
-		}
-		model = tb.BindTopology(deg, g.MaxDegree())
-	}
-	channel, err := beep.NewSlicedChannel(model, seeds, g.N())
+	model, err := resolveChannel(&cfg)
 	if err != nil {
 		return nil, err
+	}
+	if !model.Noiseless() {
+		return nil, fmt.Errorf("baseline: sliced runs need a noiseless channel; %s can flip bits", model.Spec())
 	}
 	colors, err := g.DistanceTwoColoring()
 	if err != nil {
@@ -160,44 +91,31 @@ func NewSlicedRunner(g *graph.Graph, cfg Config, lanes []LaneConfig) (*SlicedRun
 	r := &SlicedRunner{
 		g:         g,
 		cfg:       cfg,
-		lanes:     append([]LaneConfig(nil), lanes...),
-		colors:    colors,
+		algSeeds:  append([]uint64(nil), algSeeds...),
 		numColors: graph.NumColors(colors),
 		pool:      engine.NewPool(cfg.Workers, cfg.Shards),
-		channel:   channel,
-		quiet:     model.Noiseless(),
 	}
 	n := g.N()
-	total := r.RoundsPerSimRound()
-	r.patterns = make([][]uint64, n)
 	r.sendMask = make([]uint64, n)
 	r.doneMask = make([]uint64, n)
-	r.heard = make([][]uint64, n)
-	for v := 0; v < n; v++ {
-		r.patterns[v] = make([]uint64, r.slotLen())
-		r.heard[v] = make([]uint64, total)
-	}
-	r.msgs = make([][]congest.Message, len(lanes))
+	r.msgs = make([][]congest.Message, len(algSeeds))
 	for k := range r.msgs {
 		r.msgs[k] = make([]congest.Message, n)
 	}
 	r.scratch = make([]*slicedScratch, r.pool.NumShards(n))
 	for i := range r.scratch {
-		inbox := make([][]congest.Message, len(lanes))
+		inbox := make([][]congest.Message, len(algSeeds))
 		for k := range inbox {
 			// A node hears at most one sender per non-own color; sizing
-			// the inbox (and, via Buf's reuse, the message pool) up
-			// front keeps the decode loop free of growth reallocations.
+			// the inbox (and, via PadInto's reuse, the message pool) up
+			// front keeps the delivery loop free of growth reallocations.
 			inbox[k] = make([]congest.Message, 0, r.numColors)
 		}
 		r.scratch[i] = &slicedScratch{
 			inbox:   inbox,
-			msgPool: make([]congest.MessagePool, len(lanes)),
-			protect: make([]uint64, total),
-			bm:      make([]uint64, cfg.MsgBits),
-			scores:  make([]core.ScoreDelta, len(lanes)),
-			sends:   make([]int64, len(lanes)),
-			ones:    make([]int64, len(lanes)),
+			msgPool: make([]congest.MessagePool, len(algSeeds)),
+			sends:   make([]int64, len(algSeeds)),
+			ones:    make([]int64, len(algSeeds)),
 		}
 	}
 	if reg := cfg.Metrics; reg != nil {
@@ -205,24 +123,14 @@ func NewSlicedRunner(g *graph.Graph, cfg Config, lanes []LaneConfig) (*SlicedRun
 			lanes:      reg.Counter("tdma.sliced.lanes"),
 			laneRounds: reg.Counter("tdma.sliced.lane_rounds"),
 			retired:    reg.Counter("tdma.sliced.retired_early"),
-			windows:    reg.Counter("tdma.sliced.windows"),
 			occupancy:  reg.Histogram("tdma.sliced.occupancy"),
+			decodeT:    reg.Timer("tdma.phase.decode_nanos"),
 		}
 		r.pool.Instrument(&engine.PoolMetrics{
 			Do:    reg.Counter("pool.do"),
 			Spans: reg.Counter("pool.spans"),
 			Wait:  reg.Timer("pool.do_wait_nanos"),
 		})
-		// The accounting hook: wrap every lane's samplers so applied
-		// flips land in the per-model counter, byte-identically (see
-		// beep.SlicedChannel.CountFlips).
-		channel.CountFlips(reg.Counter("noise.flips." + model.Name()))
-		if model.Name() == noise.NameAdversary {
-			// Budget accounting: a second wrap counts the same flips into
-			// the spent counter (each adversarial flip costs one budget
-			// unit, per lane).
-			channel.CountFlips(reg.Counter("noise.adversary.spent"))
-		}
 	}
 	return r, nil
 }
@@ -233,23 +141,13 @@ func (r *SlicedRunner) NumColors() int { return r.numColors }
 // Rho returns the effective per-bit repetition count (after defaulting).
 func (r *SlicedRunner) Rho() int { return r.cfg.Rho }
 
-// Lanes returns the replicate count.
-func (r *SlicedRunner) Lanes() int { return len(r.lanes) }
-
 // RoundsPerSimRound mirrors Runner.RoundsPerSimRound.
 func (r *SlicedRunner) RoundsPerSimRound() int {
 	return r.numColors * (1 + r.cfg.MsgBits) * r.cfg.Rho
 }
 
-func (r *SlicedRunner) slotLen() int { return (1 + r.cfg.MsgBits) * r.cfg.Rho }
-
-// Env mirrors Runner.Env for lane k's node v.
-func (r *SlicedRunner) Env(k, v int) congest.Env {
-	env := r.envNoRng(v)
-	env.Rng = congest.NodeStream(r.lanes[k].AlgSeed, v)
-	return env
-}
-
+// envNoRng mirrors Runner.Env without the algorithm stream, which Run
+// derives per lane in one block.
 func (r *SlicedRunner) envNoRng(v int) congest.Env {
 	return congest.Env{
 		ID:        v,
@@ -263,32 +161,34 @@ func (r *SlicedRunner) envNoRng(v int) congest.Env {
 // Run simulates every lane for at most maxSimRounds Broadcast CONGEST
 // rounds: algs[k] is lane k's per-node algorithm set. It returns one
 // result per lane, each bit-identical to Runner.Run over the lane's
-// seeds. Lanes retire independently — a lane whose algorithms all
-// finish stops participating while the others continue.
+// seed. Lanes retire independently — a lane whose algorithms all finish
+// stops participating while the others continue.
 func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int) ([]*core.Result, error) {
 	n := r.g.N()
-	if len(algs) != len(r.lanes) {
-		return nil, fmt.Errorf("baseline: %d algorithm sets for %d lanes", len(algs), len(r.lanes))
+	lanes := len(r.algSeeds)
+	if len(algs) != lanes {
+		return nil, fmt.Errorf("baseline: %d algorithm sets for %d lanes", len(algs), lanes)
 	}
 	for k, la := range algs {
 		if len(la) != n {
 			return nil, fmt.Errorf("baseline: lane %d: %d algorithms for %d nodes", k, len(la), n)
 		}
-		streams := congest.NodeStreams(r.lanes[k].AlgSeed, n)
+		streams := congest.NodeStreams(r.algSeeds[k], n)
 		for v, a := range la {
 			env := r.envNoRng(v)
 			env.Rng = &streams[v]
 			a.Init(env)
 		}
 	}
-	results := make([]*core.Result, len(r.lanes))
+	results := make([]*core.Result, lanes)
 	for k := range results {
 		results[k] = &core.Result{}
 	}
 
-	active := laneMask(len(r.lanes)) // lanes still inside their round loop
-	r.m.lanes.Add(int64(len(r.lanes)))
-	senders := make([]int64, len(r.lanes))
+	active := laneMask(lanes) // lanes still inside their round loop
+	r.m.lanes.Add(int64(lanes))
+	senders := make([]int64, lanes)
+	msgBytes := (r.cfg.MsgBits + 7) / 8
 	var (
 		curRound   int
 		curActive  uint64 // lanes collecting this round
@@ -296,16 +196,15 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 	)
 	collectPhase := func(s engine.Span) {
 		sc := r.scratch[s.Index]
-		for k := range r.lanes {
-			sc.sends[k], sc.ones[k] = 0, 0
-		}
+		clear(sc.sends)
+		clear(sc.ones)
 		sc.err = nil
 		for v := s.Lo; v < s.Hi; v++ {
 			// One Done() call per (lane, node) feeds both the send skip
-			// and the round's done mask; decodePhase reads the mask
+			// and the round's done mask; deliverPhase reads the mask
 			// instead of re-querying every lane (no state changes in
-			// between — Receive for v happens after its decode).
-			var dm uint64
+			// between — Receive for v happens after its delivery).
+			var dm, sm uint64
 			for m := curActive; m != 0; m &= m - 1 {
 				k := bits.TrailingZeros64(m)
 				a := algs[k][v]
@@ -324,140 +223,43 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 					return // abandon the span, like the serial loop the error aborts
 				}
 				r.msgs[k][v] = msg
+				sm |= 1 << uint(k)
 				sc.sends[k]++
 				for _, b := range msg {
 					sc.ones[k] += int64(bits.OnesCount8(b))
 				}
 			}
-			r.doneMask[v] = dm
+			r.doneMask[v], r.sendMask[v] = dm, sm
 		}
 	}
-	encodePhase := func(s engine.Span) {
+	// deliverPhase hands every listener its neighbors' collected
+	// broadcasts, zero-padded to the bandwidth — what the serial
+	// runner's majority decode reads back off a noiseless channel.
+	deliverPhase := func(s engine.Span) {
 		sc := r.scratch[s.Index]
-		rho, msgBits := r.cfg.Rho, r.cfg.MsgBits
-		for v := s.Lo; v < s.Hi; v++ {
-			var send uint64
-			for m := curSenders; m != 0; m &= m - 1 {
-				k := bits.TrailingZeros64(m)
-				if r.msgs[k][v] != nil {
-					send |= 1 << uint(k)
-				}
-			}
-			r.sendMask[v] = send
-			if send == 0 {
-				continue
-			}
-			pat := r.patterns[v]
-			for j := 0; j < rho; j++ {
-				pat[j] = send // presence beacon
-			}
-			if msgBits <= 64 {
-				// Scatter each sender's payload into per-bit lane masks:
-				// one pass over the set bits of each message instead of
-				// one wire.Bit extraction per (bit, lane) pair. Short
-				// messages read as zero-padded, matching wire.Bit.
-				bm := sc.bm
-				clear(bm)
-				for m := send; m != 0; m &= m - 1 {
-					k := bits.TrailingZeros64(m)
-					msg := r.msgs[k][v]
-					var x uint64
-					for i := len(msg) - 1; i >= 0; i-- {
-						x = x<<8 | uint64(msg[i])
-					}
-					lane := uint64(1) << uint(k)
-					for ; x != 0; x &= x - 1 {
-						bm[bits.TrailingZeros64(x)] |= lane
-					}
-				}
-				for bit := 0; bit < msgBits; bit++ {
-					off := (1 + bit) * rho
-					bv := bm[bit]
-					for j := 0; j < rho; j++ {
-						pat[off+j] = bv
-					}
-				}
-				continue
-			}
-			for bit := 0; bit < msgBits; bit++ {
-				var bm uint64
-				for m := send; m != 0; m &= m - 1 {
-					k := bits.TrailingZeros64(m)
-					if wire.Bit(r.msgs[k][v], bit) {
-						bm |= 1 << uint(k)
-					}
-				}
-				off := (1 + bit) * rho
-				for j := 0; j < rho; j++ {
-					pat[off+j] = bm
-				}
-			}
-		}
-	}
-	total := r.RoundsPerSimRound()
-	slot := r.slotLen()
-	radioPhase := func(s engine.Span) {
-		sc := r.scratch[s.Index]
-		for v := s.Lo; v < s.Hi; v++ {
-			win := r.heard[v]
-			clear(win)
-			if r.sendMask[v] != 0 {
-				copy(win[r.colors[v]*slot:], r.patterns[v])
-			}
-			for _, u := range r.g.Row(v) {
-				if r.sendMask[u] == 0 {
-					continue
-				}
-				// The distance-2 coloring guarantees at most one
-				// transmitter per color in v's neighborhood, so each OR
-				// lands in its own slot.
-				dst := win[r.colors[u]*slot:]
-				for j, w := range r.patterns[u] {
-					dst[j] |= w
-				}
-			}
-			var protect []uint64
-			if !r.cfg.NoisyOwn && r.sendMask[v] != 0 {
-				base := r.colors[v] * slot
-				copy(sc.protect[base:], r.patterns[v])
-				protect = sc.protect
-			}
-			r.channel.ApplyLaneNoise(v, win, total, curSenders, protect)
-			if protect != nil {
-				base := r.colors[v] * slot
-				clear(sc.protect[base : base+slot])
-			}
-		}
-	}
-	decodePhase := func(s engine.Span) {
-		sc := r.scratch[s.Index]
-		for k := range sc.scores {
-			sc.scores[k] = core.ScoreDelta{}
-		}
-		msgBytes := (r.cfg.MsgBits + 7) / 8
 		for v := s.Lo; v < s.Hi; v++ {
 			need := curSenders &^ r.doneMask[v]
 			if need == 0 {
 				continue
 			}
-			if r.quiet {
-				r.deliverQuiet(sc, v, need, msgBytes)
-			} else {
-				r.decodeNode(sc, v, need)
+			for _, u := range r.g.Row(v) {
+				for m := r.sendMask[u] & need; m != 0; m &= m - 1 {
+					k := bits.TrailingZeros64(m)
+					sc.inbox[k] = append(sc.inbox[k],
+						sc.msgPool[k].PadInto(len(sc.inbox[k]), msgBytes, r.msgs[k][u]))
+				}
 			}
 			for m := need; m != 0; m &= m - 1 {
 				k := bits.TrailingZeros64(m)
 				inbox := sc.inbox[k]
 				congest.SortMessages(inbox)
-				if !r.quiet {
-					r.scoreLane(sc, &sc.scores[k], k, v, inbox)
-				}
 				algs[k][v].Receive(curRound, inbox)
 				sc.inbox[k] = inbox[:0]
 			}
 		}
 	}
 
+	total := r.RoundsPerSimRound()
 	for round := 0; round < maxSimRounds && active != 0; round++ {
 		// Retire lanes whose algorithms all finished — the per-lane image
 		// of engine.Pool.Loop's pre-round AllDone check.
@@ -483,9 +285,7 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 		r.pool.Do(n, collectPhase)
 		var firstErr error
 		errNode := n
-		for k := range senders {
-			senders[k] = 0
-		}
+		clear(senders)
 		for _, sc := range r.scratch {
 			if sc.err != nil && sc.errNode < errNode {
 				firstErr, errNode = sc.err, sc.errNode
@@ -503,8 +303,8 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 				curSenders |= 1 << uint(k)
 			}
 		}
-		// Zero-sender lanes short-circuit the radio: every live algorithm
-		// hears silence and the lane's channel clock stands still.
+		// Zero-sender lanes short-circuit the schedule: every live
+		// algorithm hears silence and no beep rounds pass.
 		for m := active &^ curSenders; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros64(m)
 			for _, a := range algs[k] {
@@ -516,26 +316,20 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 		if curSenders == 0 {
 			continue
 		}
-		r.pool.Do(n, encodePhase)
 		for m := curSenders; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros64(m)
 			var ones int64
 			for _, sc := range r.scratch {
 				ones += sc.ones[k]
 			}
+			// Each sender beeps its ρ-slot presence beacon plus ρ slots
+			// per payload one, as the serial runner's slot patterns do.
 			results[k].Beeps += int64(r.cfg.Rho) * (senders[k] + ones)
 			results[k].BeepRounds += total
 		}
-		r.pool.Do(n, radioPhase)
-		r.channel.Advance(curSenders, total)
-		r.m.windows.Inc()
-		r.pool.Do(n, decodePhase)
-		for _, sc := range r.scratch {
-			for k := range sc.scores {
-				results[k].MembershipErrors += sc.scores[k].Membership
-				results[k].MessageErrors += sc.scores[k].Message
-			}
-		}
+		sp := r.m.decodeT.Start()
+		r.pool.Do(n, deliverPhase)
+		sp.Stop()
 	}
 	budgetRounds := maxSimRounds
 	if budgetRounds < 0 {
@@ -554,165 +348,6 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 		}
 	}
 	return results, nil
-}
-
-// deliverQuiet fills sc.inbox for a noiseless channel. With no bit
-// flips every majority column resolves to the transmitted word, so each
-// heard message is provably the sender's collected broadcast,
-// zero-padded to the bandwidth — the beep windows need not be read. The
-// serial runner takes no such shortcut, so the conformance suite's
-// byte-identity checks pin the equivalence rather than assume it.
-func (r *SlicedRunner) deliverQuiet(sc *slicedScratch, v int, need uint64, msgBytes int) {
-	for _, u := range r.g.Row(v) {
-		hear := r.sendMask[u] & need
-		for m := hear; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros64(m)
-			sc.inbox[k] = append(sc.inbox[k],
-				sc.msgPool[k].PadInto(len(sc.inbox[k]), msgBytes, r.msgs[k][u]))
-		}
-	}
-}
-
-// decodeNode fills sc.inbox[k] for every lane in need with node v's
-// decoded messages, in ascending color order (pre-sort order is shared
-// with the serial decoder so borrowed-buffer reuse patterns match).
-func (r *SlicedRunner) decodeNode(sc *slicedScratch, v int, need uint64) {
-	rho, slot := r.cfg.Rho, r.slotLen()
-	thr := rho/2 + 1 // 2·ones > ρ for odd ρ
-	msgBytes := (r.cfg.MsgBits + 7) / 8
-	win := r.heard[v]
-	if rho == 1 && r.cfg.MsgBits <= 64 {
-		// ρ = 1 (the noiseless repetition count): every majority is a
-		// single word, so gather each heard lane's payload column into
-		// one accumulator and write whole bytes — no per-bit masks, no
-		// SetBit calls. Identical output to the general path below.
-		msgBits := r.cfg.MsgBits
-		for c := 0; c < r.numColors; c++ {
-			if c == r.colors[v] {
-				continue
-			}
-			base := c * slot
-			heardMask := win[base] & need
-			if heardMask == 0 {
-				continue
-			}
-			payload := win[base+1 : base+1+msgBits]
-			for m := heardMask; m != 0; m &= m - 1 {
-				k := bits.TrailingZeros64(m)
-				var acc uint64
-				for bit, w := range payload {
-					acc |= (w >> uint(k) & 1) << uint(bit)
-				}
-				msg := sc.msgPool[k].Buf(len(sc.inbox[k]), msgBytes)
-				for i := range msg {
-					msg[i] = byte(acc >> uint(8*i))
-				}
-				sc.inbox[k] = append(sc.inbox[k], msg)
-			}
-		}
-		return
-	}
-	for c := 0; c < r.numColors; c++ {
-		if c == r.colors[v] {
-			continue // our own slot (we cannot listen while beeping)
-		}
-		base := c * slot
-		heardMask := majorityMask(win[base:base+rho], thr, need)
-		if heardMask == 0 {
-			continue
-		}
-		for m := heardMask; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros64(m)
-			msg := sc.msgPool[k].Buf(len(sc.inbox[k]), msgBytes)
-			for i := range msg {
-				msg[i] = 0
-			}
-			sc.inbox[k] = append(sc.inbox[k], msg)
-		}
-		for bit := 0; bit < r.cfg.MsgBits; bit++ {
-			off := base + (1+bit)*rho
-			bm := majorityMask(win[off:off+rho], thr, heardMask)
-			for m := bm; m != 0; m &= m - 1 {
-				k := bits.TrailingZeros64(m)
-				inbox := sc.inbox[k]
-				wire.SetBit(inbox[len(inbox)-1], bit, true)
-			}
-		}
-	}
-}
-
-// majorityMask returns the lanes of need whose vertical count over win
-// reaches thr. ρ < 128 resolves all 64 lanes at once through the
-// vertical-counter compare; larger repetition falls back to per-lane
-// popcount columns.
-func majorityMask(win []uint64, thr int, need uint64) uint64 {
-	if thr <= 0 {
-		return need // LaneCountAtLeast saturates: every lane qualifies
-	}
-	if thr == 1 {
-		// Any one suffices: the vertical OR column. ρ = 1 (the noiseless
-		// repetition count) always lands here with a single-word window.
-		var or uint64
-		for _, w := range win {
-			or |= w
-		}
-		return or & need
-	}
-	if thr == len(win) {
-		and := ^uint64(0)
-		for _, w := range win {
-			and &= w
-		}
-		return and & need
-	}
-	if len(win) < 128 {
-		return bitstring.LaneCountAtLeast(win, thr) & need
-	}
-	var out uint64
-	for m := need; m != 0; m &= m - 1 {
-		k := uint(bits.TrailingZeros64(m))
-		cnt := 0
-		for _, w := range win {
-			cnt += int(w >> k & 1)
-		}
-		if cnt >= thr {
-			out |= 1 << k
-		}
-	}
-	return out
-}
-
-// scoreLane is Runner.score for lane k: it compares v's decoded inbox
-// against what a native engine would deliver from the lane's collected
-// broadcasts.
-func (r *SlicedRunner) scoreLane(sc *slicedScratch, d *core.ScoreDelta, k, v int, inbox []congest.Message) {
-	truth := sc.truth[:0]
-	msgBytes := (r.cfg.MsgBits + 7) / 8
-	msgs := r.msgs[k]
-	presence := 0
-	for _, u := range r.g.Row(v) {
-		if msgs[u] != nil {
-			presence++
-			truth = append(truth, sc.truthPool.PadInto(len(truth), msgBytes, msgs[u]))
-		}
-	}
-	if presence != len(inbox) {
-		d.Membership++
-	}
-	congest.SortMessages(truth)
-	equal := len(truth) == len(inbox)
-	if equal {
-		for i := range truth {
-			if !wire.Equal(truth[i], inbox[i], r.cfg.MsgBits) {
-				equal = false
-				break
-			}
-		}
-	}
-	if !equal {
-		d.Message++
-	}
-	sc.truth = truth
 }
 
 // laneMask returns the mask of the low n lanes.

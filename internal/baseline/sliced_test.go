@@ -16,9 +16,9 @@ import (
 // of initial rounds and finish after a private number of receptions,
 // both drawn from the algorithm stream. Replicates with different
 // AlgSeeds therefore desynchronize — some lanes hit zero-sender rounds
-// (their channel clocks must stand still while other lanes burn beep
-// rounds), and lanes retire from the group at different sim rounds —
-// exactly the lane-skew the sliced runner must keep bit-identical.
+// (they must spend no beep rounds while other lanes do), and lanes
+// retire from the group at different sim rounds — exactly the lane-skew
+// the sliced runner must keep bit-identical.
 type sporadic struct {
 	env    congest.Env
 	quiet  int
@@ -62,92 +62,107 @@ func (g *sporadic) Receive(round int, msgs []congest.Message) {
 func (g *sporadic) Done() bool  { return g.done }
 func (g *sporadic) Output() any { return g.got }
 
-// laneSeeds derives distinct per-replicate seeds, the way a sweep grid
-// gives every replicate its own ChannelSeed and AlgSeed.
-func laneSeeds(lanes int) []LaneConfig {
-	out := make([]LaneConfig, lanes)
+// laneSeeds derives distinct per-replicate algorithm seeds, the way a
+// sweep grid gives every replicate its own AlgSeed.
+func laneSeeds(lanes int) []uint64 {
+	out := make([]uint64, lanes)
 	for k := range out {
-		out[k] = LaneConfig{ChannelSeed: 1000 + 7*uint64(k), AlgSeed: 2000 + 13*uint64(k)}
+		out[k] = 2000 + 13*uint64(k)
 	}
 	return out
 }
 
+// quietChannel is one noiseless channel of the conformance matrix,
+// labeled by the model whose zero-rate form it runs; rho 0 takes the
+// calibrated default.
+type quietChannel struct {
+	label    string
+	noise    string
+	rho      int
+	noisyOwn bool
+}
+
+// quietChannels lists the noiseless channels the sliced runner serves:
+// ε = 0 on the default channel at the default ρ = 1, the symmetric
+// channel at ρ = 5 under both own-noise conventions, every other
+// stochastic model's zero-rate form, and a zero-budget adversary, whose
+// worst-case calibration sets ρ = 31.
+func quietChannels() []quietChannel {
+	return []quietChannel{
+		{label: "noiseless"},
+		{label: "symmetric", noise: "symmetric:0", rho: 5, noisyOwn: true},
+		{label: "symmetric-ownclean", rho: 5},
+		{label: "asymmetric", noise: "asymmetric:0:0", noisyOwn: true},
+		{label: "erasure", noise: "erasure:0:1"},
+		{label: "gilbert-elliott", noise: "gilbert-elliott:0:0.3:0:0.2", noisyOwn: true},
+		{label: "adversary", noise: "adversary:solo:0"},
+	}
+}
+
+// checkLanes runs one lane per seed through standalone serial Runners —
+// the reference, with a distinct channel seed per lane as a grid's
+// replicates have — and as one SlicedRunner pass at 1 and 4 workers. It
+// fails unless every sliced lane deep-equals its serial twin, and
+// returns the serial results.
+func checkLanes(t *testing.T, g *graph.Graph, c quietChannel, seeds []uint64, newAlg func() congest.BroadcastAlgorithm, budget int) []*core.Result {
+	t.Helper()
+	cfg := Config{MsgBits: 8, Rho: c.rho, Noise: c.noise, NoisyOwn: c.noisyOwn}
+	newAlgs := func() []congest.BroadcastAlgorithm {
+		algs := make([]congest.BroadcastAlgorithm, g.N())
+		for v := range algs {
+			algs[v] = newAlg()
+		}
+		return algs
+	}
+	want := make([]*core.Result, len(seeds))
+	for k, seed := range seeds {
+		kcfg := cfg
+		kcfg.ChannelSeed, kcfg.AlgSeed = 1000+7*uint64(k), seed
+		r, err := NewRunner(g, kcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[k], err = r.Run(newAlgs(), budget); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		scfg := cfg
+		scfg.Workers = workers
+		sr, err := NewSlicedRunner(g, scfg, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		algs := make([][]congest.BroadcastAlgorithm, len(seeds))
+		for k := range algs {
+			algs[k] = newAlgs()
+		}
+		got, err := sr.Run(algs, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range got {
+			if !reflect.DeepEqual(got[k], want[k]) {
+				t.Fatalf("workers=%d lane %d diverges from serial run:\n got %+v\nwant %+v",
+					workers, k, got[k], want[k])
+			}
+		}
+	}
+	return want
+}
+
 // TestSlicedMatchesSerial is the sliced-execution conformance suite at
-// the runner level: for every noise model × lane count (1, 3, a
-// non-power-of-two remainder, a full word) × own-noise convention, each
-// lane of one sliced run must be deep-equal — counters, error scores,
-// energy, outputs — to a standalone serial Runner over that lane's
-// seeds. The sliced runner is exercised serial and sharded-parallel.
+// the runner level: for every noiseless channel × lane count (1, 3, a
+// non-power-of-two remainder, a full word), each lane of one sliced run
+// must be deep-equal — counters, energy, outputs — to a standalone
+// serial Runner over that lane's seed, whose majority decode reads real
+// reception windows.
 func TestSlicedMatchesSerial(t *testing.T) {
 	g := graph.RandomBoundedDegree(18, 4, 0.18, rng.New(600))
-	models := []struct {
-		label    string
-		noise    string
-		eps      float64
-		noisyOwn bool
-	}{
-		{label: "noiseless", eps: 0},
-		{label: "symmetric", eps: 0.1, noisyOwn: true},
-		{label: "symmetric-ownclean", eps: 0.1},
-		{label: "asymmetric", noise: "asymmetric:0.03:0.15", noisyOwn: true},
-		{label: "erasure", noise: "erasure:0.1:1"},
-		{label: "gilbert-elliott", noise: "gilbert-elliott:0.02:0.3:0.1:0.2", noisyOwn: true},
-	}
-	const budget = 8
-	for _, mc := range models {
+	for _, c := range quietChannels() {
 		for _, lanes := range []int{1, 3, 37, 64} {
-			t.Run(fmt.Sprintf("%s/lanes=%d", mc.label, lanes), func(t *testing.T) {
-				cfg := Config{
-					MsgBits:  8,
-					Rho:      5,
-					Epsilon:  mc.eps,
-					Noise:    mc.noise,
-					NoisyOwn: mc.noisyOwn,
-				}
-				seeds := laneSeeds(lanes)
-				// Serial references: one standalone Runner per lane.
-				want := make([]*core.Result, lanes)
-				for k := 0; k < lanes; k++ {
-					kcfg := cfg
-					kcfg.ChannelSeed = seeds[k].ChannelSeed
-					kcfg.AlgSeed = seeds[k].AlgSeed
-					r, err := NewRunner(g, kcfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					algs := make([]congest.BroadcastAlgorithm, g.N())
-					for v := range algs {
-						algs[v] = &sporadic{}
-					}
-					if want[k], err = r.Run(algs, budget); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for _, workers := range []int{1, 4} {
-					scfg := cfg
-					scfg.Workers = workers
-					sr, err := NewSlicedRunner(g, scfg, seeds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					algs := make([][]congest.BroadcastAlgorithm, lanes)
-					for k := range algs {
-						algs[k] = make([]congest.BroadcastAlgorithm, g.N())
-						for v := range algs[k] {
-							algs[k][v] = &sporadic{}
-						}
-					}
-					got, err := sr.Run(algs, budget)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for k := range got {
-						if !reflect.DeepEqual(got[k], want[k]) {
-							t.Fatalf("workers=%d lane %d diverges from serial run:\n got %+v\nwant %+v",
-								workers, k, got[k], want[k])
-						}
-					}
-				}
+			t.Run(fmt.Sprintf("%s/lanes=%d", c.label, lanes), func(t *testing.T) {
+				checkLanes(t, g, c, laneSeeds(lanes), func() congest.BroadcastAlgorithm { return &sporadic{} }, 8)
 			})
 		}
 	}
@@ -168,62 +183,30 @@ func (p *pacer) Init(env congest.Env) {
 	}
 }
 
-// TestSlicedLaneSkew asserts the suite covers genuinely skewed lanes:
-// across the 64-lane seed set some lane must retire before another,
-// and some lane must consume fewer beep rounds than the busiest one
-// (zero-sender rounds happened for it alone, its channel clock frozen).
+// TestSlicedLaneSkew asserts the suite covers genuinely skewed lanes on
+// every noiseless channel: across the 64-lane seed set some lane must
+// retire before another, and some lane must consume fewer beep rounds
+// than the busiest one (zero-sender rounds happened for it alone).
 // Without this the conformance matrix could silently degenerate into
-// lockstep lanes. The same workload is then pinned against serial runs.
+// lockstep lanes. checkLanes pins the same workload against serial runs.
 func TestSlicedLaneSkew(t *testing.T) {
 	g := graph.RandomBoundedDegree(18, 4, 0.18, rng.New(600))
-	seeds := laneSeeds(64)
-	cfg := Config{MsgBits: 8, Rho: 5, Epsilon: 0.1, NoisyOwn: true}
-	sr, err := NewSlicedRunner(g, cfg, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	algs := make([][]congest.BroadcastAlgorithm, 64)
-	for k := range algs {
-		algs[k] = make([]congest.BroadcastAlgorithm, g.N())
-		for v := range algs[k] {
-			algs[k][v] = &pacer{}
-		}
-	}
-	res, err := sr.Run(algs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range res {
-		kcfg := cfg
-		kcfg.ChannelSeed = seeds[k].ChannelSeed
-		kcfg.AlgSeed = seeds[k].AlgSeed
-		r, err := NewRunner(g, kcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial := make([]congest.BroadcastAlgorithm, g.N())
-		for v := range serial {
-			serial[v] = &pacer{}
-		}
-		want, err := r.Run(serial, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res[k], want) {
-			t.Fatalf("lane %d diverges from serial run under skew:\n got %+v\nwant %+v", k, res[k], want)
-		}
-	}
-	minRounds, maxRounds := res[0].SimRounds, res[0].SimRounds
-	minBeepRounds, maxBeepRounds := res[0].BeepRounds, res[0].BeepRounds
-	for _, r := range res[1:] {
-		minRounds, maxRounds = min(minRounds, r.SimRounds), max(maxRounds, r.SimRounds)
-		minBeepRounds, maxBeepRounds = min(minBeepRounds, r.BeepRounds), max(maxBeepRounds, r.BeepRounds)
-	}
-	if minRounds == maxRounds {
-		t.Errorf("all 64 lanes ran %d sim rounds; want retirement skew", minRounds)
-	}
-	if minBeepRounds == maxBeepRounds {
-		t.Errorf("all 64 lanes consumed %d beep rounds; want zero-sender skew", minBeepRounds)
+	for _, c := range quietChannels() {
+		t.Run(c.label, func(t *testing.T) {
+			res := checkLanes(t, g, c, laneSeeds(64), func() congest.BroadcastAlgorithm { return &pacer{} }, 8)
+			minRounds, maxRounds := res[0].SimRounds, res[0].SimRounds
+			minBeepRounds, maxBeepRounds := res[0].BeepRounds, res[0].BeepRounds
+			for _, r := range res[1:] {
+				minRounds, maxRounds = min(minRounds, r.SimRounds), max(maxRounds, r.SimRounds)
+				minBeepRounds, maxBeepRounds = min(minBeepRounds, r.BeepRounds), max(maxBeepRounds, r.BeepRounds)
+			}
+			if minRounds == maxRounds {
+				t.Errorf("all 64 lanes ran %d sim rounds; want retirement skew", minRounds)
+			}
+			if minBeepRounds == maxBeepRounds {
+				t.Errorf("all 64 lanes consumed %d beep rounds; want zero-sender skew", minBeepRounds)
+			}
+		})
 	}
 }
 
@@ -247,9 +230,28 @@ func TestSlicedRunnerValidation(t *testing.T) {
 	if _, err := NewSlicedRunner(g, Config{MsgBits: 8, Epsilon: 0.1, Noise: "erasure:0.1:0"}, laneSeeds(2)); err == nil {
 		t.Error("ε and model both set accepted")
 	}
-	sr, err := NewSlicedRunner(g, Config{MsgBits: 8}, laneSeeds(2))
+	// Every channel that can flip a bit is refused: its replicates run
+	// through the serial Runner.
+	for _, cfg := range []Config{
+		{MsgBits: 8, Epsilon: 0.1},
+		{MsgBits: 8, Noise: "asymmetric:0.01:0"},
+		{MsgBits: 8, Noise: "erasure:0.1:0"},
+		{MsgBits: 8, Noise: "gilbert-elliott:0:0.3:0.1:0.2"},
+		{MsgBits: 8, Noise: "adversary:solo:1"},
+		{MsgBits: 8, Noise: "jam:1:10"},
+	} {
+		if _, err := NewSlicedRunner(g, cfg, laneSeeds(2)); err == nil {
+			t.Errorf("channel ε=%v %q can flip bits but was accepted", cfg.Epsilon, cfg.Noise)
+		}
+	}
+	// A zero-budget adversary is noiseless, and ρ still calibrates
+	// against its worst-case rate, as in the serial Runner.
+	sr, err := NewSlicedRunner(g, Config{MsgBits: 8, Noise: "adversary:solo:0"}, laneSeeds(2))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sr.Rho() != 31 {
+		t.Errorf("adversary:solo:0 calibrated ρ = %d, want 31", sr.Rho())
 	}
 	if _, err := sr.Run(make([][]congest.BroadcastAlgorithm, 1), 4); err == nil {
 		t.Error("lane/algorithm set mismatch accepted")

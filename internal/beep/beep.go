@@ -185,9 +185,9 @@ func NewNetwork(g *graph.Graph, params Params) (*Network, error) {
 		}
 	}
 	// Topology-aware models (the adversary's hub strategy) see the public
-	// graph structure. Binding is deterministic and identical on every
-	// execution path — the sliced runners bind the same way — so a bound
-	// model's receptions stay a pure function of (model spec, seed, node).
+	// graph structure. Binding is deterministic and consumes no
+	// randomness, so a bound model's receptions stay a pure function of
+	// (model spec, seed, node).
 	if tb, ok := model.(noise.TopologyBinder); ok {
 		deg := make([]int, g.N())
 		for v := range deg {

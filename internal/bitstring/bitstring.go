@@ -408,86 +408,6 @@ func (s *BitString) SetRange(lo, hi int) {
 	s.words[hiW] |= hiMask
 }
 
-// ScatterLane writes s into one lane of a lane-transposed window: bit i
-// of s becomes bit lane of words[i]. This is the flat→sliced transform of
-// the replicate-sliced execution mode, where lane k of every window word
-// belongs to replicate k (64 replicates per word). words must have at
-// least Len() entries; other lanes are left untouched. It panics if lane
-// is outside [0, 64) or words is too short.
-func (s *BitString) ScatterLane(words []uint64, lane int) {
-	checkLane(lane, len(words), s.n)
-	bit := uint64(1) << uint(lane)
-	for i := 0; i < s.n; i++ {
-		if s.words[i>>6]&(1<<(uint(i)&63)) != 0 {
-			words[i] |= bit
-		} else {
-			words[i] &^= bit
-		}
-	}
-}
-
-// GatherLane overwrites s with one lane of a lane-transposed window: bit i
-// of s becomes bit lane of words[i] — the sliced→flat inverse of
-// ScatterLane. words must have at least Len() entries. It panics if lane
-// is outside [0, 64) or words is too short.
-func (s *BitString) GatherLane(words []uint64, lane int) {
-	checkLane(lane, len(words), s.n)
-	s.Reset()
-	for i := 0; i < s.n; i++ {
-		if words[i]>>(uint(lane))&1 == 1 {
-			s.words[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-}
-
-func checkLane(lane, words, n int) {
-	if lane < 0 || lane >= wordBits {
-		panic(fmt.Sprintf("bitstring: lane %d outside [0, %d)", lane, wordBits))
-	}
-	if words < n {
-		panic(fmt.Sprintf("bitstring: %d window words cannot hold %d slots", words, n))
-	}
-}
-
-// LaneCountAtLeast returns the 64 vertical popcounts of a lane-transposed
-// window compared against a threshold in one pass: bit k of the result is
-// 1 iff the number of words with bit k set is at least thr. It is the
-// replicate-sliced form of 64 independent OnesRange majorities (the TDMA
-// baseline's per-slot votes: thr = ρ/2+1 decides 2·ones > ρ for all 64
-// lanes at once), computed with ripple-carry vertical counters — seven
-// 64-lane counter bits, so len(words) must be < 128. thr values outside
-// [0, len(words)] saturate to all-ones / all-zeros.
-func LaneCountAtLeast(words []uint64, thr int) uint64 {
-	if thr <= 0 {
-		return ^uint64(0)
-	}
-	if thr > len(words) {
-		return 0
-	}
-	if len(words) >= 128 {
-		panic(fmt.Sprintf("bitstring: LaneCountAtLeast window of %d words overflows 7-bit counters", len(words)))
-	}
-	var c [7]uint64 // c[i] holds bit i of each lane's count
-	for _, w := range words {
-		carry := w
-		for i := 0; carry != 0; i++ {
-			c[i], carry = c[i]^carry, c[i]&carry
-		}
-	}
-	// Lane-parallel unsigned compare count >= thr, MSB down: a lane is
-	// greater the first time its count bit exceeds the threshold bit.
-	gt, eq := uint64(0), ^uint64(0)
-	for i := 6; i >= 0; i-- {
-		t := uint64(0)
-		if thr>>uint(i)&1 == 1 {
-			t = ^uint64(0)
-		}
-		gt |= eq & c[i] &^ t
-		eq &^= c[i] ^ t
-	}
-	return gt | eq
-}
-
 // HammingDistance returns d_H(s, t), the number of positions where s and t
 // differ. It panics if lengths differ.
 func (s *BitString) HammingDistance(t *BitString) int {

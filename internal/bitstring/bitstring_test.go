@@ -658,80 +658,3 @@ func TestRangeBoundsPanic(t *testing.T) {
 		}()
 	}
 }
-
-func TestPropertyScatterGatherLaneRoundTrip(t *testing.T) {
-	f := func(seed int64, nRaw uint16, laneRaw uint8) bool {
-		n := 1 + int(nRaw)%300
-		lane := int(laneRaw) % 64
-		r := rand.New(rand.NewSource(seed))
-		s := randomBitString(r, n)
-		words := make([]uint64, n)
-		for i := range words {
-			words[i] = r.Uint64()
-		}
-		before := append([]uint64(nil), words...)
-		s.ScatterLane(words, lane)
-		for i := range words {
-			if words[i]&^(1<<uint(lane)) != before[i]&^(1<<uint(lane)) {
-				return false // foreign lanes must be untouched
-			}
-		}
-		back := randomBitString(r, n) // dirty: GatherLane must overwrite
-		back.GatherLane(words, lane)
-		return back.Equal(s)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyLaneCountAtLeast(t *testing.T) {
-	f := func(seed int64, wRaw, thrRaw uint8) bool {
-		w := int(wRaw) % 128
-		thr := int(thrRaw) % (w + 3)
-		r := rand.New(rand.NewSource(seed))
-		words := make([]uint64, w)
-		for i := range words {
-			words[i] = r.Uint64()
-		}
-		got := LaneCountAtLeast(words, thr)
-		for k := 0; k < 64; k++ {
-			count := 0
-			for _, word := range words {
-				count += int(word >> uint(k) & 1)
-			}
-			if (got>>uint(k)&1 == 1) != (count >= thr) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLaneHelpersPanic(t *testing.T) {
-	s := New(70)
-	words := make([]uint64, 70)
-	for _, bad := range []struct {
-		name string
-		fn   func()
-	}{
-		{"scatter lane -1", func() { s.ScatterLane(words, -1) }},
-		{"scatter lane 64", func() { s.ScatterLane(words, 64) }},
-		{"scatter short window", func() { s.ScatterLane(words[:69], 0) }},
-		{"gather lane 64", func() { s.GatherLane(words, 64) }},
-		{"gather short window", func() { s.GatherLane(words[:69], 0) }},
-		{"count 128-word window", func() { LaneCountAtLeast(make([]uint64, 128), 1) }},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", bad.name)
-				}
-			}()
-			bad.fn()
-		}()
-	}
-}

@@ -1,16 +1,11 @@
 package bitstring
 
-import (
-	"math/bits"
-	"testing"
-)
+import "testing"
 
 // The fuzz targets pin every fused word-parallel helper to a naive
 // bit-at-a-time reference over random word windows: the fused helpers
-// are the decoders' and the sliced execution mode's hot paths, and any
-// masking or early-exit slip shows up here as a divergence from the
-// per-bit definition. They run in the CI fuzz smoke beside
-// FuzzXorFlipsInto (internal/rng).
+// are the decoders' hot paths, and any masking or early-exit slip shows
+// up here as a divergence from the per-bit definition.
 
 // fuzzBits derives an n-bit string from raw fuzz bytes (cycled when
 // short), so every target explores arbitrary word contents including the
@@ -107,72 +102,6 @@ func FuzzOnesSetRange(f *testing.F) {
 		s.maskTail()
 		if s.OnesRange(0, n) != s.Ones() {
 			t.Fatalf("SetRange(%d, %d) broke the tail invariant", lo, hi)
-		}
-	})
-}
-
-func FuzzLaneScatterGather(f *testing.F) {
-	f.Add([]byte{1, 0xfe}, uint16(100), uint8(63))
-	f.Add([]byte{0xff}, uint16(64), uint8(0))
-	f.Add([]byte{}, uint16(1), uint8(31))
-	f.Fuzz(func(t *testing.T, raw []byte, nRaw uint16, laneRaw uint8) {
-		n := 1 + int(nRaw)%300
-		lane := int(laneRaw) % 64
-		s := fuzzBits(raw, 0x77, n)
-		// A dirty window: scatter must overwrite exactly lane's column.
-		words := make([]uint64, n)
-		before := make([]uint64, n)
-		for i := range words {
-			words[i] = uint64(i)*0x9e3779b97f4a7c15 ^ uint64(laneRaw)
-			before[i] = words[i]
-		}
-		s.ScatterLane(words, lane)
-		for i := 0; i < n; i++ {
-			if got := words[i]>>(uint(lane))&1 == 1; got != s.Get(i) {
-				t.Fatalf("ScatterLane: slot %d lane %d = %v, want %v", i, lane, got, s.Get(i))
-			}
-			if words[i]&^(1<<uint(lane)) != before[i]&^(1<<uint(lane)) {
-				t.Fatalf("ScatterLane: slot %d touched foreign lanes (%#x vs %#x)", i, words[i], before[i])
-			}
-		}
-		// Gather into a dirty string must round-trip.
-		back := fuzzBits(raw, 0x88, n)
-		back.GatherLane(words, lane)
-		if !back.Equal(s) {
-			t.Fatalf("GatherLane(ScatterLane(s)) != s for lane %d, n %d", lane, n)
-		}
-	})
-}
-
-func FuzzLaneCountAtLeast(f *testing.F) {
-	f.Add([]byte{0xff, 1}, uint8(101), uint8(51))
-	f.Add([]byte{0}, uint8(15), uint8(8))
-	f.Add([]byte{0xab}, uint8(127), uint8(0))
-	f.Fuzz(func(t *testing.T, raw []byte, wRaw, thrRaw uint8) {
-		w := int(wRaw) % 128
-		thr := int(thrRaw) % (w + 3) // exercises both saturation edges
-		words := make([]uint64, w)
-		if len(raw) == 0 {
-			raw = []byte{thrRaw}
-		}
-		for i := range words {
-			for b := 0; b < 8; b++ {
-				words[i] |= uint64(raw[(i*8+b)%len(raw)]^byte(i+b)) << (8 * b)
-			}
-		}
-		got := LaneCountAtLeast(words, thr)
-		for k := 0; k < 64; k++ {
-			count := 0
-			for _, w := range words {
-				count += int(w >> uint(k) & 1)
-			}
-			if want := count >= thr; got>>(uint(k))&1 == 1 != want {
-				t.Fatalf("LaneCountAtLeast(%d words, thr %d): lane %d = %v, want %v (count %d)",
-					w, thr, k, !want, want, count)
-			}
-		}
-		if ones := bits.OnesCount64(LaneCountAtLeast(words, 0)); ones != 64 {
-			t.Fatalf("thr 0 must saturate to all lanes, got %d", ones)
 		}
 	})
 }

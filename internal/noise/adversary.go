@@ -21,9 +21,9 @@ import (
 //     the absolute slot index, public topology (when bound), and one
 //     private uniform per slot — never protocol state, other nodes'
 //     receptions, or the future. That keeps samplers position-
-//     deterministic: the three execution paths (ApplyInto, FlipAt,
-//     ApplyLaneInto) share one decision procedure and stay bit-identical.
-//   - Budget is per sampler, i.e. per (node, lane): the adversary may
+//     deterministic: the two execution paths (ApplyInto, FlipAt) share
+//     one decision procedure and stay bit-identical.
+//   - Budget is per sampler, i.e. per listener: the adversary may
 //     corrupt at most Budget receptions of each listener. Spending is
 //     greedy — every slot the strategy targets is corrupted until the
 //     budget runs dry — so a larger budget's corruption set contains a
@@ -127,7 +127,7 @@ type View struct {
 // (drawn for every slot whether or not the strategy uses it, so stream
 // consumption never depends on the decision). It must be a pure
 // function of its arguments — no internal state — which is what keeps
-// the scalar, batch, and lane paths interchangeable mid-run.
+// the scalar and batch paths interchangeable mid-run.
 type Strategy interface {
 	Name() string
 	Corrupt(v View, t int, bit bool, u float64) bool
@@ -175,8 +175,8 @@ func (s hubStrategy) Corrupt(v View, _ int, bit bool, _ float64) bool {
 
 // Adversary is the budget-bounded adversarial channel
 // "adversary:strategy:budget[:args]": a seeded, deterministic Strategy
-// corrupts at most Budget receptions per listener (per lane, in sliced
-// execution). A and B hold the strategy's parameters:
+// corrupts at most Budget receptions per listener. A and B hold the
+// strategy's parameters:
 //
 //	adversary:random:T[:p]            A = p, corruption probability (default 0.5)
 //	adversary:solo:T                  no parameters
@@ -334,9 +334,8 @@ func (m Adversary) sampler(seed uint64, node int, v View) Sampler {
 
 // TopologyBinder is an optional Model capability: attaching public
 // topology so per-listener samplers see a full View. Binding is
-// deterministic and must happen identically on every execution path
-// (beep.NewNetwork for flat runs, the sliced runners for lane runs);
-// it never consumes randomness.
+// deterministic (beep.NewNetwork binds before deriving samplers) and
+// never consumes randomness.
 type TopologyBinder interface {
 	Model
 	// BindTopology returns a model whose samplers see the given
@@ -370,7 +369,7 @@ func (m boundAdversary) Sampler(seed uint64, node int) Sampler {
 // advSampler walks slots like geSampler: a position counter advances
 // through every observed slot, each consuming exactly one uniform —
 // drawn before the budget check, so consumption stays position-
-// deterministic after exhaustion — and all three paths share step().
+// deterministic after exhaustion — and both paths share step().
 type advSampler struct {
 	strat Strategy
 	view  View
@@ -418,19 +417,6 @@ func (s *advSampler) ApplyInto(words []uint64, start, end int, protect []uint64)
 		prot := protect != nil && protect[i>>6]&mask != 0
 		if s.step(bit, prot) {
 			words[i>>6] ^= mask
-		}
-	}
-}
-
-func (s *advSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
-	mask := uint64(1) << uint(lane)
-	s.skipTo(start)
-	for s.pos < end {
-		i := s.pos - start
-		bit := words[i]&mask != 0
-		prot := protect != nil && protect[i]&mask != 0
-		if s.step(bit, prot) {
-			words[i] ^= mask
 		}
 	}
 }
@@ -507,20 +493,6 @@ func (s jamSampler) ApplyInto(words []uint64, start, end int, protect []uint64) 
 			continue
 		}
 		words[i>>6] |= mask
-	}
-}
-
-func (s jamSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
-	mask := uint64(1) << uint(lane)
-	for t := start; t < end; t++ {
-		if !s.jammed(t) {
-			continue
-		}
-		i := t - start
-		if protect != nil && protect[i]&mask != 0 {
-			continue
-		}
-		words[i] |= mask
 	}
 }
 

@@ -130,11 +130,11 @@ func TestHostileCalibration(t *testing.T) {
 	}
 }
 
-// TestHostileThreePathConformance is the hostile-model edition of the
-// PR 5/PR 6 equivalence suite: per strategy, the scalar FlipAt path,
-// the flat ApplyInto path, and the lane-transposed ApplyLaneInto path
-// produce identical post-noise bits — and identical budget spend —
-// over identical pre-noise data, protection masks, and windows.
+// TestHostileThreePathConformance is the hostile-model edition of
+// TestApplyIntoMatchesFlipAt: per strategy, the scalar FlipAt path, the
+// batch ApplyInto path, and one sampler alternating the two window by
+// window produce identical post-noise bits — and identical budget
+// spend — over identical pre-noise data, protection masks, and windows.
 func TestHostileThreePathConformance(t *testing.T) {
 	windows := []int{1, 63, 64, 65, 300, 5, 128}
 	total := 0
@@ -163,46 +163,45 @@ func TestHostileThreePathConformance(t *testing.T) {
 						tSlot, batch[tSlot], want, pre[tSlot], protect[tSlot])
 				}
 			}
-			// Lane path: same data in lane 19 of a transposed window, junk
-			// in every other lane.
-			lane := 19
-			laneS := m.Sampler(42, 3)
-			laneOut := make([]bool, total)
+			// Interleaved: one sampler takes even windows slot by slot and
+			// odd windows as a batch; the paths are interchangeable mid-run.
+			mixed := m.Sampler(42, 3)
 			off := 0
-			for _, w := range windows {
-				words := make([]uint64, w)
-				prot := make([]uint64, w)
-				var junk []uint64
-				for i := range words {
-					words[i] = data.Uint64() &^ (1 << uint(lane))
-					junk = append(junk, words[i])
-					if pre[off+i] {
-						words[i] |= 1 << uint(lane)
+			for wi, w := range windows {
+				got := make([]bool, w)
+				if wi%2 == 0 {
+					for i := range got {
+						got[i] = pre[off+i] != mixed.FlipAt(off+i, pre[off+i], protect[off+i])
 					}
-					if protect[off+i] {
-						prot[i] |= 1 << uint(lane)
+				} else {
+					n := (w + 63) / 64
+					words, prot := make([]uint64, n), make([]uint64, n)
+					for i := 0; i < w; i++ {
+						if pre[off+i] {
+							words[i>>6] |= 1 << (uint(i) & 63)
+						}
+						if protect[off+i] {
+							prot[i>>6] |= 1 << (uint(i) & 63)
+						}
+					}
+					mixed.ApplyInto(words, off, off+w, prot)
+					for i := range got {
+						got[i] = words[i>>6]>>(uint(i)&63)&1 == 1
 					}
 				}
-				laneS.ApplyLaneInto(words, off, off+w, lane, prot)
-				for i := 0; i < w; i++ {
-					if words[i]&^(1<<uint(lane)) != junk[i] {
-						t.Fatalf("window slot %d: foreign lanes touched", i)
+				for i, bit := range got {
+					if bit != batch[off+i] {
+						t.Fatalf("window %d slot %d: interleaved bit %v, batch bit %v", wi, off+i, bit, batch[off+i])
 					}
-					laneOut[off+i] = words[i]>>uint(lane)&1 == 1
 				}
 				off += w
-			}
-			for tSlot := 0; tSlot < total; tSlot++ {
-				if laneOut[tSlot] != batch[tSlot] {
-					t.Fatalf("slot %d: lane bit %v, batch bit %v", tSlot, laneOut[tSlot], batch[tSlot])
-				}
 			}
 		})
 	}
 }
 
 // countFlips runs a sampler over pre-noise data and counts applied
-// flips, exercising all three paths in rotation.
+// flips, alternating the scalar and batch paths window by window.
 func countFlips(t *testing.T, m Model, seed uint64, node, slots int, preBit func(int) bool, protAt func(int) bool) int {
 	t.Helper()
 	s := m.Sampler(seed, node)
@@ -214,14 +213,14 @@ func countFlips(t *testing.T, m Model, seed uint64, node, slots int, preBit func
 		if slots-tSlot < w {
 			w = slots - tSlot
 		}
-		switch mode % 3 {
+		switch mode % 2 {
 		case 0: // scalar
 			for i := 0; i < w; i++ {
 				if s.FlipAt(tSlot+i, preBit(tSlot+i), protAt(tSlot+i)) {
 					flips++
 				}
 			}
-		case 1: // flat batch
+		case 1: // batch
 			words := make([]uint64, (w+63)/64)
 			prot := make([]uint64, (w+63)/64)
 			before := 0
@@ -237,24 +236,6 @@ func countFlips(t *testing.T, m Model, seed uint64, node, slots int, preBit func
 			s.ApplyInto(words, tSlot, tSlot+w, prot)
 			for i := 0; i < w; i++ {
 				if (words[i>>6]>>(uint(i)&63)&1 == 1) != preBit(tSlot+i) {
-					flips++
-				}
-			}
-		case 2: // lane batch
-			const lane = 7
-			words := make([]uint64, w)
-			prot := make([]uint64, w)
-			for i := 0; i < w; i++ {
-				if preBit(tSlot + i) {
-					words[i] |= 1 << lane
-				}
-				if protAt(tSlot + i) {
-					prot[i] |= 1 << lane
-				}
-			}
-			s.ApplyLaneInto(words, tSlot, tSlot+w, lane, prot)
-			for i := 0; i < w; i++ {
-				if (words[i]>>lane&1 == 1) != preBit(tSlot+i) {
 					flips++
 				}
 			}
@@ -312,7 +293,7 @@ func TestAdversaryProtectedSpendsNothing(t *testing.T) {
 
 // TestAdversaryCountingAgreesWithSpend pins the Accountant surface: a
 // Counting wrapper around an adversary sampler observes exactly the
-// flips the budget pays for, on the flat and lane paths alike.
+// flips the budget pays for.
 func TestAdversaryCountingAgreesWithSpend(t *testing.T) {
 	m := Adversary{Strategy: StrategySolo, Budget: 10}
 	var acc countingAcc
@@ -320,17 +301,7 @@ func TestAdversaryCountingAgreesWithSpend(t *testing.T) {
 	words := []uint64{^uint64(0), ^uint64(0)} // 128 detected beeps
 	s.ApplyInto(words, 0, 128, nil)
 	if int(acc) != 10 {
-		t.Errorf("flat path: accountant saw %d, want 10", acc)
-	}
-	acc = 0
-	s = Counting(m.Sampler(5, 1), &acc)
-	lane := make([]uint64, 128)
-	for i := range lane {
-		lane[i] = 1 << 9
-	}
-	s.ApplyLaneInto(lane, 0, 128, 9, nil)
-	if int(acc) != 10 {
-		t.Errorf("lane path: accountant saw %d, want 10", acc)
+		t.Errorf("accountant saw %d, want 10", acc)
 	}
 }
 

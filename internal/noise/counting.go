@@ -68,23 +68,6 @@ func (c *countingSampler) FlipAt(t int, bit, protected bool) bool {
 	return flip
 }
 
-func (c *countingSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
-	n := end - start
-	if n < 0 || n > len(words) {
-		n = len(words)
-	}
-	pre := c.snapshot(words[:n])
-	c.s.ApplyLaneInto(words, start, end, lane, protect)
-	mask := uint64(1) << uint(lane)
-	var flips int64
-	for i, w := range words[:n] {
-		flips += int64(bits.OnesCount64((w ^ pre[i]) & mask))
-	}
-	if flips != 0 {
-		c.acc.Add(flips)
-	}
-}
-
 func (c *countingSampler) snapshot(words []uint64) []uint64 {
 	if cap(c.scratch) < len(words) {
 		c.scratch = make([]uint64, len(words))

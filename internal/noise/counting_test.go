@@ -115,52 +115,6 @@ func TestCountingFlipAtPath(t *testing.T) {
 	}
 }
 
-// TestCountingLanePath pins the replicate-sliced path: wrapping a lane
-// sampler counts exactly the lane's flips and leaves the transposed
-// words identical to an unwrapped sampler — other lanes' bits included.
-func TestCountingLanePath(t *testing.T) {
-	const seed = 41
-	for label, m := range testModels() {
-		for _, lane := range []int{0, 17, 63} {
-			var acc tally
-			wrapped := Counting(m.Sampler(seed, lane), &acc)
-			plain := m.Sampler(seed, lane)
-			scalar := m.Sampler(seed, lane)
-			r := rand.New(rand.NewSource(int64(lane + 1)))
-			var want int64
-			start := 0
-			for _, w := range []int{9, 64, 130} {
-				end := start + w
-				// Lane-transposed: words[i] holds all replicates' slot
-				// start+i; this sampler owns bit lane of each word.
-				pre := make([]uint64, w)
-				for i := range pre {
-					pre[i] = r.Uint64()
-				}
-				got := append([]uint64(nil), pre...)
-				ref := append([]uint64(nil), pre...)
-				wrapped.ApplyLaneInto(got, start, end, lane, nil)
-				plain.ApplyLaneInto(ref, start, end, lane, nil)
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Fatalf("%s lane %d window [%d,%d): wrapper changed word %d", label, lane, start, end, i)
-					}
-				}
-				for t2 := start; t2 < end; t2++ {
-					bit := pre[t2-start]&(1<<uint(lane)) != 0
-					if scalar.FlipAt(t2, bit, false) {
-						want++
-					}
-				}
-				start = end
-			}
-			if acc.n != want {
-				t.Fatalf("%s lane %d: counted %d flips, scalar reference says %d", label, lane, acc.n, want)
-			}
-		}
-	}
-}
-
 // TestCountingNilPassthrough: nil accountant or sampler must wrap to
 // the input unchanged, so call sites wrap unconditionally.
 func TestCountingNilPassthrough(t *testing.T) {

@@ -102,24 +102,6 @@ func (s *symmetricSampler) ApplyInto(words []uint64, start, end int, protect []u
 	}
 }
 
-func (s *symmetricSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
-	bit := uint64(1) << uint(lane)
-	for {
-		abs, ok := s.fs.Next(end)
-		if !ok {
-			return
-		}
-		if abs < start {
-			continue // positions consumed by earlier windows
-		}
-		i := abs - start
-		if protect != nil && protect[i]&bit != 0 {
-			continue // noise-free cell; the flip is consumed, not applied
-		}
-		words[i] ^= bit
-	}
-}
-
 func (s *symmetricSampler) FlipAt(t int, bit, protected bool) bool {
 	if !consumeAt(s.fs, t) {
 		return false
@@ -194,46 +176,6 @@ func (s *asymmetricSampler) ApplyInto(words []uint64, start, end int, protect []
 			fl &^= protect[i]
 		}
 		words[i] ^= fl
-	}
-}
-
-func (s *asymmetricSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
-	bit := uint64(1) << uint(lane)
-	a, aok := laneNext(s.fs01, start, end)
-	b, bok := laneNext(s.fs10, start, end)
-	for aok || bok {
-		var i int
-		var flip bool
-		switch {
-		case aok && bok && a == b:
-			// Both processes hit: fl = (b01 &^ w) | (b10 & w) is 1 for
-			// either pre-noise value, so the slot flips unconditionally.
-			i, flip = a-start, true
-			a, aok = laneNext(s.fs01, start, end)
-			b, bok = laneNext(s.fs10, start, end)
-		case aok && (!bok || a < b):
-			i = a - start
-			flip = words[i]&bit == 0 // 0→1 flips land on 0-bits
-			a, aok = laneNext(s.fs01, start, end)
-		default:
-			i = b - start
-			flip = words[i]&bit != 0 // 1→0 flips land on 1-bits
-			b, bok = laneNext(s.fs10, start, end)
-		}
-		if flip && (protect == nil || protect[i]&bit == 0) {
-			words[i] ^= bit
-		}
-	}
-}
-
-// laneNext returns fs's next flip position in [start, end), consuming
-// and discarding stale positions from earlier windows like XorFlipsInto.
-func laneNext(fs *rng.FlipSampler, start, end int) (int, bool) {
-	for {
-		pos, ok := fs.Next(end)
-		if !ok || pos >= start {
-			return pos, ok
-		}
 	}
 }
 
@@ -325,25 +267,6 @@ func (s *erasureSampler) ApplyInto(words []uint64, start, end int, protect []uin
 			words[i] |= mask
 		} else {
 			words[i] &^= mask
-		}
-	}
-}
-
-func (s *erasureSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
-	bit := uint64(1) << uint(lane)
-	for {
-		abs, ok := laneNext(s.fs, start, end)
-		if !ok {
-			return
-		}
-		i := abs - start
-		if protect != nil && protect[i]&bit != 0 {
-			continue // erasure consumed but not applied, like ApplyInto's mask
-		}
-		if s.readAs1 {
-			words[i] |= bit
-		} else {
-			words[i] &^= bit
 		}
 	}
 }
@@ -479,23 +402,6 @@ func (s *geSampler) ApplyInto(words []uint64, start, end int, protect []uint64) 
 	}
 	if wi >= 0 {
 		words[wi] ^= acc
-	}
-}
-
-func (s *geSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
-	bit := uint64(1) << uint(lane)
-	for s.pos < start {
-		s.step() // stale slots from earlier windows
-	}
-	for s.pos < end {
-		i := s.pos - start
-		if !s.step() {
-			continue
-		}
-		if protect != nil && protect[i]&bit != 0 {
-			continue
-		}
-		words[i] ^= bit
 	}
 }
 

@@ -88,15 +88,6 @@ type Sampler interface {
 	// pre-noise value is bit — flips, honoring protected. It must
 	// consume randomness identically to ApplyInto covering t.
 	FlipAt(t int, bit, protected bool) bool
-	// ApplyLaneInto is the replicate-sliced batch path: it perturbs one
-	// lane of a lane-transposed window, where words[abs-start] holds 64
-	// replicates' receptions of slot abs and bit lane belongs to this
-	// sampler's replicate. protect, when non-nil, has the same transposed
-	// layout. It must consume randomness identically to ApplyInto over
-	// the same window — lane k of a sliced run reads byte-for-byte the
-	// stream a standalone replicate-k run would — so the sliced engines'
-	// receptions are bit-identical to lane-serial execution.
-	ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64)
 }
 
 // streamKey is the split domain of per-node channel noise. It is the

@@ -339,164 +339,6 @@ func TestGilbertElliottBursts(t *testing.T) {
 	}
 }
 
-// TestApplyLaneIntoMatchesApplyInto pins the replicate-sliced batch path
-// to the flat batch path for every model: lane k of a lane-transposed
-// window, perturbed by ApplyLaneInto, carries exactly the post-noise
-// bits a standalone replicate-k sampler's ApplyInto produces. The lanes
-// share each transposed window (with junk in foreign lanes), chain
-// across uneven windows, alternate protected and unprotected windows,
-// and sit at different absolute slot offsets — the shape the sliced
-// runners create when lanes' round counters advance independently.
-func TestApplyLaneIntoMatchesApplyInto(t *testing.T) {
-	windows := []int{1, 63, 64, 65, 300, 5, 128}
-	lanes := []int{0, 3, 31, 63}
-	starts := map[int]int{0: 0, 3: 640, 31: 7, 63: 100000}
-	total := 0
-	for _, w := range windows {
-		total += w
-	}
-	laneSeed := func(k int) uint64 { return uint64(9000 + k) }
-	for label, m := range testModels() {
-		t.Run(label, func(t *testing.T) {
-			data := rng.New(4242)
-			pre := map[int][]bool{}
-			protect := map[int][]bool{}
-			for _, k := range lanes {
-				p := make([]bool, total)
-				pr := make([]bool, total)
-				for i := range p {
-					p[i] = data.Bool(0.5)
-					pr[i] = data.Bool(0.25)
-				}
-				pre[k], protect[k] = p, pr
-			}
-			var laneMask uint64
-			for _, k := range lanes {
-				laneMask |= 1 << uint(k)
-			}
-			// Sliced run: one sampler per lane (per-replicate seeds, as the
-			// sweep grouping layer derives them), all lanes perturbing the
-			// same transposed window.
-			sliced := map[int]Sampler{}
-			for _, k := range lanes {
-				sliced[k] = m.Sampler(laneSeed(k), 3)
-			}
-			got := map[int][]bool{}
-			for _, k := range lanes {
-				got[k] = make([]bool, total)
-			}
-			off := 0
-			for wi, w := range windows {
-				words := make([]uint64, w)
-				prot := make([]uint64, w)
-				junk := make([]uint64, w)
-				for i := range words {
-					words[i] = data.Uint64()
-					junk[i] = words[i]
-				}
-				hasProt := wi%2 == 0
-				for _, k := range lanes {
-					bit := uint64(1) << uint(k)
-					for i := 0; i < w; i++ {
-						if pre[k][off+i] {
-							words[i] |= bit
-						} else {
-							words[i] &^= bit
-						}
-						if hasProt && protect[k][off+i] {
-							prot[i] |= bit
-						}
-					}
-				}
-				for _, k := range lanes {
-					start := starts[k] + off
-					var pm []uint64
-					if hasProt {
-						pm = prot
-					}
-					sliced[k].ApplyLaneInto(words, start, start+w, k, pm)
-				}
-				for i := 0; i < w; i++ {
-					if words[i]&^laneMask != junk[i]&^laneMask {
-						t.Fatalf("window %d slot %d: foreign lanes touched (%#x vs %#x)",
-							wi, i, words[i], junk[i])
-					}
-					for _, k := range lanes {
-						got[k][off+i] = words[i]>>(uint(k))&1 == 1
-					}
-				}
-				off += w
-			}
-			// Flat reference, lane by lane: a fresh same-seed sampler over
-			// the same absolute windows must agree bit for bit.
-			for _, k := range lanes {
-				ref := m.Sampler(laneSeed(k), 3)
-				off := 0
-				for wi, w := range windows {
-					n := (w + 63) / 64
-					words := make([]uint64, n)
-					var prot []uint64
-					hasProt := wi%2 == 0
-					for i := 0; i < w; i++ {
-						if pre[k][off+i] {
-							words[i>>6] |= 1 << (uint(i) & 63)
-						}
-						if hasProt && protect[k][off+i] {
-							if prot == nil {
-								prot = make([]uint64, n)
-							}
-							prot[i>>6] |= 1 << (uint(i) & 63)
-						}
-					}
-					start := starts[k] + off
-					ref.ApplyInto(words, start, start+w, prot)
-					for i := 0; i < w; i++ {
-						want := words[i>>6]>>(uint(i)&63)&1 == 1
-						if got[k][off+i] != want {
-							t.Fatalf("lane %d window %d slot %d (abs %d): sliced bit %v, flat bit %v",
-								k, wi, off+i, start+i, got[k][off+i], want)
-						}
-					}
-					off += w
-				}
-			}
-		})
-	}
-}
-
-// TestApplyLaneIntoStreamConsumption is the per-lane stream-derivation
-// pin: after a sliced window, each lane's sampler must sit at exactly
-// the stream position a standalone replicate run would — so subsequent
-// noise, sliced or flat, is byte-identical. Divergence here would let a
-// sliced run drift from its lane-serial twin only after many rounds,
-// which the bit-for-bit window test above could miss on a short run.
-func TestApplyLaneIntoStreamConsumption(t *testing.T) {
-	const w = 256
-	for label, m := range testModels() {
-		t.Run(label, func(t *testing.T) {
-			slicedS := m.Sampler(77, 1)
-			flat := m.Sampler(77, 1)
-			words := make([]uint64, w)
-			slicedS.ApplyLaneInto(words, 0, w, 19, nil)
-			flatWords := make([]uint64, w/64)
-			flat.ApplyInto(flatWords, 0, w, nil)
-			// Cross paths for the tail: the sliced sampler continues flat,
-			// the flat sampler continues sliced.
-			tailFlat := make([]uint64, 4)
-			slicedS.ApplyInto(tailFlat, w, w+256, nil)
-			tailSliced := make([]uint64, 256)
-			flat.ApplyLaneInto(tailSliced, w, w+256, 19, nil)
-			for i := 0; i < 256; i++ {
-				a := tailFlat[i>>6]>>(uint(i)&63)&1 == 1
-				b := tailSliced[i]>>19&1 == 1
-				if a != b {
-					t.Fatalf("%s: lane and flat paths consumed differently (tail slot %d)", label, i)
-				}
-			}
-		})
-	}
-}
-
 // TestSamplerDeterminism: samplers are pure functions of (model, seed,
 // node); distinct nodes get independent streams.
 func TestSamplerDeterminism(t *testing.T) {

@@ -18,7 +18,7 @@
 //
 // Handles come from a Registry keyed by name with get-or-create
 // semantics, so independently constructed components (one runner per
-// lane, one pool per network) resolve the same counter and their atomic
+// scenario, one pool per network) resolve the same counter and their atomic
 // adds merge. Sums of per-shard contributions commute, so totals are
 // deterministic even under parallel execution.
 package obs

@@ -87,16 +87,12 @@ func (tdmaEngine) Prepare(g *graph.Graph, cfg Config) (Instance, error) {
 	return tdmaInstance{r: bl, g: g}, nil
 }
 
-// PrepareSliced implements the SlicedEngine capability: the TDMA
-// baseline's fixed slot schedule makes it the natural lane-transposed
-// engine (internal/baseline.SlicedRunner). Lane results are
-// bit-identical to Prepare+Run per lane — the sweep conformance tests
-// pin stored records byte-for-byte across the two paths.
-func (tdmaEngine) PrepareSliced(g *graph.Graph, base Config, lanes []LaneSeeds) (SlicedInstance, error) {
-	lcs := make([]baseline.LaneConfig, len(lanes))
-	for k, l := range lanes {
-		lcs[k] = baseline.LaneConfig{ChannelSeed: l.ChannelSeed, AlgSeed: l.AlgSeed}
-	}
+// PrepareSliced implements the SlicedEngine capability over the TDMA
+// baseline's noiseless lane batch (internal/baseline.SlicedRunner).
+// Lane results are bit-identical to Prepare+Run per lane — the sweep
+// conformance tests pin stored records byte-for-byte across the two
+// paths.
+func (tdmaEngine) PrepareSliced(g *graph.Graph, base Config, algSeeds []uint64) (SlicedInstance, error) {
 	bl, err := baseline.NewSlicedRunner(g, baseline.Config{
 		MsgBits:  base.MsgBits,
 		Epsilon:  base.Epsilon,
@@ -105,7 +101,7 @@ func (tdmaEngine) PrepareSliced(g *graph.Graph, base Config, lanes []LaneSeeds) 
 		Workers:  base.Workers,
 		Shards:   base.Shards,
 		Metrics:  base.Metrics,
-	}, lcs)
+	}, algSeeds)
 	if err != nil {
 		return nil, err
 	}

@@ -151,13 +151,6 @@ type Engine interface {
 	Prepare(g *graph.Graph, cfg Config) (Instance, error)
 }
 
-// LaneSeeds is one replicate's private randomness in a sliced batch —
-// the only Config fields that vary across the replicates of a scenario.
-type LaneSeeds struct {
-	ChannelSeed uint64
-	AlgSeed     uint64
-}
-
 // SlicedInstance is a prepared replicate-sliced execution: one engine
 // pass advances every lane together, bit-identical to running the lanes
 // serially (DESIGN.md §2.14).
@@ -169,17 +162,19 @@ type SlicedInstance interface {
 }
 
 // SlicedEngine is an optional Engine capability: executing up to 64
-// same-scenario replicates in one lane-transposed pass. The sweep layer
-// groups specs that differ only in their seeds and dispatches the group
-// here when the engine advertises the capability; every lane's result
-// must be bit-identical to Prepare+Run with that lane's seeds, so
-// slicing is purely an execution detail — records, hashes, and stores
-// never see it.
+// same-scenario replicates over a noiseless channel in one pass. The
+// sweep layer groups quiet-channel specs that differ only in their seeds
+// and dispatches the group here when the engine advertises the
+// capability; every lane's result must be bit-identical to Prepare+Run
+// with that lane's seeds, so slicing is purely an execution detail —
+// records, hashes, and stores never see it.
 type SlicedEngine interface {
 	// PrepareSliced binds the engine to a graph, a base Config shared by
-	// all lanes (its ChannelSeed and AlgSeed are ignored), and one
-	// LaneSeeds per replicate (1 to 64 lanes).
-	PrepareSliced(g *graph.Graph, base Config, lanes []LaneSeeds) (SlicedInstance, error)
+	// all lanes (its ChannelSeed and AlgSeed are ignored: a noiseless
+	// channel draws no channel randomness), and one algorithm seed per
+	// replicate (1 to 64 lanes). It rejects a channel that can flip a
+	// bit.
+	PrepareSliced(g *graph.Graph, base Config, algSeeds []uint64) (SlicedInstance, error)
 }
 
 // Workload is one registered algorithm family.

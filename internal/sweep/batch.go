@@ -40,13 +40,6 @@ type Options struct {
 	// Progress, when non-nil, receives one Event per scenario as it
 	// completes (cache hit or run), serialized — no locking needed.
 	Progress func(Event)
-	// DisableSlicing turns off replicate-sliced execution: scenarios
-	// that would have been grouped into lanes of one SlicedEngine pass
-	// (same sliceKey) run one-by-one through Execute instead. Like
-	// every Options knob it never changes any record — the sliced path
-	// is pinned byte-identical to the serial one — so this exists for
-	// conformance tests and before/after benchmarks, not correctness.
-	DisableSlicing bool
 	// Metrics, when non-nil, receives observation-only batch-scheduler
 	// instrumentation (store hits, dedup, group shapes, schedule wait)
 	// and is threaded down through ExecOptions into the engines. Like
@@ -214,7 +207,7 @@ func Run(scenarios []Scenario, store StoreEngine, opt Options) ([]Record, Stats,
 		}
 	}
 
-	groups := sliceGroups(scenarios, order, opt.DisableSlicing)
+	groups := sliceGroups(scenarios, order)
 	bm.groups.Add(int64(len(groups)))
 	if bm.groupLanes != nil {
 		for _, g := range groups {
@@ -306,18 +299,20 @@ func Run(scenarios []Scenario, store StoreEngine, opt Options) ([]Record, Stats,
 
 // sliceGroups partitions the owned scenario indices into execution
 // units for the worker pool. Scenarios whose engine advertises
-// replicate-sliced execution and that share a sliceKey (same spec up to
-// replicate seeds) coalesce into lane groups of at most 64; everything
-// else — non-capable engines, or all scenarios when slicing is disabled
-// — stays a singleton. Grouping follows first-seen order, so batch
-// scheduling remains deterministic and records are unaffected (slicing
-// is pinned byte-identical to serial execution).
-func sliceGroups(scenarios []Scenario, order []int, disabled bool) [][]int {
+// replicate-sliced execution, whose channel cannot flip a bit, and that
+// share a sliceKey (same spec up to replicate seeds) coalesce into lane
+// groups of at most 64; everything else stays a singleton. Lanes pay
+// only on a quiet channel: on a noisy one per-lane flip replay costs
+// the same in either layout, and the lane path measured slower than
+// serial runs (DESIGN.md §2.14). Grouping follows first-seen order, so
+// batch scheduling remains deterministic and records are unaffected
+// (slicing is pinned byte-identical to serial execution).
+func sliceGroups(scenarios []Scenario, order []int) [][]int {
 	groups := make([][]int, 0, len(order))
 	byKey := make(map[Scenario]int)
 	for _, i := range order {
 		sc := scenarios[i]
-		if disabled || !slicedCapable(sc) {
+		if !slicedCapable(sc) || !quietChannel(sc) {
 			groups = append(groups, []int{i})
 			continue
 		}

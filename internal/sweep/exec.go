@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/congest"
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -136,35 +138,44 @@ func Execute(sc Scenario, opt ExecOptions) (Record, error) {
 	rec.BuildNanos = time.Since(buildStart).Nanoseconds()
 	em := newExecMetrics(opt.Metrics)
 	em.buildT.Observe(time.Duration(rec.BuildNanos))
-	em.gBytes.Set(g.Bytes())
 	start := time.Now()
 	res, extras, err := inst.Run(algs, budget)
 	if err != nil {
 		return Record{}, err
 	}
+	if err := completeRecord(&rec, g, wl, res, extras, budget, capped, em); err != nil {
+		return Record{}, err
+	}
+	rec.WallNanos = time.Since(start).Nanoseconds()
+	em.runT.Observe(time.Duration(rec.WallNanos))
+	return rec, nil
+}
+
+// completeRecord is the tail both execution paths share. It fills rec's
+// counters and engine Extras from a finished run, distills the
+// workload's output validity into Counters.OutputOK, sets the failure
+// reason, and reports the graph's size to the sweep.graph.bytes gauge.
+// Workloads without a validity notion (ErrUnverified) leave OutputOK
+// nil; a type mismatch is a wiring bug and fails the scenario with a
+// typed error rather than crashing the batch worker.
+func completeRecord(rec *Record, g *graph.Graph, wl sim.Workload, res *core.Result, extras sim.Extras, budget int, capped bool, em execMetrics) error {
+	em.gBytes.Set(g.Bytes())
 	rec.Counters = countersFromCore(res)
 	rec.Counters.Messages = extras[sim.ExtraMessages]
 	rec.Colors = int(extras[sim.ExtraColors])
 	rec.Rho = int(extras[sim.ExtraRho])
 	rec.SetupRounds = int(extras[sim.ExtraSetupRounds])
-
-	// Distill workload-level output validity into Counters.OutputOK.
-	// Workloads without a validity notion (ErrUnverified) leave it nil;
-	// a type mismatch is a wiring bug and fails the scenario with a
-	// typed error rather than crashing the batch worker.
 	verr := wl.Verify(g, res.Outputs)
 	if !errors.Is(verr, sim.ErrUnverified) {
 		var typeErr *sim.OutputTypeError
 		if errors.As(verr, &typeErr) {
-			return Record{}, fmt.Errorf("sweep: %s: %w", sc.Hash(), typeErr)
+			return fmt.Errorf("sweep: %s: %w", rec.Hash, typeErr)
 		}
 		outputOK := rec.Counters.AllDone && verr == nil
 		rec.Counters.OutputOK = &outputOK
 	}
-	rec.Failure = failureFor(sc, rec.Counters, verr, capped, budget)
-	rec.WallNanos = time.Since(start).Nanoseconds()
-	em.runT.Observe(time.Duration(rec.WallNanos))
-	return rec, nil
+	rec.Failure = failureFor(rec.Spec, rec.Counters, verr, capped, budget)
+	return nil
 }
 
 // capBudget applies the MaxRoundsFactor guard to a workload budget,
@@ -192,6 +203,17 @@ func hostileChannel(sc Scenario) bool {
 	}
 	m, err := noise.Parse(sc.Noise)
 	return err == nil && noise.Hostile(m)
+}
+
+// quietChannel reports whether the scenario's channel can never flip a
+// bit: ε = 0 on the default channel, or a noise model that is
+// Noiseless. Only quiet replicates run as lanes (sliceGroups).
+func quietChannel(sc Scenario) bool {
+	if sc.Noise == "" {
+		return sc.Epsilon == 0
+	}
+	m, err := noise.Parse(sc.Noise)
+	return err == nil && m.Noiseless()
 }
 
 // failureFor distills a completed run into the Record's Failure reason:
@@ -254,22 +276,18 @@ func slicedCapable(sc Scenario) bool {
 	return ok
 }
 
-// ExecuteSliced runs a group of scenarios that differ only in their
-// replicate seeds (equal sliceKey) as lanes of one replicate-sliced
-// engine pass. The returned records are positionally parallel to scs
-// and — excepting WallNanos and BuildNanos, the non-deterministic
-// timing fields, which report the group's totals amortized evenly over
-// the lanes — byte-identical to Execute on each spec: slicing is an
-// execution detail, never an identity axis, so hashes, stores, and
-// downstream aggregation cannot observe it.
-func ExecuteSliced(scs []Scenario, opt ExecOptions) ([]Record, error) {
-	return executeSliced(scs, nil, opt)
-}
-
-// executeSliced is ExecuteSliced with optionally precomputed spec
-// hashes (positionally parallel to scs, as the batch layer holds them):
-// hashing is SHA-256 over canonical JSON, too expensive to redo per
-// lane when the caller already paid for it. nil means compute here.
+// executeSliced runs a group of quiet-channel scenarios that differ
+// only in their replicate seeds (equal sliceKey) as lanes of one
+// replicate-sliced engine pass. hashes, when non-nil, holds the specs'
+// precomputed hashes positionally parallel to scs, as the batch layer
+// holds them: hashing is SHA-256 over canonical JSON, too expensive to
+// redo per lane when the caller already paid for it. The returned
+// records are positionally parallel to scs and — excepting WallNanos
+// and BuildNanos, the non-deterministic timing fields, which report the
+// group's totals amortized evenly over the lanes — byte-identical to
+// Execute on each spec: slicing is an execution detail, never an
+// identity axis, so hashes, stores, and downstream aggregation cannot
+// observe it.
 func executeSliced(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error) {
 	if len(scs) == 0 || len(scs) > 64 {
 		return nil, fmt.Errorf("sweep: sliced group of %d scenarios outside [1, 64]", len(scs))
@@ -300,10 +318,10 @@ func executeSliced(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, 
 		msgBits = wl.MsgBits(g)
 	}
 	budget, capped := capBudget(wl.Budget(g, scs[0].Rounds), opt.MaxRoundsFactor)
-	lanes := make([]sim.LaneSeeds, len(scs))
+	algSeeds := make([]uint64, len(scs))
 	algs := make([][]congest.BroadcastAlgorithm, len(scs))
 	for k, sc := range scs {
-		lanes[k] = sim.LaneSeeds{ChannelSeed: sc.ChannelSeed, AlgSeed: sc.AlgSeed}
+		algSeeds[k] = sc.AlgSeed
 		algs[k] = wl.Algs(g, sc.Rounds)
 	}
 	inst, err := seng.PrepareSliced(g, sim.Config{
@@ -316,7 +334,7 @@ func executeSliced(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, 
 		Rounds:    scs[0].Rounds,
 		Artifacts: opt.Artifacts,
 		Metrics:   opt.Metrics,
-	}, lanes)
+	}, algSeeds)
 	if err != nil {
 		return nil, err
 	}
@@ -341,29 +359,16 @@ func executeSliced(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, 
 		if hash == "" {
 			hash = sc.Hash()
 		}
-		rec := Record{
+		recs[k] = Record{
 			Hash:       hash,
 			Spec:       sc,
 			Graph:      GraphInfo{N: g.N(), MaxDegree: g.MaxDegree(), Edges: g.M()},
 			BuildNanos: buildNanos / int64(len(scs)),
 			WallNanos:  wallNanos / int64(len(scs)),
 		}
-		rec.Counters = countersFromCore(results[k])
-		rec.Counters.Messages = extras[k][sim.ExtraMessages]
-		rec.Colors = int(extras[k][sim.ExtraColors])
-		rec.Rho = int(extras[k][sim.ExtraRho])
-		rec.SetupRounds = int(extras[k][sim.ExtraSetupRounds])
-		verr := wl.Verify(g, results[k].Outputs)
-		if !errors.Is(verr, sim.ErrUnverified) {
-			var typeErr *sim.OutputTypeError
-			if errors.As(verr, &typeErr) {
-				return nil, fmt.Errorf("sweep: %s: %w", sc.Hash(), typeErr)
-			}
-			outputOK := rec.Counters.AllDone && verr == nil
-			rec.Counters.OutputOK = &outputOK
+		if err := completeRecord(&recs[k], g, wl, results[k], extras[k], budget, capped, em); err != nil {
+			return nil, err
 		}
-		rec.Failure = failureFor(sc, rec.Counters, verr, capped, budget)
-		recs[k] = rec
 	}
 	return recs, nil
 }

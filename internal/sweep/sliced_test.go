@@ -4,17 +4,20 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // replicateGrid is the canonical sliced-execution workload: one grid
-// point, a sliced-capable engine, and a full word of replicates. The
-// grid family derives its topology without GraphSeed, so all 64
-// replicates share one sliceKey and coalesce into a single lane group.
+// point on a quiet channel, a sliced-capable engine, and a full word of
+// replicates. The grid family derives its topology without GraphSeed,
+// so all 64 replicates share one sliceKey and coalesce into a single
+// lane group.
 func replicateGrid(replicates int) Grid {
 	return Grid{
 		Families:   []string{FamilyGrid},
 		Params:     []int{3},
-		Epsilons:   []float64{0.1},
+		Epsilons:   []float64{0},
 		Engines:    []string{EngineTDMA},
 		Workloads:  []string{WorkloadGossip},
 		Rounds:     2,
@@ -36,12 +39,29 @@ func encodeZeroed(t *testing.T, rec Record) []byte {
 	return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
 }
 
+// assertExecuteEach pins records to the serial reference: each scenario
+// run on its own through Execute must store the same bytes (timing
+// fields aside).
+func assertExecuteEach(t *testing.T, scs []Scenario, recs []Record) {
+	t.Helper()
+	for i, sc := range scs {
+		want, err := Execute(sc, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := encodeZeroed(t, recs[i]), encodeZeroed(t, want); !bytes.Equal(got, want) {
+			t.Fatalf("scenario %d (%s, noise %q, replicate %d) differs from Execute:\n got %s\nwant %s",
+				i, sc.Engine, sc.Noise, sc.Replicate, got, want)
+		}
+	}
+}
+
 // TestSliceGroups pins the lane-group scheduler: full-word splitting,
-// the non-capable-engine and disabled fallbacks, and the graph-seed
-// rule that keeps random families out of groups.
+// the noiseless-channel rule, the non-capable-engine fallback, and the
+// graph-seed rule that keeps random families out of groups.
 func TestSliceGroups(t *testing.T) {
 	base := Scenario{
-		Family: FamilyGrid, Param: 3, Epsilon: 0.1,
+		Family: FamilyGrid, Param: 3,
 		Engine: EngineTDMA, Workload: WorkloadGossip, Rounds: 2,
 	}
 	scs := make([]Scenario, 70)
@@ -56,16 +76,31 @@ func TestSliceGroups(t *testing.T) {
 		order[r] = r
 	}
 
-	// 70 replicates of one point overflow a word: 64 + 6.
-	groups := sliceGroups(scs, order, false)
+	// 70 quiet replicates of one point overflow a word: 64 + 6.
+	groups := sliceGroups(scs, order)
 	if len(groups) != 2 || len(groups[0]) != 64 || len(groups[1]) != 6 {
 		t.Fatalf("70 replicates grouped as %d groups (sizes %d, ...), want 64+6",
 			len(groups), len(groups[0]))
 	}
 
-	// Disabled: everything is a singleton.
-	if groups := sliceGroups(scs, order, true); len(groups) != 70 {
-		t.Fatalf("DisableSlicing grouped %d groups, want 70 singletons", len(groups))
+	// Only channels that cannot flip a bit group: ε = 0.1 replicates
+	// stay singletons, while a noiseless model groups like ε = 0.
+	for _, c := range []struct {
+		eps    float64
+		noise  string
+		groups int
+	}{
+		{eps: 0.1, groups: 8},
+		{noise: "asymmetric:0:0", groups: 1},
+		{noise: "asymmetric:0.01:0", groups: 8},
+	} {
+		chans := append([]Scenario(nil), scs[:8]...)
+		for i := range chans {
+			chans[i].Epsilon, chans[i].Noise = c.eps, c.noise
+		}
+		if got := len(sliceGroups(chans, order[:8])); got != c.groups {
+			t.Errorf("ε=%v noise=%q: 8 replicates grouped as %d groups, want %d", c.eps, c.noise, got, c.groups)
+		}
 	}
 
 	// A non-capable engine interleaved in the same order stays serial
@@ -76,7 +111,7 @@ func TestSliceGroups(t *testing.T) {
 			mixed[i].Engine = EngineAlg1
 		}
 	}
-	groups = sliceGroups(mixed, order[:8], false)
+	groups = sliceGroups(mixed, order[:8])
 	if len(groups) != 5 {
 		t.Fatalf("mixed engines grouped as %d groups, want 5 (one tdma group + 4 alg1 singletons)", len(groups))
 	}
@@ -97,16 +132,16 @@ func TestSliceGroups(t *testing.T) {
 		random[i].N = 12
 		random[i].Param = 2
 	}
-	if groups := sliceGroups(random, order[:4], false); len(groups) != 4 {
+	if groups := sliceGroups(random, order[:4]); len(groups) != 4 {
 		t.Fatalf("regular-family replicates grouped as %d groups, want 4 singletons", len(groups))
 	}
 }
 
 // TestSlicedSweepByteIdentical is the sweep-level acceptance property:
-// a 64-replicate grid stores byte-identical JSONL records (timing
-// fields aside) with replicate slicing on and off, and both paths
-// report every scenario as engine work (grouping is an execution
-// detail, not a caching effect).
+// a 64-replicate quiet grid runs through the batch scheduler as one
+// lane group, stores the JSONL records per-scenario Execute stores
+// (timing fields aside), and reports every scenario as engine work
+// (grouping is an execution detail, not a caching effect).
 func TestSlicedSweepByteIdentical(t *testing.T) {
 	scs, err := replicateGrid(64).Expand()
 	if err != nil {
@@ -115,48 +150,45 @@ func TestSlicedSweepByteIdentical(t *testing.T) {
 	if len(scs) != 64 {
 		t.Fatalf("grid expanded to %d scenarios, want 64", len(scs))
 	}
-	sliced, stOn, err := Run(scs, NewMemStore(), Options{Jobs: 2})
+	reg := obs.NewRegistry()
+	recs, st, err := Run(scs, NewMemStore(), Options{Jobs: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, stOff, err := Run(scs, NewMemStore(), Options{Jobs: 2, DisableSlicing: true})
-	if err != nil {
-		t.Fatal(err)
+	if st.Ran != 64 || st.Cached != 0 || st.Failed != 0 {
+		t.Fatalf("stats: %+v, want run=64 cached=0 failed=0", st)
 	}
-	for _, st := range []Stats{stOn, stOff} {
-		if st.Ran != 64 || st.Cached != 0 || st.Failed != 0 {
-			t.Fatalf("stats: %+v, want run=64 cached=0 failed=0", st)
-		}
+	if got := reg.Counter("sweep.batch.groups").Value(); got != 1 {
+		t.Fatalf("64 quiet replicates ran as %d groups, want one lane group", got)
 	}
-	for i := range scs {
-		got, want := encodeZeroed(t, sliced[i]), encodeZeroed(t, serial[i])
-		if !bytes.Equal(got, want) {
-			t.Fatalf("replicate %d stored differently sliced vs serial:\n got %s\nwant %s",
-				scs[i].Replicate, got, want)
-		}
-	}
+	assertExecuteEach(t, scs, recs)
 }
 
 // TestSlicedPartialCacheHits: records already in the store drop out of
 // a lane group member-by-member; the remainder still runs sliced and
-// lands byte-identical to a fully serial sweep.
+// lands byte-identical to per-scenario Execute.
 func TestSlicedPartialCacheHits(t *testing.T) {
 	scs, err := replicateGrid(64).Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var warm []Scenario
-	for _, sc := range scs {
-		if sc.Replicate < 10 {
-			warm = append(warm, sc)
-		}
-	}
-	if len(warm) != 10 {
-		t.Fatalf("warm subset has %d scenarios, want 10", len(warm))
-	}
 	store := NewMemStore()
-	if _, _, err := Run(warm, store, Options{Jobs: 1, DisableSlicing: true}); err != nil {
-		t.Fatal(err)
+	warm := 0
+	for _, sc := range scs {
+		if sc.Replicate >= 10 {
+			continue
+		}
+		rec, err := Execute(sc, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+		warm++
+	}
+	if warm != 10 {
+		t.Fatalf("warm subset has %d scenarios, want 10", warm)
 	}
 	recs, st, err := Run(scs, store, Options{Jobs: 1})
 	if err != nil {
@@ -165,28 +197,19 @@ func TestSlicedPartialCacheHits(t *testing.T) {
 	if st.Cached != 10 || st.Ran != 54 || st.Failed != 0 {
 		t.Fatalf("stats: %+v, want cached=10 run=54", st)
 	}
-	serial, _, err := Run(scs, NewMemStore(), Options{Jobs: 1, DisableSlicing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range scs {
-		if got, want := encodeZeroed(t, recs[i]), encodeZeroed(t, serial[i]); !bytes.Equal(got, want) {
-			t.Fatalf("replicate %d differs after partial cache short-circuit:\n got %s\nwant %s",
-				scs[i].Replicate, got, want)
-		}
-	}
+	assertExecuteEach(t, scs, recs)
 }
 
-// TestSlicedMixedEngineGrid: a grid mixing sliced-capable and
-// non-capable engines (with a non-default noise model and a replicate
-// count that doesn't fill a word) produces identical records with
-// slicing on and off.
+// TestSlicedMixedEngineGrid: a quiet grid mixing sliced-capable and
+// non-capable engines, the default channel and a noiseless model, with
+// a replicate count that doesn't fill a word, stores the records
+// per-scenario Execute stores.
 func TestSlicedMixedEngineGrid(t *testing.T) {
 	g := Grid{
 		Families:   []string{FamilyGrid},
 		Params:     []int{3},
-		Epsilons:   []float64{0.1},
-		Noises:     []string{"", "asymmetric:0.03:0.15"},
+		Epsilons:   []float64{0},
+		Noises:     []string{"", "asymmetric:0:0"},
 		Engines:    []string{EngineAlg1, EngineTDMA},
 		Workloads:  []string{WorkloadGossip},
 		Rounds:     2,
@@ -197,78 +220,72 @@ func TestSlicedMixedEngineGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sliced, stOn, err := Run(scs, NewMemStore(), Options{Jobs: 3})
+	recs, st, err := Run(scs, NewMemStore(), Options{Jobs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, stOff, err := Run(scs, NewMemStore(), Options{Jobs: 3, DisableSlicing: true})
-	if err != nil {
-		t.Fatal(err)
+	if st.Ran != len(scs) || st.Cached != 0 || st.Failed != 0 {
+		t.Fatalf("stats: %+v, want run=%d", st, len(scs))
 	}
-	if !reflect.DeepEqual(
-		Stats{Total: stOn.Total, Unique: stOn.Unique, Ran: stOn.Ran, Cached: stOn.Cached, Failed: stOn.Failed},
-		Stats{Total: stOff.Total, Unique: stOff.Unique, Ran: stOff.Ran, Cached: stOff.Cached, Failed: stOff.Failed},
-	) {
-		t.Fatalf("stats differ sliced vs serial: %+v vs %+v", stOn, stOff)
-	}
-	for i := range scs {
-		if got, want := encodeZeroed(t, sliced[i]), encodeZeroed(t, serial[i]); !bytes.Equal(got, want) {
-			t.Fatalf("scenario %d (%s/%s) differs sliced vs serial:\n got %s\nwant %s",
-				i, scs[i].Engine, scs[i].Noise, got, want)
-		}
-	}
+	assertExecuteEach(t, scs, recs)
 }
 
 func TestExecuteSlicedValidation(t *testing.T) {
 	base := Scenario{
-		Family: FamilyGrid, Param: 2, Epsilon: 0.1,
+		Family: FamilyGrid, Param: 2,
 		Engine: EngineTDMA, Workload: WorkloadGossip, Rounds: 2,
 	}
-	if _, err := ExecuteSliced(nil, ExecOptions{}); err == nil {
+	if _, err := executeSliced(nil, nil, ExecOptions{}); err == nil {
 		t.Error("empty group accepted")
 	}
-	if _, err := ExecuteSliced(make([]Scenario, 65), ExecOptions{}); err == nil {
+	if _, err := executeSliced(make([]Scenario, 65), nil, ExecOptions{}); err == nil {
 		t.Error("65-lane group accepted")
 	}
 	a, b := base, base
 	b.Epsilon = 0.2
-	if _, err := ExecuteSliced([]Scenario{a, b}, ExecOptions{}); err == nil {
+	if _, err := executeSliced([]Scenario{a, b}, nil, ExecOptions{}); err == nil {
 		t.Error("group mixing ε accepted")
 	}
 	c := base
 	c.Engine = EngineAlg1
-	if _, err := ExecuteSliced([]Scenario{c, c}, ExecOptions{}); err == nil {
+	if _, err := executeSliced([]Scenario{c, c}, nil, ExecOptions{}); err == nil {
 		t.Error("non-sliced-capable engine accepted")
+	}
+	// Lanes run only on channels that cannot flip a bit.
+	d := base
+	d.Epsilon = 0.1
+	if _, err := executeSliced([]Scenario{d, d}, nil, ExecOptions{}); err == nil {
+		t.Error("noisy group accepted")
 	}
 
 	// A well-formed pair matches two Execute calls exactly (timing aside).
 	a, b = base, base
 	a.ChannelSeed, a.AlgSeed = 10, 11
 	b.Replicate, b.ChannelSeed, b.AlgSeed = 1, 20, 21
-	recs, err := ExecuteSliced([]Scenario{a, b}, ExecOptions{})
+	recs, err := executeSliced([]Scenario{a, b}, nil, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, sc := range []Scenario{a, b} {
-		want, err := Execute(sc, ExecOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := encodeZeroed(t, recs[k]), encodeZeroed(t, want); !bytes.Equal(got, want) {
-			t.Fatalf("lane %d differs from Execute:\n got %s\nwant %s", k, got, want)
-		}
-	}
+	assertExecuteEach(t, []Scenario{a, b}, recs)
 }
 
-// TestGoldenPR4RecordsViaSlicedBatch routes the pinned PR 4 grid
-// through the batch scheduler with slicing enabled: the stored records
-// must remain byte-identical to the golden file written by the PR 4
-// tree, proving the sliced path invisible across repo generations.
+// TestGoldenPR4RecordsViaSlicedBatch routes the pinned golden grid
+// (pr4Grid) through the batch scheduler. Every spec in it runs a noisy
+// channel, so the grouping rule must leave each one a singleton, and
+// the stored records must remain byte-identical to
+// testdata/pr4_records.jsonl.
 func TestGoldenPR4RecordsViaSlicedBatch(t *testing.T) {
 	golden := readGolden(t)
 	scs, err := pr4Grid().Expand()
 	if err != nil {
 		t.Fatal(err)
+	}
+	order := make([]int, len(scs))
+	for i := range order {
+		order[i] = i
+	}
+	if groups := sliceGroups(scs, order); len(groups) != len(scs) {
+		t.Fatalf("noisy golden grid formed %d groups from %d specs, want all singletons", len(groups), len(scs))
 	}
 	recs, st, err := Run(scs, NewMemStore(), Options{Jobs: 2})
 	if err != nil {
@@ -288,10 +305,10 @@ func TestGoldenPR4RecordsViaSlicedBatch(t *testing.T) {
 		}
 		got, ok := byHash[rec.Hash]
 		if !ok {
-			t.Fatalf("golden record %s not produced by the sliced batch", rec.Hash)
+			t.Fatalf("golden record %s not produced by the batch", rec.Hash)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("record %s differs from PR 4 golden via sliced batch:\n got %s\nwant %s", rec.Hash, got, want)
+			t.Errorf("record %s differs from the golden record via the batch:\n got %s\nwant %s", rec.Hash, got, want)
 		}
 	}
 }
