@@ -73,7 +73,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"repro/internal/engine"
 	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -294,15 +293,10 @@ func strictErr(records []sweep.Record) error {
 // adversary budget is a ceiling; bisect for the minimal breaking
 // budget, all probes served through the store.
 func runFrontier(scenarios []sweep.Scenario, store *sweep.Store, cfg cliConfig) error {
-	// Frontier probes run one at a time, so each gets the whole machine
-	// (mirroring the batch scheduler's jobs=1 behavior).
-	workers := cfg.workers
-	if workers == 0 {
-		workers = engine.AutoWorkers
-	}
 	opt := sweep.FrontierOptions{
-		Exec: sweep.ExecOptions{
-			Workers:         workers,
+		Exec: sweep.Options{
+			Jobs:            1,
+			Workers:         cfg.workers,
 			Shards:          cfg.shards,
 			GenWorkers:      cfg.genWorkers,
 			Artifacts:       sim.NewCache(),

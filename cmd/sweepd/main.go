@@ -42,6 +42,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -84,7 +85,7 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	svc := sweep.NewService(store, sweep.ServiceOptions{
+	svc := sweep.NewService(store, sweep.Options{
 		Jobs: *jobs, Workers: *workers, Shards: *shards, GenWorkers: *genWorkers,
 		MaxPending: *maxPending, MaxRoundsFactor: *maxRF,
 		Artifacts: sim.NewCache(), Metrics: reg,
@@ -106,7 +107,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "sweepd: store %s (%d records), serving on http://%s\n",
 		*storePath, store.Len(), ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv}
+	// A client that opens a connection and never finishes its headers
+	// would otherwise hold it forever.
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		<-sig
 		httpSrv.Close()
@@ -116,6 +119,10 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, "sweepd: shutting down")
 }
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers.
+const readHeaderTimeout = 10 * time.Second
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "sweepd:", err)

@@ -39,7 +39,7 @@ func testScenarios(t *testing.T) []sweep.Scenario {
 
 // newTestDaemon assembles the full sweepd stack — indexed store,
 // service, HTTP surface — on an httptest listener.
-func newTestDaemon(t *testing.T, opts sweep.ServiceOptions) (*httptest.Server, *obs.Registry) {
+func newTestDaemon(t *testing.T, opts sweep.Options) (*httptest.Server, *obs.Registry) {
 	t.Helper()
 	store, err := sweep.OpenIndexed(filepath.Join(t.TempDir(), "store.jsonl"))
 	if err != nil {
@@ -111,6 +111,16 @@ func waitJob(t *testing.T, base, statusPath string) sweep.JobStatus {
 	}
 }
 
+// fakeRecords stands in for engine work in blocking ExecuteFunc seams:
+// one record per scenario carrying only its hash and spec.
+func fakeRecords(group []sweep.Scenario) []sweep.Record {
+	recs := make([]sweep.Record, len(group))
+	for k, sc := range group {
+		recs[k] = sweep.Record{Hash: sc.Hash(), Spec: sc}
+	}
+	return recs
+}
+
 // metric reads one counter from the /metrics snapshot.
 func metric(t *testing.T, base, name string) int64 {
 	t.Helper()
@@ -160,7 +170,7 @@ func canonLine(t *testing.T, rec sweep.Record) []byte {
 // the aggregate, and a full-cache-hit resubmission with zero new
 // executions.
 func TestSweepdEndToEnd(t *testing.T) {
-	ts, _ := newTestDaemon(t, sweep.ServiceOptions{Jobs: 2})
+	ts, _ := newTestDaemon(t, sweep.Options{Jobs: 2})
 	base := ts.URL
 
 	// The reference: the batch path over the same scenarios.
@@ -269,17 +279,18 @@ func TestSweepdEndToEnd(t *testing.T) {
 	}
 }
 
-// waitForFlightWaiter polls goroutine stacks until two goroutines sit
-// inside FlightGroup.Do — the owner (blocked in the test's ExecuteFunc)
-// plus one waiter — so a release at that point deterministically
-// exercises the share path.
+// waitForFlightWaiter polls goroutine stacks until a goroutine sits in
+// sim.Flight.Wait — the second submission's worker, joined to the
+// flight the first one owns (and holds open in the test's ExecuteFunc)
+// — so a release at that point deterministically exercises the share
+// path.
 func waitForFlightWaiter(t *testing.T) {
 	t.Helper()
 	buf := make([]byte, 1<<22)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		stacks := string(buf[:runtime.Stack(buf, true)])
-		if strings.Count(stacks, "FlightGroup") >= 2 {
+		if strings.Contains(stacks, "internal/sim.(*Flight[...]).Wait") {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -298,12 +309,12 @@ func TestSweepdConcurrentSubmissionsSingleflight(t *testing.T) {
 	oneScenario := `{"families":["regular"],"ns":[14],"params":[3],"epsilons":[0.1],"engines":["alg1"],"workloads":["gossip"],"rounds":2,"replicates":1,"base_seed":2023}`
 	release := make(chan struct{})
 	started := make(chan struct{}, 4)
-	ts, reg := newTestDaemon(t, sweep.ServiceOptions{
+	ts, reg := newTestDaemon(t, sweep.Options{
 		Jobs: 2,
-		ExecuteFunc: func(sc sweep.Scenario, _ sweep.ExecOptions) (sweep.Record, error) {
+		ExecuteFunc: func(group []sweep.Scenario, _ sweep.ExecOptions) ([]sweep.Record, error) {
 			started <- struct{}{}
 			<-release
-			return sweep.Record{Hash: sc.Hash(), Spec: sc}, nil
+			return fakeRecords(group), nil
 		},
 	})
 	base := ts.URL
@@ -334,11 +345,11 @@ func TestSweepdConcurrentSubmissionsSingleflight(t *testing.T) {
 // records of a running job.
 func TestSweepdBackpressureAndErrors(t *testing.T) {
 	release := make(chan struct{})
-	ts, _ := newTestDaemon(t, sweep.ServiceOptions{
+	ts, _ := newTestDaemon(t, sweep.Options{
 		Jobs: 1, MaxPending: 1,
-		ExecuteFunc: func(sc sweep.Scenario, _ sweep.ExecOptions) (sweep.Record, error) {
+		ExecuteFunc: func(group []sweep.Scenario, _ sweep.ExecOptions) ([]sweep.Record, error) {
 			<-release
-			return sweep.Record{Hash: sc.Hash(), Spec: sc}, nil
+			return fakeRecords(group), nil
 		},
 	})
 	base := ts.URL
@@ -393,9 +404,51 @@ func TestSweepdBackpressureAndErrors(t *testing.T) {
 	waitJob(t, base, sr.Status)
 }
 
+// TestSweepdGridBounds: POST /grids refuses an oversized body and a
+// grid above the service's MaxPending with 400 before expanding it, and
+// accepts a grid exactly at the bound.
+func TestSweepdGridBounds(t *testing.T) {
+	ts, _ := newTestDaemon(t, sweep.Options{
+		Jobs: 1, MaxPending: 4,
+		ExecuteFunc: func(group []sweep.Scenario, _ sweep.ExecOptions) ([]sweep.Record, error) {
+			return fakeRecords(group), nil
+		},
+	})
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/grids", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+
+	if code, msg := post(`{"families":["` + strings.Repeat("x", maxGridBody) + `"]}`); code != http.StatusBadRequest {
+		t.Fatalf("oversized body: %d %s, want 400", code, msg)
+	}
+	// 2^40 replicates would allocate terabytes if expanded; the size
+	// check answers from the axis lengths alone.
+	start := time.Now()
+	if code, msg := post(`{"replicates":1099511627776}`); code != http.StatusBadRequest || !strings.Contains(msg, "above the service bound") {
+		t.Fatalf("huge grid: %d %s, want 400 from the size check", code, msg)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("huge grid took %v to refuse", took)
+	}
+	if code, msg := post(`{"replicates":5}`); code != http.StatusBadRequest {
+		t.Fatalf("grid one above the bound: %d %s, want 400", code, msg)
+	}
+	sr := submitGrid(t, ts.URL, `{"replicates":4}`)
+	if st := waitJob(t, ts.URL, sr.Status); st.Total != 4 || st.Failed != 0 {
+		t.Fatalf("grid at the bound: %+v", st)
+	}
+}
+
 // TestSweepdHealthz: liveness endpoint.
 func TestSweepdHealthz(t *testing.T) {
-	ts, _ := newTestDaemon(t, sweep.ServiceOptions{Jobs: 1})
+	ts, _ := newTestDaemon(t, sweep.Options{Jobs: 1})
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

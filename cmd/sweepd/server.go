@@ -133,22 +133,46 @@ type submitResponse struct {
 	Records string `json:"records"`
 }
 
+// maxGridBody bounds a POST /grids body. A grid is a handful of axis
+// lists; the bound only has to stop a client from making the server
+// buffer an arbitrarily large body.
+const maxGridBody = 1 << 20
+
 // handleSubmit expands a grid and submits it to the service: 202 with a
-// job handle, 400 on a bad grid, 429 under backpressure.
+// job handle, 400 on a bad grid (including one larger than the
+// service's MaxPending, refused before it is expanded), 429 under
+// backpressure.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var gr gridRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxGridBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&gr); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad grid body: %w", err))
 		return
 	}
-	scenarios, err := gr.grid().Expand()
+	g := gr.grid()
+	if size, limit := g.Size(), s.svc.MaxPending(); size > limit {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("grid expands to up to %d scenarios, above the service bound of %d", size, limit))
+		return
+	}
+	scenarios, err := g.Expand()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	job, err := s.svc.Submit(scenarios)
+	// The server — not any one HTTP subscriber — records the job's
+	// events in a replayable per-job feed, so any number of /events
+	// streams can follow the job (each from the start) and the global
+	// /progress tracker advances whether or not anyone is watching.
+	feed := newJobFeed()
+	job, err := s.svc.Submit(scenarios, func(ev sweep.Event) {
+		s.progress.Observe(ev.Cached, ev.Err != nil)
+		je := jobEvent{Index: ev.Index, Done: ev.Done, Total: ev.Total, Cached: ev.Cached, Hash: ev.Record.Hash}
+		if ev.Err != nil {
+			je.Error = ev.Err.Error()
+		}
+		feed.append(je, ev.Done == ev.Total)
+	})
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, sweep.ErrBackpressure) {
@@ -160,25 +184,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.progress.Expect(len(scenarios))
-	// The server — not any one HTTP subscriber — drains the job's event
-	// channel into a replayable per-job feed, so any number of /events
-	// streams can follow the job (each from the start) and the global
-	// /progress tracker advances whether or not anyone is watching.
-	feed := newJobFeed()
 	s.mu.Lock()
 	s.feeds[job.ID()] = feed
 	s.mu.Unlock()
-	go func() {
-		for ev := range job.Events() {
-			s.progress.Observe(ev.Cached, ev.Err != nil)
-			je := jobEvent{Index: ev.Index, Done: ev.Done, Total: ev.Total, Cached: ev.Cached, Hash: ev.Record.Hash}
-			if ev.Err != nil {
-				je.Error = ev.Err.Error()
-			}
-			feed.append(je)
-		}
-		feed.finish()
-	}()
 	st := job.Status()
 	writeJSON(w, http.StatusAccepted, submitResponse{
 		Job: job.ID(), Total: st.Total, Unique: st.Unique, Status: "/jobs/" + job.ID(),
@@ -236,16 +244,11 @@ func newJobFeed() *jobFeed {
 	return f
 }
 
-func (f *jobFeed) append(ev jobEvent) {
+// append adds one event; last marks the job's final one.
+func (f *jobFeed) append(ev jobEvent, last bool) {
 	f.mu.Lock()
 	f.lines = append(f.lines, ev)
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-func (f *jobFeed) finish() {
-	f.mu.Lock()
-	f.done = true
+	f.done = last
 	f.mu.Unlock()
 	f.cond.Broadcast()
 }
@@ -313,8 +316,9 @@ func (s *server) handleJobRecords(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("job %s still running (%d/%d)", st.ID, st.Done, st.Total))
 		return
 	}
+	recs, _, _ := job.Wait() // complete: returns at once; failures are zero records
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, rec := range job.Records() {
+	for _, rec := range recs {
 		if err := sweep.EncodeJSONL(w, rec); err != nil {
 			return
 		}

@@ -48,15 +48,15 @@ type QuietProgram interface {
 // Summaries are second-level bitsets: bit w of summary word w>>6 marks
 // the bitstring word w as dirty.
 type sparseState struct {
-	active, next   *bitstring.BitString // driven-by-schedule, this / next round
-	beeped, heard  *bitstring.BitString
-	done           *bitstring.BitString
-	activeSum      []uint64 // dirty words of active (and so of beeped)
-	nextSum        []uint64
-	hearSum        []uint64 // dirty words of heard
-	buckets        map[int][]int32 // wake round -> sleeping nodes
-	doneCount      int
-	peak           int // peak driven-node count (frontier occupancy)
+	active, next  *bitstring.BitString // driven-by-schedule, this / next round
+	beeped, heard *bitstring.BitString
+	done          *bitstring.BitString
+	activeSum     []uint64 // dirty words of active (and so of beeped)
+	nextSum       []uint64
+	hearSum       []uint64        // dirty words of heard
+	buckets       map[int][]int32 // wake round -> sleeping nodes
+	doneCount     int
+	peak          int // peak driven-node count (frontier occupancy)
 }
 
 // activate marks v active in b and its word dirty in sum.

@@ -2,58 +2,73 @@ package sim
 
 import "sync"
 
-// FlightGroup is keyed request-level singleflight: Do(key, fn) runs fn
-// at most once per key among concurrent callers — the first caller in
-// executes, every other caller with the same key blocks until that
-// execution finishes and receives the same value, flagged shared. Once
-// the execution completes the key is forgotten, so a later Do runs fn
-// again: unlike Cache (which memoizes pure artifacts for a batch's
+// FlightGroup is keyed request-level singleflight: Begin(key) claims
+// key's in-flight execution — the first caller becomes its owner and
+// must Finish it, every other caller joins and can Wait for the owner's
+// value. Once finished the key is forgotten, so a later Begin starts a
+// new flight: unlike Cache (which memoizes pure artifacts for a batch's
 // lifetime), a FlightGroup dedupes only work that is literally in
 // flight. Persistence of completed results is the caller's business —
-// sweep's Service checks its store first and singleflights only store
-// misses, which generalizes Cache's per-entry sync.Once from the
-// artifact layer to the request layer: identical scenarios submitted by
-// concurrent requests execute exactly once, whichever request got there
-// first.
+// sweep's Service checks its store first and flies only store misses,
+// which generalizes Cache's per-entry sync.Once from the artifact layer
+// to the request layer: identical scenarios submitted by concurrent
+// requests execute exactly once, whichever request got there first.
+//
+// Claiming and finishing are separate calls so one caller can own
+// several flights at once (a lane group runs all its members in one
+// pass). A caller that owns flights must Finish every one of them
+// before it Waits on a flight it joined; two owners that each waited
+// on the other's unfinished flight would deadlock.
 //
 // The zero value is ready to use. Safe for concurrent use.
 type FlightGroup[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[K]*flight[V]
+	m  map[K]*Flight[V]
 }
 
-type flight[V any] struct {
-	done    chan struct{}
+// Flight is one in-flight execution, shared by its owner and joiners.
+type Flight[V any] struct {
+	done    sync.WaitGroup
 	val     V
 	waiters int
 }
 
-// Do returns fn's result for key, executing fn itself only if no
-// execution for key is already in flight; otherwise it waits for the
-// in-flight one and returns its value with shared = true. fn must not
-// call Do on the same group with the same key (it would wait on
-// itself).
-func (g *FlightGroup[K, V]) Do(key K, fn func() V) (v V, shared bool) {
+// Begin claims key. owner is true when no execution for key was in
+// flight: the caller now runs it and must call Finish(key, v) exactly
+// once. Otherwise the caller joined the owner's flight and f.Wait
+// returns the owner's value.
+func (g *FlightGroup[K, V]) Begin(key K) (f *Flight[V], owner bool) {
 	g.mu.Lock()
-	if fl, ok := g.m[key]; ok {
-		fl.waiters++
-		g.mu.Unlock()
-		<-fl.done
-		return fl.val, true
+	defer g.mu.Unlock()
+	if f, ok := g.m[key]; ok {
+		f.waiters++
+		return f, false
 	}
-	fl := &flight[V]{done: make(chan struct{})}
+	f = &Flight[V]{}
+	f.done.Add(1)
 	if g.m == nil {
-		g.m = make(map[K]*flight[V])
+		g.m = make(map[K]*Flight[V])
 	}
-	g.m[key] = fl
-	g.mu.Unlock()
+	g.m[key] = f
+	return f, true
+}
 
-	fl.val = fn()
+// Finish publishes v to key's joiners and forgets key. Only the owner
+// that Begin returned calls it, once.
+func (g *FlightGroup[K, V]) Finish(key K, v V) {
 	g.mu.Lock()
+	f := g.m[key]
 	delete(g.m, key)
 	g.mu.Unlock()
-	close(fl.done)
-	return fl.val, false
+	f.val = v
+	f.done.Done()
+}
+
+// Wait blocks until the flight's owner finishes it and returns the
+// owner's value.
+func (f *Flight[V]) Wait() V {
+	f.done.Wait()
+	return f.val
 }
 
 // InFlight returns the number of executions currently in flight.
@@ -63,14 +78,14 @@ func (g *FlightGroup[K, V]) InFlight() int {
 	return len(g.m)
 }
 
-// Waiters returns how many callers are currently blocked on key's
-// in-flight execution (0 when key is not in flight). Tests use it to
-// pin dedup interleavings deterministically.
+// Waiters returns how many callers have joined key's in-flight
+// execution (0 when key is not in flight). Tests use it to pin dedup
+// interleavings deterministically.
 func (g *FlightGroup[K, V]) Waiters(key K) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if fl, ok := g.m[key]; ok {
-		return fl.waiters
+	if f, ok := g.m[key]; ok {
+		return f.waiters
 	}
 	return 0
 }

@@ -3,17 +3,15 @@ package sim
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// TestFlightGroupDedupes: N concurrent Do calls on one key run fn once;
-// exactly one caller owns the execution, the rest share its value.
+// TestFlightGroupDedupes: N concurrent Begin calls on one key make
+// exactly one owner; every other caller joins and Waits for the owner's
+// value.
 func TestFlightGroupDedupes(t *testing.T) {
 	var g FlightGroup[string, int]
-	var calls atomic.Int32
-	release := make(chan struct{})
+	owner, isOwner := g.Begin("k") // hold the flight open until all callers joined
 
 	const waiters = 8
 	var wg sync.WaitGroup
@@ -23,38 +21,31 @@ func TestFlightGroupDedupes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, shared := g.Do("k", func() int {
-				calls.Add(1)
-				<-release // hold the flight open until all callers joined
-				return 42
-			})
-			vals[i], owners[i] = v, !shared
+			f, own := g.Begin("k")
+			owners[i] = own
+			if !own {
+				vals[i] = f.Wait()
+			}
 		}(i)
 	}
-	// Wait for the flight to exist, then give the other goroutines time
-	// to pile onto it before releasing (the x/sync singleflight test
-	// pattern — fn blocks, so the flight cannot land early).
-	for g.InFlight() == 0 {
+	// Every joiner registers before any can return: Wait blocks until
+	// Finish below.
+	for g.Waiters("k") < waiters {
 		runtime.Gosched()
 	}
-	time.Sleep(100 * time.Millisecond)
-	close(release)
+	g.Finish("k", 42)
 	wg.Wait()
 
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("fn ran %d times, want 1", n)
+	if !isOwner || owner == nil {
+		t.Fatal("first Begin on an idle key did not own the flight")
 	}
-	ownerN := 0
 	for i := 0; i < waiters; i++ {
+		if owners[i] {
+			t.Fatalf("caller %d owned a flight that was already in flight", i)
+		}
 		if vals[i] != 42 {
 			t.Fatalf("caller %d got %d, want 42", i, vals[i])
 		}
-		if owners[i] {
-			ownerN++
-		}
-	}
-	if ownerN != 1 {
-		t.Fatalf("%d callers report shared=false, want exactly 1", ownerN)
 	}
 	if g.InFlight() != 0 {
 		t.Fatalf("flight not forgotten after completion: %d in flight", g.InFlight())
@@ -62,38 +53,52 @@ func TestFlightGroupDedupes(t *testing.T) {
 }
 
 // TestFlightGroupForgetsAfterCompletion: unlike a cache, the group
-// holds nothing once a flight lands — a later Do on the same key runs
-// fn again (persistence is the store's job, not the flight group's).
+// holds nothing once a flight lands — a later Begin on the same key
+// owns a fresh flight (persistence is the store's job, not the flight
+// group's).
 func TestFlightGroupForgetsAfterCompletion(t *testing.T) {
 	var g FlightGroup[string, int]
-	var calls atomic.Int32
-	fn := func() int { calls.Add(1); return int(calls.Load()) }
-	if v, shared := g.Do("k", fn); v != 1 || shared {
-		t.Fatalf("first Do: v=%d shared=%v", v, shared)
+	if _, own := g.Begin("k"); !own {
+		t.Fatal("first Begin did not own the flight")
 	}
-	if v, shared := g.Do("k", fn); v != 2 || shared {
-		t.Fatalf("second Do: v=%d shared=%v, want a fresh run", v, shared)
+	g.Finish("k", 1)
+	if _, own := g.Begin("k"); !own {
+		t.Fatal("second Begin joined a finished flight, want a fresh one")
+	}
+	if g.Waiters("k") != 0 || g.InFlight() != 1 {
+		t.Fatalf("fresh flight: waiters=%d in flight=%d", g.Waiters("k"), g.InFlight())
 	}
 }
 
 // TestFlightGroupIndependentKeys: distinct keys fly independently and
-// concurrently.
+// concurrently, and one caller may own several flights before finishing
+// any of them (the lane-group shape).
 func TestFlightGroupIndependentKeys(t *testing.T) {
 	var g FlightGroup[int, int]
-	var wg sync.WaitGroup
-	var calls atomic.Int32
 	for k := 0; k < 16; k++ {
+		if _, own := g.Begin(k); !own {
+			t.Fatalf("key %d: Begin joined, want owner (one flight per key)", k)
+		}
+	}
+	if n := g.InFlight(); n != 16 {
+		t.Fatalf("%d flights in flight, want 16", n)
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < 16; k++ {
+		f, own := g.Begin(k)
+		if own {
+			t.Fatalf("key %d: second Begin owned, want a join", k)
+		}
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			v, _ := g.Do(k, func() int { calls.Add(1); return k * k })
-			if v != k*k {
+			if v := f.Wait(); v != k*k {
 				t.Errorf("key %d got %d", k, v)
 			}
 		}(k)
 	}
-	wg.Wait()
-	if n := calls.Load(); n != 16 {
-		t.Fatalf("fn ran %d times, want 16 (one per key)", n)
+	for k := 0; k < 16; k++ {
+		g.Finish(k, k*k)
 	}
+	wg.Wait()
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -154,6 +155,35 @@ func TestBatchProgressEvents(t *testing.T) {
 	}
 	if len(seen) != len(scs) {
 		t.Fatalf("got %d progress events for %d scenarios", len(seen), len(scs))
+	}
+}
+
+// TestGridSize: Size predicts Expand's length from the axis lengths —
+// exactly when no specs collapse, as an upper bound when the native
+// engines' ε axis does — and saturates instead of overflowing.
+func TestGridSize(t *testing.T) {
+	g := tinyGrid()
+	g.Replicates = 3
+	g.Families = []string{FamilyRegular, FamilyPG}
+	scs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Size() != len(scs) {
+		t.Fatalf("Size()=%d, Expand produced %d", g.Size(), len(scs))
+	}
+	g.Engines = append(g.Engines, EngineCongest)
+	if scs, err = g.Expand(); err != nil {
+		t.Fatal(err)
+	}
+	if g.Size() < len(scs) {
+		t.Fatalf("Size()=%d below Expand's %d", g.Size(), len(scs))
+	}
+	if n := (Grid{Replicates: 1 << 40, Ns: make([]int, 1<<20), Params: make([]int, 1<<20)}).Size(); n != math.MaxInt {
+		t.Fatalf("huge grid Size()=%d, want saturation at math.MaxInt", n)
+	}
+	if n := (Grid{Replicates: -1}).Size(); n != 0 {
+		t.Fatalf("negative replicates Size()=%d, want 0", n)
 	}
 }
 

@@ -31,7 +31,7 @@ type ExecOptions struct {
 	// for every value.
 	GenWorkers int
 	// Artifacts, when non-nil, shares graphs and code tables across
-	// Execute calls (the batch scheduler passes one cache per batch).
+	// Execute calls (the scheduler passes one cache per Service).
 	// Cached artifacts are pure functions of their keys, so records are
 	// byte-identical with the cache on or off.
 	Artifacts *sim.Cache
@@ -279,7 +279,7 @@ func slicedCapable(sc Scenario) bool {
 // executeSliced runs a group of quiet-channel scenarios that differ
 // only in their replicate seeds (equal sliceKey) as lanes of one
 // replicate-sliced engine pass. hashes, when non-nil, holds the specs'
-// precomputed hashes positionally parallel to scs, as the batch layer
+// precomputed hashes positionally parallel to scs, as the scheduler
 // holds them: hashing is SHA-256 over canonical JSON, too expensive to
 // redo per lane when the caller already paid for it. The returned
 // records are positionally parallel to scs and — excepting WallNanos

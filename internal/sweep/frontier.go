@@ -8,10 +8,12 @@ import (
 
 // FrontierOptions configures a resilience-frontier search.
 type FrontierOptions struct {
-	// Exec configures every probe's execution. The store is the resume
-	// mechanism: each probe is an ordinary content-hashed scenario, so a
-	// warm store answers repeated probes with zero re-simulation.
-	Exec ExecOptions
+	// Exec configures every probe, each a Run of one scenario (so Jobs
+	// is 1 and an auto Workers gives the probe the whole machine). The
+	// store is the resume mechanism: each probe is an ordinary
+	// content-hashed scenario, so a warm store answers repeated probes
+	// with zero re-simulation.
+	Exec Options
 	// Progress, when non-nil, receives one call per probe as it
 	// resolves (sequential — no locking needed).
 	Progress func(FrontierProbe)
@@ -89,25 +91,17 @@ func frontierOne(idx int, sc Scenario, store StoreEngine, opt FrontierOptions) (
 		a.Budget = budget
 		psc := sc
 		psc.Noise = a.Spec()
-		hash := psc.Hash()
 		res.Probes++
-		rec, hit := store.Get(hash)
-		if !hit {
-			rec, err = Execute(psc, opt.Exec)
-			if err == nil {
-				err = store.Put(rec)
-			}
-			if err != nil {
-				return false, fmt.Errorf("budget %d: %w", budget, err)
-			}
-			res.Ran++
-		} else {
-			res.Cached++
+		recs, st, err := Run([]Scenario{psc}, store, opt.Exec)
+		if err != nil {
+			return false, fmt.Errorf("budget %d: %w", budget, err)
 		}
+		res.Cached += st.Cached
+		res.Ran += st.Ran
 		if opt.Progress != nil {
-			opt.Progress(FrontierProbe{Scenario: idx, Budget: budget, Cached: hit, Broken: rec.Broken()})
+			opt.Progress(FrontierProbe{Scenario: idx, Budget: budget, Cached: st.Cached == 1, Broken: recs[0].Broken()})
 		}
-		return rec.Broken(), nil
+		return recs[0].Broken(), nil
 	}
 
 	// Bracket first: an unbroken ceiling means the frontier lies beyond

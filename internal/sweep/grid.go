@@ -74,47 +74,22 @@ func fold(s string) uint64 {
 // two different axis labels. Expand fails if any produced spec is
 // invalid or the grid expands to nothing.
 func (g Grid) Expand() ([]Scenario, error) {
-	families := defaulted(g.Families, FamilyRegular)
-	ns := defaultedInts(g.Ns, 64)
-	params := defaultedInts(g.Params, 4)
-	epsilons := g.Epsilons
-	if len(epsilons) == 0 {
-		epsilons = []float64{0.05}
-	}
-	engines := defaulted(g.Engines, EngineAlg1)
-	workloads := defaulted(g.Workloads, WorkloadGossip)
-	noises, err := canonicalNoises(g.Noises)
+	a := g.axes()
+	noises, err := canonicalNoises(a.noises)
 	if err != nil {
 		return nil, err
-	}
-	rounds := g.Rounds
-	if rounds == 0 {
-		rounds = 3
-	}
-	replicates := g.Replicates
-	if replicates == 0 {
-		replicates = 1
 	}
 
 	var out []Scenario
 	seen := make(map[string]struct{})
-	for _, wl := range workloads {
-		wlRounds := rounds
+	for _, wl := range a.workloads {
+		wlRounds := a.rounds
 		if w, ok := sim.WorkloadFor(wl); ok && !w.UsesRounds() {
 			wlRounds = 0 // self-budgeting workloads require Rounds 0 (Scenario contract)
 		}
-		for _, fam := range families {
-			famNs := ns
-			if derivedN(fam) {
-				famNs = []int{0}
-			}
-			famParams := params
-			if fam == FamilyGeo {
-				// Geo is parameterless (Scenario contract: Param = 0), so
-				// the Params axis collapses for it.
-				famParams = []int{0}
-			}
-			for _, eng := range engines {
+		for _, fam := range a.families {
+			famNs, famParams := a.familyAxes(fam)
+			for _, eng := range a.engines {
 				if !Supports(eng, wl) {
 					continue
 				}
@@ -122,7 +97,7 @@ func (g Grid) Expand() ([]Scenario, error) {
 				for _, noiseSpec := range noises {
 					for _, n := range famNs {
 						for _, param := range famParams {
-							for _, gridEps := range epsilons {
+							for _, gridEps := range a.epsilons {
 								// Native engines have no beeping channel to
 								// perturb: they ignore ε, the channel seed,
 								// and the noise model, so normalize all
@@ -142,7 +117,7 @@ func (g Grid) Expand() ([]Scenario, error) {
 								if ns != "" {
 									eps = 0
 								}
-								for rep := 0; rep < replicates; rep++ {
+								for rep := 0; rep < a.replicates; rep++ {
 									point := []uint64{g.BaseSeed, fold(fam), uint64(n), uint64(param), uint64(rep)}
 									chanKeys := []uint64{seedDomChannel, fold(eng), fold(wl), math.Float64bits(eps)}
 									if ns != "" {
@@ -193,6 +168,83 @@ func (g Grid) Expand() ([]Scenario, error) {
 	return out, nil
 }
 
+// Size bounds len(Expand()) from the axis lengths alone, so a caller can
+// refuse an oversized grid before expanding it: unsupported
+// engine/workload pairs are left out, the hash dedup is not. It
+// saturates at math.MaxInt.
+func (g Grid) Size() int {
+	a := g.axes()
+	size := 0
+	for _, fam := range a.families {
+		ns, params := a.familyAxes(fam)
+		size += len(ns) * len(params)
+	}
+	pairs := 0
+	for _, wl := range a.workloads {
+		for _, eng := range a.engines {
+			if Supports(eng, wl) {
+				pairs++
+			}
+		}
+	}
+	// The factors that can be zero come first, so a zero is never
+	// masked by an earlier saturation.
+	for _, f := range []int{pairs, max(a.replicates, 0), len(a.noises), len(a.epsilons)} {
+		if f != 0 && size > math.MaxInt/f {
+			return math.MaxInt
+		}
+		size *= f
+	}
+	return size
+}
+
+// gridAxes is a Grid with every empty axis defaulted: the one place the
+// defaults live, shared by Expand and Size.
+type gridAxes struct {
+	families, engines, workloads, noises []string
+	ns, params                           []int
+	epsilons                             []float64
+	rounds, replicates                   int
+}
+
+func (g Grid) axes() gridAxes {
+	a := gridAxes{
+		families:   defaulted(g.Families, FamilyRegular),
+		engines:    defaulted(g.Engines, EngineAlg1),
+		workloads:  defaulted(g.Workloads, WorkloadGossip),
+		noises:     defaulted(g.Noises, ""),
+		ns:         defaultedInts(g.Ns, 64),
+		params:     defaultedInts(g.Params, 4),
+		epsilons:   g.Epsilons,
+		rounds:     g.Rounds,
+		replicates: g.Replicates,
+	}
+	if len(a.epsilons) == 0 {
+		a.epsilons = []float64{0.05}
+	}
+	if a.rounds == 0 {
+		a.rounds = 3
+	}
+	if a.replicates == 0 {
+		a.replicates = 1
+	}
+	return a
+}
+
+// familyAxes returns the n and param axes fam enumerates: families that
+// derive N from Param ignore the Ns axis, and geo is parameterless
+// (Scenario contract: Param = 0), so the Params axis collapses for it.
+func (a gridAxes) familyAxes(fam string) (ns, params []int) {
+	ns, params = a.ns, a.params
+	if derivedN(fam) {
+		ns = []int{0}
+	}
+	if fam == FamilyGeo {
+		params = []int{0}
+	}
+	return ns, params
+}
+
 // canonicalNoises normalizes the noise axis: "" and "symmetric" mean
 // the default symmetric channel (spelled as the empty spec, so Epsilon
 // stays the channel identity); other entries must parse and are
@@ -200,9 +252,6 @@ func (g Grid) Expand() ([]Scenario, error) {
 // canonicalization are rejected — they would be a silently collapsed
 // axis, which is almost certainly a typo.
 func canonicalNoises(specs []string) ([]string, error) {
-	if len(specs) == 0 {
-		return []string{""}, nil
-	}
 	out := make([]string, 0, len(specs))
 	seen := make(map[string]struct{}, len(specs))
 	for _, s := range specs {

@@ -12,26 +12,32 @@ import (
 	"repro/internal/sim"
 )
 
-// Service is the long-lived scheduling layer: the batch scheduler's
-// execution semantics (store-first lookup, persisted misses, per-slot
-// deterministic records) lifted out of the one-shot Run call into a
-// resident worker pool that serves many concurrent submissions over one
-// store — the shape cmd/sweepd exposes over HTTP. Each Submit gets its
-// own Job with a private completion queue and a streaming event channel;
-// the scenarios of all jobs share the worker pool, the store, the
-// artifact cache, and one request-level singleflight group, so identical
-// scenarios submitted concurrently by different requests execute exactly
-// once (sim.FlightGroup — the artifact cache's per-entry sync.Once
+// Service is the sweep scheduler: one worker pool over one store that
+// serves any number of concurrent submissions. Run is one job on a
+// short-lived Service; cmd/sweepd keeps one resident. Each Submit gets
+// its own Job with a per-request record slice and progress callback;
+// the jobs share the worker pool, the store, the artifact cache, and
+// one request-level singleflight group, so identical scenarios
+// submitted concurrently by different requests execute exactly once
+// (sim.FlightGroup — the artifact cache's per-entry sync.Once
 // generalized to the request layer).
 //
-// Records are byte-identical to Execute/Run output by the determinism
+// A job's unit of work is a task: one lane group (sliceGroups) over the
+// job's first occurrence of each hash; later duplicates within the job
+// copy their owner's outcome. A task serves its members store-first,
+// claims one flight per remaining member, runs the members it owns
+// together (sliced when there are two or more), finishes those flights,
+// and only then waits on members another job has in flight. That order
+// keeps waits between jobs from deadlocking: a task that waits owns no
+// unfinished flight, and the owner of the flight it waits on is
+// already running on another worker.
+//
+// Records are byte-identical to Execute output by the determinism
 // contract: the service changes scheduling only, never results.
 type Service struct {
-	store StoreEngine
-	exec  ExecOptions
-	// execute is Execute, injectable so tests can pin singleflight
-	// interleavings without real engine work.
-	execute func(Scenario, ExecOptions) (Record, error)
+	store       StoreEngine
+	exec        ExecOptions
+	executeFunc func([]Scenario, ExecOptions) ([]Record, error)
 
 	tasks   chan task
 	flights sim.FlightGroup[string, flightResult]
@@ -39,40 +45,11 @@ type Service struct {
 	m       serviceMetrics
 
 	mu         sync.Mutex
-	pending    int // queued + running tasks, bounded by maxPending
+	pending    int // scenarios of accepted jobs not yet landed, bounded by maxPending
 	maxPending int
 	nextJob    int
 	jobs       map[string]*Job
 	closed     bool
-}
-
-// ServiceOptions configures a Service.
-type ServiceOptions struct {
-	// Jobs bounds concurrently executing scenarios (0 = one per CPU),
-	// exactly like Options.Jobs; Workers, Shards, and GenWorkers follow
-	// the same composition rule as the batch scheduler (auto Workers run
-	// serial per scenario when Jobs > 1).
-	Jobs, Workers, Shards, GenWorkers int
-	// MaxRoundsFactor forwards the round-budget guard (ExecOptions);
-	// like a spec axis, hold it constant over one store's lifetime.
-	MaxRoundsFactor float64
-	// MaxPending bounds queued-plus-running scenarios across all jobs
-	// (0 = DefaultMaxPending): the backpressure valve. A Submit that
-	// would exceed it fails fast with ErrBackpressure instead of growing
-	// an unbounded queue.
-	MaxPending int
-	// Artifacts shares graphs and code tables across the service's whole
-	// lifetime (nil = a fresh cache); Metrics receives the scheduler's
-	// observation-only instrumentation, including the singleflight dedup
-	// counter sweep.service.singleflight_hits.
-	Artifacts *sim.Cache
-	Metrics   *obs.Registry
-	// ExecuteFunc replaces Execute as the per-scenario runner (nil =
-	// Execute). A test seam: blocking it lets tests pin store-hit,
-	// singleflight, and backpressure interleavings deterministically.
-	// Production callers leave it nil — any substitute must preserve the
-	// determinism contract (records a pure function of the spec).
-	ExecuteFunc func(Scenario, ExecOptions) (Record, error)
 }
 
 // DefaultMaxPending is the default backpressure bound.
@@ -88,17 +65,24 @@ var ErrClosed = errors.New("sweep: service is closed")
 type serviceMetrics struct {
 	submissions *obs.Counter
 	scenarios   *obs.Counter
+	dups        *obs.Counter
+	groups      *obs.Counter
 	storeHits   *obs.Counter
+	storeMisses *obs.Counter
 	executions  *obs.Counter
 	dedup       *obs.Counter
 	rejected    *obs.Counter
 	queueDepth  *obs.Gauge
+	queueWait   *obs.Timer
 }
 
 func newServiceMetrics(reg *obs.Registry, artifacts *sim.Cache) serviceMetrics {
 	if reg == nil {
 		return serviceMetrics{}
 	}
+	// Pull-based cache counters: evaluated at snapshot time against the
+	// service's artifact cache. Func replaces on re-registration, so each
+	// Run re-points the metrics at its own cache.
 	reg.Func("sim.cache.graph_hits", func() int64 { return artifacts.Stats().GraphHits })
 	reg.Func("sim.cache.graph_misses", func() int64 { return artifacts.Stats().GraphMisses })
 	reg.Func("sim.cache.code_hits", func() int64 { return artifacts.Stats().CodeHits })
@@ -106,35 +90,48 @@ func newServiceMetrics(reg *obs.Registry, artifacts *sim.Cache) serviceMetrics {
 	return serviceMetrics{
 		submissions: reg.Counter("sweep.service.submissions"),
 		scenarios:   reg.Counter("sweep.service.scenarios"),
+		dups:        reg.Counter("sweep.batch.dups"),
+		groups:      reg.Counter("sweep.batch.groups"),
 		storeHits:   reg.Counter("sweep.service.store_hits"),
+		storeMisses: reg.Counter("sweep.store.misses"),
 		executions:  reg.Counter("sweep.service.executions"),
 		dedup:       reg.Counter("sweep.service.singleflight_hits"),
 		rejected:    reg.Counter("sweep.service.rejected"),
 		queueDepth:  reg.Gauge("sweep.service.queue_depth"),
+		queueWait:   reg.Timer("sweep.service.queue_wait_nanos"),
 	}
 }
 
+// task is one lane group of a job: owner slot indices in first-seen
+// order, and the span timing its wait in the queue.
 type task struct {
-	job *Job
-	idx int
+	job   *Job
+	group []int
+	wait  obs.Span
 }
 
+// flightResult is a flight's outcome. rec points at the owner's record
+// (nil on failure), so the flight a Begin allocates stays small.
 type flightResult struct {
-	rec Record
+	rec *Record
 	err error
-	// hit reports the flight resolved by the owner's in-flight store
-	// re-check rather than an execution (see runTask).
-	hit bool
 }
 
-// NewService starts a service over store: opts.Jobs resident workers
-// draining one shared scenario queue. Close releases them.
-func NewService(store StoreEngine, opts ServiceOptions) *Service {
-	jobs := opts.Jobs
+// NewService starts a service over store: opt.Jobs resident workers
+// draining one shared task queue. Close releases them. opt.Progress is
+// ignored; each Submit takes its own callback.
+func NewService(store StoreEngine, opt Options) *Service {
+	if opt.MaxPending <= 0 {
+		opt.MaxPending = DefaultMaxPending
+	}
+	jobs := opt.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	workers := opts.Workers
+	// No more than MaxPending scenarios are ever queued, so more workers
+	// than that would only idle.
+	jobs = min(jobs, opt.MaxPending)
+	workers := opt.Workers
 	if workers == 0 {
 		if jobs > 1 {
 			workers = 1
@@ -142,57 +139,75 @@ func NewService(store StoreEngine, opts ServiceOptions) *Service {
 			workers = engine.AutoWorkers
 		}
 	}
-	maxPending := opts.MaxPending
-	if maxPending <= 0 {
-		maxPending = DefaultMaxPending
-	}
-	artifacts := opts.Artifacts
-	if artifacts == nil {
-		artifacts = sim.NewCache()
+	if opt.Artifacts == nil {
+		opt.Artifacts = sim.NewCache()
 	}
 	s := &Service{
 		store: store,
 		exec: ExecOptions{
-			Workers: workers, Shards: opts.Shards, GenWorkers: opts.GenWorkers,
-			Artifacts: artifacts, Metrics: opts.Metrics, MaxRoundsFactor: opts.MaxRoundsFactor,
+			Workers: workers, Shards: opt.Shards, GenWorkers: opt.GenWorkers,
+			Artifacts: opt.Artifacts, Metrics: opt.Metrics, MaxRoundsFactor: opt.MaxRoundsFactor,
 		},
-		execute:    opts.ExecuteFunc,
-		tasks:      make(chan task, maxPending),
-		maxPending: maxPending,
+		executeFunc: opt.ExecuteFunc,
+		// Every task holds at least one pending scenario, so a queue of
+		// MaxPending tasks never fills and Submit's sends never block.
+		tasks:      make(chan task, opt.MaxPending),
+		maxPending: opt.MaxPending,
 		jobs:       make(map[string]*Job),
-		m:          newServiceMetrics(opts.Metrics, artifacts),
+		m:          newServiceMetrics(opt.Metrics, opt.Artifacts),
 	}
-	if s.execute == nil {
-		s.execute = Execute
-	}
-	for w := 0; w < jobs; w++ {
+	for range jobs {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	return s
 }
 
-// Submit validates and enqueues scenarios as one Job. It returns
-// immediately: progress streams on Job.Events, completion blocks on
-// Job.Wait. ErrBackpressure reports a full queue (nothing enqueued —
-// admission is all-or-nothing, so a rejected request leaves no orphan
-// tasks); ErrClosed a closed service; a validation error the first
-// invalid scenario.
-func (s *Service) Submit(scenarios []Scenario) (*Job, error) {
+// MaxPending returns the service's backpressure bound: the most
+// scenarios one submission may hold.
+func (s *Service) MaxPending() int { return s.maxPending }
+
+// Submit hashes and enqueues scenarios as one Job and returns at once;
+// Job.Wait blocks until it completes. progress, when non-nil, receives
+// one Event per scenario as it completes, serialized, on a worker
+// goroutine: it must not block, and must not call the Job's methods.
+// ErrBackpressure reports a full queue (nothing enqueued — admission is
+// all-or-nothing, so a rejected request leaves no orphan tasks) and
+// ErrClosed a closed service. An invalid scenario fails its own slot,
+// like any execution error.
+func (s *Service) Submit(scenarios []Scenario, progress func(Event)) (*Job, error) {
 	if len(scenarios) == 0 {
 		return nil, errors.New("sweep: empty submission")
 	}
+	j := &Job{
+		scenarios: scenarios,
+		hashes:    make([]string, len(scenarios)),
+		progress:  progress,
+		done:      make(chan struct{}),
+		records:   make([]Record, len(scenarios)),
+		errs:      make([]error, len(scenarios)),
+		start:     time.Now(),
+	}
+	// Duplicate specs inside one job run once: the first index with a
+	// given hash owns execution, later ones copy its outcome. Hashes are
+	// computed once up front — they're SHA-256 over canonical JSON, too
+	// expensive to recompute per store lookup.
+	owner := make(map[string]int, len(scenarios))
+	order := make([]int, 0, len(scenarios))
 	for i, sc := range scenarios {
-		if err := sc.Validate(); err != nil {
-			return nil, fmt.Errorf("sweep: submission scenario %d: %w", i, err)
+		j.hashes[i] = sc.Hash()
+		if first, ok := owner[j.hashes[i]]; ok {
+			if j.dups == nil {
+				j.dups = make(map[int][]int)
+			}
+			j.dups[first] = append(j.dups[first], i)
+			continue
 		}
+		owner[j.hashes[i]] = i
+		order = append(order, i)
 	}
-	hashes := make([]string, len(scenarios))
-	unique := make(map[string]struct{}, len(scenarios))
-	for i, sc := range scenarios {
-		hashes[i] = sc.Hash()
-		unique[hashes[i]] = struct{}{}
-	}
+	j.stats = Stats{Total: len(scenarios), Unique: len(order)}
+	groups := sliceGroups(scenarios, order)
 
 	s.mu.Lock()
 	if s.closed {
@@ -207,26 +222,16 @@ func (s *Service) Submit(scenarios []Scenario) (*Job, error) {
 	s.pending += len(scenarios)
 	s.m.queueDepth.Set(int64(s.pending))
 	s.nextJob++
-	j := &Job{
-		id:        fmt.Sprintf("j%d", s.nextJob),
-		scenarios: scenarios,
-		hashes:    hashes,
-		records:   make([]Record, len(scenarios)),
-		errs:      make([]error, len(scenarios)),
-		events:    make(chan Event, len(scenarios)),
-		done:      make(chan struct{}),
-		start:     time.Now(),
-		stats:     Stats{Total: len(scenarios), Unique: len(unique)},
-	}
+	j.id = fmt.Sprintf("j%d", s.nextJob)
 	s.jobs[j.id] = j
-	// Enqueue under the lock: pending accounting guarantees channel
-	// capacity, so these sends never block.
-	for i := range scenarios {
-		s.tasks <- task{job: j, idx: i}
+	for _, g := range groups {
+		s.tasks <- task{job: j, group: g, wait: s.m.queueWait.Start()}
 	}
 	s.mu.Unlock()
 	s.m.submissions.Inc()
 	s.m.scenarios.Add(int64(len(scenarios)))
+	s.m.dups.Add(int64(len(scenarios) - len(order)))
+	s.m.groups.Add(int64(len(groups)))
 	return j, nil
 }
 
@@ -270,61 +275,126 @@ func (s *Service) Close() {
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for t := range s.tasks {
+		t.wait.Stop()
 		s.runTask(t)
-		s.mu.Lock()
-		s.pending--
-		s.m.queueDepth.Set(int64(s.pending))
-		s.mu.Unlock()
 	}
 }
 
-// runTask resolves one scenario slot: store hit, singleflight share, or
-// owned execution (persisted on success). Shares count as cached — the
-// requester did no engine work — and increment the dedup counter.
+// runTask resolves one lane group: store hits first, then one flight
+// per miss. Members whose flight it owns run together and finish their
+// flights; only then does it wait on the members it joined, which count
+// as cached — the requester did no engine work — and increment the
+// dedup counter.
 //
-// The store is checked twice: once before the flight (the fast path)
-// and again inside it. The re-check closes the exactly-once gap where a
-// task misses the store, the in-flight execution for the same hash then
-// lands (Put + key forgotten), and the task would otherwise start a
-// second execution of work the store already holds.
+// An owned member re-checks the store before running. That closes the
+// exactly-once gap where a task misses the store, another job's flight
+// for the same hash then lands (Put, then Finish), and the task would
+// otherwise start a second execution of work the store already holds.
 func (s *Service) runTask(t task) {
-	hash := t.job.hashes[t.idx]
-	if rec, ok := s.store.Get(hash); ok {
-		s.m.storeHits.Inc()
-		t.job.report(t.idx, rec, true, nil)
-		return
-	}
-	res, shared := s.flights.Do(hash, func() flightResult {
+	j := t.job
+	var owned, joined []int
+	var flights []*sim.Flight[flightResult]
+	for _, i := range t.group {
+		hash := j.hashes[i]
 		if rec, ok := s.store.Get(hash); ok {
 			s.m.storeHits.Inc()
-			return flightResult{rec: rec, hit: true}
+			s.land(j, i, rec, true, nil)
+			continue
 		}
-		s.m.executions.Inc()
-		rec, err := s.execute(t.job.scenarios[t.idx], s.exec)
-		if err == nil {
-			err = s.store.Put(rec)
+		s.m.storeMisses.Inc()
+		f, own := s.flights.Begin(hash)
+		if !own {
+			joined = append(joined, i)
+			flights = append(flights, f)
+			continue
 		}
-		if err != nil {
-			err = fmt.Errorf("scenario %s: %w", hash, err)
+		if rec, ok := s.store.Get(hash); ok {
+			s.m.storeHits.Inc()
+			hit := rec // only a hit pays for a heap copy
+			s.flights.Finish(hash, flightResult{rec: &hit})
+			s.land(j, i, rec, true, nil)
+			continue
 		}
-		return flightResult{rec: rec, err: err}
-	})
-	if shared {
+		owned = append(owned, i)
+	}
+	if len(owned) > 0 {
+		s.runOwned(j, owned)
+	}
+	for k, i := range joined {
+		res := flights[k].Wait()
 		s.m.dedup.Inc()
+		var rec Record
+		if res.rec != nil {
+			rec = *res.rec
+		}
+		s.land(j, i, rec, true, res.err)
 	}
-	if res.err != nil {
-		t.job.report(t.idx, Record{}, false, res.err)
-		return
+}
+
+// runOwned executes the members a task owns in one pass, persists each
+// record, and finishes its flight: Put before Finish, so a task that
+// Begins a new flight for the hash afterwards finds the record on its
+// store re-check.
+func (s *Service) runOwned(j *Job, owned []int) {
+	scs := make([]Scenario, len(owned))
+	hashes := make([]string, len(owned))
+	for k, i := range owned {
+		scs[k], hashes[k] = j.scenarios[i], j.hashes[i]
 	}
-	t.job.report(t.idx, res.rec, shared || res.hit, nil)
+	s.m.executions.Add(int64(len(owned)))
+	recs, err := s.execute(scs, hashes)
+	for k, i := range owned {
+		var rec Record
+		res := flightResult{err: err}
+		if err == nil {
+			if res.err = s.store.Put(recs[k]); res.err == nil {
+				rec, res.rec = recs[k], &recs[k]
+			}
+		}
+		s.flights.Finish(hashes[k], res)
+		s.land(j, i, rec, false, res.err)
+	}
+}
+
+// execute runs one task's owned members through the test seam when set,
+// else executeGroup.
+func (s *Service) execute(scs []Scenario, hashes []string) ([]Record, error) {
+	if s.executeFunc != nil {
+		return s.executeFunc(scs, s.exec)
+	}
+	return executeGroup(scs, hashes, s.exec)
+}
+
+// executeGroup is the default task executor: Execute for a single
+// scenario, a replicate-sliced pass for a lane group.
+func executeGroup(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error) {
+	if len(scs) == 1 {
+		rec, err := Execute(scs[0], opt)
+		return []Record{rec}, err
+	}
+	return executeSliced(scs, hashes, opt)
+}
+
+// land releases an owned slot and its in-job duplicates from the
+// pending bound, then reports the outcome to the job. Releasing first
+// means a caller whose Wait has returned can resubmit at once.
+func (s *Service) land(j *Job, i int, rec Record, cached bool, err error) {
+	s.mu.Lock()
+	s.pending -= 1 + len(j.dups[i])
+	s.m.queueDepth.Set(int64(s.pending))
+	s.mu.Unlock()
+	j.report(i, rec, cached, err)
 }
 
 // Job is one accepted submission: a per-request result slice, progress
-// stream, and completion signal over the service's shared workers.
+// callback, and completion signal over the service's shared workers.
 type Job struct {
 	id        string
 	scenarios []Scenario
 	hashes    []string
+	dups      map[int][]int // owner slot → later slots with its hash
+	progress  func(Event)
+	done      chan struct{}
 
 	mu      sync.Mutex
 	records []Record
@@ -332,44 +402,27 @@ type Job struct {
 	stats   Stats
 	doneN   int
 	start   time.Time
-
-	events chan Event
-	done   chan struct{}
 }
 
 // ID returns the service-assigned job identifier.
 func (j *Job) ID() string { return j.id }
 
-// Events streams one Event per scenario as it completes, then closes:
-// the per-request progress feed (cmd/sweepd forwards it as NDJSON). The
-// channel is buffered to the job's full size, so a consumer that never
-// reads costs nothing and a consumer that arrives late still sees every
-// event.
-func (j *Job) Events() <-chan Event { return j.events }
-
-// Done is closed when every scenario has completed.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // Wait blocks until the job completes and returns it like Run would: a
 // record per input slot (zero on failure), batch stats, and the joined
-// scenario failures.
+// scenario failures, one per unique scenario. The record slice is the
+// job's own, complete and no longer written.
 func (j *Job) Wait() ([]Record, Stats, error) {
 	<-j.done
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	var failures []error
-	seen := make(map[string]struct{}, len(j.hashes))
+	seen := make(map[string]bool)
 	for i, err := range j.errs {
-		if err == nil {
+		if err == nil || seen[j.hashes[i]] {
 			continue
 		}
-		if _, dup := seen[j.hashes[i]]; dup {
-			continue // one failure per unique scenario, like Run
-		}
-		seen[j.hashes[i]] = struct{}{}
+		seen[j.hashes[i]] = true
 		failures = append(failures, err)
 	}
-	return append([]Record(nil), j.records...), j.stats, errors.Join(failures...)
+	return j.records, j.stats, errors.Join(failures...)
 }
 
 // JobStatus is a point-in-time progress snapshot (the cmd/sweepd
@@ -412,19 +465,26 @@ func (j *Job) elapsed() time.Duration {
 	return time.Since(j.start)
 }
 
-// Records returns the records completed so far, indexed like the
-// submission (zero Records for pending or failed slots).
-func (j *Job) Records() []Record {
+// report lands an owned slot's outcome and copies it to the slot's
+// in-job duplicates: an in-job duplicate of a success is cached (no
+// engine work for it), a duplicate of a failure is just a failure.
+func (j *Job) report(i int, rec Record, cached bool, err error) {
+	if err != nil {
+		err = fmt.Errorf("scenario %d (%s): %w", i, j.hashes[i], err)
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return append([]Record(nil), j.records...)
+	j.set(i, rec, cached, err)
+	for _, d := range j.dups[i] {
+		j.set(d, rec, err == nil, err)
+	}
 }
 
-// report lands one slot's outcome: result slice, stats, event stream,
-// and — on the last slot — completion.
-func (j *Job) report(idx int, rec Record, cached bool, err error) {
-	j.mu.Lock()
-	j.records[idx], j.errs[idx] = rec, err
+// set lands one slot: result slice, stats, progress callback, and — on
+// the last slot — completion. Caller holds j.mu, which keeps callbacks
+// serialized and ordered by their Done counter.
+func (j *Job) set(i int, rec Record, cached bool, err error) {
+	j.records[i], j.errs[i] = rec, err
 	j.doneN++
 	switch {
 	case err != nil:
@@ -438,13 +498,10 @@ func (j *Job) report(idx int, rec Record, cached bool, err error) {
 	if complete {
 		j.stats.Wall = time.Since(j.start)
 	}
-	// Send under the lock: the channel is buffered to Total so the send
-	// never blocks, and holding the lock keeps the event stream ordered
-	// by its Done counter.
-	j.events <- Event{Index: idx, Done: j.doneN, Total: j.stats.Total, Cached: cached, Record: rec, Err: err}
+	if j.progress != nil {
+		j.progress(Event{Index: i, Done: j.doneN, Total: j.stats.Total, Cached: cached && err == nil, Record: rec, Err: err})
+	}
 	if complete {
-		close(j.events)
 		close(j.done)
 	}
-	j.mu.Unlock()
 }

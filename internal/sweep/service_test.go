@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"errors"
 	"path/filepath"
 	"runtime"
@@ -10,14 +9,6 @@ import (
 
 	"repro/internal/obs"
 )
-
-func serviceGrid() Grid {
-	return Grid{
-		Families: []string{"regular"}, Ns: []int{14}, Params: []int{3},
-		Epsilons: []float64{0.1}, Engines: []string{"alg1", "tdma"},
-		Workloads: []string{"gossip"}, Rounds: 2, Replicates: 2, BaseSeed: 2023,
-	}
-}
 
 func openStore(t *testing.T) *Store {
 	t.Helper()
@@ -29,58 +20,150 @@ func openStore(t *testing.T) *Store {
 	return s
 }
 
-// canonLine encodes a record with the nondeterministic timing fields
-// zeroed: the byte-identity comparison form used across the repo.
-func canonLine(t *testing.T, rec Record) []byte {
-	t.Helper()
-	rec.WallNanos, rec.BuildNanos = 0, 0
-	var buf bytes.Buffer
-	if err := EncodeJSONL(&buf, rec); err != nil {
-		t.Fatal(err)
+// fakeExec is a seam that does no engine work: one record per
+// scenario carrying only its hash and spec.
+func fakeExec(scs []Scenario, _ ExecOptions) ([]Record, error) {
+	recs := make([]Record, len(scs))
+	for k, sc := range scs {
+		recs[k] = Record{Hash: sc.Hash(), Spec: sc}
 	}
-	return buf.Bytes()
+	return recs, nil
 }
 
-// TestServiceMatchesRun: the service changes scheduling only. The same
-// grid executed through Service.Submit and through the one-shot batch
-// Run produces byte-identical records, slot for slot.
-func TestServiceMatchesRun(t *testing.T) {
-	scenarios, err := serviceGrid().Expand()
+// TestServiceRunsLaneGroup: a long-lived Service forms lane groups like
+// Run does — a 64-replicate quiet TDMA grid is one task, 64 executions,
+// and its records equal per-scenario Execute.
+func TestServiceRunsLaneGroup(t *testing.T) {
+	scs, err := replicateGrid(64).Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	batchStore := openStore(t)
-	batchRecs, _, err := Run(scenarios, batchStore, Options{Jobs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	svcStore := openStore(t)
-	svc := NewService(svcStore, ServiceOptions{Jobs: 2})
+	reg := obs.NewRegistry()
+	svc := NewService(openStore(t), Options{Jobs: 2, Metrics: reg})
 	defer svc.Close()
-	job, err := svc.Submit(scenarios)
+	job, err := svc.Submit(scs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svcRecs, stats, err := job.Wait()
+	recs, st, err := job.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Total != len(scenarios) || stats.Failed != 0 {
-		t.Fatalf("service stats: %+v", stats)
+	if st.Ran != 64 || st.Cached != 0 || st.Failed != 0 {
+		t.Fatalf("stats: %+v, want run=64", st)
 	}
-	if len(svcRecs) != len(batchRecs) {
-		t.Fatalf("record counts differ: %d vs %d", len(svcRecs), len(batchRecs))
+	if n := reg.Counter("sweep.batch.groups").Value(); n != 1 {
+		t.Fatalf("sweep.batch.groups=%d, want one lane group", n)
 	}
-	for i := range svcRecs {
-		if got, want := canonLine(t, svcRecs[i]), canonLine(t, batchRecs[i]); !bytes.Equal(got, want) {
-			t.Fatalf("slot %d differs between service and batch:\n svc: %s\n run: %s", i, got, want)
+	if n := reg.Counter("sweep.service.executions").Value(); n != 64 {
+		t.Fatalf("executions=%d, want 64", n)
+	}
+	assertExecuteEach(t, scs, recs)
+}
+
+// TestServiceOverlappingLaneGroups pins lane-member singleflight across
+// jobs: job 1 runs replicates 0–63 as one lane group and is held in the
+// seam until job 2 (replicates 32–95) has joined its 32 shared flights.
+// Job 2 runs the 32 members it owns, then waits for job 1: 96
+// executions, 32 singleflight hits, every record equal to Execute.
+func TestServiceOverlappingLaneGroups(t *testing.T) {
+	scs, err := replicateGrid(96).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	reg := obs.NewRegistry()
+	svc := NewService(openStore(t), Options{
+		Jobs: 2, Metrics: reg,
+		ExecuteFunc: func(group []Scenario, opt ExecOptions) ([]Record, error) {
+			if group[0].Replicate == 0 {
+				close(held)
+				<-release
+			}
+			return executeGroup(group, nil, opt)
+		},
+	})
+	defer svc.Close()
+
+	job1, err := svc.Submit(scs[:64], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	job2, err := svc.Submit(scs[32:], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for _, sc := range scs[32:64] {
+		for svc.flights.Waiters(sc.Hash()) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("job 2 never joined the flight of replicate %d", sc.Replicate)
+			}
+			runtime.Gosched()
 		}
 	}
-	// Both stores hold the same record set.
-	if svcStore.Len() != batchStore.Len() {
-		t.Fatalf("store sizes differ: %d vs %d", svcStore.Len(), batchStore.Len())
+	close(release)
+
+	recs1, st1, err := job1.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs2, st2, err := job2.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1.Ran != 64 || st2.Ran != 32 || st2.Cached != 32 {
+		t.Fatalf("job stats: %+v / %+v", st1, st2)
+	}
+	if n := reg.Counter("sweep.service.executions").Value(); n != 96 {
+		t.Fatalf("executions=%d, want 96", n)
+	}
+	if n := reg.Counter("sweep.service.singleflight_hits").Value(); n != 32 {
+		t.Fatalf("singleflight_hits=%d, want 32", n)
+	}
+	assertExecuteEach(t, scs[:64], recs1)
+	assertExecuteEach(t, scs[32:], recs2)
+}
+
+// TestServiceOverlappingLaneGroupsNoDeadlock: the same pair of jobs,
+// one listing its replicates in reverse, always completes. A task that
+// waited on a joined flight while still owning unfinished ones would
+// deadlock here when each job claims half the shared members first.
+func TestServiceOverlappingLaneGroupsNoDeadlock(t *testing.T) {
+	scs, err := replicateGrid(96).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed := make([]Scenario, 0, 64)
+	for i := len(scs) - 1; i >= 32; i-- {
+		reversed = append(reversed, scs[i])
+	}
+	for iter := 0; iter < 50; iter++ {
+		svc := NewService(NewMemStore(), Options{Jobs: 2, ExecuteFunc: fakeExec})
+		job1, err := svc.Submit(scs[:64], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job2, err := svc.Submit(reversed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, job := range []*Job{job1, job2} {
+				if _, st, err := job.Wait(); err != nil || st.Failed != 0 {
+					t.Errorf("iteration %d: stats=%+v err=%v", iter, st, err)
+				}
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("iteration %d: overlapping lane groups did not complete", iter)
+		}
+		svc.Close()
 	}
 }
 
@@ -95,23 +178,23 @@ func TestServiceSingleflight(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 2)
 	reg := obs.NewRegistry()
-	svc := NewService(openStore(t), ServiceOptions{
+	svc := NewService(openStore(t), Options{
 		Jobs: 2, Metrics: reg,
-		ExecuteFunc: func(s Scenario, _ ExecOptions) (Record, error) {
+		ExecuteFunc: func(group []Scenario, opt ExecOptions) ([]Record, error) {
 			started <- struct{}{}
 			<-release
-			return Record{Hash: s.Hash(), Spec: s}, nil
+			return fakeExec(group, opt)
 		},
 	})
 	defer svc.Close()
 
-	job1, err := svc.Submit([]Scenario{sc})
+	job1, err := svc.Submit([]Scenario{sc}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started // the flight for hash is open and blocked
 
-	job2, err := svc.Submit([]Scenario{sc})
+	job2, err := svc.Submit([]Scenario{sc}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,15 +243,15 @@ func TestServiceStoreHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	svc := NewService(store, ServiceOptions{
+	svc := NewService(store, Options{
 		Jobs: 1, Metrics: reg,
-		ExecuteFunc: func(Scenario, ExecOptions) (Record, error) {
+		ExecuteFunc: func([]Scenario, ExecOptions) ([]Record, error) {
 			t.Error("execution despite store hit")
-			return Record{}, errors.New("unreachable")
+			return nil, errors.New("unreachable")
 		},
 	})
 	defer svc.Close()
-	job, err := svc.Submit([]Scenario{sc})
+	job, err := svc.Submit([]Scenario{sc}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,20 +276,20 @@ func TestServiceStoreHit(t *testing.T) {
 func TestServiceBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	reg := obs.NewRegistry()
-	svc := NewService(openStore(t), ServiceOptions{
+	svc := NewService(openStore(t), Options{
 		Jobs: 1, MaxPending: 2, Metrics: reg,
-		ExecuteFunc: func(s Scenario, _ ExecOptions) (Record, error) {
+		ExecuteFunc: func(group []Scenario, opt ExecOptions) ([]Record, error) {
 			<-release
-			return Record{Hash: s.Hash(), Spec: s}, nil
+			return fakeExec(group, opt)
 		},
 	})
 	defer svc.Close()
 
-	accepted, err := svc.Submit([]Scenario{specN(0), specN(1)}) // fills the bound
+	accepted, err := svc.Submit([]Scenario{specN(0), specN(1)}, nil) // fills the bound
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Submit([]Scenario{specN(2)}); !errors.Is(err, ErrBackpressure) {
+	if _, err := svc.Submit([]Scenario{specN(2)}, nil); !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("overflow submission: err=%v, want ErrBackpressure", err)
 	}
 	if n := reg.Counter("sweep.service.rejected").Value(); n != 1 {
@@ -217,7 +300,7 @@ func TestServiceBackpressure(t *testing.T) {
 		t.Fatalf("accepted job: stats=%+v err=%v", st, err)
 	}
 	// Capacity freed: the previously rejected scenario is admitted now.
-	job, err := svc.Submit([]Scenario{specN(2)})
+	job, err := svc.Submit([]Scenario{specN(2)}, nil)
 	if err != nil {
 		t.Fatalf("post-drain submission: %v", err)
 	}
@@ -228,35 +311,32 @@ func TestServiceBackpressure(t *testing.T) {
 
 // TestServiceClosed: Submit after Close fails with ErrClosed.
 func TestServiceClosed(t *testing.T) {
-	svc := NewService(openStore(t), ServiceOptions{Jobs: 1})
+	svc := NewService(openStore(t), Options{Jobs: 1})
 	svc.Close()
-	if _, err := svc.Submit([]Scenario{baseSpec()}); !errors.Is(err, ErrClosed) {
+	if _, err := svc.Submit([]Scenario{baseSpec()}, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err=%v, want ErrClosed", err)
 	}
 	svc.Close() // idempotent
 }
 
-// TestServiceEvents: the event stream carries one event per slot with a
-// strictly increasing Done counter and closes at completion.
+// TestServiceEvents: the progress callback receives one event per slot
+// with a strictly increasing Done counter, all before Wait returns.
 func TestServiceEvents(t *testing.T) {
 	scenarios := []Scenario{specN(0), specN(1), specN(2), specN(0)} // one duplicate
-	svc := NewService(openStore(t), ServiceOptions{
-		Jobs: 2,
-		ExecuteFunc: func(s Scenario, _ ExecOptions) (Record, error) {
-			return Record{Hash: s.Hash(), Spec: s}, nil
-		},
-	})
+	svc := NewService(openStore(t), Options{Jobs: 2, ExecuteFunc: fakeExec})
 	defer svc.Close()
-	job, err := svc.Submit(scenarios)
+	var events []Event // serialized callbacks, all landed before Wait returns
+	job, err := svc.Submit(scenarios, func(ev Event) { events = append(events, ev) })
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	seen := make(map[int]bool)
-	n := 0
-	for ev := range job.Events() {
-		n++
-		if ev.Done != n {
-			t.Fatalf("event %d has Done=%d", n, ev.Done)
+	for n, ev := range events {
+		if ev.Done != n+1 {
+			t.Fatalf("event %d has Done=%d", n+1, ev.Done)
 		}
 		if ev.Total != len(scenarios) {
 			t.Fatalf("event Total=%d, want %d", ev.Total, len(scenarios))
@@ -266,12 +346,12 @@ func TestServiceEvents(t *testing.T) {
 		}
 		seen[ev.Index] = true
 	}
-	if n != len(scenarios) {
-		t.Fatalf("got %d events, want %d", n, len(scenarios))
+	if len(events) != len(scenarios) {
+		t.Fatalf("got %d events, want %d", len(events), len(scenarios))
 	}
 	st := job.Status()
 	if !st.Complete || st.Done != len(scenarios) {
-		t.Fatalf("status after stream close: %+v", st)
+		t.Fatalf("status after completion: %+v", st)
 	}
 	if st.Unique != 3 {
 		t.Fatalf("Unique=%d, want 3", st.Unique)
@@ -282,17 +362,17 @@ func TestServiceEvents(t *testing.T) {
 // from Wait, and failed slots hold zero records.
 func TestServiceFailure(t *testing.T) {
 	bad := specN(0)
-	svc := NewService(openStore(t), ServiceOptions{
+	svc := NewService(openStore(t), Options{
 		Jobs: 1,
-		ExecuteFunc: func(s Scenario, _ ExecOptions) (Record, error) {
-			if s.Hash() == bad.Hash() {
-				return Record{}, errors.New("boom")
+		ExecuteFunc: func(group []Scenario, opt ExecOptions) ([]Record, error) {
+			if group[0].Hash() == bad.Hash() {
+				return nil, errors.New("boom")
 			}
-			return Record{Hash: s.Hash(), Spec: s}, nil
+			return fakeExec(group, opt)
 		},
 	})
 	defer svc.Close()
-	job, err := svc.Submit([]Scenario{bad, specN(1), bad}) // failure duplicated
+	job, err := svc.Submit([]Scenario{bad, specN(1), bad}, nil) // failure duplicated
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,9 @@
 //
 // The layers, bottom up: Scenario (this file) — the spec and its hash;
 // Execute (exec.go) — one spec to one Record; Store (store.go) — the
-// JSONL result store; Run (batch.go) — the concurrent batch scheduler;
-// Grid (grid.go) — declarative axis expansion; Aggregate (agg.go) —
+// JSONL result store; Service (service.go) — the scheduler, with lane
+// groups and request-level singleflight, and Run (batch.go), one job on
+// a short-lived Service; Grid (grid.go) — declarative axis expansion; Aggregate (agg.go) —
 // group-by with replicate statistics. internal/experiments routes its
 // T4/T6/A4 tables through this package.
 package sweep

@@ -210,8 +210,8 @@ func TestBatchMetricsCounts(t *testing.T) {
 	if got := reg.Counter("sweep.store.misses").Value(); got != 1 {
 		t.Errorf("sweep.store.misses = %d, want 1", got)
 	}
-	if got := reg.Counter("sweep.store.hits").Value(); got != 0 {
-		t.Errorf("sweep.store.hits = %d, want 0", got)
+	if got := reg.Counter("sweep.service.store_hits").Value(); got != 0 {
+		t.Errorf("sweep.service.store_hits = %d, want 0", got)
 	}
 	if got := reg.Counter("sweep.batch.groups").Value(); got != 1 {
 		t.Errorf("sweep.batch.groups = %d, want 1", got)
@@ -226,8 +226,8 @@ func TestBatchMetricsCounts(t *testing.T) {
 	if _, _, err := Run([]Scenario{sc}, store, Options{Jobs: 1, Metrics: reg2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg2.Counter("sweep.store.hits").Value(); got != 1 {
-		t.Errorf("warm-store sweep.store.hits = %d, want 1", got)
+	if got := reg2.Counter("sweep.service.store_hits").Value(); got != 1 {
+		t.Errorf("warm-store sweep.service.store_hits = %d, want 1", got)
 	}
 	if got := reg2.Counter("sweep.store.misses").Value(); got != 0 {
 		t.Errorf("warm-store sweep.store.misses = %d, want 0", got)
