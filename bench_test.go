@@ -294,7 +294,7 @@ func BenchmarkT10LowerBound(b *testing.B) {
 func BenchmarkT11NativeMIS(b *testing.B) {
 	g := mustRegular(b, 64, 8, 19)
 	for i := 0; i < b.N; i++ {
-		inSet, _, err := beepalgs.RunMIS(g, uint64(i))
+		inSet, _, err := beepalgs.RunMIS(g, uint64(i), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -382,15 +382,16 @@ func BenchmarkExperimentSuiteQuick(b *testing.B) {
 // horizon, the Luby-style contention workload.
 type benchBeeper struct {
 	env     beep.Env
+	rng     *rng.Stream
 	horizon int
 	rounds  int
 	ones    int
 	done    bool
 }
 
-func (c *benchBeeper) Init(env beep.Env) { c.env = env }
+func (c *benchBeeper) Init(env beep.Env) { c.env, c.rng = env, env.Stream() }
 func (c *benchBeeper) Step(round int) beep.Action {
-	if c.env.Rng.Bool(1 / float64(c.env.Degree+1)) {
+	if c.rng.Bool(1 / float64(c.env.Degree+1)) {
 		return beep.Beep
 	}
 	return beep.Listen
@@ -430,7 +431,7 @@ func seedStyleRun(b *testing.B, g *graph.Graph, adj [][]int, seed uint64, progs 
 			N:         n,
 			Degree:    g.Degree(v),
 			MaxDegree: maxDeg,
-			Rng:       rng.New(seed).Split(0x6e6f6465, uint64(v)),
+			Seed:      seed,
 		})
 	}
 	beeped := bitstring.New(n)

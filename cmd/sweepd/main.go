@@ -107,9 +107,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "sweepd: store %s (%d records), serving on http://%s\n",
 		*storePath, store.Len(), ln.Addr())
 
-	// A client that opens a connection and never finishes its headers
-	// would otherwise hold it forever.
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := newHTTPServer(srv)
 	go func() {
 		<-sig
 		httpSrv.Close()
@@ -120,9 +118,23 @@ func main() {
 	fmt.Fprintln(os.Stderr, "sweepd: shutting down")
 }
 
-// readHeaderTimeout bounds how long a client may take to send its
-// request headers.
-const readHeaderTimeout = 10 * time.Second
+// Connection timeouts. Without them a client that opens a connection
+// and never finishes its headers, or leaves a keep-alive connection idle,
+// would hold it forever. There is no write timeout: it would cut the
+// /jobs/{id}/events streams, which stay open for a whole job.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout bounds how long a keep-alive connection may wait for
+	// its next request.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server over handler h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "sweepd:", err)

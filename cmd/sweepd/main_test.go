@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -457,5 +458,59 @@ func TestSweepdHealthz(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "ok") {
 		t.Fatalf("healthz: %s %q", resp.Status, body)
+	}
+}
+
+// TestSweepdClosesIdleConnections: the daemon's server hangs up on a
+// keep-alive connection left idle past its idle timeout. The test runs
+// the server main builds, with that timeout shortened so it need not
+// wait minutes.
+func TestSweepdClosesIdleConnections(t *testing.T) {
+	srv := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ok\n")
+	}))
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("server idle timeout %v, want the positive idleTimeout %v", srv.IdleTimeout, idleTimeout)
+	}
+	srv.IdleTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: sweepd\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.Close {
+		t.Fatal("server closed the connection after the request; want keep-alive")
+	}
+
+	// Idle: the server, not the deadline, must end the connection.
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("idle connection: read returned %v after %v, want EOF from the server closing it", err, time.Since(start))
 	}
 }

@@ -53,13 +53,23 @@ const (
 
 // Env is the static information a node program starts with: its identity,
 // the global parameters all nodes are assumed to know (n and Δ, as in the
-// paper), and a private randomness stream.
+// paper), and the network seed its private randomness derives from.
 type Env struct {
 	ID        int
 	N         int
 	Degree    int
 	MaxDegree int
-	Rng       *rng.Stream
+	// Seed is the network seed. A program that draws randomness derives
+	// its private stream from it with Stream; one that never draws pays
+	// nothing for it.
+	Seed uint64
+}
+
+// Stream derives the node's private randomness stream, a pure function
+// of (Seed, ID). Every call returns a fresh stream at its start, so a
+// program calls it once, in Init, and keeps the result.
+func (e Env) Stream() *rng.Stream {
+	return rng.New(e.Seed).Split(0x6e6f6465, uint64(e.ID)) // "node"
 }
 
 // Program is a per-node beeping protocol driven by the network.
@@ -70,7 +80,8 @@ type Env struct {
 // When Params.Workers > 1, callbacks for distinct nodes run concurrently
 // within a phase (each node's own calls stay strictly ordered). Programs
 // must therefore confine mutable state to the node itself and draw
-// randomness only from Env.Rng — no sharing across programs.
+// randomness only from the stream Env.Stream derives — no sharing across
+// programs.
 type Program interface {
 	Init(env Env)
 	Step(round int) Action
@@ -144,7 +155,7 @@ type Network struct {
 
 	round      int
 	totalBeeps int64
-	noise      []noise.Sampler
+	noise      []noise.Sampler // per-node samplers; nil on a noiseless channel
 	history    []*bitstring.BitString
 	m          netMetrics
 
@@ -201,7 +212,9 @@ func NewNetwork(g *graph.Graph, params Params) (*Network, error) {
 		pool:   engine.NewPool(params.Workers, params.Shards),
 		model:  model,
 		noisy:  !noise.Noiseless(model),
-		noise:  make([]noise.Sampler, g.N()),
+	}
+	if nw.noisy {
+		nw.noise = make([]noise.Sampler, g.N())
 	}
 	if reg := params.Metrics; reg != nil {
 		nw.m = netMetrics{
@@ -244,15 +257,15 @@ func (nw *Network) TotalBeeps() int64 { return nw.totalBeeps }
 // Params.RecordBeeps).
 func (nw *Network) BeepHistory() []*bitstring.BitString { return nw.history }
 
-// NodeEnv builds the Env for node v with a private stream derived from the
-// network seed.
+// NodeEnv builds the Env for node v. It allocates nothing: a program that
+// draws randomness derives its stream from the carried seed itself.
 func (nw *Network) NodeEnv(v int) Env {
 	return Env{
 		ID:        v,
 		N:         nw.g.N(),
 		Degree:    nw.g.Degree(v),
 		MaxDegree: nw.g.MaxDegree(),
-		Rng:       rng.New(nw.params.Seed).Split(0x6e6f6465, uint64(v)), // "node"
+		Seed:      nw.params.Seed,
 	}
 }
 
@@ -548,7 +561,8 @@ func (nw *Network) receiveInto(v int, patterns []*bitstring.BitString, length in
 // noiseSampler lazily binds the channel model to node v's private
 // randomness. The symmetric model derives and consumes its stream
 // exactly as the pre-model ε channel did, so symmetric runs are
-// byte-identical across the pluggable-model refactor.
+// byte-identical across the pluggable-model refactor. Only a noisy
+// network has sampler slots, so every call sits behind nw.noisy.
 func (nw *Network) noiseSampler(v int) noise.Sampler {
 	if nw.noise[v] == nil {
 		s := nw.model.Sampler(nw.params.Seed, v)

@@ -55,8 +55,25 @@ type sparseState struct {
 	nextSum       []uint64
 	hearSum       []uint64        // dirty words of heard
 	buckets       map[int][]int32 // wake round -> sleeping nodes
+	lastWake      []int           // per node: last bucketed wake round, 0 = none
 	doneCount     int
 	peak          int // peak driven-node count (frontier occupancy)
+}
+
+// schedule buckets node v to wake in round w. A node driven again before
+// its wake round mostly re-declares the same round (a wave relay hears
+// every passing beep), so the append is skipped when w is the round v was
+// last bucketed for: that bucket still holds v, because bucketed rounds
+// lie ahead of the round that declared them and NextWake only ever
+// answers with later rounds. Wake-ups are exactly those of appending
+// every time, with one entry per node and declared round instead of one
+// per drive. Bucketed rounds are ≥ 1, so 0 marks a node never bucketed.
+func (st *sparseState) schedule(v, w int) {
+	if st.lastWake[v] == w {
+		return
+	}
+	st.buckets[w] = append(st.buckets[w], int32(v))
+	st.lastWake[v] = w
 }
 
 // activate marks v active in b and its word dirty in sum.
@@ -100,16 +117,7 @@ func sumAnyRange(a, b []uint64, loW, hiW int) bool {
 // does not implement QuietProgram. Callers never need to pick a path by
 // hand: RunSparse is always correct, and fast when the model admits it.
 func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
-	quiet := make([]QuietProgram, len(progs))
-	for v, p := range progs {
-		q, ok := p.(QuietProgram)
-		if !ok {
-			quiet = nil
-			break
-		}
-		quiet[v] = q
-	}
-	if nw.noisy || nw.params.RecordBeeps || quiet == nil {
+	if nw.noisy || nw.params.RecordBeeps || !allQuiet(progs) {
 		return nw.Run(progs, maxRounds)
 	}
 
@@ -136,6 +144,7 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 		nextSum:   make([]uint64, sumLen),
 		hearSum:   make([]uint64, sumLen),
 		buckets:   make(map[int][]int32),
+		lastWake:  make([]int, n),
 	}
 
 	// Seed the schedule: done nodes leave the run, the rest declare their
@@ -146,11 +155,11 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 			st.doneCount++
 			continue
 		}
-		switch w := quiet[v].NextWake(-1); {
+		switch w := progs[v].(QuietProgram).NextWake(-1); {
 		case w <= 0:
 			activate(st.active, st.activeSum, v)
 		case w != NoWake && w < maxRounds:
-			st.buckets[w] = append(st.buckets[w], int32(v))
+			st.schedule(v, w)
 		}
 	}
 
@@ -284,11 +293,11 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 						st.doneCount++
 						continue
 					}
-					switch wk := quiet[v].NextWake(r); {
+					switch wk := p.(QuietProgram).NextWake(r); {
 					case wk <= r+1:
 						activate(st.next, st.nextSum, v)
 					case wk != NoWake && wk < maxRounds:
-						st.buckets[wk] = append(st.buckets[wk], int32(v))
+						st.schedule(v, wk)
 					}
 				}
 				// Clear the dirty words in place; the summaries are
@@ -315,6 +324,16 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 		outputs[v] = p.Output()
 	}
 	return &Result{Rounds: rounds, AllDone: allDone, Outputs: outputs}, nil
+}
+
+// allQuiet reports whether every program implements QuietProgram.
+func allQuiet(progs []Program) bool {
+	for _, p := range progs {
+		if _, ok := p.(QuietProgram); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // anySet reports whether any word of a summary is nonzero.

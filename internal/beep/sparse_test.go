@@ -272,3 +272,101 @@ func TestSparseFrontierGauge(t *testing.T) {
 		t.Fatalf("peak frontier %d on a path; want a handful of nodes, not Θ(n)", peak)
 	}
 }
+
+// wanderer is a QuietProgram built to stress RunSparse's wake schedule.
+// Every second beep it hears steps its declared wake round through
+// base+8, base+4, base+8, base+2: a repeat, a move to an earlier fresh
+// round B, back to A (A→B→A), a repeat, and another earlier fresh round.
+// After each alarm it jumps 3·bits+2 rounds ahead, and after its second
+// alarm it either finishes or turns purely reactive (NoWake). An alarm
+// the declaration moved into the past fires at the next drive. Its
+// output logs every beep it sends (r) and hears (−r−1).
+type wanderer struct {
+	bits   int
+	finish bool
+	base   int // the current phase's alarms are offsets from base
+	heard  int // beeps heard this phase
+	alarms int
+	sent   int // round of the last own beep
+	done   bool
+	log    []int
+}
+
+func (w *wanderer) Init(env Env) {
+	w.base = env.ID % 5
+	w.finish = env.ID%3 == 0
+	w.sent = -1
+}
+
+func (w *wanderer) alarm() int {
+	return w.base + [...]int{8, 4, 8, 2}[(w.heard/2)%4]
+}
+
+func (w *wanderer) Step(round int) Action {
+	if w.alarms < 2 && round >= w.alarm() {
+		w.alarms++
+		w.base = round + 3*w.bits + 2
+		w.heard = 0
+		w.sent = round
+		w.log = append(w.log, round)
+		return Beep
+	}
+	return Listen
+}
+
+func (w *wanderer) Hear(round int, bit bool) {
+	if bit && round != w.sent {
+		w.heard++
+		w.log = append(w.log, -round-1)
+	}
+	if w.finish && w.alarms == 2 && round == w.sent {
+		w.done = true
+	}
+}
+
+func (w *wanderer) Done() bool  { return w.done }
+func (w *wanderer) Output() any { return append([]int(nil), w.log...) }
+
+func (w *wanderer) NextWake(round int) int {
+	if w.done || w.alarms == 2 {
+		return NoWake
+	}
+	if a := w.alarm(); a > round {
+		return a
+	}
+	return round + 1
+}
+
+// TestSparseMatchesDenseWanderingWakes pins RunSparse to Run for programs
+// whose declared wake round moves back and forth, repeats, jumps far
+// ahead and ends in NoWake: the per-node beep/hear transcripts, Result,
+// round counter and energy must match at 1 and 4 workers. It guards the
+// schedule's one-entry-per-declaration rule: a wake round the bucket
+// bookkeeping drops changes some node's transcript.
+func TestSparseMatchesDenseWanderingWakes(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"path":    graph.Path(70),
+		"grid":    graph.Grid(12, 13),
+		"bounded": graph.RandomBoundedDegree(300, 8, 0.05, rng.New(31)),
+		"split":   graph.MustFromEdges(9, [][2]int{{0, 1}, {1, 2}, {4, 5}, {6, 7}}),
+	}
+	for name, g := range graphs {
+		for _, bits := range []int{1, 8} {
+			for _, workers := range []int{1, 4} {
+				mk := func() []Program {
+					progs := make([]Program, g.N())
+					for v := range progs {
+						progs[v] = &wanderer{bits: bits}
+					}
+					return progs
+				}
+				label := fmt.Sprintf("%s bits=%d workers=%d", name, bits, workers)
+				dense, sparse, dnw, snw := runPair(t, g, Params{Seed: 2, Workers: workers}, 6*bits+40, mk)
+				assertIdentical(t, label, dense, sparse, dnw, snw)
+				if dnw.TotalBeeps() == 0 {
+					t.Fatalf("%s: no node ever beeped", label)
+				}
+			}
+		}
+	}
+}

@@ -27,7 +27,7 @@ func TestNativeMISOnFixedGraphs(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			inSet, rounds, err := RunMIS(tt.g, 7)
+			inSet, rounds, err := RunMIS(tt.g, 7, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +46,7 @@ func TestNativeMISRoundsIndependentOfDegree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rounds, err := RunMIS(g, 9)
+		_, rounds, err := RunMIS(g, 9, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestNativeMISRoundsIndependentOfDegree(t *testing.T) {
 func TestNativeMISManySeeds(t *testing.T) {
 	g := graph.RandomBoundedDegree(40, 5, 0.12, rng.New(3))
 	for seed := uint64(0); seed < 10; seed++ {
-		inSet, _, err := RunMIS(g, seed)
+		inSet, _, err := RunMIS(g, seed, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -77,7 +77,7 @@ func TestNativeMISManySeeds(t *testing.T) {
 
 func TestNativeMISCompleteGraphSingleton(t *testing.T) {
 	g := graph.Complete(16)
-	inSet, _, err := RunMIS(g, 11)
+	inSet, _, err := RunMIS(g, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,8 @@ import (
 
 	"repro/internal/beep"
 	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
@@ -62,7 +64,7 @@ type MIS struct {
 	// MinProb floors the adaptive candidacy probability (default 1/n²).
 	MinProb float64
 
-	env       beep.Env
+	rng       *rng.Stream
 	status    MISStatus
 	prob      float64
 	candidate bool
@@ -78,7 +80,7 @@ var _ beep.Program = (*MIS)(nil)
 
 // Init implements beep.Program.
 func (m *MIS) Init(env beep.Env) {
-	m.env = env
+	m.rng = env.Stream()
 	if m.VerifyRounds == 0 {
 		m.VerifyRounds = 2*wire.BitsFor(env.N) + 6
 	}
@@ -101,10 +103,10 @@ func (m *MIS) Step(round int) beep.Action {
 	case pos == 0:
 		// Candidacy is a private coin; the round itself is silent (it
 		// exists so that Hear can close the previous phase cleanly).
-		m.candidate = m.env.Rng.Bool(m.prob)
+		m.candidate = m.rng.Bool(m.prob)
 		m.conflict = false
 	case pos <= m.VerifyRounds:
-		if m.candidate && !m.conflict && m.env.Rng.Bool(0.5) {
+		if m.candidate && !m.conflict && m.rng.Bool(0.5) {
 			m.beeped = true
 		}
 	default: // join round
@@ -169,9 +171,10 @@ func MISMaxRounds(n int) int {
 }
 
 // RunMIS executes the native protocol on a noiseless network and returns
-// the membership vector.
-func RunMIS(g *graph.Graph, seed uint64) ([]bool, int, error) {
-	nw, err := beep.NewNetwork(g, beep.Params{Seed: seed})
+// the membership vector. metrics, when non-nil, receives the network's
+// channel telemetry (beep.Params.Metrics).
+func RunMIS(g *graph.Graph, seed uint64, metrics *obs.Registry) ([]bool, int, error) {
+	nw, err := beep.NewNetwork(g, beep.Params{Seed: seed, Metrics: metrics})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -41,7 +41,6 @@ type WaveBroadcast struct {
 	// local rounds. Off by default, preserving historical round counts.
 	EarlyStop bool
 
-	env       beep.Env
 	total     int
 	marker    int // round the marker was heard (−1 until then)
 	lastRelay int
@@ -65,7 +64,6 @@ func WaveRounds(n, bits, dBound int) int {
 
 // Init implements beep.Program.
 func (wb *WaveBroadcast) Init(env beep.Env) {
-	wb.env = env
 	if wb.DBound <= 0 {
 		wb.DBound = env.N
 	}
@@ -224,8 +222,24 @@ type WaveOptions struct {
 // (instead of RunWaveBroadcast's loose default of n), which is what makes
 // the large-n round budget O(D + b) in practice.
 func RunWaveBroadcastOpts(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint64, opt WaveOptions) ([][]byte, int, error) {
+	res, err := RunWave(g, source, msg, bits, dBound, seed, opt)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make([][]byte, g.N())
+	for v, o := range res.Outputs {
+		out[v] = o.([]byte)
+	}
+	return out, res.Rounds, nil
+}
+
+// RunWave is RunWaveBroadcastOpts returning the network's Result as is:
+// each Outputs[v] is node v's decoded message as a []byte (nil if the
+// marker never reached it). Callers that consume []any outputs take
+// them without another O(n) copy.
+func RunWave(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint64, opt WaveOptions) (*beep.Result, error) {
 	if bits <= 0 {
-		return nil, 0, fmt.Errorf("beepalgs: wave broadcast needs bits > 0")
+		return nil, fmt.Errorf("beepalgs: wave broadcast needs bits > 0")
 	}
 	if dBound <= 0 {
 		dist, _ := g.BFS(source)
@@ -245,7 +259,7 @@ func RunWaveBroadcastOpts(g *graph.Graph, source int, msg []byte, bits, dBound i
 		Metrics: opt.Metrics,
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	progs := make([]beep.Program, g.N())
 	for v := range progs {
@@ -258,18 +272,8 @@ func RunWaveBroadcastOpts(g *graph.Graph, source int, msg []byte, bits, dBound i
 		}
 	}
 	budget := WaveRounds(g.N(), bits, dBound)
-	var res *beep.Result
 	if opt.Sparse {
-		res, err = nw.RunSparse(progs, budget)
-	} else {
-		res, err = nw.Run(progs, budget)
+		return nw.RunSparse(progs, budget)
 	}
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([][]byte, g.N())
-	for v, o := range res.Outputs {
-		out[v] = o.([]byte)
-	}
-	return out, res.Rounds, nil
+	return nw.Run(progs, budget)
 }

@@ -2,6 +2,7 @@ package beepalgs
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/engine"
@@ -83,5 +84,47 @@ func TestWaveBroadcastEarlyStopDecodesEverything(t *testing.T) {
 	}
 	if want := WaveRounds(g.N(), bits, 119); rounds > want {
 		t.Fatalf("early-stop run took %d rounds, exceeding the full budget %d", rounds, want)
+	}
+}
+
+// waveBytesPerNode returns the heap bytes one EarlyStop wave broadcast of
+// a bits-wide 0xa5… message allocates per node of g, read off the
+// runtime's cumulative allocation counter around the run.
+func waveBytesPerNode(t *testing.T, g *graph.Graph, bits, dBound int, sparse bool) float64 {
+	t.Helper()
+	msg := bytes.Repeat([]byte{0xa5}, (bits+7)/8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunWave(g, 0, msg, bits, dBound, 1, WaveOptions{EarlyStop: true, Sparse: sparse})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Outputs[g.N()-1].([]byte); !wire.Equal(got, msg, bits) {
+		t.Fatalf("bits=%d sparse=%v: far corner decoded %x, want %x", bits, sparse, got, msg)
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(g.N())
+}
+
+// TestWaveSparseMemoryFlat bounds the sparse executor's allocation on a
+// 2^14-node grid wave: it must not grow with the message width (each node
+// holds one wake-bucket entry per declared round, however many waves
+// drive it) and must stay close to the dense scan's, whose state is the
+// per-node programs both executors share.
+func TestWaveSparseMemoryFlat(t *testing.T) {
+	const side = 128
+	g := graph.Grid(side, side)
+	dBound := 2 * (side - 1) // the corner source's eccentricity
+	sparse8 := waveBytesPerNode(t, g, 8, dBound, true)
+	for _, bits := range []int{8, 64} {
+		sparse := waveBytesPerNode(t, g, bits, dBound, true)
+		dense := waveBytesPerNode(t, g, bits, dBound, false)
+		t.Logf("bits=%d: sparse %.0f B/node, dense %.0f B/node", bits, sparse, dense)
+		if sparse > 1.1*sparse8 {
+			t.Errorf("bits=%d: sparse run allocates %.0f B/node, over 1.1× the %.0f at 8 bits", bits, sparse, sparse8)
+		}
+		if sparse > 1.3*dense {
+			t.Errorf("bits=%d: sparse run allocates %.0f B/node, over 1.3× the dense run's %.0f", bits, sparse, dense)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func T11NativeVsSimulated(cfg Config) (*Table, error) {
 			return nil, err
 		}
 
-		nativeSet, nativeRounds, err := beepalgs.RunMIS(g, cfg.Seed+40+uint64(i))
+		nativeSet, nativeRounds, err := beepalgs.RunMIS(g, cfg.Seed+40+uint64(i), nil)
 		if err != nil {
 			return nil, err
 		}

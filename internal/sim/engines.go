@@ -7,6 +7,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 func init() {
@@ -202,16 +203,17 @@ func (beepEngine) Prepare(g *graph.Graph, cfg Config) (Instance, error) {
 		}
 		return nil, fmt.Errorf("sim: engine %q cannot run workload %q natively", EngineBeep, name)
 	}
-	return beepInstance{g: g, nb: nb, seed: cfg.AlgSeed}, nil
+	return beepInstance{g: g, nb: nb, seed: cfg.AlgSeed, metrics: cfg.Metrics}, nil
 }
 
 type beepInstance struct {
-	g    *graph.Graph
-	nb   NativeBeeper
-	seed uint64
+	g       *graph.Graph
+	nb      NativeBeeper
+	seed    uint64
+	metrics *obs.Registry
 }
 
 func (i beepInstance) Run(algs []congest.BroadcastAlgorithm, budget int) (*core.Result, Extras, error) {
-	res, err := i.nb.RunBeep(i.g, i.seed)
+	res, err := i.nb.RunBeep(i.g, i.seed, i.metrics)
 	return res, nil, err
 }

@@ -205,8 +205,10 @@ type Workload interface {
 // exactly the workloads that implement it.
 type NativeBeeper interface {
 	// RunBeep executes the native protocol on a noiseless beeping
-	// network seeded by seed, reporting outputs and BeepRounds.
-	RunBeep(g *graph.Graph, seed uint64) (*core.Result, error)
+	// network seeded by seed, reporting outputs and BeepRounds. metrics,
+	// when non-nil, receives the network's channel telemetry
+	// (observation-only, like Config.Metrics).
+	RunBeep(g *graph.Graph, seed uint64, metrics *obs.Registry) (*core.Result, error)
 }
 
 // ErrUnverified is returned by Workload.Verify when the workload has no

@@ -9,6 +9,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -136,6 +137,32 @@ func TestVerifyOutputTypeError(t *testing.T) {
 		}
 		if typeErr.Workload != wn {
 			t.Errorf("%s: OutputTypeError names workload %q", wn, typeErr.Workload)
+		}
+	}
+}
+
+// TestBeepEngineReportsChannelCounters: the native beeping engine hands
+// the scenario's metrics registry to its network, so every native run is
+// counted — beep.rounds matches the result's BeepRounds exactly.
+func TestBeepEngineReportsChannelCounters(t *testing.T) {
+	g := testGraph(t)
+	eng, _ := sim.EngineFor(sim.EngineBeep)
+	for _, wn := range []string{sim.WorkloadMIS, sim.WorkloadBroadcast} {
+		wl, _ := sim.WorkloadFor(wn)
+		reg := obs.NewRegistry()
+		inst, err := eng.Prepare(g, sim.Config{MsgBits: wl.MsgBits(g), AlgSeed: 9, Workload: wl, Metrics: reg})
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", wn, err)
+		}
+		res, _, err := inst.Run(nil, wl.Budget(g, 0))
+		if err != nil {
+			t.Fatalf("%s: run: %v", wn, err)
+		}
+		if got := reg.Counter("beep.rounds").Value(); got == 0 || got != int64(res.BeepRounds) {
+			t.Errorf("%s: beep.rounds = %d, want the run's %d beep rounds", wn, got, res.BeepRounds)
+		}
+		if reg.Counter("beep.beeps").Value() == 0 {
+			t.Errorf("%s: beep.beeps not counted", wn)
 		}
 	}
 }

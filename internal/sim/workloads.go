@@ -12,6 +12,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 func init() {
@@ -70,8 +71,8 @@ func (misWorkload) Verify(g *graph.Graph, outputs []any) error {
 	return mis.Verify(g, set)
 }
 
-func (misWorkload) RunBeep(g *graph.Graph, seed uint64) (*core.Result, error) {
-	set, rounds, err := beepalgs.RunMIS(g, seed)
+func (misWorkload) RunBeep(g *graph.Graph, seed uint64, metrics *obs.Registry) (*core.Result, error) {
+	set, rounds, err := beepalgs.RunMIS(g, seed, metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -212,16 +213,12 @@ func (broadcastWorkload) Verify(g *graph.Graph, outputs []any) error {
 	return broadcast.Verify(g, bfsRoot, payloads)
 }
 
-func (broadcastWorkload) RunBeep(g *graph.Graph, seed uint64) (*core.Result, error) {
+func (broadcastWorkload) RunBeep(g *graph.Graph, seed uint64, metrics *obs.Registry) (*core.Result, error) {
 	n := g.N()
-	out, rounds, err := beepalgs.RunWaveBroadcastOpts(g, bfsRoot, broadcast.Payload(n),
-		broadcast.PayloadBits(n), 0, seed, beepalgs.WaveOptions{EarlyStop: true, Sparse: true})
+	res, err := beepalgs.RunWave(g, bfsRoot, broadcast.Payload(n), broadcast.PayloadBits(n), 0, seed,
+		beepalgs.WaveOptions{EarlyStop: true, Sparse: true, Metrics: metrics})
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]any, n)
-	for v, p := range out {
-		outs[v] = p
-	}
-	return &core.Result{BeepRounds: rounds, AllDone: true, Outputs: outs}, nil
+	return &core.Result{BeepRounds: res.Rounds, AllDone: true, Outputs: res.Outputs}, nil
 }

@@ -100,7 +100,9 @@ func readIndex(path string, dataBytes int64) (entries []indexEntry, ok bool) {
 		hdr.Magic != indexMagic || hdr.Version != indexVersion || hdr.DataBytes != dataBytes {
 		return nil, false
 	}
-	entries = make([]indexEntry, 0, hdr.Records)
+	// The header is untrusted input: its record count only checks the
+	// entries read (a count of -1 or 2⁶² must not size an allocation),
+	// and each extent is checked without an Off+Len that could overflow.
 	for {
 		line, err := r.ReadBytes('\n')
 		if len(trimNewline(line)) > 0 {
@@ -108,7 +110,7 @@ func readIndex(path string, dataBytes int64) (entries []indexEntry, ok bool) {
 			if json.Unmarshal(trimNewline(line), &e) != nil {
 				return nil, false
 			}
-			if e.Off < 0 || e.Len <= 0 || e.Off+e.Len > dataBytes {
+			if e.Off < 0 || e.Len <= 0 || e.Len > dataBytes-e.Off {
 				return nil, false
 			}
 			entries = append(entries, e)

@@ -27,9 +27,34 @@ func pr4Grid() Grid {
 	}
 }
 
-func readGolden(t *testing.T) [][]byte {
+// nativeBeepGrid is the grid testdata/native_beep_records.jsonl was
+// generated from (unique specs, wall fields zeroed, sorted by hash), by
+// the tree in which every beep.Env still carried a pre-built per-node
+// stream. Leader election has no native beeping implementation, so
+// Expand drops that axis point: the file holds the mis and broadcast
+// records of every family and replicate.
+func nativeBeepGrid() Grid {
+	return Grid{
+		Families:   []string{FamilyGrid, FamilyRegular, FamilyGeo},
+		Ns:         []int{40},
+		Params:     []int{5},
+		Engines:    []string{EngineBeep},
+		Workloads:  []string{WorkloadMIS, WorkloadLeader, WorkloadBroadcast},
+		Replicates: 2,
+		BaseSeed:   2023,
+	}
+}
+
+func readGolden(t testing.TB) [][]byte {
 	t.Helper()
-	f, err := os.Open(filepath.Join("testdata", "pr4_records.jsonl"))
+	return readGoldenFile(t, "pr4_records.jsonl")
+}
+
+// readGoldenFile reads a golden JSONL file from testdata, one record line
+// per element.
+func readGoldenFile(t testing.TB, name string) [][]byte {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,28 +94,55 @@ func TestGoldenPR4RecordsByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", sc.Hash(), err)
 				}
-				rec.WallNanos, rec.BuildNanos = 0, 0
-				var buf bytes.Buffer
-				if err := EncodeJSONL(&buf, rec); err != nil {
-					t.Fatal(err)
-				}
-				byHash[rec.Hash] = bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+				byHash[rec.Hash] = encodeZeroed(t, rec)
 			}
-			for i, want := range golden {
-				rec, err := DecodeRecord(want)
-				if err != nil {
-					t.Fatalf("golden line %d: %v", i, err)
-				}
-				got, ok := byHash[rec.Hash]
-				if !ok {
-					t.Fatalf("golden record %s not produced by the grid", rec.Hash)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("record %s differs from PR 4 golden:\n got %s\nwant %s", rec.Hash, got, want)
-				}
-			}
+			assertGolden(t, golden, byHash)
 		})
 	}
+}
+
+// assertGolden checks that every golden line was produced, byte for
+// byte, among the encoded records keyed by hash.
+func assertGolden(t *testing.T, golden [][]byte, byHash map[string][]byte) {
+	t.Helper()
+	for i, want := range golden {
+		rec, err := DecodeRecord(want)
+		if err != nil {
+			t.Fatalf("golden line %d: %v", i, err)
+		}
+		got, ok := byHash[rec.Hash]
+		if !ok {
+			t.Fatalf("golden record %s not produced by the grid", rec.Hash)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("record %s differs from golden:\n got %s\nwant %s", rec.Hash, got, want)
+		}
+	}
+}
+
+// TestGoldenNativeBeepRecordsByteIdentical pins the native beeping engine
+// (the sparse wave broadcast and the randomized MIS) to records stored
+// before program randomness moved from Env into the programs' Init: the
+// MIS stream, the wave's schedule and every round count must be
+// unchanged.
+func TestGoldenNativeBeepRecordsByteIdentical(t *testing.T) {
+	golden := readGoldenFile(t, "native_beep_records.jsonl")
+	scs, err := nativeBeepGrid().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scs) != len(golden) {
+		t.Fatalf("grid expands to %d unique specs, golden has %d", len(scs), len(golden))
+	}
+	byHash := make(map[string][]byte, len(scs))
+	for _, sc := range scs {
+		rec, err := Execute(sc, ExecOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Hash(), err)
+		}
+		byHash[rec.Hash] = encodeZeroed(t, rec)
+	}
+	assertGolden(t, golden, byHash)
 }
 
 // TestGoldenPR4StoreServesFullCacheHits loads the PR 4 records into a

@@ -107,14 +107,22 @@ func (s *IndexedStore) publish(e indexEntry) {
 }
 
 // readAt decodes the record at an extent. The trailing newline is part
-// of the extent; DecodeRecord revalidates the hash, so a corrupt read
-// can never satisfy a lookup.
+// of the extent; DecodeRecord revalidates the hash, and the record must
+// be the one the extent is indexed under, so neither a corrupt read nor
+// a sidecar that points one hash at another's line can satisfy a lookup.
 func (s *IndexedStore) readAt(e indexEntry) (Record, error) {
 	buf := make([]byte, e.Len)
 	if _, err := s.f.ReadAt(buf, e.Off); err != nil {
 		return Record{}, fmt.Errorf("sweep: store %s: read record %s: %w", s.path, e.Hash, err)
 	}
-	return DecodeRecord(trimNewline(buf))
+	rec, err := DecodeRecord(trimNewline(buf))
+	if err != nil {
+		return Record{}, err
+	}
+	if rec.Hash != e.Hash {
+		return Record{}, fmt.Errorf("sweep: store %s: extent of %s holds record %s", s.path, e.Hash, rec.Hash)
+	}
+	return rec, nil
 }
 
 // Get returns the record stored under a spec hash, read from disk.

@@ -12,61 +12,62 @@ import (
 )
 
 // TestTelemetryRecordsIdentical is the tentpole determinism guarantee:
-// running the pinned PR 4 grid through the batch scheduler with a live
-// metrics registry produces records byte-identical to the golden file
-// written with no telemetry at all. Instrumentation observes — it never
-// consumes randomness or branches on channel data.
+// running a pinned grid through the batch scheduler with a live metrics
+// registry produces records byte-identical to the golden file written
+// with no telemetry at all. Instrumentation observes — it never consumes
+// randomness or branches on channel data. pr4Grid covers the simulated
+// engines; nativeBeepGrid covers the sparse wave broadcast and the
+// native MIS, whose channel counters reach the registry through
+// sim.NativeBeeper.
 func TestTelemetryRecordsIdentical(t *testing.T) {
-	golden := readGolden(t)
-	scs, err := pr4Grid().Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	recs, st, err := Run(scs, NewMemStore(), Options{Jobs: 2, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ran != len(scs) || st.Failed != 0 {
-		t.Fatalf("stats: %+v", st)
-	}
-	byHash := make(map[string][]byte, len(recs))
-	for _, rec := range recs {
-		byHash[rec.Hash] = encodeZeroed(t, rec)
-	}
-	for i, want := range golden {
-		rec, err := DecodeRecord(want)
-		if err != nil {
-			t.Fatalf("golden line %d: %v", i, err)
-		}
-		got, ok := byHash[rec.Hash]
-		if !ok {
-			t.Fatalf("golden record %s not produced with telemetry on", rec.Hash)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("record %s differs from PR 4 golden with telemetry on:\n got %s\nwant %s", rec.Hash, got, want)
-		}
-	}
+	for _, tc := range []struct {
+		name   string
+		golden string
+		grid   Grid
+		// observed are metrics the run must have moved.
+		observed []string
+	}{
+		{"pr4", "pr4_records.jsonl", pr4Grid(), []string{
+			"core.rounds.sim", "tdma.rounds.sim", "sweep.exec.run_nanos",
+			"sweep.store.misses", "sim.cache.graph_hits", "noise.flips.symmetric",
+		}},
+		{"native-beep", "native_beep_records.jsonl", nativeBeepGrid(), []string{
+			"beep.rounds", "beep.beeps", "beep.frontier.peak", "pool.do", "sweep.exec.run_nanos",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			golden := readGoldenFile(t, tc.golden)
+			scs, err := tc.grid.Expand()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			recs, st, err := Run(scs, NewMemStore(), Options{Jobs: 2, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Ran != len(scs) || st.Failed != 0 {
+				t.Fatalf("stats: %+v", st)
+			}
+			byHash := make(map[string][]byte, len(recs))
+			for _, rec := range recs {
+				byHash[rec.Hash] = encodeZeroed(t, rec)
+			}
+			assertGolden(t, golden, byHash)
 
-	// The registry must actually have observed the run: engine-phase
-	// counters, exec timers, and batch counters are all live.
-	want := map[string]bool{
-		"core.rounds.sim":       false,
-		"tdma.rounds.sim":       false,
-		"sweep.exec.run_nanos":  false,
-		"sweep.store.misses":    false,
-		"sim.cache.graph_hits":  false,
-		"noise.flips.symmetric": false,
-	}
-	for _, m := range reg.Snapshot() {
-		if _, ok := want[m.Name]; ok && (m.Value > 0 || m.Count > 0) {
-			want[m.Name] = true
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("metric %q not observed during the telemetry-on run", name)
-		}
+			// The registry must actually have observed the run.
+			seen := make(map[string]bool)
+			for _, m := range reg.Snapshot() {
+				if m.Value > 0 || m.Count > 0 {
+					seen[m.Name] = true
+				}
+			}
+			for _, name := range tc.observed {
+				if !seen[name] {
+					t.Errorf("metric %q not observed during the telemetry-on run", name)
+				}
+			}
+		})
 	}
 }
 
