@@ -69,6 +69,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -260,7 +261,7 @@ func run(grid sweep.Grid, cfg cliConfig) error {
 				ok = append(ok, r)
 			}
 		}
-		printAggregate(os.Stdout, sweep.Aggregate(ok))
+		printAggregate(os.Stdout, sweep.Aggregate(slices.Values(ok)))
 	}
 	if cfg.strict {
 		if err := strictErr(records); err != nil {
@@ -353,8 +354,8 @@ func printAggregate(w *os.File, groups []sweep.Group) {
 	for _, g := range groups {
 		k := g.Key
 		n := k.N
-		if n == 0 && len(g.Records) > 0 {
-			n = g.Records[0].Graph.N // derived-N families: report the realized size
+		if n == 0 {
+			n = g.GraphN // derived-N families: report the realized size
 		}
 		noiseCol := k.Noise
 		if noiseCol == "" {

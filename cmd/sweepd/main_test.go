@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"iter"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -25,10 +28,11 @@ import (
 // unverified by design (output_ok nil).
 const testGrid = `{"families":["regular"],"ns":[14],"params":[3],"epsilons":[0.1],"engines":["alg1","tdma"],"workloads":["gossip","mis"],"rounds":2,"replicates":2,"base_seed":2023}`
 
-func testScenarios(t *testing.T) []sweep.Scenario {
+// testScenarios expands a POST /grids body the way the server does.
+func testScenarios(t *testing.T, body string) []sweep.Scenario {
 	t.Helper()
 	var gr gridRequest
-	if err := json.Unmarshal([]byte(testGrid), &gr); err != nil {
+	if err := json.Unmarshal([]byte(body), &gr); err != nil {
 		t.Fatal(err)
 	}
 	scenarios, err := gr.grid().Expand()
@@ -180,7 +184,7 @@ func TestSweepdEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer refStore.Close()
-	want, _, err := sweep.Run(testScenarios(t), refStore, sweep.Options{Jobs: 2})
+	want, _, err := sweep.Run(testScenarios(t, testGrid), refStore, sweep.Options{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,6 +345,10 @@ func TestSweepdConcurrentSubmissionsSingleflight(t *testing.T) {
 	}
 }
 
+// badGridBodies are POST /grids bodies the server answers with 400: an
+// unknown family, an unknown field, and bytes that are not JSON.
+var badGridBodies = []string{`{"families":["nope"]}`, `{"unknown_field":1}`, `not json`}
+
 // TestSweepdBackpressureAndErrors covers the failure surface: 429 under
 // backpressure, 400 on bad grids, 404 on unknown jobs, 409 reading
 // records of a running job.
@@ -380,7 +388,7 @@ func TestSweepdBackpressureAndErrors(t *testing.T) {
 	}
 
 	// Bad grid bodies: 400.
-	for _, body := range []string{`{"families":["nope"]}`, `{"unknown_field":1}`, `not json`} {
+	for _, body := range badGridBodies {
 		resp, err := http.Post(base+"/grids", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -513,4 +521,217 @@ func TestSweepdClosesIdleConnections(t *testing.T) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		t.Fatalf("idle connection: read returned %v after %v, want EOF from the server closing it", err, time.Since(start))
 	}
+}
+
+// TestSweepdJobRecordsFailedSlot: a failed slot on /jobs/{id}/records is
+// a line naming its slot index, spec hash and error — the same three
+// its event on /jobs/{id}/events carries — not a zero record that no
+// decoder accepts. Slots keep submission order, one line each.
+func TestSweepdJobRecordsFailedSlot(t *testing.T) {
+	twoReplicates := `{"families":["regular"],"ns":[14],"params":[3],"epsilons":[0.1],"engines":["alg1"],"workloads":["gossip"],"rounds":2,"replicates":2,"base_seed":2023}`
+	ts, _ := newTestDaemon(t, sweep.Options{
+		Jobs: 1,
+		ExecuteFunc: func(group []sweep.Scenario, _ sweep.ExecOptions) ([]sweep.Record, error) {
+			if group[0].Replicate == 1 {
+				return nil, errors.New("injected failure")
+			}
+			return fakeRecords(group), nil
+		},
+	})
+	scenarios := testScenarios(t, twoReplicates)
+	if len(scenarios) != 2 {
+		t.Fatalf("expand: %d scenarios, want 2", len(scenarios))
+	}
+
+	sr := submitGrid(t, ts.URL, twoReplicates)
+	if st := waitJob(t, ts.URL, sr.Status); st.Failed != 1 || st.Ran != 1 {
+		t.Fatalf("job: %+v, want one ran and one failed", st)
+	}
+	resp, err := http.Get(ts.URL + sr.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("served %d lines, want one per slot:\n%s", len(lines), body)
+	}
+	if rec, err := sweep.DecodeRecord(lines[0]); err != nil || rec.Hash != scenarios[0].Hash() {
+		t.Fatalf("slot 0: %v, %s", err, lines[0])
+	}
+	var failed failedSlot
+	dec := json.NewDecoder(bytes.NewReader(lines[1]))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&failed); err != nil {
+		t.Fatalf("slot 1 is not a failed-slot line: %v: %s", err, lines[1])
+	}
+	if failed.Index != 1 || failed.Hash != scenarios[1].Hash() || !strings.Contains(failed.Error, "injected failure") {
+		t.Fatalf("slot 1: %+v, want index 1, hash %s and the injected error", failed, scenarios[1].Hash())
+	}
+
+	resp, err = http.Get(ts.URL + sr.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var failedEvents int
+	for dec := json.NewDecoder(resp.Body); ; {
+		var ev jobEvent
+		if err := dec.Decode(&ev); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Hash != scenarios[ev.Index].Hash() {
+			t.Fatalf("event for slot %d carries hash %q, want its spec hash", ev.Index, ev.Hash)
+		}
+		if ev.Error != "" {
+			failedEvents++
+			if ev.Index != failed.Index || ev.Error != failed.Error {
+				t.Fatalf("failed event %+v disagrees with the records line %+v", ev, failed)
+			}
+		}
+	}
+	if failedEvents != 1 {
+		t.Fatalf("%d failed events, want 1", failedEvents)
+	}
+}
+
+// goldenStore writes the golden records of internal/sweep/testdata
+// through IndexedStore.Put into a fresh store and returns its path.
+func goldenStore(t *testing.T) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "sweep", "testdata", "pr4_records.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	store, err := sweep.OpenIndexed(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		rec, err := sweep.DecodeRecord(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSweepdStoreScans pins the two whole-store reads byte for byte: GET
+// /records on a store written by Put is the data file itself (a client
+// may check a scan against the file's bytes), and GET /aggregate over
+// the golden records is testdata/golden_aggregate.json.
+func TestSweepdStoreScans(t *testing.T) {
+	path := goldenStore(t)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAgg, err := os.ReadFile(filepath.Join("..", "..", "internal", "sweep", "testdata", "golden_aggregate.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := sweep.OpenIndexed(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := sweep.NewService(store, sweep.Options{Jobs: 1})
+	ts := httptest.NewServer(newServer(store, svc, nil))
+	defer func() {
+		ts.Close()
+		svc.Close()
+		store.Close()
+	}()
+
+	for _, c := range []struct {
+		path string
+		want []byte
+	}{{"/records", file}, {"/aggregate", wantAgg}} {
+		resp, err := http.Get(ts.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, c.want) {
+			t.Fatalf("GET %s: %s, %d bytes differ from the %d expected", c.path, resp.Status, len(got), len(c.want))
+		}
+	}
+}
+
+// countingStore is a StoreEngine whose scan counts the records it reads.
+type countingStore struct {
+	sweep.StoreEngine
+	recs  []sweep.Record
+	reads int
+}
+
+func (c *countingStore) All() iter.Seq[sweep.Record] {
+	return func(yield func(sweep.Record) bool) {
+		for _, rec := range c.recs {
+			c.reads++
+			if !yield(rec) {
+				return
+			}
+		}
+	}
+}
+
+// brokenWriter is a client that has gone away: every write fails.
+type brokenWriter struct{ header http.Header }
+
+func (w *brokenWriter) Header() http.Header       { return w.header }
+func (w *brokenWriter) WriteHeader(int)           {}
+func (w *brokenWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestSweepdRecordsStopsOnWriteError: /records stops reading the store
+// at the first record it cannot write.
+func TestSweepdRecordsStopsOnWriteError(t *testing.T) {
+	store := &countingStore{recs: fakeRecords(testScenarios(t, testGrid))}
+	srv := &server{store: store}
+	srv.handleRecords(&brokenWriter{header: http.Header{}}, httptest.NewRequest("GET", "/records", nil))
+	if store.reads != 1 {
+		t.Fatalf("read %d of %d records for a client that took none, want 1", store.reads, len(store.recs))
+	}
+}
+
+// FuzzGridRequest feeds arbitrary POST /grids bodies through the
+// handler's decoder: decoding never panics, and a grid whose Size is
+// within the default service bound expands without panicking to at
+// most Size scenarios.
+func FuzzGridRequest(f *testing.F) {
+	f.Add([]byte(testGrid))
+	for _, body := range badGridBodies {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(`{"replicates":1099511627776}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		g, err := decodeGrid(nil, io.NopCloser(bytes.NewReader(body)))
+		if err != nil {
+			return
+		}
+		size := g.Size()
+		if size > sweep.DefaultMaxPending {
+			return
+		}
+		scenarios, err := g.Expand()
+		if err == nil && len(scenarios) > size {
+			t.Fatalf("grid %+v expanded to %d scenarios, above its Size %d", g, len(scenarios), size)
+		}
+	})
 }

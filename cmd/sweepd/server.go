@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
@@ -17,13 +18,13 @@ import (
 // responses are JSONL so they stream.
 //
 //	GET  /healthz             liveness
-//	GET  /records             every stored record (JSONL)
+//	GET  /records             every stored record (JSONL, streamed)
 //	GET  /records/{hash}      one record by content hash
-//	GET  /aggregate           sweep.Aggregate over the whole store
+//	GET  /aggregate           sweep.Aggregate over one scan of the store
 //	POST /grids               submit a grid (JSON body) -> job handle
 //	GET  /jobs/{id}           job progress snapshot
 //	GET  /jobs/{id}/events    streaming progress (NDJSON, one line/event)
-//	GET  /jobs/{id}/records   completed job records (JSONL)
+//	GET  /jobs/{id}/records   completed job: one line per slot (JSONL)
 //	GET  /metrics, /progress, /debug/...   obs.Handler plumbing
 type server struct {
 	store    sweep.StoreEngine
@@ -71,12 +72,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// handleRecords streams every stored record as JSONL, first-seen order.
+// handleRecords streams every stored record as JSONL, first-seen order:
+// each record is encoded as the store scan yields it, so the response
+// never holds the store in memory.
 func (s *server) handleRecords(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, rec := range s.store.Records() {
+	for rec := range s.store.All() {
 		if err := sweep.EncodeJSONL(w, rec); err != nil {
-			return // client went away
+			return // client went away: stop reading the store
 		}
 	}
 }
@@ -93,9 +96,10 @@ func (s *server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rec)
 }
 
-// handleAggregate serves the group-by aggregation of the whole store.
+// handleAggregate serves the group-by aggregation of the whole store,
+// reduced from one scan.
 func (s *server) handleAggregate(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, sweep.Aggregate(s.store.Records()))
+	writeJSON(w, http.StatusOK, sweep.Aggregate(s.store.All()))
 }
 
 // gridRequest is the POST /grids body: sweep.Grid's axes in JSON
@@ -138,19 +142,29 @@ type submitResponse struct {
 // buffer an arbitrarily large body.
 const maxGridBody = 1 << 20
 
+// decodeGrid reads a POST /grids body: at most maxGridBody bytes of one
+// gridRequest, with unknown fields refused. w, which may be nil, is told
+// when the body runs past the cap, so the server closes the connection.
+func decodeGrid(w http.ResponseWriter, body io.ReadCloser) (sweep.Grid, error) {
+	var gr gridRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxGridBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&gr); err != nil {
+		return sweep.Grid{}, fmt.Errorf("bad grid body: %w", err)
+	}
+	return gr.grid(), nil
+}
+
 // handleSubmit expands a grid and submits it to the service: 202 with a
 // job handle, 400 on a bad grid (including one larger than the
 // service's MaxPending, refused before it is expanded), 429 under
 // backpressure.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var gr gridRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxGridBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&gr); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad grid body: %w", err))
+	g, err := decodeGrid(w, r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	g := gr.grid()
 	if size, limit := g.Size(), s.svc.MaxPending(); size > limit {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("grid expands to up to %d scenarios, above the service bound of %d", size, limit))
 		return
@@ -169,7 +183,8 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.progress.Observe(ev.Cached, ev.Err != nil)
 		je := jobEvent{Index: ev.Index, Done: ev.Done, Total: ev.Total, Cached: ev.Cached, Hash: ev.Record.Hash}
 		if ev.Err != nil {
-			je.Error = ev.Err.Error()
+			// A failed slot has no record: its spec names it.
+			je.Hash, je.Error = scenarios[ev.Index].Hash(), ev.Err.Error()
 		}
 		feed.append(je, ev.Done == ev.Total)
 	})
@@ -217,7 +232,8 @@ func (s *server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"jobs": s.svc.JobIDs()})
 }
 
-// jobEvent is one NDJSON progress line on /jobs/{id}/events.
+// jobEvent is one NDJSON progress line on /jobs/{id}/events. Hash is
+// the slot's spec hash, which is also its record's.
 type jobEvent struct {
 	Index  int    `json:"index"`
 	Done   int    `json:"done"`
@@ -253,6 +269,19 @@ func (f *jobFeed) append(ev jobEvent, last bool) {
 	f.cond.Broadcast()
 }
 
+// failures returns the feed's failed events by slot index.
+func (f *jobFeed) failures() map[int]jobEvent {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make(map[int]jobEvent)
+	for _, ev := range f.lines {
+		if ev.Error != "" {
+			out[ev.Index] = ev
+		}
+	}
+	return out
+}
+
 // next blocks until line i exists, the feed is complete, or cancelled
 // reports true; ok is false when no line i will ever exist.
 func (f *jobFeed) next(i int, cancelled func() bool) (jobEvent, bool) {
@@ -274,15 +303,8 @@ func (f *jobFeed) next(i int, cancelled func() bool) (jobEvent, bool) {
 // the client disconnects). Every subscriber replays from the start —
 // the feed is a log, not a queue.
 func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(w, r)
+	_, feed, ok := s.jobAndFeed(w, r)
 	if !ok {
-		return
-	}
-	s.mu.Lock()
-	feed := s.feeds[job.ID()]
-	s.mu.Unlock()
-	if feed == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no event feed for job %q", job.ID()))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -304,10 +326,37 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobRecords serves a completed job's records as JSONL, indexed
-// like the submission; 409 while the job is still running.
-func (s *server) handleJobRecords(w http.ResponseWriter, r *http.Request) {
+// jobAndFeed looks up the job a request names and its event feed,
+// answering 404 itself when either is missing.
+func (s *server) jobAndFeed(w http.ResponseWriter, r *http.Request) (*sweep.Job, *jobFeed, bool) {
 	job, ok := s.job(w, r)
+	if !ok {
+		return nil, nil, false
+	}
+	s.mu.Lock()
+	feed := s.feeds[job.ID()]
+	s.mu.Unlock()
+	if feed == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no event feed for job %q", job.ID()))
+		return nil, nil, false
+	}
+	return job, feed, true
+}
+
+// failedSlot is the /jobs/{id}/records line of a slot whose scenario
+// failed: no record exists, so the line names the slot, its spec hash
+// and the failure, as the slot's event on /jobs/{id}/events did.
+type failedSlot struct {
+	Index int    `json:"index"`
+	Hash  string `json:"hash"`
+	Error string `json:"error"`
+}
+
+// handleJobRecords serves a completed job as JSONL, one line per slot in
+// submission order: the slot's record, or a failedSlot line; 409 while
+// the job is still running.
+func (s *server) handleJobRecords(w http.ResponseWriter, r *http.Request) {
+	job, feed, ok := s.jobAndFeed(w, r)
 	if !ok {
 		return
 	}
@@ -316,10 +365,15 @@ func (s *server) handleJobRecords(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("job %s still running (%d/%d)", st.ID, st.Done, st.Total))
 		return
 	}
-	recs, _, _ := job.Wait() // complete: returns at once; failures are zero records
+	recs, _, _ := job.Wait() // complete: returns at once
+	failed := feed.failures()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, rec := range recs {
-		if err := sweep.EncodeJSONL(w, rec); err != nil {
+	for i, rec := range recs {
+		var line any = rec
+		if ev, ok := failed[i]; ok {
+			line = failedSlot{Index: ev.Index, Hash: ev.Hash, Error: ev.Error}
+		}
+		if err := sweep.EncodeJSONL(w, line); err != nil {
 			return
 		}
 	}

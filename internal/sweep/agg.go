@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"iter"
 	"math"
 	"sort"
 )
@@ -85,11 +86,13 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Group is one aggregation cell: the records sharing a Key and the
-// replicate distributions of the standard metrics.
+// Group is one aggregation cell: the replicate distributions of the
+// standard metrics over the records sharing a Key.
 type Group struct {
-	Key     Key      `json:"key"`
-	Records []Record `json:"-"`
+	Key Key `json:"key"`
+	// GraphN is the realized graph size of the cell's lowest replicate:
+	// the n a derived-size family (Key.N = 0) actually built.
+	GraphN int `json:"-"`
 	// BeepRounds and PerSimRound are the Theorem 11 axes; Beeps is the
 	// A4 energy axis; MsgErr/MemErr are the error-rate axes; WallMS and
 	// BuildMS are throughput bookkeeping (the non-deterministic
@@ -104,14 +107,43 @@ type Group struct {
 	BuildMS     Dist `json:"build_ms"`
 }
 
+// cell accumulates one Group's columns: a record is reduced to its
+// seven metric values as it arrives, so a cell never holds records.
+type cell struct {
+	graphN, lowestRep int
+	// One column per Group metric, in Group's field order.
+	beepRounds, perRound, beeps, msgErr, memErr, wall, build []float64
+}
+
+func (c *cell) add(r Record) {
+	if len(c.beepRounds) == 0 || r.Spec.Replicate < c.lowestRep {
+		c.graphN, c.lowestRep = r.Graph.N, r.Spec.Replicate
+	}
+	c.beepRounds = append(c.beepRounds, float64(r.Counters.BeepRounds))
+	c.perRound = append(c.perRound, float64(r.BeepsPerSimRound()))
+	c.beeps = append(c.beeps, float64(r.Counters.Beeps))
+	c.msgErr = append(c.msgErr, r.MsgErrRate())
+	c.memErr = append(c.memErr, r.MemErrRate())
+	c.wall = append(c.wall, float64(r.WallNanos)/1e6)
+	c.build = append(c.build, float64(r.BuildNanos)/1e6)
+}
+
 // Aggregate groups records by Key and summarizes each cell, ordered by
 // (Workload, Family, Engine, N, Param, Epsilon, Rounds, MsgBits) — a
-// deterministic presentation order independent of input order.
-func Aggregate(recs []Record) []Group {
-	cells := make(map[Key][]Record)
-	for _, r := range recs {
+// deterministic presentation order independent of input order. It
+// consumes recs one record at a time, keeping only each cell's metric
+// columns, so a whole store can be aggregated in a single scan; DistOf
+// sorts before it sums, so the summaries do not depend on scan order.
+func Aggregate(recs iter.Seq[Record]) []Group {
+	cells := make(map[Key]*cell)
+	for r := range recs {
 		k := KeyOf(r.Spec)
-		cells[k] = append(cells[k], r)
+		c := cells[k]
+		if c == nil {
+			c = &cell{}
+			cells[k] = c
+		}
+		c.add(r)
 	}
 	keys := make([]Key, 0, len(cells))
 	for k := range cells {
@@ -142,28 +174,18 @@ func Aggregate(recs []Record) []Group {
 
 	groups := make([]Group, 0, len(keys))
 	for _, k := range keys {
-		rs := cells[k]
-		// Replicate order inside a cell, for deterministic Records slices.
-		sort.Slice(rs, func(i, j int) bool { return rs[i].Spec.Replicate < rs[j].Spec.Replicate })
-		g := Group{Key: k, Records: rs}
-		var beepRounds, perRound, beeps, msgErr, memErr, wall, build []float64
-		for _, r := range rs {
-			beepRounds = append(beepRounds, float64(r.Counters.BeepRounds))
-			perRound = append(perRound, float64(r.BeepsPerSimRound()))
-			beeps = append(beeps, float64(r.Counters.Beeps))
-			msgErr = append(msgErr, r.MsgErrRate())
-			memErr = append(memErr, r.MemErrRate())
-			wall = append(wall, float64(r.WallNanos)/1e6)
-			build = append(build, float64(r.BuildNanos)/1e6)
-		}
-		g.BeepRounds = DistOf(beepRounds)
-		g.PerSimRound = DistOf(perRound)
-		g.Beeps = DistOf(beeps)
-		g.MsgErr = DistOf(msgErr)
-		g.MemErr = DistOf(memErr)
-		g.WallMS = DistOf(wall)
-		g.BuildMS = DistOf(build)
-		groups = append(groups, g)
+		c := cells[k]
+		groups = append(groups, Group{
+			Key:         k,
+			GraphN:      c.graphN,
+			BeepRounds:  DistOf(c.beepRounds),
+			PerSimRound: DistOf(c.perRound),
+			Beeps:       DistOf(c.beeps),
+			MsgErr:      DistOf(c.msgErr),
+			MemErr:      DistOf(c.memErr),
+			WallMS:      DistOf(c.wall),
+			BuildMS:     DistOf(c.build),
+		})
 	}
 	return groups
 }

@@ -1,7 +1,13 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
+	"iter"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -52,7 +58,7 @@ func TestAggregateReplicates(t *testing.T) {
 		sc.ChannelSeed += uint64(rep)
 		return Record{
 			Hash: sc.Hash(), Spec: sc,
-			Graph:    GraphInfo{N: sc.N, MaxDegree: 2, Edges: sc.N},
+			Graph:    GraphInfo{N: sc.N + rep, MaxDegree: 2, Edges: sc.N},
 			Counters: Counters{Result: core.Result{SimRounds: 2, BeepRounds: beepRounds, AllDone: true}},
 		}
 	}
@@ -62,7 +68,7 @@ func TestAggregateReplicates(t *testing.T) {
 		mk(EngineAlg1, 0, 1000),
 		mk(EngineAlg1, 2, 2000),
 	}
-	groups := Aggregate(recs)
+	groups := Aggregate(slices.Values(recs))
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2", len(groups))
 	}
@@ -77,10 +83,43 @@ func TestAggregateReplicates(t *testing.T) {
 	if a.PerSimRound.Mean != 1000 {
 		t.Errorf("per-sim-round mean: %+v", a.PerSimRound)
 	}
-	// Records inside a cell come back in replicate order.
-	for i, r := range a.Records {
-		if r.Spec.Replicate != i {
-			t.Errorf("cell records out of replicate order: %d at %d", r.Spec.Replicate, i)
-		}
+	// The realized size is the lowest replicate's, wherever it arrives.
+	if want := baseSpec().N; a.GraphN != want {
+		t.Errorf("cell GraphN = %d, want replicate 0's %d", a.GraphN, want)
+	}
+}
+
+// TestAggregateGolden pins Aggregate's output over the golden store
+// testdata/pr4_records.jsonl byte for byte: testdata/golden_aggregate.json
+// is the JSON GET /aggregate serves over that store. Scan order must not
+// matter, so both engines' scans and a reversed order give those bytes.
+func TestAggregateGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_aggregate.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := goldenStorePath(t)
+	for name, open := range map[string]func(string) (StoreEngine, error){
+		"store":   func(p string) (StoreEngine, error) { return Open(p) },
+		"indexed": func(p string) (StoreEngine, error) { return OpenIndexed(p) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			recs := slices.Collect(s.All())
+			slices.Reverse(recs)
+			for order, scan := range map[string]iter.Seq[Record]{"first-seen": s.All(), "reversed": slices.Values(recs)} {
+				got, err := json.Marshal(Aggregate(scan))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got = append(got, '\n'); !bytes.Equal(got, want) {
+					t.Fatalf("%s scan: aggregate differs from testdata/golden_aggregate.json:\n got: %s\nwant: %s", order, got, want)
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -35,7 +36,7 @@ func TestCompactGoldenByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := orig.Records()
+	want := slices.Collect(orig.All())
 	orig.Close()
 	before, err := os.ReadFile(path)
 	if err != nil {
@@ -69,7 +70,7 @@ func TestCompactGoldenByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			if got := s.Records(); !reflect.DeepEqual(got, want) {
+			if got := slices.Collect(s.All()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("compacted store snapshot differs from original (%d vs %d records)", len(got), len(want))
 			}
 			for _, rec := range want {
@@ -95,7 +96,7 @@ func TestCompactDropsTornDuplicateInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := s.Records()
+	want := slices.Collect(s.All())
 	s.Close()
 	if len(want) < 2 {
 		t.Fatal("golden store too small for the test")
@@ -134,7 +135,7 @@ func TestCompactDropsTornDuplicateInvalid(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer after.Close()
-	got := after.Records()
+	got := slices.Collect(after.All())
 	want[0] = dup // the newer duplicate, in record 0's original position
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("compacted records differ from expected survivor set")
@@ -152,7 +153,7 @@ func TestIndexedStoreRegeneratesAfterIndexDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := s.Records()
+	want := slices.Collect(s.All())
 	s.Close()
 
 	if err := os.Remove(IndexPath(path)); err != nil {
@@ -163,7 +164,7 @@ func TestIndexedStoreRegeneratesAfterIndexDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.Records(); !reflect.DeepEqual(got, want) {
+	if got := slices.Collect(s2.All()); !reflect.DeepEqual(got, want) {
 		t.Fatal("records differ after index regeneration")
 	}
 	if _, err := os.Stat(IndexPath(path)); err != nil {
@@ -189,7 +190,7 @@ func TestIndexedStoreDetectsStaleIndex(t *testing.T) {
 	if err := plain.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	want := plain.Records()
+	want := slices.Collect(plain.All())
 	plain.Close()
 
 	s, err := OpenIndexed(path)
@@ -197,7 +198,7 @@ func TestIndexedStoreDetectsStaleIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.Records(); !reflect.DeepEqual(got, want) {
+	if got := slices.Collect(s.All()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("stale index served: %d records, want %d", len(got), len(want))
 	}
 	if _, ok := s.Get(rec.Hash); !ok {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -43,7 +44,7 @@ func TestIndexedStoreRescansCorruptSidecar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := plain.Records()
+			want := slices.Collect(plain.All())
 			plain.Close()
 			if err := os.WriteFile(IndexPath(path), sidecar, 0o644); err != nil {
 				t.Fatal(err)
@@ -54,7 +55,7 @@ func TestIndexedStoreRescansCorruptSidecar(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			if got := s.Records(); !reflect.DeepEqual(got, want) {
+			if got := slices.Collect(s.All()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("served %d records after the rescan, want %d", len(got), len(want))
 			}
 			for _, rec := range want {
@@ -150,7 +151,7 @@ func FuzzReadIndex(f *testing.F) {
 				t.Fatalf("Get(%s) served record %s", hash, got.Hash)
 			}
 		}
-		for _, got := range s.Records() {
+		for _, got := range slices.Collect(s.All()) {
 			if rec, ok := want[got.Hash]; !ok || !reflect.DeepEqual(got, rec) {
 				t.Fatalf("Records served %s, which is not the store's record under that hash", got.Hash)
 			}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"io"
+	"iter"
 	"os"
 	"sync"
 )
@@ -177,26 +178,28 @@ func (s *IndexedStore) Dropped() int {
 	return s.dropped
 }
 
-// Records returns the indexed records in first-seen order, streamed
-// from disk. The extent snapshot is taken under the read lock; the
-// reads happen outside it, safe against concurrent appends because
-// published extents are immutable.
-func (s *IndexedStore) Records() []Record {
-	s.mu.RLock()
-	extents := make([]indexEntry, 0, len(s.order))
-	for _, h := range s.order {
-		extents = append(extents, s.locs[h])
-	}
-	s.mu.RUnlock()
-	out := make([]Record, 0, len(extents))
-	for _, e := range extents {
-		rec, err := s.readAt(e)
-		if err != nil {
-			continue // unreadable extent: excluded, like a dropped line
+// All scans the indexed records in first-seen order (the StoreEngine
+// contract), read from disk one at a time. The extent snapshot is taken
+// under the read lock; each read and decode happens outside it, safe
+// against concurrent appends because published extents are immutable.
+func (s *IndexedStore) All() iter.Seq[Record] {
+	return func(yield func(Record) bool) {
+		s.mu.RLock()
+		extents := make([]indexEntry, 0, len(s.order))
+		for _, h := range s.order {
+			extents = append(extents, s.locs[h])
 		}
-		out = append(out, rec)
+		s.mu.RUnlock()
+		for _, e := range extents {
+			rec, err := s.readAt(e)
+			if err != nil {
+				continue // unreadable extent: skipped, like a dropped line
+			}
+			if !yield(rec) {
+				return
+			}
+		}
 	}
-	return out
 }
 
 // writeSidecar installs a sidecar covering the current state. Caller

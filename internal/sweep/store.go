@@ -4,15 +4,16 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"iter"
 	"os"
 	"sync"
 )
 
 // StoreEngine is the result-store contract the scheduling layers (Run,
 // Service, FrontierSearch) and the serving layer (cmd/sweepd) consume:
-// content-addressed record lookup, durable append, and a first-seen-order
-// snapshot. Two engines implement it — the load-everything *Store below
-// (the historic JSONL format, always readable) and *IndexedStore
+// content-addressed record lookup, append, and a first-seen-order scan.
+// Two engines implement it — the load-everything *Store below (the
+// historic JSONL format, always readable) and *IndexedStore
 // (indexed.go), which opens by sidecar offset index and serves Get by
 // disk seek instead of holding every record in memory. Both are safe for
 // concurrent use; by the store contract a record, once Put, is immutable
@@ -21,12 +22,20 @@ import (
 type StoreEngine interface {
 	// Get returns the record stored under a spec hash.
 	Get(hash string) (Record, bool)
-	// Put indexes rec and, for disk-backed engines, durably appends it.
+	// Put indexes rec and, for disk-backed engines, appends its line to
+	// the data file before returning. An acknowledged append survives a
+	// crash of the process but not of the kernel: there is no fsync
+	// (DESIGN.md §2.18).
 	Put(rec Record) error
 	// Len returns the number of indexed records.
 	Len() int
-	// Records returns the indexed records in first-seen order.
-	Records() []Record
+	// All scans the indexed records in first-seen order, one at a time.
+	// Each iteration snapshots the order when it starts, so it yields
+	// exactly the records indexed at that moment — a Put made during
+	// the scan is not yielded — and holds no lock while it yields, so
+	// the loop body may call any method of the store, Put included.
+	// Breaking out of the loop stops the scan's reads.
+	All() iter.Seq[Record]
 	// Close releases any backing resources.
 	Close() error
 }
@@ -220,15 +229,24 @@ func (s *Store) Oversized() int {
 	return s.oversized
 }
 
-// Records returns the indexed records in first-seen order.
-func (s *Store) Records() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Record, 0, len(s.order))
-	for _, h := range s.order {
-		out = append(out, s.recs[h])
+// All scans the indexed records in first-seen order (the StoreEngine
+// contract). The snapshot is the order's current prefix, which appends
+// never rewrite; each record is looked up under the lock and yielded
+// outside it.
+func (s *Store) All() iter.Seq[Record] {
+	return func(yield func(Record) bool) {
+		s.mu.Lock()
+		order := s.order[:len(s.order):len(s.order)]
+		s.mu.Unlock()
+		for _, h := range order {
+			s.mu.Lock()
+			rec := s.recs[h]
+			s.mu.Unlock()
+			if !yield(rec) {
+				return
+			}
+		}
 	}
-	return out
 }
 
 // Close releases the backing file (no-op for memory stores).

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -53,7 +54,7 @@ func engineConcurrency(t *testing.T, s StoreEngine) {
 				if got, ok := s.Get(seed.Hash); !ok || got.Hash != seed.Hash {
 					t.Error("seed record unreadable during writes")
 				}
-				for _, rec := range s.Records() {
+				for _, rec := range slices.Collect(s.All()) {
 					if rec.Hash == "" {
 						t.Error("snapshot contains zero record")
 					}
@@ -105,7 +106,7 @@ func TestReaderDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reader.Close()
-	want := reader.Records()
+	want := slices.Collect(reader.All())
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -119,7 +120,7 @@ func TestReaderDuringCompaction(t *testing.T) {
 					return
 				default:
 				}
-				if got := reader.Records(); !reflect.DeepEqual(got, want) {
+				if got := slices.Collect(reader.All()); !reflect.DeepEqual(got, want) {
 					t.Error("reader view changed during compaction")
 					return
 				}
@@ -146,7 +147,7 @@ func TestReaderDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if got := fresh.Records(); !reflect.DeepEqual(got, want) {
+	if got := slices.Collect(fresh.All()); !reflect.DeepEqual(got, want) {
 		t.Fatal("compacted file differs from pre-compaction view")
 	}
 }
@@ -182,7 +183,7 @@ func TestCompactPreservesDirtyAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer after.Close()
-	if got := after.Records(); !reflect.DeepEqual(got, want) {
+	if got := slices.Collect(after.All()); !reflect.DeepEqual(got, want) {
 		t.Fatal("records differ after compacting appended store")
 	}
 }
@@ -219,7 +220,7 @@ func TestIndexedStoreRecordsFirstSeenOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got := s2.Records()
+	got := slices.Collect(s2.All())
 	if len(got) != len(hashes) {
 		t.Fatalf("got %d records, want %d", len(got), len(hashes))
 	}
@@ -236,7 +237,7 @@ func TestIndexedStoreRecordsFirstSeenOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	for i, rec := range s3.Records() {
+	for i, rec := range slices.Collect(s3.All()) {
 		if rec.Hash != hashes[i] {
 			t.Fatalf("rescan record %d out of order: got %s, want %s", i, rec.Hash, hashes[i])
 		}
