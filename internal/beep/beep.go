@@ -181,7 +181,7 @@ type Network struct {
 
 // NewNetwork creates a beeping network on g.
 func NewNetwork(g *graph.Graph, params Params) (*Network, error) {
-	if params.Epsilon < 0 || params.Epsilon >= 0.5 {
+	if !noise.ValidRate(params.Epsilon) {
 		return nil, fmt.Errorf("beep: ε = %v outside [0, 0.5)", params.Epsilon)
 	}
 	model := params.Noise

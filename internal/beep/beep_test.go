@@ -1,6 +1,7 @@
 package beep
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bitstring"
@@ -10,7 +11,7 @@ import (
 
 func TestNewNetworkValidation(t *testing.T) {
 	g := graph.Path(3)
-	for _, eps := range []float64{-0.1, 0.5, 0.9} {
+	for _, eps := range []float64{-0.1, 0.5, 0.9, math.NaN()} {
 		if _, err := NewNetwork(g, Params{Epsilon: eps}); err == nil {
 			t.Errorf("ε=%v accepted", eps)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -77,6 +78,7 @@ func TestParamsValidate(t *testing.T) {
 		{name: "C too small", mutate: func(p *Params) { p.C = 1 }},
 		{name: "R too small", mutate: func(p *Params) { p.R = 0 }},
 		{name: "eps too big", mutate: func(p *Params) { p.Epsilon = 0.5 }},
+		{name: "eps NaN", mutate: func(p *Params) { p.Epsilon = math.NaN() }},
 		{name: "M below n for ByID", mutate: func(p *Params) { p.M = g.N() - 1 }},
 		{name: "bad assignment", mutate: func(p *Params) { p.Assignment = 0 }},
 	}
@@ -406,6 +408,9 @@ func TestPaperParams(t *testing.T) {
 	}
 	if _, err := PaperParams(256, 8, 1, 0); err == nil {
 		t.Error("ε=0 accepted (paper constants are for the noisy model)")
+	}
+	if _, err := PaperParams(256, 8, 1, math.NaN()); err == nil {
+		t.Error("ε=NaN accepted")
 	}
 }
 

@@ -173,7 +173,7 @@ func (p Params) Validate(n, maxDeg int) error {
 	if p.R < 1 {
 		return fmt.Errorf("core: repetition factor R = %d < 1", p.R)
 	}
-	if p.Epsilon < 0 || p.Epsilon >= 0.5 {
+	if !noise.ValidRate(p.Epsilon) {
 		return fmt.Errorf("core: ε = %v outside [0, 0.5)", p.Epsilon)
 	}
 	if p.Noise != "" {
@@ -270,7 +270,7 @@ type PaperSizes struct {
 // collected from Lemma 9 ("cε ≥ max{…}") and Lemma 10 ("We required
 // that…"), plus the Lemma 6 instantiation (cε ≥ 108).
 func PaperParams(n, maxDeg int, gamma, eps float64) (PaperSizes, error) {
-	if eps <= 0 || eps >= 0.5 {
+	if eps == 0 || !noise.ValidRate(eps) {
 		return PaperSizes{}, fmt.Errorf("core: paper constants need ε ∈ (0, ½), got %v", eps)
 	}
 	if n < 2 || gamma <= 0 {

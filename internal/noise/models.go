@@ -44,10 +44,15 @@ func init() {
 	})
 }
 
-// flipRate validates an error rate the decoders must be able to fight:
-// [0, ½), the same capacity bound the symmetric channel has always had.
+// ValidRate reports whether v is an error rate the decoders must be able
+// to fight: v ∈ [0, ½), the same capacity bound the symmetric channel has
+// always had. NaN is outside it. Every ε check in the system applies this
+// one rule.
+func ValidRate(v float64) bool { return v >= 0 && v < 0.5 }
+
+// flipRate validates a model parameter with ValidRate.
 func flipRate(name, param string, v float64) error {
-	if v < 0 || v >= 0.5 || v != v {
+	if !ValidRate(v) {
 		return fmt.Errorf("noise: %s: %s = %v outside [0, 0.5)", name, param, v)
 	}
 	return nil

@@ -50,6 +50,7 @@ func TestParseRejectsInvalid(t *testing.T) {
 		"symmetric",     // missing ε
 		"symmetric:0.5", // ε at capacity
 		"symmetric:-0.1",
+		"symmetric:NaN",
 		"symmetric:0.1:0.2",                // too many args
 		"symmetric:zero",                   // non-numeric
 		"asymmetric:0.1",                   // arity

@@ -14,6 +14,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // SplitMix64 advances the SplitMix64 state *x and returns the next output.
@@ -85,16 +86,20 @@ func (r *Stream) Split2Into(dst *Stream, a, b uint64) {
 	dst.reseed(Mix(r.seed[0], r.seed[1], r.seed[2], r.seed[3], a, b))
 }
 
-// Uint64 returns the next 64 uniformly random bits (xoshiro256**).
+// Uint64 returns the next 64 uniformly random bits (xoshiro256**). It
+// works on local copies of the state, which keeps it within the
+// compiler's inlining budget, so hot loops such as gap draws pay no
+// call for it.
 func (r *Stream) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
@@ -187,8 +192,12 @@ type FlipSampler struct {
 }
 
 // NewFlipSampler returns a sampler over Bernoulli(p) trials starting at
-// trial 0. p is clamped to [0, 1].
+// trial 0. p is clamped to [0, 1]; a NaN p panics, since no rate
+// validation upstream should have let one through.
 func NewFlipSampler(r *Stream, p float64) *FlipSampler {
+	if p != p {
+		panic("rng: NewFlipSampler: p is NaN")
+	}
 	fs := &FlipSampler{r: r, p: p}
 	switch {
 	case p <= 0:
@@ -265,17 +274,82 @@ func (fs *FlipSampler) XorFlipsInto(words []uint64, start, end int) {
 // gap draws one Geometric(p) inter-flip gap: floor(ln(U)/ln(1-p)) has the
 // right distribution for the number of failures before the next success.
 // It is the single source of gap draws, so the batch and scalar paths
-// consume the underlying stream identically by construction.
+// consume the underlying stream identically by construction. U is the
+// draw Stream.Float64 makes, x·2⁻⁵³ from one Uint64, and a zero draw is
+// redrawn; the gap is exactGap's value, which fastGap returns without a
+// logarithm whenever it can prove it.
 func (fs *FlipSampler) gap() int {
-	u := fs.r.Float64()
-	for u == 0 {
-		u = fs.r.Float64()
+	x := fs.r.Uint64() >> 11
+	for x == 0 {
+		x = fs.r.Uint64() >> 11
 	}
-	g := int(math.Log(u) * fs.invLog)
+	if g, ok := fastGap(x, fs.invLog); ok {
+		return g
+	}
+	return exactGap(x, fs.invLog)
+}
+
+// exactGap is the definition of a gap draw: int(ln(u)·invLog) for
+// u = x·2⁻⁵³, clamped at 0, with invLog = 1/ln(1-p). Every record was
+// produced by this floating-point expression, so it stays the oracle
+// fastGap is tested against and the fallback it defers to.
+func exactGap(x uint64, invLog float64) int {
+	g := int(math.Log(float64(x)/(1<<53)) * invLog)
 	if g < 0 {
 		g = 0
 	}
 	return g
+}
+
+// gapTableBits is the number of mantissa bits fastGap looks up.
+const gapTableBits = 8
+
+// gapTable holds, for each mantissa bucket c = 1 + i/2⁸, ln c and
+// 2⁻⁵²/c. It does not depend on p, so every sampler shares it.
+var gapTable = func() (tab [1 << gapTableBits]struct{ ln, inv float64 }) {
+	for i := range tab {
+		c := 1 + float64(i)/(1<<gapTableBits)
+		tab[i].ln = math.Log1p(float64(i) / (1 << gapTableBits))
+		tab[i].inv = 1 / (c * (1 << 52))
+	}
+	return tab
+}()
+
+const (
+	// gapMargin widens fastGap's bracket of ln u on both sides. The
+	// bracket's own rounding, math.Log's error and the rounding of the
+	// product with invLog together stay below 1e-13 in ln u, which is
+	// at most 53·ln 2 in magnitude; the margin is four orders larger.
+	gapMargin = 1e-9
+	// maxFastGap caps the gaps fastGap answers, so both ends convert
+	// to int exactly; larger gaps (p below about 1e-14) fall back.
+	maxFastGap = 1 << 52
+)
+
+// fastGap returns exactGap(x, invLog) and true when it can prove that
+// value from a bracket of ln u, and false when the caller must evaluate
+// exactGap. Write u = m·2^-(s+1) with m ∈ [1, 2), and m = c·(1+t) with c
+// the table bucket of m's top mantissa bits, so 0 ≤ t < 2⁻⁸. Then
+// ln u = ln c + ln(1+t) − (s+1)·ln 2, and t − t²/2 ≤ ln(1+t) ≤ t puts
+// ln u in a bracket at most 2⁻¹⁷ wide. Widened by gapMargin, the bracket
+// holds the value math.Log returns, and after multiplying by invLog it
+// holds the exact expression's product. If both ends have the same
+// integer part, that is the gap. The product is positive, so a low end
+// in (−1, 0) still truncates to the right gap of 0.
+func fastGap(x uint64, invLog float64) (int, bool) {
+	s := bits.LeadingZeros64(x) - 11 // x<<s ∈ [2⁵², 2⁵³) for x ∈ [1, 2⁵³)
+	xn := x << uint(s)
+	e := &gapTable[(xn>>(52-gapTableBits))&(1<<gapTableBits-1)]
+	t := float64(xn&(1<<(52-gapTableBits)-1)) * e.inv
+	a := e.ln + t - float64(s+1)*math.Ln2 // ln u ∈ [a − t²/2, a]
+	lo := (a + gapMargin) * invLog        // invLog < 0 reverses the bracket
+	hi := (a - 0.5*t*t - gapMargin) * invLog
+	if hi < maxFastGap {
+		if g := int(lo); g == int(hi) {
+			return g, true
+		}
+	}
+	return 0, false
 }
 
 func (fs *FlipSampler) advance() {
@@ -285,8 +359,6 @@ func (fs *FlipSampler) advance() {
 	}
 	fs.next += 1 + fs.gap()
 }
-
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // mul64 returns the 128-bit product of a and b as (hi, lo).
 func mul64(a, b uint64) (hi, lo uint64) {

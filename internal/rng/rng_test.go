@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -353,6 +354,33 @@ func BenchmarkUint64(b *testing.B) {
 	}
 }
 
+// BenchmarkXorFlipsInto is the channel-noise kernel as the beep window
+// drives it: one sampler XORs its flips into consecutive 1,024-slot
+// windows. ns/flip divides the timed loop by the flips it drew, counted
+// afterwards by replaying the same stream through Next.
+func BenchmarkXorFlipsInto(b *testing.B) {
+	const window = 1024
+	for _, eps := range []float64{0.001, 0.01, 0.05, 0.1, 0.3} {
+		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
+			fs := NewFlipSampler(New(1), eps)
+			words := make([]uint64, window/64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fs.XorFlipsInto(words, i*window, (i+1)*window)
+			}
+			b.StopTimer()
+			ref := NewFlipSampler(New(1), eps)
+			flips := 0
+			for _, ok := ref.Next(b.N * window); ok; _, ok = ref.Next(b.N * window) {
+				flips++
+			}
+			if flips > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(flips), "ns/flip")
+			}
+		})
+	}
+}
+
 func BenchmarkFlipSampler(b *testing.B) {
 	r := New(1)
 	b.ReportAllocs()
@@ -394,7 +422,7 @@ func FuzzXorFlipsInto(f *testing.F) {
 	f.Add(uint64(42), uint8(3), uint16(5), uint16(1000), uint16(64))
 	f.Add(uint64(0), uint8(4), uint16(0), uint16(0), uint16(0))
 	f.Fuzz(func(t *testing.T, seed uint64, rateSel uint8, w1, w2, w3 uint16) {
-		rates := []float64{0, 1e-9, 1e-3, 0.05, 0.3, 0.5 - 1e-12, 1}
+		rates := []float64{0, 1e-9, 1e-3, 0.05, 0.1, 0.3, 0.5 - 1e-12, 1}
 		p := rates[int(rateSel)%len(rates)]
 		batch := NewFlipSampler(New(seed), p)
 		scalar := NewFlipSampler(New(seed), p)
@@ -488,4 +516,128 @@ func TestXorFlipsIntoMatchesScalarLoop(t *testing.T) {
 			t.Fatalf("p=%v: stale-skip window diverged (%d vs %d)", p, c.Peek(), d.Peek())
 		}
 	}
+}
+
+// gapRates are the channel rates the fast gap path is checked at, from
+// 10⁻⁴, where it falls back most often, to 0.49, where gaps are a few
+// slots long.
+var gapRates = []float64{1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.49}
+
+// checkGap fails t when fastGap claims a value exactGap disagrees with,
+// and reports whether the fast path answered. It skips t.Helper, whose
+// cost would dominate the millions of calls the tests make.
+func checkGap(t *testing.T, x uint64, p, invLog float64) bool {
+	g, ok := fastGap(x, invLog)
+	if ok {
+		if want := exactGap(x, invLog); g != want {
+			t.Fatalf("p=%v x=%d: fastGap = %d, exactGap = %d", p, x, g, want)
+		}
+	}
+	return ok
+}
+
+// TestGapMatchesExact pins the fast gap path to the exact expression on
+// random draws, on sweeps of x around every gap boundary (1−p)^k·2⁵³
+// with k < 400, and on the smallest and largest draws, where x has
+// fewer bits than the table index or u is within 2⁻⁴¹ of 1. Last, it
+// picks rates whose gap boundary (1−p)^k falls exactly on a table
+// point c·2⁻ᵉ: there t = 0, the bracket is the margin alone, and only
+// gapMargin keeps fastGap from deciding a rounding the other way.
+func TestGapMatchesExact(t *testing.T) {
+	const draws, sweep = 1 << 20, 2000
+	for _, p := range gapRates {
+		invLog := NewFlipSampler(New(0), p).invLog
+		r := New(uint64(p * 1e6))
+		for i := 0; i < draws; i++ {
+			if x := r.Uint64() >> 11; x != 0 {
+				checkGap(t, x, p, invLog)
+			}
+		}
+		for k := 0; k < 400; k++ {
+			mid := math.Pow(1-p, float64(k)) * (1 << 53)
+			if mid < 1 {
+				break
+			}
+			for d := -sweep; d <= sweep; d++ {
+				if x := int64(mid) + int64(d); x >= 1 && x < 1<<53 {
+					checkGap(t, uint64(x), p, invLog)
+				}
+			}
+		}
+		for x := uint64(1); x < 1<<12; x++ {
+			checkGap(t, x, p, invLog)
+			checkGap(t, 1<<53-x, p, invLog)
+		}
+	}
+	for i := 0; i < 1<<gapTableBits; i++ {
+		for e := 1; e <= 40; e += 3 {
+			u := math.Ldexp(1+float64(i)/(1<<gapTableBits), -e)
+			x := uint64(math.Ldexp(u, 53))
+			for k := 1; k <= 60; k++ {
+				p := -math.Expm1(math.Log(u) / float64(k)) // (1−p)^k = u
+				if !(p > 0 && p < 0.5) {
+					continue
+				}
+				invLog := NewFlipSampler(New(0), p).invLog
+				for d := x - 1; d <= x+1; d++ {
+					checkGap(t, d, p, invLog)
+				}
+			}
+		}
+	}
+}
+
+// TestGapFallbackShare measures how often the fast path defers to the
+// exact expression. The bracket is at most |1/ln(1−p)|·(2⁻¹⁷ + 2·10⁻⁹)
+// wide in gap units, so the share grows like 1/p and may not exceed
+// that width. A bracket without the tangent term, ln(1+t) ∈ [0, t],
+// exceeds it at every rate here (80% of draws fall back at 10⁻³).
+func TestGapFallbackShare(t *testing.T) {
+	const draws = 1 << 18
+	for _, p := range gapRates {
+		invLog := NewFlipSampler(New(0), p).invLog
+		r := New(3)
+		fallbacks := 0
+		for i := 0; i < draws; i++ {
+			if x := r.Uint64() >> 11; x != 0 && !checkGap(t, x, p, invLog) {
+				fallbacks++
+			}
+		}
+		share := float64(fallbacks) / draws
+		t.Logf("ε = %g: fallback share %.3g%% of %d draws", p, 100*share, draws)
+		if bound := -invLog * (1.0/(1<<17) + 2*gapMargin); share > bound {
+			t.Errorf("ε = %g: fallback share %.3g exceeds the bracket width %.3g", p, share, bound)
+		}
+	}
+}
+
+// FuzzGapFastPath compares the fast gap path with the exact expression
+// for any 53-bit draw x and any rate 0 < p < ½.
+func FuzzGapFastPath(f *testing.F) {
+	f.Add(uint64(1)<<11, 0.1)              // x = 1, the smallest draw
+	f.Add(^uint64(0), 1e-4)                // x = 2⁵³−1, u just below 1
+	f.Add(uint64(1)<<63, 0.49)             // x = 2⁵², u = ½
+	f.Add(uint64(0x9e3779b97f4a7c15), 0.3) // an arbitrary draw
+	f.Add(uint64(12345678901234)<<11, 1e-300)
+	f.Fuzz(func(t *testing.T, raw uint64, p float64) {
+		if !(p > 0 && p < 0.5) {
+			return
+		}
+		x := raw >> 11
+		if x == 0 {
+			x = 1
+		}
+		checkGap(t, x, p, NewFlipSampler(New(0), p).invLog)
+	})
+}
+
+// TestFlipSamplerNaNPanics requires a NaN rate to panic instead of
+// building a sampler that flips every trial.
+func TestFlipSamplerNaNPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewFlipSampler(NaN) did not panic")
+		}
+	}()
+	NewFlipSampler(New(1), math.NaN())
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -142,6 +143,7 @@ func TestValidate(t *testing.T) {
 		{Family: FamilyRegular, N: 8, Param: 2, Engine: EngineAlg1, Workload: WorkloadGossip},            // Rounds 0
 		{Family: FamilyRegular, N: 8, Param: 2, Engine: EngineAlg1, Workload: WorkloadMIS, Rounds: 3},    // mis sets Rounds 0
 		{Family: FamilyRegular, N: 8, Param: 2, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1, Epsilon: 0.5},
+		{Family: FamilyRegular, N: 8, Param: 2, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1, Epsilon: math.NaN()},
 	}
 	for i, sc := range bad {
 		if err := sc.Validate(); err == nil {
@@ -151,6 +153,19 @@ func TestValidate(t *testing.T) {
 	good := baseSpec()
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
+	}
+}
+
+// TestGridExpandRejectsNaNEpsilon: a NaN ε fails validation with an
+// error before the grid point is hashed, whose JSON encoding would
+// panic on it.
+func TestGridExpandRejectsNaNEpsilon(t *testing.T) {
+	g := Grid{
+		Families: []string{FamilyRegular}, Ns: []int{16}, Params: []int{3},
+		Epsilons: []float64{0.1, math.NaN()}, Engines: []string{EngineAlg1},
+	}
+	if _, err := g.Expand(); err == nil {
+		t.Fatal("grid with ε = NaN expanded without error")
 	}
 }
 

@@ -188,7 +188,7 @@ func (sc Scenario) Validate() error {
 	} else if sc.Rounds != 0 {
 		return fmt.Errorf("sweep: workload %s sizes its own budget; set Rounds = 0, got %d", sc.Workload, sc.Rounds)
 	}
-	if sc.Epsilon < 0 || sc.Epsilon >= 0.5 {
+	if !noise.ValidRate(sc.Epsilon) {
 		return fmt.Errorf("sweep: ε = %v outside [0, 0.5)", sc.Epsilon)
 	}
 	if sc.Noise != "" {
@@ -223,7 +223,9 @@ func (sc Scenario) Validate() error {
 func (sc Scenario) Hash() string {
 	b, err := json.Marshal(sc)
 	if err != nil {
-		// Scenario contains only scalars; Marshal cannot fail.
+		// Marshal fails only on a NaN or infinite float. Epsilon is the
+		// only float, and Validate keeps it in [0, ½), so Hash of a
+		// validated scenario cannot fail.
 		panic(fmt.Sprintf("sweep: marshal spec: %v", err))
 	}
 	sum := sha256.Sum256(b)
