@@ -601,7 +601,13 @@ func BenchmarkRunPhase10k(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := nw.RunPhase(patterns); err != nil {
+				// Fresh reception buffers each iteration, as a one-shot
+				// window allocates them.
+				received := make([]*bitstring.BitString, g.N())
+				for v := range received {
+					received[v] = bitstring.New(window)
+				}
+				if err := nw.RunPhaseInto(patterns, received); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -349,6 +349,40 @@ func TestSweepdConcurrentSubmissionsSingleflight(t *testing.T) {
 // unknown family, an unknown field, and bytes that are not JSON.
 var badGridBodies = []string{`{"families":["nope"]}`, `{"unknown_field":1}`, `not json`}
 
+// capacityGridBodies derive more vertices than a graph holds: 2⁶⁴ for
+// hypercube 64 and (2³²)² for grid 2³², both of which wrap to 0 when
+// computed unchecked.
+var capacityGridBodies = []string{
+	`{"families":["hypercube"],"params":[64],"engines":["alg1"]}`,
+	`{"families":["grid"],"params":[4294967296],"engines":["alg1"]}`,
+}
+
+// TestSweepdRejectsGraphsPastCapacity: a grid whose graphs cannot be
+// built is refused with 400 before any worker builds one, and the
+// daemon keeps serving.
+func TestSweepdRejectsGraphsPastCapacity(t *testing.T) {
+	ts, _ := newTestDaemon(t, sweep.Options{Jobs: 1})
+	for _, body := range capacityGridBodies {
+		resp, err := http.Post(ts.URL+"/grids", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("grid %s: %s %s, want 400", body, resp.Status, msg)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after refused grids: %s", resp.Status)
+	}
+}
+
 // TestSweepdBackpressureAndErrors covers the failure surface: 429 under
 // backpressure, 400 on bad grids, 404 on unknown jobs, 409 reading
 // records of a running job.
@@ -720,6 +754,9 @@ func FuzzGridRequest(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Add([]byte(`{"replicates":1099511627776}`))
+	for _, body := range capacityGridBodies {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		g, err := decodeGrid(nil, io.NopCloser(bytes.NewReader(body)))
 		if err != nil {

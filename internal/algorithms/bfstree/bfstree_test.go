@@ -69,8 +69,9 @@ func TestBFSDisconnected(t *testing.T) {
 
 func TestBFSOverNoisyBeeps(t *testing.T) {
 	g := graph.Grid(4, 4)
+	params := core.DefaultParams(g.N(), g.MaxDegree(), MsgBits(g.N()), 0.1)
 	runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
-		Params:      core.DefaultParams(g.N(), g.MaxDegree(), MsgBits(g.N()), 0.1),
+		Params:      params,
 		ChannelSeed: 12,
 		AlgSeed:     13,
 	})
@@ -86,9 +87,9 @@ func TestBFSOverNoisyBeeps(t *testing.T) {
 	}
 	// The BFS wave takes diameter+1 simulated rounds; each costs
 	// RoundsPerSimRound beeps — the O(D + something)·Δ·log n shape.
-	if res.BeepRounds > (g.Diameter()+2)*runner.Params().RoundsPerSimRound() {
+	if res.BeepRounds > (g.Diameter()+2)*params.RoundsPerSimRound() {
 		t.Errorf("BFS used %d beep rounds, want ≤ %d",
-			res.BeepRounds, (g.Diameter()+2)*runner.Params().RoundsPerSimRound())
+			res.BeepRounds, (g.Diameter()+2)*params.RoundsPerSimRound())
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/graph"
-	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
@@ -361,67 +360,4 @@ func Size(outputs []int) int {
 		}
 	}
 	return matched / 2
-}
-
-// CentralizedLuby runs Algorithm 2 (Luby's algorithm on edges) directly on
-// g: each surviving edge samples a value, local minima join the matching,
-// and matched endpoints drop out. It returns outputs in the same format as
-// the distributed algorithm and the number of iterations used.
-func CentralizedLuby(g *graph.Graph, r *rng.Stream, maxIters int) ([]int, int) {
-	out := make([]int, g.N())
-	for v := range out {
-		out[v] = Unmatched
-	}
-	aliveEdges := g.Edges()
-	iters := 0
-	for len(aliveEdges) > 0 && iters < maxIters {
-		iters++
-		vals := make(map[edge]uint64, len(aliveEdges))
-		for _, e := range aliveEdges {
-			vals[mkEdge(e[0], e[1])] = r.Uint64() & (1<<valueBits - 1)
-		}
-		matchedNow := make(map[int]bool)
-		for _, epair := range aliveEdges {
-			e := mkEdge(epair[0], epair[1])
-			p := proposal{e: e, val: vals[e]}
-			isMin := true
-			for _, fpair := range aliveEdges {
-				f := mkEdge(fpair[0], fpair[1])
-				if f == e || (f.lo != e.lo && f.lo != e.hi && f.hi != e.lo && f.hi != e.hi) {
-					continue
-				}
-				if (proposal{e: f, val: vals[f]}).less(p) {
-					isMin = false
-					break
-				}
-			}
-			if isMin && !matchedNow[e.lo] && !matchedNow[e.hi] {
-				out[e.lo], out[e.hi] = e.hi, e.lo
-				matchedNow[e.lo], matchedNow[e.hi] = true, true
-			}
-		}
-		var next [][2]int
-		for _, e := range aliveEdges {
-			if out[e[0]] == Unmatched && out[e[1]] == Unmatched {
-				next = append(next, e)
-			}
-		}
-		aliveEdges = next
-	}
-	return out, iters
-}
-
-// Greedy returns a simple sequential maximal matching, the baseline
-// verifier oracle.
-func Greedy(g *graph.Graph) []int {
-	out := make([]int, g.N())
-	for v := range out {
-		out[v] = Unmatched
-	}
-	for _, e := range g.Edges() {
-		if out[e[0]] == Unmatched && out[e[1]] == Unmatched {
-			out[e[0]], out[e[1]] = e[1], e[0]
-		}
-	}
-	return out
 }

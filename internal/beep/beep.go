@@ -16,14 +16,14 @@
 //
 // Two execution paths are provided: a generic round-by-round driver for
 // arbitrary Programs (Run), and a word-parallel batch path for protocols
-// whose beep pattern over a window is fixed up front (RunPhase) — the shape
-// of Algorithm 1's two phases. The two paths are observationally
+// whose beep pattern over a window is fixed up front (RunPhaseInto) — the
+// shape of Algorithm 1's two phases. The two paths are observationally
 // equivalent; TestRunPhaseEquivalence asserts bit-for-bit agreement.
 //
 // Both paths execute their per-node phases on the deterministic sharded
 // worker pool of internal/engine: Run propagates each round's beeps
 // through the graph's CSR rows as one bitset OR (graph.NeighborhoodOr)
-// rather than per-listener neighbor scans, and RunPhase computes each
+// rather than per-listener neighbor scans, and RunPhaseInto computes each
 // node's windowed reception word-parallel over 64 rounds at a time.
 // Because every node's reception depends only on the previous beep vector
 // and its private noise stream, runs are bit-identical for every
@@ -110,8 +110,8 @@ type Params struct {
 	// retrievable via Network.BeepHistory (used by the lower-bound
 	// transcript experiments).
 	RecordBeeps bool
-	// Workers sets the number of goroutines Run and RunPhase use for the
-	// per-node step/receive phases (0 or 1 = serial,
+	// Workers sets the number of goroutines Run and RunPhaseInto use for
+	// the per-node step/receive phases (0 or 1 = serial,
 	// engine.AutoWorkers = GOMAXPROCS). Results are bit-identical to the
 	// serial path: per-node noise streams are independent and shards are
 	// word-aligned, so each worker writes only its own nodes.
@@ -140,8 +140,8 @@ type netMetrics struct {
 }
 
 // Network is a beeping network over a fixed graph. It maintains a global
-// round counter across Run and RunPhase calls so that channel noise is a
-// single reproducible stream per node regardless of how execution is
+// round counter across Run and RunPhaseInto calls so that channel noise is
+// a single reproducible stream per node regardless of how execution is
 // batched.
 type Network struct {
 	g      *graph.Graph
@@ -240,15 +240,9 @@ func NewNetwork(g *graph.Graph, params Params) (*Network, error) {
 	return nw, nil
 }
 
-// Graph returns the underlying graph.
-func (nw *Network) Graph() *graph.Graph { return nw.g }
-
 // Pool returns the network's execution pool (for callers that stage their
 // own per-node phases, such as the Algorithm 1 runner's decode step).
 func (nw *Network) Pool() *engine.Pool { return nw.pool }
-
-// Round returns the absolute number of rounds executed so far.
-func (nw *Network) Round() int { return nw.round }
 
 // TotalBeeps returns the total energy spent (number of beeps) so far.
 func (nw *Network) TotalBeeps() int64 { return nw.totalBeeps }
@@ -380,39 +374,22 @@ func (nw *Network) hearRange(progs []Program, beeped, heard *bitstring.BitString
 	}
 }
 
-// RunPhase executes a fixed transmission window: node v beeps exactly at
-// the 1-positions of patterns[v] (nil means silent throughout) and listens
-// otherwise. It returns, for each node, the bits received over the window
-// under the model's reception and noise rules. All non-nil patterns must
-// share one length.
+// RunPhaseInto executes a fixed transmission window: node v beeps exactly
+// at the 1-positions of patterns[v] (nil means silent throughout) and
+// listens otherwise. It writes, for each node, the bits received over the
+// window under the model's reception and noise rules into dst[v] (fully
+// overwritten). All non-nil patterns must share one length, and every
+// dst[v] must be non-nil with the window's length, so steady-state callers
+// — the Algorithm 1 runner's two phases per simulated round — reuse one
+// set of reception buffers and the phase allocates nothing.
 //
-// RunPhase is semantically identical to Run with per-pattern transmit
+// The window is semantically identical to Run with per-pattern transmit
 // programs but runs word-parallel: the OR over the inclusive neighborhood
 // is computed 64 rounds at a time over the CSR rows, and noise is applied
 // by enumerating flip positions with a geometric sampler. The per-node
-// receptions are computed on the network's sharded pool.
-func (nw *Network) RunPhase(patterns []*bitstring.BitString) ([]*bitstring.BitString, error) {
-	length, err := nw.phaseLength(patterns)
-	if err != nil {
-		return nil, err
-	}
-	received := make([]*bitstring.BitString, len(patterns))
-	for v := range received {
-		received[v] = bitstring.New(length)
-	}
-	if err := nw.RunPhaseInto(patterns, received); err != nil {
-		return nil, err
-	}
-	return received, nil
-}
-
-// RunPhaseInto is RunPhase writing each node's reception into the
-// caller-provided dst[v] (fully overwritten), so steady-state callers —
-// the Algorithm 1 runner's two phases per simulated round — reuse one set
-// of reception buffers and the phase allocates nothing. Every dst[v] must
-// be non-nil with the window's length. Patterns are read-only and may
-// alias shared codeword masks; patterns[v] and dst[v] must not alias each
-// other.
+// receptions are computed on the network's sharded pool. Patterns are
+// read-only and may alias shared codeword masks; patterns[v] and dst[v]
+// must not alias each other.
 func (nw *Network) RunPhaseInto(patterns, dst []*bitstring.BitString) error {
 	n := nw.g.N()
 	length, err := nw.phaseLength(patterns)

@@ -1,82 +1,5 @@
 package beep
 
-import "repro/internal/bitstring"
-
-// Transmitter is a Program that beeps a fixed pattern and records what it
-// hears. It is the round-by-round twin of one RunPhase window, used by the
-// equivalence tests and available as a building block.
-type Transmitter struct {
-	// Pattern is the beep schedule; nil means silent throughout Rounds.
-	Pattern *bitstring.BitString
-	// Rounds is the window length (defaults to Pattern length).
-	Rounds int
-
-	heard *bitstring.BitString
-	done  bool
-}
-
-// Init implements Program.
-func (tx *Transmitter) Init(Env) {
-	if tx.Rounds == 0 && tx.Pattern != nil {
-		tx.Rounds = tx.Pattern.Len()
-	}
-	tx.heard = bitstring.New(tx.Rounds)
-	tx.done = tx.Rounds == 0
-}
-
-// Step implements Program.
-func (tx *Transmitter) Step(round int) Action {
-	if tx.Pattern != nil && round < tx.Pattern.Len() && tx.Pattern.Get(round) {
-		return Beep
-	}
-	return Listen
-}
-
-// Hear implements Program.
-func (tx *Transmitter) Hear(round int, bit bool) {
-	if bit {
-		tx.heard.Set(round)
-	}
-	if round == tx.Rounds-1 {
-		tx.done = true
-	}
-}
-
-// Done implements Program.
-func (tx *Transmitter) Done() bool { return tx.done }
-
-// Output returns the heard bitstring.
-func (tx *Transmitter) Output() any { return tx.heard }
-
-// Heard returns the received bits (valid after the run).
-func (tx *Transmitter) Heard() *bitstring.BitString { return tx.heard }
-
-// NextWake implements QuietProgram: a transmitter acts on its own only at
-// its pattern's beep rounds and at its final round (whose Hear marks it
-// done); everything else is reactive listening the sparse driver supplies
-// on demand.
-func (tx *Transmitter) NextWake(round int) int {
-	if tx.done {
-		return NoWake
-	}
-	if tx.Pattern != nil {
-		for r := round + 1; r < tx.Pattern.Len(); r++ {
-			if tx.Pattern.Get(r) {
-				return r
-			}
-		}
-	}
-	if last := tx.Rounds - 1; last > round {
-		return last
-	}
-	return round + 1
-}
-
-var (
-	_ Program      = (*Transmitter)(nil)
-	_ QuietProgram = (*Transmitter)(nil)
-)
-
 // AlarmFlood is the "beep wave" primitive of Ghaffari & Haeupler for the
 // noiseless model: the source beeps in its first active round; every other
 // node relays the first beep it hears one round later and then stops. In a

@@ -20,6 +20,8 @@ import (
 // maximum ID in its component.
 //
 // Noiseless model; DBound must upper-bound the diameter (n always works).
+// No workload runs this native election (the leader workload runs over
+// CONGEST); it lives beside the tests that check it.
 type LeaderElection struct {
 	// DBound is the per-phase wave budget (default N).
 	DBound int

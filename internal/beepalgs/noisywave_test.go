@@ -24,7 +24,8 @@ import (
 //
 // This is an extension beyond the paper's toolbox (it only states the
 // noiseless beep-wave bound); it demonstrates that the §1.2 primitives
-// compose with the same noise defenses as the main construction.
+// compose with the same noise defenses as the main construction. No
+// workload runs it; it lives beside the tests that check it.
 type NoisyWaveBroadcast struct {
 	// Source marks the broadcaster; Message/Bits its payload.
 	Source  bool

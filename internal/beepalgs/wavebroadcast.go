@@ -177,21 +177,6 @@ func (wb *WaveBroadcast) Output() any {
 	return wb.received
 }
 
-// NewWaveBroadcast returns per-node programs: node source broadcasts the
-// given message, everyone else listens and relays.
-func NewWaveBroadcast(n, source int, msg []byte, bits, dBound int) []beep.Program {
-	progs := make([]beep.Program, n)
-	for v := range progs {
-		progs[v] = &WaveBroadcast{
-			Source:  v == source,
-			Message: msg,
-			Bits:    bits,
-			DBound:  dBound,
-		}
-	}
-	return progs
-}
-
 // RunWaveBroadcast executes the protocol on a noiseless network and
 // returns each node's decoded message.
 func RunWaveBroadcast(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint64) ([][]byte, int, error) {

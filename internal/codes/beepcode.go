@@ -1,8 +1,9 @@
 // Package codes implements the binary codes of the paper's §2: beep codes
 // (Definition 3, the novel superimposed codes built by Theorem 4), distance
-// codes (Definition 5 / Lemma 6), the combined code CD(r,m) of Notation 7
-// (Figure 1), and the classic Kautz–Singleton superimposed code that the
-// paper's §1.4 argues is too long for this application.
+// codes (Definition 5 / Lemma 6), a text rendering of the combined code
+// CD(r,m) of Notation 7 (Figure 1), and the parameters of the classic
+// Kautz–Singleton superimposed code that the paper's §1.4 argues is too
+// long for this application.
 //
 // Two beep-code families are provided:
 //
@@ -39,32 +40,24 @@ type BeepCode interface {
 	// Position returns the absolute position of the i-th 1 (0 <= i < W)
 	// of codeword cw (0 <= cw < M).
 	Position(cw, i int) int
-	// Codeword materializes codeword cw as a bitstring.
-	Codeword(cw int) *bitstring.BitString
 }
 
 // BlockedBeepCode is the O(1)-lookup beep code: length W·BlockSize, one 1
 // per block, offsets derived from a public seed. Two distinct codewords
 // collide in each block independently with probability 1/BlockSize.
 //
-// The PRG hash behind Offset is paid once, at construction: the code
-// carries flat per-codeword position and offset tables, cached codeword
-// masks (Mask), and — built lazily on first use — per-block offset→codeword
-// collision buckets (Bucket). These read-only tables are what make the §4
+// The PRG hash behind the offsets is paid once, at construction: the code
+// carries flat per-codeword position and offset tables and cached
+// codeword masks (Mask). These read-only tables are what make the §4
 // decoder's hot path word-parallel and hash-free.
 type BlockedBeepCode struct {
 	weight    int
 	blockSize int
 	m         int
-	seed      uint64
 
 	positions []int32                // flat m×weight: Position(cw, i) = positions[cw*weight+i]
-	offsets   []int32                // flat m×weight: Offset(cw, i) = offsets[cw*weight+i]
+	offsets   []int32                // flat m×weight: OffsetRow(cw)[i] = offsets[cw*weight+i]
 	masks     []*bitstring.BitString // cached codewords, shared read-only
-
-	collideOnce sync.Once
-	bucketStart []int32 // CSR over (block, offset) cells, length weight·blockSize+1
-	bucketCW    []int32 // codewords grouped by cell, ascending within each
 }
 
 // NewBlockedBeepCode constructs a blocked beep code with the given weight
@@ -74,7 +67,7 @@ func NewBlockedBeepCode(weight, blockSize, m int, seed uint64) (*BlockedBeepCode
 		return nil, fmt.Errorf("codes: invalid blocked beep code (weight=%d blockSize=%d m=%d)",
 			weight, blockSize, m)
 	}
-	c := &BlockedBeepCode{weight: weight, blockSize: blockSize, m: m, seed: seed}
+	c := &BlockedBeepCode{weight: weight, blockSize: blockSize, m: m}
 	c.positions = make([]int32, m*weight)
 	c.offsets = make([]int32, m*weight)
 	c.masks = make([]*bitstring.BitString, m)
@@ -100,23 +93,8 @@ func (c *BlockedBeepCode) Length() int { return c.weight * c.blockSize }
 // Weight returns W.
 func (c *BlockedBeepCode) Weight() int { return c.weight }
 
-// BlockSize returns the number of positions per block.
-func (c *BlockedBeepCode) BlockSize() int { return c.blockSize }
-
 // NumCodewords returns M.
 func (c *BlockedBeepCode) NumCodewords() int { return c.m }
-
-// Offset returns the within-block offset of codeword cw's 1 in block i.
-func (c *BlockedBeepCode) Offset(cw, i int) int {
-	return int(c.offsets[cw*c.weight+i])
-}
-
-// HashOffset recomputes Offset(cw, i) from the PRG definition, bypassing
-// the cached tables. It is the definitional source the construction (and
-// the table-consistency tests) check against.
-func (c *BlockedBeepCode) HashOffset(cw, i int) int {
-	return int(rng.Mix(c.seed, uint64(cw), uint64(i)) % uint64(c.blockSize))
-}
 
 // Position returns the absolute position of codeword cw's 1 in block i.
 func (c *BlockedBeepCode) Position(cw, i int) int {
@@ -144,47 +122,6 @@ func (c *BlockedBeepCode) Mask(cw int) *bitstring.BitString {
 // Codeword materializes codeword cw as an independent copy.
 func (c *BlockedBeepCode) Codeword(cw int) *bitstring.BitString {
 	return c.masks[cw].Clone()
-}
-
-// Bucket returns the codewords whose 1 in block i sits at offset off, in
-// ascending order — the collision table cell the decoder's solo-mask
-// builder walks. The underlying CSR tables are built once, on first call
-// (construction stays cheap for codes that never decode), and are shared
-// read-only afterwards.
-func (c *BlockedBeepCode) Bucket(i, off int) []int32 {
-	c.collideOnce.Do(c.buildBuckets)
-	cell := i*c.blockSize + off
-	return c.bucketCW[c.bucketStart[cell]:c.bucketStart[cell+1]]
-}
-
-// buildBuckets counting-sorts every codeword into its (block, offset)
-// cell: one pass to size the cells, one to fill them. Codewords land in
-// ascending order within each cell because the fill pass scans them in
-// order.
-func (c *BlockedBeepCode) buildBuckets() {
-	cells := c.weight * c.blockSize
-	start := make([]int32, cells+1)
-	for cw := 0; cw < c.m; cw++ {
-		row := cw * c.weight
-		for i := 0; i < c.weight; i++ {
-			start[i*c.blockSize+int(c.offsets[row+i])+1]++
-		}
-	}
-	for cell := 0; cell < cells; cell++ {
-		start[cell+1] += start[cell]
-	}
-	cws := make([]int32, c.m*c.weight)
-	next := make([]int32, cells)
-	copy(next, start[:cells])
-	for cw := 0; cw < c.m; cw++ {
-		row := cw * c.weight
-		for i := 0; i < c.weight; i++ {
-			cell := i*c.blockSize + int(c.offsets[row+i])
-			cws[next[cell]] = int32(cw)
-			next[cell]++
-		}
-	}
-	c.bucketStart, c.bucketCW = start, cws
 }
 
 var _ BeepCode = (*BlockedBeepCode)(nil)
@@ -293,19 +230,8 @@ func (c *RandomBeepCode) NumCodewords() int { return c.m }
 // Position returns the position of the i-th 1 of codeword cw.
 func (c *RandomBeepCode) Position(cw, i int) int { return int(c.positions[cw*c.weight+i]) }
 
-// PositionRow returns codeword cw's sorted positions as a shared
-// read-only slice into the code's flat position table.
-func (c *RandomBeepCode) PositionRow(cw int) []int32 {
-	return c.positions[cw*c.weight : (cw+1)*c.weight : (cw+1)*c.weight]
-}
-
 // Mask returns codeword cw as a cached bitstring, shared and read-only.
 func (c *RandomBeepCode) Mask(cw int) *bitstring.BitString { return c.masks[cw] }
-
-// Codeword materializes codeword cw as an independent copy.
-func (c *RandomBeepCode) Codeword(cw int) *bitstring.BitString {
-	return c.masks[cw].Clone()
-}
 
 var _ BeepCode = (*RandomBeepCode)(nil)
 
@@ -371,24 +297,4 @@ func SuperimpositionCheck(c BeepCode, k, d, trials int, r *rng.Stream) (badFract
 		}
 	}
 	return float64(bad) / float64(trials), nil
-}
-
-// PairwiseIntersection returns 1(C(a) ∧ C(b)) by merging position lists.
-func PairwiseIntersection(c BeepCode, a, b int) int {
-	count := 0
-	i, j := 0, 0
-	for i < c.Weight() && j < c.Weight() {
-		pa, pb := c.Position(a, i), c.Position(b, j)
-		switch {
-		case pa == pb:
-			count++
-			i++
-			j++
-		case pa < pb:
-			i++
-		default:
-			j++
-		}
-	}
-	return count
 }

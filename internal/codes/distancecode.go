@@ -8,28 +8,6 @@ import (
 	"repro/internal/wire"
 )
 
-// DistanceCode encodes fixed-width messages into codewords far apart in
-// Hamming distance (Definition 5), decoded from partially-trusted
-// observations.
-//
-// Decode receives the observed bits obs (one per codeword position) and a
-// reliability mask solo: position j is "solo" when the §4 analysis
-// guarantees it carries only the sender's bit plus channel noise (no other
-// neighbor of the listener beeps there). Decoders weight solo positions and
-// fall back to the unreliable ones only when necessary.
-type DistanceCode interface {
-	// MessageBits returns the message width a in bits.
-	MessageBits() int
-	// Length returns the codeword length in bits.
-	Length() int
-	// Encode maps a message (little-endian bit packing, at least
-	// MessageBits bits significant) to its codeword.
-	Encode(msg []byte) *bitstring.BitString
-	// Decode estimates the transmitted message from observation obs with
-	// reliability mask solo. Both must have Length() bits.
-	Decode(obs, solo *bitstring.BitString) []byte
-}
-
 // RepetitionCode is the pipeline's practical distance code (substitution
 // #4 in DESIGN.md): each message bit is carried by Reps positions assigned
 // via a fixed pseudorandom permutation, and decoded by per-bit majority
@@ -70,40 +48,21 @@ func NewRepetitionCode(msgBits, reps int, seed uint64) (*RepetitionCode, error) 
 	return c, nil
 }
 
-// MessageBits returns the message width.
-func (c *RepetitionCode) MessageBits() int { return c.msgBits }
-
 // Length returns msgBits·reps.
 func (c *RepetitionCode) Length() int { return c.msgBits * c.reps }
-
-// Reps returns the number of positions per message bit.
-func (c *RepetitionCode) Reps() int { return c.reps }
 
 // BitFor returns the message bit index carried by codeword position pos —
 // the permutation table callers use to scatter an encoding without
 // materializing the intermediate codeword.
 func (c *RepetitionCode) BitFor(pos int) int { return int(c.bitFor[pos]) }
 
-// Encode maps msg to its codeword.
-func (c *RepetitionCode) Encode(msg []byte) *bitstring.BitString {
-	out := bitstring.New(c.Length())
-	for pos := range c.bitFor {
-		if wire.Bit(msg, int(c.bitFor[pos])) {
-			out.Set(pos)
-		}
-	}
-	return out
-}
-
-// Decode recovers the message bit-by-bit: majority over solo positions,
-// falling back to a one-sided-biased threshold over all positions for bits
-// with no solo coverage.
-func (c *RepetitionCode) Decode(obs, solo *bitstring.BitString) []byte {
-	return c.DecodeInto(obs, solo, make([]byte, (c.msgBits+7)/8))
-}
-
-// DecodeInto is Decode writing into a caller-provided buffer, which must
-// hold ⌈MessageBits/8⌉ bytes; it is fully overwritten and returned.
+// DecodeInto recovers the message from obs, one observed bit per codeword
+// position, bit by bit: majority over the solo positions (those the §4
+// analysis guarantees carry only the sender's bit plus channel noise),
+// falling back to a one-sided-biased threshold over all positions for
+// bits with no solo coverage. It writes into out, which must hold
+// ⌈MessageBits/8⌉ bytes; out is fully overwritten and returned. It is the
+// unfused reference that DecodeScatteredInto is pinned against.
 func (c *RepetitionCode) DecodeInto(obs, solo *bitstring.BitString, out []byte) []byte {
 	out = out[:(c.msgBits+7)/8]
 	for i := range out {
@@ -147,8 +106,8 @@ func (c *RepetitionCode) DecodeInto(obs, solo *bitstring.BitString, out []byte) 
 // position j is read directly from transcript bit y[positions[j]]
 // instead of from a pre-gathered observation string, so the per-round
 // decode touches the transcript words once with no intermediate buffer.
-// It produces byte-identical output to GatherInto followed by
-// DecodeInto. positions must hold Length() in-range transcript indices;
+// It produces byte-identical output to DecodeInto on the gathered
+// observation. positions must hold Length() in-range transcript indices;
 // solo must have Length() bits; out must hold ⌈MessageBits/8⌉ bytes.
 func (c *RepetitionCode) DecodeScatteredInto(y *bitstring.BitString, positions []int32, solo *bitstring.BitString, out []byte) []byte {
 	out = out[:(c.msgBits+7)/8]
@@ -215,16 +174,14 @@ func (c *RepetitionCode) FallbackBits(solo *bitstring.BitString) int {
 	return fallbacks
 }
 
-var _ DistanceCode = (*RepetitionCode)(nil)
-
 // maxRandomCodeBits caps the message space of RandomDistanceCode; its
-// decoder and storage are exponential in the message width by design
-// (matching the paper's brute-force decoding).
+// storage is exponential in the message width by design (one codeword per
+// message, as the paper's brute-force decoding needs).
 const maxRandomCodeBits = 20
 
 // RandomDistanceCode is Lemma 6's construction: 2^a codewords of length b
-// with i.i.d. uniform bits, decoded by minimum Hamming distance restricted
-// to solo positions. Message spaces are capped at 2^20.
+// with i.i.d. uniform bits, whose minimum distance experiment T2 measures.
+// Message spaces are capped at 2^20.
 type RandomDistanceCode struct {
 	msgBits   int
 	length    int
@@ -254,40 +211,8 @@ func NewRandomDistanceCode(msgBits, length int, r *rng.Stream) (*RandomDistanceC
 	return c, nil
 }
 
-// MessageBits returns a.
-func (c *RandomDistanceCode) MessageBits() int { return c.msgBits }
-
 // Length returns b.
 func (c *RandomDistanceCode) Length() int { return c.length }
-
-// Encode maps msg to its codeword.
-func (c *RandomDistanceCode) Encode(msg []byte) *bitstring.BitString {
-	return c.codewords[c.index(msg)].Clone()
-}
-
-// Decode returns the message whose codeword minimizes Hamming distance to
-// obs over solo positions (ties broken toward the smaller message). If no
-// position is solo, the distance is taken over all positions.
-func (c *RandomDistanceCode) Decode(obs, solo *bitstring.BitString) []byte {
-	mask := solo
-	if solo.Ones() == 0 {
-		mask = solo.Not() // all positions
-	}
-	best, bestDist := 0, c.length+1
-	for i, cw := range c.codewords {
-		d := cw.Xor(obs).AndCount(mask)
-		if d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	out := make([]byte, (c.msgBits+7)/8)
-	for bit := 0; bit < c.msgBits; bit++ {
-		if best&(1<<uint(bit)) != 0 {
-			wire.SetBit(out, bit, true)
-		}
-	}
-	return out
-}
 
 // MinDistance computes the exact minimum pairwise Hamming distance of the
 // code, the quantity Lemma 6 lower-bounds by δb. It is quadratic in the
@@ -303,15 +228,3 @@ func (c *RandomDistanceCode) MinDistance() int {
 	}
 	return min
 }
-
-func (c *RandomDistanceCode) index(msg []byte) int {
-	idx := 0
-	for bit := 0; bit < c.msgBits; bit++ {
-		if wire.Bit(msg, bit) {
-			idx |= 1 << uint(bit)
-		}
-	}
-	return idx
-}
-
-var _ DistanceCode = (*RandomDistanceCode)(nil)

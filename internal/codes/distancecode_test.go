@@ -303,3 +303,73 @@ func TestFallbackBitsMatchesDecodeBranch(t *testing.T) {
 		t.Errorf("full solo: FallbackBits = %d, want 0", got)
 	}
 }
+
+// MessageBits returns the message width.
+func (c *RepetitionCode) MessageBits() int { return c.msgBits }
+
+// Reps returns the number of positions per message bit.
+func (c *RepetitionCode) Reps() int { return c.reps }
+
+// Encode maps msg to its codeword.
+func (c *RepetitionCode) Encode(msg []byte) *bitstring.BitString {
+	out := bitstring.New(c.Length())
+	for pos := range c.bitFor {
+		if wire.Bit(msg, int(c.bitFor[pos])) {
+			out.Set(pos)
+		}
+	}
+	return out
+}
+
+// Decode is DecodeInto with a freshly allocated message buffer.
+func (c *RepetitionCode) Decode(obs, solo *bitstring.BitString) []byte {
+	return c.DecodeInto(obs, solo, make([]byte, (c.msgBits+7)/8))
+}
+
+// MessageBits returns a.
+func (c *RandomDistanceCode) MessageBits() int { return c.msgBits }
+
+// Encode maps msg to its codeword.
+func (c *RandomDistanceCode) Encode(msg []byte) *bitstring.BitString {
+	return c.codewords[c.index(msg)].Clone()
+}
+
+// Decode returns the message whose codeword minimizes Hamming distance to
+// obs over solo positions (ties broken toward the smaller message). If no
+// position is solo, the distance is taken over all positions.
+func (c *RandomDistanceCode) Decode(obs, solo *bitstring.BitString) []byte {
+	mask := solo
+	if solo.Ones() == 0 {
+		mask = solo.Not() // all positions
+	}
+	best, bestDist := 0, c.length+1
+	for i, cw := range c.codewords {
+		// cw ⊕ obs, then its popcount under mask.
+		x := cw.Clone()
+		xw := x.Words()
+		for j, w := range obs.Words() {
+			xw[j] ^= w
+		}
+		d := x.AndCountLimit(mask, c.length+1)
+		if d < bestDist {
+			best, bestDist = i, d
+		}
+	}
+	out := make([]byte, (c.msgBits+7)/8)
+	for bit := 0; bit < c.msgBits; bit++ {
+		if best&(1<<uint(bit)) != 0 {
+			wire.SetBit(out, bit, true)
+		}
+	}
+	return out
+}
+
+func (c *RandomDistanceCode) index(msg []byte) int {
+	idx := 0
+	for bit := 0; bit < c.msgBits; bit++ {
+		if wire.Bit(msg, bit) {
+			idx |= 1 << uint(bit)
+		}
+	}
+	return idx
+}

@@ -1,6 +1,7 @@
 package codes
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -184,4 +185,122 @@ func TestKautzSingletonDecodeBeyondCoverFreeMayOverreport(t *testing.T) {
 			t.Fatalf("decoder missed transmitted codeword %d", cw)
 		}
 	}
+}
+
+// KautzSingleton is the classic superimposed code of Kautz & Singleton
+// (1964), built from Reed–Solomon codewords mapped to one-hot blocks: a
+// codeword is a polynomial p of degree < Deg over F_Q, and block i of the
+// binary codeword is the one-hot encoding of p(i) in [Q]. Length is Q², the
+// codebook has Q^Deg codewords, every codeword has weight Q, and two
+// distinct codewords intersect in at most Deg−1 positions, so the code is
+// k-cover-free for k ≤ (Q−Deg)/(Deg−1) … in particular for
+// k < (Q−1)/(Deg−1).
+//
+// The paper's §1.4 uses this construction to show why classic superimposed
+// codes give Θ(Δ² log n) phase lengths and hence no improvement.
+// Experiment T1 needs only the length q² that KSParamsFor sizes; the code
+// itself lives here, where the tests check the cover-free property that
+// sizing relies on.
+type KautzSingleton struct {
+	q   int
+	deg int
+	m   int
+}
+
+// NewKautzSingleton builds the code with field size q (must be prime) and
+// polynomial degree bound deg >= 1. The codebook size q^deg is capped at
+// 2^26 to keep experiments bounded.
+func NewKautzSingleton(q, deg int) (*KautzSingleton, error) {
+	if !IsPrime(q) {
+		return nil, fmt.Errorf("codes: Kautz–Singleton field size %d is not prime", q)
+	}
+	if deg < 1 {
+		return nil, fmt.Errorf("codes: Kautz–Singleton degree bound %d < 1", deg)
+	}
+	m := 1
+	for i := 0; i < deg; i++ {
+		if m > (1<<26)/q {
+			return nil, fmt.Errorf("codes: Kautz–Singleton codebook q^deg = %d^%d too large", q, deg)
+		}
+		m *= q
+	}
+	return &KautzSingleton{q: q, deg: deg, m: m}, nil
+}
+
+// Length returns Q².
+func (c *KautzSingleton) Length() int { return c.q * c.q }
+
+// Weight returns Q (one position per block).
+func (c *KautzSingleton) Weight() int { return c.q }
+
+// NumCodewords returns Q^Deg.
+func (c *KautzSingleton) NumCodewords() int { return c.m }
+
+// Q returns the field size.
+func (c *KautzSingleton) Q() int { return c.q }
+
+// CoverFreeK returns the largest k for which the code is guaranteed
+// k-cover-free: k distinct codewords can cover at most k·(Deg−1) of another
+// codeword's Q positions, so decodability holds while k·(Deg−1) < Q.
+func (c *KautzSingleton) CoverFreeK() int {
+	if c.deg == 1 {
+		return c.m - 1 // disjoint codewords: any union of others misses all Q positions
+	}
+	return (c.q - 1) / (c.deg - 1)
+}
+
+// Position returns the absolute position of codeword cw's 1 in block i:
+// i·Q + p_cw(i) where p_cw is cw's polynomial (base-Q digits of cw as
+// coefficients).
+func (c *KautzSingleton) Position(cw, i int) int {
+	return i*c.q + c.eval(cw, i)
+}
+
+// Codeword materializes codeword cw.
+func (c *KautzSingleton) Codeword(cw int) *bitstring.BitString {
+	s := bitstring.New(c.Length())
+	for i := 0; i < c.q; i++ {
+		s.Set(c.Position(cw, i))
+	}
+	return s
+}
+
+// eval evaluates cw's polynomial at point x via Horner's rule; the base-Q
+// digits of cw are the coefficients, most significant first.
+func (c *KautzSingleton) eval(cw, x int) int {
+	coeffs := make([]int, c.deg)
+	for i := 0; i < c.deg; i++ {
+		coeffs[i] = cw % c.q
+		cw /= c.q
+	}
+	v := 0
+	for i := c.deg - 1; i >= 0; i-- {
+		v = (v*x + coeffs[i]) % c.q
+	}
+	return v
+}
+
+var _ BeepCode = (*KautzSingleton)(nil)
+
+// DecodeSuperimposition returns every codeword whose Q positions are all
+// covered by sup. The k-cover-free property makes this exact for
+// superimpositions of at most CoverFreeK codewords: any outside codeword
+// has at least one uncovered position. This is the classic group-testing
+// decoder the paper's beep codes relax (they tolerate a vanishing fraction
+// of failures in exchange for Θ(k/ log)-factor shorter length).
+func (c *KautzSingleton) DecodeSuperimposition(sup *bitstring.BitString) []int {
+	var out []int
+	for cw := 0; cw < c.m; cw++ {
+		covered := true
+		for i := 0; i < c.q; i++ {
+			if !sup.Get(c.Position(cw, i)) {
+				covered = false
+				break
+			}
+		}
+		if covered {
+			out = append(out, cw)
+		}
+	}
+	return out
 }

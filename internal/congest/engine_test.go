@@ -8,34 +8,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Directed is a CONGEST message addressed to a neighbor by node ID.
-type Directed struct {
-	To  int
-	Msg Message
-}
-
-// Incoming is a received CONGEST message with sender attribution.
-type Incoming struct {
-	From int
-	Msg  Message
-}
-
-// Algorithm is a per-node program for the CONGEST model. Init receives the
-// node's neighbor IDs (CONGEST nodes know who their neighbors are; under
-// beep-level simulation the same information is obtained by one discovery
-// round, per Corollary 12). Send may return at most one message per
-// neighbor per round.
-//
-// As with BroadcastAlgorithm, distinct nodes' callbacks may run
-// concurrently when the engine has multiple workers: keep mutable state
-// per node and use only Env.Rng for randomness.
-type Algorithm interface {
-	Init(env Env, neighbors []int)
-	Send(round int) []Directed
-	Receive(round int, in []Incoming)
-	Done() bool
-	Output() any
-}
+// The addressed-CONGEST engine below is the native reference these tests
+// pin the Directed/Incoming/Algorithm contract with; production runs
+// CONGEST algorithms through core.WrapCongest (Corollary 12).
 
 // Engine runs CONGEST algorithms natively.
 type Engine struct {
@@ -97,7 +72,7 @@ func (e *Engine) Run(algs []Algorithm, maxRounds int) (*Result, error) {
 	outs := make([][]Directed, n)
 	done := func(v int) bool { return algs[v].Done() }
 	rounds, allDone, err := e.pool.Loop(n, maxRounds, done, func(round int) error {
-		count, err := e.pool.SumErr(n, func(s engine.Span) (int64, error) {
+		send := func(s engine.Span) (int64, error) {
 			var sends int64
 			for v := s.Lo; v < s.Hi; v++ {
 				a := algs[v]
@@ -127,9 +102,20 @@ func (e *Engine) Run(algs []Algorithm, maxRounds int) (*Result, error) {
 				sends += int64(len(out))
 			}
 			return sends, nil
+		}
+		// One slot per span; the lowest-numbered failing span's error is
+		// the one a serial vertex loop would have hit first.
+		counts := make([]int64, e.pool.NumShards(n))
+		errs := make([]error, len(counts))
+		e.pool.Do(n, func(s engine.Span) {
+			counts[s.Index], errs[s.Index] = send(s)
 		})
-		if err != nil {
-			return err
+		var count int64
+		for i, err := range errs {
+			if err != nil {
+				return err
+			}
+			count += counts[i]
 		}
 		e.pool.Do(n, func(s engine.Span) {
 			for v := s.Lo; v < s.Hi; v++ {

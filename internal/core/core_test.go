@@ -166,7 +166,7 @@ func TestNativeEquivalenceNoiseless(t *testing.T) {
 				v, nativeRes.Outputs[v], simRes.Outputs[v])
 		}
 	}
-	if want := simRes.SimRounds * runner.Params().RoundsPerSimRound(); simRes.BeepRounds != want {
+	if want := simRes.SimRounds * runner.cfg.Params.RoundsPerSimRound(); simRes.BeepRounds != want {
 		t.Errorf("BeepRounds = %d, want %d", simRes.BeepRounds, want)
 	}
 }

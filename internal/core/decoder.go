@@ -42,17 +42,6 @@ type decoder struct {
 
 	theta    int // MembershipThreshold, cached
 	msgBytes int // ⌈MsgBits/8⌉
-
-	// useBuckets selects how solo masks find offset collisions among the
-	// decoded members: walking the code's (block, offset) collision
-	// buckets, or a counting pass over the members' offset rows
-	// (O(members·W) total for every mask at once). Both produce identical
-	// masks (the property tests cover each); benchmarks favor the
-	// counting pass even where buckets average under two entries — the
-	// CSR double-indexing costs more than the three sequential row
-	// passes — so production decoding keeps useBuckets off and the bucket
-	// walk remains as the collision-table reference path.
-	useBuckets bool
 }
 
 func newDecoder(p Params) (*decoder, error) {
@@ -91,7 +80,6 @@ func newDecoder(p Params) (*decoder, error) {
 		stageAWordSweep: stageABits/64 <= 4*probes,
 		theta:           p.MembershipThreshold(),
 		msgBytes:        (p.MsgBits + 7) / 8,
-		useBuckets:      false, // counting pass wins in benchmarks; see field doc
 	}, nil
 }
 
@@ -119,9 +107,6 @@ func BuildCodes(p Params) (*Codes, error) {
 	return &Codes{p: p, dec: dec}, nil
 }
 
-// Params returns the parameterization the tables were built for.
-func (c *Codes) Params() Params { return c.p }
-
 // decodeScratch holds a decoder's per-worker mutable state, so that
 // steady-state decoding allocates nothing. Each concurrent decode needs
 // its own scratch (the runner keeps one per execution-pool shard); the
@@ -139,19 +124,13 @@ type decodeScratch struct {
 	tags   []uint64 // len BlockSize
 	counts []int32  // len BlockSize
 	tick   uint64
-	stamp  []int32 // member stamps indexed by codeword (bucket path), len M
-	gen    int32
 }
 
 func (d *decoder) newScratch() *decodeScratch {
-	sc := &decodeScratch{}
-	if d.useBuckets {
-		sc.stamp = make([]int32, d.p.M)
-	} else {
-		sc.tags = make([]uint64, d.p.BlockSize())
-		sc.counts = make([]int32, d.p.BlockSize())
+	return &decodeScratch{
+		tags:   make([]uint64, d.p.BlockSize()),
+		counts: make([]int32, d.p.BlockSize()),
 	}
-	return sc
 }
 
 // ensureMembers sizes the per-member scratch rows for k members.
@@ -207,10 +186,8 @@ func (d *decoder) soloMasks(members []int, sc *decodeScratch) {
 	if len(members) < 2 {
 		return
 	}
-	if d.useBuckets {
-		d.soloMasksBuckets(members, sc)
-		return
-	}
+	// A counting pass over the members' offset rows finds every
+	// collision at once, O(members·W) for all masks.
 	for i, cw := range members {
 		sc.rows[i] = d.code.OffsetRow(cw)
 		sc.soloW[i] = sc.solos[i].Words()
@@ -235,34 +212,6 @@ func (d *decoder) soloMasks(members []int, sc *decodeScratch) {
 		for i := range members {
 			if counts[rows[i][j]] > 1 {
 				sc.soloW[i][wi] &= mask
-			}
-		}
-	}
-}
-
-// soloMasksBuckets is the collision-table variant of soloMasks: member i
-// loses block j iff the (j, offset) bucket holds another stamped member.
-func (d *decoder) soloMasksBuckets(members []int, sc *decodeScratch) {
-	sc.gen++
-	if sc.gen <= 0 { // overflow: invalidate every stamp and restart
-		for i := range sc.stamp {
-			sc.stamp[i] = 0 // 0 is never a generation (gen starts at 1)
-		}
-		sc.gen = 1
-	}
-	for _, cw := range members {
-		sc.stamp[cw] = sc.gen
-	}
-	w := d.p.W()
-	for i, cw := range members {
-		row := d.code.OffsetRow(cw)
-		solo := sc.solos[i]
-		for j := 0; j < w; j++ {
-			for _, other := range d.code.Bucket(j, int(row[j])) {
-				if int(other) != cw && sc.stamp[other] == sc.gen {
-					solo.ClearBit(j)
-					break
-				}
 			}
 		}
 	}
@@ -296,11 +245,4 @@ func (d *decoder) encodePhase2Into(cw int, msg []byte, out *bitstring.BitString)
 			out.Set(int(pos))
 		}
 	}
-}
-
-// encodePhase2 is encodePhase2Into with a freshly allocated pattern.
-func (d *decoder) encodePhase2(cw int, msg []byte) *bitstring.BitString {
-	out := bitstring.New(d.code.Length())
-	d.encodePhase2Into(cw, msg, out)
-	return out
 }

@@ -2,7 +2,7 @@ package core
 
 // The naive reference decoder: the pre-optimization §4 decoding logic,
 // kept verbatim as executable documentation. It derives every codeword
-// position from the PRG definition (codes.BlockedBeepCode.HashOffset) and
+// position from the PRG definition (refOffset) and
 // materializes observations bit by bit, so it shares none of the
 // optimized path's tables, masks, or scratch. The property tests below
 // pit the two against each other across randomized parameterizations —
@@ -16,9 +16,16 @@ import (
 	"repro/internal/rng"
 )
 
+// refOffset recomputes codeword cw's offset in block j from the PRG
+// definition the decoder's code is built on.
+func refOffset(d *decoder, cw, j int) int {
+	seed := rng.Mix(d.p.Seed, 0xc0de)
+	return int(rng.Mix(seed, uint64(cw), uint64(j)) % uint64(d.p.BlockSize()))
+}
+
 // refPosition recomputes Position(cw, j) from the hash definition.
 func refPosition(d *decoder, cw, j int) int {
-	return j*d.p.BlockSize() + d.code.HashOffset(cw, j)
+	return j*d.p.BlockSize() + refOffset(d, cw, j)
 }
 
 // refMembers is the pre-refactor members loop: stage-A prefix probes,
@@ -62,7 +69,7 @@ func refSoloMask(d *decoder, t int, members []int) *bitstring.BitString {
 			continue
 		}
 		for j := 0; j < w; j++ {
-			if d.code.HashOffset(s, j) == d.code.HashOffset(t, j) {
+			if refOffset(d, s, j) == refOffset(d, t, j) {
 				solo.ClearBit(j)
 			}
 		}
@@ -80,7 +87,7 @@ func refDecodeMessage(d *decoder, t int, y, solo *bitstring.BitString) []byte {
 			obs.Set(j)
 		}
 	}
-	return d.dist.Decode(obs, solo)
+	return d.dist.DecodeInto(obs, solo, make([]byte, d.msgBytes))
 }
 
 // randomDecoderParams draws a small but varied parameterization; M swings
@@ -161,20 +168,11 @@ func TestPropertyOptimizedMatchesNaive(t *testing.T) {
 		prior := r.SampleDistinct(p.M, 1+r.Intn(min(p.K, p.M)))
 		d.soloMasks(prior, sc)
 		d.soloMasks(members, sc)
-		db := *d
-		db.useBuckets = true
-		scb := db.newScratch()
-		db.soloMasks(prior, scb)
-		db.soloMasks(members, scb)
 		out := make([]byte, d.msgBytes)
 		for i, cw := range members {
 			wantSolo := refSoloMask(d, cw, members)
 			if !sc.solos[i].Equal(wantSolo) {
 				t.Logf("seed %d: counting solo mask of %d differs", seed, cw)
-				return false
-			}
-			if !scb.solos[i].Equal(wantSolo) {
-				t.Logf("seed %d: bucket solo mask of %d differs", seed, cw)
 				return false
 			}
 			got := d.decodeMessage(cw, y, sc.solos[i], out)
@@ -230,4 +228,11 @@ func TestScratchReuseIsStateless(t *testing.T) {
 			}
 		}
 	}
+}
+
+// encodePhase2 is encodePhase2Into with a freshly allocated pattern.
+func (d *decoder) encodePhase2(cw int, msg []byte) *bitstring.BitString {
+	out := bitstring.New(d.code.Length())
+	d.encodePhase2Into(cw, msg, out)
+	return out
 }

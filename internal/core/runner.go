@@ -234,9 +234,6 @@ func NewBroadcastRunner(g *graph.Graph, cfg RunnerConfig) (*BroadcastRunner, err
 	return r, nil
 }
 
-// Params returns the effective parameters (after defaulting).
-func (r *BroadcastRunner) Params() Params { return r.cfg.Params }
-
 // BeepHistory returns the recorded per-round beep patterns (nil unless
 // RunnerConfig.RecordBeeps was set).
 func (r *BroadcastRunner) BeepHistory() []*bitstring.BitString { return r.nw.BeepHistory() }

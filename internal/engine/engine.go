@@ -22,9 +22,10 @@
 // exactly this.
 //
 // Reductions preserve determinism the same way: Sum adds per-span partial
-// sums in span order, and DoErr reports the error of the lowest-numbered
-// failing span (callbacks return their first error in vertex order), which
-// is the error the serial loop would have hit first.
+// sums in span order, and an engine that validates per vertex keeps one
+// error slot per span and reports the lowest-numbered failing span's
+// (congest.Collector), which is the error the serial loop would have hit
+// first.
 package engine
 
 import (
@@ -257,29 +258,6 @@ func (p *Pool) DoMasked(n int, active func(lo, hi int) bool, fn func(Span)) {
 	wg.Wait()
 }
 
-// DoErr runs fn over every span and returns the error of the
-// lowest-numbered span that failed (nil if none did). Callbacks should
-// return their first error in vertex order; the reported error is then
-// exactly the one a serial vertex loop would have returned. All spans are
-// executed even when one fails, so callbacks must keep their writes valid
-// (slot writes are; the caller discards results on error anyway).
-func (p *Pool) DoErr(n int, fn func(Span) error) error {
-	numShards := p.NumShards(n)
-	if numShards == 0 {
-		return nil
-	}
-	errs := make([]error, numShards)
-	p.Do(n, func(s Span) {
-		errs[s.Index] = fn(s)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Sum runs fn over every span and returns the sum of the partial results,
 // accumulated in span order.
 func (p *Pool) Sum(n int, fn func(Span) int64) int64 {
@@ -296,33 +274,6 @@ func (p *Pool) Sum(n int, fn func(Span) int64) int64 {
 		total += v
 	}
 	return total
-}
-
-// SumErr combines Sum and DoErr: fn returns a partial sum and an error per
-// span; SumErr returns the span-ordered total and the error of the
-// lowest-numbered failing span (a failing span's partial sum is still
-// included, matching a serial loop that counts until it hits the error —
-// callers discard the total on error anyway).
-func (p *Pool) SumErr(n int, fn func(Span) (int64, error)) (int64, error) {
-	numShards := p.NumShards(n)
-	if numShards == 0 {
-		return 0, nil
-	}
-	parts := make([]int64, numShards)
-	errs := make([]error, numShards)
-	p.Do(n, func(s Span) {
-		parts[s.Index], errs[s.Index] = fn(s)
-	})
-	var total int64
-	for _, v := range parts {
-		total += v
-	}
-	for _, err := range errs {
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // AllDone reports whether done(v) holds for every v in [0, n). It scans

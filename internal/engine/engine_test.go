@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -98,25 +97,6 @@ func TestSumMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d shards=%d: Sum = %d, want %d", workers, shards, got, want)
 			}
 		}
-	}
-}
-
-func TestSumErrReportsLowestSpanError(t *testing.T) {
-	p := NewPool(4, 10)
-	const n = 640
-	// Every span past the first errors; the reported error must be the
-	// lowest-numbered span's — what a serial vertex loop would hit first.
-	_, err := p.SumErr(n, func(s Span) (int64, error) {
-		if s.Index >= 2 {
-			return 0, fmt.Errorf("span %d failed", s.Index)
-		}
-		return 0, nil
-	})
-	if err == nil || err.Error() != "span 2 failed" {
-		t.Fatalf("err = %v, want span 2's", err)
-	}
-	if err := p.DoErr(n, func(s Span) error { return nil }); err != nil {
-		t.Fatalf("DoErr with no failures = %v", err)
 	}
 }
 

@@ -1,0 +1,40 @@
+package graph
+
+// Graph helpers only this package's tests use.
+
+// Connected reports whether the graph is connected (vacuously true for
+// n <= 1).
+func (g *Graph) Connected() bool {
+	if g.n <= 1 {
+		return true
+	}
+	dist, _ := g.BFS(0)
+	for _, d := range dist {
+		if d == -1 {
+			return false
+		}
+	}
+	return true
+}
+
+// CompleteBinaryTree returns a complete binary tree on n vertices with
+// root 0 (vertex v has children 2v+1 and 2v+2 when present).
+func CompleteBinaryTree(n int) *Graph {
+	return mustBuild(n, CompleteBinaryTreeRows(n))
+}
+
+// CompleteBinaryTreeRows describes the complete binary tree on n vertices
+// rooted at 0 (children of v are 2v+1 and 2v+2).
+func CompleteBinaryTreeRows(n int) RowFunc {
+	return func(v int, emit func(u int32)) {
+		if v > 0 {
+			emit(int32((v - 1) / 2))
+		}
+		if 2*v+1 < n {
+			emit(int32(2*v + 1))
+		}
+		if 2*v+2 < n {
+			emit(int32(2*v + 2))
+		}
+	}
+}

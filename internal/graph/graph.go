@@ -25,12 +25,11 @@
 // form whose [lo,hi) slices the deterministic sharded worker pool of
 // internal/engine hands out; both forms compute the same bits.
 //
-// The default int32 offset representation bounds graphs to about 2
-// billion directed edges; FromRowFunc's BuildOptions.WideIndex opts into
-// int64 offsets past that capacity (neighbor entries always fit int32,
-// since vertex ids are bounded by MaxInt32 independently). Exceeding the
-// configured width is a typed *CapacityError on every construction path —
-// never a panic — so the sweep layer surfaces it as a scenario failure.
+// The int32 offset representation bounds graphs to about 2 billion
+// directed edges, and int32 neighbor entries bound them to MaxVertices
+// vertices. Exceeding either is a typed *CapacityError on every
+// construction path — never a panic — so the sweep layer surfaces it as a
+// scenario failure.
 package graph
 
 import (
@@ -46,35 +45,32 @@ import (
 	"repro/internal/rng"
 )
 
-// CapacityError reports a graph whose CSR arrays exceed the offset index
-// width in use: more than 2³¹−1 directed edges with the default int32
-// offsets (BuildOptions.WideIndex opts into int64), or a vertex count
-// beyond int32 ids (no wider id width exists). Every construction path —
-// FromEdges, FromRowFunc, Square — returns it instead of panicking, so
-// callers can surface an oversized graph as an input error.
+// MaxVertices is the vertex capacity of a Graph: vertex ids are int32
+// CSR entries.
+const MaxVertices = math.MaxInt32
+
+// CapacityError reports a graph whose CSR arrays exceed their int32
+// index width: more than 2³¹−1 directed edges, or more than MaxVertices
+// vertices. Every construction path — FromEdges, FromRowFunc, Square —
+// returns it instead of panicking, so callers can surface an oversized
+// graph as an input error.
 type CapacityError struct {
 	// Vertices and DirectedEdges describe the offending graph; the zero
 	// field is the one within capacity.
 	Vertices      int
 	DirectedEdges int64
-	// Wide reports whether the failed build had already opted into
-	// int64 offsets (then only the vertex-id width can overflow).
-	Wide bool
 }
 
 func (e *CapacityError) Error() string {
 	if e.Vertices != 0 {
 		return fmt.Sprintf("graph: %d vertices exceed the int32 CSR id capacity", e.Vertices)
 	}
-	if e.Wide {
-		return fmt.Sprintf("graph: %d directed edges overflow the CSR arrays", e.DirectedEdges)
-	}
-	return fmt.Sprintf("graph: %d directed edges exceed the int32 CSR offset capacity (BuildOptions.WideIndex opts into int64 offsets)", e.DirectedEdges)
+	return fmt.Sprintf("graph: %d directed edges exceed the int32 CSR offset capacity", e.DirectedEdges)
 }
 
 // maxOffset32 is the int32 offset capacity. A variable, not a constant,
-// so tests can exercise the overflow and width-promotion paths without
-// materializing multi-gigabyte graphs.
+// so tests can exercise the overflow paths without materializing
+// multi-gigabyte graphs.
 var maxOffset32 int64 = math.MaxInt32
 
 // Graph is an immutable simple undirected graph on vertices 0..n-1, stored
@@ -83,8 +79,7 @@ type Graph struct {
 	n      int
 	m      int
 	maxDeg int
-	off    []int32 // len n+1; row v is nbr[off[v]:off[v+1]] (nil when wide)
-	off64  []int64 // wide-index alternative to off (BuildOptions.WideIndex)
+	off    []int32 // len n+1; row v is nbr[off[v]:off[v+1]]
 	nbr    []int32 // concatenated sorted neighbor rows, len 2m
 
 	// d2once memoizes DistanceTwoColoring: the coloring is a pure
@@ -104,7 +99,7 @@ func FromEdges(n int, edges [][2]int) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	if n > math.MaxInt32 {
+	if n > MaxVertices {
 		return nil, &CapacityError{Vertices: n}
 	}
 	if int64(len(edges)) > maxOffset32/2 {
@@ -199,25 +194,14 @@ func (g *Graph) M() int { return g.m }
 
 // Degree returns the degree of v.
 func (g *Graph) Degree(v int) int {
-	if g.off64 != nil {
-		return int(g.off64[v+1] - g.off64[v])
-	}
 	return int(g.off[v+1] - g.off[v])
 }
-
-// WideIndex reports whether the graph uses int64 CSR offsets
-// (BuildOptions.WideIndex) instead of the default int32.
-func (g *Graph) WideIndex() bool { return g.off64 != nil }
 
 // Bytes returns the CSR memory footprint in bytes (neighbor array plus
 // offset table) — the number the sweep layer's graph-bytes gauge reports
 // when sizing large-n runs.
 func (g *Graph) Bytes() int64 {
-	b := int64(len(g.nbr)) * 4
-	if g.off64 != nil {
-		return b + int64(len(g.off64))*8
-	}
-	return b + int64(len(g.off))*4
+	return int64(len(g.nbr))*4 + int64(len(g.off))*4
 }
 
 // MaxDegree returns Δ, the maximum degree (cached at construction; the
@@ -228,9 +212,6 @@ func (g *Graph) MaxDegree() int { return g.maxDeg }
 // neighbor array. The slice aliases the graph and must not be modified.
 // This is the accessor the engines' hot loops use.
 func (g *Graph) Row(v int) []int32 {
-	if g.off64 != nil {
-		return g.nbr[g.off64[v]:g.off64[v+1]]
-	}
 	return g.nbr[g.off[v]:g.off[v+1]]
 }
 
@@ -301,21 +282,6 @@ func (g *Graph) BFS(root int) (dist, parent []int) {
 		}
 	}
 	return dist, parent
-}
-
-// Connected reports whether the graph is connected (vacuously true for
-// n <= 1).
-func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	dist, _ := g.BFS(0)
-	for _, d := range dist {
-		if d == -1 {
-			return false
-		}
-	}
-	return true
 }
 
 // Diameter returns the maximum eccentricity over connected vertex pairs
@@ -576,12 +542,6 @@ func Grid(rows, cols int) *Graph {
 // Hypercube returns the dim-dimensional hypercube on 2^dim vertices.
 func Hypercube(dim int) *Graph {
 	return mustBuild(1<<uint(dim), HypercubeRows(dim))
-}
-
-// CompleteBinaryTree returns a complete binary tree on n vertices with
-// root 0 (vertex v has children 2v+1 and 2v+2 when present).
-func CompleteBinaryTree(n int) *Graph {
-	return mustBuild(n, CompleteBinaryTreeRows(n))
 }
 
 // RandomRegular returns a random d-regular graph on n vertices via the

@@ -32,15 +32,7 @@ type BuildOptions struct {
 	// k > 1 uses k goroutines, and any negative value uses GOMAXPROCS.
 	// The built graph is byte-identical for every value.
 	Workers int
-	// WideIndex opts into int64 CSR offsets, lifting the 2³¹−1
-	// directed-edge capacity of the default int32 offset table at the
-	// cost of doubling the offset footprint.
-	WideIndex bool
 }
-
-// maxOffsetWide is the int64 offset capacity (a variable so tests can
-// exercise the wide-overflow branch without exabyte allocations).
-var maxOffsetWide int64 = math.MaxInt64
 
 // FromRowFunc builds a graph with n vertices from a streaming row
 // function via the two-pass degree-count→fill CSR builder. Capacity
@@ -51,7 +43,7 @@ func FromRowFunc(n int, rows RowFunc, opt BuildOptions) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	if n > math.MaxInt32 {
+	if n > MaxVertices {
 		return nil, &CapacityError{Vertices: n}
 	}
 	workers := opt.Workers
@@ -114,33 +106,20 @@ func FromRowFunc(n int, rows RowFunc, opt BuildOptions) (*Graph, error) {
 
 	// Prefix sum in int64, then capacity check before any O(m) allocation.
 	total := int64(0)
-	var off []int32
-	var off64 []int64
-	if opt.WideIndex {
-		off64 = make([]int64, n+1)
-		for v := 0; v < n; v++ {
-			total += int64(deg[v])
-			off64[v+1] = total
-		}
-		if total > maxOffsetWide {
-			return nil, &CapacityError{DirectedEdges: total, Wide: true}
-		}
-	} else {
-		for v := 0; v < n; v++ {
-			total += int64(deg[v])
-		}
-		if total > maxOffset32 {
-			return nil, &CapacityError{DirectedEdges: total}
-		}
-		off = make([]int32, n+1)
-		acc := int32(0)
-		for v := 0; v < n; v++ {
-			acc += deg[v]
-			off[v+1] = acc
-		}
+	for v := 0; v < n; v++ {
+		total += int64(deg[v])
+	}
+	if total > maxOffset32 {
+		return nil, &CapacityError{DirectedEdges: total}
+	}
+	off := make([]int32, n+1)
+	acc := int32(0)
+	for v := 0; v < n; v++ {
+		acc += deg[v]
+		off[v+1] = acc
 	}
 
-	g := &Graph{n: n, m: int(total / 2), off: off, off64: off64, nbr: make([]int32, total)}
+	g := &Graph{n: n, m: int(total / 2), off: off, nbr: make([]int32, total)}
 	for _, d := range maxDegs {
 		if d > g.maxDeg {
 			g.maxDeg = d
@@ -152,12 +131,7 @@ func FromRowFunc(n int, rows RowFunc, opt BuildOptions) (*Graph, error) {
 	// pass 1 is caught by the per-vertex bounds check.
 	runChunks(chunks, workers, func(ci int, lo, hi int) {
 		for v := lo; v < hi; v++ {
-			var pos, end int64
-			if off64 != nil {
-				pos, end = off64[v], off64[v+1]
-			} else {
-				pos, end = int64(off[v]), int64(off[v+1])
-			}
+			pos, end := int64(off[v]), int64(off[v+1])
 			rows(v, func(u int32) {
 				if pos < end {
 					g.nbr[pos] = u
@@ -351,22 +325,6 @@ func StarRows(n int) RowFunc {
 			}
 		} else {
 			emit(0)
-		}
-	}
-}
-
-// CompleteBinaryTreeRows describes the complete binary tree on n vertices
-// rooted at 0 (children of v are 2v+1 and 2v+2).
-func CompleteBinaryTreeRows(n int) RowFunc {
-	return func(v int, emit func(u int32)) {
-		if v > 0 {
-			emit(int32((v - 1) / 2))
-		}
-		if 2*v+1 < n {
-			emit(int32(2*v + 1))
-		}
-		if 2*v+2 < n {
-			emit(int32(2*v + 2))
 		}
 	}
 }

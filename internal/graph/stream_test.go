@@ -252,10 +252,9 @@ func TestFromRowFuncContractViolations(t *testing.T) {
 	}
 }
 
-// TestCapacityErrorPaths: overflowing the configured index width is a
-// typed *CapacityError on every construction path; WideIndex lifts the
-// int32 limit. maxOffset32 is shrunk so the test runs without gigabyte
-// allocations.
+// TestCapacityErrorPaths: overflowing the int32 offset width is a typed
+// *CapacityError on every construction path. maxOffset32 is shrunk so the
+// test runs without gigabyte allocations.
 func TestCapacityErrorPaths(t *testing.T) {
 	saved := maxOffset32
 	maxOffset32 = 100 // 50 edges
@@ -267,33 +266,8 @@ func TestCapacityErrorPaths(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("FromRowFunc overflow: got %v, want *CapacityError", err)
 	}
-	if ce.Wide || ce.DirectedEdges != 380 {
+	if ce.Vertices != 0 || ce.DirectedEdges != 380 {
 		t.Fatalf("unexpected CapacityError contents: %+v", ce)
-	}
-
-	// WideIndex lifts it, and the wide graph matches the narrow build of
-	// the same family under the real capacity.
-	wide, err := FromRowFunc(20, CompleteRows(20), BuildOptions{WideIndex: true})
-	if err != nil {
-		t.Fatalf("WideIndex build failed: %v", err)
-	}
-	if !wide.WideIndex() {
-		t.Fatal("WideIndex graph does not report wide offsets")
-	}
-	maxOffset32 = saved
-	narrow, err := FromRowFunc(20, CompleteRows(20), BuildOptions{})
-	maxOffset32 = 100
-	if err != nil {
-		t.Fatal(err)
-	}
-	if narrow.WideIndex() {
-		t.Fatal("default build unexpectedly wide")
-	}
-	if !graphsEqual(wide, narrow) {
-		t.Fatal("wide and narrow builds of K20 differ")
-	}
-	if wide.Bytes() <= narrow.Bytes() {
-		t.Fatalf("wide footprint %d not larger than narrow %d", wide.Bytes(), narrow.Bytes())
 	}
 
 	// FromEdges path shares the error type.
@@ -324,16 +298,6 @@ func TestCapacityErrorPaths(t *testing.T) {
 	// Memoized: the second call returns the same error without redoing work.
 	if _, err2 := st.DistanceTwoColoring(); !errors.Is(err2, d2err) {
 		t.Fatalf("memoized d2 error differs: %v vs %v", err2, d2err)
-	}
-
-	// Wide-overflow branch.
-	savedWide := maxOffsetWide
-	maxOffsetWide = 100
-	defer func() { maxOffsetWide = savedWide }()
-	if _, err := FromRowFunc(20, CompleteRows(20), BuildOptions{WideIndex: true}); !errors.As(err, &ce) {
-		t.Fatalf("wide overflow: got %v, want *CapacityError", err)
-	} else if !ce.Wide {
-		t.Fatalf("wide overflow error not marked Wide: %+v", ce)
 	}
 }
 

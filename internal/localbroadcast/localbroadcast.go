@@ -196,14 +196,3 @@ func RightTranscript(history []*bitstring.BitString, delta int) string {
 	}
 	return string(buf)
 }
-
-// TranscriptCount counts distinct right-part transcripts across runs.
-// Lemma 14's argument is that 2^T transcripts must carry Δ²B bits of
-// input; measuring the realized diversity makes the counting concrete.
-func TranscriptCount(histories [][]*bitstring.BitString, delta int) int {
-	seen := make(map[string]bool, len(histories))
-	for _, h := range histories {
-		seen[RightTranscript(h, delta)] = true
-	}
-	return len(seen)
-}

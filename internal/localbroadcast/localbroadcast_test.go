@@ -11,20 +11,22 @@ import (
 )
 
 func TestCongestUpperBound(t *testing.T) {
-	// Lemma 15: B-bit Local Broadcast in ⌈B/bits⌉ CONGEST rounds.
+	// Lemma 15: B-bit Local Broadcast in ⌈B/bits⌉ CONGEST rounds, each of
+	// which Corollary 12's adapter spends Δ broadcast rounds on after one
+	// discovery round.
 	g := graph.RandomBoundedDegree(30, 5, 0.15, rng.New(1))
 	const b, msgBits = 40, 12
 	inst := NewRandomInstance(g, b, rng.New(2))
-	eng, err := congest.NewEngine(g, msgBits, 3)
+	eng, err := congest.NewBroadcastEngine(g, core.AdapterMsgBits(g.N(), msgBits), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(NewAlgorithms(inst), 100)
+	res, err := eng.Run(core.WrapCongest(NewAlgorithms(inst)), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := CongestRoundsNeeded(b, msgBits); res.Rounds != want {
-		t.Errorf("used %d rounds, want %d", res.Rounds, want)
+	if want := core.CongestRounds(CongestRoundsNeeded(b, msgBits), g.MaxDegree()); res.Rounds != want {
+		t.Errorf("used %d broadcast rounds, want %d", res.Rounds, want)
 	}
 	if err := Verify(g, inst, res.Outputs); err != nil {
 		t.Fatal(err)
@@ -109,8 +111,11 @@ func TestHardInstanceShape(t *testing.T) {
 func TestVerifyDetectsCorruption(t *testing.T) {
 	g := graph.Path(3)
 	inst := NewRandomInstance(g, 16, rng.New(11))
-	eng, _ := congest.NewEngine(g, 16, 12)
-	res, err := eng.Run(NewAlgorithms(inst), 10)
+	eng, err := congest.NewBroadcastEngine(g, core.AdapterMsgBits(g.N(), 16), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(core.WrapCongest(NewAlgorithms(inst)), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +163,9 @@ func TestRightTranscript(t *testing.T) {
 	h1 := []*bitstring.BitString{mk("1000"), mk("0010"), mk("0100")}
 	h2 := []*bitstring.BitString{mk("1000"), mk("0010"), mk("0101")}
 	h3 := []*bitstring.BitString{mk("0010"), mk("0010"), mk("0100")}
-	if got := TranscriptCount([][]*bitstring.BitString{h1, h2, h3}, 2); got != 2 {
-		t.Errorf("TranscriptCount = %d, want 2 (h1 and h2 look identical to the right part)", got)
+	// h1 and h2 look identical to the right part; h3 does not.
+	r1, r2, r3 := RightTranscript(h1, 2), RightTranscript(h2, 2), RightTranscript(h3, 2)
+	if r1 != r2 || r1 == r3 {
+		t.Errorf("right transcripts %q, %q, %q: want the first two equal and the third different", r1, r2, r3)
 	}
 }

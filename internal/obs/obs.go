@@ -294,14 +294,6 @@ func (t *Timer) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of recorded spans (0 on nil).
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.h.Count()
-}
-
 // Sum returns the total recorded nanoseconds (0 on nil).
 func (t *Timer) Sum() int64 {
 	if t == nil {

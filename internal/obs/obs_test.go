@@ -261,3 +261,11 @@ func TestProgressCounts(t *testing.T) {
 		t.Fatalf("progress snapshot = %+v", s)
 	}
 }
+
+// Count returns the number of recorded spans (0 on nil).
+func (t *Timer) Count() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.h.Count()
+}

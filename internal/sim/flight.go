@@ -71,13 +71,6 @@ func (f *Flight[V]) Wait() V {
 	return f.val
 }
 
-// InFlight returns the number of executions currently in flight.
-func (g *FlightGroup[K, V]) InFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
-}
-
 // Waiters returns how many callers have joined key's in-flight
 // execution (0 when key is not in flight). Tests use it to pin dedup
 // interleavings deterministically.

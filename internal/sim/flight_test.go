@@ -102,3 +102,10 @@ func TestFlightGroupIndependentKeys(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// InFlight returns the number of executions currently in flight.
+func (g *FlightGroup[K, V]) InFlight() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.m)
+}

@@ -1,12 +1,11 @@
 // Package stats provides the small statistical helpers the experiment
-// harness uses: moments, confidence half-widths, and least-squares fits
+// harness uses: the mean and least-squares fits
 // for scaling-law checks (e.g. "overhead grows linearly in Δ").
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -19,44 +18,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation (0 for fewer than two
-// values).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// Median returns the median (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid]
-	}
-	return (sorted[mid-1] + sorted[mid]) / 2
-}
-
-// CI95 returns the half-width of a normal-approximation 95% confidence
-// interval for the mean.
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
 }
 
 // LinearFit returns the least-squares slope and intercept of y against x.
@@ -94,12 +55,4 @@ func LogLogSlope(x, y []float64) (float64, error) {
 	}
 	slope, _, err := LinearFit(lx, ly)
 	return slope, err
-}
-
-// Ratio returns a/b, or NaN if b is zero.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return math.NaN()
-	}
-	return a / b
 }

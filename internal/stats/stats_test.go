@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -110,4 +111,50 @@ func TestRatio(t *testing.T) {
 	if !math.IsNaN(Ratio(1, 0)) {
 		t.Error("Ratio(1,0) should be NaN")
 	}
+}
+
+// StdDev returns the sample standard deviation (0 for fewer than two
+// values).
+func StdDev(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	ss := 0.0
+	for _, x := range xs {
+		d := x - m
+		ss += d * d
+	}
+	return math.Sqrt(ss / float64(len(xs)-1))
+}
+
+// Median returns the median (0 for empty input).
+func Median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	mid := len(sorted) / 2
+	if len(sorted)%2 == 1 {
+		return sorted[mid]
+	}
+	return (sorted[mid-1] + sorted[mid]) / 2
+}
+
+// CI95 returns the half-width of a normal-approximation 95% confidence
+// interval for the mean.
+func CI95(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
+}
+
+// Ratio returns a/b, or NaN if b is zero.
+func Ratio(a, b float64) float64 {
+	if b == 0 {
+		return math.NaN()
+	}
+	return a / b
 }

@@ -239,10 +239,11 @@ func TestIndexedStorePutPersists(t *testing.T) {
 	}
 }
 
-// TestStoreOversizedLineLoads: the historic 16 MiB scanner cap is gone.
-// A record line past it loads fine and is counted by Oversized —
-// distinguishable from corruption (Dropped).
+// TestStoreOversizedLineLoads: the historic 16 MiB bufio.Scanner cap is
+// gone. A record line past it loads fine and is not counted as
+// corruption (Dropped).
 func TestStoreOversizedLineLoads(t *testing.T) {
+	const historicLineCap = 1 << 24
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	rec := execOrFatal(t, baseSpec())
 	line, err := EncodeLine(rec)
@@ -251,7 +252,7 @@ func TestStoreOversizedLineLoads(t *testing.T) {
 	}
 	// Pad the valid line past the old cap with an ignored JSON field;
 	// the spec — and so the hash check — is untouched.
-	pad := `,"pad":"` + strings.Repeat("x", oversizedLine) + `"}`
+	pad := `,"pad":"` + strings.Repeat("x", historicLineCap) + `"}`
 	big := append(bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("}")), []byte(pad+"\n")...)
 	if err := os.WriteFile(path, big, 0o644); err != nil {
 		t.Fatal(err)
@@ -262,8 +263,8 @@ func TestStoreOversizedLineLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Len() != 1 || s.Dropped() != 0 || s.Oversized() != 1 {
-		t.Fatalf("oversized line: len=%d dropped=%d oversized=%d, want 1/0/1", s.Len(), s.Dropped(), s.Oversized())
+	if s.Len() != 1 || s.Dropped() != 0 {
+		t.Fatalf("oversized line: len=%d dropped=%d, want 1/0", s.Len(), s.Dropped())
 	}
 	if got, ok := s.Get(rec.Hash); !ok || !reflect.DeepEqual(got, rec) {
 		t.Fatal("oversized record did not round-trip")

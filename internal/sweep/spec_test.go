@@ -144,15 +144,28 @@ func TestValidate(t *testing.T) {
 		{Family: FamilyRegular, N: 8, Param: 2, Engine: EngineAlg1, Workload: WorkloadMIS, Rounds: 3},    // mis sets Rounds 0
 		{Family: FamilyRegular, N: 8, Param: 2, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1, Epsilon: 0.5},
 		{Family: FamilyRegular, N: 8, Param: 2, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1, Epsilon: math.NaN()},
+		// Derived vertex counts past graph.MaxVertices: 2³¹, 2⁶⁴ (wraps
+		// to 0), 46341² and (2³²)² (wraps to 0).
+		{Family: FamilyHypercube, Param: 31, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyHypercube, Param: 64, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyGrid, Param: 46341, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyGrid, Param: 1 << 32, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
 	}
 	for i, sc := range bad {
 		if err := sc.Validate(); err == nil {
 			t.Errorf("case %d: invalid spec %+v passed validation", i, sc)
 		}
 	}
-	good := baseSpec()
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
+	good := []Scenario{
+		baseSpec(),
+		// The largest grid and hypercube within graph.MaxVertices.
+		{Family: FamilyHypercube, Param: 30, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyGrid, Param: 46340, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+	}
+	for _, sc := range good {
+		if err := sc.Validate(); err != nil {
+			t.Errorf("valid spec %+v rejected: %v", sc, err)
+		}
 	}
 }
 

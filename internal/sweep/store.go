@@ -40,13 +40,6 @@ type StoreEngine interface {
 	Close() error
 }
 
-// oversizedLine is the old bufio.Scanner line cap (1<<24 bytes). The
-// store no longer has any line-length limit — Open reads through a
-// plain reader — but lines past this size are counted separately
-// (Oversized) so operators can tell "a record bigger than historic
-// tooling handled" apart from corruption (Dropped).
-const oversizedLine = 1 << 24
-
 // Store is the content-addressed result store: one JSONL line per
 // scenario record, indexed in memory by spec hash. A Store opened on an
 // existing file serves its records as cache hits, which is what makes an
@@ -57,13 +50,12 @@ const oversizedLine = 1 << 24
 // batch killed mid-run loses at most the record being written; Open
 // tolerates a truncated final line for exactly that reason.
 type Store struct {
-	mu        sync.Mutex
-	path      string
-	recs      map[string]Record
-	order     []string
-	f         *os.File
-	dropped   int
-	oversized int
+	mu      sync.Mutex
+	path    string
+	recs    map[string]Record
+	order   []string
+	f       *os.File
+	dropped int
 }
 
 // NewMemStore returns an in-memory store (no persistence): the degenerate
@@ -76,9 +68,9 @@ func NewMemStore() *Store {
 // not parse, or whose stored hash does not match their spec, are dropped
 // from the index (counted by Dropped) — except that a final unparseable
 // line is expected after an interrupt and is silently overwritten-around
-// by subsequent appends. Lines have no length limit: records larger than
-// the historic 16 MiB scanner cap load fine and are counted by Oversized
-// so their presence is visible rather than vanishing into Dropped.
+// by subsequent appends. Lines have no length limit: Open reads through a
+// plain reader, so records larger than the historic 16 MiB scanner cap
+// load like any other.
 func Open(path string) (*Store, error) {
 	s := &Store{path: path, recs: make(map[string]Record)}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -86,9 +78,6 @@ func Open(path string) (*Store, error) {
 		return nil, fmt.Errorf("sweep: open store: %w", err)
 	}
 	err = walkLines(f, func(_ int64, line []byte) {
-		if len(line) > oversizedLine {
-			s.oversized++
-		}
 		rec, err := DecodeRecord(line)
 		if err != nil {
 			s.dropped++
@@ -217,16 +206,6 @@ func (s *Store) Dropped() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// Oversized returns how many persisted lines exceeded the historic
-// 16 MiB scanner cap on Open. They loaded fine — the reader has no line
-// limit — but are reported separately from Dropped so outsized records
-// are distinguishable from corruption.
-func (s *Store) Oversized() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.oversized
 }
 
 // All scans the indexed records in first-seen order (the StoreEngine

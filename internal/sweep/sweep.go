@@ -29,6 +29,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/noise"
@@ -167,6 +168,12 @@ func (sc Scenario) Validate() error {
 		}
 		if sc.N != 0 {
 			return fmt.Errorf("sweep: family %q derives N from Param; set N = 0, got %d", sc.Family, sc.N)
+		}
+		// Param² and 2^Param vertices must fit a graph; computed
+		// unchecked they wrap (to 0 for grid 2³² and hypercube 64).
+		if sc.Family == FamilyGrid && sc.Param > graph.MaxVertices/sc.Param ||
+			sc.Family == FamilyHypercube && sc.Param >= bits.Len(graph.MaxVertices) {
+			return fmt.Errorf("sweep: family %q with Param = %d has more than %d vertices", sc.Family, sc.Param, graph.MaxVertices)
 		}
 	default:
 		return fmt.Errorf("sweep: unknown family %q", sc.Family)

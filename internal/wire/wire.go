@@ -61,9 +61,6 @@ func (w *Writer) WriteBool(v bool) {
 	}
 }
 
-// BitLen returns the number of bits written so far.
-func (w *Writer) BitLen() int { return w.bitLen }
-
 // Bytes returns the encoded message. Unused bits of the final byte are
 // zero. The returned slice aliases the writer's buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
@@ -113,9 +110,6 @@ func (r *Reader) ReadBool() (bool, error) {
 	v, err := r.ReadUint(1)
 	return v == 1, err
 }
-
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return 8*len(r.buf) - r.bitPos }
 
 // Bit returns bit k of msg, treating positions beyond the buffer as 0.
 // This is how the simulator reads message bits for transmission: messages

@@ -228,3 +228,9 @@ func TestPropertyBitLenMatchesWidthSum(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BitLen returns the number of bits written so far.
+func (w *Writer) BitLen() int { return w.bitLen }
+
+// Remaining returns the number of unread bits.
+func (r *Reader) Remaining() int { return 8*len(r.buf) - r.bitPos }
