@@ -52,7 +52,6 @@ func benchGossipRound(b *testing.B, n, delta int, eps float64) {
 			Params:      p,
 			ChannelSeed: uint64(i),
 			AlgSeed:     2,
-			NoisyOwn:    true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -265,7 +264,7 @@ func BenchmarkT9MatchingBeeps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
-			Params: p, ChannelSeed: uint64(i), AlgSeed: 12, NoisyOwn: true,
+			Params: p, ChannelSeed: uint64(i), AlgSeed: 12,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -57,15 +57,14 @@ func main() {
 		noiseSpec = flag.String("noise", "", "channel-noise model spec ("+strings.Join(noise.Names(), ", ")+"); empty = symmetric ε channel, e.g. gilbert-elliott:0.01:0.3:0.05:0.25 or adversary:solo:128")
 		rounds    = flag.Int("rounds", 3, "round count for rounds-parameterized algorithms (gossip)")
 		seed      = flag.Uint64("seed", 1, "seed")
-		workers   = flag.Int("workers", 1, "simulation workers: 1 = serial, 0 = one per CPU")
-		shards    = flag.Int("shards", 0, "worker-pool shards (0 = derived from workers)")
+		workers   = flag.Int("workers", 1, "simulation workers: 1 = serial, 0 = one per CPU (-model beepnative always runs serially)")
 	)
 	flag.Parse()
 	w := *workers
 	if w == 0 {
 		w = engine.AutoWorkers
 	}
-	if err := run(*graphKind, *n, *delta, *q, *algName, *model, *eps, *noiseSpec, *rounds, *seed, w, *shards); err != nil {
+	if err := run(*graphKind, *n, *delta, *q, *algName, *model, *eps, *noiseSpec, *rounds, *seed, w); err != nil {
 		fmt.Fprintln(os.Stderr, "beepsim:", err)
 		os.Exit(1)
 	}
@@ -115,7 +114,7 @@ func engineName(model string) (string, error) {
 	}
 }
 
-func run(graphKind string, n, delta, q int, algName, model string, eps float64, noiseSpec string, rounds int, seed uint64, workers, shards int) error {
+func run(graphKind string, n, delta, q int, algName, model string, eps float64, noiseSpec string, rounds int, seed uint64, workers int) error {
 	g, err := buildGraph(graphKind, n, delta, q, seed)
 	if err != nil {
 		return err
@@ -166,7 +165,6 @@ func run(graphKind string, n, delta, q int, algName, model string, eps float64, 
 		ChannelSeed: seed,
 		AlgSeed:     seed,
 		Workers:     workers,
-		Shards:      shards,
 		Workload:    wl,
 		Rounds:      rounds,
 	})

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-seed N] [-only T4,T9] [-workers W] [-shards S] [-json FILE]
+//	experiments [-quick] [-seed N] [-only T4,T9] [-workers W] [-json FILE]
 //	            [-metrics] [-telemetry ADDR]
 //
 // -workers parallelizes the simulators' per-round phases (0 = one worker
@@ -35,13 +35,12 @@ func main() {
 		seed      = flag.Uint64("seed", 2023, "experiment seed")
 		only      = flag.String("only", "", "comma-separated experiment IDs (default: all)")
 		workers   = flag.Int("workers", 0, "simulation workers: 0 = one per CPU, 1 = serial")
-		shards    = flag.Int("shards", 0, "worker-pool shards (0 = derived from workers)")
 		jsonPath  = flag.String("json", "", "also emit tables as JSONL to this file (\"-\" = stdout)")
 		metrics   = flag.Bool("metrics", false, "collect telemetry and print a metrics table to stderr")
 		telemetry = flag.String("telemetry", "", "serve live introspection (metrics, progress, pprof) on ADDR; implies -metrics collection")
 	)
 	flag.Parse()
-	if err := run(*quick, *seed, *only, *workers, *shards, *jsonPath, *metrics, *telemetry); err != nil {
+	if err := run(*quick, *seed, *only, *workers, *jsonPath, *metrics, *telemetry); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -56,8 +55,8 @@ type jsonTable struct {
 	ElapsedM int64  `json:"elapsed_ms"`
 }
 
-func run(quick bool, seed uint64, only string, workers, shards int, jsonPath string, metrics bool, telemetry string) error {
-	cfg := experiments.Config{Quick: quick, Seed: seed, Workers: workers, Shards: shards}
+func run(quick bool, seed uint64, only string, workers int, jsonPath string, metrics bool, telemetry string) error {
+	cfg := experiments.Config{Quick: quick, Seed: seed, Workers: workers}
 	if metrics || telemetry != "" {
 		cfg.Metrics = obs.NewRegistry()
 	}

@@ -96,7 +96,6 @@ func main() {
 		storePath  = flag.String("store", "", "JSONL result store path (empty = in-memory, no caching across runs)")
 		jobs       = flag.Int("jobs", 0, "concurrent scenarios (0 = one per CPU)")
 		workers    = flag.Int("workers", 0, "per-scenario engine workers (0 = auto: serial when jobs > 1)")
-		shards     = flag.Int("shards", 0, "engine-pool shards (0 = derived from workers)")
 		genWorkers = flag.Int("genworkers", 0, "graph-generation shards for streaming families (0/1 = serial, -1 = one per CPU); never changes records")
 		noAgg      = flag.Bool("noagg", false, "skip the aggregate table")
 		verbose    = flag.Bool("v", false, "stream per-scenario progress to stderr")
@@ -146,7 +145,7 @@ func main() {
 
 	cfg := cliConfig{
 		storePath: *storePath,
-		jobs:      *jobs, workers: *workers, shards: *shards, genWorkers: *genWorkers,
+		jobs:      *jobs, workers: *workers, genWorkers: *genWorkers,
 		agg: !*noAgg, verbose: *verbose, metrics: *metrics,
 		telemetry: *telemetry,
 		frontier:  *frontier, strict: *strict, maxRoundsFactor: *maxRF,
@@ -159,12 +158,12 @@ func main() {
 // cliConfig carries the non-grid flags (everything that is not a
 // scenario axis) through the run.
 type cliConfig struct {
-	storePath                         string
-	jobs, workers, shards, genWorkers int
-	agg, verbose, metrics             bool
-	telemetry                         string
-	frontier, strict                  bool
-	maxRoundsFactor                   float64
+	storePath                 string
+	jobs, workers, genWorkers int
+	agg, verbose, metrics     bool
+	telemetry                 string
+	frontier, strict          bool
+	maxRoundsFactor           float64
 }
 
 // telemetryPath is the JSONL telemetry artifact written beside the
@@ -195,7 +194,7 @@ func run(grid sweep.Grid, cfg cliConfig) error {
 	}
 
 	artifacts := sim.NewCache()
-	opt := sweep.Options{Jobs: cfg.jobs, Workers: cfg.workers, Shards: cfg.shards, GenWorkers: cfg.genWorkers, Artifacts: artifacts, MaxRoundsFactor: cfg.maxRoundsFactor}
+	opt := sweep.Options{Jobs: cfg.jobs, Workers: cfg.workers, GenWorkers: cfg.genWorkers, Artifacts: artifacts, MaxRoundsFactor: cfg.maxRoundsFactor}
 	var reg *obs.Registry
 	if cfg.metrics || cfg.telemetry != "" {
 		reg = obs.NewRegistry()
@@ -298,7 +297,6 @@ func runFrontier(scenarios []sweep.Scenario, store *sweep.Store, cfg cliConfig) 
 		Exec: sweep.Options{
 			Jobs:            1,
 			Workers:         cfg.workers,
-			Shards:          cfg.shards,
 			GenWorkers:      cfg.genWorkers,
 			Artifacts:       sim.NewCache(),
 			MaxRoundsFactor: cfg.maxRoundsFactor,

@@ -55,7 +55,6 @@ func main() {
 		addr       = flag.String("addr", "localhost:8344", "HTTP listen address")
 		jobs       = flag.Int("jobs", 0, "concurrent scenario executions (0 = one per CPU)")
 		workers    = flag.Int("workers", 0, "per-scenario engine workers (0 = auto: serial when jobs > 1)")
-		shards     = flag.Int("shards", 0, "engine-pool shards (0 = derived from workers)")
 		genWorkers = flag.Int("genworkers", 0, "graph-generation shards for streaming families")
 		maxPending = flag.Int("maxpending", sweep.DefaultMaxPending, "max queued+running scenarios before submissions get 429 (backpressure bound)")
 		maxRF      = flag.Float64("maxroundsfactor", 0, "round-budget guard multiple (0 = uncapped); changes records — hold constant per store")
@@ -86,7 +85,7 @@ func main() {
 
 	reg := obs.NewRegistry()
 	svc := sweep.NewService(store, sweep.Options{
-		Jobs: *jobs, Workers: *workers, Shards: *shards, GenWorkers: *genWorkers,
+		Jobs: *jobs, Workers: *workers, GenWorkers: *genWorkers,
 		MaxPending: *maxPending, MaxRoundsFactor: *maxRF,
 		Artifacts: sim.NewCache(), Metrics: reg,
 	})

@@ -349,17 +349,21 @@ func TestSweepdConcurrentSubmissionsSingleflight(t *testing.T) {
 // unknown family, an unknown field, and bytes that are not JSON.
 var badGridBodies = []string{`{"families":["nope"]}`, `{"unknown_field":1}`, `not json`}
 
-// capacityGridBodies derive more vertices than a graph holds: 2⁶⁴ for
-// hypercube 64 and (2³²)² for grid 2³², both of which wrap to 0 when
-// computed unchecked.
+// capacityGridBodies ask for more than a run can hold. The first two
+// derive more vertices than a graph holds: 2⁶⁴ for hypercube 64 and
+// (2³²)² for grid 2³², both of which wrap to 0 when computed unchecked.
+// The third asks for a 2·10⁹-bit bandwidth, past sweep.MaxMsgBits, at
+// which alg1 requests terabytes and the process dies of an
+// out-of-memory error that no recover catches.
 var capacityGridBodies = []string{
 	`{"families":["hypercube"],"params":[64],"engines":["alg1"]}`,
 	`{"families":["grid"],"params":[4294967296],"engines":["alg1"]}`,
+	`{"families":["regular"],"ns":[16],"params":[4],"engines":["alg1","tdma"],"msg_bits":2000000000}`,
 }
 
 // TestSweepdRejectsGraphsPastCapacity: a grid whose graphs cannot be
-// built is refused with 400 before any worker builds one, and the
-// daemon keeps serving.
+// built, or whose bandwidth no run can hold, is refused with 400 before
+// any worker starts on it, and the daemon keeps serving.
 func TestSweepdRejectsGraphsPastCapacity(t *testing.T) {
 	ts, _ := newTestDaemon(t, sweep.Options{Jobs: 1})
 	for _, body := range capacityGridBodies {

@@ -66,7 +66,6 @@ func runOverBeeps(g *graph.Graph, eps float64) ([]bool, int) {
 		Params:      core.DefaultParams(g.N(), g.MaxDegree(), mis.MsgBits(g.N()), eps),
 		ChannelSeed: 8,
 		AlgSeed:     9,
-		NoisyOwn:    true,
 	})
 	if err != nil {
 		log.Fatal(err)

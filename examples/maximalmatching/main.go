@@ -34,7 +34,6 @@ func main() {
 		Params:      core.DefaultParams(n, g.MaxDegree(), matching.MsgBits(n), eps),
 		ChannelSeed: 5,
 		AlgSeed:     6,
-		NoisyOwn:    true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -71,7 +71,6 @@ func main() {
 		Params:      params,
 		ChannelSeed: 42,
 		AlgSeed:     7,
-		NoisyOwn:    true,
 	})
 	if err != nil {
 		log.Fatal(err)

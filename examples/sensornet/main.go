@@ -120,7 +120,6 @@ func bfsOverBeeps(g *graph.Graph) {
 		Params:      core.DefaultParams(g.N(), g.MaxDegree(), bfstree.MsgBits(g.N()), eps),
 		ChannelSeed: 3,
 		AlgSeed:     4,
-		NoisyOwn:    true,
 	})
 	if err != nil {
 		log.Fatal(err)

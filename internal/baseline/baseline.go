@@ -35,28 +35,22 @@ import (
 type Config struct {
 	// MsgBits is the simulated Broadcast CONGEST bandwidth.
 	MsgBits int
-	// Rho is the per-bit repetition count (odd); 0 selects a default
-	// calibrated to Epsilon.
-	Rho int
 	// Epsilon is the channel noise rate of the default symmetric
 	// channel; leave it 0 when Noise is set.
 	Epsilon float64
 	// Noise is the canonical channel-model spec (internal/noise.Parse);
 	// empty selects the symmetric{Epsilon} channel. A non-empty spec
-	// owns the channel, and the default ρ calibrates against the
-	// model's worst marginal flip rate.
+	// owns the channel, and ρ calibrates against the model's worst
+	// marginal flip rate.
 	Noise string
 	// ChannelSeed and AlgSeed mirror core.RunnerConfig.
 	ChannelSeed uint64
 	AlgSeed     uint64
-	// NoisyOwn forwards the own-reception noise convention.
-	NoisyOwn bool
-	// Workers and Shards mirror core.RunnerConfig: the per-node encode,
-	// radio, and decode phases run on a deterministic sharded pool, so
-	// results are bit-identical for every setting (0 or 1 = serial,
+	// Workers mirrors core.RunnerConfig: the per-node encode, radio, and
+	// decode phases run on a deterministic sharded pool, so results are
+	// bit-identical for every setting (0 or 1 = serial,
 	// engine.AutoWorkers = GOMAXPROCS).
 	Workers int
-	Shards  int
 	// Metrics, when non-nil, receives baseline telemetry — encode/decode
 	// phase timers, slot counters, and (via the beep channel) per-model
 	// noise-flip accounting; the sliced runner adds lane occupancy and
@@ -74,8 +68,10 @@ type tdmaMetrics struct {
 	decodeT     *obs.Timer   // phase: majority decode + deliver + score
 }
 
-// DefaultRho returns a repetition count calibrated to eps, mirroring the
-// core package's repetition table so comparisons are apples-to-apples.
+// DefaultRho returns the per-bit repetition count ρ (odd and positive)
+// calibrated to eps, mirroring the core package's repetition table so
+// comparisons are apples-to-apples. Both runners repeat each bit
+// DefaultRho(calibration rate) times.
 func DefaultRho(eps float64) int {
 	switch {
 	case eps == 0:
@@ -101,6 +97,7 @@ func DefaultRho(eps float64) int {
 type Runner struct {
 	g         *graph.Graph
 	cfg       Config
+	rho       int // per-bit repetition count, DefaultRho of the calibration rate
 	colors    []int
 	numColors int
 	nw        *beep.Network
@@ -120,54 +117,46 @@ type shardScratch struct {
 	truthPool congest.MessagePool
 }
 
-// resolveChannel validates cfg's bandwidth and channel, returns the
-// channel model, and defaults cfg.Rho. A non-empty Noise spec owns the
-// channel (ε must be 0); otherwise the channel is symmetric{Epsilon}.
-// Hostile models calibrate ρ against their worst-case per-window rate,
-// stochastic ones against their worst marginal flip rate. Both runners
-// resolve their channel here.
-func resolveChannel(cfg *Config) (noise.Model, error) {
+// resolveChannel validates cfg's bandwidth and channel and returns the
+// channel model and ρ. A non-empty Noise spec owns the channel (ε must
+// be 0); otherwise the channel is symmetric{Epsilon}. Hostile models
+// calibrate ρ against their worst-case per-window rate, stochastic ones
+// against their worst marginal flip rate. Both runners resolve their
+// channel here.
+func resolveChannel(cfg Config) (noise.Model, int, error) {
 	if cfg.MsgBits <= 0 {
-		return nil, fmt.Errorf("baseline: MsgBits = %d", cfg.MsgBits)
+		return nil, 0, fmt.Errorf("baseline: MsgBits = %d", cfg.MsgBits)
 	}
 	var model noise.Model = noise.Symmetric{Eps: cfg.Epsilon}
 	if cfg.Noise != "" {
 		if cfg.Epsilon != 0 {
-			return nil, fmt.Errorf("baseline: both ε = %v and channel %s given; the model owns the channel, leave ε 0", cfg.Epsilon, cfg.Noise)
+			return nil, 0, fmt.Errorf("baseline: both ε = %v and channel %s given; the model owns the channel, leave ε 0", cfg.Epsilon, cfg.Noise)
 		}
 		var err error
 		if model, err = noise.Parse(cfg.Noise); err != nil {
-			return nil, fmt.Errorf("baseline: %w", err)
+			return nil, 0, fmt.Errorf("baseline: %w", err)
 		}
 	} else if err := model.Validate(); err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
+		return nil, 0, fmt.Errorf("baseline: %w", err)
 	}
 	calibEps := noise.CalibrationRate(model)
 	if calibEps >= 0.5 {
-		return nil, fmt.Errorf("baseline: channel %s: calibration rate %v outside [0, 0.5)", model.Spec(), calibEps)
+		return nil, 0, fmt.Errorf("baseline: channel %s: calibration rate %v outside [0, 0.5)", model.Spec(), calibEps)
 	}
-	if cfg.Rho == 0 {
-		cfg.Rho = DefaultRho(calibEps)
-	}
-	if cfg.Rho < 1 || cfg.Rho%2 == 0 {
-		return nil, fmt.Errorf("baseline: repetition ρ = %d must be odd and positive", cfg.Rho)
-	}
-	return model, nil
+	return model, DefaultRho(calibEps), nil
 }
 
 // NewRunner builds a baseline runner over g.
 func NewRunner(g *graph.Graph, cfg Config) (*Runner, error) {
-	model, err := resolveChannel(&cfg)
+	model, rho, err := resolveChannel(cfg)
 	if err != nil {
 		return nil, err
 	}
 	beepParams := beep.Params{
-		Epsilon:  cfg.Epsilon,
-		NoisyOwn: cfg.NoisyOwn,
-		Seed:     cfg.ChannelSeed,
-		Workers:  cfg.Workers,
-		Shards:   cfg.Shards,
-		Metrics:  cfg.Metrics,
+		Epsilon: cfg.Epsilon,
+		Seed:    cfg.ChannelSeed,
+		Workers: cfg.Workers,
+		Metrics: cfg.Metrics,
 	}
 	if cfg.Noise != "" {
 		beepParams.Noise = model
@@ -183,6 +172,7 @@ func NewRunner(g *graph.Graph, cfg Config) (*Runner, error) {
 	r := &Runner{
 		g:         g,
 		cfg:       cfg,
+		rho:       rho,
 		colors:    colors,
 		numColors: graph.NumColors(colors),
 		nw:        nw,
@@ -213,19 +203,19 @@ func NewRunner(g *graph.Graph, cfg Config) (*Runner, error) {
 // NumColors returns the schedule length (color classes of G²).
 func (r *Runner) NumColors() int { return r.numColors }
 
-// Rho returns the effective per-bit repetition count (after defaulting),
-// so result records can report the baseline's full parameterization.
-func (r *Runner) Rho() int { return r.cfg.Rho }
+// Rho returns the per-bit repetition count, so result records can
+// report the baseline's full parameterization.
+func (r *Runner) Rho() int { return r.rho }
 
 // RoundsPerSimRound returns the beep rounds per simulated round:
 // one slot of (1+MsgBits)·ρ rounds per color class (the leading bit is the
 // presence beacon distinguishing transmission from silence).
 func (r *Runner) RoundsPerSimRound() int {
-	return r.numColors * (1 + r.cfg.MsgBits) * r.cfg.Rho
+	return r.numColors * (1 + r.cfg.MsgBits) * r.rho
 }
 
 // slotLen returns the beep rounds per color slot.
-func (r *Runner) slotLen() int { return (1 + r.cfg.MsgBits) * r.cfg.Rho }
+func (r *Runner) slotLen() int { return (1 + r.cfg.MsgBits) * r.rho }
 
 // Env mirrors the native engine's environment.
 func (r *Runner) Env(v int) congest.Env {
@@ -243,7 +233,7 @@ func (r *Runner) Env(v int) congest.Env {
 // rounds. The result type is shared with core for comparability;
 // MembershipErrors counts presence-detection mistakes (phantom or missed
 // transmissions). Per-node phases run on the beep network's deterministic
-// sharded pool (Config.Workers/Shards); results are bit-identical to a
+// sharded pool (Config.Workers); results are bit-identical to a
 // serial run.
 func (r *Runner) Run(algs []congest.BroadcastAlgorithm, maxSimRounds int) (*core.Result, error) {
 	n := r.g.N()
@@ -276,13 +266,13 @@ func (r *Runner) Run(algs []congest.BroadcastAlgorithm, maxSimRounds int) (*core
 			p := r.patBuf[v]
 			p.Reset()
 			base := r.colors[v] * r.slotLen()
-			p.SetRange(base, base+r.cfg.Rho) // presence beacon
+			p.SetRange(base, base+r.rho) // presence beacon
 			for bit := 0; bit < r.cfg.MsgBits; bit++ {
 				if !wire.Bit(msgs[v], bit) {
 					continue
 				}
-				off := base + (1+bit)*r.cfg.Rho
-				p.SetRange(off, off+r.cfg.Rho)
+				off := base + (1+bit)*r.rho
+				p.SetRange(off, off+r.rho)
 			}
 			r.patterns[v] = p
 		}
@@ -368,7 +358,7 @@ func (r *Runner) decode(v int, heard *bitstring.BitString, sc *shardScratch) []c
 			m[i] = 0
 		}
 		for bit := 0; bit < r.cfg.MsgBits; bit++ {
-			if r.majority(heard, base+(1+bit)*r.cfg.Rho) {
+			if r.majority(heard, base+(1+bit)*r.rho) {
 				wire.SetBit(m, bit, true)
 			}
 		}
@@ -378,7 +368,7 @@ func (r *Runner) decode(v int, heard *bitstring.BitString, sc *shardScratch) []c
 }
 
 func (r *Runner) majority(heard *bitstring.BitString, off int) bool {
-	return 2*heard.OnesRange(off, off+r.cfg.Rho) > r.cfg.Rho
+	return 2*heard.OnesRange(off, off+r.rho) > r.rho
 }
 
 func (r *Runner) score(sc *shardScratch, d *core.ScoreDelta, v int, msgs []congest.Message, inbox []congest.Message) {

@@ -56,9 +56,6 @@ func TestBaselineConfigValidation(t *testing.T) {
 	if _, err := NewRunner(g, Config{MsgBits: 0}); err == nil {
 		t.Error("MsgBits=0 accepted")
 	}
-	if _, err := NewRunner(g, Config{MsgBits: 8, Rho: 2}); err == nil {
-		t.Error("even ρ accepted")
-	}
 	if _, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0.7}); err == nil {
 		t.Error("ε=0.7 accepted")
 	}
@@ -141,12 +138,19 @@ func TestBaselineOverheadHasColorFactor(t *testing.T) {
 	}
 }
 
+// TestDefaultRhoMonotone walks every calibration bucket, each boundary
+// from both sides: ρ never decreases in ε and is always odd and positive,
+// since majority decoding needs an odd count and the runners take ρ from
+// here alone.
 func TestDefaultRhoMonotone(t *testing.T) {
 	prev := 0
-	for _, eps := range []float64{0, 0.05, 0.1, 0.15, 0.3} {
+	for _, eps := range []float64{0, 0.05, 0.069, 0.07, 0.1, 0.119, 0.12, 0.15, 0.199, 0.2, 0.259, 0.26, 0.3, 0.4999} {
 		rho := DefaultRho(eps)
 		if rho < prev {
 			t.Errorf("ρ decreased at ε=%v", eps)
+		}
+		if rho < 1 {
+			t.Errorf("ρ=%d is not positive at ε=%v", rho, eps)
 		}
 		if rho%2 == 0 {
 			t.Errorf("ρ=%d is even at ε=%v", rho, eps)
@@ -167,15 +171,13 @@ func TestEstimatedSetupRounds(t *testing.T) {
 func TestBaselineSerialParallelIdentical(t *testing.T) {
 	// n must span several 64-aligned shards or the parallel path is never taken.
 	g := graph.RandomBoundedDegree(150, 5, 0.04, rng.New(31))
-	runOnce := func(workers, shards int) *core.Result {
+	runOnce := func(workers int) *core.Result {
 		r, err := NewRunner(g, Config{
 			MsgBits:     10,
 			Epsilon:     0.1,
 			ChannelSeed: 4,
 			AlgSeed:     5,
-			NoisyOwn:    true,
 			Workers:     workers,
-			Shards:      shards,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -190,9 +192,9 @@ func TestBaselineSerialParallelIdentical(t *testing.T) {
 		}
 		return res
 	}
-	want := runOnce(1, 0)
-	for _, cfg := range [][2]int{{2, 0}, {5, 7}} {
-		got := runOnce(cfg[0], cfg[1])
+	want := runOnce(1)
+	for _, cfg := range []int{2, 5} {
+		got := runOnce(cfg)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%v: result differs from serial:\n got %+v\nwant %+v", cfg, got, want)
 		}

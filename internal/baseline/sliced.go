@@ -36,6 +36,7 @@ import (
 type SlicedRunner struct {
 	g         *graph.Graph
 	cfg       Config
+	rho       int // per-bit repetition count, as Runner's
 	algSeeds  []uint64
 	numColors int
 	pool      *engine.Pool
@@ -77,7 +78,7 @@ func NewSlicedRunner(g *graph.Graph, cfg Config, algSeeds []uint64) (*SlicedRunn
 	if len(algSeeds) == 0 || len(algSeeds) > 64 {
 		return nil, fmt.Errorf("baseline: %d lanes outside [1, 64]", len(algSeeds))
 	}
-	model, err := resolveChannel(&cfg)
+	model, rho, err := resolveChannel(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -91,9 +92,10 @@ func NewSlicedRunner(g *graph.Graph, cfg Config, algSeeds []uint64) (*SlicedRunn
 	r := &SlicedRunner{
 		g:         g,
 		cfg:       cfg,
+		rho:       rho,
 		algSeeds:  append([]uint64(nil), algSeeds...),
 		numColors: graph.NumColors(colors),
-		pool:      engine.NewPool(cfg.Workers, cfg.Shards),
+		pool:      engine.NewPool(cfg.Workers),
 	}
 	n := g.N()
 	r.sendMask = make([]uint64, n)
@@ -138,12 +140,12 @@ func NewSlicedRunner(g *graph.Graph, cfg Config, algSeeds []uint64) (*SlicedRunn
 // NumColors returns the schedule length (color classes of G²).
 func (r *SlicedRunner) NumColors() int { return r.numColors }
 
-// Rho returns the effective per-bit repetition count (after defaulting).
-func (r *SlicedRunner) Rho() int { return r.cfg.Rho }
+// Rho returns the per-bit repetition count.
+func (r *SlicedRunner) Rho() int { return r.rho }
 
 // RoundsPerSimRound mirrors Runner.RoundsPerSimRound.
 func (r *SlicedRunner) RoundsPerSimRound() int {
-	return r.numColors * (1 + r.cfg.MsgBits) * r.cfg.Rho
+	return r.numColors * (1 + r.cfg.MsgBits) * r.rho
 }
 
 // envNoRng mirrors Runner.Env without the algorithm stream, which Run
@@ -324,7 +326,7 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 			}
 			// Each sender beeps its ρ-slot presence beacon plus ρ slots
 			// per payload one, as the serial runner's slot patterns do.
-			results[k].Beeps += int64(r.cfg.Rho) * (senders[k] + ones)
+			results[k].Beeps += int64(r.rho) * (senders[k] + ones)
 			results[k].BeepRounds += total
 		}
 		sp := r.m.decodeT.Start()

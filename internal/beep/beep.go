@@ -9,10 +9,10 @@
 //
 // Reception follows the paper's §1.5 convention: a node "receives 1" in a
 // round if it beeps itself or hears a beep, and 0 otherwise; in the noisy
-// model this bit is flipped with probability ε (Params.NoisyOwn controls
-// whether a node's own beep is also subject to noise, the paper's
-// simplifying assumption — footnote 2 notes real devices keep their own
-// transmissions noise-free, which "can only help").
+// model this bit is flipped with probability ε, a node's own beep
+// included. That is the paper's simplifying assumption; footnote 2 notes
+// real devices keep their own transmissions noise-free, which "can only
+// help".
 //
 // Two execution paths are provided: a generic round-by-round driver for
 // arbitrary Programs (Run), and a word-parallel batch path for protocols
@@ -27,7 +27,7 @@
 // node's windowed reception word-parallel over 64 rounds at a time.
 // Because every node's reception depends only on the previous beep vector
 // and its private noise stream, runs are bit-identical for every
-// Workers/Shards setting (TestRunSerialParallelIdentical).
+// Workers setting (TestRunSerialParallelIdentical).
 package beep
 
 import (
@@ -100,10 +100,6 @@ type Params struct {
 	// Nil means the symmetric{Epsilon} channel, bit-for-bit the historic
 	// behavior. A non-nil model owns the channel: Epsilon must be 0.
 	Noise noise.Model
-	// NoisyOwn applies channel noise to a beeping node's own reception,
-	// matching the paper's analysis convention. When false, a node that
-	// beeps receives a clean 1.
-	NoisyOwn bool
 	// Seed derives all channel randomness.
 	Seed uint64
 	// RecordBeeps retains a per-round bitstring of which nodes beeped,
@@ -116,9 +112,6 @@ type Params struct {
 	// serial path: per-node noise streams are independent and shards are
 	// word-aligned, so each worker writes only its own nodes.
 	Workers int
-	// Shards overrides the pool's shard count (0 = derived from Workers).
-	// Like Workers it never changes results, only load balancing.
-	Shards int
 	// Metrics, when non-nil, receives channel telemetry (rounds, windows,
 	// energy, per-model applied noise flips, pool dispatch stats). Per
 	// the determinism contract instrumentation is observation-only: it
@@ -209,7 +202,7 @@ func NewNetwork(g *graph.Graph, params Params) (*Network, error) {
 	nw := &Network{
 		g:      g,
 		params: params,
-		pool:   engine.NewPool(params.Workers, params.Shards),
+		pool:   engine.NewPool(params.Workers),
 		model:  model,
 		noisy:  !noise.Noiseless(model),
 	}
@@ -364,11 +357,8 @@ func (nw *Network) hearRange(progs []Program, beeped, heard *bitstring.BitString
 		}
 		mask := uint64(1) << (uint(v) & 63)
 		bit := (hw[v>>6]|bw[v>>6])&mask != 0
-		if nw.noisy {
-			protected := bw[v>>6]&mask != 0 && !nw.params.NoisyOwn
-			if nw.noiseSampler(v).FlipAt(nw.round, bit, protected) {
-				bit = !bit
-			}
+		if nw.noisy && nw.noiseSampler(v).FlipAt(nw.round, bit) {
+			bit = !bit
 		}
 		p.Hear(localRound, bit)
 	}
@@ -523,15 +513,8 @@ func (nw *Network) receiveInto(v int, patterns []*bitstring.BitString, length in
 		}
 	}
 	if nw.noisy {
-		// The sampler perturbs the pre-noise reception in place; protect
-		// marks the node's own beep slots when the NoisyOwn convention
-		// exempts them (the sampler still consumes its randomness for
-		// protected slots, so downstream noise is unaffected).
-		var protect []uint64
-		if !nw.params.NoisyOwn && patterns[v] != nil {
-			protect = patterns[v].Words()
-		}
-		nw.noiseSampler(v).ApplyInto(acc.Words(), nw.round, nw.round+length, protect)
+		// The sampler perturbs the pre-noise reception in place.
+		nw.noiseSampler(v).ApplyInto(acc.Words(), nw.round, nw.round+length)
 	}
 }
 

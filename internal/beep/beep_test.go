@@ -113,29 +113,18 @@ func TestNoiseRateOnIsolatedListener(t *testing.T) {
 }
 
 func TestNoisyOwnConvention(t *testing.T) {
-	// A node beeping every round receives all-1s when NoisyOwn is false,
-	// and ≈(1-ε) ones when true.
+	// A node's own beep goes through the channel: beeping every round, it
+	// receives ≈(1-ε) ones.
 	g := graph.MustFromEdges(1, nil)
 	const rounds = 5000
-	all1 := bitstring.New(rounds).Not()
-
-	nw, _ := NewNetwork(g, Params{Epsilon: 0.3, Seed: 6, NoisyOwn: false})
-	tx := &Transmitter{Pattern: all1}
+	nw, _ := NewNetwork(g, Params{Epsilon: 0.3, Seed: 6})
+	tx := &Transmitter{Pattern: bitstring.New(rounds).Not()}
 	if _, err := nw.Run([]Program{tx}, rounds); err != nil {
 		t.Fatal(err)
 	}
-	if got := tx.Heard().Ones(); got != rounds {
-		t.Errorf("NoisyOwn=false: beeping node heard %d ones, want %d", got, rounds)
-	}
-
-	nw2, _ := NewNetwork(g, Params{Epsilon: 0.3, Seed: 6, NoisyOwn: true})
-	tx2 := &Transmitter{Pattern: all1.Clone()}
-	if _, err := nw2.Run([]Program{tx2}, rounds); err != nil {
-		t.Fatal(err)
-	}
-	rate := float64(tx2.Heard().Ones()) / rounds
+	rate := float64(tx.Heard().Ones()) / rounds
 	if rate < 0.65 || rate > 0.75 {
-		t.Errorf("NoisyOwn=true: own-reception rate = %v, want ≈0.7", rate)
+		t.Errorf("own-reception rate = %v, want ≈0.7", rate)
 	}
 }
 
@@ -180,7 +169,7 @@ func TestRunPhaseNoiselessOR(t *testing.T) {
 
 // TestRunPhaseEquivalence is the central engine test: the vectorized batch
 // path must agree bit-for-bit with the generic round-by-round path on the
-// same seed, across noise levels and NoisyOwn settings.
+// same seed, across noise levels.
 func TestRunPhaseEquivalence(t *testing.T) {
 	const length = 257 // deliberately not word-aligned
 	gr := graph.RandomBoundedDegree(24, 5, 0.2, rng.New(31))
@@ -190,7 +179,7 @@ func TestRunPhaseEquivalence(t *testing.T) {
 	}{
 		{name: "noiseless", p: Params{Seed: 9}},
 		{name: "eps0.1", p: Params{Epsilon: 0.1, Seed: 9}},
-		{name: "eps0.3 noisyOwn", p: Params{Epsilon: 0.3, Seed: 9, NoisyOwn: true}},
+		{name: "eps0.3 noisyOwn", p: Params{Epsilon: 0.3, Seed: 9}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			patterns := make([]*bitstring.BitString, gr.N())
@@ -467,19 +456,17 @@ func (c *contender) Output() any { return append([]bool(nil), c.heard...) }
 
 // TestRunSerialParallelIdentical: Run with Workers>1 must be bit-identical
 // to the serial run — same outputs, same round count, same energy, and the
-// same per-round beep transcript — for every worker/shard setting and
-// noise level.
+// same per-round beep transcript — for every worker count and noise
+// level.
 func TestRunSerialParallelIdentical(t *testing.T) {
 	gr := graph.RandomBoundedDegree(150, 7, 0.05, rng.New(99))
 	const horizon = 40
-	runOnce := func(workers, shards int, eps float64) (*Result, []*bitstring.BitString, int64) {
+	runOnce := func(workers int, eps float64) (*Result, []*bitstring.BitString, int64) {
 		nw, err := NewNetwork(gr, Params{
 			Epsilon:     eps,
-			NoisyOwn:    true,
 			Seed:        7,
 			RecordBeeps: true,
 			Workers:     workers,
-			Shards:      shards,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -495,9 +482,9 @@ func TestRunSerialParallelIdentical(t *testing.T) {
 		return res, nw.BeepHistory(), nw.TotalBeeps()
 	}
 	for _, eps := range []float64{0, 0.2} {
-		wantRes, wantHist, wantBeeps := runOnce(1, 0, eps)
-		for _, cfg := range [][2]int{{2, 0}, {4, 1}, {8, 3}, {3, 100}} {
-			res, hist, beeps := runOnce(cfg[0], cfg[1], eps)
+		wantRes, wantHist, wantBeeps := runOnce(1, eps)
+		for _, cfg := range []int{2, 4, 8, 3} {
+			res, hist, beeps := runOnce(cfg, eps)
 			if res.Rounds != wantRes.Rounds || res.AllDone != wantRes.AllDone {
 				t.Fatalf("eps=%v workers=%v: result shape differs: %+v vs %+v", eps, cfg, res, wantRes)
 			}
@@ -585,11 +572,11 @@ func TestRunPhaseIntoMatchesRunPhase(t *testing.T) {
 		}
 		return patterns
 	}
-	nwA, err := NewNetwork(g, Params{Epsilon: 0.1, Seed: seed, NoisyOwn: true})
+	nwA, err := NewNetwork(g, Params{Epsilon: 0.1, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nwB, err := NewNetwork(g, Params{Epsilon: 0.1, Seed: seed, NoisyOwn: true})
+	nwB, err := NewNetwork(g, Params{Epsilon: 0.1, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

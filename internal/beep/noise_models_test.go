@@ -41,73 +41,70 @@ func noisePatterns(g *graph.Graph, length int, seed uint64) []*bitstring.BitStri
 
 // TestNoiseModelSymmetricByteIdentical pins the refactor's anchor at the
 // network level: a Params{Noise: Symmetric{ε}} channel is bit-for-bit a
-// Params{Epsilon: ε} channel, on both execution paths and under both
-// own-reception conventions.
+// Params{Epsilon: ε} channel, on both execution paths.
 func TestNoiseModelSymmetricByteIdentical(t *testing.T) {
 	const length = 257
 	gr := graph.RandomBoundedDegree(24, 5, 0.2, rng.New(31))
-	for _, noisyOwn := range []bool{false, true} {
-		legacy := Params{Epsilon: 0.17, Seed: 9, NoisyOwn: noisyOwn}
-		model := Params{Noise: noise.Symmetric{Eps: 0.17}, Seed: 9, NoisyOwn: noisyOwn}
+	legacy := Params{Epsilon: 0.17, Seed: 9}
+	model := Params{Noise: noise.Symmetric{Eps: 0.17}, Seed: 9}
 
-		nwA, err := NewNetwork(gr, legacy)
-		if err != nil {
-			t.Fatal(err)
+	nwA, err := NewNetwork(gr, legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nwB, err := NewNetwork(gr, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := nwA.RunPhase(noisePatterns(gr, length, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := nwB.RunPhase(noisePatterns(gr, length, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range a {
+		if !a[v].Equal(b[v]) {
+			t.Fatalf("node %d receptions differ between ε and Symmetric{ε}", v)
 		}
-		nwB, err := NewNetwork(gr, model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := nwA.RunPhase(noisePatterns(gr, length, 77))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := nwB.RunPhase(noisePatterns(gr, length, 77))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range a {
-			if !a[v].Equal(b[v]) {
-				t.Fatalf("noisyOwn=%v: node %d receptions differ between ε and Symmetric{ε}", noisyOwn, v)
-			}
-		}
+	}
 
-		// The round-by-round path too.
-		runA, err := NewNetwork(gr, legacy)
-		if err != nil {
-			t.Fatal(err)
+	// The round-by-round path too.
+	runA, err := NewNetwork(gr, legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runB, err := NewNetwork(gr, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progsA := make([]Program, gr.N())
+	progsB := make([]Program, gr.N())
+	for v := range progsA {
+		progsA[v] = &contender{horizon: 60}
+		progsB[v] = &contender{horizon: 60}
+	}
+	resA, err := runA.Run(progsA, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resB, err := runB.Run(progsB, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resA.Rounds != resB.Rounds {
+		t.Fatal("round counts differ")
+	}
+	for v := range progsA {
+		ha := resA.Outputs[v].([]bool)
+		hb := resB.Outputs[v].([]bool)
+		if len(ha) != len(hb) {
+			t.Fatalf("node %d transcript lengths differ", v)
 		}
-		runB, err := NewNetwork(gr, model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progsA := make([]Program, gr.N())
-		progsB := make([]Program, gr.N())
-		for v := range progsA {
-			progsA[v] = &contender{horizon: 60}
-			progsB[v] = &contender{horizon: 60}
-		}
-		resA, err := runA.Run(progsA, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resB, err := runB.Run(progsB, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resA.Rounds != resB.Rounds {
-			t.Fatalf("noisyOwn=%v: round counts differ", noisyOwn)
-		}
-		for v := range progsA {
-			ha := resA.Outputs[v].([]bool)
-			hb := resB.Outputs[v].([]bool)
-			if len(ha) != len(hb) {
-				t.Fatalf("noisyOwn=%v: node %d transcript lengths differ", noisyOwn, v)
-			}
-			for i := range ha {
-				if ha[i] != hb[i] {
-					t.Fatalf("noisyOwn=%v: node %d transcripts differ at round %d", noisyOwn, v, i)
-				}
+		for i := range ha {
+			if ha[i] != hb[i] {
+				t.Fatalf("node %d transcripts differ at round %d", v, i)
 			}
 		}
 	}
@@ -115,40 +112,37 @@ func TestNoiseModelSymmetricByteIdentical(t *testing.T) {
 
 // TestRunPhaseEquivalenceNoiseModels extends the batch ≡ generic
 // equivalence to every pluggable model: RunPhase's ApplyInto windows and
-// Run's per-round FlipAt deliveries must agree bit-for-bit, under both
-// own-reception conventions.
+// Run's per-round FlipAt deliveries must agree bit-for-bit.
 func TestRunPhaseEquivalenceNoiseModels(t *testing.T) {
 	const length = 257
 	gr := graph.RandomBoundedDegree(24, 5, 0.2, rng.New(31))
 	for label, m := range channelModels() {
-		for _, noisyOwn := range []bool{false, true} {
-			p := Params{Noise: m, Seed: 9, NoisyOwn: noisyOwn}
-			patterns := noisePatterns(gr, length, 77)
+		p := Params{Noise: m, Seed: 9}
+		patterns := noisePatterns(gr, length, 77)
 
-			nwBatch, err := NewNetwork(gr, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch, err := nwBatch.RunPhase(patterns)
-			if err != nil {
-				t.Fatal(err)
-			}
+		nwBatch, err := NewNetwork(gr, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := nwBatch.RunPhase(patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			nwGeneric, err := NewNetwork(gr, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			progs := make([]Program, gr.N())
-			for v := range progs {
-				progs[v] = &Transmitter{Pattern: patterns[v], Rounds: length}
-			}
-			if _, err := nwGeneric.Run(progs, length); err != nil {
-				t.Fatal(err)
-			}
-			for v := 0; v < gr.N(); v++ {
-				if !batch[v].Equal(progs[v].(*Transmitter).Heard()) {
-					t.Fatalf("%s noisyOwn=%v: node %d: batch and generic paths disagree", label, noisyOwn, v)
-				}
+		nwGeneric, err := NewNetwork(gr, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs := make([]Program, gr.N())
+		for v := range progs {
+			progs[v] = &Transmitter{Pattern: patterns[v], Rounds: length}
+		}
+		if _, err := nwGeneric.Run(progs, length); err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < gr.N(); v++ {
+			if !batch[v].Equal(progs[v].(*Transmitter).Heard()) {
+				t.Fatalf("%s: node %d: batch and generic paths disagree", label, v)
 			}
 		}
 	}
@@ -169,7 +163,7 @@ func TestRunPhaseParallelEquivalenceNoiseModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallelNW, err := NewNetwork(gr, Params{Noise: m, Seed: 13, Workers: 8, Shards: 5})
+		parallelNW, err := NewNetwork(gr, Params{Noise: m, Seed: 13, Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

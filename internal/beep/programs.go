@@ -68,8 +68,8 @@ var (
 
 // RobustFlood is a noise-tolerant wave: time is divided into frames of
 // FrameLen rounds; an active node beeps through its two following frames; an
-// inactive node activates when it hears at least Threshold beeps within one
-// frame. With Threshold ≈ FrameLen/2 sitting between the noise floor
+// inactive node activates when it hears at least FrameLen/2 beeps within one
+// frame. With that threshold sitting between the noise floor
 // (ε·FrameLen) and the signal level ((1−ε)·FrameLen), the wave advances one
 // hop per frame with high probability, demonstrating how repetition defeats
 // noise at an O(FrameLen) overhead — the same principle Algorithm 1 applies
@@ -82,9 +82,6 @@ type RobustFlood struct {
 	Source bool
 	// FrameLen is the rounds per frame (default 24).
 	FrameLen int
-	// Threshold is the beeps-per-frame activation level (default
-	// FrameLen/2).
-	Threshold int
 
 	activeFrame  int // frame at which the node activated, -1 if not yet
 	heardInFrame int
@@ -96,9 +93,6 @@ type RobustFlood struct {
 func (rf *RobustFlood) Init(Env) {
 	if rf.FrameLen <= 0 {
 		rf.FrameLen = 24
-	}
-	if rf.Threshold <= 0 {
-		rf.Threshold = rf.FrameLen / 2
 	}
 	rf.activeFrame = -1
 	rf.doneAt = -1
@@ -134,7 +128,7 @@ func (rf *RobustFlood) Hear(round int, bit bool) {
 			rf.heardInFrame++
 		}
 		if (round+1)%rf.FrameLen == 0 {
-			if rf.heardInFrame >= rf.Threshold {
+			if rf.heardInFrame >= rf.FrameLen/2 {
 				rf.activeFrame = frame
 			}
 			rf.heardInFrame = 0

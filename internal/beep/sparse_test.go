@@ -129,7 +129,6 @@ func TestPropertySparseMatchesDenseTransmitters(t *testing.T) {
 			patterns[v] = p
 		}
 		workers := []int{1, 2, 4, engine.AutoWorkers}[r.Intn(4)]
-		shards := r.Intn(20)
 		mk := func() []Program {
 			progs := make([]Program, n)
 			for v := range progs {
@@ -138,7 +137,7 @@ func TestPropertySparseMatchesDenseTransmitters(t *testing.T) {
 			return progs
 		}
 		dense, sparse, dnw, snw := runPair(t, g,
-			Params{Seed: uint64(trial), Workers: workers, Shards: shards}, horizon+5, mk)
+			Params{Seed: uint64(trial), Workers: workers}, horizon+5, mk)
 		assertIdentical(t, fmt.Sprintf("trial %d", trial), dense, sparse, dnw, snw)
 		if dense.Rounds != horizon || !dense.AllDone {
 			t.Fatalf("trial %d: expected full horizon run, got rounds=%d allDone=%v",
@@ -218,7 +217,7 @@ func TestSparseFallbacks(t *testing.T) {
 
 	t.Run("noisy", func(t *testing.T) {
 		dense, sparse, dnw, snw := runPair(t, g,
-			Params{Seed: 17, Epsilon: 0.2, NoisyOwn: true}, g.N()+2, mkFlood)
+			Params{Seed: 17, Epsilon: 0.2}, g.N()+2, mkFlood)
 		assertIdentical(t, "noisy", dense, sparse, dnw, snw)
 	})
 

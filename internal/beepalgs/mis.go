@@ -37,19 +37,19 @@ const (
 // MIS is a noiseless-beeping maximal independent set protocol with
 // adaptive candidacy probabilities (the Afek et al. flavor):
 //
-// Each phase has 1 + VerifyRounds + 1 rounds:
+// Each phase has 1 + k + 1 rounds, with k = 2·log₂n + 6:
 //
 //	candidacy   — each undecided node privately becomes a candidate with
 //	              its current probability p_v (no communication);
-//	verification — for VerifyRounds rounds, each candidate beeps or
-//	              listens by a fresh coin each round; a candidate that
-//	              hears a beep while listening has an adjacent competitor
-//	              and aborts (two adjacent candidates both survive with
-//	              probability 2^{-VerifyRounds});
+//	verification — for k rounds, each candidate beeps or listens by a
+//	              fresh coin each round; a candidate that hears a beep
+//	              while listening has an adjacent competitor and aborts
+//	              (two adjacent candidates both survive with probability
+//	              2^{-k}, a low-probability event);
 //	join        — surviving candidates beep and enter the set; undecided
 //	              listeners that hear the join beep leave the competition.
 //
-// A candidate that aborted halves p_v (down to MinProb), so dense
+// A candidate that aborted halves p_v (down to 1/(n²+1)), so dense
 // neighborhoods thin out their candidacy rate geometrically — this is
 // what makes the running time polylogarithmic independent of Δ, unlike
 // a fixed Luby probability which would need degree knowledge.
@@ -58,11 +58,8 @@ const (
 // message-passing MIS in the core simulator instead (that is the paper's
 // whole point).
 type MIS struct {
-	// VerifyRounds is the conflict-detection window (default
-	// 2·log₂n + 6, making surviving conflicts a low-probability event).
-	VerifyRounds int
-	// MinProb floors the adaptive candidacy probability (default 1/n²).
-	MinProb float64
+	verifyRounds int     // k, the conflict-detection window
+	minProb      float64 // floor of the adaptive candidacy probability
 
 	rng       *rng.Stream
 	status    MISStatus
@@ -81,15 +78,11 @@ var _ beep.Program = (*MIS)(nil)
 // Init implements beep.Program.
 func (m *MIS) Init(env beep.Env) {
 	m.rng = env.Stream()
-	if m.VerifyRounds == 0 {
-		m.VerifyRounds = 2*wire.BitsFor(env.N) + 6
-	}
-	if m.MinProb == 0 {
-		m.MinProb = 1 / float64(env.N*env.N+1)
-	}
+	m.verifyRounds = 2*wire.BitsFor(env.N) + 6
+	m.minProb = 1 / float64(env.N*env.N+1)
 	m.status = MISUndecided
 	m.prob = 0.5
-	m.phaseLen = 1 + m.VerifyRounds + 1
+	m.phaseLen = 1 + m.verifyRounds + 1
 }
 
 // phasePos returns the position within the current phase.
@@ -105,7 +98,7 @@ func (m *MIS) Step(round int) beep.Action {
 		// exists so that Hear can close the previous phase cleanly).
 		m.candidate = m.rng.Bool(m.prob)
 		m.conflict = false
-	case pos <= m.VerifyRounds:
+	case pos <= m.verifyRounds:
 		if m.candidate && !m.conflict && m.rng.Bool(0.5) {
 			m.beeped = true
 		}
@@ -126,14 +119,14 @@ func (m *MIS) Hear(round int, bit bool) {
 	switch {
 	case pos == 0:
 		// Quiet round; nothing to learn.
-	case pos <= m.VerifyRounds:
+	case pos <= m.verifyRounds:
 		// A beeping node receives its own beep (model convention), so
 		// energy is evidence of a competitor only in rounds we listened.
 		if m.candidate && !m.conflict && bit && !m.beeped {
 			m.conflict = true
 			m.prob /= 2
-			if m.prob < m.MinProb {
-				m.prob = m.MinProb
+			if m.prob < m.minProb {
+				m.prob = m.minProb
 			}
 		}
 	default: // join round

@@ -195,8 +195,6 @@ type WaveOptions struct {
 	// executor instead of the dense per-round scan. Outputs are identical;
 	// per-round cost tracks the wave front instead of n.
 	Sparse bool
-	// Workers/Shards configure the execution pool (0 = serial).
-	Workers, Shards int
 	// Metrics receives channel telemetry (may be nil).
 	Metrics *obs.Registry
 }
@@ -237,12 +235,7 @@ func RunWave(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint
 			dBound = 1
 		}
 	}
-	nw, err := beep.NewNetwork(g, beep.Params{
-		Seed:    seed,
-		Workers: opt.Workers,
-		Shards:  opt.Shards,
-		Metrics: opt.Metrics,
-	})
+	nw, err := beep.NewNetwork(g, beep.Params{Seed: seed, Metrics: opt.Metrics})
 	if err != nil {
 		return nil, err
 	}

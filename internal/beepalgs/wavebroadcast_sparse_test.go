@@ -5,14 +5,13 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
 // TestWaveBroadcastSparseEquivalence runs the wave protocol through every
-// (EarlyStop × Sparse × workers) combination and pins all of them to the
+// (EarlyStop × Sparse) combination and pins all of them to the
 // dense serial baseline: identical decoded outputs everywhere, and — for a
 // fixed EarlyStop setting — identical round counts between the dense and
 // sparse drivers.
@@ -34,31 +33,28 @@ func TestWaveBroadcastSparseEquivalence(t *testing.T) {
 		for _, earlyStop := range []bool{false, true} {
 			denseRounds := -1
 			for _, sparse := range []bool{false, true} {
-				for _, workers := range []int{0, 4, engine.AutoWorkers} {
-					out, rounds, err := RunWaveBroadcastOpts(g, 0, msg, bits, 0, 4, WaveOptions{
-						EarlyStop: earlyStop,
-						Sparse:    sparse,
-						Workers:   workers,
-					})
-					if err != nil {
-						t.Fatal(err)
+				out, rounds, err := RunWaveBroadcastOpts(g, 0, msg, bits, 0, 4, WaveOptions{
+					EarlyStop: earlyStop,
+					Sparse:    sparse,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := range out {
+					if !bytes.Equal(out[v], baseline[v]) {
+						t.Fatalf("%s early=%v sparse=%v: node %d decoded %x, baseline %x",
+							name, earlyStop, sparse, v, out[v], baseline[v])
 					}
-					for v := range out {
-						if !bytes.Equal(out[v], baseline[v]) {
-							t.Fatalf("%s early=%v sparse=%v workers=%d: node %d decoded %x, baseline %x",
-								name, earlyStop, sparse, workers, v, out[v], baseline[v])
-						}
-					}
-					if denseRounds == -1 {
-						denseRounds = rounds
-					} else if rounds != denseRounds {
-						t.Fatalf("%s early=%v sparse=%v workers=%d: rounds %d, dense twin took %d",
-							name, earlyStop, sparse, workers, rounds, denseRounds)
-					}
-					if earlyStop && name == "path" && rounds >= baseRounds {
-						t.Fatalf("%s: early stop did not shorten the run: %d vs %d",
-							name, rounds, baseRounds)
-					}
+				}
+				if denseRounds == -1 {
+					denseRounds = rounds
+				} else if rounds != denseRounds {
+					t.Fatalf("%s early=%v sparse=%v: rounds %d, dense twin took %d",
+						name, earlyStop, sparse, rounds, denseRounds)
+				}
+				if earlyStop && name == "path" && rounds >= baseRounds {
+					t.Fatalf("%s: early stop did not shorten the run: %d vs %d",
+						name, rounds, baseRounds)
 				}
 			}
 		}

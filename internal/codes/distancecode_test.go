@@ -68,14 +68,7 @@ func TestRepetitionDecodeUnderNoise(t *testing.T) {
 		v := r.Uint64() & 0xffff
 		msg := encodeMsg(16, v)
 		obs := c.Encode(msg)
-		fs := rng.NewFlipSampler(r, 0.10)
-		for {
-			p, ok := fs.Next(c.Length())
-			if !ok {
-				break
-			}
-			obs.Flip(p)
-		}
+		rng.NewFlipSampler(r, 0.10).XorFlipsInto(obs.Words(), 0, c.Length())
 		if !wire.Equal(c.Decode(obs, allSolo), msg, 16) {
 			failures++
 		}
@@ -198,14 +191,7 @@ func TestRandomDistanceCodeDecodeUnderNoise(t *testing.T) {
 		v := r.Uint64() & 0xff
 		msg := encodeMsg(8, v)
 		obs := c.Encode(msg)
-		fs := rng.NewFlipSampler(r, 0.15)
-		for {
-			p, ok := fs.Next(96)
-			if !ok {
-				break
-			}
-			obs.Flip(p)
-		}
+		rng.NewFlipSampler(r, 0.15).XorFlipsInto(obs.Words(), 0, 96)
 		if !wire.Equal(c.Decode(obs, allSolo), msg, 8) {
 			failures++
 		}

@@ -307,18 +307,18 @@ func TestCongestIncomingSortedByFrom(t *testing.T) {
 
 // TestBroadcastSerialParallelIdentical: the broadcast engine's sharded
 // execution must reproduce the serial run exactly — outputs, round count,
-// and message count — for every worker/shard setting.
+// and message count — for every worker count.
 func TestBroadcastSerialParallelIdentical(t *testing.T) {
 	g, err := graph.RandomRegular(120, 6, rng.New(17))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOnce := func(workers, shards int) *Result {
+	runOnce := func(workers int) *Result {
 		e, err := NewBroadcastEngine(g, 16, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetParallelism(workers, shards)
+		e.SetParallelism(workers)
 		algs := make([]BroadcastAlgorithm, g.N())
 		for v := range algs {
 			algs[v] = &gossip{}
@@ -329,9 +329,9 @@ func TestBroadcastSerialParallelIdentical(t *testing.T) {
 		}
 		return res
 	}
-	want := runOnce(1, 0)
-	for _, cfg := range [][2]int{{2, 0}, {4, 3}, {8, 64}} {
-		got := runOnce(cfg[0], cfg[1])
+	want := runOnce(1)
+	for _, cfg := range []int{2, 4, 8} {
+		got := runOnce(cfg)
 		if got.Rounds != want.Rounds || got.AllDone != want.AllDone || got.Messages != want.Messages {
 			t.Fatalf("workers=%v: %+v vs serial %+v", cfg, got, want)
 		}
@@ -348,12 +348,12 @@ func TestCongestSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOnce := func(workers, shards int) *Result {
+	runOnce := func(workers int) *Result {
 		e, err := NewEngine(g, 16, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetParallelism(workers, shards)
+		e.SetParallelism(workers)
 		algs := make([]Algorithm, g.N())
 		for v := range algs {
 			algs[v] = &idExchange{}
@@ -364,9 +364,9 @@ func TestCongestSerialParallelIdentical(t *testing.T) {
 		}
 		return res
 	}
-	want := runOnce(1, 0)
-	for _, cfg := range [][2]int{{2, 0}, {6, 10}} {
-		got := runOnce(cfg[0], cfg[1])
+	want := runOnce(1)
+	for _, cfg := range []int{2, 6} {
+		got := runOnce(cfg)
 		if got.Rounds != want.Rounds || got.AllDone != want.AllDone || got.Messages != want.Messages {
 			t.Fatalf("workers=%v: %+v vs serial %+v", cfg, got, want)
 		}
@@ -385,7 +385,7 @@ func TestParallelValidationErrorMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetParallelism(workers, 0)
+		e.SetParallelism(workers)
 		algs := make([]BroadcastAlgorithm, g.N())
 		for v := range algs {
 			algs[v] = &oversender{}

@@ -27,14 +27,14 @@ func NewEngine(g *graph.Graph, msgBits int, seed uint64) (*Engine, error) {
 	if msgBits <= 0 {
 		return nil, fmt.Errorf("congest: bandwidth %d bits", msgBits)
 	}
-	return &Engine{g: g, msgBits: msgBits, seed: seed, pool: engine.NewPool(1, 0)}, nil
+	return &Engine{g: g, msgBits: msgBits, seed: seed, pool: engine.NewPool(1)}, nil
 }
 
 // SetParallelism configures the worker pool the per-round phases run on
-// (workers <= 1 serial, engine.AutoWorkers = GOMAXPROCS; shards 0 =
-// derived from workers). Results are bit-identical for every setting.
-func (e *Engine) SetParallelism(workers, shards int) {
-	e.pool = engine.NewPool(workers, shards)
+// (workers <= 1 serial, engine.AutoWorkers = GOMAXPROCS). Results are
+// bit-identical for every setting.
+func (e *Engine) SetParallelism(workers int) {
+	e.pool = engine.NewPool(workers)
 }
 
 // Env builds node v's environment.

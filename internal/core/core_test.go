@@ -180,7 +180,6 @@ func TestNoisySimulationDecodesCorrectly(t *testing.T) {
 		Params:      runnerParams(g, 0.1),
 		ChannelSeed: 2,
 		AlgSeed:     9,
-		NoisyOwn:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +452,7 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			pp := p
 			tc.mut(&pp)
 			runner, err := NewBroadcastRunner(g, RunnerConfig{
-				Params: pp, ChannelSeed: 7, AlgSeed: 8, NoisyOwn: true,
+				Params: pp, ChannelSeed: 7, AlgSeed: 8,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -493,7 +492,7 @@ func TestRunnerSerialParallelIdentical(t *testing.T) {
 	// n must span several 64-aligned shards or the parallel path is never taken.
 	g := graph.RandomBoundedDegree(160, 5, 0.03, rng.New(61))
 	for _, assign := range []Assignment{AssignByID, AssignRandom} {
-		runOnce := func(workers, shards int) (*Result, []*bitstring.BitString) {
+		runOnce := func(workers int) (*Result, []*bitstring.BitString) {
 			p := DefaultParams(g.N(), g.MaxDegree(), 12, 0.1)
 			p.Assignment = assign
 			if assign == AssignRandom {
@@ -503,10 +502,8 @@ func TestRunnerSerialParallelIdentical(t *testing.T) {
 				Params:      p,
 				ChannelSeed: 8,
 				AlgSeed:     9,
-				NoisyOwn:    true,
 				RecordBeeps: true,
 				Workers:     workers,
-				Shards:      shards,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -521,9 +518,9 @@ func TestRunnerSerialParallelIdentical(t *testing.T) {
 			}
 			return res, r.BeepHistory()
 		}
-		want, wantHist := runOnce(1, 0)
-		for _, cfg := range [][2]int{{2, 0}, {6, 9}} {
-			got, gotHist := runOnce(cfg[0], cfg[1])
+		want, wantHist := runOnce(1)
+		for _, cfg := range []int{2, 6} {
+			got, gotHist := runOnce(cfg)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("assign=%v workers=%v: result differs from serial:\n got %+v\nwant %+v", assign, cfg, got, want)
 			}

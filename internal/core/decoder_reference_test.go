@@ -141,14 +141,7 @@ func TestPropertyOptimizedMatchesNaive(t *testing.T) {
 			y.OrInPlace(d.encodePhase2(cw, msg))
 		}
 		for _, s := range []*bitstring.BitString{x, y} {
-			fs := rng.NewFlipSampler(r, 0.02+p.Epsilon)
-			for {
-				pos, ok := fs.Next(s.Len())
-				if !ok {
-					break
-				}
-				s.Flip(pos)
-			}
+			rng.NewFlipSampler(r, 0.02+p.Epsilon).XorFlipsInto(s.Words(), 0, s.Len())
 		}
 
 		members := d.members(x, nil)

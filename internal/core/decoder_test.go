@@ -92,14 +92,7 @@ func TestMembersUnderNoise(t *testing.T) {
 		for _, cw := range members {
 			x.OrInPlace(d.encodePhase1(cw))
 		}
-		fs := rng.NewFlipSampler(r, p.Epsilon)
-		for {
-			pos, ok := fs.Next(x.Len())
-			if !ok {
-				break
-			}
-			x.Flip(pos)
-		}
+		rng.NewFlipSampler(r, p.Epsilon).XorFlipsInto(x.Words(), 0, x.Len())
 		got := d.membersAlloc(x)
 		if len(got) != len(members) {
 			t.Fatalf("trial %d: decoded %v, want %v", trial, got, members)
@@ -125,14 +118,7 @@ func TestMembersEmptyOnSilence(t *testing.T) {
 		t.Errorf("silence decoded as %v", got)
 	}
 	// Pure noise at ε.
-	fs := rng.NewFlipSampler(rng.New(4), p.Epsilon)
-	for {
-		pos, ok := fs.Next(x.Len())
-		if !ok {
-			break
-		}
-		x.Set(pos)
-	}
+	rng.NewFlipSampler(rng.New(4), p.Epsilon).XorFlipsInto(x.Words(), 0, x.Len())
 	if got := d.membersAlloc(x); len(got) != 0 {
 		t.Errorf("pure noise decoded as %v", got)
 	}
@@ -224,14 +210,7 @@ func TestPhase2RoundTripUnderNoise(t *testing.T) {
 			w.WriteUint(msgs[cw], 8)
 			y.OrInPlace(d.encodePhase2(cw, w.PaddedBytes(p.MsgBits)))
 		}
-		fs := rng.NewFlipSampler(r, p.Epsilon)
-		for {
-			pos, ok := fs.Next(y.Len())
-			if !ok {
-				break
-			}
-			y.Flip(pos)
-		}
+		rng.NewFlipSampler(r, p.Epsilon).XorFlipsInto(y.Words(), 0, y.Len())
 		for _, cw := range members {
 			solo := d.soloMaskFor(cw, members)
 			got := d.decodeMessageAlloc(cw, y, solo)

@@ -27,9 +27,6 @@ type RunnerConfig struct {
 	// the same derivation the native engines use — so a run here and a
 	// native run with equal seeds execute the algorithms identically.
 	AlgSeed uint64
-	// NoisyOwn forwards the paper's own-reception noise convention to the
-	// channel.
-	NoisyOwn bool
 	// RecordBeeps retains per-round beep patterns for transcript analysis
 	// (the Lemma 14 / Theorem 22 counting experiments). Memory grows with
 	// beep rounds; leave off for large runs.
@@ -45,9 +42,6 @@ type RunnerConfig struct {
 	// goroutines (0 or 1 = serial, engine.AutoWorkers = GOMAXPROCS).
 	// Results are bit-identical for every setting.
 	Workers int
-	// Shards overrides the worker pool's shard count (0 = derived from
-	// Workers). Like Workers it never changes results.
-	Shards int
 	// Metrics, when non-nil, receives runner telemetry — per-phase
 	// timers, decode-stage counters (members, solo-filter hits,
 	// best-effort fallback bits) — and is forwarded to the beep channel
@@ -60,7 +54,7 @@ type RunnerConfig struct {
 // value is the disabled state and every update no-ops. Decode-stage
 // counts accumulate per execution span and fold in with one atomic add
 // per span — sums commute, so totals are deterministic under any
-// Workers/Shards setting.
+// Workers setting.
 type runnerMetrics struct {
 	simRounds    *obs.Counter // simulated Broadcast CONGEST rounds
 	emptyRounds  *obs.Counter // zero-sender rounds (radio phases skipped)
@@ -172,11 +166,9 @@ func NewBroadcastRunner(g *graph.Graph, cfg RunnerConfig) (*BroadcastRunner, err
 	// ε channel (Params.Epsilon then only calibrates the decoder).
 	beepParams := beep.Params{
 		Epsilon:     cfg.Params.Epsilon,
-		NoisyOwn:    cfg.NoisyOwn,
 		Seed:        cfg.ChannelSeed,
 		RecordBeeps: cfg.RecordBeeps,
 		Workers:     cfg.Workers,
-		Shards:      cfg.Shards,
 		Metrics:     cfg.Metrics,
 	}
 	if cfg.Params.Noise != "" {
@@ -256,7 +248,7 @@ func (r *BroadcastRunner) Env(v int) congest.Env {
 //
 // The broadcast-collection, codeword-encoding, and decode/deliver phases
 // run span-parallel on the beep network's worker pool (RunnerConfig's
-// Workers/Shards): every phase writes only per-node slots, the decoder
+// Workers): every phase writes only per-node slots, the decoder
 // tables are read-only, and each shard decodes on its own scratch, so
 // results are bit-identical to a serial run.
 func (r *BroadcastRunner) Run(algs []congest.BroadcastAlgorithm, maxSimRounds int) (*Result, error) {

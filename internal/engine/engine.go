@@ -10,7 +10,7 @@
 //
 // A Pool never changes what is computed — only where. The vertex range
 // [0, n) is decomposed into spans whose boundaries are multiples of 64 and
-// depend only on n and the shard count, never on the worker count. Phase
+// depend only on n and the shard count, four per worker. Phase
 // callbacks must confine their writes to per-vertex slots (slice elements
 // indexed by v) or to bitset words covering their own span — which the
 // 64-alignment guarantees never straddle a span boundary — and must draw
@@ -45,7 +45,7 @@ type Span struct {
 
 // Pool executes per-vertex phases over word-aligned spans with a fixed
 // number of workers. The zero value is a serial pool with a single span
-// (use NewPool for the load-balanced default sharding); Pools are
+// (use NewPool for four load-balanced shards per worker); Pools are
 // immutable (the span cache aside) and safe for concurrent use.
 type Pool struct {
 	workers int
@@ -84,22 +84,17 @@ type spanCache struct {
 	spans []Span
 }
 
-// NewPool returns a pool with the given worker and shard counts.
-// workers <= 1 selects serial execution; workers == AutoWorkers uses
-// runtime.GOMAXPROCS. shards <= 0 picks a default that load-balances the
-// configured workers (and is a pure function of the worker count, so a
-// given configuration always produces the same decomposition).
-func NewPool(workers, shards int) *Pool {
+// NewPool returns a pool with the given worker count and four shards
+// per worker, which load-balances the workers. workers <= 1 selects
+// serial execution; workers == AutoWorkers uses runtime.GOMAXPROCS.
+func NewPool(workers int) *Pool {
 	if workers == AutoWorkers {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	if shards <= 0 {
-		shards = 4 * workers
-	}
-	return &Pool{workers: workers, shards: shards}
+	return &Pool{workers: workers, shards: 4 * workers}
 }
 
 // AutoWorkers selects runtime.GOMAXPROCS workers in NewPool and in the

@@ -6,10 +6,21 @@ import (
 	"testing"
 )
 
+// shardedPool is NewPool with an explicit shard count in place of the
+// four per worker it fixes, so the span tests reach any decomposition.
+// shards <= 0 keeps NewPool's.
+func shardedPool(workers, shards int) *Pool {
+	p := NewPool(workers)
+	if shards > 0 {
+		p.shards = shards
+	}
+	return p
+}
+
 func TestSpansTileAndAlign(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
 		for _, shards := range []int{0, 1, 3, 64} {
-			p := NewPool(workers, shards)
+			p := shardedPool(workers, shards)
 			for _, n := range []int{0, 1, 63, 64, 65, 1000, 4096} {
 				spans := p.Spans(n)
 				if n == 0 {
@@ -50,8 +61,8 @@ func TestSpansTileAndAlign(t *testing.T) {
 
 func TestSpansIndependentOfWorkers(t *testing.T) {
 	// Same shard count, different worker counts: identical decomposition.
-	a := NewPool(1, 8).Spans(1000)
-	b := NewPool(16, 8).Spans(1000)
+	a := shardedPool(1, 8).Spans(1000)
+	b := shardedPool(16, 8).Spans(1000)
 	if len(a) != len(b) {
 		t.Fatalf("span counts differ: %d vs %d", len(a), len(b))
 	}
@@ -64,7 +75,7 @@ func TestSpansIndependentOfWorkers(t *testing.T) {
 
 func TestDoCoversEveryVertexOnce(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		p := NewPool(workers, 0)
+		p := NewPool(workers)
 		const n = 517
 		var hits [n]int32
 		p.Do(n, func(s Span) {
@@ -85,7 +96,7 @@ func TestSumMatchesSerial(t *testing.T) {
 	want := int64(n) * int64(n-1) / 2
 	for _, workers := range []int{1, 3, 8} {
 		for _, shards := range []int{1, 5, 100} {
-			p := NewPool(workers, shards)
+			p := shardedPool(workers, shards)
 			got := p.Sum(n, func(s Span) int64 {
 				var sum int64
 				for v := s.Lo; v < s.Hi; v++ {
@@ -101,7 +112,7 @@ func TestSumMatchesSerial(t *testing.T) {
 }
 
 func TestAllDone(t *testing.T) {
-	p := NewPool(4, 6)
+	p := shardedPool(4, 6)
 	done := make([]bool, 300)
 	for i := range done {
 		done[i] = true
@@ -119,7 +130,7 @@ func TestAllDone(t *testing.T) {
 }
 
 func TestLoopSemantics(t *testing.T) {
-	p := NewPool(2, 4)
+	p := shardedPool(2, 4)
 	const n = 100
 	remaining := 3 // all nodes finish after 3 steps
 	done := func(int) bool { return remaining == 0 }

@@ -11,7 +11,7 @@ import (
 func TestDoMaskedFiltersSpans(t *testing.T) {
 	const n = 64 * 40
 	collect := func(workers int, active func(lo, hi int) bool) map[int][2]int {
-		p := NewPool(workers, 8)
+		p := shardedPool(workers, 8)
 		var mu sync.Mutex
 		got := map[int][2]int{}
 		p.DoMasked(n, active, func(s Span) {
@@ -40,7 +40,7 @@ func TestDoMaskedFiltersSpans(t *testing.T) {
 		}
 		// Cross-check against Do over the full decomposition.
 		full := map[int][2]int{}
-		NewPool(1, 8).Do(n, func(s Span) {
+		shardedPool(1, 8).Do(n, func(s Span) {
 			if pred(s.Lo, s.Hi) {
 				full[s.Index] = [2]int{s.Lo, s.Hi}
 			}
@@ -61,7 +61,7 @@ func TestDoMaskedFiltersSpans(t *testing.T) {
 func TestDoMaskedCoversAllVertices(t *testing.T) {
 	const n = 64*7 + 13
 	for _, workers := range []int{1, 3, AutoWorkers} {
-		p := NewPool(workers, 0)
+		p := NewPool(workers)
 		seen := make([]int, n)
 		p.DoMasked(n, func(lo, hi int) bool { return true }, func(s Span) {
 			for v := s.Lo; v < s.Hi; v++ {

@@ -38,8 +38,6 @@ type Config struct {
 	// setting — the engines' sharded pool is deterministic — so this is
 	// purely a throughput knob.
 	Workers int
-	// Shards overrides the pool's shard count (0 = derived from Workers).
-	Shards int
 	// Metrics, when non-nil, receives the suite's observation-only
 	// telemetry (phase timers, decode counters, noise accounting) through
 	// the sweep and engine layers. Never changes any table.
@@ -127,7 +125,6 @@ func runSweep(cfg Config, scs []sweep.Scenario) ([]sweep.Record, error) {
 	recs, _, err := sweep.Run(scs, sweep.NewMemStore(), sweep.Options{
 		Jobs:    1,
 		Workers: cfg.poolWorkers(),
-		Shards:  cfg.Shards,
 		Metrics: cfg.Metrics,
 	})
 	return recs, err
@@ -149,9 +146,7 @@ func runGossip(cfg Config, g *graph.Graph, p core.Params, rounds int, channelSee
 		Params:      p,
 		ChannelSeed: channelSeed,
 		AlgSeed:     algSeed,
-		NoisyOwn:    true,
 		Workers:     cfg.poolWorkers(),
-		Shards:      cfg.Shards,
 		Metrics:     cfg.Metrics,
 	})
 	if err != nil {

@@ -45,9 +45,7 @@ func T7LocalBroadcast(cfg Config) (*Table, error) {
 			Params:      core.DefaultParams(n, tc.delta, outer, 0.05),
 			ChannelSeed: cfg.Seed + 10 + uint64(i),
 			AlgSeed:     cfg.Seed + 11,
-			NoisyOwn:    true,
 			Workers:     cfg.poolWorkers(),
-			Shards:      cfg.Shards,
 		})
 		if err != nil {
 			return nil, err
@@ -99,7 +97,7 @@ func T8MatchingNative(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			eng.SetParallelism(cfg.poolWorkers(), cfg.Shards)
+			eng.SetParallelism(cfg.poolWorkers())
 			res, err := eng.Run(matching.New(n), matching.MaxRounds(n))
 			if err != nil {
 				return nil, err
@@ -162,9 +160,7 @@ func T9MatchingBeeps(cfg Config) (*Table, error) {
 			Params:      core.DefaultParams(tc.n, g.MaxDegree(), matching.MsgBits(tc.n), tc.eps),
 			ChannelSeed: cfg.Seed + 70 + uint64(i),
 			AlgSeed:     cfg.Seed + 71,
-			NoisyOwn:    true,
 			Workers:     cfg.poolWorkers(),
-			Shards:      cfg.Shards,
 		})
 		if err != nil {
 			return nil, err
@@ -258,7 +254,6 @@ func transcriptDemo(cfg Config, g *graph.Graph, delta, b, inputs int) (int, erro
 			AlgSeed:     cfg.Seed + 601,
 			RecordBeeps: true,
 			Workers:     cfg.poolWorkers(),
-			Shards:      cfg.Shards,
 		})
 		if err != nil {
 			return 0, err

@@ -41,7 +41,6 @@ func T11NativeVsSimulated(cfg Config) (*Table, error) {
 			ChannelSeed: cfg.Seed + 41 + uint64(i),
 			AlgSeed:     cfg.Seed + 42,
 			Workers:     cfg.poolWorkers(),
-			Shards:      cfg.Shards,
 		})
 		if err != nil {
 			return nil, err

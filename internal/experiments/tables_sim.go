@@ -194,9 +194,7 @@ func T5CongestOverhead(cfg Config) (*Table, error) {
 			Params:      core.DefaultParams(n, g.MaxDegree(), outer, eps),
 			ChannelSeed: cfg.Seed + 7 + uint64(i),
 			AlgSeed:     cfg.Seed + 8,
-			NoisyOwn:    true,
 			Workers:     cfg.poolWorkers(),
-			Shards:      cfg.Shards,
 		})
 		if err != nil {
 			return nil, err

@@ -30,8 +30,6 @@ import (
 //     smaller one's, the monotonicity the frontier's binary search
 //     leans on (protocol-level breakage need not be monotone, but the
 //     bracket invariant keeps the search result well-defined).
-//   - Protected slots (NoisyOwn=false own-beep slots) outrank the
-//     strategy: they are never corrupted and never charged.
 
 // Hostile model names.
 const (
@@ -378,20 +376,12 @@ type advSampler struct {
 	pos   int // next unprocessed absolute slot
 }
 
-// step processes one observed slot. Gate order: budget, strategy,
-// protection — protection outranks the strategy, so protected slots are
-// never corrupted and never charged.
-func (s *advSampler) step(bit, protected bool) bool {
+// step processes one observed slot. Gate order: budget, then strategy.
+func (s *advSampler) step(bit bool) bool {
 	u := s.r.Float64()
 	t := s.pos
 	s.pos++
-	if s.left <= 0 {
-		return false
-	}
-	if !s.strat.Corrupt(s.view, t, bit, u) {
-		return false
-	}
-	if protected {
+	if s.left <= 0 || !s.strat.Corrupt(s.view, t, bit, u) {
 		return false
 	}
 	s.left--
@@ -408,25 +398,23 @@ func (s *advSampler) skipTo(start int) {
 	}
 }
 
-func (s *advSampler) ApplyInto(words []uint64, start, end int, protect []uint64) {
+func (s *advSampler) ApplyInto(words []uint64, start, end int) {
 	s.skipTo(start)
 	for s.pos < end {
 		i := s.pos - start
 		mask := uint64(1) << (uint(i) & 63)
-		bit := words[i>>6]&mask != 0
-		prot := protect != nil && protect[i>>6]&mask != 0
-		if s.step(bit, prot) {
+		if s.step(words[i>>6]&mask != 0) {
 			words[i>>6] ^= mask
 		}
 	}
 }
 
-func (s *advSampler) FlipAt(t int, bit, protected bool) bool {
+func (s *advSampler) FlipAt(t int, bit bool) bool {
 	if t < s.pos {
 		return false // already-consumed slot, like the stochastic samplers
 	}
 	s.skipTo(t)
-	return s.step(bit, protected)
+	return s.step(bit)
 }
 
 // --- jam ---
@@ -482,20 +470,15 @@ type jamSampler struct{ duty, period int }
 
 func (s jamSampler) jammed(t int) bool { return t%s.period < s.duty }
 
-func (s jamSampler) ApplyInto(words []uint64, start, end int, protect []uint64) {
+func (s jamSampler) ApplyInto(words []uint64, start, end int) {
 	for t := start; t < end; t++ {
-		if !s.jammed(t) {
-			continue
+		if s.jammed(t) {
+			i := t - start
+			words[i>>6] |= 1 << (uint(i) & 63)
 		}
-		i := t - start
-		mask := uint64(1) << (uint(i) & 63)
-		if protect != nil && protect[i>>6]&mask != 0 {
-			continue
-		}
-		words[i>>6] |= mask
 	}
 }
 
-func (s jamSampler) FlipAt(t int, bit, protected bool) bool {
-	return s.jammed(t) && !bit && !protected
+func (s jamSampler) FlipAt(t int, bit bool) bool {
+	return s.jammed(t) && !bit
 }

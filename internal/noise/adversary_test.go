@@ -134,7 +134,7 @@ func TestHostileCalibration(t *testing.T) {
 // TestApplyIntoMatchesFlipAt: per strategy, the scalar FlipAt path, the
 // batch ApplyInto path, and one sampler alternating the two window by
 // window produce identical post-noise bits — and identical budget
-// spend — over identical pre-noise data, protection masks, and windows.
+// spend — over identical pre-noise data and windows.
 func TestHostileThreePathConformance(t *testing.T) {
 	windows := []int{1, 63, 64, 65, 300, 5, 128}
 	total := 0
@@ -145,22 +145,20 @@ func TestHostileThreePathConformance(t *testing.T) {
 		t.Run(label, func(t *testing.T) {
 			data := rng.New(777)
 			pre := make([]bool, total)
-			protect := make([]bool, total)
 			for i := range pre {
 				pre[i] = data.Bool(0.5)
-				protect[i] = data.Bool(0.2)
 			}
-			batch := applyBits(m.Sampler(42, 3), pre, protect, windows)
+			batch := applyBits(m.Sampler(42, 3), pre, windows)
 			// Scalar reference.
 			scalar := m.Sampler(42, 3)
 			for tSlot := 0; tSlot < total; tSlot++ {
 				want := pre[tSlot]
-				if scalar.FlipAt(tSlot, pre[tSlot], protect[tSlot]) {
+				if scalar.FlipAt(tSlot, pre[tSlot]) {
 					want = !want
 				}
 				if batch[tSlot] != want {
-					t.Fatalf("slot %d: batch bit %v, scalar bit %v (pre %v, protected %v)",
-						tSlot, batch[tSlot], want, pre[tSlot], protect[tSlot])
+					t.Fatalf("slot %d: batch bit %v, scalar bit %v (pre %v)",
+						tSlot, batch[tSlot], want, pre[tSlot])
 				}
 			}
 			// Interleaved: one sampler takes even windows slot by slot and
@@ -171,20 +169,16 @@ func TestHostileThreePathConformance(t *testing.T) {
 				got := make([]bool, w)
 				if wi%2 == 0 {
 					for i := range got {
-						got[i] = pre[off+i] != mixed.FlipAt(off+i, pre[off+i], protect[off+i])
+						got[i] = pre[off+i] != mixed.FlipAt(off+i, pre[off+i])
 					}
 				} else {
-					n := (w + 63) / 64
-					words, prot := make([]uint64, n), make([]uint64, n)
+					words := make([]uint64, (w+63)/64)
 					for i := 0; i < w; i++ {
 						if pre[off+i] {
 							words[i>>6] |= 1 << (uint(i) & 63)
 						}
-						if protect[off+i] {
-							prot[i>>6] |= 1 << (uint(i) & 63)
-						}
 					}
-					mixed.ApplyInto(words, off, off+w, prot)
+					mixed.ApplyInto(words, off, off+w)
 					for i := range got {
 						got[i] = words[i>>6]>>(uint(i)&63)&1 == 1
 					}
@@ -202,7 +196,7 @@ func TestHostileThreePathConformance(t *testing.T) {
 
 // countFlips runs a sampler over pre-noise data and counts applied
 // flips, alternating the scalar and batch paths window by window.
-func countFlips(t *testing.T, m Model, seed uint64, node, slots int, preBit func(int) bool, protAt func(int) bool) int {
+func countFlips(t *testing.T, m Model, seed uint64, node, slots int, preBit func(int) bool) int {
 	t.Helper()
 	s := m.Sampler(seed, node)
 	flips := 0
@@ -216,24 +210,18 @@ func countFlips(t *testing.T, m Model, seed uint64, node, slots int, preBit func
 		switch mode % 2 {
 		case 0: // scalar
 			for i := 0; i < w; i++ {
-				if s.FlipAt(tSlot+i, preBit(tSlot+i), protAt(tSlot+i)) {
+				if s.FlipAt(tSlot+i, preBit(tSlot+i)) {
 					flips++
 				}
 			}
 		case 1: // batch
 			words := make([]uint64, (w+63)/64)
-			prot := make([]uint64, (w+63)/64)
-			before := 0
 			for i := 0; i < w; i++ {
 				if preBit(tSlot + i) {
 					words[i>>6] |= 1 << (uint(i) & 63)
-					before++
-				}
-				if protAt(tSlot + i) {
-					prot[i>>6] |= 1 << (uint(i) & 63)
 				}
 			}
-			s.ApplyInto(words, tSlot, tSlot+w, prot)
+			s.ApplyInto(words, tSlot, tSlot+w)
 			for i := 0; i < w; i++ {
 				if (words[i>>6]>>(uint(i)&63)&1 == 1) != preBit(tSlot+i) {
 					flips++
@@ -253,7 +241,6 @@ func countFlips(t *testing.T, m Model, seed uint64, node, slots int, preBit func
 func TestAdversaryBudgetNeverExceeded(t *testing.T) {
 	const slots = 4096
 	allOnes := func(int) bool { return true }
-	noProt := func(int) bool { return false }
 	for _, budget := range []int{0, 1, 7, 64, 1000} {
 		for strat, m := range map[string]Model{
 			StrategyRandom: Adversary{Strategy: StrategyRandom, Budget: budget, A: 0.9},
@@ -261,7 +248,7 @@ func TestAdversaryBudgetNeverExceeded(t *testing.T) {
 			StrategyPhase:  Adversary{Strategy: StrategyPhase, Budget: budget, A: 4, B: 2},
 			StrategyHub:    Adversary{Strategy: StrategyHub, Budget: budget, A: 0.5},
 		} {
-			flips := countFlips(t, m, 11, 2, slots, allOnes, noProt)
+			flips := countFlips(t, m, 11, 2, slots, allOnes)
 			if flips > budget {
 				t.Errorf("%s budget %d: %d flips applied", strat, budget, flips)
 			}
@@ -274,23 +261,6 @@ func TestAdversaryBudgetNeverExceeded(t *testing.T) {
 	}
 }
 
-// TestAdversaryProtectedSpendsNothing: protected slots are never
-// corrupted and never charged — the budget survives a fully-protected
-// window intact and is spent in full afterwards.
-func TestAdversaryProtectedSpendsNothing(t *testing.T) {
-	const budget = 32
-	m := Adversary{Strategy: StrategySolo, Budget: budget}
-	allOnes := func(int) bool { return true }
-	flips := countFlips(t, m, 3, 0, 4096, allOnes, func(t int) bool { return t < 2048 })
-	if flips != budget {
-		t.Errorf("budget after protected prefix: spent %d, want %d", flips, budget)
-	}
-	// Fully protected run: nothing spent, nothing flipped.
-	if flips := countFlips(t, m, 3, 0, 4096, allOnes, func(int) bool { return true }); flips != 0 {
-		t.Errorf("fully protected run applied %d flips", flips)
-	}
-}
-
 // TestAdversaryCountingAgreesWithSpend pins the Accountant surface: a
 // Counting wrapper around an adversary sampler observes exactly the
 // flips the budget pays for.
@@ -299,7 +269,7 @@ func TestAdversaryCountingAgreesWithSpend(t *testing.T) {
 	var acc countingAcc
 	s := Counting(m.Sampler(5, 1), &acc)
 	words := []uint64{^uint64(0), ^uint64(0)} // 128 detected beeps
-	s.ApplyInto(words, 0, 128, nil)
+	s.ApplyInto(words, 0, 128)
 	if int(acc) != 10 {
 		t.Errorf("accountant saw %d, want 10", acc)
 	}
@@ -331,8 +301,8 @@ func TestAdversaryPositionDeterminism(t *testing.T) {
 		spent := 0
 		for tSlot := 0; tSlot < 2000; tSlot++ {
 			bit := tSlot%3 != 0
-			fa := a.FlipAt(tSlot, bit, false)
-			fb := b.FlipAt(tSlot, bit, false)
+			fa := a.FlipAt(tSlot, bit)
+			fb := b.FlipAt(tSlot, bit)
 			if spent < 20 && fa != fb {
 				t.Fatalf("%s: budgets diverged at slot %d before exhaustion", strat, tSlot)
 			}
@@ -360,14 +330,13 @@ func TestAdversaryTopologyBinding(t *testing.T) {
 		t.Fatalf("binding changed identity: %q vs %q", bound.Spec(), m.Spec())
 	}
 	allOnes := func(int) bool { return true }
-	noProt := func(int) bool { return false }
-	if flips := countFlips(t, bound, 1, 0, 512, allOnes, noProt); flips != 0 {
+	if flips := countFlips(t, bound, 1, 0, 512, allOnes); flips != 0 {
 		t.Errorf("low-degree node saw %d flips, want 0", flips)
 	}
-	if flips := countFlips(t, bound, 1, 1, 512, allOnes, noProt); flips != 50 {
+	if flips := countFlips(t, bound, 1, 1, 512, allOnes); flips != 50 {
 		t.Errorf("hub node saw %d flips, want full budget 50", flips)
 	}
-	if flips := countFlips(t, m, 1, 0, 512, allOnes, noProt); flips != 50 {
+	if flips := countFlips(t, m, 1, 0, 512, allOnes); flips != 50 {
 		t.Errorf("unbound hub saw %d flips, want full budget 50", flips)
 	}
 	// Jam has no topology to bind.
@@ -381,8 +350,7 @@ func TestAdversaryTopologyBinding(t *testing.T) {
 func TestSoloNeverFabricates(t *testing.T) {
 	m := Adversary{Strategy: StrategySolo, Budget: 1 << 20}
 	allZero := func(int) bool { return false }
-	noProt := func(int) bool { return false }
-	if flips := countFlips(t, m, 2, 0, 8192, allZero, noProt); flips != 0 {
+	if flips := countFlips(t, m, 2, 0, 8192, allZero); flips != 0 {
 		t.Errorf("solo fabricated %d beeps on a silent channel", flips)
 	}
 }
@@ -395,13 +363,13 @@ func TestJamSchedule(t *testing.T) {
 	other := m.Sampler(456, 9)
 	for tSlot := 0; tSlot < 200; tSlot++ {
 		wantJam := tSlot%10 < 3
-		if got := s.FlipAt(tSlot, false, false); got != wantJam {
+		if got := s.FlipAt(tSlot, false); got != wantJam {
 			t.Fatalf("slot %d: silent-slot jam = %v, want %v", tSlot, got, wantJam)
 		}
-		if s.FlipAt(tSlot, true, false) {
+		if s.FlipAt(tSlot, true) {
 			t.Fatalf("slot %d: jam erased a beep", tSlot)
 		}
-		if other.FlipAt(tSlot, false, false) != wantJam {
+		if other.FlipAt(tSlot, false) != wantJam {
 			t.Fatalf("slot %d: jam schedule varies across seed/node", tSlot)
 		}
 	}
@@ -434,8 +402,7 @@ func FuzzAdversaryBudget(f *testing.F) {
 			t.Fatalf("fuzz model invalid: %v", err)
 		}
 		pre := func(t int) bool { return t%2 == 0 || t%5 == 0 }
-		prot := func(t int) bool { return t%7 == 0 }
-		flips := countFlips(t, m, seed, node, slots, pre, prot)
+		flips := countFlips(t, m, seed, node, slots, pre)
 		if flips > budget {
 			t.Fatalf("%s: %d flips exceed budget %d", m.Spec(), flips, budget)
 		}
@@ -443,19 +410,15 @@ func FuzzAdversaryBudget(f *testing.F) {
 		batchS := m.Sampler(seed, node)
 		scalarS := m.Sampler(seed, node)
 		words := make([]uint64, (slots+63)/64)
-		pm := make([]uint64, (slots+63)/64)
 		for i := 0; i < slots; i++ {
 			if pre(i) {
 				words[i>>6] |= 1 << (uint(i) & 63)
 			}
-			if prot(i) {
-				pm[i>>6] |= 1 << (uint(i) & 63)
-			}
 		}
-		batchS.ApplyInto(words, 0, slots, pm)
+		batchS.ApplyInto(words, 0, slots)
 		for i := 0; i < slots; i++ {
 			want := pre(i)
-			if scalarS.FlipAt(i, pre(i), prot(i)) {
+			if scalarS.FlipAt(i, pre(i)) {
 				want = !want
 			}
 			if (words[i>>6]>>(uint(i)&63)&1 == 1) != want {

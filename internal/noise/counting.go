@@ -22,9 +22,9 @@ type Accountant interface {
 // never reorders or adds stream reads, and counts by comparing words
 // before and after (XOR popcount) rather than by re-deriving the
 // model's decisions, so receptions are byte-identical wrapped or not.
-// Protected slots and erasure slots that happen to re-assert the
-// current value change no bits and count zero, matching the FlipAt
-// definition of a flip (returns true iff the reception changes).
+// Erasure slots that happen to re-assert the current value change no
+// bits and count zero, matching the FlipAt definition of a flip
+// (returns true iff the reception changes).
 //
 // acc == nil or s == nil returns s unchanged, so call sites can wrap
 // unconditionally.
@@ -44,13 +44,13 @@ type countingSampler struct {
 	scratch []uint64
 }
 
-func (c *countingSampler) ApplyInto(words []uint64, start, end int, protect []uint64) {
+func (c *countingSampler) ApplyInto(words []uint64, start, end int) {
 	n := (end - start + 63) / 64
 	if n < 0 || n > len(words) {
 		n = len(words)
 	}
 	pre := c.snapshot(words[:n])
-	c.s.ApplyInto(words, start, end, protect)
+	c.s.ApplyInto(words, start, end)
 	var flips int64
 	for i, w := range words[:n] {
 		flips += int64(bits.OnesCount64(w ^ pre[i]))
@@ -60,8 +60,8 @@ func (c *countingSampler) ApplyInto(words []uint64, start, end int, protect []ui
 	}
 }
 
-func (c *countingSampler) FlipAt(t int, bit, protected bool) bool {
-	flip := c.s.FlipAt(t, bit, protected)
+func (c *countingSampler) FlipAt(t int, bit bool) bool {
+	flip := c.s.FlipAt(t, bit)
 	if flip {
 		c.acc.Add(1)
 	}

@@ -11,20 +11,14 @@ type tally struct{ n int64 }
 func (t *tally) Add(delta int64) { t.n += delta }
 
 // prenoise builds a deterministic pre-noise reception window of w slots
-// (bit i of words = slot start+i) plus a protect mask, from a plain
-// math/rand source — test fixture data, independent of internal/rng.
-func prenoise(r *rand.Rand, w int, withProtect bool) (words, protect []uint64) {
-	words = make([]uint64, (w+63)/64)
+// (bit i of words = slot start+i) from a plain math/rand source — test
+// fixture data, independent of internal/rng.
+func prenoise(r *rand.Rand, w int) []uint64 {
+	words := make([]uint64, (w+63)/64)
 	for i := range words {
 		words[i] = r.Uint64()
 	}
-	if withProtect {
-		protect = make([]uint64, len(words))
-		for i := range protect {
-			protect[i] = r.Uint64() & r.Uint64() // sparse-ish protection
-		}
-	}
-	return words, protect
+	return words
 }
 
 func bitAt(words []uint64, i int) bool { return words[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -32,13 +26,11 @@ func bitAt(words []uint64, i int) bool { return words[i>>6]&(1<<(uint(i)&63)) !=
 // scalarFlips replays the window through a fresh sampler's FlipAt path
 // — the scalar reference the package's equivalence tests already pin
 // ApplyInto to — and returns how many slots report a flip.
-func scalarFlips(m Model, seed uint64, node int, start, end int, pre, protect []uint64) int64 {
+func scalarFlips(m Model, seed uint64, node int, start, end int, pre []uint64) int64 {
 	s := m.Sampler(seed, node)
 	var flips int64
 	for t := start; t < end; t++ {
-		i := t - start
-		protected := protect != nil && bitAt(protect, i)
-		if s.FlipAt(t, bitAt(pre, i), protected) {
+		if s.FlipAt(t, bitAt(pre, t-start)) {
 			flips++
 		}
 	}
@@ -55,33 +47,31 @@ func TestCountingMatchesScalarReference(t *testing.T) {
 	const seed, node = 2023, 5
 	for label, m := range testModels() {
 		r := rand.New(rand.NewSource(int64(len(label)) * 77))
-		for _, withProtect := range []bool{false, true} {
-			var acc tally
-			wrapped := Counting(m.Sampler(seed, node), &acc)
-			plain := m.Sampler(seed, node)
-			var wantTotal int64
-			start := 0
-			// Contiguous windows, like successive phases; widths cover
-			// partial words, exact words, and multi-word spans.
-			for _, w := range []int{5, 64, 63, 129, 300, 1} {
-				end := start + w
-				pre, protect := prenoise(r, w, withProtect)
-				got := append([]uint64(nil), pre...)
-				want := append([]uint64(nil), pre...)
-				wrapped.ApplyInto(got, start, end, protect)
-				plain.ApplyInto(want, start, end, protect)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s protect=%v window [%d,%d): counting wrapper changed receptions: word %d = %#x, want %#x",
-							label, withProtect, start, end, i, got[i], want[i])
-					}
+		var acc tally
+		wrapped := Counting(m.Sampler(seed, node), &acc)
+		plain := m.Sampler(seed, node)
+		var wantTotal int64
+		start := 0
+		// Contiguous windows, like successive phases; widths cover
+		// partial words, exact words, and multi-word spans.
+		for _, w := range []int{5, 64, 63, 129, 300, 1} {
+			end := start + w
+			pre := prenoise(r, w)
+			got := append([]uint64(nil), pre...)
+			want := append([]uint64(nil), pre...)
+			wrapped.ApplyInto(got, start, end)
+			plain.ApplyInto(want, start, end)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s window [%d,%d): counting wrapper changed receptions: word %d = %#x, want %#x",
+						label, start, end, i, got[i], want[i])
 				}
-				wantTotal += scalarFlips(m, seed, node, start, end, pre, protect)
-				start = end
 			}
-			if acc.n != wantTotal {
-				t.Fatalf("%s protect=%v: counted %d flips, scalar reference says %d", label, withProtect, acc.n, wantTotal)
-			}
+			wantTotal += scalarFlips(m, seed, node, start, end, pre)
+			start = end
+		}
+		if acc.n != wantTotal {
+			t.Fatalf("%s: counted %d flips, scalar reference says %d", label, acc.n, wantTotal)
 		}
 	}
 }
@@ -99,9 +89,8 @@ func TestCountingFlipAtPath(t *testing.T) {
 		var want int64
 		for t2 := 0; t2 < 700; t2++ {
 			bit := r.Intn(2) == 1
-			protected := r.Intn(8) == 0
-			got := wrapped.FlipAt(t2, bit, protected)
-			ref := plain.FlipAt(t2, bit, protected)
+			got := wrapped.FlipAt(t2, bit)
+			ref := plain.FlipAt(t2, bit)
 			if got != ref {
 				t.Fatalf("%s: FlipAt(%d) = %v through wrapper, want %v", label, t2, got, ref)
 			}

@@ -85,33 +85,12 @@ type symmetricSampler struct {
 	fs *rng.FlipSampler
 }
 
-func (s *symmetricSampler) ApplyInto(words []uint64, start, end int, protect []uint64) {
-	if protect == nil {
-		// Every slot is noisy: the flips XOR straight into the words.
-		s.fs.XorFlipsInto(words, start, end)
-		return
-	}
-	for {
-		abs, ok := s.fs.Next(end)
-		if !ok {
-			return
-		}
-		if abs < start {
-			continue // positions consumed by earlier windows
-		}
-		i := abs - start
-		if protect[i>>6]>>(uint(i)&63)&1 == 1 {
-			continue // noise-free slot; the flip is consumed, not applied
-		}
-		words[i>>6] ^= 1 << (uint(i) & 63)
-	}
+func (s *symmetricSampler) ApplyInto(words []uint64, start, end int) {
+	s.fs.XorFlipsInto(words, start, end)
 }
 
-func (s *symmetricSampler) FlipAt(t int, bit, protected bool) bool {
-	if !consumeAt(s.fs, t) {
-		return false
-	}
-	return !protected
+func (s *symmetricSampler) FlipAt(t int, bit bool) bool {
+	return consumeAt(s.fs, t)
 }
 
 // consumeAt advances fs through slot t, reporting whether a flip landed
@@ -165,7 +144,7 @@ type asymmetricSampler struct {
 	buf01, buf10 []uint64 // per-window flip masks, reused across calls
 }
 
-func (s *asymmetricSampler) ApplyInto(words []uint64, start, end int, protect []uint64) {
+func (s *asymmetricSampler) ApplyInto(words []uint64, start, end int) {
 	if end <= start {
 		return
 	}
@@ -176,23 +155,16 @@ func (s *asymmetricSampler) ApplyInto(words []uint64, start, end int, protect []
 	s.fs10.XorFlipsInto(s.buf10, start, end)
 	for i := 0; i < n; i++ {
 		// 0→1 flips land on 0-bits, 1→0 flips on 1-bits.
-		fl := (s.buf01[i] &^ words[i]) | (s.buf10[i] & words[i])
-		if protect != nil {
-			fl &^= protect[i]
-		}
-		words[i] ^= fl
+		words[i] ^= (s.buf01[i] &^ words[i]) | (s.buf10[i] & words[i])
 	}
 }
 
-func (s *asymmetricSampler) FlipAt(t int, bit, protected bool) bool {
-	// Both processes consume their streams unconditionally: the draw a
-	// protected or opposite-bit slot wastes here is the draw ApplyInto's
-	// mask build would have spent.
+func (s *asymmetricSampler) FlipAt(t int, bit bool) bool {
+	// Both processes consume their streams unconditionally: the draw an
+	// opposite-bit slot wastes here is the draw ApplyInto's mask build
+	// would have spent.
 	hit01 := consumeAt(s.fs01, t)
 	hit10 := consumeAt(s.fs10, t)
-	if protected {
-		return false
-	}
 	if bit {
 		return hit10
 	}
@@ -256,7 +228,7 @@ type erasureSampler struct {
 	buf     []uint64
 }
 
-func (s *erasureSampler) ApplyInto(words []uint64, start, end int, protect []uint64) {
+func (s *erasureSampler) ApplyInto(words []uint64, start, end int) {
 	if end <= start {
 		return
 	}
@@ -264,20 +236,16 @@ func (s *erasureSampler) ApplyInto(words []uint64, start, end int, protect []uin
 	s.buf = zeroed(s.buf, n)
 	s.fs.XorFlipsInto(s.buf, start, end)
 	for i := 0; i < n; i++ {
-		mask := s.buf[i]
-		if protect != nil {
-			mask &^= protect[i]
-		}
 		if s.readAs1 {
-			words[i] |= mask
+			words[i] |= s.buf[i]
 		} else {
-			words[i] &^= mask
+			words[i] &^= s.buf[i]
 		}
 	}
 }
 
-func (s *erasureSampler) FlipAt(t int, bit, protected bool) bool {
-	if !consumeAt(s.fs, t) || protected {
+func (s *erasureSampler) FlipAt(t int, bit bool) bool {
+	if !consumeAt(s.fs, t) {
 		return false
 	}
 	return bit != s.readAs1 // erased slots read as the policy constant
@@ -382,7 +350,7 @@ func (s *geSampler) step() bool {
 	return flip
 }
 
-func (s *geSampler) ApplyInto(words []uint64, start, end int, protect []uint64) {
+func (s *geSampler) ApplyInto(words []uint64, start, end int) {
 	for s.pos < start {
 		s.step() // stale slots from earlier windows
 	}
@@ -390,11 +358,7 @@ func (s *geSampler) ApplyInto(words []uint64, start, end int, protect []uint64) 
 	wi := -1
 	for s.pos < end {
 		i := s.pos - start
-		flip := s.step()
-		if !flip {
-			continue
-		}
-		if protect != nil && protect[i>>6]>>(uint(i)&63)&1 == 1 {
+		if !s.step() {
 			continue
 		}
 		if w := i >> 6; w != wi {
@@ -410,13 +374,12 @@ func (s *geSampler) ApplyInto(words []uint64, start, end int, protect []uint64) 
 	}
 }
 
-func (s *geSampler) FlipAt(t int, bit, protected bool) bool {
+func (s *geSampler) FlipAt(t int, bit bool) bool {
 	if t < s.pos {
 		return false // already-consumed slot, like the i.i.d. samplers
 	}
 	for s.pos < t {
 		s.step()
 	}
-	flip := s.step()
-	return flip && !protected
+	return s.step()
 }

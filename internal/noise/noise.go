@@ -73,21 +73,20 @@ type Model interface {
 }
 
 // Sampler applies one listener's channel noise. Both paths consume the
-// sampler's randomness for every slot they pass over — including
-// protected slots — so noise downstream of a window never depends on
-// what the window contained.
+// sampler's randomness for every slot they pass over, so noise
+// downstream of a window never depends on what the window contained.
+// Every slot is noisy, a beeping node's own slots included: its own
+// reception goes through the channel (the paper's §1.5 convention).
 type Sampler interface {
 	// ApplyInto perturbs the pre-noise reception words for absolute
-	// slots [start, end): slot abs is bit abs-start. protect, when
-	// non-nil, marks window-local slots delivered noise-free (a beeping
-	// node's own slots when the network's NoisyOwn convention is off).
-	// Slots before start that the sampler has not yet passed are
-	// consumed and discarded, exactly like rng.FlipSampler.XorFlipsInto.
-	ApplyInto(words []uint64, start, end int, protect []uint64)
+	// slots [start, end): slot abs is bit abs-start. Slots before start
+	// that the sampler has not yet passed are consumed and discarded,
+	// exactly like rng.FlipSampler.XorFlipsInto.
+	ApplyInto(words []uint64, start, end int)
 	// FlipAt reports whether the reception at absolute slot t — whose
-	// pre-noise value is bit — flips, honoring protected. It must
-	// consume randomness identically to ApplyInto covering t.
-	FlipAt(t int, bit, protected bool) bool
+	// pre-noise value is bit — flips. It must consume randomness
+	// identically to ApplyInto covering t.
+	FlipAt(t int, bit bool) bool
 }
 
 // streamKey is the split domain of per-node channel noise. It is the

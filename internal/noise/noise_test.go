@@ -151,7 +151,7 @@ func TestSymmetricMatchesFlipSampler(t *testing.T) {
 	ref := rng.NewFlipSampler(rng.New(seed).Split(0x6e6f697365, uint64(node)), eps)
 	const window = 640
 	got := make([]uint64, window/64)
-	s.ApplyInto(got, 0, window, nil)
+	s.ApplyInto(got, 0, window)
 	want := make([]uint64, window/64)
 	ref.XorFlipsInto(want, 0, window)
 	for i := range want {
@@ -162,27 +162,19 @@ func TestSymmetricMatchesFlipSampler(t *testing.T) {
 }
 
 // applyBits runs a sampler's batch path over windowed slots and returns
-// the post-noise bits; pre and protect index absolute slots.
-func applyBits(s Sampler, pre, protect []bool, windows []int) []bool {
+// the post-noise bits; pre indexes absolute slots.
+func applyBits(s Sampler, pre []bool, windows []int) []bool {
 	out := append([]bool(nil), pre...)
 	start := 0
 	for _, w := range windows {
 		end := start + w
-		n := (w + 63) / 64
-		words := make([]uint64, n)
-		var prot []uint64
+		words := make([]uint64, (w+63)/64)
 		for i := 0; i < w; i++ {
 			if pre[start+i] {
 				words[i>>6] |= 1 << (uint(i) & 63)
 			}
-			if protect[start+i] {
-				if prot == nil {
-					prot = make([]uint64, n)
-				}
-				prot[i>>6] |= 1 << (uint(i) & 63)
-			}
 		}
-		s.ApplyInto(words, start, end, prot)
+		s.ApplyInto(words, start, end)
 		for i := 0; i < w; i++ {
 			out[start+i] = words[i>>6]>>(uint(i)&63)&1 == 1
 		}
@@ -194,7 +186,7 @@ func applyBits(s Sampler, pre, protect []bool, windows []int) []bool {
 // TestApplyIntoMatchesFlipAt is the scalar-reference equivalence test:
 // for every model, the word-parallel batch path and the slot-serial
 // FlipAt path produce identical post-noise bits over identical
-// pre-noise data, protection masks, and window partitions.
+// pre-noise data and window partitions.
 func TestApplyIntoMatchesFlipAt(t *testing.T) {
 	windows := []int{1, 63, 64, 65, 300, 5, 128}
 	total := 0
@@ -205,68 +197,22 @@ func TestApplyIntoMatchesFlipAt(t *testing.T) {
 		t.Run(label, func(t *testing.T) {
 			data := rng.New(777)
 			pre := make([]bool, total)
-			protect := make([]bool, total)
 			for i := range pre {
 				pre[i] = data.Bool(0.5)
-				protect[i] = data.Bool(0.2)
 			}
-			batch := applyBits(m.Sampler(42, 3), pre, protect, windows)
+			batch := applyBits(m.Sampler(42, 3), pre, windows)
 			scalar := m.Sampler(42, 3)
 			for tSlot := 0; tSlot < total; tSlot++ {
 				want := pre[tSlot]
-				if scalar.FlipAt(tSlot, pre[tSlot], protect[tSlot]) {
+				if scalar.FlipAt(tSlot, pre[tSlot]) {
 					want = !want
 				}
 				if batch[tSlot] != want {
-					t.Fatalf("slot %d: batch bit %v, scalar bit %v (pre %v, protected %v)",
-						tSlot, batch[tSlot], want, pre[tSlot], protect[tSlot])
+					t.Fatalf("slot %d: batch bit %v, scalar bit %v (pre %v)",
+						tSlot, batch[tSlot], want, pre[tSlot])
 				}
 			}
 		})
-	}
-}
-
-// TestProtectedSlotsUntouched asserts protection is absolute: with every
-// slot protected, no model changes any bit — while stream consumption
-// still advances (the next window's noise is unaffected by protection).
-func TestProtectedSlotsUntouched(t *testing.T) {
-	const w = 256
-	allProt := make([]bool, w)
-	for i := range allProt {
-		allProt[i] = true
-	}
-	for label, m := range testModels() {
-		pre := make([]bool, w)
-		for i := range pre {
-			pre[i] = i%3 == 0
-		}
-		got := applyBits(m.Sampler(7, 0), pre, allProt, []int{w})
-		for i := range pre {
-			if got[i] != pre[i] {
-				t.Fatalf("%s: protected slot %d changed", label, i)
-			}
-		}
-		// Consumption invariance: noise after a fully-protected window
-		// equals noise after an unprotected one.
-		a := m.Sampler(7, 0)
-		b := m.Sampler(7, 0)
-		wordsA := make([]uint64, w/64)
-		wordsB := make([]uint64, w/64)
-		prot := make([]uint64, w/64)
-		for i := range prot {
-			prot[i] = ^uint64(0)
-		}
-		a.ApplyInto(wordsA, 0, w, prot)
-		b.ApplyInto(wordsB, 0, w, nil)
-		tailA := make([]uint64, 4)
-		tailB := make([]uint64, 4)
-		a.ApplyInto(tailA, w, w+256, nil)
-		b.ApplyInto(tailB, w, w+256, nil)
-		for i := range tailA {
-			if tailA[i] != tailB[i] {
-				t.Fatalf("%s: protection changed downstream noise (word %d)", label, i)
-			}
-		}
 	}
 }
 
@@ -280,7 +226,7 @@ func TestMarginalRates(t *testing.T) {
 			s := m.Sampler(1234, 9)
 			flips := 0
 			for tSlot := 0; tSlot < slots; tSlot++ {
-				if s.FlipAt(tSlot, bit, false) {
+				if s.FlipAt(tSlot, bit) {
 					flips++
 				}
 			}
@@ -324,7 +270,7 @@ func TestGilbertElliottBursts(t *testing.T) {
 			}
 			return flip
 		}()
-		got := s.FlipAt(tSlot, false, false)
+		got := s.FlipAt(tSlot, false)
 		if got != wantFlip {
 			t.Fatalf("slot %d: flip %v, reference chain says %v", tSlot, got, wantFlip)
 		}
@@ -355,7 +301,7 @@ func TestSamplerDeterminism(t *testing.T) {
 			// Alternate the pre-noise bit so one-sided models (erasure)
 			// expose their flip process on both channel values.
 			bit := tSlot%2 == 1
-			fa, fb, fc := a.FlipAt(tSlot, bit, false), b.FlipAt(tSlot, bit, false), c.FlipAt(tSlot, bit, false)
+			fa, fb, fc := a.FlipAt(tSlot, bit), b.FlipAt(tSlot, bit), c.FlipAt(tSlot, bit)
 			if fa != fb {
 				t.Fatalf("%s: equal (seed, node) samplers diverged at slot %d", label, tSlot)
 			}

@@ -208,19 +208,6 @@ func NewFlipSampler(r *Stream, p float64) *FlipSampler {
 	return fs
 }
 
-// Next returns the next flip position, or (0, false) once positions reach
-// or exceed limit. Successive calls enumerate positions in increasing
-// order; the sampler then continues past limit on later calls with a larger
-// limit.
-func (fs *FlipSampler) Next(limit int) (int, bool) {
-	if fs.next >= limit {
-		return 0, false
-	}
-	pos := fs.next
-	fs.advance()
-	return pos, true
-}
-
 // Peek returns the next flip position without consuming it. If p = 0 the
 // returned position is effectively infinite (math.MaxInt).
 func (fs *FlipSampler) Peek() int { return fs.next }
@@ -231,11 +218,12 @@ func (fs *FlipSampler) Skip() { fs.advance() }
 // XorFlipsInto XORs the sampler's flip positions in [start, end) into
 // words: absolute position abs lands on bit abs-start. Positions before
 // start are consumed and discarded (they belong to windows the caller
-// already processed), exactly like the equivalent Next loop. It is the
-// batch form of Next+Flip — one call per reception window instead of one
-// call and one bounds-checked bit flip per noise event — and consumes
-// the underlying stream identically, so the enumerated positions are
-// bit-for-bit those the scalar loop yields.
+// already processed). It is the batch form of enumerating positions one
+// Peek/Skip at a time and flipping each — one call per reception window
+// instead of one call and one bounds-checked bit flip per noise event —
+// and consumes the underlying stream identically, so the enumerated
+// positions are bit-for-bit those the scalar loop yields
+// (FuzzXorFlipsInto pins the two).
 func (fs *FlipSampler) XorFlipsInto(words []uint64, start, end int) {
 	next := fs.next
 	if next >= end {

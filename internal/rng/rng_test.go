@@ -8,6 +8,19 @@ import (
 	"testing/quick"
 )
 
+// Next returns the next flip position, or (0, false) once positions reach
+// or exceed limit. Successive calls enumerate positions in increasing
+// order; the sampler then continues past limit on later calls with a larger
+// limit. It is the scalar reference XorFlipsInto is pinned against.
+func (fs *FlipSampler) Next(limit int) (int, bool) {
+	if fs.next >= limit {
+		return 0, false
+	}
+	pos := fs.next
+	fs.advance()
+	return pos, true
+}
+
 func TestDeterminism(t *testing.T) {
 	a := New(42)
 	b := New(42)

@@ -42,9 +42,7 @@ func (alg1Engine) Prepare(g *graph.Graph, cfg Config) (Instance, error) {
 		Codes:       codes,
 		ChannelSeed: cfg.ChannelSeed,
 		AlgSeed:     cfg.AlgSeed,
-		NoisyOwn:    true,
 		Workers:     cfg.Workers,
-		Shards:      cfg.Shards,
 		Metrics:     cfg.Metrics,
 	})
 	if err != nil {
@@ -77,9 +75,7 @@ func (tdmaEngine) Prepare(g *graph.Graph, cfg Config) (Instance, error) {
 		Noise:       cfg.Noise,
 		ChannelSeed: cfg.ChannelSeed,
 		AlgSeed:     cfg.AlgSeed,
-		NoisyOwn:    true,
 		Workers:     cfg.Workers,
-		Shards:      cfg.Shards,
 		Metrics:     cfg.Metrics,
 	})
 	if err != nil {
@@ -95,13 +91,11 @@ func (tdmaEngine) Prepare(g *graph.Graph, cfg Config) (Instance, error) {
 // paths.
 func (tdmaEngine) PrepareSliced(g *graph.Graph, base Config, algSeeds []uint64) (SlicedInstance, error) {
 	bl, err := baseline.NewSlicedRunner(g, baseline.Config{
-		MsgBits:  base.MsgBits,
-		Epsilon:  base.Epsilon,
-		Noise:    base.Noise,
-		NoisyOwn: true,
-		Workers:  base.Workers,
-		Shards:   base.Shards,
-		Metrics:  base.Metrics,
+		MsgBits: base.MsgBits,
+		Epsilon: base.Epsilon,
+		Noise:   base.Noise,
+		Workers: base.Workers,
+		Metrics: base.Metrics,
 	}, algSeeds)
 	if err != nil {
 		return nil, err
@@ -161,7 +155,7 @@ func (congestEngine) Prepare(g *graph.Graph, cfg Config) (Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.SetParallelism(cfg.Workers, cfg.Shards)
+	eng.SetParallelism(cfg.Workers)
 	return congestInstance{eng}, nil
 }
 

@@ -20,7 +20,7 @@
 // Everything here preserves the repository's determinism contract
 // (DESIGN.md §4): engines and workloads derive all randomness from the
 // seeds in Config, so a result is a pure function of
-// (graph, Config, workload) regardless of Workers/Shards or cache hits.
+// (graph, Config, workload) regardless of Workers or cache hits.
 package sim
 
 import (
@@ -79,10 +79,10 @@ const (
 )
 
 // Config is everything an Engine needs to prepare an execution besides
-// the graph itself. All fields except Workers/Shards/Artifacts are part
-// of the result's identity; those three never change results (the
-// engines' pools are deterministic and cached artifacts are pure
-// functions of their keys).
+// the graph itself. All fields except Workers/Artifacts/Metrics are part
+// of the result's identity; those never change results (the engines'
+// pools are deterministic and cached artifacts are pure functions of
+// their keys).
 type Config struct {
 	// MsgBits is the resolved Broadcast CONGEST bandwidth (the workload
 	// default unless the scenario overrides it).
@@ -100,10 +100,9 @@ type Config struct {
 	// beeping run.
 	ChannelSeed uint64
 	AlgSeed     uint64
-	// Workers and Shards configure the engine's deterministic worker
-	// pool (0 or 1 = serial).
+	// Workers configures the engine's deterministic worker pool (0 or
+	// 1 = serial).
 	Workers int
-	Shards  int
 	// Workload is the resolved workload, for engines that execute the
 	// workload natively rather than running its CONGEST instances (the
 	// beep engine consults the NativeBeeper capability).
@@ -116,7 +115,7 @@ type Config struct {
 	Artifacts *Cache
 	// Metrics, when non-nil, receives observation-only instrumentation
 	// from the engines that support it (phase timers, decode counters,
-	// noise-flip accounting). Like Workers/Shards/Artifacts it is outside
+	// noise-flip accounting). Like Workers/Artifacts it is outside
 	// the result's identity: telemetry never consumes algorithm or channel
 	// randomness, so records are byte-identical with it on or off.
 	Metrics *obs.Registry

@@ -19,12 +19,11 @@ type Options struct {
 	// single scenario the whole machine, matching cmd/experiments. Jobs
 	// never exceeds MaxPending, so a Run of one scenario is Jobs = 1.
 	Jobs int
-	// Workers and Shards configure each scenario's per-round engine pool
-	// (ExecOptions). Workers 0 = auto as described above; any explicit
-	// value (1 = serial, engine.AutoWorkers = GOMAXPROCS) passes through.
-	// By the determinism contract, no setting changes any record.
+	// Workers configures each scenario's per-round engine pool
+	// (ExecOptions). 0 = auto as described above; any explicit value
+	// (1 = serial, engine.AutoWorkers = GOMAXPROCS) passes through. By
+	// the determinism contract, no setting changes any record.
 	Workers int
-	Shards  int
 	// GenWorkers shards graph generation for the streaming families
 	// (ExecOptions.GenWorkers): 0 or 1 = serial, negative = one per CPU.
 	// Byte-invisible in every record, like the other parallelism knobs.

@@ -21,10 +21,9 @@ import (
 // deliberately outside the Scenario spec so the content hash covers
 // inputs only.
 type ExecOptions struct {
-	// Workers and Shards follow the engine convention: 0 or 1 = serial,
+	// Workers follows the engine convention: 0 or 1 = serial,
 	// engine.AutoWorkers = one per CPU.
 	Workers int
-	Shards  int
 	// GenWorkers shards graph generation for the streaming families
 	// (Scenario.BuildGraphWorkers): 0 or 1 = serial, negative = one per
 	// CPU. The built graph — and therefore the record — is byte-identical
@@ -122,7 +121,6 @@ func Execute(sc Scenario, opt ExecOptions) (Record, error) {
 		ChannelSeed: sc.ChannelSeed,
 		AlgSeed:     sc.AlgSeed,
 		Workers:     opt.Workers,
-		Shards:      opt.Shards,
 		Workload:    wl,
 		Rounds:      sc.Rounds,
 		Artifacts:   opt.Artifacts,
@@ -329,7 +327,6 @@ func executeSliced(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, 
 		Epsilon:   scs[0].Epsilon,
 		Noise:     scs[0].Noise,
 		Workers:   opt.Workers,
-		Shards:    opt.Shards,
 		Workload:  wl,
 		Rounds:    scs[0].Rounds,
 		Artifacts: opt.Artifacts,

@@ -145,7 +145,7 @@ func NewService(store StoreEngine, opt Options) *Service {
 	s := &Service{
 		store: store,
 		exec: ExecOptions{
-			Workers: workers, Shards: opt.Shards, GenWorkers: opt.GenWorkers,
+			Workers: workers, GenWorkers: opt.GenWorkers,
 			Artifacts: opt.Artifacts, Metrics: opt.Metrics, MaxRoundsFactor: opt.MaxRoundsFactor,
 		},
 		executeFunc: opt.ExecuteFunc,

@@ -150,6 +150,10 @@ func TestValidate(t *testing.T) {
 		{Family: FamilyHypercube, Param: 64, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
 		{Family: FamilyGrid, Param: 46341, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
 		{Family: FamilyGrid, Param: 1 << 32, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		// Bandwidths past MaxMsgBits, the smallest and the one that
+		// once ran sweepd out of memory.
+		{Family: FamilyRegular, N: 16, Param: 4, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1, MsgBits: MaxMsgBits + 1},
+		{Family: FamilyRegular, N: 16, Param: 4, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1, MsgBits: 2000000000},
 	}
 	for i, sc := range bad {
 		if err := sc.Validate(); err == nil {
@@ -161,6 +165,8 @@ func TestValidate(t *testing.T) {
 		// The largest grid and hypercube within graph.MaxVertices.
 		{Family: FamilyHypercube, Param: 30, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
 		{Family: FamilyGrid, Param: 46340, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		// The widest bandwidth allowed.
+		{Family: FamilyRegular, N: 16, Param: 4, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1, MsgBits: MaxMsgBits},
 	}
 	for _, sc := range good {
 		if err := sc.Validate(); err != nil {

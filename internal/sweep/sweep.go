@@ -113,9 +113,9 @@ type Scenario struct {
 	// UsesRounds() false: mis, coloring, leader, matching, bfstree —
 	// size their own budgets and require Rounds 0.
 	Rounds int `json:"rounds,omitempty"`
-	// MsgBits is the CONGEST bandwidth; 0 selects the workload's
-	// registered default (e.g. 2·⌈log₂n⌉ for gossip, each algorithm
-	// package's MsgBits for the rest).
+	// MsgBits is the CONGEST bandwidth, at most MaxMsgBits; 0 selects
+	// the workload's registered default (e.g. 2·⌈log₂n⌉ for gossip, each
+	// algorithm package's MsgBits for the rest).
 	MsgBits int `json:"msg_bits,omitempty"`
 	// Replicate tags seed replicates expanded from a Grid; informational
 	// (the seeds below already differ per replicate) but part of the hash.
@@ -137,6 +137,13 @@ func derivedN(family string) bool {
 	}
 	return false
 }
+
+// MaxMsgBits bounds Scenario.MsgBits. A run's memory grows with the
+// bandwidth, and a width in the billions ends the process with an
+// out-of-memory error that no recover catches. The bound is 46 times the
+// widest workload default: matching's 2 + 2·⌈log₂n⌉ + 24 = 88 bits at
+// n = graph.MaxVertices.
+const MaxMsgBits = 4096
 
 // Supports reports whether the engine can execute the workload, per the
 // internal/sim registries: the native beeping engine runs exactly the
@@ -216,8 +223,8 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("sweep: engine %q does not support channel model %q", sc.Engine, sc.Noise)
 		}
 	}
-	if sc.MsgBits < 0 {
-		return fmt.Errorf("sweep: MsgBits = %d", sc.MsgBits)
+	if sc.MsgBits < 0 || sc.MsgBits > MaxMsgBits {
+		return fmt.Errorf("sweep: MsgBits = %d outside [0, %d]", sc.MsgBits, MaxMsgBits)
 	}
 	return nil
 }

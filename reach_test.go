@@ -31,7 +31,7 @@ var reachAllowlist = map[string]string{
 	"internal/graph.CompleteBipartite":         "fixture: baseline and matching tests build complete bipartite graphs",
 	"internal/bitstring.Parse":                 "fixture: beep, codes and localbroadcast tests write bit patterns as text",
 	"internal/bitstring.BitString.Equal":       "fixture: beep, codes, core and graph tests compare bit strings",
-	"internal/bitstring.BitString.Flip":        "fixture: codes and core tests inject channel flips",
+	"internal/bitstring.BitString.Flip":        "fixture: codes tests corrupt chosen codeword positions",
 	"internal/bitstring.BitString.SetBool":     "fixture: beep tests build patterns bit by bit",
 	"internal/codes.RepetitionCode.DecodeInto": "reference: codes and core tests pin the fused DecodeScatteredInto against it",
 	"internal/sim.FlightGroup.Waiters":         "fixture: sweep's singleflight tests wait until a task has joined a flight",
