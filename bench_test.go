@@ -197,12 +197,12 @@ func BenchmarkT6Baseline(b *testing.B) {
 	b.Run("tdma", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			runner, err := baseline.NewRunner(g, baseline.Config{
-				MsgBits: msgBits, Epsilon: 0.05, ChannelSeed: uint64(i), AlgSeed: 7,
-			})
+				MsgBits: msgBits, Epsilon: 0.05, ChannelSeed: uint64(i),
+			}, []uint64{7})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := runner.Run(gossip(n), 1); err != nil {
+			if _, err := runner.Run([][]congest.BroadcastAlgorithm{gossip(n)}, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -730,20 +730,19 @@ func BenchmarkLargeSparseGen(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepReplicateHeavy measures the replicate-heavy grid the
-// replicate-sliced execution path targets (BENCH_PR6.json): 4
-// hard-family axis points × 64 replicates = 256 TDMA scenarios through
-// the batch scheduler. The hard family derives its topology without
-// GraphSeed, so each axis point's replicates share one sliceKey and run
-// as lanes of a single word-transposed pass wherever the tree supports
-// it — the call shape deliberately predates the slicing knobs so the
-// same benchmark compiles on the pre-slicing tree for the before/after
-// comparison.
+// BenchmarkSweepReplicateHeavy measures the replicate-heavy grid lane
+// groups target (BENCH_PR6.json): 4 hard-family axis points × 64
+// replicates = 256 TDMA scenarios through the batch scheduler. The hard
+// family derives its topology without GraphSeed, so each axis point's
+// replicates share one sliceKey and run as the 64 lanes of one
+// baseline.Runner pass. The call shape uses only sweep.Grid, sweep.Run
+// and sweep.Options, so the same benchmark compiles on the tree before
+// lanes existed for the before/after comparison.
 //
-// The grid runs a quiet channel (ε = 0) on purpose: replicate slicing
-// runs only on channels that cannot flip a bit, because on noisy ones
+// The grid runs a quiet channel (ε = 0) on purpose: replicates run as
+// lanes only on channels that cannot flip a bit, because on noisy ones
 // per-lane flip replay costs the same in either layout and the lane
-// path measured slower than serial runs (DESIGN.md §2.14).
+// path measured slower than one replicate at a time (DESIGN.md §2.14).
 func BenchmarkSweepReplicateHeavy(b *testing.B) {
 	scs, err := sweep.Grid{
 		Families:   []string{sweep.FamilyHard},

@@ -163,7 +163,7 @@ func run(graphKind string, n, delta, q int, algName, model string, eps float64, 
 		Epsilon:     eps,
 		Noise:       noiseSpec,
 		ChannelSeed: seed,
-		AlgSeed:     seed,
+		AlgSeeds:    []uint64{seed},
 		Workers:     workers,
 		Workload:    wl,
 		Rounds:      rounds,
@@ -171,14 +171,15 @@ func run(graphKind string, n, delta, q int, algName, model string, eps float64, 
 	if err != nil {
 		return err
 	}
-	var algs []congest.BroadcastAlgorithm
+	var algs [][]congest.BroadcastAlgorithm
 	if eng.DrivesAlgs() {
-		algs = wl.Algs(g, rounds)
+		algs = [][]congest.BroadcastAlgorithm{wl.Algs(g, rounds)}
 	}
-	res, extras, err := inst.Run(algs, budget)
+	results, lanes, err := inst.Run(algs, budget)
 	if err != nil {
 		return err
 	}
+	res, extras := results[0], lanes[0]
 	switch model {
 	case "native":
 		fmt.Printf("native Broadcast CONGEST: %d rounds, %d messages, done=%v\n",

@@ -354,11 +354,16 @@ var badGridBodies = []string{`{"families":["nope"]}`, `{"unknown_field":1}`, `no
 // (2³²)² for grid 2³², both of which wrap to 0 when computed unchecked.
 // The third asks for a 2·10⁹-bit bandwidth, past sweep.MaxMsgBits, at
 // which alg1 requests terabytes and the process dies of an
-// out-of-memory error that no recover catches.
+// out-of-memory error that no recover catches. The last two need more
+// than sweep.MaxGraphEntries: a hard instance on 2³¹−1 vertices, whose
+// 8 GiB degree array once ended the process, and K₄₆₀₀₀ with its
+// 2.1·10⁹ directed edges.
 var capacityGridBodies = []string{
 	`{"families":["hypercube"],"params":[64],"engines":["alg1"]}`,
 	`{"families":["grid"],"params":[4294967296],"engines":["alg1"]}`,
 	`{"families":["regular"],"ns":[16],"params":[4],"engines":["alg1","tdma"],"msg_bits":2000000000}`,
+	`{"families":["hard"],"ns":[2147483647],"params":[1],"engines":["congest"]}`,
+	`{"families":["complete"],"ns":[46000],"engines":["congest"]}`,
 }
 
 // TestSweepdRejectsGraphsPastCapacity: a grid whose graphs cannot be

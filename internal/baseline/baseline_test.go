@@ -51,12 +51,21 @@ func (g *gossip) Receive(round int, msgs []congest.Message) {
 func (g *gossip) Done() bool  { return g.done }
 func (g *gossip) Output() any { return g.got }
 
+// runOne runs a one-lane runner over algs and returns the lane's result.
+func runOne(r *Runner, algs []congest.BroadcastAlgorithm, budget int) (*core.Result, error) {
+	res, err := r.Run([][]congest.BroadcastAlgorithm{algs}, budget)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 func TestBaselineConfigValidation(t *testing.T) {
 	g := graph.Path(3)
-	if _, err := NewRunner(g, Config{MsgBits: 0}); err == nil {
+	if _, err := NewRunner(g, Config{MsgBits: 0}, []uint64{0}); err == nil {
 		t.Error("MsgBits=0 accepted")
 	}
-	if _, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0.7}); err == nil {
+	if _, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0.7}, []uint64{0}); err == nil {
 		t.Error("ε=0.7 accepted")
 	}
 }
@@ -78,7 +87,7 @@ func TestBaselineMatchesNativeNoiseless(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runner, err := NewRunner(g, Config{MsgBits: 12, Epsilon: 0, ChannelSeed: 1, AlgSeed: algSeed})
+	runner, err := NewRunner(g, Config{MsgBits: 12, Epsilon: 0, ChannelSeed: 1}, []uint64{algSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +95,7 @@ func TestBaselineMatchesNativeNoiseless(t *testing.T) {
 	for v := range sim {
 		sim[v] = &gossip{rounds: 3}
 	}
-	simRes, err := runner.Run(sim, 10)
+	simRes, err := runOne(runner, sim, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +112,7 @@ func TestBaselineMatchesNativeNoiseless(t *testing.T) {
 
 func TestBaselineUnderNoise(t *testing.T) {
 	g := graph.RandomBoundedDegree(20, 4, 0.2, rng.New(101))
-	runner, err := NewRunner(g, Config{MsgBits: 10, Epsilon: 0.1, ChannelSeed: 2, AlgSeed: 9})
+	runner, err := NewRunner(g, Config{MsgBits: 10, Epsilon: 0.1, ChannelSeed: 2}, []uint64{9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +120,7 @@ func TestBaselineUnderNoise(t *testing.T) {
 	for v := range algs {
 		algs[v] = &gossip{rounds: 2}
 	}
-	res, err := runner.Run(algs, 10)
+	res, err := runOne(runner, algs, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +134,7 @@ func TestBaselineOverheadHasColorFactor(t *testing.T) {
 	// paper eliminates: on K_{Δ,Δ} the distance-2 coloring needs 2Δ colors
 	// (every pair of same-side vertices is at distance 2).
 	g := graph.CompleteBipartite(6, 6)
-	runner, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0})
+	runner, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0}, []uint64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +185,8 @@ func TestBaselineSerialParallelIdentical(t *testing.T) {
 			MsgBits:     10,
 			Epsilon:     0.1,
 			ChannelSeed: 4,
-			AlgSeed:     5,
 			Workers:     workers,
-		})
+		}, []uint64{5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +194,7 @@ func TestBaselineSerialParallelIdentical(t *testing.T) {
 		for v := range algs {
 			algs[v] = &gossip{rounds: 3}
 		}
-		res, err := r.Run(algs, 5)
+		res, err := runOne(r, algs, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,38 +224,135 @@ func (a *fixedAlg) Done() bool                     { return a.seen >= a.rounds }
 func (a *fixedAlg) Output() any                    { return nil }
 
 // TestBaselineSteadyStateAllocs: like the Algorithm 1 runner, a warm TDMA
-// round (encode, radio, decode, deliver, score) must not allocate outside
-// algorithm callbacks. Differencing two Run lengths cancels per-Run setup.
+// round must not allocate outside algorithm callbacks, through beep
+// windows (encode, radio, decode, score) or through direct delivery to
+// several lanes. Differencing two Run lengths cancels per-Run setup.
 func TestBaselineSteadyStateAllocs(t *testing.T) {
 	g, err := graph.RandomRegular(20, 4, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0.1, ChannelSeed: 3, AlgSeed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var w wire.Writer
 	w.WriteUint(0x3c, 8)
 	msg := w.PaddedBytes(8)
-	algs := make([]congest.BroadcastAlgorithm, g.N())
-	for v := range algs {
-		algs[v] = &fixedAlg{msg: msg}
-	}
-	run := func(rounds int) float64 {
-		for _, a := range algs {
-			a.(*fixedAlg).rounds = rounds
+	for _, tc := range []struct {
+		cfg   Config
+		lanes int
+	}{
+		{Config{MsgBits: 8, Epsilon: 0.1, ChannelSeed: 3}, 1},
+		{Config{MsgBits: 8}, 3},
+	} {
+		runner, err := NewRunner(g, tc.cfg, laneSeeds(tc.lanes))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(5, func() {
-			if _, err := runner.Run(algs, rounds); err != nil {
-				panic(err)
+		lanes := make([][]congest.BroadcastAlgorithm, tc.lanes)
+		for k := range lanes {
+			lanes[k] = make([]congest.BroadcastAlgorithm, g.N())
+			for v := range lanes[k] {
+				lanes[k][v] = &fixedAlg{msg: msg}
 			}
-		})
+		}
+		run := func(rounds int) float64 {
+			for _, la := range lanes {
+				for _, a := range la {
+					a.(*fixedAlg).rounds = rounds
+				}
+			}
+			return testing.AllocsPerRun(5, func() {
+				if _, err := runner.Run(lanes, rounds); err != nil {
+					panic(err)
+				}
+			})
+		}
+		run(2) // warm lazy pattern buffers and noise samplers
+		short, long := run(2), run(12)
+		if perRound := (long - short) / 10; perRound > 0 {
+			t.Errorf("ε=%v, %d lanes: steady-state TDMA round allocates %.2f times (run(12)=%.1f run(2)=%.1f)",
+				tc.cfg.Epsilon, tc.lanes, perRound, long, short)
+		}
 	}
-	run(2) // warm lazy pattern buffers and noise samplers
-	short, long := run(2), run(12)
-	if perRound := (long - short) / 10; perRound > 0 {
-		t.Errorf("steady-state TDMA round allocates %.2f times (run(12)=%.1f run(2)=%.1f)",
-			perRound, long, short)
+}
+
+// finisher finishes inside its first Broadcast on an even ID and after
+// two receptions on an odd one, counting its Receive calls.
+type finisher struct {
+	id       int
+	receives int
+	done     bool
+}
+
+func (f *finisher) Init(env congest.Env) { f.id, f.receives, f.done = env.ID, 0, false }
+
+func (f *finisher) Broadcast(int) congest.Message {
+	if f.id%2 == 0 {
+		f.done = true
+	}
+	return congest.Message{byte(f.id)}
+}
+
+func (f *finisher) Receive(int, []congest.Message) {
+	f.receives++
+	f.done = f.receives >= 2
+}
+
+func (f *finisher) Done() bool  { return f.done }
+func (f *finisher) Output() any { return f.receives }
+
+// TestBaselineSkipsNodesDoneAfterBroadcast: a node that finishes inside
+// Broadcast still sends, but is neither scored nor handed an inbox that
+// round, as in the Algorithm 1 and CONGEST runners — on a noisy channel
+// (beep windows), on a quiet one (direct delivery, 1 and 3 lanes) and
+// on a quiet one read through windows. Even nodes must never receive;
+// odd nodes receive once in each of the two rounds.
+func TestBaselineSkipsNodesDoneAfterBroadcast(t *testing.T) {
+	g := graph.RandomBoundedDegree(18, 4, 0.18, rng.New(600))
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		lanes   int
+		windows bool
+	}{
+		{"noisy", Config{MsgBits: 8, Epsilon: 0.4, ChannelSeed: 9}, 1, true},
+		{"quiet", Config{MsgBits: 8}, 1, false},
+		{"quiet-3-lanes", Config{MsgBits: 8}, 3, false},
+		{"quiet-windows", Config{MsgBits: 8}, 1, true},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.Workers = workers
+				var r *Runner
+				if tc.windows {
+					r = windowRunner(t, g, cfg, 5)
+				} else {
+					var err error
+					if r, err = NewRunner(g, cfg, laneSeeds(tc.lanes)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				algs := make([][]congest.BroadcastAlgorithm, tc.lanes)
+				for k := range algs {
+					algs[k] = make([]congest.BroadcastAlgorithm, g.N())
+					for v := range algs[k] {
+						algs[k][v] = &finisher{}
+					}
+				}
+				results, err := r.Run(algs, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, res := range results {
+					if res.SimRounds != 2 || !res.AllDone {
+						t.Errorf("lane %d: %d sim rounds, all done %v; want 2, true", k, res.SimRounds, res.AllDone)
+					}
+					for v, out := range res.Outputs {
+						if want := 2 * (v % 2); out != want {
+							t.Errorf("lane %d node %d: %v Receive calls, want %d", k, v, out, want)
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -79,18 +79,16 @@ type quietChannel struct {
 	noise string
 }
 
-// quietChannels lists the noiseless channels the sliced runner serves:
-// ε = 0 on the default channel (ρ = 1), every stochastic model's
-// zero-rate form, and a zero-budget adversary, whose worst-case
-// calibration sets ρ = 31. symmetric-ownclean runs the same channel as
-// noiseless, since a beeping node's own slots are as noisy as any
-// other; the row keeps its label so its results stay comparable across
-// revisions.
+// quietChannels lists the channels that cannot flip a bit, where the
+// runner delivers directly: ε = 0 on the default channel (ρ = 1), every
+// stochastic model's zero-rate form, a zero-budget adversary, whose
+// worst-case calibration sets ρ = 31, and a zero-duty jammer, a hostile
+// model that calibrates to ρ = 1.
 func quietChannels() []quietChannel {
 	return []quietChannel{
 		{label: "noiseless"},
 		{label: "symmetric", noise: "symmetric:0"},
-		{label: "symmetric-ownclean"},
+		{label: "jam", noise: "jam:0:10"},
 		{label: "asymmetric", noise: "asymmetric:0:0"},
 		{label: "erasure", noise: "erasure:0:1"},
 		{label: "gilbert-elliott", noise: "gilbert-elliott:0:0.3:0:0.2"},
@@ -98,11 +96,33 @@ func quietChannels() []quietChannel {
 	}
 }
 
-// checkLanes runs one lane per seed through standalone serial Runners —
+// windowRunner builds a one-lane runner that beeps and majority-decodes
+// real reception windows even on a quiet channel: the reference direct
+// delivery is pinned against.
+func windowRunner(t *testing.T, g *graph.Graph, cfg Config, seed uint64) *Runner {
+	t.Helper()
+	r, err := NewRunner(g, cfg, []uint64{seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.nw == nil {
+		model, _, err := resolveChannel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.attachWindows(model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// checkLanes runs one lane per seed through standalone window runners —
 // the reference, with a distinct channel seed per lane as a grid's
-// replicates have — and as one SlicedRunner pass at 1 and 4 workers. It
-// fails unless every sliced lane deep-equals its serial twin, and
-// returns the serial results.
+// replicates have — and as one direct-delivery pass at 1 and 4 workers.
+// It fails unless every lane deep-equals its reference, whose energy
+// must also match the beeps its network counted, and returns the
+// reference results.
 func checkLanes(t *testing.T, g *graph.Graph, c quietChannel, seeds []uint64, newAlg func() congest.BroadcastAlgorithm, budget int) []*core.Result {
 	t.Helper()
 	cfg := Config{MsgBits: 8, Noise: c.noise}
@@ -116,21 +136,25 @@ func checkLanes(t *testing.T, g *graph.Graph, c quietChannel, seeds []uint64, ne
 	want := make([]*core.Result, len(seeds))
 	for k, seed := range seeds {
 		kcfg := cfg
-		kcfg.ChannelSeed, kcfg.AlgSeed = 1000+7*uint64(k), seed
-		r, err := NewRunner(g, kcfg)
-		if err != nil {
+		kcfg.ChannelSeed = 1000 + 7*uint64(k)
+		r := windowRunner(t, g, kcfg, seed)
+		var err error
+		if want[k], err = runOne(r, newAlgs(), budget); err != nil {
 			t.Fatal(err)
 		}
-		if want[k], err = r.Run(newAlgs(), budget); err != nil {
-			t.Fatal(err)
+		if want[k].Beeps != r.nw.TotalBeeps() {
+			t.Fatalf("lane %d charged %d beeps, its windows carried %d", k, want[k].Beeps, r.nw.TotalBeeps())
 		}
 	}
 	for _, workers := range []int{1, 4} {
 		scfg := cfg
 		scfg.Workers = workers
-		sr, err := NewSlicedRunner(g, scfg, seeds)
+		sr, err := NewRunner(g, scfg, seeds)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if sr.nw != nil {
+			t.Fatalf("channel %q built beep windows; a quiet channel delivers directly", c.noise)
 		}
 		algs := make([][]congest.BroadcastAlgorithm, len(seeds))
 		for k := range algs {
@@ -142,7 +166,7 @@ func checkLanes(t *testing.T, g *graph.Graph, c quietChannel, seeds []uint64, ne
 		}
 		for k := range got {
 			if !reflect.DeepEqual(got[k], want[k]) {
-				t.Fatalf("workers=%d lane %d diverges from serial run:\n got %+v\nwant %+v",
+				t.Fatalf("workers=%d lane %d diverges from its window run:\n got %+v\nwant %+v",
 					workers, k, got[k], want[k])
 			}
 		}
@@ -150,12 +174,12 @@ func checkLanes(t *testing.T, g *graph.Graph, c quietChannel, seeds []uint64, ne
 	return want
 }
 
-// TestSlicedMatchesSerial is the sliced-execution conformance suite at
-// the runner level: for every noiseless channel × lane count (1, 3, a
-// non-power-of-two remainder, a full word), each lane of one sliced run
-// must be deep-equal — counters, energy, outputs — to a standalone
-// serial Runner over that lane's seed, whose majority decode reads real
-// reception windows.
+// TestSlicedMatchesSerial is the lane conformance suite at the runner
+// level: for every noiseless channel × lane count (1, 3, a
+// non-power-of-two remainder, a full word), each lane of one
+// direct-delivery run must be deep-equal — counters, energy, outputs —
+// to a standalone one-lane run over that lane's seed whose majority
+// decode reads real reception windows.
 func TestSlicedMatchesSerial(t *testing.T) {
 	g := graph.RandomBoundedDegree(18, 4, 0.18, rng.New(600))
 	for _, c := range quietChannels() {
@@ -211,23 +235,23 @@ func TestSlicedLaneSkew(t *testing.T) {
 
 func TestSlicedRunnerValidation(t *testing.T) {
 	g := graph.Path(3)
-	if _, err := NewSlicedRunner(g, Config{MsgBits: 8}, nil); err == nil {
+	if _, err := NewRunner(g, Config{MsgBits: 8}, nil); err == nil {
 		t.Error("0 lanes accepted")
 	}
-	if _, err := NewSlicedRunner(g, Config{MsgBits: 8}, laneSeeds(65)); err == nil {
+	if _, err := NewRunner(g, Config{MsgBits: 8}, laneSeeds(65)); err == nil {
 		t.Error("65 lanes accepted")
 	}
-	if _, err := NewSlicedRunner(g, Config{MsgBits: 0}, laneSeeds(2)); err == nil {
+	if _, err := NewRunner(g, Config{MsgBits: 0}, laneSeeds(2)); err == nil {
 		t.Error("MsgBits=0 accepted")
 	}
-	if _, err := NewSlicedRunner(g, Config{MsgBits: 8, Epsilon: 0.7}, laneSeeds(2)); err == nil {
+	if _, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0.7}, laneSeeds(2)); err == nil {
 		t.Error("ε=0.7 accepted")
 	}
-	if _, err := NewSlicedRunner(g, Config{MsgBits: 8, Epsilon: 0.1, Noise: "erasure:0.1:0"}, laneSeeds(2)); err == nil {
+	if _, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0.1, Noise: "erasure:0.1:0"}, laneSeeds(2)); err == nil {
 		t.Error("ε and model both set accepted")
 	}
-	// Every channel that can flip a bit is refused: its replicates run
-	// through the serial Runner.
+	// Every channel that can flip a bit runs one lane, through beep
+	// windows.
 	for _, cfg := range []Config{
 		{MsgBits: 8, Epsilon: 0.1},
 		{MsgBits: 8, Noise: "asymmetric:0.01:0"},
@@ -236,13 +260,27 @@ func TestSlicedRunnerValidation(t *testing.T) {
 		{MsgBits: 8, Noise: "adversary:solo:1"},
 		{MsgBits: 8, Noise: "jam:1:10"},
 	} {
-		if _, err := NewSlicedRunner(g, cfg, laneSeeds(2)); err == nil {
-			t.Errorf("channel ε=%v %q can flip bits but was accepted", cfg.Epsilon, cfg.Noise)
+		if got := Lanes(cfg); got != 1 {
+			t.Errorf("channel ε=%v %q can flip bits but has %d lanes", cfg.Epsilon, cfg.Noise, got)
+		}
+		if _, err := NewRunner(g, cfg, laneSeeds(2)); err == nil {
+			t.Errorf("channel ε=%v %q can flip bits but accepted 2 lanes", cfg.Epsilon, cfg.Noise)
+		}
+		if r, err := NewRunner(g, cfg, laneSeeds(1)); err != nil || r.nw == nil {
+			t.Errorf("channel ε=%v %q: one lane without beep windows (err %v)", cfg.Epsilon, cfg.Noise, err)
 		}
 	}
+	for _, c := range quietChannels() {
+		if got := Lanes(Config{MsgBits: 8, Noise: c.noise}); got != 64 {
+			t.Errorf("quiet channel %s has %d lanes, want 64", c.label, got)
+		}
+	}
+	if got := Lanes(Config{Noise: "nope"}); got != 1 {
+		t.Errorf("an unparsable channel has %d lanes, want 1", got)
+	}
 	// A zero-budget adversary is noiseless, and ρ still calibrates
-	// against its worst-case rate, as in the serial Runner.
-	sr, err := NewSlicedRunner(g, Config{MsgBits: 8, Noise: "adversary:solo:0"}, laneSeeds(2))
+	// against its worst-case rate.
+	sr, err := NewRunner(g, Config{MsgBits: 8, Noise: "adversary:solo:0"}, laneSeeds(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,9 @@
 //
 //   - An Engine adapts one execution substrate (the paper's Algorithm 1,
 //     the prior-work TDMA baseline, native Broadcast CONGEST, native
-//     beeping) to a uniform Prepare/Run shape. Engine-specific outputs
-//     travel in a typed Extras map instead of engine-specific plumbing.
+//     beeping) to a uniform Prepare/Run shape over 1 to Lanes replicates
+//     of one scenario. Engine-specific outputs travel in a typed Extras
+//     map instead of engine-specific plumbing.
 //   - A Workload adapts one algorithm family (gossip, MIS, coloring,
 //     leader election, maximal matching, BFS tree) to a uniform
 //     bandwidth/budget/instances/verify shape.
@@ -95,11 +96,13 @@ type Config struct {
 	// channel. Like Epsilon it only reaches the engines that simulate
 	// over beeps (see SupportsNoise); Epsilon must be 0 when set.
 	Noise string
-	// ChannelSeed drives channel noise (ignored by native engines);
-	// AlgSeed drives the algorithms' private randomness and the native
-	// beeping run.
+	// ChannelSeed drives channel noise (ignored by native engines and by
+	// channels that cannot flip a bit).
 	ChannelSeed uint64
-	AlgSeed     uint64
+	// AlgSeeds holds one seed per lane, 1 to Engine.Lanes of them: lane
+	// k's algorithms draw their private randomness from AlgSeeds[k], and
+	// the native beeping run from its one seed.
+	AlgSeeds []uint64
 	// Workers configures the engine's deterministic worker pool (0 or
 	// 1 = serial).
 	Workers int
@@ -124,11 +127,11 @@ type Config struct {
 // Instance is one prepared execution: an engine bound to a graph and a
 // Config, ready to run.
 type Instance interface {
-	// Run drives the per-node algorithms for at most budget engine
-	// rounds and reports the result plus engine-specific Extras. Engines
-	// that execute the workload natively (NativeBeeper) ignore algs and
-	// budget.
-	Run(algs []congest.BroadcastAlgorithm, budget int) (*core.Result, Extras, error)
+	// Run drives lane k's per-node algorithms algs[k] for at most budget
+	// engine rounds each and reports one result and one Extras per lane,
+	// in the order of Config.AlgSeeds. Engines that execute the workload
+	// natively (NativeBeeper) ignore algs and budget.
+	Run(algs [][]congest.BroadcastAlgorithm, budget int) ([]*core.Result, []Extras, error)
 }
 
 // Engine is one registered execution substrate.
@@ -146,34 +149,15 @@ type Engine interface {
 	// via NativeBeeper) ignore them, and callers skip constructing
 	// instances altogether.
 	DrivesAlgs() bool
-	// Prepare binds the engine to a graph and configuration.
+	// Lanes returns how many replicates of one scenario, differing only
+	// in their seeds, one Instance can run together under cfg's channel
+	// (1 to 64). Every lane's result must be bit-identical to a run of
+	// that lane alone, so lanes are purely an execution detail —
+	// records, hashes, and stores never see them.
+	Lanes(cfg Config) int
+	// Prepare binds the engine to a graph and configuration, one lane
+	// per algorithm seed.
 	Prepare(g *graph.Graph, cfg Config) (Instance, error)
-}
-
-// SlicedInstance is a prepared replicate-sliced execution: one engine
-// pass advances every lane together, bit-identical to running the lanes
-// serially (DESIGN.md §2.14).
-type SlicedInstance interface {
-	// RunSliced drives lane k's per-node algorithms algs[k] for at most
-	// budget engine rounds each, returning per-lane results and Extras
-	// positionally matching the prepared lanes.
-	RunSliced(algs [][]congest.BroadcastAlgorithm, budget int) ([]*core.Result, []Extras, error)
-}
-
-// SlicedEngine is an optional Engine capability: executing up to 64
-// same-scenario replicates over a noiseless channel in one pass. The
-// sweep layer groups quiet-channel specs that differ only in their seeds
-// and dispatches the group here when the engine advertises the
-// capability; every lane's result must be bit-identical to Prepare+Run
-// with that lane's seeds, so slicing is purely an execution detail —
-// records, hashes, and stores never see it.
-type SlicedEngine interface {
-	// PrepareSliced binds the engine to a graph, a base Config shared by
-	// all lanes (its ChannelSeed and AlgSeed are ignored: a noiseless
-	// channel draws no channel randomness), and one algorithm seed per
-	// replicate (1 to 64 lanes). It rejects a channel that can flip a
-	// bit.
-	PrepareSliced(g *graph.Graph, base Config, algSeeds []uint64) (SlicedInstance, error)
 }
 
 // Workload is one registered algorithm family.

@@ -33,7 +33,7 @@ func runOnce(t *testing.T, g *graph.Graph, eng sim.Engine, wl sim.Workload, work
 		MsgBits:     wl.MsgBits(g),
 		Epsilon:     0.05,
 		ChannelSeed: 7,
-		AlgSeed:     9,
+		AlgSeeds:    []uint64{9},
 		Workers:     workers,
 		Workload:    wl,
 		Rounds:      rounds,
@@ -42,15 +42,18 @@ func runOnce(t *testing.T, g *graph.Graph, eng sim.Engine, wl sim.Workload, work
 	if err != nil {
 		t.Fatalf("%s/%s: prepare: %v", eng.Name(), wl.Name(), err)
 	}
-	var algs []congest.BroadcastAlgorithm
+	var algs [][]congest.BroadcastAlgorithm
 	if eng.DrivesAlgs() {
-		algs = wl.Algs(g, rounds)
+		algs = [][]congest.BroadcastAlgorithm{wl.Algs(g, rounds)}
 	}
 	res, extras, err := inst.Run(algs, wl.Budget(g, rounds))
 	if err != nil {
 		t.Fatalf("%s/%s: run: %v", eng.Name(), wl.Name(), err)
 	}
-	return res, extras
+	if len(res) != 1 || len(extras) != 1 {
+		t.Fatalf("%s/%s: one lane returned %d results and %d extras", eng.Name(), wl.Name(), len(res), len(extras))
+	}
+	return res[0], extras[0]
 }
 
 // TestConformanceAllWorkloadsAllEngines is the registry conformance
@@ -150,20 +153,78 @@ func TestBeepEngineReportsChannelCounters(t *testing.T) {
 	for _, wn := range []string{sim.WorkloadMIS, sim.WorkloadBroadcast} {
 		wl, _ := sim.WorkloadFor(wn)
 		reg := obs.NewRegistry()
-		inst, err := eng.Prepare(g, sim.Config{MsgBits: wl.MsgBits(g), AlgSeed: 9, Workload: wl, Metrics: reg})
+		inst, err := eng.Prepare(g, sim.Config{MsgBits: wl.MsgBits(g), AlgSeeds: []uint64{9}, Workload: wl, Metrics: reg})
 		if err != nil {
 			t.Fatalf("%s: prepare: %v", wn, err)
 		}
-		res, _, err := inst.Run(nil, wl.Budget(g, 0))
+		results, _, err := inst.Run(nil, wl.Budget(g, 0))
 		if err != nil {
 			t.Fatalf("%s: run: %v", wn, err)
 		}
+		res := results[0]
 		if got := reg.Counter("beep.rounds").Value(); got == 0 || got != int64(res.BeepRounds) {
 			t.Errorf("%s: beep.rounds = %d, want the run's %d beep rounds", wn, got, res.BeepRounds)
 		}
 		if reg.Counter("beep.beeps").Value() == 0 {
 			t.Errorf("%s: beep.beeps not counted", wn)
 		}
+	}
+}
+
+// TestEngineLanes pins each engine's lane count: TDMA runs 64 replicates
+// together on a channel that cannot flip a bit and one otherwise, every
+// other engine one. A one-lane engine refuses a second seed or
+// algorithm set, and every TDMA lane returns its own result and Extras.
+func TestEngineLanes(t *testing.T) {
+	g := testGraph(t)
+	wl, _ := sim.WorkloadFor(sim.WorkloadGossip)
+	for _, tc := range []struct {
+		engine string
+		cfg    sim.Config
+		want   int
+	}{
+		{sim.EngineTDMA, sim.Config{}, 64},
+		{sim.EngineTDMA, sim.Config{Noise: "asymmetric:0:0"}, 64},
+		{sim.EngineTDMA, sim.Config{Noise: "jam:0:10"}, 64},
+		{sim.EngineTDMA, sim.Config{Epsilon: 0.05}, 1},
+		{sim.EngineTDMA, sim.Config{Noise: "jam:1:10"}, 1},
+		{sim.EngineAlg1, sim.Config{}, 1},
+		{sim.EngineCongest, sim.Config{}, 1},
+		{sim.EngineBeep, sim.Config{}, 1},
+	} {
+		eng, _ := sim.EngineFor(tc.engine)
+		if got := eng.Lanes(tc.cfg); got != tc.want {
+			t.Errorf("%s ε=%v %q: Lanes = %d, want %d", tc.engine, tc.cfg.Epsilon, tc.cfg.Noise, got, tc.want)
+		}
+	}
+	for _, en := range []string{sim.EngineAlg1, sim.EngineCongest} {
+		eng, _ := sim.EngineFor(en)
+		cfg := sim.Config{MsgBits: wl.MsgBits(g), Workload: wl, Rounds: 1, AlgSeeds: []uint64{1, 2}}
+		if _, err := eng.Prepare(g, cfg); err == nil {
+			t.Errorf("%s accepted two algorithm seeds", en)
+		}
+		cfg.AlgSeeds = cfg.AlgSeeds[:1]
+		inst, err := eng.Prepare(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		two := [][]congest.BroadcastAlgorithm{wl.Algs(g, 1), wl.Algs(g, 1)}
+		if _, _, err := inst.Run(two, 3); err == nil {
+			t.Errorf("%s ran two algorithm sets", en)
+		}
+	}
+	eng, _ := sim.EngineFor(sim.EngineTDMA)
+	inst, err := eng.Prepare(g, sim.Config{MsgBits: wl.MsgBits(g), Workload: wl, Rounds: 1, AlgSeeds: []uint64{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	algs := [][]congest.BroadcastAlgorithm{wl.Algs(g, 1), wl.Algs(g, 1), wl.Algs(g, 1)}
+	res, extras, err := inst.Run(algs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 3 || len(extras) != 3 || extras[2][sim.ExtraColors] == 0 {
+		t.Fatalf("3 TDMA lanes returned %d results and extras %v", len(res), extras)
 	}
 }
 

@@ -53,13 +53,13 @@ type Options struct {
 	// that would exceed it fails fast with ErrBackpressure instead of
 	// growing an unbounded queue. Run sets it to its input size.
 	MaxPending int
-	// ExecuteFunc replaces the task executor (nil = Execute for one
-	// scenario, a replicate-sliced pass for a lane group). A test seam:
-	// blocking it lets tests pin store-hit, singleflight, and
-	// backpressure interleavings deterministically, a whole lane group
-	// at a time. Production callers leave it nil — any substitute must
-	// return one record per scenario, positionally, and preserve the
-	// determinism contract (records a pure function of the spec).
+	// ExecuteFunc replaces the task executor (nil = one engine pass per
+	// lane group). A test seam: blocking it lets tests pin store-hit,
+	// singleflight, and backpressure interleavings deterministically, a
+	// whole lane group at a time. Production callers leave it nil — any
+	// substitute must return one record per scenario, positionally, and
+	// preserve the determinism contract (records a pure function of the
+	// spec).
 	ExecuteFunc func(group []Scenario, opt ExecOptions) ([]Record, error)
 }
 
@@ -126,26 +126,19 @@ func Run(scenarios []Scenario, store StoreEngine, opt Options) ([]Record, Stats,
 }
 
 // sliceGroups partitions the owned scenario indices into the
-// scheduler's tasks. Scenarios whose engine advertises replicate-sliced
-// execution, whose channel cannot flip a bit, and that share a sliceKey
-// (same spec up to replicate seeds) coalesce into lane groups of at
-// most 64; everything else stays a singleton. Lanes pay only on a quiet
-// channel: on a noisy one per-lane flip replay costs the same in either
-// layout, and the lane path measured slower than serial runs (DESIGN.md
-// §2.14). Grouping follows first-seen order, so scheduling remains
-// deterministic and records are unaffected (slicing is pinned
-// byte-identical to serial execution).
+// scheduler's tasks, the lane groups execute runs. Scenarios that share
+// a sliceKey (same spec up to replicate seeds) coalesce into groups of
+// at most their engine's Lanes — 64 for TDMA on a channel that cannot
+// flip a bit, 1 everywhere else (DESIGN.md §2.14). Grouping follows
+// first-seen order, so scheduling remains deterministic and records
+// are unaffected (every lane is pinned byte-identical to a lone run).
 func sliceGroups(scenarios []Scenario, order []int) [][]int {
 	groups := make([][]int, 0, len(order))
 	byKey := make(map[Scenario]int)
 	for _, i := range order {
 		sc := scenarios[i]
-		if !slicedCapable(sc) || !quietChannel(sc) {
-			groups = append(groups, []int{i})
-			continue
-		}
 		key := sliceKey(sc)
-		if gi, ok := byKey[key]; ok && len(groups[gi]) < 64 {
+		if gi, ok := byKey[key]; ok && len(groups[gi]) < lanes(sc) {
 			groups[gi] = append(groups[gi], i)
 			continue
 		}
@@ -153,4 +146,14 @@ func sliceGroups(scenarios []Scenario, order []int) [][]int {
 		groups = append(groups, []int{i})
 	}
 	return groups
+}
+
+// lanes returns how many replicates of sc one engine pass runs: the
+// engine's Lanes under sc's channel, 1 for an unknown engine.
+func lanes(sc Scenario) int {
+	eng, ok := sim.EngineFor(sc.Engine)
+	if !ok {
+		return 1
+	}
+	return eng.Lanes(sim.Config{Epsilon: sc.Epsilon, Noise: sc.Noise})
 }

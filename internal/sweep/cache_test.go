@@ -104,3 +104,42 @@ func TestBatchUsesSharedArtifacts(t *testing.T) {
 		t.Errorf("code traffic = %+v, want 2 misses + 2 hits (replicates share each ε's tables)", st)
 	}
 }
+
+// TestGraphCacheSharesSeedFreeFamilies: the artifact cache keys a
+// graph by GraphSeed only where the family consumes it — the rule
+// sliceKey applies — so a pg or hard grid builds one graph for all its
+// replicates, while a regular grid, whose replicates really differ,
+// still builds one per replicate.
+func TestGraphCacheSharesSeedFreeFamilies(t *testing.T) {
+	for _, tc := range []struct {
+		family     string
+		ns, params []int
+		builds     int64
+	}{
+		{FamilyPG, nil, []int{3}, 1},
+		{FamilyHard, []int{16}, []int{3}, 1},
+		{FamilyRegular, []int{16}, []int{3}, 4},
+	} {
+		scs, err := Grid{
+			Families:   []string{tc.family},
+			Ns:         tc.ns,
+			Params:     tc.params,
+			Epsilons:   []float64{0.1},
+			Engines:    []string{EngineAlg1},
+			Workloads:  []string{WorkloadGossip, WorkloadMIS},
+			Rounds:     1,
+			Replicates: 4,
+			BaseSeed:   7,
+		}.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := sim.NewCache()
+		if _, _, err := Run(scs, NewMemStore(), Options{Jobs: 2, Artifacts: cache}); err != nil {
+			t.Fatal(err)
+		}
+		if st := cache.Stats(); st.GraphMisses != tc.builds || st.GraphHits != int64(len(scs))-tc.builds {
+			t.Errorf("%s: graph traffic = %+v over %d scenarios, want %d builds", tc.family, st, len(scs), tc.builds)
+		}
+	}
+}

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"repro/internal/congest"
-	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -30,7 +28,7 @@ type ExecOptions struct {
 	// for every value.
 	GenWorkers int
 	// Artifacts, when non-nil, shares graphs and code tables across
-	// Execute calls (the scheduler passes one cache per Service).
+	// executions (the scheduler passes one cache per Service).
 	// Cached artifacts are pure functions of their keys, so records are
 	// byte-identical with the cache on or off.
 	Artifacts *sim.Cache
@@ -73,107 +71,135 @@ func newExecMetrics(reg *obs.Registry) execMetrics {
 	}
 }
 
-// Execute runs one scenario and returns its record. Everything in the
-// record except WallNanos and BuildNanos is a deterministic function of
-// the spec. The workload and engine are resolved through the
-// internal/sim registries: the workload supplies bandwidth, budget,
-// per-node instances, and output verification; the engine supplies the
+// execute runs a lane group — scenarios equal up to their replicate
+// seeds (sliceKey), at most the engine's Lanes of them, which its
+// Prepare enforces — as one engine pass and returns their records
+// positionally. Everything in a record
+// except WallNanos and BuildNanos is a deterministic function of its
+// spec, the same whichever group it ran in: lanes are an execution
+// detail, never an identity axis, so hashes, stores, and downstream
+// aggregation cannot observe them. The two timing fields report the
+// pass's totals amortized evenly over the lanes.
+//
+// The workload and engine are resolved through the internal/sim
+// registries: the workload supplies bandwidth, budget, per-node
+// instances, and output verification; the engine supplies the
 // execution substrate and its engine-specific Extras, which land in the
-// record's typed fields.
-func Execute(sc Scenario, opt ExecOptions) (Record, error) {
-	if err := sc.Validate(); err != nil {
-		return Record{}, err
+// record's typed fields. hashes, when non-nil, holds the specs'
+// precomputed hashes positionally, as the scheduler holds them: hashing
+// is SHA-256 over canonical JSON, too expensive to redo per lane when
+// the caller already paid for it.
+func execute(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error) {
+	if len(scs) == 0 {
+		return nil, errors.New("sweep: empty lane group")
 	}
-	wl, ok := sim.WorkloadFor(sc.Workload)
-	if !ok {
-		return Record{}, fmt.Errorf("sweep: unknown workload %q", sc.Workload)
+	first := scs[0]
+	key := sliceKey(first)
+	for _, sc := range scs {
+		if err := sc.Validate(); err != nil {
+			return nil, err
+		}
+		if sliceKey(sc) != key {
+			return nil, fmt.Errorf("sweep: lane group mixes scenarios beyond their seeds (%s vs %s)", sc.Hash(), first.Hash())
+		}
 	}
-	eng, ok := sim.EngineFor(sc.Engine)
-	if !ok {
-		return Record{}, fmt.Errorf("sweep: unknown engine %q", sc.Engine)
-	}
+	wl, _ := sim.WorkloadFor(first.Workload) // Validate resolved both
+	eng, _ := sim.EngineFor(first.Engine)
 
 	buildStart := time.Now()
-	g, err := sc.buildGraphCached(opt.Artifacts, opt.GenWorkers)
+	g, err := first.buildGraphCached(opt.Artifacts, opt.GenWorkers)
 	if err != nil {
-		return Record{}, fmt.Errorf("sweep: %s: build graph: %w", sc.Hash(), err)
+		return nil, fmt.Errorf("sweep: %s: build graph: %w", first.Hash(), err)
 	}
-	rec := Record{
-		Hash:  sc.Hash(),
-		Spec:  sc,
-		Graph: GraphInfo{N: g.N(), MaxDegree: g.MaxDegree(), Edges: g.M()},
-	}
-
-	msgBits := sc.MsgBits
+	msgBits := first.MsgBits
 	if msgBits == 0 {
 		msgBits = wl.MsgBits(g)
 	}
-	budget, capped := capBudget(wl.Budget(g, sc.Rounds), opt.MaxRoundsFactor)
-	var algs []congest.BroadcastAlgorithm
-	if eng.DrivesAlgs() {
-		algs = wl.Algs(g, sc.Rounds)
-	}
-
-	inst, err := eng.Prepare(g, sim.Config{
-		MsgBits:     msgBits,
-		Epsilon:     sc.Epsilon,
-		Noise:       sc.Noise,
-		ChannelSeed: sc.ChannelSeed,
-		AlgSeed:     sc.AlgSeed,
+	budget, capped := capBudget(wl.Budget(g, first.Rounds), opt.MaxRoundsFactor)
+	cfg := sim.Config{
+		MsgBits: msgBits,
+		Epsilon: first.Epsilon,
+		Noise:   first.Noise,
+		// Lanes share one channel seed: only a channel that cannot flip
+		// a bit, which draws none, runs more than one lane.
+		ChannelSeed: first.ChannelSeed,
+		AlgSeeds:    make([]uint64, len(scs)),
 		Workers:     opt.Workers,
 		Workload:    wl,
-		Rounds:      sc.Rounds,
+		Rounds:      first.Rounds,
 		Artifacts:   opt.Artifacts,
 		Metrics:     opt.Metrics,
-	})
+	}
+	var algs [][]congest.BroadcastAlgorithm
+	if eng.DrivesAlgs() {
+		algs = make([][]congest.BroadcastAlgorithm, len(scs))
+	}
+	for k, sc := range scs {
+		cfg.AlgSeeds[k] = sc.AlgSeed
+		if algs != nil {
+			algs[k] = wl.Algs(g, sc.Rounds)
+		}
+	}
+	inst, err := eng.Prepare(g, cfg)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
 	// BuildNanos covers all setup — graph construction, workload
 	// instances, and engine preparation (code tables, TDMA schedule) —
 	// so WallNanos measures the engine run alone and artifact-cache
 	// hits (graphs and code tables) show up as collapsed build times.
-	rec.BuildNanos = time.Since(buildStart).Nanoseconds()
+	buildNanos := time.Since(buildStart).Nanoseconds()
 	em := newExecMetrics(opt.Metrics)
-	em.buildT.Observe(time.Duration(rec.BuildNanos))
+	em.buildT.Observe(time.Duration(buildNanos))
+	em.lanes.Observe(int64(len(scs)))
 	start := time.Now()
-	res, extras, err := inst.Run(algs, budget)
+	results, extras, err := inst.Run(algs, budget)
 	if err != nil {
-		return Record{}, err
+		return nil, err
 	}
-	if err := completeRecord(&rec, g, wl, res, extras, budget, capped, em); err != nil {
-		return Record{}, err
-	}
-	rec.WallNanos = time.Since(start).Nanoseconds()
-	em.runT.Observe(time.Duration(rec.WallNanos))
-	return rec, nil
-}
+	wallNanos := time.Since(start).Nanoseconds()
+	em.runT.Observe(time.Duration(wallNanos))
 
-// completeRecord is the tail both execution paths share. It fills rec's
-// counters and engine Extras from a finished run, distills the
-// workload's output validity into Counters.OutputOK, sets the failure
-// reason, and reports the graph's size to the sweep.graph.bytes gauge.
-// Workloads without a validity notion (ErrUnverified) leave OutputOK
-// nil; a type mismatch is a wiring bug and fails the scenario with a
-// typed error rather than crashing the batch worker.
-func completeRecord(rec *Record, g *graph.Graph, wl sim.Workload, res *core.Result, extras sim.Extras, budget int, capped bool, em execMetrics) error {
 	em.gBytes.Set(g.Bytes())
-	rec.Counters = countersFromCore(res)
-	rec.Counters.Messages = extras[sim.ExtraMessages]
-	rec.Colors = int(extras[sim.ExtraColors])
-	rec.Rho = int(extras[sim.ExtraRho])
-	rec.SetupRounds = int(extras[sim.ExtraSetupRounds])
-	verr := wl.Verify(g, res.Outputs)
-	if !errors.Is(verr, sim.ErrUnverified) {
-		var typeErr *sim.OutputTypeError
-		if errors.As(verr, &typeErr) {
-			return fmt.Errorf("sweep: %s: %w", rec.Hash, typeErr)
+	recs := make([]Record, len(scs))
+	for k, sc := range scs {
+		hash := ""
+		if hashes != nil {
+			hash = hashes[k]
 		}
-		outputOK := rec.Counters.AllDone && verr == nil
-		rec.Counters.OutputOK = &outputOK
+		if hash == "" {
+			hash = sc.Hash()
+		}
+		res, ex := results[k], extras[k]
+		rec := Record{
+			Hash:        hash,
+			Spec:        sc,
+			Graph:       GraphInfo{N: g.N(), MaxDegree: g.MaxDegree(), Edges: g.M()},
+			Counters:    countersFromCore(res),
+			Colors:      int(ex[sim.ExtraColors]),
+			Rho:         int(ex[sim.ExtraRho]),
+			SetupRounds: int(ex[sim.ExtraSetupRounds]),
+			BuildNanos:  buildNanos / int64(len(scs)),
+			WallNanos:   wallNanos / int64(len(scs)),
+		}
+		rec.Counters.Messages = ex[sim.ExtraMessages]
+		// The workload's output validity becomes Counters.OutputOK.
+		// Workloads without a validity notion (ErrUnverified) leave it
+		// nil; a wrongly typed output is a wiring bug and fails the group
+		// with a typed error rather than crashing the batch worker.
+		verr := wl.Verify(g, res.Outputs)
+		if !errors.Is(verr, sim.ErrUnverified) {
+			var typeErr *sim.OutputTypeError
+			if errors.As(verr, &typeErr) {
+				return nil, fmt.Errorf("sweep: %s: %w", hash, typeErr)
+			}
+			outputOK := rec.Counters.AllDone && verr == nil
+			rec.Counters.OutputOK = &outputOK
+		}
+		rec.Failure = failureFor(sc, rec.Counters, verr, capped, budget)
+		recs[k] = rec
 	}
-	rec.Failure = failureFor(rec.Spec, rec.Counters, verr, capped, budget)
-	return nil
+	return recs, nil
 }
 
 // capBudget applies the MaxRoundsFactor guard to a workload budget,
@@ -203,17 +229,6 @@ func hostileChannel(sc Scenario) bool {
 	return err == nil && noise.Hostile(m)
 }
 
-// quietChannel reports whether the scenario's channel can never flip a
-// bit: ε = 0 on the default channel, or a noise model that is
-// Noiseless. Only quiet replicates run as lanes (sliceGroups).
-func quietChannel(sc Scenario) bool {
-	if sc.Noise == "" {
-		return sc.Epsilon == 0
-	}
-	m, err := noise.Parse(sc.Noise)
-	return err == nil && m.Noiseless()
-}
-
 // failureFor distills a completed run into the Record's Failure reason:
 // empty for a healthy run; the budget-guard trip for any channel; and,
 // under a hostile channel only, unfinished nodes or failed output
@@ -238,14 +253,11 @@ func failureFor(sc Scenario, c Counters, verr error, capped bool, budget int) st
 	return ""
 }
 
-// sliceKey is the grouping identity of replicate-sliced execution: two
-// scenarios may run as lanes of one sliced engine pass iff they differ
-// only in Replicate, ChannelSeed, AlgSeed — and GraphSeed when the
-// family derives its graph without it (every family except the random
-// ones builds a pure function of N and Param, so replicates share one
-// topology even though grid expansion varies their GraphSeed). The
-// zeroed spec itself is the key — Scenario is comparable, so grouping
-// costs no hashing.
+// sliceKey is the grouping identity of lane groups: two scenarios may
+// run as lanes of one engine pass iff they differ only in Replicate,
+// ChannelSeed, AlgSeed — and GraphSeed when the family derives its
+// graph without it (graphSeedMatters). The zeroed spec itself is the
+// key — Scenario is comparable, so grouping costs no hashing.
 func sliceKey(sc Scenario) Scenario {
 	sc.Replicate, sc.ChannelSeed, sc.AlgSeed = 0, 0, 0
 	if !graphSeedMatters(sc.Family) {
@@ -254,118 +266,14 @@ func sliceKey(sc Scenario) Scenario {
 	return sc
 }
 
-// graphSeedMatters reports whether BuildGraph consumes GraphSeed.
+// graphSeedMatters reports whether BuildGraph consumes GraphSeed. Every
+// family except the random ones builds a pure function of N and Param,
+// so its replicates share one topology even though grid expansion
+// varies their GraphSeed: they share a lane group and a cached graph.
 func graphSeedMatters(family string) bool {
 	switch family {
 	case FamilyRegular, FamilyBounded, FamilyGeo:
 		return true
 	}
 	return false
-}
-
-// slicedCapable reports whether the scenario's engine advertises
-// replicate-sliced execution (sim.SlicedEngine).
-func slicedCapable(sc Scenario) bool {
-	eng, ok := sim.EngineFor(sc.Engine)
-	if !ok {
-		return false
-	}
-	_, ok = eng.(sim.SlicedEngine)
-	return ok
-}
-
-// executeSliced runs a group of quiet-channel scenarios that differ
-// only in their replicate seeds (equal sliceKey) as lanes of one
-// replicate-sliced engine pass. hashes, when non-nil, holds the specs'
-// precomputed hashes positionally parallel to scs, as the scheduler
-// holds them: hashing is SHA-256 over canonical JSON, too expensive to
-// redo per lane when the caller already paid for it. The returned
-// records are positionally parallel to scs and — excepting WallNanos
-// and BuildNanos, the non-deterministic timing fields, which report the
-// group's totals amortized evenly over the lanes — byte-identical to
-// Execute on each spec: slicing is an execution detail, never an
-// identity axis, so hashes, stores, and downstream aggregation cannot
-// observe it.
-func executeSliced(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error) {
-	if len(scs) == 0 || len(scs) > 64 {
-		return nil, fmt.Errorf("sweep: sliced group of %d scenarios outside [1, 64]", len(scs))
-	}
-	key := sliceKey(scs[0])
-	for _, sc := range scs {
-		if err := sc.Validate(); err != nil {
-			return nil, err
-		}
-		if sliceKey(sc) != key {
-			return nil, fmt.Errorf("sweep: sliced group mixes scenarios beyond their seeds (%s vs %s)", sc.Hash(), scs[0].Hash())
-		}
-	}
-	wl, _ := sim.WorkloadFor(scs[0].Workload) // Validate resolved both
-	eng, _ := sim.EngineFor(scs[0].Engine)
-	seng, ok := eng.(sim.SlicedEngine)
-	if !ok {
-		return nil, fmt.Errorf("sweep: engine %q is not replicate-sliced capable", scs[0].Engine)
-	}
-
-	buildStart := time.Now()
-	g, err := scs[0].buildGraphCached(opt.Artifacts, opt.GenWorkers)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %s: build graph: %w", scs[0].Hash(), err)
-	}
-	msgBits := scs[0].MsgBits
-	if msgBits == 0 {
-		msgBits = wl.MsgBits(g)
-	}
-	budget, capped := capBudget(wl.Budget(g, scs[0].Rounds), opt.MaxRoundsFactor)
-	algSeeds := make([]uint64, len(scs))
-	algs := make([][]congest.BroadcastAlgorithm, len(scs))
-	for k, sc := range scs {
-		algSeeds[k] = sc.AlgSeed
-		algs[k] = wl.Algs(g, sc.Rounds)
-	}
-	inst, err := seng.PrepareSliced(g, sim.Config{
-		MsgBits:   msgBits,
-		Epsilon:   scs[0].Epsilon,
-		Noise:     scs[0].Noise,
-		Workers:   opt.Workers,
-		Workload:  wl,
-		Rounds:    scs[0].Rounds,
-		Artifacts: opt.Artifacts,
-		Metrics:   opt.Metrics,
-	}, algSeeds)
-	if err != nil {
-		return nil, err
-	}
-	buildNanos := time.Since(buildStart).Nanoseconds()
-	em := newExecMetrics(opt.Metrics)
-	em.buildT.Observe(time.Duration(buildNanos))
-	em.lanes.Observe(int64(len(scs)))
-	start := time.Now()
-	results, extras, err := inst.RunSliced(algs, budget)
-	if err != nil {
-		return nil, err
-	}
-	wallNanos := time.Since(start).Nanoseconds()
-	em.runT.Observe(time.Duration(wallNanos))
-
-	recs := make([]Record, len(scs))
-	for k, sc := range scs {
-		hash := ""
-		if hashes != nil {
-			hash = hashes[k]
-		}
-		if hash == "" {
-			hash = sc.Hash()
-		}
-		recs[k] = Record{
-			Hash:       hash,
-			Spec:       sc,
-			Graph:      GraphInfo{N: g.N(), MaxDegree: g.MaxDegree(), Edges: g.M()},
-			BuildNanos: buildNanos / int64(len(scs)),
-			WallNanos:  wallNanos / int64(len(scs)),
-		}
-		if err := completeRecord(&recs[k], g, wl, results[k], extras[k], budget, capped, em); err != nil {
-			return nil, err
-		}
-	}
-	return recs, nil
 }

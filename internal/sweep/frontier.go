@@ -57,7 +57,7 @@ func (r FrontierResult) Unbroken() bool { return r.Breaking < 0 }
 // store re-answers every probe without simulation.
 //
 // "Broken" is Record.Broken(): the hostile-channel failure attribution
-// of Execute (failed output verification, unfinished nodes, or a
+// of execution (failed output verification, unfinished nodes, or a
 // tripped round-budget guard). Scenarios must therefore use a workload
 // with an output-validity notion (not gossip, which is unverified).
 func FrontierSearch(scenarios []Scenario, store StoreEngine, opt FrontierOptions) ([]FrontierResult, error) {

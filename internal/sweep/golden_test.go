@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -40,6 +41,31 @@ func nativeBeepGrid() Grid {
 		Params:     []int{5},
 		Engines:    []string{EngineBeep},
 		Workloads:  []string{WorkloadMIS, WorkloadLeader, WorkloadBroadcast},
+		Replicates: 2,
+		BaseSeed:   2023,
+	}
+}
+
+// tdmaGrid is the grid testdata/tdma_records.jsonl was generated from
+// (unique specs, wall fields zeroed, sorted by hash) by the tree in
+// which a quiet TDMA replicate run alone still beeped and
+// majority-decoded its windows, and quiet replicates of one spec ran
+// through a separate lane runner; both gave these bytes. It covers
+// every workload on a quiet symmetric channel, the zero-duty jammer and
+// two noisy rates, on a family whose replicates run alone (regular) and
+// one whose replicates share a lane group (hard). At ε = 0.4 every
+// record scores decode errors, so who is scored is pinned too.
+func tdmaGrid() Grid {
+	return Grid{
+		Families: []string{FamilyRegular, FamilyHard},
+		Ns:       []int{16},
+		Params:   []int{3},
+		Epsilons: []float64{0, 0.1, 0.4},
+		Noises:   []string{"", "jam:0:10"},
+		Engines:  []string{EngineTDMA},
+		Workloads: []string{WorkloadGossip, WorkloadMIS, WorkloadColoring, WorkloadLeader,
+			WorkloadMatching, WorkloadBFSTree, WorkloadBroadcast},
+		Rounds:     2,
 		Replicates: 2,
 		BaseSeed:   2023,
 	}
@@ -143,6 +169,52 @@ func TestGoldenNativeBeepRecordsByteIdentical(t *testing.T) {
 		byHash[rec.Hash] = encodeZeroed(t, rec)
 	}
 	assertGolden(t, golden, byHash)
+}
+
+// TestGoldenTDMARecordsByteIdentical pins the TDMA runner to records
+// it did not produce: every scenario run alone and the grid run through
+// the batch scheduler, where quiet hard-family replicates share a lane
+// group, must both reproduce the golden bytes.
+func TestGoldenTDMARecordsByteIdentical(t *testing.T) {
+	golden := readGoldenFile(t, "tdma_records.jsonl")
+	scs, err := tdmaGrid().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scs) != len(golden) {
+		t.Fatalf("grid expands to %d unique specs, golden has %d", len(scs), len(golden))
+	}
+	t.Run("alone", func(t *testing.T) {
+		byHash := make(map[string][]byte, len(scs))
+		for _, sc := range scs {
+			rec, err := Execute(sc, ExecOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", sc.Hash(), err)
+			}
+			byHash[rec.Hash] = encodeZeroed(t, rec)
+		}
+		assertGolden(t, golden, byHash)
+	})
+	t.Run("grouped", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		recs, st, err := Run(scs, NewMemStore(), Options{Jobs: 2, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Ran != len(scs) || st.Failed != 0 {
+			t.Fatalf("stats: %+v", st)
+		}
+		byHash := make(map[string][]byte, len(recs))
+		for _, rec := range recs {
+			byHash[rec.Hash] = encodeZeroed(t, rec)
+		}
+		assertGolden(t, golden, byHash)
+		for _, m := range reg.Snapshot() {
+			if m.Name == "sweep.exec.sliced_lanes" && m.Max < 2 {
+				t.Errorf("no lane group formed (largest %d lanes)", m.Max)
+			}
+		}
+	})
 }
 
 // TestGoldenPR4StoreServesFullCacheHits loads the PR 4 records into a

@@ -26,14 +26,15 @@ import (
 // job's first occurrence of each hash; later duplicates within the job
 // copy their owner's outcome. A task serves its members store-first,
 // claims one flight per remaining member, runs the members it owns
-// together (sliced when there are two or more), finishes those flights,
+// together as lanes of one engine pass, finishes those flights,
 // and only then waits on members another job has in flight. That order
 // keeps waits between jobs from deadlocking: a task that waits owns no
 // unfinished flight, and the owner of the flight it waits on is
 // already running on another worker.
 //
-// Records are byte-identical to Execute output by the determinism
-// contract: the service changes scheduling only, never results.
+// Records are byte-identical to a lone run of each spec by the
+// determinism contract: the service changes scheduling only, never
+// results.
 type Service struct {
 	store       StoreEngine
 	exec        ExecOptions
@@ -357,22 +358,12 @@ func (s *Service) runOwned(j *Job, owned []int) {
 }
 
 // execute runs one task's owned members through the test seam when set,
-// else executeGroup.
+// else as one lane group.
 func (s *Service) execute(scs []Scenario, hashes []string) ([]Record, error) {
 	if s.executeFunc != nil {
 		return s.executeFunc(scs, s.exec)
 	}
-	return executeGroup(scs, hashes, s.exec)
-}
-
-// executeGroup is the default task executor: Execute for a single
-// scenario, a replicate-sliced pass for a lane group.
-func executeGroup(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error) {
-	if len(scs) == 1 {
-		rec, err := Execute(scs[0], opt)
-		return []Record{rec}, err
-	}
-	return executeSliced(scs, hashes, opt)
+	return execute(scs, hashes, s.exec)
 }
 
 // land releases an owned slot and its in-job duplicates from the

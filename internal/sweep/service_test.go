@@ -80,7 +80,7 @@ func TestServiceOverlappingLaneGroups(t *testing.T) {
 				close(held)
 				<-release
 			}
-			return executeGroup(group, nil, opt)
+			return execute(group, nil, opt)
 		},
 	})
 	defer svc.Close()

@@ -8,11 +8,11 @@ import (
 	"repro/internal/obs"
 )
 
-// replicateGrid is the canonical sliced-execution workload: one grid
-// point on a quiet channel, a sliced-capable engine, and a full word of
-// replicates. The grid family derives its topology without GraphSeed,
-// so all 64 replicates share one sliceKey and coalesce into a single
-// lane group.
+// replicateGrid is the canonical lane-group workload: one grid point
+// on a quiet channel, the TDMA engine (64 lanes there), and a full
+// word of replicates. The grid family derives its topology without
+// GraphSeed, so all 64 replicates share one sliceKey and coalesce into
+// a single lane group.
 func replicateGrid(replicates int) Grid {
 	return Grid{
 		Families:   []string{FamilyGrid},
@@ -39,7 +39,7 @@ func encodeZeroed(t *testing.T, rec Record) []byte {
 	return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
 }
 
-// assertExecuteEach pins records to the serial reference: each scenario
+// assertExecuteEach pins records to the one-lane reference: each scenario
 // run on its own through Execute must store the same bytes (timing
 // fields aside).
 func assertExecuteEach(t *testing.T, scs []Scenario, recs []Record) {
@@ -57,7 +57,7 @@ func assertExecuteEach(t *testing.T, scs []Scenario, recs []Record) {
 }
 
 // TestSliceGroups pins the lane-group scheduler: full-word splitting,
-// the noiseless-channel rule, the non-capable-engine fallback, and the
+// the noiseless-channel rule, the one-lane-engine fallback, and the
 // graph-seed rule that keeps random families out of groups.
 func TestSliceGroups(t *testing.T) {
 	base := Scenario{
@@ -103,8 +103,8 @@ func TestSliceGroups(t *testing.T) {
 		}
 	}
 
-	// A non-capable engine interleaved in the same order stays serial
-	// without breaking the capable scenarios' grouping.
+	// A one-lane engine interleaved in the same order stays in
+	// singletons without breaking the TDMA scenarios' grouping.
 	mixed := append([]Scenario(nil), scs[:8]...)
 	for i := range mixed {
 		if i%2 == 1 {
@@ -165,7 +165,7 @@ func TestSlicedSweepByteIdentical(t *testing.T) {
 }
 
 // TestSlicedPartialCacheHits: records already in the store drop out of
-// a lane group member-by-member; the remainder still runs sliced and
+// a lane group member-by-member; the remainder still runs as lanes and
 // lands byte-identical to per-scenario Execute.
 func TestSlicedPartialCacheHits(t *testing.T) {
 	scs, err := replicateGrid(64).Expand()
@@ -200,9 +200,9 @@ func TestSlicedPartialCacheHits(t *testing.T) {
 	assertExecuteEach(t, scs, recs)
 }
 
-// TestSlicedMixedEngineGrid: a quiet grid mixing sliced-capable and
-// non-capable engines, the default channel and a noiseless model, with
-// a replicate count that doesn't fill a word, stores the records
+// TestSlicedMixedEngineGrid: a quiet grid mixing the lane-running TDMA
+// engine and one-lane alg1, the default channel and a noiseless model,
+// with a replicate count that doesn't fill a word, stores the records
 // per-scenario Execute stores.
 func TestSlicedMixedEngineGrid(t *testing.T) {
 	g := Grid{
@@ -230,39 +230,46 @@ func TestSlicedMixedEngineGrid(t *testing.T) {
 	assertExecuteEach(t, scs, recs)
 }
 
+// TestExecuteSlicedValidation: execute runs a lane group only when its
+// members differ in nothing but their seeds and fit the engine's lanes.
 func TestExecuteSlicedValidation(t *testing.T) {
 	base := Scenario{
 		Family: FamilyGrid, Param: 2,
 		Engine: EngineTDMA, Workload: WorkloadGossip, Rounds: 2,
 	}
-	if _, err := executeSliced(nil, nil, ExecOptions{}); err == nil {
+	if _, err := execute(nil, nil, ExecOptions{}); err == nil {
 		t.Error("empty group accepted")
 	}
-	if _, err := executeSliced(make([]Scenario, 65), nil, ExecOptions{}); err == nil {
+	wide := make([]Scenario, 65)
+	for i := range wide {
+		wide[i] = base
+		wide[i].Replicate, wide[i].AlgSeed = i, uint64(i)
+	}
+	if _, err := execute(wide, nil, ExecOptions{}); err == nil {
 		t.Error("65-lane group accepted")
 	}
 	a, b := base, base
 	b.Epsilon = 0.2
-	if _, err := executeSliced([]Scenario{a, b}, nil, ExecOptions{}); err == nil {
+	if _, err := execute([]Scenario{a, b}, nil, ExecOptions{}); err == nil {
 		t.Error("group mixing ε accepted")
 	}
 	c := base
 	c.Engine = EngineAlg1
-	if _, err := executeSliced([]Scenario{c, c}, nil, ExecOptions{}); err == nil {
-		t.Error("non-sliced-capable engine accepted")
+	if _, err := execute([]Scenario{c, c}, nil, ExecOptions{}); err == nil {
+		t.Error("two lanes on a one-lane engine accepted")
 	}
 	// Lanes run only on channels that cannot flip a bit.
 	d := base
 	d.Epsilon = 0.1
-	if _, err := executeSliced([]Scenario{d, d}, nil, ExecOptions{}); err == nil {
+	if _, err := execute([]Scenario{d, d}, nil, ExecOptions{}); err == nil {
 		t.Error("noisy group accepted")
 	}
 
-	// A well-formed pair matches two Execute calls exactly (timing aside).
+	// A well-formed pair matches two lone runs exactly (timing aside).
 	a, b = base, base
 	a.ChannelSeed, a.AlgSeed = 10, 11
 	b.Replicate, b.ChannelSeed, b.AlgSeed = 1, 20, 21
-	recs, err := executeSliced([]Scenario{a, b}, nil, ExecOptions{})
+	recs, err := execute([]Scenario{a, b}, nil, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,6 +150,21 @@ func TestValidate(t *testing.T) {
 		{Family: FamilyHypercube, Param: 64, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
 		{Family: FamilyGrid, Param: 46341, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
 		{Family: FamilyGrid, Param: 1 << 32, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		// The largest hypercube and grid within graph.MaxVertices, whose
+		// degree arrays alone need 4 and 8 GiB.
+		{Family: FamilyHypercube, Param: 30, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyGrid, Param: 46340, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		// One past MaxGraphEntries in each family, and the hard instance
+		// whose 8 GiB degree array once ran sweep.Run out of memory.
+		{Family: FamilyRegular, N: 1<<26 + 1, Param: 3, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyBounded, N: 1<<26 + 1, Param: 3, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyHard, N: 1<<27 + 1, Param: 8192, Engine: EngineCongest, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyHard, N: 1<<31 - 1, Param: 1, Engine: EngineCongest, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyComplete, N: 1<<14 + 1, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyGeo, N: 10737419, Engine: EngineBeep, Workload: WorkloadBroadcast},
+		{Family: FamilyGrid, Param: 7328, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyHypercube, Param: 24, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyPG, Param: 511, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
 		// Bandwidths past MaxMsgBits, the smallest and the one that
 		// once ran sweepd out of memory.
 		{Family: FamilyRegular, N: 16, Param: 4, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1, MsgBits: MaxMsgBits + 1},
@@ -162,9 +177,15 @@ func TestValidate(t *testing.T) {
 	}
 	good := []Scenario{
 		baseSpec(),
-		// The largest grid and hypercube within graph.MaxVertices.
-		{Family: FamilyHypercube, Param: 30, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
-		{Family: FamilyGrid, Param: 46340, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		// The largest graph within MaxGraphEntries in each family.
+		{Family: FamilyRegular, N: 1 << 26, Param: 3, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyBounded, N: 1 << 26, Param: 3, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyHard, N: 1 << 27, Param: 8192, Engine: EngineCongest, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyComplete, N: 1 << 14, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyGeo, N: 10737418, Engine: EngineBeep, Workload: WorkloadBroadcast},
+		{Family: FamilyGrid, Param: 7327, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyHypercube, Param: 23, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
+		{Family: FamilyPG, Param: 510, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1},
 		// The widest bandwidth allowed.
 		{Family: FamilyRegular, N: 16, Param: 4, Engine: EngineAlg1, Workload: WorkloadGossip, Rounds: 1, MsgBits: MaxMsgBits},
 	}

@@ -16,12 +16,13 @@
 // interrupted batch resumes for free.
 //
 // The layers, bottom up: Scenario (this file) — the spec and its hash;
-// Execute (exec.go) — one spec to one Record; Store (store.go) — the
-// JSONL result store; Service (service.go) — the scheduler, with lane
-// groups and request-level singleflight, and Run (batch.go), one job on
-// a short-lived Service; Grid (grid.go) — declarative axis expansion; Aggregate (agg.go) —
-// group-by with replicate statistics. internal/experiments routes its
-// T4/T6/A4 tables through this package.
+// execute (exec.go) — a lane group of specs to their Records; Store
+// (store.go) — the JSONL result store; Service (service.go) — the
+// scheduler, with lane groups and request-level singleflight, and Run
+// (batch.go), one job on a short-lived Service; Grid (grid.go) —
+// declarative axis expansion; Aggregate (agg.go) — group-by with
+// replicate statistics. internal/experiments routes its T4/T6/A4 tables
+// through this package.
 package sweep
 
 import (
@@ -29,7 +30,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math/bits"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/noise"
@@ -145,6 +146,38 @@ func derivedN(family string) bool {
 // n = graph.MaxVertices.
 const MaxMsgBits = 4096
 
+// MaxGraphEntries bounds the CSR entries, vertices plus directed edges,
+// of a scenario's graph: 2²⁸ int32 entries, 1 GiB. Building a graph past
+// it can end the process with an out-of-memory error that no recover
+// catches, so Validate refuses the spec first. The geo family at
+// n = 10⁷ still fits.
+const MaxGraphEntries = 1 << 28
+
+// graphEntries returns the vertex count of the scenario's graph plus
+// its family's bound on directed edges. It computes in float64, which
+// is exact below 2⁵³ and rounds monotonically above, so comparing the
+// result with MaxGraphEntries decides exactly and no product overflows.
+func (sc Scenario) graphEntries() float64 {
+	n, p := float64(sc.N), float64(sc.Param)
+	switch sc.Family {
+	case FamilyRegular, FamilyBounded:
+		return n + n*p
+	case FamilyHard:
+		return n + 2*p*p // K_{Δ,Δ} plus isolated vertices
+	case FamilyComplete:
+		return n + n*(n-1)
+	case FamilyGeo:
+		return n + 24*n
+	case FamilyGrid:
+		return p*p + 4*p*p
+	case FamilyHypercube:
+		return math.Ldexp(1+p, sc.Param) // 2^Param vertices of degree Param
+	case FamilyPG:
+		return 2*(p*p+p+1) + 2*(p+1)*(p*p+p+1)
+	}
+	return 0
+}
+
 // Supports reports whether the engine can execute the workload, per the
 // internal/sim registries: the native beeping engine runs exactly the
 // workloads with a native beeping implementation (sim.NativeBeeper),
@@ -176,14 +209,11 @@ func (sc Scenario) Validate() error {
 		if sc.N != 0 {
 			return fmt.Errorf("sweep: family %q derives N from Param; set N = 0, got %d", sc.Family, sc.N)
 		}
-		// Param² and 2^Param vertices must fit a graph; computed
-		// unchecked they wrap (to 0 for grid 2³² and hypercube 64).
-		if sc.Family == FamilyGrid && sc.Param > graph.MaxVertices/sc.Param ||
-			sc.Family == FamilyHypercube && sc.Param >= bits.Len(graph.MaxVertices) {
-			return fmt.Errorf("sweep: family %q with Param = %d has more than %d vertices", sc.Family, sc.Param, graph.MaxVertices)
-		}
 	default:
 		return fmt.Errorf("sweep: unknown family %q", sc.Family)
+	}
+	if sc.graphEntries() > MaxGraphEntries {
+		return fmt.Errorf("sweep: family %q with N = %d and Param = %d needs more than %d graph entries (vertices plus directed edges)", sc.Family, sc.N, sc.Param, MaxGraphEntries)
 	}
 	wl, ok := sim.WorkloadFor(sc.Workload)
 	if !ok {
@@ -247,15 +277,17 @@ func (sc Scenario) Hash() string {
 }
 
 // buildGraphCached is BuildGraphWorkers through the batch artifact cache:
-// the graph is a pure function of (Family, N, Param, GraphSeed) — exactly
-// a sim.GraphKey, with the worker count byte-invisible by the streaming
-// builder's contract — so scenarios differing only in other axes share
-// one instance. A nil cache builds directly.
+// the graph is a pure function of (Family, N, Param) and, where
+// graphSeedMatters, GraphSeed — exactly a sim.GraphKey, with the worker
+// count byte-invisible by the streaming builder's contract — so
+// scenarios differing only in other axes share one instance. A nil
+// cache builds directly.
 func (sc Scenario) buildGraphCached(cache *sim.Cache, genWorkers int) (*graph.Graph, error) {
-	return cache.Graph(
-		sim.GraphKey{Family: sc.Family, N: sc.N, Param: sc.Param, Seed: sc.GraphSeed},
-		func() (*graph.Graph, error) { return sc.BuildGraphWorkers(genWorkers) },
-	)
+	key := sim.GraphKey{Family: sc.Family, N: sc.N, Param: sc.Param}
+	if graphSeedMatters(sc.Family) {
+		key.Seed = sc.GraphSeed
+	}
+	return cache.Graph(key, func() (*graph.Graph, error) { return sc.BuildGraphWorkers(genWorkers) })
 }
 
 // BuildGraph constructs the scenario's graph from Family, N, Param, and
