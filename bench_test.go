@@ -381,14 +381,17 @@ func BenchmarkExperimentSuiteQuick(b *testing.B) {
 // horizon, the Luby-style contention workload.
 type benchBeeper struct {
 	env     beep.Env
-	rng     *rng.Stream
+	rng     rng.Stream
 	horizon int
 	rounds  int
 	ones    int
 	done    bool
 }
 
-func (c *benchBeeper) Init(env beep.Env) { c.env, c.rng = env, env.Stream() }
+func (c *benchBeeper) Init(env beep.Env) {
+	c.env = env
+	env.StreamInto(&c.rng)
+}
 func (c *benchBeeper) Step(round int) beep.Action {
 	if c.rng.Bool(1 / float64(c.env.Degree+1)) {
 		return beep.Beep

@@ -52,6 +52,13 @@ func (a *Algorithm) Init(env congest.Env) {
 // Broadcast implements congest.BroadcastAlgorithm.
 func (a *Algorithm) Broadcast(round int) congest.Message {
 	if round%2 == 0 { // try round
+		if len(a.palette) == 0 {
+			// On a noisy channel, phantom decoded neighbours can claim
+			// every colour. The node then sits the iteration out: it
+			// sends nothing, keeps no colour and draws no randomness.
+			a.keep = false
+			return nil
+		}
 		a.try = a.samplePalette()
 		a.keep = true
 		var w wire.Writer
@@ -84,7 +91,7 @@ func (a *Algorithm) samplePalette() int {
 		}
 		k--
 	}
-	panic("coloring: empty palette") // impossible: palette has Δ+1 colors, ≤ Δ neighbors
+	panic("coloring: empty palette") // unreachable: Broadcast samples only a non-empty palette
 }
 
 // Receive implements congest.BroadcastAlgorithm.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 func outputsToInts(t *testing.T, outs []any) []int {
@@ -113,5 +114,38 @@ func TestVerifyRejectsBadColorings(t *testing.T) {
 	}
 	if err := Verify(g, []int{0, 1, 0, 1}); err != nil {
 		t.Errorf("valid coloring rejected: %v", err)
+	}
+}
+
+// TestEmptyPaletteSitsOut drives one node whose palette phantom decoded
+// neighbours have emptied, as a noisy channel can: its try rounds send
+// nothing, draw no randomness and keep no colour, where sampling the
+// empty palette used to panic the process.
+func TestEmptyPaletteSitsOut(t *testing.T) {
+	const n, maxDeg = 8, 2
+	env := congest.Env{ID: 3, N: n, Degree: maxDeg, MaxDegree: maxDeg, MsgBits: MsgBits(n, maxDeg), Rng: rng.New(5)}
+	a := &Algorithm{}
+	a.Init(env)
+	final := func(id, color int) congest.Message {
+		var w wire.Writer
+		w.WriteBool(true)
+		w.WriteUint(uint64(id), wire.BitsFor(n))
+		w.WriteUint(uint64(color), wire.BitsFor(maxDeg+1))
+		return w.PaddedBytes(env.MsgBits)
+	}
+	// One announce round claims all Δ+1 colours.
+	a.Receive(1, []congest.Message{final(0, 0), final(1, 1), final(2, 2)})
+	before := *env.Rng
+	for round := 2; round < 8; round++ {
+		if msg := a.Broadcast(round); msg != nil {
+			t.Fatalf("round %d: node with an empty palette sent %x", round, msg)
+		}
+		a.Receive(round, nil)
+	}
+	if *env.Rng != before {
+		t.Error("a node with an empty palette drew randomness")
+	}
+	if a.Done() || a.Output() != -1 {
+		t.Errorf("Done = %v, Output = %v; want an undecided node with colour -1", a.Done(), a.Output())
 	}
 }

@@ -60,16 +60,18 @@ type Env struct {
 	Degree    int
 	MaxDegree int
 	// Seed is the network seed. A program that draws randomness derives
-	// its private stream from it with Stream; one that never draws pays
-	// nothing for it.
+	// its private stream from it with StreamInto; one that never draws
+	// pays nothing for it.
 	Seed uint64
 }
 
-// Stream derives the node's private randomness stream, a pure function
-// of (Seed, ID). Every call returns a fresh stream at its start, so a
-// program calls it once, in Init, and keeps the result.
-func (e Env) Stream() *rng.Stream {
-	return rng.New(e.Seed).Split(0x6e6f6465, uint64(e.ID)) // "node"
+// StreamInto seeds dst, in place, with the node's private randomness
+// stream: rng.New(Seed).Split("node", ID), a pure function of (Seed, ID).
+// Every call restarts the stream, so a program calls it once, in Init,
+// on a stream it owns — a field of its own, or its slot of a block of
+// streams the whole run shares.
+func (e Env) StreamInto(dst *rng.Stream) {
+	rng.New(e.Seed).Split2Into(dst, 0x6e6f6465, uint64(e.ID)) // "node"
 }
 
 // Program is a per-node beeping protocol driven by the network.
@@ -80,8 +82,8 @@ func (e Env) Stream() *rng.Stream {
 // When Params.Workers > 1, callbacks for distinct nodes run concurrently
 // within a phase (each node's own calls stay strictly ordered). Programs
 // must therefore confine mutable state to the node itself and draw
-// randomness only from the stream Env.Stream derives — no sharing across
-// programs.
+// randomness only from the stream Env.StreamInto derives — no sharing
+// across programs.
 type Program interface {
 	Init(env Env)
 	Step(round int) Action
@@ -290,25 +292,42 @@ func (nw *Network) Run(progs []Program, maxRounds int) (*Result, error) {
 	beeped := bitstring.New(n)
 	heard := bitstring.New(n)
 	done := func(v int) bool { return progs[v].Done() }
-	rounds, allDone, _ := nw.pool.Loop(n, maxRounds, done, func(localRound int) error {
+	// The phase callbacks are built once per run and read the round
+	// through localRound, so a round allocates nothing.
+	var localRound int
+	beepParts := make([]int64, nw.pool.NumShards(n))
+	// Transmit phase: each shard writes only its own word-aligned region
+	// of the beep vector, and its beep count to its own slot.
+	transmit := func(s engine.Span) {
+		var beeps int64
+		for v := s.Lo; v < s.Hi; v++ {
+			p := progs[v]
+			if p.Done() {
+				continue
+			}
+			if p.Step(localRound) == Beep {
+				beeped.Set(v)
+				beeps++
+			}
+		}
+		beepParts[s.Index] = beeps
+	}
+	propagateHear := func(s engine.Span) {
+		nw.g.NeighborhoodOrRange(beeped, heard, s.Lo, s.Hi)
+		nw.hearRange(progs, beeped, heard, localRound, s.Lo, s.Hi)
+	}
+	hear := func(s engine.Span) {
+		nw.hearRange(progs, beeped, heard, localRound, s.Lo, s.Hi)
+	}
+	rounds, allDone, _ := nw.pool.Loop(n, maxRounds, done, func(round int) error {
+		localRound = round
 		beeped.Reset()
 		heard.Reset()
-		// Transmit phase: each shard writes only its own word-aligned
-		// region of the beep vector.
-		beeps := nw.pool.Sum(n, func(s engine.Span) int64 {
-			var beeps int64
-			for v := s.Lo; v < s.Hi; v++ {
-				p := progs[v]
-				if p.Done() {
-					continue
-				}
-				if p.Step(localRound) == Beep {
-					beeped.Set(v)
-					beeps++
-				}
-			}
-			return beeps
-		})
+		nw.pool.Do(n, transmit)
+		var beeps int64
+		for _, c := range beepParts {
+			beeps += c
+		}
 		nw.totalBeeps += beeps
 		nw.m.beeps.Add(beeps)
 		if nw.params.RecordBeeps {
@@ -323,15 +342,10 @@ func (nw *Network) Run(progs []Program, maxRounds int) (*Result, error) {
 		// only delivery is fanned out. All variants OR the same bits,
 		// so results are identical.
 		if nw.pool.Parallel() && nw.g.DenseBeepers(beeped) {
-			nw.pool.Do(n, func(s engine.Span) {
-				nw.g.NeighborhoodOrRange(beeped, heard, s.Lo, s.Hi)
-				nw.hearRange(progs, beeped, heard, localRound, s.Lo, s.Hi)
-			})
+			nw.pool.Do(n, propagateHear)
 		} else {
 			nw.g.NeighborhoodOr(beeped, heard)
-			nw.pool.Do(n, func(s engine.Span) {
-				nw.hearRange(progs, beeped, heard, localRound, s.Lo, s.Hi)
-			})
+			nw.pool.Do(n, hear)
 		}
 		nw.round++
 		nw.m.rounds.Inc()

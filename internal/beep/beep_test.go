@@ -432,13 +432,16 @@ func TestRunPhaseParallelEquivalence(t *testing.T) {
 // the workload shape of Luby-style beeping algorithms.
 type contender struct {
 	env     Env
-	rng     *rng.Stream
+	rng     rng.Stream
 	horizon int
 	heard   []bool
 	done    bool
 }
 
-func (c *contender) Init(env Env) { c.env, c.rng = env, env.Stream() }
+func (c *contender) Init(env Env) {
+	c.env = env
+	env.StreamInto(&c.rng)
+}
 func (c *contender) Step(round int) Action {
 	if c.rng.Bool(1 / float64(c.env.Degree+1)) {
 		return Beep

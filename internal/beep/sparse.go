@@ -53,27 +53,73 @@ type sparseState struct {
 	done          *bitstring.BitString
 	activeSum     []uint64 // dirty words of active (and so of beeped)
 	nextSum       []uint64
-	hearSum       []uint64        // dirty words of heard
-	buckets       map[int][]int32 // wake round -> sleeping nodes
-	lastWake      []int           // per node: last bucketed wake round, 0 = none
-	doneCount     int
-	peak          int // peak driven-node count (frontier occupancy)
+	hearSum       []uint64 // dirty words of heard
+	// The wake schedule holds one pending wake per node: wake[v] is v's
+	// pending round (0 = none; scheduled rounds are ≥ 1), and the nodes
+	// pending for round r form a doubly linked list through link/back
+	// that starts at heads[r] (−1 ends a list).
+	heads      map[int32]int32
+	wake       []int32
+	link, back []int32
+	doneCount  int
+	peak       int // peak driven-node count (frontier occupancy)
 }
 
-// schedule buckets node v to wake in round w. A node driven again before
-// its wake round mostly re-declares the same round (a wave relay hears
-// every passing beep), so the append is skipped when w is the round v was
-// last bucketed for: that bucket still holds v, because bucketed rounds
-// lie ahead of the round that declared them and NextWake only ever
-// answers with later rounds. Wake-ups are exactly those of appending
-// every time, with one entry per node and declared round instead of one
-// per drive. Bucketed rounds are ≥ 1, so 0 marks a node never bucketed.
-func (st *sparseState) schedule(v, w int) {
-	if st.lastWake[v] == w {
+// schedule makes w, a round ahead of the current one, node v's pending
+// wake. A new declaration replaces the pending one: v's latest NextWake
+// answer promises silence until w, so a superseded wake could only have
+// been an extra drive, which the QuietProgram contract makes a no-op.
+// A wave relay re-declares the same round at every beep it hears; that
+// costs one comparison.
+func (st *sparseState) schedule(v int, w int32) {
+	old := st.wake[v]
+	if old == w {
 		return
 	}
-	st.buckets[w] = append(st.buckets[w], int32(v))
-	st.lastWake[v] = w
+	if old != 0 {
+		st.unlink(v, old)
+	}
+	h, ok := st.heads[w]
+	if !ok {
+		h = -1
+	} else {
+		st.back[h] = int32(v)
+	}
+	st.link[v], st.back[v] = h, -1
+	st.heads[w] = int32(v)
+	st.wake[v] = w
+}
+
+// unlink removes v from round w's list.
+func (st *sparseState) unlink(v int, w int32) {
+	prev, next := st.back[v], st.link[v]
+	if next >= 0 {
+		st.back[next] = prev
+	}
+	switch {
+	case prev >= 0:
+		st.link[prev] = next
+	case next >= 0:
+		st.heads[w] = next
+	default:
+		delete(st.heads, w)
+	}
+}
+
+// wakeRound activates the live nodes pending for round r and empties
+// its list.
+func (st *sparseState) wakeRound(r int32) {
+	h, ok := st.heads[r]
+	if !ok {
+		return
+	}
+	for v := h; v >= 0; v = st.link[v] {
+		st.wake[v] = 0
+		if !st.done.Get(int(v)) {
+			activate(st.active, st.activeSum, int(v))
+		}
+	}
+	delete(st.heads, r)
 }
 
 // activate marks v active in b and its word dirty in sum.
@@ -114,10 +160,12 @@ func sumAnyRange(a, b []uint64, loW, hiW int) bool {
 // of neighbor beeps, so RunSparse falls back to the dense driver when the
 // channel is noisy (a flipped bit can wake any node any round), when
 // Params.RecordBeeps demands a per-round transcript, or when any program
-// does not implement QuietProgram. Callers never need to pick a path by
-// hand: RunSparse is always correct, and fast when the model admits it.
+// does not implement QuietProgram, and for budgets past 2³¹−1 rounds,
+// which its int32 wake schedule cannot hold. Callers never need to pick
+// a path by hand: RunSparse is always correct, and fast when the model
+// admits it.
 func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
-	if nw.noisy || nw.params.RecordBeeps || !allQuiet(progs) {
+	if nw.noisy || nw.params.RecordBeeps || maxRounds > math.MaxInt32 || !allQuiet(progs) {
 		return nw.Run(progs, maxRounds)
 	}
 
@@ -143,8 +191,10 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 		activeSum: make([]uint64, sumLen),
 		nextSum:   make([]uint64, sumLen),
 		hearSum:   make([]uint64, sumLen),
-		buckets:   make(map[int][]int32),
-		lastWake:  make([]int, n),
+		heads:     make(map[int32]int32),
+		wake:      make([]int32, n),
+		link:      make([]int32, n),
+		back:      make([]int32, n),
 	}
 
 	// Seed the schedule: done nodes leave the run, the rest declare their
@@ -159,12 +209,67 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 		case w <= 0:
 			activate(st.active, st.activeSum, v)
 		case w != NoWake && w < maxRounds:
-			st.schedule(v, w)
+			st.schedule(v, int32(w))
 		}
 	}
 
-	spans := nw.pool.Spans(n)
-	beepParts := make([]int64, len(spans))
+	// The phase callbacks are built once per run and read the round and
+	// the current bitset words through the variables below, so a round
+	// allocates nothing.
+	var (
+		localRound     int
+		aw, bw, hw, dw []uint64
+	)
+	beepParts := make([]int64, nw.pool.NumShards(n))
+	// Transmit: Step every active node, span-parallel over the dirty
+	// words only. beeped ⊆ active, so activeSum covers it too.
+	transmitLive := func(lo, hi int) bool {
+		return sumAnyRange(st.activeSum, nil, lo>>6, (hi+63)>>6)
+	}
+	transmit := func(s engine.Span) {
+		var count int64
+		for wi := s.Lo >> 6; wi < (s.Hi+63)>>6; wi++ {
+			w := aw[wi]
+			for w != 0 {
+				v := wi<<6 + bits.TrailingZeros64(w)
+				w &= w - 1
+				p := progs[v]
+				if p.Done() {
+					continue
+				}
+				if p.Step(localRound) == Beep {
+					bw[wi] |= 1 << (uint(v) & 63)
+					count++
+				}
+			}
+		}
+		beepParts[s.Index] = count
+	}
+	propagate := func(s engine.Span) {
+		nw.g.NeighborhoodOrRange(st.beeped, st.heard, s.Lo, s.Hi)
+	}
+	// Deliver: every driven node — active by schedule or reached by a
+	// beep — hears its bit. Words outside both summaries hold no driven
+	// nodes by construction.
+	deliverLive := func(lo, hi int) bool {
+		return sumAnyRange(st.activeSum, st.hearSum, lo>>6, (hi+63)>>6)
+	}
+	deliver := func(s engine.Span) {
+		for wi := s.Lo >> 6; wi < (s.Hi+63)>>6; wi++ {
+			w := (aw[wi] | hw[wi]) &^ dw[wi]
+			for w != 0 {
+				pos := bits.TrailingZeros64(w)
+				w &= w - 1
+				v := wi<<6 + pos
+				p := progs[v]
+				if p.Done() {
+					continue
+				}
+				p.Hear(localRound, (hw[wi]|bw[wi])>>uint(pos)&1 != 0)
+			}
+		}
+	}
+
 	rounds := maxRounds
 	allDone := false
 	for r := 0; r < maxRounds; r++ {
@@ -173,23 +278,16 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 			break
 		}
 		// Wake the sleepers scheduled for this round.
-		if wake := st.buckets[r]; wake != nil {
-			for _, v := range wake {
-				if !st.done.Get(int(v)) {
-					activate(st.active, st.activeSum, int(v))
-				}
-			}
-			delete(st.buckets, r)
-		}
+		st.wakeRound(int32(r))
 		// Nobody acts: fast-forward to the next scheduled wake-up. The
 		// skipped rounds are exactly rounds the dense driver would spend
 		// on silent no-ops — noiseless silence consumes no randomness and
 		// changes no state — so only the counters advance.
 		if !anySet(st.activeSum) {
 			next := maxRounds
-			for k := range st.buckets {
-				if k < next {
-					next = k
+			for k := range st.heads {
+				if int(k) < next {
+					next = int(k)
 				}
 			}
 			skip := next - r
@@ -199,32 +297,10 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 			continue
 		}
 
-		// Transmit: Step every active node, span-parallel over the dirty
-		// words only. beeped ⊆ active, so activeSum covers it too.
-		aw, bw := st.active.Words(), st.beeped.Words()
-		hw, dw := st.heard.Words(), st.done.Words()
-		localRound := r
-		nw.pool.DoMasked(n,
-			func(lo, hi int) bool { return sumAnyRange(st.activeSum, nil, lo>>6, (hi+63)>>6) },
-			func(s engine.Span) {
-				var count int64
-				for wi := s.Lo >> 6; wi < (s.Hi+63)>>6; wi++ {
-					w := aw[wi]
-					for w != 0 {
-						v := wi<<6 + bits.TrailingZeros64(w)
-						w &= w - 1
-						p := progs[v]
-						if p.Done() {
-							continue
-						}
-						if p.Step(localRound) == Beep {
-							bw[wi] |= 1 << (uint(v) & 63)
-							count++
-						}
-					}
-				}
-				beepParts[s.Index] = count
-			})
+		localRound = r
+		aw, bw = st.active.Words(), st.beeped.Words()
+		hw, dw = st.heard.Words(), st.done.Words()
+		nw.pool.DoMasked(n, transmitLive, transmit)
 		var beeps int64
 		for i, c := range beepParts {
 			beeps += c
@@ -239,9 +315,7 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 		if beeps > 0 {
 			if nw.g.DenseBeepers(st.beeped) {
 				if nw.pool.Parallel() {
-					nw.pool.Do(n, func(s engine.Span) {
-						nw.g.NeighborhoodOrRange(st.beeped, st.heard, s.Lo, s.Hi)
-					})
+					nw.pool.Do(n, propagate)
 				} else {
 					nw.g.NeighborhoodOrRange(st.beeped, st.heard, 0, n)
 				}
@@ -251,28 +325,7 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 			}
 		}
 
-		// Deliver: every driven node — active by schedule or reached by a
-		// beep — hears its bit. Words outside both summaries hold no
-		// driven nodes by construction.
-		nw.pool.DoMasked(n,
-			func(lo, hi int) bool {
-				return sumAnyRange(st.activeSum, st.hearSum, lo>>6, (hi+63)>>6)
-			},
-			func(s engine.Span) {
-				for wi := s.Lo >> 6; wi < (s.Hi+63)>>6; wi++ {
-					w := (aw[wi] | hw[wi]) &^ dw[wi]
-					for w != 0 {
-						pos := bits.TrailingZeros64(w)
-						w &= w - 1
-						v := wi<<6 + pos
-						p := progs[v]
-						if p.Done() {
-							continue
-						}
-						p.Hear(localRound, (hw[wi]|bw[wi])>>uint(pos)&1 != 0)
-					}
-				}
-			})
+		nw.pool.DoMasked(n, deliverLive, deliver)
 
 		// Serial post-pass over the dirty words: record done transitions,
 		// re-consult every driven node's schedule, measure the frontier.
@@ -297,7 +350,7 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 					case wk <= r+1:
 						activate(st.next, st.nextSum, v)
 					case wk != NoWake && wk < maxRounds:
-						st.schedule(v, wk)
+						st.schedule(v, int32(wk))
 					}
 				}
 				// Clear the dirty words in place; the summaries are

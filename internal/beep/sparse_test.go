@@ -340,8 +340,9 @@ func (w *wanderer) NextWake(round int) int {
 // whose declared wake round moves back and forth, repeats, jumps far
 // ahead and ends in NoWake: the per-node beep/hear transcripts, Result,
 // round counter and energy must match at 1 and 4 workers. It guards the
-// schedule's one-entry-per-declaration rule: a wake round the bucket
-// bookkeeping drops changes some node's transcript.
+// schedule's one-pending-wake rule, under which each declaration
+// replaces the node's pending wake: a wake the schedule drops that the
+// node's latest declaration still needs changes some node's transcript.
 func TestSparseMatchesDenseWanderingWakes(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"path":    graph.Path(70),

@@ -23,7 +23,7 @@ import (
 )
 
 // MISStatus is a node's decision state.
-type MISStatus int
+type MISStatus uint8
 
 const (
 	// MISUndecided nodes are still competing.
@@ -57,36 +57,43 @@ const (
 // The protocol assumes the noiseless model; under noise, wrap a
 // message-passing MIS in the core simulator instead (that is the paper's
 // whole point).
+//
+// NewMIS lays a run's node state out flat, as the wave does: one []MIS of
+// 32-byte structs that share one misPhase, and one []rng.Stream holding
+// every node's private stream.
 type MIS struct {
-	verifyRounds int     // k, the conflict-detection window
-	minProb      float64 // floor of the adaptive candidacy probability
+	phase *misPhase
+	rng   *rng.Stream // the node's slot of the run's stream block
 
-	rng       *rng.Stream
-	status    MISStatus
 	prob      float64
+	status    MISStatus
 	candidate bool
 	conflict  bool
-	phaseLen  int
 	// beeped records whether the last Step returned Beep, letting Hear
 	// distinguish the node's own energy (the model's "receives 1"
 	// convention) from a competitor's beep.
 	beeped bool
 }
 
+// misPhase is the phase shape every node of an n-node run shares.
+type misPhase struct {
+	verifyRounds int     // k, the conflict-detection window
+	length       int     // 1 + k + 1
+	minProb      float64 // floor of the adaptive candidacy probability
+}
+
 var _ beep.Program = (*MIS)(nil)
 
-// Init implements beep.Program.
+// Init implements beep.Program. It allocates nothing: it seeds the
+// node's slot of the stream block in place.
 func (m *MIS) Init(env beep.Env) {
-	m.rng = env.Stream()
-	m.verifyRounds = 2*wire.BitsFor(env.N) + 6
-	m.minProb = 1 / float64(env.N*env.N+1)
+	env.StreamInto(m.rng)
 	m.status = MISUndecided
 	m.prob = 0.5
-	m.phaseLen = 1 + m.verifyRounds + 1
 }
 
 // phasePos returns the position within the current phase.
-func (m *MIS) phasePos(round int) int { return round % m.phaseLen }
+func (m *MIS) phasePos(round int) int { return round % m.phase.length }
 
 // Step implements beep.Program.
 func (m *MIS) Step(round int) beep.Action {
@@ -98,7 +105,7 @@ func (m *MIS) Step(round int) beep.Action {
 		// exists so that Hear can close the previous phase cleanly).
 		m.candidate = m.rng.Bool(m.prob)
 		m.conflict = false
-	case pos <= m.verifyRounds:
+	case pos <= m.phase.verifyRounds:
 		if m.candidate && !m.conflict && m.rng.Bool(0.5) {
 			m.beeped = true
 		}
@@ -119,14 +126,14 @@ func (m *MIS) Hear(round int, bit bool) {
 	switch {
 	case pos == 0:
 		// Quiet round; nothing to learn.
-	case pos <= m.verifyRounds:
+	case pos <= m.phase.verifyRounds:
 		// A beeping node receives its own beep (model convention), so
 		// energy is evidence of a competitor only in rounds we listened.
 		if m.candidate && !m.conflict && bit && !m.beeped {
 			m.conflict = true
 			m.prob /= 2
-			if m.prob < m.minProb {
-				m.prob = m.minProb
+			if m.prob < m.phase.minProb {
+				m.prob = m.phase.minProb
 			}
 		}
 	default: // join round
@@ -146,11 +153,17 @@ func (m *MIS) Done() bool { return m.status != MISUndecided }
 // Output returns true iff the node joined the MIS.
 func (m *MIS) Output() any { return m.status == MISIn }
 
-// NewMIS returns per-node programs for an n-node network.
+// NewMIS returns per-node programs for an n-node network: pointers into
+// one []MIS, each owning its slot of one []rng.Stream.
 func NewMIS(n int) []beep.Program {
+	k := 2*wire.BitsFor(n) + 6
+	phase := &misPhase{verifyRounds: k, length: 1 + k + 1, minProb: 1 / float64(n*n+1)}
+	nodes := make([]MIS, n)
+	streams := make([]rng.Stream, n)
 	progs := make([]beep.Program, n)
-	for v := range progs {
-		progs[v] = &MIS{}
+	for v := range nodes {
+		nodes[v] = MIS{phase: phase, rng: &streams[v]}
+		progs[v] = &nodes[v]
 	}
 	return progs
 }

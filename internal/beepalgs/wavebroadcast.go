@@ -2,6 +2,7 @@ package beepalgs
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/beep"
 	"repro/internal/graph"
@@ -24,29 +25,33 @@ import (
 //
 // Every node therefore decodes the message after 3(Bits+1) + D rounds —
 // the O(D + b) bound — versus Θ(D·b) for naive per-bit flooding.
+//
+// One run keeps all node state flat: RunWave allocates the nodes as one
+// []WaveBroadcast of 32-byte structs, each pointing at the run's shared
+// configuration, and every node decodes into its own slot of one shared
+// payload array. The layout stays one slice of structs, not one array
+// per field: a wave front touches a node's fields together, one cache
+// line per node instead of one per field.
 type WaveBroadcast struct {
-	// Source marks the broadcaster; Message/Bits are its payload.
-	Source  bool
-	Message []byte
-	// Bits is the message width (required, > 0).
-	Bits int
-	// DBound upper-bounds the diameter (default N).
-	DBound int
-	// EarlyStop lets a node finish as soon as it can neither learn nor
-	// relay anything more: marker + 3·Bits + 1 rounds after it heard the
-	// marker (the round of its final possible relay), instead of waiting
-	// out the global 3(Bits+1)+DBound budget. Decoded outputs are
-	// unchanged — every wave a neighbor needs is relayed before the node
-	// stops — but runs on low-diameter graphs finish in O(d + Bits)
-	// local rounds. Off by default, preserving historical round counts.
-	EarlyStop bool
-
-	total     int
-	marker    int // round the marker was heard (−1 until then)
-	lastRelay int
-	relayAt   int
-	received  []byte
+	run       *waveRun
+	marker    int32 // round the marker was heard (−1 until then)
+	lastRelay int32
+	relayAt   int32
+	id        int32 // the node's index
 	finished  bool
+}
+
+// waveRun is what every node of one wave run shares: the broadcast's
+// parameters and the payload array node v decodes into, at
+// payload[v·stride : (v+1)·stride].
+type waveRun struct {
+	source    int
+	message   []byte
+	bits      int
+	total     int  // the round budget 3(bits+1) + dBound
+	earlyStop bool // WaveOptions.EarlyStop
+	stride    int  // ⌈bits/8⌉ payload bytes per node
+	payload   []byte
 }
 
 var (
@@ -62,38 +67,43 @@ func WaveRounds(n, bits, dBound int) int {
 	return 3*(bits+1) + dBound
 }
 
-// Init implements beep.Program.
-func (wb *WaveBroadcast) Init(env beep.Env) {
-	if wb.DBound <= 0 {
-		wb.DBound = env.N
-	}
-	wb.total = WaveRounds(env.N, wb.Bits, wb.DBound)
+// source reports whether the node is the broadcaster.
+func (wb *WaveBroadcast) source() bool { return int(wb.id) == wb.run.source }
+
+// received is the node's slot of the run's payload array.
+func (wb *WaveBroadcast) received() []byte {
+	lo := int(wb.id) * wb.run.stride
+	return wb.run.payload[lo : lo+wb.run.stride : lo+wb.run.stride]
+}
+
+// Init implements beep.Program. It allocates nothing: the node's state
+// and payload slot already sit in the run's flat arrays.
+func (wb *WaveBroadcast) Init(beep.Env) {
 	wb.marker = -1
 	wb.lastRelay = -3
 	wb.relayAt = -1
-	wb.received = make([]byte, (wb.Bits+7)/8)
-	if wb.Source {
+	if wb.source() {
 		wb.marker = 0
-		copy(wb.received, wb.Message)
+		copy(wb.received(), wb.run.message)
 	}
 }
 
 // Step implements beep.Program.
 func (wb *WaveBroadcast) Step(round int) beep.Action {
-	if wb.Source {
+	if wb.source() {
 		if round == 0 {
 			return beep.Beep // marker wave
 		}
 		if round%3 == 0 {
 			i := round/3 - 1
-			if i < wb.Bits && wire.Bit(wb.Message, i) {
+			if i < wb.run.bits && wire.Bit(wb.run.message, i) {
 				return beep.Beep
 			}
 		}
 		return beep.Listen
 	}
-	if wb.relayAt == round {
-		wb.lastRelay = round
+	if int(wb.relayAt) == round {
+		wb.lastRelay = int32(round)
 		wb.relayAt = -1
 		return beep.Beep
 	}
@@ -102,32 +112,26 @@ func (wb *WaveBroadcast) Step(round int) beep.Action {
 
 // Hear implements beep.Program.
 func (wb *WaveBroadcast) Hear(round int, bit bool) {
-	defer func() {
-		if round == wb.total-1 {
-			wb.finished = true
-		} else if wb.EarlyStop && wb.marker >= 0 && round >= wb.marker+3*wb.Bits+1 {
-			wb.finished = true
-		}
-	}()
-	if wb.Source || !bit || round == wb.lastRelay {
-		return
-	}
-	// Refractory: ignore echoes within two rounds of our own relay.
-	if round < wb.lastRelay+2 {
-		return
-	}
-	if wb.marker == -1 {
-		wb.marker = round
-	} else {
-		offset := round - wb.marker
-		if offset%3 == 0 {
-			i := offset/3 - 1
-			if i >= 0 && i < wb.Bits {
-				wire.SetBit(wb.received, i, true)
+	// Refractory: ignore our own relay and its echoes within two rounds.
+	if bit && !wb.source() && round >= int(wb.lastRelay)+2 {
+		if wb.marker == -1 {
+			wb.marker = int32(round)
+		} else {
+			offset := round - int(wb.marker)
+			if offset%3 == 0 {
+				i := offset/3 - 1
+				if i >= 0 && i < wb.run.bits {
+					wire.SetBit(wb.received(), i, true)
+				}
 			}
 		}
+		wb.relayAt = int32(round + 1)
 	}
-	wb.relayAt = round + 1
+	if round == wb.run.total-1 {
+		wb.finished = true
+	} else if wb.run.earlyStop && wb.marker >= 0 && round >= int(wb.marker)+3*wb.run.bits+1 {
+		wb.finished = true
+	}
 }
 
 // Done implements beep.Program.
@@ -143,24 +147,25 @@ func (wb *WaveBroadcast) NextWake(round int) int {
 	if wb.finished {
 		return beep.NoWake
 	}
+	run := wb.run
 	// The round whose Hear sets finished: the global budget's last round,
 	// or the early-stop point once the marker has calibrated the clock.
-	doneRound := wb.total - 1
-	if wb.EarlyStop && wb.marker >= 0 {
-		if d := wb.marker + 3*wb.Bits + 1; d < doneRound {
+	doneRound := run.total - 1
+	if run.earlyStop && wb.marker >= 0 {
+		if d := int(wb.marker) + 3*run.bits + 1; d < doneRound {
 			doneRound = d
 		}
 	}
 	next := doneRound
-	if wb.Source {
-		// Wave launches at rounds 0, 3, ..., 3·Bits.
+	if wb.source() {
+		// Wave launches at rounds 0, 3, ..., 3·bits.
 		if round < 0 {
 			next = 0
-		} else if round < 3*wb.Bits {
+		} else if round < 3*run.bits {
 			next = (round/3 + 1) * 3
 		}
-	} else if wb.relayAt > round && wb.relayAt < next {
-		next = wb.relayAt
+	} else if relay := int(wb.relayAt); relay > round && relay < next {
+		next = relay
 	}
 	if next <= round {
 		next = round + 1
@@ -168,13 +173,13 @@ func (wb *WaveBroadcast) NextWake(round int) int {
 	return next
 }
 
-// Output returns the decoded message, or nil if the marker never arrived
-// (disconnected node).
+// Output returns the decoded message, a capped slice of the run's
+// payload array, or nil if the marker never arrived (disconnected node).
 func (wb *WaveBroadcast) Output() any {
 	if wb.marker == -1 {
 		return []byte(nil)
 	}
-	return wb.received
+	return wb.received()
 }
 
 // RunWaveBroadcast executes the protocol on a noiseless network and
@@ -189,7 +194,13 @@ func RunWaveBroadcast(g *graph.Graph, source int, msg []byte, bits, dBound int, 
 // WaveOptions configures RunWaveBroadcastOpts beyond the historical
 // defaults (all-zero = exactly RunWaveBroadcast's behavior).
 type WaveOptions struct {
-	// EarlyStop enables per-node early termination (WaveBroadcast.EarlyStop).
+	// EarlyStop lets a node finish as soon as it can neither learn nor
+	// relay anything more: marker + 3·bits + 1 rounds after it heard the
+	// marker (the round of its final possible relay), instead of waiting
+	// out the global 3(bits+1)+dBound budget. Decoded outputs are
+	// unchanged — every wave a neighbor needs is relayed before the node
+	// stops — but runs on low-diameter graphs finish in O(d + bits)
+	// local rounds. Off by default, preserving historical round counts.
 	EarlyStop bool
 	// Sparse drives the run through the network's sparse active-set
 	// executor instead of the dense per-round scan. Outputs are identical;
@@ -235,21 +246,31 @@ func RunWave(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint
 			dBound = 1
 		}
 	}
+	budget := WaveRounds(g.N(), bits, dBound)
+	if budget > math.MaxInt32 {
+		return nil, fmt.Errorf("beepalgs: wave budget of %d rounds exceeds 2^31-1", budget)
+	}
 	nw, err := beep.NewNetwork(g, beep.Params{Seed: seed, Metrics: opt.Metrics})
 	if err != nil {
 		return nil, err
 	}
-	progs := make([]beep.Program, g.N())
-	for v := range progs {
-		progs[v] = &WaveBroadcast{
-			Source:    v == source,
-			Message:   msg,
-			Bits:      bits,
-			DBound:    dBound,
-			EarlyStop: opt.EarlyStop,
-		}
+	n := g.N()
+	stride := (bits + 7) / 8
+	run := &waveRun{
+		source:    source,
+		message:   msg,
+		bits:      bits,
+		total:     budget,
+		earlyStop: opt.EarlyStop,
+		stride:    stride,
+		payload:   make([]byte, n*stride),
 	}
-	budget := WaveRounds(g.N(), bits, dBound)
+	nodes := make([]WaveBroadcast, n)
+	progs := make([]beep.Program, n)
+	for v := range nodes {
+		nodes[v] = WaveBroadcast{run: run, id: int32(v)}
+		progs[v] = &nodes[v]
+	}
 	if opt.Sparse {
 		return nw.RunSparse(progs, budget)
 	}

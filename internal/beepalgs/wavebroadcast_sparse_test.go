@@ -103,10 +103,12 @@ func waveBytesPerNode(t *testing.T, g *graph.Graph, bits, dBound int, sparse boo
 }
 
 // TestWaveSparseMemoryFlat bounds the sparse executor's allocation on a
-// 2^14-node grid wave: it must not grow with the message width (each node
-// holds one wake-bucket entry per declared round, however many waves
-// drive it) and must stay close to the dense scan's, whose state is the
-// per-node programs both executors share.
+// 2^14-node grid wave: it must not grow with the message width (each
+// node holds one pending wake, however many waves drive it), must stay
+// close to the dense scan's, whose state is the per-node programs both
+// executors share, and must stay under an absolute 128 B/node — the flat
+// program layout plus the executor's int32 schedule, where one heap
+// object per node and per-round wake buckets took about 230.
 func TestWaveSparseMemoryFlat(t *testing.T) {
 	const side = 128
 	g := graph.Grid(side, side)
@@ -122,5 +124,37 @@ func TestWaveSparseMemoryFlat(t *testing.T) {
 		if sparse > 1.3*dense {
 			t.Errorf("bits=%d: sparse run allocates %.0f B/node, over 1.3× the dense run's %.0f", bits, sparse, dense)
 		}
+		if sparse > 128 {
+			t.Errorf("bits=%d: sparse run allocates %.0f B/node, over the 128 B/node ceiling", bits, sparse)
+		}
+	}
+}
+
+// TestWaveSparseNoPerRoundAllocation runs the same grid wave on a serial
+// network at 8 and 64 bits, 279 and 447 rounds: the runs differ only in
+// length, so their heap allocation counts may differ by at most a few
+// map-table rehashes, not by anything per round.
+func TestWaveSparseNoPerRoundAllocation(t *testing.T) {
+	const side = 128
+	g := graph.Grid(side, side)
+	dBound := 2 * (side - 1)
+	mallocs := func(bits, wantRounds int) uint64 {
+		msg := bytes.Repeat([]byte{0xa5}, (bits+7)/8)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := RunWave(g, 0, msg, bits, dBound, 1, WaveOptions{EarlyStop: true, Sparse: true})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != wantRounds {
+			t.Fatalf("bits=%d: %d rounds, want %d", bits, res.Rounds, wantRounds)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	short, long := mallocs(8, 279), mallocs(64, 447)
+	t.Logf("allocations: %d at 279 rounds, %d at 447 rounds", short, long)
+	if diff := int64(long) - int64(short); diff <= -32 || diff >= 32 {
+		t.Errorf("168 more rounds changed the allocation count by %d (%d → %d); a round must allocate nothing", diff, short, long)
 	}
 }

@@ -21,11 +21,12 @@
 // summed counters. The equivalence tests in each engine package assert
 // exactly this.
 //
-// Reductions preserve determinism the same way: Sum adds per-span partial
-// sums in span order, and an engine that validates per vertex keeps one
-// error slot per span and reports the lowest-numbered failing span's
-// (congest.Collector), which is the error the serial loop would have hit
-// first.
+// Reductions preserve determinism the same way: a phase keeps one partial
+// per span, indexed by Span.Index, and the caller adds them in span order
+// (the beeping network counts each round's beeps so), and an engine that
+// validates per vertex keeps one error slot per span and reports the
+// lowest-numbered failing span's (congest.Collector), which is the error
+// the serial loop would have hit first.
 package engine
 
 import (
@@ -58,6 +59,11 @@ type Pool struct {
 	// only: per the determinism contract it never changes what or where
 	// anything is computed.
 	metrics atomic.Pointer[PoolMetrics]
+	// live is DoMasked's reusable list of admitted spans. A call takes it
+	// out for its duration and puts it back after, so a steady stream of
+	// calls allocates nothing; a concurrent call that finds it taken
+	// builds its own.
+	live atomic.Pointer[[]Span]
 }
 
 // PoolMetrics are the pool's telemetry sinks (internal/obs handles):
@@ -156,10 +162,49 @@ func (p *Pool) Spans(n int) []Span {
 // Do runs fn over every span of [0, n), in parallel when the pool has
 // multiple workers. It returns when all spans have completed.
 func (p *Pool) Do(n int, fn func(Span)) {
+	if spans := p.Spans(n); len(spans) > 0 {
+		p.dispatch(spans, fn)
+	}
+}
+
+// DoMasked runs fn over the spans of [0, n) whose vertex range satisfies
+// active — the sparse-frontier form of Do, letting engines skip spans
+// whose reception window is quiescent. active must be a pure read (it is
+// probed serially, in span order, before dispatch); fn sees exactly the
+// spans active admitted, executed under the same determinism contract as
+// Do. Span.Index still refers to the full decomposition, so per-span
+// scratch indexed by it keeps working. The admitted list lives in the
+// pool's reusable buffer, so a serial call allocates nothing.
+func (p *Pool) DoMasked(n int, active func(lo, hi int) bool, fn func(Span)) {
 	spans := p.Spans(n)
 	if len(spans) == 0 {
 		return
 	}
+	var buf *[]Span
+	if p != nil {
+		buf = p.live.Swap(nil)
+	}
+	if buf == nil {
+		buf = new([]Span)
+	}
+	live := (*buf)[:0]
+	for _, s := range spans {
+		if active(s.Lo, s.Hi) {
+			live = append(live, s)
+		}
+	}
+	*buf = live
+	if len(live) > 0 {
+		p.dispatch(live, fn)
+	}
+	if p != nil {
+		p.live.Store(buf)
+	}
+}
+
+// dispatch runs fn over the given spans, counting them as one Do call:
+// the shared body of Do and DoMasked.
+func (p *Pool) dispatch(spans []Span, fn func(Span)) {
 	if p != nil {
 		if m := p.metrics.Load(); m != nil {
 			m.Do.Inc()
@@ -194,81 +239,6 @@ func (p *Pool) Do(n int, fn func(Span)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// DoMasked runs fn over the spans of [0, n) whose vertex range satisfies
-// active — the sparse-frontier form of Do, letting engines skip spans
-// whose reception window is quiescent. active must be a pure read (it is
-// probed serially, in span order, before dispatch); fn sees exactly the
-// spans active admitted, executed under the same determinism contract as
-// Do. Span.Index still refers to the full decomposition, so per-span
-// scratch indexed by it keeps working.
-func (p *Pool) DoMasked(n int, active func(lo, hi int) bool, fn func(Span)) {
-	spans := p.Spans(n)
-	if len(spans) == 0 {
-		return
-	}
-	live := make([]Span, 0, len(spans))
-	for _, s := range spans {
-		if active(s.Lo, s.Hi) {
-			live = append(live, s)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	if p != nil {
-		if m := p.metrics.Load(); m != nil {
-			m.Do.Inc()
-			m.Spans.Add(int64(len(live)))
-			sp := m.Wait.Start()
-			defer sp.Stop()
-		}
-	}
-	workers := p.Workers()
-	if workers == 1 || len(live) == 1 {
-		for _, s := range live {
-			fn(s)
-		}
-		return
-	}
-	if workers > len(live) {
-		workers = len(live)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(live) {
-					return
-				}
-				fn(live[i])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// Sum runs fn over every span and returns the sum of the partial results,
-// accumulated in span order.
-func (p *Pool) Sum(n int, fn func(Span) int64) int64 {
-	numShards := p.NumShards(n)
-	if numShards == 0 {
-		return 0
-	}
-	parts := make([]int64, numShards)
-	p.Do(n, func(s Span) {
-		parts[s.Index] = fn(s)
-	})
-	var total int64
-	for _, v := range parts {
-		total += v
-	}
-	return total
 }
 
 // AllDone reports whether done(v) holds for every v in [0, n). It scans

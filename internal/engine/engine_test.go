@@ -176,3 +176,22 @@ func TestZeroValuePoolIsSerial(t *testing.T) {
 		t.Fatalf("zero pool Sum = %d", sum)
 	}
 }
+
+// Sum runs fn over every span and returns the sum of the partial results,
+// accumulated in span order: the per-span reduction the package doc
+// describes, built on Do.
+func (p *Pool) Sum(n int, fn func(Span) int64) int64 {
+	numShards := p.NumShards(n)
+	if numShards == 0 {
+		return 0
+	}
+	parts := make([]int64, numShards)
+	p.Do(n, func(s Span) {
+		parts[s.Index] = fn(s)
+	})
+	var total int64
+	for _, v := range parts {
+		total += v
+	}
+	return total
+}

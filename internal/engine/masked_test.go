@@ -75,3 +75,45 @@ func TestDoMaskedCoversAllVertices(t *testing.T) {
 		}
 	}
 }
+
+// TestDoMaskedConcurrentCallsShareOnePool runs DoMasked from several
+// goroutines at once on one pool, serial and parallel, each call with its
+// own predicate: every call must see exactly its own admitted spans,
+// whichever call holds the pool's reusable span list. Run it under -race.
+func TestDoMaskedConcurrentCallsShareOnePool(t *testing.T) {
+	const n, callers, calls = 64 * 40, 4, 50
+	for _, workers := range []int{1, 3} {
+		p := shardedPool(workers, 8)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < calls; i++ {
+					stride := (c+i)%3 + 1
+					active := func(lo, hi int) bool { return (lo/64)%stride == 0 }
+					var mu sync.Mutex
+					got := 0
+					p.DoMasked(n, active, func(s Span) {
+						if !active(s.Lo, s.Hi) {
+							t.Errorf("workers=%d caller %d: span %d not admitted by its predicate", workers, c, s.Index)
+						}
+						mu.Lock()
+						got++
+						mu.Unlock()
+					})
+					want := 0
+					for _, s := range p.Spans(n) {
+						if active(s.Lo, s.Hi) {
+							want++
+						}
+					}
+					if got != want {
+						t.Errorf("workers=%d caller %d: %d spans ran, want %d", workers, c, got, want)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}

@@ -67,27 +67,33 @@ func FromRowFunc(n int, rows RowFunc, opt BuildOptions) (*Graph, error) {
 	chunks := chunkRanges(n, workers)
 	errs := make([]error, len(chunks))
 	maxDegs := make([]int, len(chunks))
+	// Each chunk builds one emit callback and resets the vertex state it
+	// reads, so the build allocates per chunk, not per vertex.
 	runChunks(chunks, workers, func(ci int, lo, hi int) {
+		var (
+			v, d int
+			prev int32
+			bad  error
+		)
+		emit := func(u int32) {
+			if bad != nil {
+				return
+			}
+			switch {
+			case int(u) == v:
+				bad = fmt.Errorf("graph: RowFunc emitted self-loop at %d", v)
+			case u < 0 || int(u) >= n:
+				bad = fmt.Errorf("graph: RowFunc neighbor %d of %d out of range [0,%d)", u, v, n)
+			case u <= prev:
+				bad = fmt.Errorf("graph: RowFunc row of %d not strictly increasing at %d", v, u)
+			}
+			prev = u
+			d++
+		}
 		maxDeg := 0
-		for v := lo; v < hi; v++ {
-			d := 0
-			prev := int32(-1)
-			bad := error(nil)
-			rows(v, func(u int32) {
-				if bad != nil {
-					return
-				}
-				switch {
-				case int(u) == v:
-					bad = fmt.Errorf("graph: RowFunc emitted self-loop at %d", v)
-				case u < 0 || int(u) >= n:
-					bad = fmt.Errorf("graph: RowFunc neighbor %d of %d out of range [0,%d)", u, v, n)
-				case u <= prev:
-					bad = fmt.Errorf("graph: RowFunc row of %d not strictly increasing at %d", v, u)
-				}
-				prev = u
-				d++
-			})
+		for v = lo; v < hi; v++ {
+			d, prev, bad = 0, -1, nil
+			rows(v, emit)
 			if bad != nil && errs[ci] == nil {
 				errs[ci] = bad
 			}
@@ -130,16 +136,18 @@ func FromRowFunc(n int, rows RowFunc, opt BuildOptions) (*Graph, error) {
 	// nbr[off[lo]:off[hi]); a RowFunc that emits different rows than in
 	// pass 1 is caught by the per-vertex bounds check.
 	runChunks(chunks, workers, func(ci int, lo, hi int) {
+		var pos, end int64
+		emit := func(u int32) {
+			if pos < end {
+				g.nbr[pos] = u
+				pos++
+			} else {
+				pos = end + 1
+			}
+		}
 		for v := lo; v < hi; v++ {
-			pos, end := int64(off[v]), int64(off[v+1])
-			rows(v, func(u int32) {
-				if pos < end {
-					g.nbr[pos] = u
-					pos++
-				} else {
-					pos = end + 1
-				}
-			})
+			pos, end = int64(off[v]), int64(off[v+1])
+			rows(v, emit)
 			if pos != end && errs[ci] == nil {
 				errs[ci] = fmt.Errorf("graph: RowFunc emitted different rows for %d across passes", v)
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitstring"
@@ -377,9 +378,35 @@ func TestNeighborhoodOrFrontierMatchesOr(t *testing.T) {
 	}
 }
 
+// TestFromRowFuncAllocationsFlat pins the builder's allocation count to
+// its chunk count, not its vertex count: the same on a 100×100 and a
+// 200×200 grid, serial and at 4 workers. One emit callback per vertex
+// would add 10⁴ and 4·10⁴ allocations per pass.
+func TestFromRowFuncAllocationsFlat(t *testing.T) {
+	// A first collection starts the runtime's background mark workers,
+	// whose own allocations would otherwise land in whichever build
+	// triggers it.
+	runtime.GC()
+	for _, workers := range []int{1, 4} {
+		allocs := func(side int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				g, err := FromRowFunc(side*side, GridRows(side, side), BuildOptions{Workers: workers})
+				if err != nil || g.N() != side*side {
+					t.Fatalf("side %d: %v", side, err)
+				}
+			})
+		}
+		small, large := allocs(100), allocs(200)
+		if small != large {
+			t.Errorf("workers=%d: %v allocations on a 100×100 grid, %v on a 200×200 one", workers, small, large)
+		}
+	}
+}
+
 func BenchmarkFromRowFuncGrid1M(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				g, err := FromRowFunc(1000*1000, GridRows(1000, 1000), BuildOptions{Workers: workers})
 				if err != nil {

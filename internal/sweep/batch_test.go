@@ -129,6 +129,40 @@ func TestBatchReportsFailuresAndKeepsGoing(t *testing.T) {
 	}
 }
 
+// TestBatchColoringEmptyPalette runs the grid of `sweep -family regular
+// -n 16 -delta 2 -eps 0.45 -engine tdma -workload coloring -replicates 3
+// -seed 11`, where phantom decoded neighbours empty some node's palette.
+// Sampling the empty palette used to panic the worker and with it the
+// process; now every scenario completes and reports a failed colouring.
+func TestBatchColoringEmptyPalette(t *testing.T) {
+	scs, err := Grid{
+		Families:   []string{FamilyRegular},
+		Ns:         []int{16},
+		Params:     []int{2},
+		Epsilons:   []float64{0.45},
+		Engines:    []string{EngineTDMA},
+		Workloads:  []string{WorkloadColoring},
+		Rounds:     3,
+		Replicates: 3,
+		BaseSeed:   11,
+	}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, st, err := Run(scs, NewMemStore(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Total != 3 || st.Cached != 0 || st.Ran != 3 || st.Failed != 0 {
+		t.Fatalf("stats %v, want total=3 cached=0 run=3 failed=0", st)
+	}
+	for _, r := range recs {
+		if ok := r.Counters.OutputOK; ok == nil || *ok {
+			t.Errorf("%s: output_ok = %v, want false", r.Hash, ok)
+		}
+	}
+}
+
 func TestBatchProgressEvents(t *testing.T) {
 	scs, err := tinyGrid().Expand()
 	if err != nil {
