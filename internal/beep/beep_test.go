@@ -118,7 +118,9 @@ func TestNoisyOwnConvention(t *testing.T) {
 	g := graph.MustFromEdges(1, nil)
 	const rounds = 5000
 	nw, _ := NewNetwork(g, Params{Epsilon: 0.3, Seed: 6})
-	tx := &Transmitter{Pattern: bitstring.New(rounds).Not()}
+	all := bitstring.New(rounds)
+	all.SetRange(0, rounds)
+	tx := &Transmitter{Pattern: all}
 	if _, err := nw.Run([]Program{tx}, rounds); err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +588,7 @@ func TestRunPhaseIntoMatchesRunPhase(t *testing.T) {
 	dst := make([]*bitstring.BitString, g.N())
 	for v := range dst {
 		dst[v] = bitstring.New(window)
-		dst[v].SetAll() // dirty: RunPhaseInto must overwrite
+		dst[v].SetRange(0, dst[v].Len()) // dirty: RunPhaseInto must overwrite
 	}
 	for round := 0; round < 3; round++ {
 		patterns := mkPatterns(round)

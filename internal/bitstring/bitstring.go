@@ -97,14 +97,6 @@ func (s *BitString) Reset() {
 	}
 }
 
-// SetAll sets every bit to 1, retaining the length.
-func (s *BitString) SetAll() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	s.maskTail()
-}
-
 // CopyFrom overwrites s with t's bits. It panics if lengths differ.
 func (s *BitString) CopyFrom(t *BitString) {
 	s.checkLen(t)
@@ -138,16 +130,6 @@ func (s *BitString) Equal(t *BitString) bool {
 		}
 	}
 	return true
-}
-
-// Not returns the bitwise complement ¬s as a new BitString.
-func (s *BitString) Not() *BitString {
-	r := New(s.n)
-	for i := range s.words {
-		r.words[i] = ^s.words[i]
-	}
-	r.maskTail()
-	return r
 }
 
 // OrInPlace sets s = s ∨ t. It panics if lengths differ.
@@ -316,12 +298,6 @@ func (s *BitString) String() string {
 // bits are guaranteed zero. The returned slice aliases s; callers that
 // mutate it must keep those bits zero.
 func (s *BitString) Words() []uint64 { return s.words }
-
-func (s *BitString) maskTail() {
-	if rem := s.n % wordBits; rem != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] &= (1 << uint(rem)) - 1
-	}
-}
 
 func (s *BitString) check(i int) {
 	if i < 0 || i >= s.n {

@@ -99,7 +99,7 @@ func FuzzOnesSetRange(f *testing.F) {
 				t.Fatalf("SetRange(%d, %d): bit %d = %v, want %v", lo, hi, i, s.Get(i), want)
 			}
 		}
-		s.maskTail()
+		s.MaskTail()
 		if s.OnesRange(0, n) != s.Ones() {
 			t.Fatalf("SetRange(%d, %d) broke the tail invariant", lo, hi)
 		}

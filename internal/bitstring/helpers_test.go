@@ -168,7 +168,29 @@ func (s *BitString) OnePosition(i int) (int, bool) {
 
 // MaskTail zeroes any bits beyond Len() in the final word, restoring the
 // representation invariant after direct Words() mutation.
-func (s *BitString) MaskTail() { s.maskTail() }
+func (s *BitString) MaskTail() {
+	if rem := s.n % wordBits; rem != 0 && len(s.words) > 0 {
+		s.words[len(s.words)-1] &= (1 << uint(rem)) - 1
+	}
+}
+
+// SetAll sets every bit to 1, retaining the length.
+func (s *BitString) SetAll() {
+	for i := range s.words {
+		s.words[i] = ^uint64(0)
+	}
+	s.MaskTail()
+}
+
+// Not returns the bitwise complement ¬s as a new BitString.
+func (s *BitString) Not() *BitString {
+	r := New(s.n)
+	for i := range s.words {
+		r.words[i] = ^s.words[i]
+	}
+	r.MaskTail()
+	return r
+}
 
 // Superimpose returns ∨(S), the bitwise OR of all strings in set, matching
 // the paper's §1.5 shorthand. All strings must share one length; it panics

@@ -47,8 +47,8 @@ type BeepCode interface {
 // collide in each block independently with probability 1/BlockSize.
 //
 // The PRG hash behind the offsets is paid once, at construction: the code
-// carries flat per-codeword position and offset tables and cached
-// codeword masks (Mask). These read-only tables are what make the §4
+// carries a flat per-codeword position table and cached codeword masks
+// (Mask). These read-only tables are what make the §4
 // decoder's hot path word-parallel and hash-free.
 type BlockedBeepCode struct {
 	weight    int
@@ -56,7 +56,6 @@ type BlockedBeepCode struct {
 	m         int
 
 	positions []int32                // flat m×weight: Position(cw, i) = positions[cw*weight+i]
-	offsets   []int32                // flat m×weight: OffsetRow(cw)[i] = offsets[cw*weight+i]
 	masks     []*bitstring.BitString // cached codewords, shared read-only
 }
 
@@ -69,7 +68,6 @@ func NewBlockedBeepCode(weight, blockSize, m int, seed uint64) (*BlockedBeepCode
 	}
 	c := &BlockedBeepCode{weight: weight, blockSize: blockSize, m: m}
 	c.positions = make([]int32, m*weight)
-	c.offsets = make([]int32, m*weight)
 	c.masks = make([]*bitstring.BitString, m)
 	length := c.Length()
 	for cw := 0; cw < m; cw++ {
@@ -78,7 +76,6 @@ func NewBlockedBeepCode(weight, blockSize, m int, seed uint64) (*BlockedBeepCode
 		for i := 0; i < weight; i++ {
 			off := int32(rng.Mix(seed, uint64(cw), uint64(i)) % uint64(blockSize))
 			pos := int32(i*blockSize) + off
-			c.offsets[row+i] = off
 			c.positions[row+i] = pos
 			mask.Set(int(pos))
 		}
@@ -105,12 +102,6 @@ func (c *BlockedBeepCode) Position(cw, i int) int {
 // slice into the code's flat position table.
 func (c *BlockedBeepCode) PositionRow(cw int) []int32 {
 	return c.positions[cw*c.weight : (cw+1)*c.weight : (cw+1)*c.weight]
-}
-
-// OffsetRow returns codeword cw's W within-block offsets as a shared
-// read-only slice into the code's flat offset table.
-func (c *BlockedBeepCode) OffsetRow(cw int) []int32 {
-	return c.offsets[cw*c.weight : (cw+1)*c.weight : (cw+1)*c.weight]
 }
 
 // Mask returns codeword cw as a cached bitstring, shared and read-only:

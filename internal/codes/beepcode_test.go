@@ -248,8 +248,8 @@ func TestPropertyBlockedOffsetsInRange(t *testing.T) {
 	}
 }
 
-// TestBlockedTablesMatchHashDefinition: the precomputed position/offset
-// tables and cached masks must agree with the PRG definition (hashOffset)
+// TestBlockedTablesMatchHashDefinition: the precomputed position table
+// and cached masks must agree with the PRG definition (hashOffset)
 // for every (codeword, block) pair.
 func TestBlockedTablesMatchHashDefinition(t *testing.T) {
 	const blockSize, seed = 10, 0xfeed
@@ -258,15 +258,15 @@ func TestBlockedTablesMatchHashDefinition(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cw := 0; cw < c.NumCodewords(); cw++ {
-		posRow, offRow := c.PositionRow(cw), c.OffsetRow(cw)
+		posRow := c.PositionRow(cw)
 		mask := c.Mask(cw)
 		if mask.Ones() != c.Weight() {
 			t.Fatalf("cw %d: mask weight %d, want %d", cw, mask.Ones(), c.Weight())
 		}
 		for i := 0; i < c.Weight(); i++ {
 			off := hashOffset(seed, blockSize, cw, i)
-			if int(offRow[i]) != off || c.Offset(cw, i) != off {
-				t.Fatalf("cw %d block %d: offset table %d, hash %d", cw, i, offRow[i], off)
+			if c.Offset(cw, i) != off {
+				t.Fatalf("cw %d block %d: offset %d, hash %d", cw, i, c.Offset(cw, i), off)
 			}
 			pos := i*c.BlockSize() + off
 			if int(posRow[i]) != pos || c.Position(cw, i) != pos {
@@ -316,7 +316,7 @@ func (c *BlockedBeepCode) BlockSize() int { return c.blockSize }
 
 // Offset returns the within-block offset of codeword cw's 1 in block i.
 func (c *BlockedBeepCode) Offset(cw, i int) int {
-	return int(c.offsets[cw*c.weight+i])
+	return c.Position(cw, i) - i*c.blockSize
 }
 
 // hashOffset recomputes the offset of codeword cw's 1 in block i of the

@@ -62,7 +62,7 @@ func (c *RepetitionCode) BitFor(pos int) int { return int(c.bitFor[pos]) }
 // falling back to a one-sided-biased threshold over all positions for
 // bits with no solo coverage. It writes into out, which must hold
 // ⌈MessageBits/8⌉ bytes; out is fully overwritten and returned. It is the
-// unfused reference that DecodeScatteredInto is pinned against.
+// unfused reference that DecodeCollidedInto is pinned against.
 func (c *RepetitionCode) DecodeInto(obs, solo *bitstring.BitString, out []byte) []byte {
 	out = out[:(c.msgBits+7)/8]
 	for i := range out {
@@ -102,28 +102,33 @@ func (c *RepetitionCode) DecodeInto(obs, solo *bitstring.BitString, out []byte) 
 	return out
 }
 
-// DecodeScatteredInto is DecodeInto fused with the ỹ gather: codeword
-// position j is read directly from transcript bit y[positions[j]]
-// instead of from a pre-gathered observation string, so the per-round
-// decode touches the transcript words once with no intermediate buffer.
-// It produces byte-identical output to DecodeInto on the gathered
-// observation. positions must hold Length() in-range transcript indices;
-// solo must have Length() bits; out must hold ⌈MessageBits/8⌉ bytes.
-func (c *RepetitionCode) DecodeScatteredInto(y *bitstring.BitString, positions []int32, solo *bitstring.BitString, out []byte) []byte {
+// DecodeCollidedInto is DecodeInto fused with the ỹ gather and with the
+// solo mask's derivation: codeword position j is transcript bit
+// positions[j] of y, and it is solo unless collided has that bit set —
+// another codeword shares it. Each message bit is the majority over its
+// solo positions, or the one-sided fallback threshold over all its
+// positions when none is solo. It writes into out, which must hold
+// ⌈MessageBits/8⌉ bytes, and returns it with the number of positions it
+// skipped as collided and the number of bits it decided by the fallback.
+// The message is DecodeInto's on the gathered observation with solo mask
+// {j : collided[positions[j]] = 0}. positions must hold Length()
+// transcript indices below the length of y and collided, which must be
+// equal.
+func (c *RepetitionCode) DecodeCollidedInto(y, collided *bitstring.BitString, positions []int32, out []byte) (msg []byte, skipped, fallbacks int) {
 	out = out[:(c.msgBits+7)/8]
-	for i := range out {
-		out[i] = 0
-	}
-	yw, sw := y.Words(), solo.Words()
-	for bit := 0; bit < c.msgBits; bit++ {
-		row := c.byBit[bit]
+	clear(out)
+	colw := collided.Words()
+	yw := y.Words()[:len(colw)]
+	for bit, row := range c.byBit {
 		ones, zeros := 0, 0
 		for _, j := range row {
-			if sw[j>>6]&(1<<(uint(j)&63)) == 0 {
+			p := positions[j]
+			w, b := p>>6, uint64(1)<<(uint(p)&63)
+			if colw[w]&b != 0 {
+				skipped++
 				continue
 			}
-			p := positions[j]
-			if yw[p>>6]&(1<<(uint(p)&63)) != 0 {
+			if yw[w]&b != 0 {
 				ones++
 			} else {
 				zeros++
@@ -135,6 +140,7 @@ func (c *RepetitionCode) DecodeScatteredInto(y *bitstring.BitString, positions [
 		} else {
 			// No solo position for this bit: use every position with the
 			// one-sided fallback threshold (see DecodeInto).
+			fallbacks++
 			for _, j := range row {
 				p := positions[j]
 				if yw[p>>6]&(1<<(uint(p)&63)) != 0 {
@@ -147,31 +153,7 @@ func (c *RepetitionCode) DecodeScatteredInto(y *bitstring.BitString, positions [
 			wire.SetBit(out, bit, true)
 		}
 	}
-	return out
-}
-
-// FallbackBits counts the message bits the decoder would resolve via
-// the best-effort fallback threshold for reliability mask solo — bits
-// with zero solo-covered positions. It is a pure function of solo (the
-// fallback branch in DecodeInto/DecodeScatteredInto fires iff a bit's
-// whole row is non-solo), so telemetry can account fallbacks without
-// touching the decode hot path. solo must have Length() bits.
-func (c *RepetitionCode) FallbackBits(solo *bitstring.BitString) int {
-	sw := solo.Words()
-	fallbacks := 0
-	for bit := 0; bit < c.msgBits; bit++ {
-		covered := false
-		for _, j := range c.byBit[bit] {
-			if sw[j>>6]&(1<<(uint(j)&63)) != 0 {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			fallbacks++
-		}
-	}
-	return fallbacks
+	return out, skipped, fallbacks
 }
 
 // maxRandomCodeBits caps the message space of RandomDistanceCode; its

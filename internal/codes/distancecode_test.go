@@ -1,12 +1,32 @@
 package codes
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/bitstring"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
+
+// allOnes returns an n-bit string of 1s: a solo mask that covers every
+// position.
+func allOnes(n int) *bitstring.BitString {
+	s := bitstring.New(n)
+	s.SetRange(0, n)
+	return s
+}
+
+// complement returns ¬s as a new string.
+func complement(s *bitstring.BitString) *bitstring.BitString {
+	c := allOnes(s.Len())
+	for i := 0; i < s.Len(); i++ {
+		if s.Get(i) {
+			c.ClearBit(i)
+		}
+	}
+	return c
+}
 
 func encodeMsg(bits int, value uint64) []byte {
 	var w wire.Writer
@@ -47,7 +67,7 @@ func TestRepetitionEncodeWeight(t *testing.T) {
 
 func TestRepetitionRoundTripClean(t *testing.T) {
 	c, _ := NewRepetitionCode(12, 7, 3)
-	allSolo := bitstring.New(c.Length()).Not()
+	allSolo := allOnes(c.Length())
 	for _, v := range []uint64{0, 1, 0xfff, 0xa5a, 0x0f0} {
 		msg := encodeMsg(12, v)
 		got := c.Decode(c.Encode(msg), allSolo)
@@ -60,7 +80,7 @@ func TestRepetitionRoundTripClean(t *testing.T) {
 func TestRepetitionDecodeUnderNoise(t *testing.T) {
 	// Flip 10% of positions uniformly; majority over 15 reps must recover.
 	c, _ := NewRepetitionCode(16, 15, 4)
-	allSolo := bitstring.New(c.Length()).Not()
+	allSolo := allOnes(c.Length())
 	r := rng.New(5)
 	failures := 0
 	const trials = 200
@@ -88,7 +108,7 @@ func TestRepetitionDecodeWithOneSidedCorruption(t *testing.T) {
 		v := r.Uint64() & 0xff
 		msg := encodeMsg(8, v)
 		obs := c.Encode(msg)
-		solo := bitstring.New(c.Length()).Not()
+		solo := allOnes(c.Length())
 		// Corrupt a third of positions: set to 1, mark non-solo.
 		for i := 0; i < c.Length(); i += 3 {
 			obs.Set(i)
@@ -172,7 +192,7 @@ func TestRandomDistanceCodeValidation(t *testing.T) {
 
 func TestRandomDistanceCodeRoundTrip(t *testing.T) {
 	c, _ := NewRandomDistanceCode(8, 96, rng.New(10))
-	allSolo := bitstring.New(96).Not()
+	allSolo := allOnes(96)
 	for v := uint64(0); v < 256; v += 17 {
 		msg := encodeMsg(8, v)
 		if got := c.Decode(c.Encode(msg), allSolo); !wire.Equal(got, msg, 8) {
@@ -183,7 +203,7 @@ func TestRandomDistanceCodeRoundTrip(t *testing.T) {
 
 func TestRandomDistanceCodeDecodeUnderNoise(t *testing.T) {
 	c, _ := NewRandomDistanceCode(8, 96, rng.New(11))
-	allSolo := bitstring.New(96).Not()
+	allSolo := allOnes(96)
 	r := rng.New(12)
 	failures := 0
 	const trials = 200
@@ -207,7 +227,7 @@ func TestRandomDistanceCodeSoloRestriction(t *testing.T) {
 	c, _ := NewRandomDistanceCode(6, 72, rng.New(13))
 	msg := encodeMsg(6, 0x2a)
 	obs := c.Encode(msg)
-	solo := bitstring.New(72).Not()
+	solo := allOnes(72)
 	for i := 0; i < 72; i += 2 {
 		obs.Flip(i)
 		solo.ClearBit(i)
@@ -227,19 +247,47 @@ func TestRandomDistanceCodeNoSoloFallsBackToAll(t *testing.T) {
 	}
 }
 
+// BenchmarkRepetitionDecode times the production payload decode,
+// DecodeCollidedInto, for one member of a decoded set: 32 message bits at
+// 15 repetitions in blocks of 36 positions (Δ = 8 at C = 4). "quiet"
+// passes an all-zero collision bitmap, as DisableSoloFilter does;
+// "collided" passes the bitmap of 9 members with random offsets, so about
+// a fifth of the target's positions are skipped.
 func BenchmarkRepetitionDecode(b *testing.B) {
+	const blockSize, members = 36, 9
 	c, _ := NewRepetitionCode(32, 15, 1)
-	allSolo := bitstring.New(c.Length()).Not()
-	obs := c.Encode(encodeMsg(32, 0xdeadbeef))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Decode(obs, allSolo)
+	w := c.Length()
+	r := rng.New(2)
+	rows := make([][]int32, members)
+	ones, twos := bitstring.New(w*blockSize), bitstring.New(w*blockSize)
+	for m := range rows {
+		rows[m] = make([]int32, w)
+		for j := range rows[m] {
+			pos := j*blockSize + r.Intn(blockSize)
+			rows[m][j] = int32(pos)
+			if ones.Get(pos) {
+				twos.Set(pos)
+			}
+			ones.Set(pos)
+		}
+	}
+	y := ones.Clone()
+	out := make([]byte, 4)
+	for _, bc := range []struct {
+		name     string
+		collided *bitstring.BitString
+	}{{"quiet", bitstring.New(w * blockSize)}, {"collided", twos}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.DecodeCollidedInto(y, bc.collided, rows[i%members], out)
+			}
+		})
 	}
 }
 
 func BenchmarkRandomDistanceDecode(b *testing.B) {
 	c, _ := NewRandomDistanceCode(10, 120, rng.New(1))
-	allSolo := bitstring.New(120).Not()
+	allSolo := allOnes(120)
 	obs := c.Encode(encodeMsg(10, 123))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -247,24 +295,31 @@ func BenchmarkRandomDistanceDecode(b *testing.B) {
 	}
 }
 
-// TestFallbackBitsMatchesDecodeBranch pins FallbackBits to the decoder:
-// a bit counts as fallback iff DecodeInto's solo-majority loop sees
-// zero covered positions for it. Cross-checked by re-deriving coverage
-// from the public BitFor table under assorted solo masks.
+// TestFallbackBitsMatchesDecodeBranch pins DecodeCollidedInto's fallback
+// count to the decoder's branch: a bit counts as fallback iff its
+// solo-majority loop sees zero solo positions. Cross-checked by
+// re-deriving coverage from the public BitFor table under assorted solo
+// masks, each passed as the collision bitmap of identity positions.
 func TestFallbackBitsMatchesDecodeBranch(t *testing.T) {
 	c, err := NewRepetitionCode(16, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	identity := make([]int32, c.Length())
+	for j := range identity {
+		identity[j] = int32(j)
+	}
 	masks := map[string]*bitstring.BitString{
 		"none": bitstring.New(c.Length()),
-		"all":  bitstring.New(c.Length()).Not(),
+		"all":  allOnes(c.Length()),
 	}
 	sparse := bitstring.New(c.Length())
 	for j := 0; j < c.Length(); j += 7 {
 		sparse.Set(j)
 	}
 	masks["sparse"] = sparse
+	y := bitstring.New(c.Length())
+	out := make([]byte, 2)
 	for label, solo := range masks {
 		covered := make([]bool, c.MessageBits())
 		for j := 0; j < c.Length(); j++ {
@@ -278,16 +333,83 @@ func TestFallbackBitsMatchesDecodeBranch(t *testing.T) {
 				want++
 			}
 		}
-		if got := c.FallbackBits(solo); got != want {
-			t.Errorf("%s: FallbackBits = %d, want %d", label, got, want)
+		if _, _, got := c.DecodeCollidedInto(y, complement(solo), identity, out); got != want {
+			t.Errorf("%s: fallback bits = %d, want %d", label, got, want)
 		}
 	}
-	if got := c.FallbackBits(bitstring.New(c.Length())); got != c.MessageBits() {
-		t.Errorf("empty solo: FallbackBits = %d, want every bit (%d)", got, c.MessageBits())
+	if _, _, got := c.DecodeCollidedInto(y, allOnes(c.Length()), identity, out); got != c.MessageBits() {
+		t.Errorf("empty solo: fallback bits = %d, want every bit (%d)", got, c.MessageBits())
 	}
-	if got := c.FallbackBits(bitstring.New(c.Length()).Not()); got != 0 {
-		t.Errorf("full solo: FallbackBits = %d, want 0", got)
+	if _, _, got := c.DecodeCollidedInto(y, bitstring.New(c.Length()), identity, out); got != 0 {
+		t.Errorf("full solo: fallback bits = %d, want 0", got)
 	}
+}
+
+// FuzzDecodeCollided pins DecodeCollidedInto to the unfused reference:
+// from random positions (one per block), a transcript y and a collision
+// bitmap, it derives the W-bit solo mask and the gathered observation;
+// DecodeInto on those must give the same bytes, and the skipped and
+// fallback counts must be W − solo.Ones() and the number of message bits
+// with no solo position.
+func FuzzDecodeCollided(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(5), uint8(36), uint8(50), uint8(128))
+	f.Add(uint64(2), uint8(1), uint8(1), uint8(2), uint8(255), uint8(0))
+	f.Add(uint64(3), uint8(16), uint8(3), uint8(9), uint8(200), uint8(255))
+	f.Add(uint64(4), uint8(13), uint8(9), uint8(64), uint8(0), uint8(90))
+	f.Fuzz(func(t *testing.T, seed uint64, msgBits, reps, blockSize, collide, ones uint8) {
+		c, err := NewRepetitionCode(1+int(msgBits)%24, 1+int(reps)%15, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, bs := c.Length(), 1+int(blockSize)%80
+		r := rng.New(seed ^ 0x5eed)
+		positions := make([]int32, w)
+		for j := range positions {
+			positions[j] = int32(j*bs + r.Intn(bs))
+		}
+		y, collided := bitstring.New(w*bs), bitstring.New(w*bs)
+		for i := 0; i < w*bs; i++ {
+			if r.Intn(256) < int(ones) {
+				y.Set(i)
+			}
+			if r.Intn(256) < int(collide) {
+				collided.Set(i)
+			}
+		}
+		obs, solo := bitstring.New(w), bitstring.New(w)
+		covered := make([]bool, c.MessageBits())
+		for j, pos := range positions {
+			if y.Get(int(pos)) {
+				obs.Set(j)
+			}
+			if !collided.Get(int(pos)) {
+				solo.Set(j)
+				covered[c.BitFor(j)] = true
+			}
+		}
+		wantFallbacks := 0
+		for _, cov := range covered {
+			if !cov {
+				wantFallbacks++
+			}
+		}
+		n := (c.MessageBits() + 7) / 8
+		want := c.DecodeInto(obs, solo, make([]byte, n))
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = 0xff // stale bytes the decode must clear
+		}
+		got, skipped, fallbacks := c.DecodeCollidedInto(y, collided, positions, out)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("decoded %x, DecodeInto %x", got, want)
+		}
+		if skipped != w-solo.Ones() {
+			t.Fatalf("skipped %d positions, want %d", skipped, w-solo.Ones())
+		}
+		if fallbacks != wantFallbacks {
+			t.Fatalf("fallback bits %d, want %d", fallbacks, wantFallbacks)
+		}
+	})
 }
 
 // MessageBits returns the message width.
@@ -326,7 +448,7 @@ func (c *RandomDistanceCode) Encode(msg []byte) *bitstring.BitString {
 func (c *RandomDistanceCode) Decode(obs, solo *bitstring.BitString) []byte {
 	mask := solo
 	if solo.Ones() == 0 {
-		mask = solo.Not() // all positions
+		mask = complement(solo) // all positions
 	}
 	best, bestDist := 0, c.length+1
 	for i, cw := range c.codewords {

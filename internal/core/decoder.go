@@ -15,12 +15,12 @@ import (
 // and the bits the node itself heard.
 //
 // The hot path is table-driven and word-parallel: the beep code's PRG
-// hashing is paid once at construction (cached position/offset tables and
+// hashing is paid once at construction (cached position tables and
 // codeword masks), the Lemma 9 membership test is a popcount sweep
-// (mask ∧ ¬x̃), and the solo masks for a whole decoded member set are
-// built in one pass over blocks. None of this changes any decoded bit —
-// TestPropertyOptimizedMatchesNaive pins the output to a retained naive
-// reference implementation.
+// (mask ∧ ¬x̃), and the positions a whole decoded member set collides on
+// are one bitmap, ORed together from the members' masks. None of this
+// changes any decoded bit — TestPropertyOptimizedMatchesNaive pins the
+// output to a retained naive reference implementation.
 type decoder struct {
 	p    Params
 	code *codes.BlockedBeepCode
@@ -113,37 +113,16 @@ func BuildCodes(p Params) (*Codes, error) {
 // decoder itself stays read-only and shareable.
 type decodeScratch struct {
 	members []int
-	rows    [][]int32              // offset row per member
-	solos   []*bitstring.BitString // W-bit solo mask per member
-	soloW   [][]uint64             // solos[i].Words(), cached per soloMasks call
-	// tags/counts are the counting path's per-offset occupancy: an
-	// entry is current only when its tag matches the position's tag for
-	// the present soloMasks call (tick advances by W per call, so tags
-	// are unique across calls and positions and stale entries read as
-	// zero without any per-call zeroing pass).
-	tags   []uint64 // len BlockSize
-	counts []int32  // len BlockSize
-	tick   uint64
+	// ones and twos are collisions' phase-length bitmaps: the positions
+	// at least one, and at least two, decoded members occupy.
+	ones, twos *bitstring.BitString
 }
 
 func (d *decoder) newScratch() *decodeScratch {
 	return &decodeScratch{
-		tags:   make([]uint64, d.p.BlockSize()),
-		counts: make([]int32, d.p.BlockSize()),
+		ones: bitstring.New(d.p.PhaseLength()),
+		twos: bitstring.New(d.p.PhaseLength()),
 	}
-}
-
-// ensureMembers sizes the per-member scratch rows for k members.
-func (sc *decodeScratch) ensureMembers(k, w int) {
-	for len(sc.solos) < k {
-		sc.solos = append(sc.solos, bitstring.New(w))
-	}
-	if cap(sc.rows) < k {
-		sc.rows = make([][]int32, k)
-		sc.soloW = make([][]uint64, k)
-	}
-	sc.rows = sc.rows[:k]
-	sc.soloW = sc.soloW[:k]
 }
 
 // members returns R̃: every codeword cw whose positions are consistent
@@ -171,60 +150,29 @@ func (d *decoder) members(x *bitstring.BitString, out []int) []int {
 	return out
 }
 
-// soloMasks fills sc.solos[i], for each decoded member i, with the blocks
-// in which no other member codeword (the listener's own included) shares
-// member i's offset — the positions where the §4 analysis guarantees the
-// listener hears only that member's transmission plus channel noise.
-// All masks are built in one pass; sc.solos[i] is valid until the next
-// soloMasks call on the same scratch.
-func (d *decoder) soloMasks(members []int, sc *decodeScratch) {
-	w := d.p.W()
-	sc.ensureMembers(len(members), w)
-	for i := range members {
-		sc.solos[i].SetAll()
-	}
+// collisions returns the positions that two or more of the decoded
+// members' codewords (the listener's own included) occupy, as a
+// phase-length bitmap in sc, valid until the next call on sc. Every
+// codeword has exactly one 1 per block, so member t's position j is solo —
+// no other member shares t's offset in block j, the positions where the §4
+// analysis guarantees the listener hears only t's transmission plus
+// channel noise — iff the bitmap is 0 at PositionRow(t)[j].
+func (d *decoder) collisions(members []int, sc *decodeScratch) *bitstring.BitString {
+	ones, twos := sc.ones.Words(), sc.twos.Words()
+	clear(twos)
 	if len(members) < 2 {
-		return
+		return sc.twos
 	}
-	// A counting pass over the members' offset rows finds every
-	// collision at once, O(members·W) for all masks.
-	for i, cw := range members {
-		sc.rows[i] = d.code.OffsetRow(cw)
-		sc.soloW[i] = sc.solos[i].Words()
-	}
-	rows, tags, counts := sc.rows, sc.tags, sc.counts
-	// One globally-unique tag per (call, position): base advances by W
-	// per call, so an entry last touched by any earlier call — or an
-	// earlier position of this call — can never alias the current one.
-	base := sc.tick + 1
-	sc.tick += uint64(w)
-	for j := 0; j < w; j++ {
-		tag := base + uint64(j)
-		for i := range members {
-			off := rows[i][j]
-			if tags[off] != tag {
-				tags[off] = tag
-				counts[off] = 0
-			}
-			counts[off]++
-		}
-		wi, mask := j>>6, ^(uint64(1) << (uint(j) & 63))
-		for i := range members {
-			if counts[rows[i][j]] > 1 {
-				sc.soloW[i][wi] &= mask
-			}
+	copy(ones, d.code.Mask(members[0]).Words())
+	twos = twos[:len(ones)]
+	for _, cw := range members[1:] {
+		mask := d.code.Mask(cw).Words()[:len(ones)]
+		for i, m := range mask {
+			twos[i] |= ones[i] & m
+			ones[i] |= m
 		}
 	}
-}
-
-// decodeMessage recovers the message carried by codeword t from the
-// phase-2 observation y: it reads the paper's ỹ_{v,w} (the bits of y at
-// t's positions) and runs the distance-code decoder with the solo mask,
-// writing into out (which must hold ⌈MsgBits/8⌉ bytes). The gather and
-// the per-bit majorities are fused (DecodeScatteredInto), so no
-// intermediate observation string is materialized.
-func (d *decoder) decodeMessage(t int, y, solo *bitstring.BitString, out []byte) []byte {
-	return d.dist.DecodeScatteredInto(y, d.code.PositionRow(t), solo, out)
+	return sc.twos
 }
 
 // encodePhase1 returns C(cw) as a beep pattern — the cached codeword

@@ -63,7 +63,7 @@ func refMembers(d *decoder, x *bitstring.BitString) []int {
 // offset scan over the member set.
 func refSoloMask(d *decoder, t int, members []int) *bitstring.BitString {
 	w := d.p.W()
-	solo := bitstring.New(w).Not()
+	solo := allOnes(w)
 	for _, s := range members {
 		if s == t {
 			continue
@@ -75,6 +75,24 @@ func refSoloMask(d *decoder, t int, members []int) *bitstring.BitString {
 		}
 	}
 	return solo
+}
+
+// refFallbackBits counts the message bits with no position in solo: the
+// bits the distance decoder resolves by its fallback threshold.
+func refFallbackBits(d *decoder, solo *bitstring.BitString) int {
+	covered := make([]bool, d.p.MsgBits)
+	for j := 0; j < d.p.W(); j++ {
+		if solo.Get(j) {
+			covered[d.dist.BitFor(j)] = true
+		}
+	}
+	n := 0
+	for _, c := range covered {
+		if !c {
+			n++
+		}
+	}
+	return n
 }
 
 // refDecodeMessage is the pre-refactor phase-2 decode: a bit-by-bit ỹ
@@ -111,9 +129,9 @@ func randomDecoderParams(r *rng.Stream) Params {
 
 // TestPropertyOptimizedMatchesNaive: on arbitrary (not even codeword-
 // shaped) noisy observations, the optimized decoder must reproduce the
-// naive reference bit for bit: same member set, same solo masks (by both
-// the counting pass and the collision-bucket walk), same decoded
-// messages.
+// naive reference bit for bit: same member set, same solo masks (read off
+// the collision bitmap), same decoded messages, and decode counts that
+// match the reference solo mask (positions skipped, fallback bits).
 func TestPropertyOptimizedMatchesNaive(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -156,19 +174,18 @@ func TestPropertyOptimizedMatchesNaive(t *testing.T) {
 		sc := d.newScratch()
 		// Dirty the scratch with an unrelated member set first: production
 		// reuses one scratch per shard across all nodes and rounds, so the
-		// counting pass must be immune to any prior call's residue (the
-		// per-call tag discipline; a position-only tag aliases here).
+		// bitmap must be immune to any prior call's residue.
 		prior := r.SampleDistinct(p.M, 1+r.Intn(min(p.K, p.M)))
-		d.soloMasks(prior, sc)
-		d.soloMasks(members, sc)
+		d.collisions(prior, sc)
+		collided := d.collisions(members, sc)
 		out := make([]byte, d.msgBytes)
-		for i, cw := range members {
+		for _, cw := range members {
 			wantSolo := refSoloMask(d, cw, members)
-			if !sc.solos[i].Equal(wantSolo) {
-				t.Logf("seed %d: counting solo mask of %d differs", seed, cw)
+			if !d.soloMask(cw, collided).Equal(wantSolo) {
+				t.Logf("seed %d: solo mask of %d differs", seed, cw)
 				return false
 			}
-			got := d.decodeMessage(cw, y, sc.solos[i], out)
+			got, skipped, fallbacks := d.dist.DecodeCollidedInto(y, collided, d.code.PositionRow(cw), out)
 			want := refDecodeMessage(d, cw, y, wantSolo)
 			if len(got) != len(want) {
 				return false
@@ -178,6 +195,11 @@ func TestPropertyOptimizedMatchesNaive(t *testing.T) {
 					t.Logf("seed %d: message of %d decodes %x, want %x", seed, cw, got, want)
 					return false
 				}
+			}
+			if skipped != p.W()-wantSolo.Ones() || fallbacks != refFallbackBits(d, wantSolo) {
+				t.Logf("seed %d: member %d skipped %d positions and fell back on %d bits, want %d and %d",
+					seed, cw, skipped, fallbacks, p.W()-wantSolo.Ones(), refFallbackBits(d, wantSolo))
+				return false
 			}
 		}
 		return true
@@ -196,7 +218,7 @@ func TestScratchReuseIsStateless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saturated := bitstring.New(p.PhaseLength()).Not()
+	saturated := allOnes(p.PhaseLength())
 	small := bitstring.New(p.PhaseLength())
 	for _, cw := range []int{5, 12} {
 		small.OrInPlace(d.code.Mask(cw))
@@ -208,15 +230,15 @@ func TestScratchReuseIsStateless(t *testing.T) {
 		if len(all) != p.M {
 			t.Fatalf("trial %d: saturated decode found %d members", trial, len(all))
 		}
-		d.soloMasks(all, sc)
+		d.collisions(all, sc)
 		few := d.members(small, sc.members)
 		sc.members = few
 		if len(few) != 2 || few[0] != 5 || few[1] != 12 {
 			t.Fatalf("trial %d: small decode %v", trial, few)
 		}
-		d.soloMasks(few, sc)
-		for i, cw := range few {
-			if want := refSoloMask(d, cw, few); !sc.solos[i].Equal(want) {
+		collided := d.collisions(few, sc)
+		for _, cw := range few {
+			if want := refSoloMask(d, cw, few); !d.soloMask(cw, collided).Equal(want) {
 				t.Fatalf("trial %d: reused scratch solo mask of %d differs", trial, cw)
 			}
 		}

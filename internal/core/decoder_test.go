@@ -16,21 +16,38 @@ func (d *decoder) membersAlloc(x *bitstring.BitString) []int {
 	return d.members(x, nil)
 }
 
-// soloMaskFor returns target t's solo mask within members (t must be a
-// member, as in the runner's decode loop).
+// soloMaskFor returns target t's W-bit solo mask within members, read
+// off their collision bitmap (t must be a member, as in the runner's
+// decode loop).
 func (d *decoder) soloMaskFor(t int, members []int) *bitstring.BitString {
-	sc := d.newScratch()
-	d.soloMasks(members, sc)
-	for i, cw := range members {
-		if cw == t {
-			return sc.solos[i].Clone()
-		}
-	}
-	panic("soloMaskFor: target not a member")
+	return d.soloMask(t, d.collisions(members, d.newScratch()))
 }
 
-func (d *decoder) decodeMessageAlloc(t int, y, solo *bitstring.BitString) []byte {
-	return d.decodeMessage(t, y, solo, make([]byte, d.msgBytes))
+// soloMask reads target t's W-bit solo mask off a collision bitmap: block
+// j is solo iff the bitmap is 0 at t's position in it.
+func (d *decoder) soloMask(t int, collided *bitstring.BitString) *bitstring.BitString {
+	solo := bitstring.New(d.p.W())
+	for j, pos := range d.code.PositionRow(t) {
+		if !collided.Get(int(pos)) {
+			solo.Set(j)
+		}
+	}
+	return solo
+}
+
+// decodeFor decodes member t's message from y among members, as the
+// runner's decode loop does, on a fresh scratch.
+func (d *decoder) decodeFor(t int, y *bitstring.BitString, members []int) []byte {
+	collided := d.collisions(members, d.newScratch())
+	msg, _, _ := d.dist.DecodeCollidedInto(y, collided, d.code.PositionRow(t), make([]byte, d.msgBytes))
+	return msg
+}
+
+// allOnes returns an n-bit string of 1s.
+func allOnes(n int) *bitstring.BitString {
+	s := bitstring.New(n)
+	s.SetRange(0, n)
+	return s
 }
 
 func testParams() Params {
@@ -133,7 +150,7 @@ func TestMembersAdversarialSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := bitstring.New(p.PhaseLength()).Not()
+	x := allOnes(p.PhaseLength())
 	if got := d.membersAlloc(x); len(got) != p.M {
 		t.Errorf("saturated channel decoded %d members, want all %d", len(got), p.M)
 	}
@@ -182,8 +199,7 @@ func TestPhase2RoundTrip(t *testing.T) {
 		y.OrInPlace(d.encodePhase2(cw, w.PaddedBytes(p.MsgBits)))
 	}
 	for _, cw := range members {
-		solo := d.soloMaskFor(cw, members)
-		got := d.decodeMessageAlloc(cw, y, solo)
+		got := d.decodeFor(cw, y, members)
 		want := encodeMsg8(msgs[cw])
 		if !wire.Equal(got, want, 8) {
 			t.Errorf("codeword %d: decoded %x, want %x", cw, got, want)
@@ -212,8 +228,7 @@ func TestPhase2RoundTripUnderNoise(t *testing.T) {
 		}
 		rng.NewFlipSampler(r, p.Epsilon).XorFlipsInto(y.Words(), 0, y.Len())
 		for _, cw := range members {
-			solo := d.soloMaskFor(cw, members)
-			got := d.decodeMessageAlloc(cw, y, solo)
+			got := d.decodeFor(cw, y, members)
 			if !wire.Equal(got, encodeMsg8(msgs[cw]), 8) {
 				t.Fatalf("trial %d codeword %d: decoded %x, want %x", trial, cw, got, msgs[cw])
 			}
@@ -291,7 +306,7 @@ func TestPropertyDecoderPipelineFuzz(t *testing.T) {
 			if !full {
 				continue // no exactness guarantee for this member
 			}
-			if !wire.Equal(d.decodeMessageAlloc(cw, y, solo), msgs[cw], p.MsgBits) {
+			if !wire.Equal(d.decodeFor(cw, y, got), msgs[cw], p.MsgBits) {
 				return false
 			}
 		}

@@ -59,7 +59,7 @@ type runnerMetrics struct {
 	simRounds    *obs.Counter // simulated Broadcast CONGEST rounds
 	emptyRounds  *obs.Counter // zero-sender rounds (radio phases skipped)
 	members      *obs.Counter // decoded neighborhood members delivered
-	soloFiltered *obs.Counter // decodes whose solo mask filtered >= 1 position
+	soloFiltered *obs.Counter // decodes that skipped >= 1 collided position
 	fallbackBits *obs.Counter // message bits resolved via best-effort fallback
 	collectT     *obs.Timer   // phase: broadcast collection
 	radio1T      *obs.Timer   // phase: phase-1 propagation window
@@ -114,12 +114,12 @@ type BroadcastRunner struct {
 	// Reused per-round buffers. patterns/xs/ys are sized at construction;
 	// phase2Buf entries are created lazily (first round a node transmits);
 	// scratch is per execution-pool shard.
-	soloAll   *bitstring.BitString // all-ones W mask (DisableSoloFilter)
-	patterns  []*bitstring.BitString
-	xs, ys    []*bitstring.BitString
-	phase2Buf []*bitstring.BitString
-	scratch   []*shardScratch
-	m         runnerMetrics
+	noCollisions *bitstring.BitString // all-zero collision bitmap (DisableSoloFilter)
+	patterns     []*bitstring.BitString
+	xs, ys       []*bitstring.BitString
+	phase2Buf    []*bitstring.BitString
+	scratch      []*shardScratch
+	m            runnerMetrics
 }
 
 // shardScratch is one execution-pool shard's decode/deliver/score state.
@@ -185,15 +185,15 @@ func NewBroadcastRunner(g *graph.Graph, cfg RunnerConfig) (*BroadcastRunner, err
 	n := g.N()
 	b := cfg.Params.PhaseLength()
 	r := &BroadcastRunner{
-		g:         g,
-		cfg:       cfg,
-		dec:       dec,
-		nw:        nw,
-		soloAll:   bitstring.New(cfg.Params.W()).Not(),
-		patterns:  make([]*bitstring.BitString, n),
-		xs:        make([]*bitstring.BitString, n),
-		ys:        make([]*bitstring.BitString, n),
-		phase2Buf: make([]*bitstring.BitString, n),
+		g:            g,
+		cfg:          cfg,
+		dec:          dec,
+		nw:           nw,
+		noCollisions: bitstring.New(b),
+		patterns:     make([]*bitstring.BitString, n),
+		xs:           make([]*bitstring.BitString, n),
+		ys:           make([]*bitstring.BitString, n),
+		phase2Buf:    make([]*bitstring.BitString, n),
 	}
 	for v := 0; v < n; v++ {
 		r.xs[v] = bitstring.New(b)
@@ -319,13 +319,9 @@ func (r *BroadcastRunner) Run(algs []congest.BroadcastAlgorithm, maxSimRounds in
 	// Decode and deliver, on per-shard scratch. Scoring accumulates per
 	// span and is summed in span order so counters match the serial run
 	// exactly.
-	// instrumented gates the decode phase's per-member accounting: the
-	// counts (members, solo-filter hits, fallback-decoded bits) are pure
-	// functions of already-computed decode state, accumulated per span
-	// and folded with one atomic add each, so the disabled path pays a
-	// single bool test per span.
-	instrumented := r.m.members != nil
-	soloOnes := p.W()
+	// The decode-stage counts (members, solo-filter hits, fallback-decoded
+	// bits) come back from each decode, accumulate per span and fold in
+	// with one atomic add each.
 	decodePhase := func(s engine.Span) {
 		sc := r.scratch[s.Index]
 		scores[s.Index] = ScoreDelta{}
@@ -337,27 +333,24 @@ func (r *BroadcastRunner) Run(algs []congest.BroadcastAlgorithm, maxSimRounds in
 			}
 			decoded := r.dec.members(r.xs[v], sc.dec.members)
 			sc.dec.members = decoded
+			collided := r.noCollisions
 			if !p.DisableSoloFilter {
-				r.dec.soloMasks(decoded, sc.dec)
+				collided = r.dec.collisions(decoded, sc.dec)
 			}
 			inbox := sc.inbox[:0]
-			for i, t := range decoded {
+			for _, t := range decoded {
 				if cw[v] >= 0 && t == cw[v] {
 					continue // own transmission
 				}
-				solo := r.soloAll
-				if !p.DisableSoloFilter {
-					solo = sc.dec.solos[i]
-				}
-				if instrumented {
-					members++
-					if solo.Ones() != soloOnes {
-						soloFiltered++
-					}
-					fallbackBits += int64(r.dec.dist.FallbackBits(solo))
-				}
+				// ỹ is y at t's positions (Lemma 10), read in place.
 				buf := sc.msgPool.Buf(len(inbox), r.dec.msgBytes)
-				inbox = append(inbox, r.dec.decodeMessage(t, r.ys[v], solo, buf))
+				msg, skipped, fallbacks := r.dec.dist.DecodeCollidedInto(r.ys[v], collided, r.dec.code.PositionRow(t), buf)
+				inbox = append(inbox, msg)
+				members++
+				if skipped > 0 {
+					soloFiltered++
+				}
+				fallbackBits += int64(fallbacks)
 			}
 			congest.SortMessages(inbox)
 
@@ -365,11 +358,9 @@ func (r *BroadcastRunner) Run(algs []congest.BroadcastAlgorithm, maxSimRounds in
 			a.Receive(curRound, inbox)
 			sc.inbox = inbox[:0]
 		}
-		if instrumented {
-			r.m.members.Add(members)
-			r.m.soloFiltered.Add(soloFiltered)
-			r.m.fallbackBits.Add(fallbackBits)
-		}
+		r.m.members.Add(members)
+		r.m.soloFiltered.Add(soloFiltered)
+		r.m.fallbackBits.Add(fallbackBits)
 	}
 
 	simRounds, allDone, err := pool.Loop(n, maxSimRounds, done, func(round int) error {

@@ -225,10 +225,16 @@ func (p *Pool) dispatch(spans []Span, fn func(Span)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panicked atomic.Pointer[any]
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					panicked.CompareAndSwap(nil, &v)
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(spans) {
@@ -239,6 +245,11 @@ func (p *Pool) dispatch(spans []Span, fn func(Span)) {
 		}()
 	}
 	wg.Wait()
+	// A span's panic is re-raised here, on the caller's goroutine, where
+	// a recover can see it whatever the worker count.
+	if v := panicked.Load(); v != nil {
+		panic(*v)
+	}
 }
 
 // AllDone reports whether done(v) holds for every v in [0, n). It scans

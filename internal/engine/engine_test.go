@@ -195,3 +195,30 @@ func (p *Pool) Sum(n int, fn func(Span) int64) int64 {
 	}
 	return total
 }
+
+// TestDoReraisesSpanPanic: a span that panics on a worker goroutine is
+// re-raised on Do's caller after every worker stopped, so the caller's
+// recover sees it at any worker count, and the other spans still ran.
+func TestDoReraisesSpanPanic(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		p := NewPool(workers)
+		const n = 64 * 24
+		var ran atomic.Int64
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			p.Do(n, func(s Span) {
+				if s.Index == 2 {
+					panic("span 2")
+				}
+				ran.Add(1)
+			})
+			return nil
+		}()
+		if got != "span 2" {
+			t.Fatalf("workers=%d: recovered %v, want the span's panic value", workers, got)
+		}
+		if spans := len(p.Spans(n)); workers > 1 && ran.Load() != int64(spans-1) {
+			t.Errorf("workers=%d: %d of %d other spans ran", workers, ran.Load(), spans-1)
+		}
+	}
+}

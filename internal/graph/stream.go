@@ -15,6 +15,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -186,7 +187,8 @@ func chunkRanges(n, workers int) [][2]int {
 }
 
 // runChunks dispatches the chunk list over up to `workers` goroutines
-// (inline when workers is 1).
+// (inline when workers is 1). A chunk's panic is re-raised on the caller's
+// goroutine once every worker has stopped.
 func runChunks(chunks [][2]int, workers int, fn func(ci, lo, hi int)) {
 	if workers <= 1 || len(chunks) <= 1 {
 		for ci, c := range chunks {
@@ -194,25 +196,34 @@ func runChunks(chunks [][2]int, workers int, fn func(ci, lo, hi int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
 	if workers > len(chunks) {
 		workers = len(chunks)
 	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	var panicked atomic.Pointer[any]
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ci := range next {
+			defer func() {
+				if v := recover(); v != nil {
+					panicked.CompareAndSwap(nil, &v)
+				}
+			}()
+			for {
+				ci := int(next.Add(1)) - 1
+				if ci >= len(chunks) {
+					return
+				}
 				fn(ci, chunks[ci][0], chunks[ci][1])
 			}
 		}()
 	}
-	for ci := range chunks {
-		next <- ci
-	}
-	close(next)
 	wg.Wait()
+	if v := panicked.Load(); v != nil {
+		panic(*v)
+	}
 }
 
 // --- Row functions for the deterministic families ---

@@ -419,3 +419,25 @@ func BenchmarkFromRowFuncGrid1M(b *testing.B) {
 		})
 	}
 }
+
+// TestFromRowFuncReraisesRowPanic: a row function that panics on a
+// generation shard is re-raised on FromRowFunc's caller at every shard
+// count, instead of ending the process from the shard's goroutine.
+func TestFromRowFuncReraisesRowPanic(t *testing.T) {
+	rows := func(v int, emit func(u int32)) {
+		if v == 700 {
+			panic("row 700")
+		}
+		GridRows(32, 32)(v, emit)
+	}
+	for _, workers := range []int{1, 3, -1} {
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			FromRowFunc(32*32, rows, BuildOptions{Workers: workers})
+			return nil
+		}()
+		if got != "row 700" {
+			t.Errorf("workers=%d: recovered %v, want the row's panic value", workers, got)
+		}
+	}
+}

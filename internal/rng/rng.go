@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // SplitMix64 advances the SplitMix64 state *x and returns the next output.
@@ -112,7 +113,7 @@ func (r *Stream) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
@@ -181,9 +182,11 @@ func (r *Stream) SampleDistinct(n, k int) []int {
 type FlipSampler struct {
 	r       *Stream
 	p       float64
-	invLog  float64 // 1 / ln(1-p)
-	next    int     // next flip position (absolute trial index)
-	certain bool    // p >= 1: every trial flips
+	invLog  float64   // 1 / ln(1-p)
+	cells   *gapCells // p's proven gaps, nil where they do not pay
+	proved  bool      // cells is resolved (on the first XorFlipsInto)
+	next    int       // next flip position (absolute trial index)
+	certain bool      // p >= 1: every trial flips
 }
 
 // NewFlipSampler returns a sampler over Bernoulli(p) trials starting at
@@ -246,12 +249,42 @@ func (fs *FlipSampler) XorFlipsInto(words []uint64, start, end int) {
 	for next < start { // stale positions from earlier windows
 		next += 1 + fs.gap()
 	}
+	// A sampler takes its rate's cells on its first window, so one that
+	// never draws a window, or is built only for its rate, proves none.
+	if !fs.proved {
+		fs.cells, fs.proved = sharedGapCells(fs.p, fs.invLog), true
+	}
+	if fs.cells != nil {
+		fs.next = fs.xorProvenFlips(words, start, end, next)
+		return
+	}
 	for next < end {
 		i := next - start
 		words[i>>6] ^= 1 << (uint(i) & 63)
 		next += 1 + fs.gap()
 	}
 	fs.next = next
+}
+
+// xorProvenFlips is XorFlipsInto's flip loop for a sampler with proven
+// cells, from flip position next ≥ start: it looks each draw's gap up
+// inline and calls gapAfter only where the draw's cell is unproven. It
+// returns the first flip position at or past end. It is a method of its
+// own so that XorFlipsInto's loop without cells compiles to the same
+// machine code as in a build with no table path.
+func (fs *FlipSampler) xorProvenFlips(words []uint64, start, end, next int) int {
+	r, cells := fs.r, fs.cells
+	for next < end {
+		i := next - start
+		words[i>>6] ^= 1 << (uint(i) & 63)
+		x := r.Uint64() >> 11
+		g := cells.at(x)
+		if g < 0 {
+			g = fs.gapAfter(x)
+		}
+		next += 1 + g
+	}
+	return next
 }
 
 // gap draws one Geometric(p) inter-flip gap: floor(ln(U)/ln(1-p)) has the
@@ -263,6 +296,20 @@ func (fs *FlipSampler) XorFlipsInto(words []uint64, start, end int) {
 // logarithm whenever it can prove it.
 func (fs *FlipSampler) gap() int {
 	x := fs.r.Uint64() >> 11
+	for x == 0 {
+		x = fs.r.Uint64() >> 11
+	}
+	if g, ok := fastGap(x, fs.invLog); ok {
+		return g
+	}
+	return exactGap(x, fs.invLog)
+}
+
+// gapAfter is gap for a first draw x the caller already took from the
+// stream: xorProvenFlips' path for a draw whose cell is unproven. It
+// repeats gap's body because gap calling it would cost the loop without
+// cells one more call per draw.
+func (fs *FlipSampler) gapAfter(x uint64) int {
 	for x == 0 {
 		x = fs.r.Uint64() >> 11
 	}
@@ -335,27 +382,103 @@ func fastGap(x uint64, invLog float64) (int, bool) {
 	return 0, false
 }
 
+// gapCellExps is the number of binary exponents a gapCells table covers:
+// draws u ≥ 2⁻¹⁶, all but a 2⁻¹⁶ share of them.
+const gapCellExps = 16
+
+// minProvenMass is the share of draws a rate's proven cells must carry
+// for XorFlipsInto to look them up. Below it, a lookup that misses costs
+// more than the calls it saves.
+const minProvenMass = 0.9
+
+// gapCells holds, for one rate, the gap every draw of a cell yields, or
+// −1 where the cell holds more than one gap. Cell (s, i) holds the draws x
+// with fastGap's exponent s and top mantissa bits i: u ∈ [c_i, c_{i+1})·
+// 2^-(s+1), with c_i = 1 + i/2⁸. fastGap's argument, applied to the whole
+// cell, brackets ln u by [ln c_i, ln c_{i+1}] − (s+1)·ln 2 widened by
+// gapMargin; when both ends of the bracket times invLog truncate to one
+// integer, every x in the cell has that exactGap.
+type gapCells [gapCellExps][1 << gapTableBits]int32
+
+// at returns the proven gap of draw x's cell, or −1 when the cell is
+// unproven or x lies below every cell (x = 0 included). It inlines into
+// XorFlipsInto's flip loop.
+func (c *gapCells) at(x uint64) int {
+	s := bits.LeadingZeros64(x) - 11
+	if s >= gapCellExps {
+		return -1
+	}
+	return int(c[s][x<<uint(s)>>(52-gapTableBits)&(1<<gapTableBits-1)])
+}
+
+// proveGapCells proves every cell of invLog's rate and returns the cells
+// with the share of draws the proven ones carry. A cell's share is
+// 2^-(s+1)/2⁸.
+func proveGapCells(invLog float64) (*gapCells, float64) {
+	cells := new(gapCells)
+	mass := 0.0
+	for s := range cells {
+		shift := float64(s+1) * math.Ln2
+		share := 1 / float64(uint64(1)<<(s+1+gapTableBits))
+		for i := range cells[s] {
+			cells[s][i] = -1
+			lnHi := math.Ln2 // ln c_256
+			if i+1 < len(gapTable) {
+				lnHi = gapTable[i+1].ln
+			}
+			lo := (lnHi - shift + gapMargin) * invLog // invLog < 0 reverses the bracket
+			hi := (gapTable[i].ln - shift - gapMargin) * invLog
+			// The bound keeps both conversions exact, as maxFastGap does
+			// in fastGap. A cell spans at least 2⁻⁹ in ln u, so a proven
+			// one needs |invLog| < 2⁹ and has a gap below 2⁹·16·ln 2.
+			if hi < math.MaxInt32 {
+				if g := int(lo); g == int(hi) {
+					cells[s][i] = int32(g)
+					mass += share
+				}
+			}
+		}
+	}
+	return cells, mass
+}
+
+// gapCellCache shares each rate's gapCells among its samplers. A table is
+// a pure function of the rate, so evicting one (an arbitrary entry per
+// overflow, as codes.SharedBlockedBeepCode does) never changes a draw; a
+// nil entry records a rate whose table is off.
+var (
+	gapCellMu    sync.Mutex
+	gapCellCache = map[float64]*gapCells{}
+)
+
+const gapCellCacheLimit = 16
+
+// sharedGapCells returns p's cached gapCells, proving them on first use:
+// nil when the proven cells carry less than minProvenMass of the draws.
+func sharedGapCells(p, invLog float64) *gapCells {
+	gapCellMu.Lock()
+	defer gapCellMu.Unlock()
+	if cells, ok := gapCellCache[p]; ok {
+		return cells
+	}
+	cells, mass := proveGapCells(invLog)
+	if mass < minProvenMass {
+		cells = nil
+	}
+	if len(gapCellCache) >= gapCellCacheLimit {
+		for k := range gapCellCache {
+			delete(gapCellCache, k)
+			break
+		}
+	}
+	gapCellCache[p] = cells
+	return cells
+}
+
 func (fs *FlipSampler) advance() {
 	if fs.certain {
 		fs.next++
 		return
 	}
 	fs.next += 1 + fs.gap()
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aLo * bLo
-	w0 := t & mask32
-	carry := t >> 32
-	t = aHi*bLo + carry
-	w1 := t & mask32
-	w2 := t >> 32
-	t = aLo*bHi + w1
-	hi = aHi*bHi + w2 + t>>32
-	lo = t<<32 | w0
-	return hi, lo
 }

@@ -3,7 +3,10 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -625,7 +628,8 @@ func TestGapFallbackShare(t *testing.T) {
 }
 
 // FuzzGapFastPath compares the fast gap path with the exact expression
-// for any 53-bit draw x and any rate 0 < p < ½.
+// for any 53-bit draw x and any rate 0 < p < ½, and so does the proven
+// cell x falls in where p's table is on.
 func FuzzGapFastPath(f *testing.F) {
 	f.Add(uint64(1)<<11, 0.1)              // x = 1, the smallest draw
 	f.Add(^uint64(0), 1e-4)                // x = 2⁵³−1, u just below 1
@@ -640,8 +644,121 @@ func FuzzGapFastPath(f *testing.F) {
 		if x == 0 {
 			x = 1
 		}
-		checkGap(t, x, p, NewFlipSampler(New(0), p).invLog)
+		invLog := NewFlipSampler(New(0), p).invLog
+		checkGap(t, x, p, invLog)
+		if cells := sharedGapCells(p, invLog); cells != nil {
+			if g := cells.at(x); g >= 0 && g != exactGap(x, invLog) {
+				t.Fatalf("p=%v x=%d: proven cell gap %d, exactGap %d", p, x, g, exactGap(x, invLog))
+			}
+		}
 	})
+}
+
+// TestGapCellsProven checks every proven cell of every rate in gapRates
+// against exactGap: at the cell's lowest and highest draw and at 64
+// random draws inside it. It also pins the enable rule: the table is on
+// where its proven cells carry at least minProvenMass of the draws.
+func TestGapCellsProven(t *testing.T) {
+	on := map[float64]bool{1e-3: false, 0.01: false, 0.05: true, 0.1: true, 0.3: true}
+	r := New(17)
+	for _, p := range gapRates {
+		invLog := NewFlipSampler(New(0), p).invLog
+		cells, mass := proveGapCells(invLog)
+		proven := 0
+		for s := range cells {
+			for i, g := range cells[s] {
+				if g < 0 {
+					continue
+				}
+				proven++
+				// x<<s runs over [2⁵² + i·2⁴⁴, 2⁵² + (i+1)·2⁴⁴) in the cell.
+				lo := uint64(1<<52+i<<44) >> uint(s)
+				hi := uint64(1<<52+(i+1)<<44-1) >> uint(s)
+				xs := []uint64{lo, hi}
+				for range 64 {
+					xs = append(xs, lo+r.Uint64()%(hi-lo+1))
+				}
+				for _, x := range xs {
+					if cells.at(x) != int(g) {
+						t.Fatalf("p=%v x=%d: lookup misses cell (%d, %d)", p, x, s, i)
+					}
+					if want := exactGap(x, invLog); int(g) != want {
+						t.Fatalf("p=%v cell (%d, %d) x=%d: proven gap %d, exactGap %d", p, s, i, x, g, want)
+					}
+				}
+			}
+		}
+		enabled := sharedGapCells(p, invLog) != nil
+		t.Logf("ε = %g: %d of %d cells proven, carrying %.3f of the draws; table on: %v",
+			p, proven, gapCellExps<<gapTableBits, mass, enabled)
+		if enabled != (mass >= minProvenMass) {
+			t.Errorf("ε = %g: table on = %v with proven mass %.3f", p, enabled, mass)
+		}
+		if want, ok := on[p]; ok && enabled != want {
+			t.Errorf("ε = %g: table on = %v, want %v", p, enabled, want)
+		}
+	}
+}
+
+// TestGapCellsSharedAcrossGoroutines draws windows from samplers of
+// several rates on several goroutines at once, each sampler proving or
+// sharing its rate's cells on its first window from a cold cache, and
+// requires the flips a lone serial sampler of the same stream draws.
+func TestGapCellsSharedAcrossGoroutines(t *testing.T) {
+	rates := []float64{0.01, 0.05, 0.1, 0.3}
+	draw := func(seed uint64, p float64) []uint64 {
+		fs := NewFlipSampler(New(seed), p)
+		words := make([]uint64, 64)
+		for w := 0; w < 8; w++ {
+			fs.XorFlipsInto(words, w*4096, (w+1)*4096)
+		}
+		return words
+	}
+	want := make([][]uint64, 4*len(rates))
+	for i := range want {
+		want[i] = draw(uint64(i), rates[i%len(rates)])
+	}
+	// Empty the cache, so the goroutines race to prove the cells too.
+	gapCellMu.Lock()
+	clear(gapCellCache)
+	gapCellMu.Unlock()
+	var wg sync.WaitGroup
+	for i := range want {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := draw(uint64(i), rates[i%len(rates)])
+			for k := range got {
+				if got[k] != want[i][k] {
+					t.Errorf("sampler %d (ε = %g): word %d = %#x, want %#x", i, rates[i%len(rates)], k, got[k], want[i][k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestMul64MatchesBigProduct checks the 128-bit product Intn's bounded
+// rejection uses against math/big on edge values and random pairs.
+func TestMul64MatchesBigProduct(t *testing.T) {
+	vals := []uint64{0, 1, 2, 1<<31 - 1, 1 << 31, 1<<32 - 1, 1 << 32, 1<<32 + 1,
+		1<<63 - 1, 1 << 63, 1<<64 - 2, 1<<64 - 1, 0xffffffff00000000, 0xaaaaaaaaaaaaaaaa}
+	r := New(5)
+	for range 64 {
+		vals = append(vals, r.Uint64())
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			hi, lo := bits.Mul64(a, b)
+			got := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+			got.Or(got, new(big.Int).SetUint64(lo))
+			want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+			if got.Cmp(want) != 0 {
+				t.Fatalf("%#x·%#x: bits.Mul64 = (%#x, %#x), want %v", a, b, hi, lo, want)
+			}
+		}
+	}
 }
 
 // TestFlipSamplerNaNPanics requires a NaN rate to panic instead of

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -358,12 +359,32 @@ func (s *Service) runOwned(j *Job, owned []int) {
 }
 
 // execute runs one task's owned members through the test seam when set,
-// else as one lane group.
-func (s *Service) execute(scs []Scenario, hashes []string) ([]Record, error) {
+// else as one lane group. A panic in either, raised on this goroutine or
+// re-raised here from a pool worker, fails every member with a
+// *PanicError, so the worker survives and runOwned stores no record.
+func (s *Service) execute(scs []Scenario, hashes []string) (recs []Record, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			recs, err = nil, &PanicError{Hashes: hashes, Value: v, Stack: debug.Stack()}
+		}
+	}()
 	if s.executeFunc != nil {
 		return s.executeFunc(scs, s.exec)
 	}
 	return execute(scs, hashes, s.exec)
+}
+
+// PanicError is the failure of scenarios whose execution panicked: their
+// hashes, the panic value and the stack it was recovered on. Nothing is
+// stored for them, so a resubmission runs them again.
+type PanicError struct {
+	Hashes []string
+	Value  any
+	Stack  []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sweep: execution of %d scenario(s) panicked: %v\n%s", len(e.Hashes), e.Value, e.Stack)
 }
 
 // land releases an owned slot and its in-job duplicates from the

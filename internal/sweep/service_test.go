@@ -4,9 +4,11 @@ import (
 	"errors"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -389,5 +391,62 @@ func TestServiceFailure(t *testing.T) {
 	// One joined failure per unique hash, like Run.
 	if got := len(errors.Join(err).Error()); got == 0 {
 		t.Fatal("empty failure")
+	}
+}
+
+// TestServicePanickingTaskFails: a task whose execution panics — here in
+// a span of a 3-worker pool, re-raised on the task's goroutine — fails
+// its own scenario with a *PanicError carrying the hash, the panic value
+// and the stack. The job's other tasks complete, nothing is stored for
+// the failed scenario, and a later job completes, re-running it.
+func TestServicePanickingTaskFails(t *testing.T) {
+	bad := specN(1)
+	var panicking atomic.Bool
+	panicking.Store(true)
+	store := openStore(t)
+	svc := NewService(store, Options{
+		Jobs: 2,
+		ExecuteFunc: func(group []Scenario, opt ExecOptions) ([]Record, error) {
+			if group[0].Hash() == bad.Hash() && panicking.Load() {
+				engine.NewPool(3).Do(64*12, func(s engine.Span) {
+					if s.Index == 7 {
+						panic("span 7")
+					}
+				})
+			}
+			return fakeExec(group, opt)
+		},
+	})
+	defer svc.Close()
+	scs := []Scenario{specN(0), bad, specN(2)}
+	job, err := svc.Submit(scs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, st, err := job.Wait()
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("job error %v, want a *PanicError", err)
+	}
+	if pe.Value != "span 7" || len(pe.Hashes) != 1 || pe.Hashes[0] != bad.Hash() || len(pe.Stack) == 0 {
+		t.Fatalf("panic error: value %v, hashes %v, %d stack bytes", pe.Value, pe.Hashes, len(pe.Stack))
+	}
+	if st.Failed != 1 || st.Ran != 2 {
+		t.Fatalf("stats: %+v, want 2 run and 1 failed", st)
+	}
+	if recs[0].Hash != specN(0).Hash() || recs[2].Hash != specN(2).Hash() || recs[1].Hash != "" {
+		t.Fatalf("records: %q %q %q", recs[0].Hash, recs[1].Hash, recs[2].Hash)
+	}
+	if _, ok := store.Get(bad.Hash()); ok {
+		t.Fatal("a record was stored for the panicked scenario")
+	}
+
+	panicking.Store(false)
+	job, err = svc.Submit(scs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st, err := job.Wait(); err != nil || st.Ran != 1 || st.Cached != 2 {
+		t.Fatalf("resubmission: stats %+v, err %v; want the panicked scenario re-run", st, err)
 	}
 }
