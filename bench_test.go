@@ -609,7 +609,7 @@ func BenchmarkRunPhase10k(b *testing.B) {
 				for v := range received {
 					received[v] = bitstring.New(window)
 				}
-				if err := nw.RunPhaseInto(patterns, received); err != nil {
+				if err := nw.RunPhaseInto(patterns, received, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -143,9 +143,10 @@ type Runner struct {
 	scratch  []*shardScratch
 
 	// Window buffers, allocated with nw.
-	patterns []*bitstring.BitString
-	patBuf   []*bitstring.BitString // per-node slot patterns, created lazily
-	heard    []*bitstring.BitString
+	patterns  []*bitstring.BitString
+	patBuf    []*bitstring.BitString // per-node slot patterns, created lazily
+	heard     []*bitstring.BitString
+	listening *bitstring.BitString // nodes not done after collection: the window's listeners
 
 	m tdmaMetrics
 }
@@ -320,6 +321,7 @@ func (r *Runner) attachWindows(model noise.Model) error {
 	n := r.g.N()
 	r.patterns = make([]*bitstring.BitString, n)
 	r.patBuf = make([]*bitstring.BitString, n)
+	r.listening = bitstring.New(n)
 	r.heard = make([]*bitstring.BitString, n)
 	for v := range r.heard {
 		r.heard[v] = bitstring.New(r.RoundsPerSimRound())
@@ -460,9 +462,13 @@ func (r *Runner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int) ([]*
 			}
 		}
 	}
-	// The window phases serve the one lane of a noisy channel.
+	// The window phases serve the one lane of a noisy channel. The encode
+	// phase also marks the window's listeners, the nodes the decode phase
+	// reads: those not done after collection. Spans are word-aligned, so
+	// each writes only its own listening words.
 	encodePhase := func(s engine.Span) {
 		for v := s.Lo; v < s.Hi; v++ {
+			r.listening.SetBool(v, r.doneMask[v] == 0)
 			r.patterns[v] = nil
 			msg := r.msgs[0][v]
 			if msg == nil {
@@ -578,7 +584,7 @@ func (r *Runner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int) ([]*
 		r.pool.Do(n, encodePhase)
 		sp.Stop()
 		sp = r.m.radioT.Start()
-		if err := r.nw.RunPhaseInto(r.patterns, r.heard); err != nil {
+		if err := r.nw.RunPhaseInto(r.patterns, r.heard, r.listening); err != nil {
 			return nil, err
 		}
 		sp.Stop()

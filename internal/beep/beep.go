@@ -32,6 +32,7 @@ package beep
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitstring"
 	"repro/internal/engine"
@@ -125,13 +126,14 @@ type Params struct {
 // netMetrics are the network's resolved telemetry handles; the zero
 // value (all nil) is the disabled state and every update no-ops.
 type netMetrics struct {
-	rounds   *obs.Counter // channel rounds advanced
-	windows  *obs.Counter // batch windows executed (RunPhaseInto calls)
-	beeps    *obs.Counter // energy: beeps transmitted
-	flips    *obs.Counter // applied noise flips, named per model
-	spent    *obs.Counter // adversarial budget spent (noise.adversary.spent)
-	windowT  *obs.Timer   // wall time per batch window
-	frontier *obs.Gauge   // peak driven-node count per RunSparse call
+	rounds    *obs.Counter // channel rounds advanced
+	windows   *obs.Counter // batch windows executed (RunPhaseInto calls)
+	listeners *obs.Counter // nodes that listened, summed over batch windows
+	beeps     *obs.Counter // energy: beeps transmitted
+	flips     *obs.Counter // applied noise flips, named per model
+	spent     *obs.Counter // adversarial budget spent (noise.adversary.spent)
+	windowT   *obs.Timer   // wall time per batch window
+	frontier  *obs.Gauge   // peak driven-node count per RunSparse call
 }
 
 // Network is a beeping network over a fixed graph. It maintains a global
@@ -158,17 +160,19 @@ type Network struct {
 	// reads the current window through these fields, so a RunPhaseInto
 	// call allocates nothing (Network is not safe for concurrent use —
 	// the round counter already forbids that).
-	phasePatterns []*bitstring.BitString
-	phaseDst      []*bitstring.BitString
-	phaseWin      int
-	phaseFn       func(engine.Span)
+	phasePatterns  []*bitstring.BitString
+	phaseDst       []*bitstring.BitString
+	phaseListening *bitstring.BitString // nil: every node listens
+	phaseWin       int
+	phaseFn        func(engine.Span)
 
 	// Sparse-sender gating for batch windows: when few nodes transmit,
 	// phaseHearMask marks the vertices that can possibly hear anything
 	// this window (the senders and their neighborhoods); receiveInto
 	// short-circuits every other node's row scan. Nil when the window is
 	// dense enough that the scan is cheaper than the mask. phaseSenders
-	// and phaseHear are the reusable scratch the mask is built from.
+	// (every window's senders) and phaseHear are the reusable scratch the
+	// mask is built from.
 	phaseSenders  *bitstring.BitString
 	phaseHear     *bitstring.BitString
 	phaseHearMask *bitstring.BitString
@@ -213,12 +217,13 @@ func NewNetwork(g *graph.Graph, params Params) (*Network, error) {
 	}
 	if reg := params.Metrics; reg != nil {
 		nw.m = netMetrics{
-			rounds:   reg.Counter("beep.rounds"),
-			windows:  reg.Counter("beep.windows"),
-			beeps:    reg.Counter("beep.beeps"),
-			flips:    reg.Counter("noise.flips." + model.Name()),
-			windowT:  reg.Timer("beep.window_nanos"),
-			frontier: reg.Gauge("beep.frontier.peak"),
+			rounds:    reg.Counter("beep.rounds"),
+			windows:   reg.Counter("beep.windows"),
+			listeners: reg.Counter("beep.window_listeners"),
+			beeps:     reg.Counter("beep.beeps"),
+			flips:     reg.Counter("noise.flips." + model.Name()),
+			windowT:   reg.Timer("beep.window_nanos"),
+			frontier:  reg.Gauge("beep.frontier.peak"),
 		}
 		if model.Name() == noise.NameAdversary {
 			// Budget accounting: adversarial corruptions are flips the
@@ -380,12 +385,26 @@ func (nw *Network) hearRange(progs []Program, beeped, heard *bitstring.BitString
 
 // RunPhaseInto executes a fixed transmission window: node v beeps exactly
 // at the 1-positions of patterns[v] (nil means silent throughout) and
-// listens otherwise. It writes, for each node, the bits received over the
-// window under the model's reception and noise rules into dst[v] (fully
-// overwritten). All non-nil patterns must share one length, and every
-// dst[v] must be non-nil with the window's length, so steady-state callers
-// — the Algorithm 1 runner's two phases per simulated round — reuse one
-// set of reception buffers and the phase allocates nothing.
+// listens otherwise. It writes, for each node that listens in this window,
+// the bits received over the window under the model's reception and noise
+// rules into dst[v] (fully overwritten). All non-nil patterns must share
+// one length, and every dst[v] must be non-nil with the window's length,
+// so steady-state callers — the Algorithm 1 runner's two phases per
+// simulated round — reuse one set of reception buffers and the phase
+// allocates nothing.
+//
+// listening is the window's set of listeners, one bit per node; nil means
+// every node listens. The runners pass the nodes whose programs are not
+// done, which never listen again once they are. A node outside the set
+// hears nothing this window: its dst[v] is left untouched, and its
+// reception is neither propagated nor noised, so its noise sampler is
+// neither created nor advanced. That changes no listener's reception —
+// noise is position-determined over the network's absolute round clock,
+// and a sampler consumes and discards the slots it skipped the next time
+// it applies (noise.Sampler) — so a node that listens in a window hears
+// the same bits whichever earlier windows it sat out. The one exception
+// is a budgeted adversary, which, as in Run, spends no budget on slots
+// its listener did not hear.
 //
 // The window is semantically identical to Run with per-pattern transmit
 // programs but runs word-parallel: the OR over the inclusive neighborhood
@@ -394,7 +413,7 @@ func (nw *Network) hearRange(progs []Program, beeped, heard *bitstring.BitString
 // receptions are computed on the network's sharded pool. Patterns are
 // read-only and may alias shared codeword masks; patterns[v] and dst[v]
 // must not alias each other.
-func (nw *Network) RunPhaseInto(patterns, dst []*bitstring.BitString) error {
+func (nw *Network) RunPhaseInto(patterns, dst []*bitstring.BitString, listening *bitstring.BitString) error {
 	n := nw.g.N()
 	length, err := nw.phaseLength(patterns)
 	if err != nil {
@@ -408,15 +427,29 @@ func (nw *Network) RunPhaseInto(patterns, dst []*bitstring.BitString) error {
 			return fmt.Errorf("beep: reception buffer %d missing or not %d bits", v, length)
 		}
 	}
+	if listening != nil && listening.Len() != n {
+		return fmt.Errorf("beep: listening set of %d bits for %d nodes", listening.Len(), n)
+	}
 
+	// One popcount per pattern: count the window's beeps and mark its
+	// senders in the same pass. The sender bitmap feeds the sparse mask
+	// below.
+	if nw.phaseSenders == nil {
+		nw.phaseSenders = bitstring.New(n)
+		nw.phaseHear = bitstring.New(n)
+	} else {
+		nw.phaseSenders.Reset()
+	}
 	var beeps int64
 	senders := 0
-	for v := 0; v < n; v++ {
-		if patterns[v] != nil {
-			if ones := patterns[v].Ones(); ones > 0 {
-				beeps += int64(ones)
-				senders++
-			}
+	for v, p := range patterns {
+		if p == nil {
+			continue
+		}
+		if ones := p.Ones(); ones > 0 {
+			beeps += int64(ones)
+			senders++
+			nw.phaseSenders.Set(v)
 		}
 	}
 	nw.totalBeeps += beeps
@@ -429,43 +462,52 @@ func (nw *Network) RunPhaseInto(patterns, dst []*bitstring.BitString) error {
 	// it is built or not.
 	nw.phaseHearMask = nil
 	if 4*senders <= n {
-		if nw.phaseSenders == nil {
-			nw.phaseSenders = bitstring.New(n)
-			nw.phaseHear = bitstring.New(n)
-		} else {
-			nw.phaseSenders.Reset()
-			nw.phaseHear.Reset()
-		}
-		for v := 0; v < n; v++ {
-			if patterns[v] != nil && patterns[v].Ones() > 0 {
-				nw.phaseSenders.Set(v)
-			}
-		}
+		nw.phaseHear.Reset()
 		nw.g.NeighborhoodOr(nw.phaseSenders, nw.phaseHear)
 		nw.phaseHear.OrInPlace(nw.phaseSenders)
 		nw.phaseHearMask = nw.phaseHear
 	}
+	listeners := n
+	if listening != nil {
+		listeners = listening.Ones()
+	}
 	if nw.noisy && nw.pool.Parallel() {
-		// Pre-create noise samplers (lazy creation inside the phase would
-		// be per-slot too, but keeping it here makes the invariant obvious).
+		// Pre-create the listeners' noise samplers (lazy creation inside
+		// the phase would be per-slot too, but keeping it here makes the
+		// invariant obvious).
 		for v := 0; v < n; v++ {
-			nw.noiseSampler(v)
+			if listening == nil || listening.Get(v) {
+				nw.noiseSampler(v)
+			}
 		}
 	}
 	if nw.phaseFn == nil {
 		nw.phaseFn = func(s engine.Span) {
-			for v := s.Lo; v < s.Hi; v++ {
-				nw.receiveInto(v, nw.phasePatterns, nw.phaseWin, nw.phaseDst[v])
+			if nw.phaseListening == nil {
+				for v := s.Lo; v < s.Hi; v++ {
+					nw.receiveInto(v, nw.phasePatterns, nw.phaseWin, nw.phaseDst[v])
+				}
+				return
+			}
+			// Spans are word-aligned, so the span's listeners are the set
+			// bits of its own listening words.
+			lw := nw.phaseListening.Words()
+			for w := s.Lo >> 6; w<<6 < s.Hi; w++ {
+				for m := lw[w]; m != 0; m &= m - 1 {
+					v := w<<6 | bits.TrailingZeros64(m)
+					nw.receiveInto(v, nw.phasePatterns, nw.phaseWin, nw.phaseDst[v])
+				}
 			}
 		}
 	}
-	nw.phasePatterns, nw.phaseDst, nw.phaseWin = patterns, dst, length
+	nw.phasePatterns, nw.phaseDst, nw.phaseListening, nw.phaseWin = patterns, dst, listening, length
 	sp := nw.m.windowT.Start()
 	nw.pool.Do(n, nw.phaseFn)
 	sp.Stop()
 	nw.m.windows.Inc()
+	nw.m.listeners.Add(int64(listeners))
 	nw.m.rounds.Add(int64(length))
-	nw.phasePatterns, nw.phaseDst = nil, nil // don't retain caller buffers
+	nw.phasePatterns, nw.phaseDst, nw.phaseListening = nil, nil, nil // don't retain caller buffers
 	if nw.params.RecordBeeps {
 		for t := 0; t < length; t++ {
 			col := bitstring.New(n)

@@ -596,7 +596,7 @@ func TestRunPhaseIntoMatchesRunPhase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := nwB.RunPhaseInto(patterns, dst); err != nil {
+		if err := nwB.RunPhaseInto(patterns, dst, nil); err != nil {
 			t.Fatal(err)
 		}
 		for v := range dst {
@@ -619,15 +619,15 @@ func TestRunPhaseIntoValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	patterns := []*bitstring.BitString{bitstring.New(8), nil, nil}
-	if err := nw.RunPhaseInto(patterns, make([]*bitstring.BitString, 2)); err == nil {
+	if err := nw.RunPhaseInto(patterns, make([]*bitstring.BitString, 2), nil); err == nil {
 		t.Error("wrong dst count accepted")
 	}
 	dst := []*bitstring.BitString{bitstring.New(8), bitstring.New(7), bitstring.New(8)}
-	if err := nw.RunPhaseInto(patterns, dst); err == nil {
+	if err := nw.RunPhaseInto(patterns, dst, nil); err == nil {
 		t.Error("wrong dst length accepted")
 	}
 	dst[1] = nil
-	if err := nw.RunPhaseInto(patterns, dst); err == nil {
+	if err := nw.RunPhaseInto(patterns, dst, nil); err == nil {
 		t.Error("nil dst buffer accepted")
 	}
 }

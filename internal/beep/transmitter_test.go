@@ -91,7 +91,7 @@ func (nw *Network) RunPhase(patterns []*bitstring.BitString) ([]*bitstring.BitSt
 	for v := range received {
 		received[v] = bitstring.New(length)
 	}
-	if err := nw.RunPhaseInto(patterns, received); err != nil {
+	if err := nw.RunPhaseInto(patterns, received, nil); err != nil {
 		return nil, err
 	}
 	return received, nil

@@ -114,40 +114,36 @@ func (c *RepetitionCode) DecodeInto(obs, solo *bitstring.BitString, out []byte) 
 // {j : collided[positions[j]] = 0}. positions must hold Length()
 // transcript indices below the length of y and collided, which must be
 // equal.
+//
+// The heard bits are coin flips to the branch predictor, so one pass over
+// a bit's positions tallies with shifts and adds alone: its solo
+// positions, the ones among them, and the ones among all of them — the
+// majority's and the fallback's inputs at once.
 func (c *RepetitionCode) DecodeCollidedInto(y, collided *bitstring.BitString, positions []int32, out []byte) (msg []byte, skipped, fallbacks int) {
 	out = out[:(c.msgBits+7)/8]
 	clear(out)
 	colw := collided.Words()
 	yw := y.Words()[:len(colw)]
 	for bit, row := range c.byBit {
-		ones, zeros := 0, 0
+		var solo, ones, all int
 		for _, j := range row {
 			p := positions[j]
-			w, b := p>>6, uint64(1)<<(uint(p)&63)
-			if colw[w]&b != 0 {
-				skipped++
-				continue
-			}
-			if yw[w]&b != 0 {
-				ones++
-			} else {
-				zeros++
-			}
+			w, sh := p>>6, uint(p)&63
+			sb := int(^colw[w] >> sh & 1)
+			yb := int(yw[w] >> sh & 1)
+			solo += sb
+			ones += yb & sb
+			all += yb
 		}
+		skipped += len(row) - solo
 		var value bool
-		if ones+zeros > 0 {
-			value = ones > zeros
+		if solo > 0 {
+			value = 2*ones > solo // ones > zeros
 		} else {
 			// No solo position for this bit: use every position with the
 			// one-sided fallback threshold (see DecodeInto).
 			fallbacks++
-			for _, j := range row {
-				p := positions[j]
-				if yw[p>>6]&(1<<(uint(p)&63)) != 0 {
-					ones++
-				}
-			}
-			value = ones*c.fallbackDen > c.fallbackNum*len(row)
+			value = all*c.fallbackDen > c.fallbackNum*len(row)
 		}
 		if value {
 			wire.SetBit(out, bit, true)

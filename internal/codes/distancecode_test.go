@@ -249,12 +249,17 @@ func TestRandomDistanceCodeNoSoloFallsBackToAll(t *testing.T) {
 
 // BenchmarkRepetitionDecode times the production payload decode,
 // DecodeCollidedInto, for one member of a decoded set: 32 message bits at
-// 15 repetitions in blocks of 36 positions (Δ = 8 at C = 4). "quiet"
+// 15 repetitions in blocks of 36 positions (Δ = 8 at C = 4). The heard
+// transcripts are what a listener receives in phase 2: each of 9 members
+// beeps a random payload at its codeword's positions, and ε = 0.1 noise
+// flips every position independently. The iterations cycle through 64
+// such transcripts, so the bits the decode reads are as unpredictable as
+// in a run rather than a pattern the branch predictor learns. "quiet"
 // passes an all-zero collision bitmap, as DisableSoloFilter does;
-// "collided" passes the bitmap of 9 members with random offsets, so about
+// "collided" passes the bitmap of the 9 members' random offsets, so about
 // a fifth of the target's positions are skipped.
 func BenchmarkRepetitionDecode(b *testing.B) {
-	const blockSize, members = 36, 9
+	const blockSize, members, transcripts, eps = 36, 9, 64, 0.1
 	c, _ := NewRepetitionCode(32, 15, 1)
 	w := c.Length()
 	r := rng.New(2)
@@ -271,7 +276,27 @@ func BenchmarkRepetitionDecode(b *testing.B) {
 			ones.Set(pos)
 		}
 	}
-	y := ones.Clone()
+	ys := make([]*bitstring.BitString, transcripts)
+	msg := make([]byte, 4)
+	for k := range ys {
+		y := bitstring.New(w * blockSize)
+		for _, row := range rows {
+			for i := range msg {
+				msg[i] = byte(r.Intn(256))
+			}
+			for j, pos := range row {
+				if wire.Bit(msg, c.BitFor(j)) {
+					y.Set(int(pos))
+				}
+			}
+		}
+		for pos := 0; pos < y.Len(); pos++ {
+			if r.Bool(eps) {
+				y.Flip(pos)
+			}
+		}
+		ys[k] = y
+	}
 	out := make([]byte, 4)
 	for _, bc := range []struct {
 		name     string
@@ -279,7 +304,7 @@ func BenchmarkRepetitionDecode(b *testing.B) {
 	}{{"quiet", bitstring.New(w * blockSize)}, {"collided", twos}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c.DecodeCollidedInto(y, bc.collided, rows[i%members], out)
+				c.DecodeCollidedInto(ys[i%transcripts], bc.collided, rows[i%members], out)
 			}
 		})
 	}

@@ -63,7 +63,10 @@ func NodeStreams(seed uint64, n int) []rng.Stream {
 // BroadcastAlgorithm is a per-node program for Broadcast CONGEST.
 // Each round the engine calls Broadcast for the node's message (nil to
 // stay silent), then Receive with the neighbors' messages. A node whose
-// Done returns true stops sending and receiving.
+// Done returns true stops sending and receiving. Done is monotone: once it
+// returns true it keeps returning true, so a finished node never listens
+// again and the beep-simulating engines stop computing its receptions
+// (TestDoneIsMonotone in internal/sim checks every registered workload).
 //
 // Every engine (native and beep-simulated) may call distinct nodes'
 // callbacks concurrently within a phase when configured with multiple

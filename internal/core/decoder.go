@@ -7,7 +7,6 @@ import (
 	"repro/internal/bitstring"
 	"repro/internal/codes"
 	"repro/internal/rng"
-	"repro/internal/wire"
 )
 
 // decoder implements the node-local decoding of §4. Everything it uses is
@@ -184,13 +183,18 @@ func (d *decoder) encodePhase1(cw int) *bitstring.BitString {
 // encodePhase2Into writes CD(cw, msg) (Notation 7) into out: D(msg)
 // scattered into C(cw)'s one-positions, fused through the distance code's
 // permutation table so no intermediate codeword is materialized. out must
-// have the code's full length.
+// have the code's full length. The payload bits are coin flips, so each
+// one is ORed into its word as a shifted 0 or 1 instead of being branched
+// on; as in wire.Bit, bits past the end of a short message read 0.
 func (d *decoder) encodePhase2Into(cw int, msg []byte, out *bitstring.BitString) {
-	out.Reset()
-	positions := d.code.PositionRow(cw)
-	for j, pos := range positions {
-		if wire.Bit(msg, d.dist.BitFor(j)) {
-			out.Set(int(pos))
+	words := out.Words()
+	clear(words)
+	for j, pos := range d.code.PositionRow(cw) {
+		k := d.dist.BitFor(j)
+		var bit uint64
+		if i := k >> 3; i < len(msg) {
+			bit = uint64(msg[i]>>(k&7)) & 1
 		}
+		words[pos>>6] |= bit << (uint(pos) & 63)
 	}
 }

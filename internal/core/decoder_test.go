@@ -207,6 +207,39 @@ func TestPhase2RoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodePhase2MatchesWireBit pins the branch-free phase-2 encode to
+// its definition: position PositionRow(cw)[j] is 1 iff wire.Bit reads
+// message bit BitFor(j) as 1, so bits past the end of a short message
+// read 0. The pattern buffer starts dirty, as the runner reuses it.
+func TestEncodePhase2MatchesWireBit(t *testing.T) {
+	p := testParams()
+	p.MsgBits = 20 // three bytes, the last one partly used
+	d, err := newDecoder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(12)
+	out := bitstring.New(p.PhaseLength())
+	for trial := 0; trial < 50; trial++ {
+		cw := r.Intn(p.M)
+		msg := make([]byte, r.Intn(d.msgBytes+1)) // 0 to msgBytes bytes
+		for i := range msg {
+			msg[i] = byte(r.Intn(256))
+		}
+		want := bitstring.New(p.PhaseLength())
+		for j, pos := range d.code.PositionRow(cw) {
+			if wire.Bit(msg, d.dist.BitFor(j)) {
+				want.Set(int(pos))
+			}
+		}
+		out.SetRange(0, out.Len())
+		d.encodePhase2Into(cw, msg, out)
+		if !out.Equal(want) {
+			t.Fatalf("codeword %d, %d-byte message %x: pattern differs from the wire.Bit encoding", cw, len(msg), msg)
+		}
+	}
+}
+
 // TestPhase2RoundTripUnderNoise adds ε channel flips on top of the
 // interference.
 func TestPhase2RoundTripUnderNoise(t *testing.T) {

@@ -111,12 +111,13 @@ type BroadcastRunner struct {
 
 	cwStreams []*rng.Stream
 
-	// Reused per-round buffers. patterns/xs/ys are sized at construction;
-	// phase2Buf entries are created lazily (first round a node transmits);
-	// scratch is per execution-pool shard.
+	// Reused per-round buffers. patterns/xs/ys/listening are sized at
+	// construction; phase2Buf entries are created lazily (first round a
+	// node transmits); scratch is per execution-pool shard.
 	noCollisions *bitstring.BitString // all-zero collision bitmap (DisableSoloFilter)
 	patterns     []*bitstring.BitString
 	xs, ys       []*bitstring.BitString
+	listening    *bitstring.BitString // nodes not done after collection: the windows' listeners
 	phase2Buf    []*bitstring.BitString
 	scratch      []*shardScratch
 	m            runnerMetrics
@@ -193,6 +194,7 @@ func NewBroadcastRunner(g *graph.Graph, cfg RunnerConfig) (*BroadcastRunner, err
 		patterns:     make([]*bitstring.BitString, n),
 		xs:           make([]*bitstring.BitString, n),
 		ys:           make([]*bitstring.BitString, n),
+		listening:    bitstring.New(n),
 		phase2Buf:    make([]*bitstring.BitString, n),
 	}
 	for v := 0; v < n; v++ {
@@ -274,9 +276,14 @@ func (r *BroadcastRunner) Run(algs []congest.BroadcastAlgorithm, maxSimRounds in
 	curRound := 0
 
 	// Codeword assignment (Algorithm 1 line 1). Each node draws from its
-	// private stream, so the phase is span-safe.
+	// private stream, so the phase is span-safe. The phase also marks the
+	// round's listeners: the nodes not done after collection, exactly the
+	// set the decode phase reads. A node that finished inside Broadcast
+	// still beeps its patterns but hears neither window. Spans are
+	// word-aligned, so each writes only its own listening words.
 	assignPhase := func(s engine.Span) {
 		for v := s.Lo; v < s.Hi; v++ {
+			r.listening.SetBool(v, !algs[v].Done())
 			cw[v] = -1
 			if msgs[v] == nil {
 				continue
@@ -390,13 +397,13 @@ func (r *BroadcastRunner) Run(algs []congest.BroadcastAlgorithm, maxSimRounds in
 		pool.Do(n, assignPhase)
 		pool.Do(n, phase1)
 		sp = r.m.radio1T.Start()
-		if err := r.nw.RunPhaseInto(r.patterns, r.xs); err != nil {
+		if err := r.nw.RunPhaseInto(r.patterns, r.xs, r.listening); err != nil {
 			return err
 		}
 		sp.Stop()
 		pool.Do(n, phase2)
 		sp = r.m.radio2T.Start()
-		if err := r.nw.RunPhaseInto(r.patterns, r.ys); err != nil {
+		if err := r.nw.RunPhaseInto(r.patterns, r.ys, r.listening); err != nil {
 			return err
 		}
 		sp.Stop()

@@ -32,7 +32,6 @@ var reachAllowlist = map[string]string{
 	"internal/bitstring.Parse":                 "fixture: beep, codes and localbroadcast tests write bit patterns as text",
 	"internal/bitstring.BitString.Equal":       "fixture: beep, codes, core and graph tests compare bit strings",
 	"internal/bitstring.BitString.Flip":        "fixture: codes tests corrupt chosen codeword positions",
-	"internal/bitstring.BitString.SetBool":     "fixture: beep tests build patterns bit by bit",
 	"internal/codes.RepetitionCode.DecodeInto": "reference: codes and core tests pin the fused DecodeCollidedInto against it",
 	"internal/sim.FlightGroup.Waiters":         "fixture: sweep's singleflight tests wait until a task has joined a flight",
 }
