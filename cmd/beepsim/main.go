@@ -200,7 +200,7 @@ func run(graphKind string, n, delta, q int, algName, model string, eps float64, 
 	if !res.AllDone {
 		return errors.New("algorithm did not terminate in budget")
 	}
-	verr := wl.Verify(g, res.Outputs)
+	verr := sim.Verdict(eng, wl, g, res)
 	switch {
 	case errors.Is(verr, sim.ErrUnverified):
 		fmt.Println("verification: n/a (workload defines no output-validity notion)")

@@ -48,23 +48,21 @@ func alarmFlood(g *graph.Graph) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	floods := make([]beep.AlarmFlood, g.N())
 	progs := make([]beep.Program, g.N())
 	for v := range progs {
-		progs[v] = &beep.AlarmFlood{Source: v == 0}
+		floods[v].Source = v == 0
+		progs[v] = &floods[v]
 	}
-	res, err := nw.Run(progs, g.N())
-	if err != nil {
+	if _, err := nw.Run(progs, g.N()); err != nil {
 		log.Fatal(err)
 	}
-	dist, _ := g.BFS(0)
 	worst := 0
-	for v := 0; v < g.N(); v++ {
-		if got := res.Outputs[v].(int); got != dist[v] {
-			log.Fatalf("node %d activated at %d, want %d", v, got, dist[v])
+	for v, d := range g.BFS(0) {
+		if got := floods[v].RelayRound(); got != int(d) {
+			log.Fatalf("node %d activated at %d, want %d", v, got, d)
 		}
-		if dist[v] > worst {
-			worst = dist[v]
-		}
+		worst = max(worst, int(d))
 	}
 	fmt.Printf("1) alarm flood (noiseless): all %d sensors reached, farthest in %d rounds (= distance)\n",
 		g.N(), worst)
@@ -77,16 +75,18 @@ func robustFlood(g *graph.Graph) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	floods := make([]beep.RobustFlood, g.N())
 	progs := make([]beep.Program, g.N())
 	for v := range progs {
-		progs[v] = &beep.RobustFlood{Source: v == 0, FrameLen: frame}
+		floods[v] = beep.RobustFlood{Source: v == 0, FrameLen: frame}
+		progs[v] = &floods[v]
 	}
 	if _, err := nw.Run(progs, frame*(g.Diameter()+8)); err != nil {
 		log.Fatal(err)
 	}
 	reached := 0
-	for v := 0; v < g.N(); v++ {
-		if progs[v].(*beep.RobustFlood).Output().(int) >= 0 {
+	for v := range floods {
+		if floods[v].ActivationFrame() >= 0 {
 			reached++
 		}
 	}

@@ -110,9 +110,9 @@ func Verify(g *graph.Graph, root int, outputs []Result) error {
 	if len(outputs) != g.N() {
 		return fmt.Errorf("bfstree: %d outputs for %d nodes", len(outputs), g.N())
 	}
-	dist, _ := g.BFS(root)
+	dist := g.BFS(root)
 	for v, out := range outputs {
-		if out.Dist != dist[v] {
+		if out.Dist != int(dist[v]) {
 			return fmt.Errorf("bfstree: node %d dist %d, want %d", v, out.Dist, dist[v])
 		}
 		if v == root || out.Dist < 0 {
@@ -121,7 +121,7 @@ func Verify(g *graph.Graph, root int, outputs []Result) error {
 		if out.Parent < 0 || !g.HasEdge(v, out.Parent) {
 			return fmt.Errorf("bfstree: node %d parent %d is not a neighbor", v, out.Parent)
 		}
-		if dist[out.Parent] != out.Dist-1 {
+		if int(dist[out.Parent]) != out.Dist-1 {
 			return fmt.Errorf("bfstree: node %d parent %d at distance %d, want %d",
 				v, out.Parent, dist[out.Parent], out.Dist-1)
 		}

@@ -133,17 +133,21 @@ func New(n, root, rounds int) []congest.BroadcastAlgorithm {
 	return algs
 }
 
-// Verify checks that every node reachable from the root decoded the
-// canonical payload and every unreachable node decoded nothing.
-func Verify(g *graph.Graph, root int, outputs [][]byte) error {
-	if len(outputs) != g.N() {
-		return fmt.Errorf("broadcast: %d outputs for %d nodes", len(outputs), g.N())
+// Verify checks n reported outputs, node v's decoded payload read through
+// payload(v) (nil for none): every node reachable from the root decoded
+// the canonical payload and every unreachable node decoded nothing. The
+// accessor lets a caller check payloads where they already sit — a wave
+// run's flat payload array, or a CONGEST run's per-node outputs —
+// without first copying them into one slice.
+func Verify(g *graph.Graph, root, n int, payload func(v int) []byte) error {
+	if n != g.N() {
+		return fmt.Errorf("broadcast: %d outputs for %d nodes", n, g.N())
 	}
 	want := Payload(g.N())
 	bits := PayloadBits(g.N())
-	dist, _ := g.BFS(root)
-	for v, out := range outputs {
-		if dist[v] >= 0 {
+	for v, d := range g.BFS(root) {
+		out := payload(v)
+		if d >= 0 {
 			if !wire.Equal(out, want, bits) {
 				return fmt.Errorf("broadcast: node %d decoded %x, want %x", v, out, want)
 			}

@@ -22,6 +22,11 @@ func outputsToPayloads(t *testing.T, outs []any) [][]byte {
 	return res
 }
 
+// verifySlice is Verify over a slice of payloads.
+func verifySlice(g *graph.Graph, root int, outputs [][]byte) error {
+	return Verify(g, root, len(outputs), func(v int) []byte { return outputs[v] })
+}
+
 func TestNativeBroadcast(t *testing.T) {
 	tests := []struct {
 		name string
@@ -46,7 +51,7 @@ func TestNativeBroadcast(t *testing.T) {
 			if !res.AllDone {
 				t.Fatal("broadcast did not terminate")
 			}
-			if err := Verify(tt.g, 0, outputsToPayloads(t, res.Outputs)); err != nil {
+			if err := verifySlice(tt.g, 0, outputsToPayloads(t, res.Outputs)); err != nil {
 				t.Fatalf("invalid broadcast: %v", err)
 			}
 		})
@@ -70,7 +75,7 @@ func TestBroadcastOverNoisyBeeps(t *testing.T) {
 	if !res.AllDone {
 		t.Fatal("broadcast over beeps did not terminate")
 	}
-	if err := Verify(g, 0, outputsToPayloads(t, res.Outputs)); err != nil {
+	if err := verifySlice(g, 0, outputsToPayloads(t, res.Outputs)); err != nil {
 		t.Fatalf("invalid broadcast over noisy beeps: %v", err)
 	}
 }
@@ -97,19 +102,19 @@ func TestVerifyRejectsBadBroadcasts(t *testing.T) {
 	g := graph.MustFromEdges(3, [][2]int{{0, 1}})
 	want := Payload(3)
 	good := [][]byte{want, want, nil}
-	if err := Verify(g, 0, good); err != nil {
+	if err := verifySlice(g, 0, good); err != nil {
 		t.Fatalf("valid broadcast rejected: %v", err)
 	}
-	if err := Verify(g, 0, [][]byte{want, nil, nil}); err == nil {
+	if err := verifySlice(g, 0, [][]byte{want, nil, nil}); err == nil {
 		t.Error("reachable node with no payload accepted")
 	}
-	if err := Verify(g, 0, [][]byte{want, want, want}); err == nil {
+	if err := verifySlice(g, 0, [][]byte{want, want, want}); err == nil {
 		t.Error("unreachable node with payload accepted")
 	}
-	if err := Verify(g, 0, [][]byte{want, {0x00}, nil}); err == nil {
+	if err := verifySlice(g, 0, [][]byte{want, {0x00}, nil}); err == nil {
 		t.Error("wrong payload accepted")
 	}
-	if err := Verify(g, 0, good[:2]); err == nil {
+	if err := verifySlice(g, 0, good[:2]); err == nil {
 		t.Error("short output slice accepted")
 	}
 }

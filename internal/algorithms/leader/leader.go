@@ -132,8 +132,7 @@ func components(g *graph.Graph) []int {
 		if comp[v] >= 0 {
 			continue
 		}
-		dist, _ := g.BFS(v)
-		for u, d := range dist {
+		for u, d := range g.BFS(v) {
 			if d >= 0 {
 				comp[u] = next
 			}

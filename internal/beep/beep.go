@@ -80,6 +80,11 @@ func (e Env) StreamInto(dst *rng.Stream) {
 // received bit. Once Done reports true the node ceases participation: it
 // neither beeps nor hears.
 //
+// A Program has no output method: the code that builds the programs
+// reads their results afterwards in their own types (RelayRound,
+// ActivationFrame, beepalgs' typed runs), so a run neither boxes nor
+// copies a per-node value.
+//
 // When Params.Workers > 1, callbacks for distinct nodes run concurrently
 // within a phase (each node's own calls stay strictly ordered). Programs
 // must therefore confine mutable state to the node itself and draw
@@ -90,7 +95,6 @@ type Program interface {
 	Step(round int) Action
 	Hear(round int, bit bool)
 	Done() bool
-	Output() any
 }
 
 // Params configures a beeping network.
@@ -269,8 +273,6 @@ type Result struct {
 	Rounds int
 	// AllDone reports whether every program finished before the budget.
 	AllDone bool
-	// Outputs holds each program's Output() at the end of the run.
-	Outputs []any
 }
 
 // Run initializes the programs and drives them round-by-round until all are
@@ -356,11 +358,7 @@ func (nw *Network) Run(progs []Program, maxRounds int) (*Result, error) {
 		nw.m.rounds.Inc()
 		return nil
 	})
-	outputs := make([]any, n)
-	for v, p := range progs {
-		outputs[v] = p.Output()
-	}
-	return &Result{Rounds: rounds, AllDone: allDone, Outputs: outputs}, nil
+	return &Result{Rounds: rounds, AllDone: allDone}, nil
 }
 
 // hearRange delivers round localRound's reception to nodes [lo, hi): the

@@ -295,13 +295,12 @@ func TestAlarmFloodDistances(t *testing.T) {
 			for v := range progs {
 				progs[v] = &AlarmFlood{Source: v == 0}
 			}
-			res, err := nw.Run(progs, tc.g.N()+2)
-			if err != nil {
+			if _, err := nw.Run(progs, tc.g.N()+2); err != nil {
 				t.Fatal(err)
 			}
-			dist, _ := tc.g.BFS(0)
+			dist := tc.g.BFS(0)
 			for v := 0; v < tc.g.N(); v++ {
-				if got := res.Outputs[v].(int); got != dist[v] {
+				if got := progs[v].(*AlarmFlood).RelayRound(); got != int(dist[v]) {
 					t.Errorf("node %d activated at %d, want BFS distance %d", v, got, dist[v])
 				}
 			}
@@ -320,7 +319,7 @@ func TestAlarmFloodUnreachable(t *testing.T) {
 	if res.AllDone {
 		t.Error("disconnected flood reported all done")
 	}
-	if got := res.Outputs[2].(int); got != -1 {
+	if got := progs[2].(*AlarmFlood).RelayRound(); got != -1 {
 		t.Errorf("isolated node activated at %d, want -1", got)
 	}
 }
@@ -332,12 +331,11 @@ func TestRobustFloodUnderNoise(t *testing.T) {
 	for v := range progs {
 		progs[v] = &RobustFlood{Source: v == 0, FrameLen: 32}
 	}
-	res, err := nw.Run(progs, 32*20)
-	if err != nil {
+	if _, err := nw.Run(progs, 32*20); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.N(); v++ {
-		got := res.Outputs[v].(int)
+		got := progs[v].(*RobustFlood).ActivationFrame()
 		if got != v {
 			t.Errorf("node %d activated at frame %d, want %d (one hop per frame)", v, got, v)
 		}
@@ -351,12 +349,11 @@ func TestRobustFloodNoFalseActivationWithoutSource(t *testing.T) {
 	for v := range progs {
 		progs[v] = &RobustFlood{FrameLen: 32} // nobody is a source
 	}
-	res, err := nw.Run(progs, 32*10)
-	if err != nil {
+	if _, err := nw.Run(progs, 32*10); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.N(); v++ {
-		if got := res.Outputs[v].(int); got != -1 {
+		if got := progs[v].(*RobustFlood).ActivationFrame(); got != -1 {
 			t.Errorf("node %d falsely activated at frame %d under pure noise", v, got)
 		}
 	}
@@ -466,7 +463,7 @@ func (c *contender) Output() any { return append([]bool(nil), c.heard...) }
 func TestRunSerialParallelIdentical(t *testing.T) {
 	gr := graph.RandomBoundedDegree(150, 7, 0.05, rng.New(99))
 	const horizon = 40
-	runOnce := func(workers int, eps float64) (*Result, []*bitstring.BitString, int64) {
+	runOnce := func(workers int, eps float64) (outcome, []*bitstring.BitString, int64) {
 		nw, err := NewNetwork(gr, Params{
 			Epsilon:     eps,
 			Seed:        7,
@@ -484,7 +481,7 @@ func TestRunSerialParallelIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, nw.BeepHistory(), nw.TotalBeeps()
+		return outcome{res, outputs(progs)}, nw.BeepHistory(), nw.TotalBeeps()
 	}
 	for _, eps := range []float64{0, 0.2} {
 		wantRes, wantHist, wantBeeps := runOnce(1, eps)

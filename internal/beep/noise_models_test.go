@@ -97,8 +97,8 @@ func TestNoiseModelSymmetricByteIdentical(t *testing.T) {
 		t.Fatal("round counts differ")
 	}
 	for v := range progsA {
-		ha := resA.Outputs[v].([]bool)
-		hb := resB.Outputs[v].([]bool)
+		ha := progsA[v].(*contender).Output().([]bool)
+		hb := progsB[v].(*contender).Output().([]bool)
 		if len(ha) != len(hb) {
 			t.Fatalf("node %d transcript lengths differ", v)
 		}

@@ -6,9 +6,9 @@ package beep
 // connected noiseless network every node activates at exactly its BFS
 // distance from the source.
 //
-// Output is the round in which the node joined the wave — it relays in
-// round d for a node at BFS distance d (the source beeps in round 0) — or
-// -1 if the wave never arrived.
+// RelayRound reports the round in which the node joined the wave — it
+// relays in round d for a node at BFS distance d (the source beeps in
+// round 0) — or -1 if the wave never arrived.
 type AlarmFlood struct {
 	// Source marks the initiating node.
 	Source bool
@@ -48,8 +48,8 @@ func (a *AlarmFlood) Hear(round int, bit bool) {
 // Done implements Program.
 func (a *AlarmFlood) Done() bool { return a.beeped }
 
-// Output returns the node's relay round (its wave distance), or -1.
-func (a *AlarmFlood) Output() any { return a.beepRound }
+// RelayRound returns the node's relay round (its wave distance), or -1.
+func (a *AlarmFlood) RelayRound() int { return a.beepRound }
 
 // NextWake implements QuietProgram: the flood is purely reactive — a node
 // acts on its own only at its scheduled relay round (the source's round
@@ -75,8 +75,8 @@ var (
 // noise at an O(FrameLen) overhead — the same principle Algorithm 1 applies
 // with codes instead of brute repetition.
 //
-// Output is the frame index at which the node activated (0 for the
-// source), or -1.
+// ActivationFrame reports the frame index at which the node activated
+// (0 for the source), or -1.
 type RobustFlood struct {
 	// Source marks the initiating node.
 	Source bool
@@ -144,7 +144,7 @@ func (rf *RobustFlood) Hear(round int, bit bool) {
 // Done implements Program.
 func (rf *RobustFlood) Done() bool { return rf.doneAt >= 0 && rf.round >= rf.doneAt }
 
-// Output returns the activation frame, or -1.
-func (rf *RobustFlood) Output() any { return rf.activeFrame }
+// ActivationFrame returns the activation frame, or -1.
+func (rf *RobustFlood) ActivationFrame() int { return rf.activeFrame }
 
 var _ Program = (*RobustFlood)(nil)

@@ -372,11 +372,7 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 		allDone = st.doneCount == n
 	}
 	nw.m.frontier.Set(int64(st.peak))
-	outputs := make([]any, n)
-	for v, p := range progs {
-		outputs[v] = p.Output()
-	}
-	return &Result{Rounds: rounds, AllDone: allDone, Outputs: outputs}, nil
+	return &Result{Rounds: rounds, AllDone: allDone}, nil
 }
 
 // allQuiet reports whether every program implements QuietProgram.

@@ -12,11 +12,35 @@ import (
 	"repro/internal/rng"
 )
 
+// outcome is one run's Result with its programs' outputs, read after
+// the run.
+type outcome struct {
+	*Result
+	Outputs []any
+}
+
+// outputs reads every program's result after a run: the flood
+// primitives' typed accessors, and the test programs' Output.
+func outputs(progs []Program) []any {
+	out := make([]any, len(progs))
+	for v, p := range progs {
+		switch p := p.(type) {
+		case *AlarmFlood:
+			out[v] = p.RelayRound()
+		case *RobustFlood:
+			out[v] = p.ActivationFrame()
+		case interface{ Output() any }:
+			out[v] = p.Output()
+		}
+	}
+	return out
+}
+
 // runPair executes the same program construction on two fresh networks with
 // identical parameters — once through the dense driver, once through the
-// sparse one — and returns both results plus the network counters.
+// sparse one — and returns both outcomes plus the network counters.
 func runPair(t *testing.T, g *graph.Graph, params Params, budget int,
-	mk func() []Program) (dense, sparse *Result, denseNW, sparseNW *Network) {
+	mk func() []Program) (dense, sparse outcome, denseNW, sparseNW *Network) {
 	t.Helper()
 	var err error
 	denseNW, err = NewNetwork(g, params)
@@ -27,20 +51,21 @@ func runPair(t *testing.T, g *graph.Graph, params Params, budget int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err = denseNW.Run(mk(), budget)
+	dp, sp := mk(), mk()
+	dr, err := denseNW.Run(dp, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err = sparseNW.RunSparse(mk(), budget)
+	sr, err := sparseNW.RunSparse(sp, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dense, sparse, denseNW, sparseNW
+	return outcome{dr, outputs(dp)}, outcome{sr, outputs(sp)}, denseNW, sparseNW
 }
 
 // assertIdentical checks the full observable surface: Result shape, decoded
 // outputs, the network round counter, and the energy total.
-func assertIdentical(t *testing.T, label string, dense, sparse *Result, denseNW, sparseNW *Network) {
+func assertIdentical(t *testing.T, label string, dense, sparse outcome, denseNW, sparseNW *Network) {
 	t.Helper()
 	if dense.Rounds != sparse.Rounds || dense.AllDone != sparse.AllDone {
 		t.Fatalf("%s: result shape differs: dense rounds=%d allDone=%v, sparse rounds=%d allDone=%v",

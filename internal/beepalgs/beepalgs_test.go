@@ -100,7 +100,8 @@ func TestNativeMISBudgetFailureDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nw.Run(NewMIS(g.N()), 3)
+	_, progs := NewMIS(g.N())
+	res, err := nw.Run(progs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func (l *LeaderElection) Done() bool { return l.finished }
 
 // Output returns a leader.Result (shared with the message-passing
 // election for verifier reuse).
-func (l *LeaderElection) Output() any {
+func (l *LeaderElection) Output() leader.Result {
 	return leader.Result{Leader: l.leaderID, IsLeader: l.leaderID == l.env.ID}
 }
 
@@ -153,8 +153,8 @@ func RunLeaderElection(g *graph.Graph, dBound int, seed uint64) ([]leader.Result
 		return nil, res.Rounds, fmt.Errorf("beepalgs: election did not finish")
 	}
 	out := make([]leader.Result, g.N())
-	for v, o := range res.Outputs {
-		out[v] = o.(leader.Result)
+	for v, p := range progs {
+		out[v] = p.(*LeaderElection).Output()
 	}
 	return out, res.Rounds, nil
 }

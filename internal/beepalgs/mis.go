@@ -150,12 +150,10 @@ func (m *MIS) Hear(round int, bit bool) {
 // Done implements beep.Program.
 func (m *MIS) Done() bool { return m.status != MISUndecided }
 
-// Output returns true iff the node joined the MIS.
-func (m *MIS) Output() any { return m.status == MISIn }
-
-// NewMIS returns per-node programs for an n-node network: pointers into
-// one []MIS, each owning its slot of one []rng.Stream.
-func NewMIS(n int) []beep.Program {
+// NewMIS returns an n-node run's node state, one []MIS whose nodes each
+// own a slot of one []rng.Stream, and the per-node programs, pointers
+// into it.
+func NewMIS(n int) ([]MIS, []beep.Program) {
 	k := 2*wire.BitsFor(n) + 6
 	phase := &misPhase{verifyRounds: k, length: 1 + k + 1, minProb: 1 / float64(n*n+1)}
 	nodes := make([]MIS, n)
@@ -165,7 +163,7 @@ func NewMIS(n int) []beep.Program {
 		nodes[v] = MIS{phase: phase, rng: &streams[v]}
 		progs[v] = &nodes[v]
 	}
-	return progs
+	return nodes, progs
 }
 
 // MISMaxRounds returns a generous budget: O(log n) phases of O(log n)
@@ -184,7 +182,7 @@ func RunMIS(g *graph.Graph, seed uint64, metrics *obs.Registry) ([]bool, int, er
 	if err != nil {
 		return nil, 0, err
 	}
-	progs := NewMIS(g.N())
+	nodes, progs := NewMIS(g.N())
 	res, err := nw.Run(progs, MISMaxRounds(g.N()))
 	if err != nil {
 		return nil, 0, err
@@ -193,8 +191,8 @@ func RunMIS(g *graph.Graph, seed uint64, metrics *obs.Registry) ([]bool, int, er
 		return nil, res.Rounds, fmt.Errorf("beepalgs: MIS did not stabilize in %d rounds", MISMaxRounds(g.N()))
 	}
 	out := make([]bool, g.N())
-	for v, o := range res.Outputs {
-		out[v] = o.(bool)
+	for v := range nodes {
+		out[v] = nodes[v].status == MISIn
 	}
 	return out, res.Rounds, nil
 }

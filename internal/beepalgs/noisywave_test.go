@@ -150,9 +150,9 @@ func (nwb *NoisyWaveBroadcast) Hear(round int, bit bool) {
 func (nwb *NoisyWaveBroadcast) Done() bool { return nwb.finished }
 
 // Output returns the decoded message, or nil if the marker never arrived.
-func (nwb *NoisyWaveBroadcast) Output() any {
+func (nwb *NoisyWaveBroadcast) Output() []byte {
 	if nwb.marker == -1 {
-		return []byte(nil)
+		return nil
 	}
 	return nwb.received
 }
@@ -188,8 +188,8 @@ func RunNoisyWaveBroadcast(g *graph.Graph, source int, msg []byte, bits, dBound,
 		return nil, 0, err
 	}
 	out := make([][]byte, g.N())
-	for v, o := range res.Outputs {
-		out[v] = o.([]byte)
+	for v, p := range progs {
+		out[v] = p.(*NoisyWaveBroadcast).Output()
 	}
 	return out, res.Rounds, nil
 }

@@ -173,15 +173,6 @@ func (wb *WaveBroadcast) NextWake(round int) int {
 	return next
 }
 
-// Output returns the decoded message, a capped slice of the run's
-// payload array, or nil if the marker never arrived (disconnected node).
-func (wb *WaveBroadcast) Output() any {
-	if wb.marker == -1 {
-		return []byte(nil)
-	}
-	return wb.received()
-}
-
 // RunWaveBroadcast executes the protocol on a noiseless network and
 // returns each node's decoded message.
 func RunWaveBroadcast(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint64) ([][]byte, int, error) {
@@ -221,25 +212,40 @@ func RunWaveBroadcastOpts(g *graph.Graph, source int, msg []byte, bits, dBound i
 		return nil, 0, err
 	}
 	out := make([][]byte, g.N())
-	for v, o := range res.Outputs {
-		out[v] = o.([]byte)
+	for v := range out {
+		out[v] = res.Payload(v)
 	}
 	return out, res.Rounds, nil
 }
 
-// RunWave is RunWaveBroadcastOpts returning the network's Result as is:
-// each Outputs[v] is node v's decoded message as a []byte (nil if the
-// marker never reached it). Callers that consume []any outputs take
-// them without another O(n) copy.
-func RunWave(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint64, opt WaveOptions) (*beep.Result, error) {
+// WaveResult is a finished wave run: the network's Result, and every
+// node's decoded message read in place from the run's flat node state.
+type WaveResult struct {
+	beep.Result
+	nodes []WaveBroadcast
+}
+
+// Payload returns node v's decoded message, its capped slot of the run's
+// payload array, or nil if the marker never reached v (a node outside
+// the source's component). The slot is the run's own memory, not a copy.
+func (w *WaveResult) Payload(v int) []byte {
+	if w.nodes[v].marker == -1 {
+		return nil
+	}
+	return w.nodes[v].received()
+}
+
+// RunWave is RunWaveBroadcastOpts without the per-node copy: the result
+// reads each node's message off the run's payload array, so checking a
+// large run allocates nothing per node.
+func RunWave(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint64, opt WaveOptions) (*WaveResult, error) {
 	if bits <= 0 {
 		return nil, fmt.Errorf("beepalgs: wave broadcast needs bits > 0")
 	}
 	if dBound <= 0 {
-		dist, _ := g.BFS(source)
-		for _, d := range dist {
-			if d > dBound {
-				dBound = d
+		for _, d := range g.BFS(source) {
+			if int(d) > dBound {
+				dBound = int(d)
 			}
 		}
 		if dBound < 1 {
@@ -271,8 +277,13 @@ func RunWave(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint
 		nodes[v] = WaveBroadcast{run: run, id: int32(v)}
 		progs[v] = &nodes[v]
 	}
+	drive := nw.Run
 	if opt.Sparse {
-		return nw.RunSparse(progs, budget)
+		drive = nw.RunSparse
 	}
-	return nw.Run(progs, budget)
+	res, err := drive(progs, budget)
+	if err != nil {
+		return nil, err
+	}
+	return &WaveResult{Result: *res, nodes: nodes}, nil
 }

@@ -82,6 +82,11 @@ type Result struct {
 	AllDone bool `json:"all_done"`
 	// Outputs holds each node's Output().
 	Outputs []any `json:"-"`
+	// Verdict is the output check of a run that checked its own typed
+	// outputs and so reports no Outputs — the native beeping engine's
+	// (sim.NativeBeeper). Nil means valid; runs that report Outputs
+	// leave it nil.
+	Verdict error `json:"-"`
 	// Beeps is the total energy (number of beeps).
 	Beeps int64 `json:"beeps"`
 	// MessageErrors counts (node, round) pairs where the delivered message

@@ -8,8 +8,7 @@ func (g *Graph) Connected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	dist, _ := g.BFS(0)
-	for _, d := range dist {
+	for _, d := range g.BFS(0) {
 		if d == -1 {
 			return false
 		}

@@ -258,30 +258,27 @@ func (g *Graph) EdgesSeq() iter.Seq2[int, int] {
 	}
 }
 
-// BFS returns distances and BFS-tree parents from root. Unreachable
-// vertices have dist -1 and parent -1; root has parent -1.
-func (g *Graph) BFS(root int) (dist, parent []int) {
-	dist = make([]int, g.n)
-	parent = make([]int, g.n)
+// BFS returns the hop distances from root, -1 for unreachable
+// vertices. Distances and the queue are int32, as vertex IDs are: one
+// call allocates 8 bytes per vertex.
+func (g *Graph) BFS(root int) []int32 {
+	dist := make([]int32, g.n)
 	for i := range dist {
-		dist[i], parent[i] = -1, -1
+		dist[i] = -1
 	}
 	dist[root] = 0
-	queue := make([]int, 0, g.n)
-	queue = append(queue, root)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Row(u) {
-			v := int(w)
+	queue := make([]int32, 1, g.n)
+	queue[0] = int32(root)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range g.Row(int(u)) {
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
-				parent[v] = u
 				queue = append(queue, v)
 			}
 		}
 	}
-	return dist, parent
+	return dist
 }
 
 // Diameter returns the maximum eccentricity over connected vertex pairs
@@ -289,10 +286,9 @@ func (g *Graph) BFS(root int) (dist, parent []int) {
 func (g *Graph) Diameter() int {
 	diam := 0
 	for v := 0; v < g.n; v++ {
-		dist, _ := g.BFS(v)
-		for _, d := range dist {
-			if d > diam {
-				diam = d
+		for _, d := range g.BFS(v) {
+			if int(d) > diam {
+				diam = int(d)
 			}
 		}
 	}

@@ -77,14 +77,14 @@ func TestHandshakeLemma(t *testing.T) {
 
 func TestBFSAndDiameter(t *testing.T) {
 	g := Path(5)
-	dist, parent := g.BFS(0)
+	dist := g.BFS(0)
 	for v := 0; v < 5; v++ {
-		if dist[v] != v {
+		if dist[v] != int32(v) {
 			t.Errorf("dist[%d] = %d, want %d", v, dist[v], v)
 		}
 	}
-	if parent[0] != -1 || parent[3] != 2 {
-		t.Errorf("parents wrong: %v", parent)
+	if mid := g.BFS(2); mid[0] != 2 || mid[2] != 0 || mid[4] != 2 {
+		t.Errorf("distances from the middle wrong: %v", mid)
 	}
 	if g.Diameter() != 4 {
 		t.Errorf("Diameter = %d, want 4", g.Diameter())
@@ -92,7 +92,7 @@ func TestBFSAndDiameter(t *testing.T) {
 
 	// Disconnected: unreachable gets -1.
 	h := MustFromEdges(3, [][2]int{{0, 1}})
-	dist, _ = h.BFS(0)
+	dist = h.BFS(0)
 	if dist[2] != -1 {
 		t.Errorf("unreachable dist = %d, want -1", dist[2])
 	}
@@ -174,7 +174,7 @@ func TestDistanceTwoColoringProper(t *testing.T) {
 	}
 	// No two vertices at distance <= 2 share a color.
 	for v := 0; v < g.N(); v++ {
-		dist, _ := g.BFS(v)
+		dist := g.BFS(v)
 		for u := 0; u < g.N(); u++ {
 			if u != v && dist[u] >= 1 && dist[u] <= 2 && colors[u] == colors[v] {
 				t.Fatalf("vertices %d,%d at distance %d share color %d", v, u, dist[u], colors[v])
@@ -347,7 +347,7 @@ func TestPropertySquareMatchesBFS(t *testing.T) {
 			return false
 		}
 		for v := 0; v < n; v++ {
-			dist, _ := g.BFS(v)
+			dist := g.BFS(v)
 			for u := 0; u < n; u++ {
 				if u == v {
 					continue

@@ -188,10 +188,25 @@ type Workload interface {
 // exactly the workloads that implement it.
 type NativeBeeper interface {
 	// RunBeep executes the native protocol on a noiseless beeping
-	// network seeded by seed, reporting outputs and BeepRounds. metrics,
-	// when non-nil, receives the network's channel telemetry
-	// (observation-only, like Config.Metrics).
+	// network seeded by seed and checks its typed outputs with the
+	// check Verify applies to CONGEST outputs, reporting BeepRounds,
+	// AllDone and that check's verdict as core.Result.Verdict; no
+	// per-node output leaves the run. metrics, when non-nil, receives
+	// the network's channel telemetry (observation-only, like
+	// Config.Metrics).
 	RunBeep(g *graph.Graph, seed uint64, metrics *obs.Registry) (*core.Result, error)
+}
+
+// Verdict returns the output check of one lane a prepared eng ran, with
+// Workload.Verify's meaning. An engine that drives CONGEST instances
+// reports per-node Outputs, which wl.Verify checks; the native beeping
+// engine checked its typed outputs inside the run and reports
+// res.Verdict. Either way the workload's one check decides.
+func Verdict(eng Engine, wl Workload, g *graph.Graph, res *core.Result) error {
+	if eng.DrivesAlgs() {
+		return wl.Verify(g, res.Outputs)
+	}
+	return res.Verdict
 }
 
 // ErrUnverified is returned by Workload.Verify when the workload has no

@@ -78,7 +78,7 @@ func TestConformanceAllWorkloadsAllEngines(t *testing.T) {
 			if !res.AllDone {
 				t.Errorf("%s/%s: did not terminate in budget", en, wn)
 			}
-			if verr := wl.Verify(g, res.Outputs); verr != nil && !errors.Is(verr, sim.ErrUnverified) {
+			if verr := sim.Verdict(eng, wl, g, res); verr != nil && !errors.Is(verr, sim.ErrUnverified) {
 				t.Errorf("%s/%s: verify: %v", en, wn, verr)
 			}
 			par, parExtras := runOnce(t, g, eng, wl, 3)

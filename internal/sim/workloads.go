@@ -76,11 +76,7 @@ func (misWorkload) RunBeep(g *graph.Graph, seed uint64, metrics *obs.Registry) (
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]any, len(set))
-	for v, b := range set {
-		outs[v] = b
-	}
-	return &core.Result{BeepRounds: rounds, AllDone: true, Outputs: outs}, nil
+	return &core.Result{BeepRounds: rounds, AllDone: true, Verdict: mis.Verify(g, set)}, nil
 }
 
 // coloringWorkload: randomized (Δ+1)-coloring.
@@ -202,23 +198,21 @@ func (broadcastWorkload) Algs(g *graph.Graph, rounds int) []congest.BroadcastAlg
 }
 
 func (broadcastWorkload) Verify(g *graph.Graph, outputs []any) error {
-	payloads := make([][]byte, len(outputs))
 	for v, o := range outputs {
-		p, ok := o.([]byte)
-		if !ok {
+		if _, ok := o.([]byte); !ok {
 			return &OutputTypeError{Workload: WorkloadBroadcast, Node: v, Want: "[]byte", Got: o}
 		}
-		payloads[v] = p
 	}
-	return broadcast.Verify(g, bfsRoot, payloads)
+	return broadcast.Verify(g, bfsRoot, len(outputs), func(v int) []byte { return outputs[v].([]byte) })
 }
 
 func (broadcastWorkload) RunBeep(g *graph.Graph, seed uint64, metrics *obs.Registry) (*core.Result, error) {
 	n := g.N()
-	res, err := beepalgs.RunWave(g, bfsRoot, broadcast.Payload(n), broadcast.PayloadBits(n), 0, seed,
+	wave, err := beepalgs.RunWave(g, bfsRoot, broadcast.Payload(n), broadcast.PayloadBits(n), 0, seed,
 		beepalgs.WaveOptions{EarlyStop: true, Sparse: true, Metrics: metrics})
 	if err != nil {
 		return nil, err
 	}
-	return &core.Result{BeepRounds: res.Rounds, AllDone: true, Outputs: res.Outputs}, nil
+	verdict := broadcast.Verify(g, bfsRoot, n, wave.Payload)
+	return &core.Result{BeepRounds: wave.Rounds, AllDone: wave.AllDone, Verdict: verdict}, nil
 }

@@ -187,7 +187,7 @@ func execute(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error)
 		// Workloads without a validity notion (ErrUnverified) leave it
 		// nil; a wrongly typed output is a wiring bug and fails the group
 		// with a typed error rather than crashing the batch worker.
-		verr := wl.Verify(g, res.Outputs)
+		verr := sim.Verdict(eng, wl, g, res)
 		if !errors.Is(verr, sim.ErrUnverified) {
 			var typeErr *sim.OutputTypeError
 			if errors.As(verr, &typeErr) {

@@ -33,11 +33,11 @@ type Counters struct {
 	OutputOK *bool `json:"output_ok,omitempty"`
 }
 
-// countersFromCore wraps a simulation result (Algorithm 1 or TDMA — both
-// report core.Result), stripping the non-serializable Outputs.
+// countersFromCore wraps an engine result, stripping the
+// non-serializable Outputs and Verdict.
 func countersFromCore(res *core.Result) Counters {
 	r := *res
-	r.Outputs = nil
+	r.Outputs, r.Verdict = nil, nil
 	return Counters{Result: r}
 }
 
