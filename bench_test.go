@@ -688,13 +688,13 @@ func benchLargeWave(b *testing.B, sparse bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := beepalgs.RunWaveBroadcastOpts(g, 0, msg, bits, dBound, uint64(i),
+		res, err := beepalgs.RunWave(g, 0, msg, bits, dBound, uint64(i),
 			beepalgs.WaveOptions{EarlyStop: true, Sparse: sparse})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !wire.Equal(out[g.N()-1], msg, bits) {
-			b.Fatalf("far corner decoded %x, want %x", out[g.N()-1], msg)
+		if got := res.Payload(g.N() - 1); !wire.Equal(got, msg, bits) {
+			b.Fatalf("far corner decoded %x, want %x", got, msg)
 		}
 	}
 }

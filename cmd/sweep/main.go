@@ -3,17 +3,26 @@
 // scheduler with content-addressed caching, and prints an aggregate
 // table. Engines and workloads come from the internal/sim registries —
 // every registered workload (gossip, mis, coloring, leader, matching,
-// bfstree) runs on every compatible engine. Results persist as JSONL
-// (one record per scenario, keyed by the spec's content hash), so
-// re-running an overlapping grid — or resuming after an interrupt —
-// skips every scenario already in the store; within one batch, graphs
-// and code tables are built once and shared across scenarios.
+// bfstree, broadcast) runs on every compatible engine, and a name no
+// registry holds is refused. Results persist as JSONL (one record per
+// scenario, keyed by the spec's content hash, with a .idx offset
+// sidecar rewritten on exit), so re-running an overlapping grid — or
+// resuming after an interrupt — skips every scenario already in the
+// store; within one batch, graphs and code tables are built once and
+// shared across scenarios.
 //
 // Usage:
 //
 //	sweep -family regular,pg -n 32,64 -delta 4,8 -eps 0,0.1 \
 //	      -engine alg1,tdma -workload gossip,coloring -rounds 3 \
 //	      -replicates 3 -seed 2023 -store results.jsonl -jobs 0 -v
+//
+// One scenario is a grid of one point, and its record carries every
+// counter of the run (rounds, beeps, decode errors, all_done,
+// output_ok). The million-node native broadcast, for example:
+//
+//	sweep -family geo -n 1000000 -eps 0 -engine beep \
+//	      -workload broadcast -genworkers -1 -strict
 //
 // The channel is an axis too: -noise lists channel models (specs are
 // colon-separated so they compose with the comma-separated axis), e.g.
@@ -61,7 +70,8 @@
 // store (<store>.telemetry.jsonl). -telemetry ADDR additionally serves
 // live introspection over HTTP (/metrics, /progress, /debug/vars,
 // /debug/pprof/) for the duration of the run. Both are observation-only:
-// records are byte-identical with telemetry on or off.
+// records are byte-identical with telemetry on or off. -frontier
+// refuses both.
 package main
 
 import (
@@ -172,21 +182,31 @@ func telemetryPath(storePath string) string {
 	return strings.TrimSuffix(storePath, ".jsonl") + ".telemetry.jsonl"
 }
 
-func run(grid sweep.Grid, cfg cliConfig) error {
+func run(grid sweep.Grid, cfg cliConfig) (err error) {
+	// The frontier search collects no telemetry and serves no progress.
+	if cfg.frontier && cfg.metrics {
+		return errors.New("-metrics does not apply to -frontier")
+	}
+	if cfg.frontier && cfg.telemetry != "" {
+		return errors.New("-telemetry does not apply to -frontier")
+	}
 	scenarios, err := grid.Expand()
 	if err != nil {
 		return err
 	}
 
-	store := sweep.NewMemStore()
+	var store sweep.StoreEngine = sweep.NewMemStore()
 	if cfg.storePath != "" {
-		if store, err = sweep.Open(cfg.storePath); err != nil {
+		var disk *sweep.IndexedStore
+		if disk, err = sweep.OpenIndexed(cfg.storePath); err != nil {
 			return err
 		}
-		defer store.Close()
-		if d := store.Dropped(); d > 0 {
+		// Close rewrites the .idx sidecar to cover this run's appends.
+		defer func() { err = errors.Join(err, disk.Close()) }()
+		if d := disk.Dropped(); d > 0 {
 			fmt.Fprintf(os.Stderr, "sweep: store %s: dropped %d invalid line(s)\n", cfg.storePath, d)
 		}
+		store = disk
 	}
 
 	if cfg.frontier {
@@ -292,7 +312,7 @@ func strictErr(records []sweep.Record) error {
 // runFrontier is the -frontier mode: every expanded scenario's
 // adversary budget is a ceiling; bisect for the minimal breaking
 // budget, all probes served through the store.
-func runFrontier(scenarios []sweep.Scenario, store *sweep.Store, cfg cliConfig) error {
+func runFrontier(scenarios []sweep.Scenario, store sweep.StoreEngine, cfg cliConfig) error {
 	opt := sweep.FrontierOptions{
 		Exec: sweep.Options{
 			Jobs:            1,

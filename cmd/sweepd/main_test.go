@@ -179,7 +179,7 @@ func TestSweepdEndToEnd(t *testing.T) {
 	base := ts.URL
 
 	// The reference: the batch path over the same scenarios.
-	refStore, err := sweep.Open(filepath.Join(t.TempDir(), "ref.jsonl"))
+	refStore, err := sweep.OpenIndexed(filepath.Join(t.TempDir(), "ref.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,6 +364,25 @@ var capacityGridBodies = []string{
 	`{"families":["regular"],"ns":[16],"params":[4],"engines":["alg1","tdma"],"msg_bits":2000000000}`,
 	`{"families":["hard"],"ns":[2147483647],"params":[1],"engines":["congest"]}`,
 	`{"families":["complete"],"ns":[46000],"engines":["congest"]}`,
+}
+
+// TestSweepdRejectsUnknownNames: a misspelled engine and workload beside
+// known ones are refused with 400 naming a misspelling, not expanded to
+// the one mis/alg1 scenario the known names make.
+func TestSweepdRejectsUnknownNames(t *testing.T) {
+	ts, _ := newTestDaemon(t, sweep.Options{Jobs: 1})
+	body := `{"families":["regular"],"ns":[16],"params":[2],"epsilons":[0.1],` +
+		`"engines":["alg1","tdmaa"],"workloads":["matchng","mis"],"base_seed":7}`
+	resp, err := http.Post(ts.URL+"/grids", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	named := strings.Contains(string(msg), "tdmaa") || strings.Contains(string(msg), "matchng")
+	if resp.StatusCode != http.StatusBadRequest || !named {
+		t.Fatalf("grid with misspelled names: %s %s, want 400 naming a misspelling", resp.Status, msg)
+	}
 }
 
 // TestSweepdRejectsGraphsPastCapacity: a grid whose graphs cannot be

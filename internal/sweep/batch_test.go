@@ -4,8 +4,11 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func tinyGrid() Grid {
@@ -30,7 +33,7 @@ func TestBatchSecondRunFullyCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	store, err := Open(path)
+	store, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,7 @@ func TestBatchSecondRunFullyCached(t *testing.T) {
 	}
 	store.Close()
 
-	store2, err := Open(path)
+	store2, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +322,40 @@ func TestGridSkipsUnsupportedPairs(t *testing.T) {
 		if !Supports(sc.Engine, sc.Workload) {
 			t.Errorf("unsupported pair emitted: %s/%s", sc.Engine, sc.Workload)
 		}
+	}
+}
+
+// TestGridRefusesUnknownNames: a misspelled engine or workload fails the
+// expansion, naming the misspelling and listing the registered names,
+// even beside names that would expand; a known pair the engine does not
+// support is still skipped (TestGridSkipsUnsupportedPairs).
+func TestGridRefusesUnknownNames(t *testing.T) {
+	engines := strings.Join(sim.EngineNames(), ", ")
+	workloads := strings.Join(sim.WorkloadNames(), ", ")
+	for _, tc := range []struct {
+		name               string
+		engines, workloads []string
+	}{
+		{"engine", []string{EngineAlg1, "tdmaa"}, []string{WorkloadMIS}},
+		{"workload", []string{EngineAlg1}, []string{"matchng", WorkloadMIS}},
+		{"both", []string{EngineAlg1, "tdmaa"}, []string{"matchng", WorkloadMIS}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := Grid{
+				Families: []string{FamilyRegular}, Ns: []int{16}, Params: []int{2},
+				Epsilons: []float64{0.1}, Engines: tc.engines, Workloads: tc.workloads, BaseSeed: 7,
+			}
+			scs, err := g.Expand()
+			if err == nil {
+				t.Fatalf("expanded %d scenario(s), want an error", len(scs))
+			}
+			switch msg := err.Error(); {
+			case strings.Contains(msg, `"tdmaa"`) && strings.Contains(msg, engines):
+			case strings.Contains(msg, `"matchng"`) && strings.Contains(msg, workloads):
+			default:
+				t.Fatalf("error %q names no misspelling beside its registry's names", msg)
+			}
+		})
 	}
 }
 

@@ -161,8 +161,8 @@ func (cs CompactStats) String() string {
 // load. Surviving lines are copied byte for byte (never re-encoded), so
 // a compacted store serves records byte-identical to the original; for
 // a duplicated hash the last occurrence survives, in the hash's
-// first-seen order position, exactly reproducing what Store.Open's
-// in-memory index would have served. Both files are replaced atomically
+// first-seen order position, exactly what IndexedStore's rescan of
+// the uncompacted file serves. Both files are replaced atomically
 // (temp + rename), so a reader holding the old file keeps a consistent
 // view and a crash mid-compaction leaves the original untouched.
 func Compact(path string) (CompactStats, error) {

@@ -32,12 +32,7 @@ func goldenStorePath(t *testing.T) string {
 // identical bytes.
 func TestCompactGoldenByteIdentical(t *testing.T) {
 	path := goldenStorePath(t)
-	orig, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := slices.Collect(orig.All())
-	orig.Close()
+	want := readPlain(t, path)
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +54,11 @@ func TestCompactGoldenByteIdentical(t *testing.T) {
 	}
 
 	// The compacted+indexed store serves the same records through both
-	// engines.
+	// engines: the memory one filled by the reference reader, and the
+	// indexed one through its sidecar.
+	mem := memStoreOf(t, readPlain(t, path))
 	for name, open := range map[string]func(string) (StoreEngine, error){
-		"store":   func(p string) (StoreEngine, error) { return Open(p) },
+		"store":   func(string) (StoreEngine, error) { return mem, nil },
 		"indexed": func(p string) (StoreEngine, error) { return OpenIndexed(p) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -89,15 +86,10 @@ func TestCompactGoldenByteIdentical(t *testing.T) {
 // TestCompactDropsTornDuplicateInvalid: compaction's whole point — torn
 // tails, hash-tampered lines, and superseded duplicates leave the file;
 // surviving records don't, and the last duplicate wins in first-seen
-// order, matching Store.Open's in-memory semantics.
+// order, matching the reference reader readPlain.
 func TestCompactDropsTornDuplicateInvalid(t *testing.T) {
 	path := goldenStorePath(t)
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := slices.Collect(s.All())
-	s.Close()
+	want := readPlain(t, path)
 	if len(want) < 2 {
 		t.Fatal("golden store too small for the test")
 	}
@@ -172,26 +164,32 @@ func TestIndexedStoreRegeneratesAfterIndexDelete(t *testing.T) {
 	}
 }
 
-// TestIndexedStoreDetectsStaleIndex: appends made by a plain Store (no
-// sidecar update) make the index stale; the next OpenIndexed must
-// detect the size mismatch and rescan rather than serve a view missing
-// the new records.
+// TestIndexedStoreDetectsStaleIndex: a line appended straight to the
+// data file (no sidecar update) makes the index stale; the next
+// OpenIndexed must detect the size mismatch and rescan rather than serve
+// a view missing the new records.
 func TestIndexedStoreDetectsStaleIndex(t *testing.T) {
 	path := goldenStorePath(t)
 	if _, err := Compact(path); err != nil {
 		t.Fatal(err)
 	}
 
-	plain, err := Open(path)
+	rec := execOrFatal(t, baseSpec())
+	line, err := EncodeLine(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := execOrFatal(t, baseSpec())
-	if err := plain.Put(rec); err != nil {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := slices.Collect(plain.All())
-	plain.Close()
+	if _, err := f.Write(line); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := readPlain(t, path)
 
 	s, err := OpenIndexed(path)
 	if err != nil {
@@ -240,8 +238,8 @@ func TestIndexedStorePutPersists(t *testing.T) {
 }
 
 // TestStoreOversizedLineLoads: the historic 16 MiB bufio.Scanner cap is
-// gone. A record line past it loads fine and is not counted as
-// corruption (Dropped).
+// gone. A record line past it loads fine through a rescan and is not
+// counted as corruption (Dropped).
 func TestStoreOversizedLineLoads(t *testing.T) {
 	const historicLineCap = 1 << 24
 	path := filepath.Join(t.TempDir(), "store.jsonl")
@@ -258,7 +256,7 @@ func TestStoreOversizedLineLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := Open(path)
+	s, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}

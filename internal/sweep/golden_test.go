@@ -227,7 +227,7 @@ func TestGoldenPR4StoreServesFullCacheHits(t *testing.T) {
 	if err := os.WriteFile(path, bytes.Join(append(golden, nil), []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	store, err := Open(path)
+	store, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/noise"
 	"repro/internal/rng"
@@ -65,8 +66,9 @@ func fold(s string) uint64 {
 }
 
 // Expand enumerates the grid. Axis order (outer to inner): workload,
-// family, engine, noise, n, param, epsilon, replicate. Engine/workload
-// pairs the engine does not support (Supports) are skipped. Axis
+// family, engine, noise, n, param, epsilon, replicate. A workload or
+// engine that no registry holds is refused, naming the known ones;
+// known pairs the engine does not support (Supports) are skipped. Axis
 // normalization — native engines ignore ε, the channel seed, and the
 // noise model; non-symmetric models ignore ε — can map distinct grid
 // points onto one spec, and Expand deduplicates them by content hash
@@ -79,12 +81,22 @@ func (g Grid) Expand() ([]Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, wl := range a.workloads {
+		if _, ok := sim.WorkloadFor(wl); !ok {
+			return nil, fmt.Errorf("sweep: unknown workload %q (have %s)", wl, strings.Join(sim.WorkloadNames(), ", "))
+		}
+	}
+	for _, eng := range a.engines {
+		if _, ok := sim.EngineFor(eng); !ok {
+			return nil, fmt.Errorf("sweep: unknown engine %q (have %s)", eng, strings.Join(sim.EngineNames(), ", "))
+		}
+	}
 
 	var out []Scenario
 	seen := make(map[string]struct{})
 	for _, wl := range a.workloads {
 		wlRounds := a.rounds
-		if w, ok := sim.WorkloadFor(wl); ok && !w.UsesRounds() {
+		if w, _ := sim.WorkloadFor(wl); !w.UsesRounds() {
 			wlRounds = 0 // self-budgeting workloads require Rounds 0 (Scenario contract)
 		}
 		for _, fam := range a.families {

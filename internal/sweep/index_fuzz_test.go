@@ -40,12 +40,7 @@ func TestIndexedStoreRescansCorruptSidecar(t *testing.T) {
 	for name, sidecar := range corruptSidecars(int64(len(bytes.Join(golden, []byte("\n")))+1), first.Hash) {
 		t.Run(name, func(t *testing.T) {
 			path := goldenStorePath(t)
-			plain, err := Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := slices.Collect(plain.All())
-			plain.Close()
+			want := readPlain(t, path)
 			if err := os.WriteFile(IndexPath(path), sidecar, 0o644); err != nil {
 				t.Fatal(err)
 			}

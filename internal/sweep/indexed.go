@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"iter"
@@ -43,8 +44,9 @@ type IndexedStore struct {
 // IndexedStore. With a valid sidecar index the open is O(index): no
 // record is decoded. Without one — old-format store, deleted sidecar,
 // or a data file that grew or shrank since the index was written — the
-// data file is rescanned (tolerating torn and invalid lines exactly
-// like Open, counted by Dropped) and a fresh index is installed.
+// data file is rescanned (invalid lines are dropped and counted by
+// Dropped; a torn final line is also terminated, so appends start on a
+// fresh line) and a fresh index is installed.
 func OpenIndexed(path string) (*IndexedStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -235,4 +237,61 @@ func (s *IndexedStore) Close() error {
 		return err
 	}
 	return idxErr
+}
+
+// walkLines streams f from the start, calling fn(offset, line) for every
+// non-empty line (newline excluded; offset is the line's first byte).
+// A torn final line — bytes after the last newline, the expected residue
+// of an interrupted append — is passed to fn like any other line (its
+// decode failure is what callers count). Lines have no length limit.
+func walkLines(f *os.File, fn func(off int64, line []byte)) error {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	r := bufio.NewReaderSize(f, 1<<20)
+	var off int64
+	for {
+		line, err := r.ReadBytes('\n')
+		n := int64(len(line))
+		line = trimNewline(line)
+		if len(line) > 0 {
+			fn(off, line)
+		}
+		off += n
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+func trimNewline(line []byte) []byte {
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		return line[:n-1]
+	}
+	return line
+}
+
+// repairTail terminates an unterminated final line so subsequent appends
+// start fresh, and leaves the file positioned at its end.
+func repairTail(f *os.File) error {
+	off, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return err
+	}
+	if off == 0 {
+		return nil
+	}
+	buf := make([]byte, 1)
+	if _, err := f.ReadAt(buf, off-1); err != nil {
+		return err
+	}
+	if buf[0] != '\n' {
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -12,9 +12,9 @@ import (
 	"repro/internal/obs"
 )
 
-func openStore(t *testing.T) *Store {
+func openStore(t *testing.T) *IndexedStore {
 	t.Helper()
-	s, err := Open(filepath.Join(t.TempDir(), "store.jsonl"))
+	s, err := OpenIndexed(filepath.Join(t.TempDir(), "store.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ func scanEngines(t *testing.T, recs []Record, n int) map[string]StoreEngine {
 	t.Helper()
 	engines := make(map[string]StoreEngine)
 	for name, open := range map[string]func(string) (StoreEngine, error){
-		"store":   func(p string) (StoreEngine, error) { return Open(p) },
+		"store":   func(string) (StoreEngine, error) { return NewMemStore(), nil },
 		"indexed": func(p string) (StoreEngine, error) { return OpenIndexed(p) },
 	} {
 		s, err := open(filepath.Join(t.TempDir(), name+".jsonl"))

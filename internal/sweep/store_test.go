@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -16,9 +18,39 @@ func execOrFatal(t *testing.T, sc Scenario) Record {
 	return rec
 }
 
+// readPlain is the reference reader of a JSONL store file: every line
+// is decoded, invalid lines are dropped, and a later duplicate replaces
+// the earlier one in its first-seen slot.
+func readPlain(t *testing.T, path string) []Record {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewMemStore()
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if rec, err := DecodeRecord(line); err == nil {
+			s.add(rec)
+		}
+	}
+	return slices.Collect(s.All())
+}
+
+// memStoreOf returns a memory store holding recs in order.
+func memStoreOf(t *testing.T, recs []Record) *Store {
+	t.Helper()
+	s := NewMemStore()
+	for _, rec := range recs {
+		if err := s.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
 func TestStorePersistAndReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	s, err := Open(path)
+	s, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +62,7 @@ func TestStorePersistAndReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(path)
+	s2, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +84,7 @@ func TestStorePersistAndReload(t *testing.T) {
 // line, so nothing else is lost.
 func TestStoreResumesPastTornLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	s, err := Open(path)
+	s, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +102,7 @@ func TestStoreResumesPastTornLine(t *testing.T) {
 	f.WriteString(`{"hash":"deadbeef","spec":{"fam`)
 	f.Close()
 
-	s2, err := Open(path)
+	s2, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +117,7 @@ func TestStoreResumesPastTornLine(t *testing.T) {
 	}
 	s2.Close()
 
-	s3, err := Open(path)
+	s3, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +133,12 @@ func TestStoreResumesPastTornLine(t *testing.T) {
 }
 
 // TestStoreDropsTamperedRecords: a line whose spec was edited after the
-// fact (hash mismatch) must not serve cache hits.
+// fact (hash mismatch) must not serve cache hits — neither through the
+// sidecar its writer installed, which indexes it under the wrong hash,
+// nor after a rescan, which drops it.
 func TestStoreDropsTamperedRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	s, err := Open(path)
+	s, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +149,28 @@ func TestStoreDropsTamperedRecords(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := Open(path)
+	s2, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if s2.Len() != 0 || s2.Dropped() != 1 {
-		t.Fatalf("tampered record survived reload: len=%d dropped=%d", s2.Len(), s2.Dropped())
+	if _, ok := s2.Get(rec.Hash); ok {
+		t.Fatal("tampered record served a hit through the sidecar")
+	}
+	if got := slices.Collect(s2.All()); len(got) != 0 {
+		t.Fatalf("tampered record scanned through the sidecar: %d records", len(got))
+	}
+	s2.Close()
+
+	if err := os.Remove(IndexPath(path)); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := OpenIndexed(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if s3.Len() != 0 || s3.Dropped() != 1 {
+		t.Fatalf("tampered record survived a rescan: len=%d dropped=%d", s3.Len(), s3.Dropped())
 	}
 }
 

@@ -29,6 +29,8 @@ var reachAllowlist = map[string]string{
 	"internal/graph.Star":                      "fixture: tests in 6 packages build stars",
 	"internal/graph.Hypercube":                 "fixture: beep, beepalgs and bfstree tests build hypercubes",
 	"internal/graph.CompleteBipartite":         "fixture: baseline and matching tests build complete bipartite graphs",
+	"internal/graph.Grid":                      "fixture: tests in 5 packages build grids",
+	"internal/graph.Complete":                  "fixture: tests in 10 packages build complete graphs",
 	"internal/bitstring.Parse":                 "fixture: beep, codes and localbroadcast tests write bit patterns as text",
 	"internal/bitstring.BitString.Equal":       "fixture: beep, codes, core and graph tests compare bit strings",
 	"internal/bitstring.BitString.Flip":        "fixture: codes tests corrupt chosen codeword positions",
