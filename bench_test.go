@@ -38,6 +38,19 @@ func mustRegular(b *testing.B, n, d int, seed uint64) *graph.Graph {
 	return g
 }
 
+// mustCodes builds p's decode tables once, before a benchmark's timed
+// loop: its runners then share them, as the alg1 engine's runners share
+// the sweep artifact cache's, so an iteration times a round rather than
+// a code build.
+func mustCodes(b *testing.B, p core.Params) *core.Codes {
+	b.Helper()
+	c, err := core.BuildCodes(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
 // benchGossipRound measures one simulated Broadcast CONGEST round (two
 // beep phases plus decoding at every node).
 func benchGossipRound(b *testing.B, n, delta int, eps float64) {
@@ -45,11 +58,13 @@ func benchGossipRound(b *testing.B, n, delta int, eps float64) {
 	g := mustRegular(b, n, delta, 1)
 	msgBits := 2 * wire.BitsFor(n)
 	p := core.DefaultParams(n, g.MaxDegree(), msgBits, eps)
+	codes := mustCodes(b, p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
 			Params:      p,
+			Codes:       codes,
 			ChannelSeed: uint64(i),
 			AlgSeed:     2,
 		})
@@ -157,10 +172,12 @@ func BenchmarkT5CongestRound(b *testing.B) {
 	outer := core.AdapterMsgBits(n, inner)
 	inst := localbroadcast.NewRandomInstance(g, inner, rng.New(5))
 	p := core.DefaultParams(n, delta, outer, 0.05)
+	codes := mustCodes(b, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
 			Params:      p,
+			Codes:       codes,
 			ChannelSeed: uint64(i),
 			AlgSeed:     6,
 		})
@@ -184,8 +201,10 @@ func BenchmarkT6Baseline(b *testing.B) {
 	msgBits := 2 * wire.BitsFor(n)
 	b.Run("ours", func(b *testing.B) {
 		p := core.DefaultParams(n, g.MaxDegree(), msgBits, 0.05)
+		codes := mustCodes(b, p)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{Params: p, ChannelSeed: uint64(i), AlgSeed: 7})
+			runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{Params: p, Codes: codes, ChannelSeed: uint64(i), AlgSeed: 7})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -222,9 +241,10 @@ func BenchmarkT7LocalBroadcast(b *testing.B) {
 	outer := core.AdapterMsgBits(g.N(), inner)
 	p := core.DefaultParams(g.N(), delta, outer, 0.05)
 	budget := core.CongestRounds(localbroadcast.CongestRoundsNeeded(bits, inner), delta)
+	codes := mustCodes(b, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{Params: p, ChannelSeed: uint64(i), AlgSeed: 9})
+		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{Params: p, Codes: codes, ChannelSeed: uint64(i), AlgSeed: 9})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,10 +281,11 @@ func BenchmarkT9MatchingBeeps(b *testing.B) {
 	const n, delta = 32, 4
 	g := mustRegular(b, n, delta, 11)
 	p := core.DefaultParams(n, delta, matching.MsgBits(n), 0.1)
+	codes := mustCodes(b, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
-			Params: p, ChannelSeed: uint64(i), AlgSeed: 12,
+			Params: p, Codes: codes, ChannelSeed: uint64(i), AlgSeed: 12,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -309,8 +330,10 @@ func BenchmarkA1Ablation(b *testing.B) {
 	g := mustRegular(b, 32, 6, 13)
 	p := core.DefaultParams(32, 6, 12, 0.1)
 	p.R = 15
+	codes := mustCodes(b, p)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{Params: p, ChannelSeed: uint64(i), AlgSeed: 14})
+		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{Params: p, Codes: codes, ChannelSeed: uint64(i), AlgSeed: 14})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -327,8 +350,10 @@ func BenchmarkA2Codebook(b *testing.B) {
 	p := core.DefaultParams(32, 6, 12, 0.05)
 	p.Assignment = core.AssignRandom
 	p.M = 4096
+	codes := mustCodes(b, p)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{Params: p, ChannelSeed: uint64(i), AlgSeed: 16})
+		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{Params: p, Codes: codes, ChannelSeed: uint64(i), AlgSeed: 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -343,8 +368,10 @@ func BenchmarkA3Decoder(b *testing.B) {
 	g := mustRegular(b, 32, 6, 17)
 	p := core.DefaultParams(32, 6, 12, 0.1)
 	p.DisableSoloFilter = true
+	codes := mustCodes(b, p)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{Params: p, ChannelSeed: uint64(i), AlgSeed: 18})
+		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{Params: p, Codes: codes, ChannelSeed: uint64(i), AlgSeed: 18})
 		if err != nil {
 			b.Fatal(err)
 		}

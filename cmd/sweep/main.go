@@ -50,12 +50,9 @@
 //	      -workload leader -store frontier.jsonl
 //
 // prints a per-protocol frontier table (breaking budget -1 = unbroken
-// up to the ceiling). -maxroundsfactor caps every run's round budget at
-// the given multiple of the workload budget, recording a typed
-// budget-exhausted failure instead of running unbounded; unlike every
-// other flag it changes records, so hold it constant per store. -strict
-// exits non-zero when any record carries a failure or failed output
-// verification, so CI grids fail loudly instead of via grep.
+// up to the ceiling). -strict exits non-zero when any record carries a
+// failure or failed output verification, so CI grids fail loudly
+// instead of via grep.
 //
 // The final stderr line reports cache effectiveness — batch stats plus
 // the artifact cache's hit/miss counters, e.g.
@@ -114,13 +111,12 @@ func main() {
 		frontier   = flag.Bool("frontier", false, "resilience-frontier mode: treat each scenario's adversary budget as a ceiling and bisect for the minimal breaking budget")
 		compact    = flag.Bool("compact", false, "compact the -store file (drop torn/duplicate/invalid lines, rebuild the sidecar index), print what was reclaimed, and exit")
 		strict     = flag.Bool("strict", false, "exit non-zero when any record has a failure or output_ok=false")
-		maxRF      = flag.Float64("maxroundsfactor", 0, "cap engine round budgets at this multiple of the workload budget (0 = uncapped); changes records — hold constant per store")
 	)
 	flag.Parse()
 
 	if *compact {
 		if *storePath == "" {
-			fatal(fmt.Errorf("-compact needs -store"))
+			fatal(errors.New("sweep: -compact needs -store"))
 		}
 		cs, err := sweep.Compact(*storePath)
 		if err != nil {
@@ -158,7 +154,7 @@ func main() {
 		jobs:      *jobs, workers: *workers, genWorkers: *genWorkers,
 		agg: !*noAgg, verbose: *verbose, metrics: *metrics,
 		telemetry: *telemetry,
-		frontier:  *frontier, strict: *strict, maxRoundsFactor: *maxRF,
+		frontier:  *frontier, strict: *strict,
 	}
 	if err := run(grid, cfg); err != nil {
 		fatal(err)
@@ -173,7 +169,6 @@ type cliConfig struct {
 	agg, verbose, metrics     bool
 	telemetry                 string
 	frontier, strict          bool
-	maxRoundsFactor           float64
 }
 
 // telemetryPath is the JSONL telemetry artifact written beside the
@@ -185,10 +180,10 @@ func telemetryPath(storePath string) string {
 func run(grid sweep.Grid, cfg cliConfig) (err error) {
 	// The frontier search collects no telemetry and serves no progress.
 	if cfg.frontier && cfg.metrics {
-		return errors.New("-metrics does not apply to -frontier")
+		return errors.New("sweep: -metrics does not apply to -frontier")
 	}
 	if cfg.frontier && cfg.telemetry != "" {
-		return errors.New("-telemetry does not apply to -frontier")
+		return errors.New("sweep: -telemetry does not apply to -frontier")
 	}
 	scenarios, err := grid.Expand()
 	if err != nil {
@@ -202,7 +197,11 @@ func run(grid sweep.Grid, cfg cliConfig) (err error) {
 			return err
 		}
 		// Close rewrites the .idx sidecar to cover this run's appends.
-		defer func() { err = errors.Join(err, disk.Close()) }()
+		defer func() {
+			if cerr := disk.Close(); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("sweep: close store: %w", cerr))
+			}
+		}()
 		if d := disk.Dropped(); d > 0 {
 			fmt.Fprintf(os.Stderr, "sweep: store %s: dropped %d invalid line(s)\n", cfg.storePath, d)
 		}
@@ -214,7 +213,7 @@ func run(grid sweep.Grid, cfg cliConfig) (err error) {
 	}
 
 	artifacts := sim.NewCache()
-	opt := sweep.Options{Jobs: cfg.jobs, Workers: cfg.workers, GenWorkers: cfg.genWorkers, Artifacts: artifacts, MaxRoundsFactor: cfg.maxRoundsFactor}
+	opt := sweep.Options{Jobs: cfg.jobs, Workers: cfg.workers, GenWorkers: cfg.genWorkers, Artifacts: artifacts}
 	var reg *obs.Registry
 	if cfg.metrics || cfg.telemetry != "" {
 		reg = obs.NewRegistry()
@@ -224,7 +223,7 @@ func run(grid sweep.Grid, cfg cliConfig) (err error) {
 	if cfg.telemetry != "" {
 		srv, err := obs.Serve(cfg.telemetry, reg, progress)
 		if err != nil {
-			return err
+			return fmt.Errorf("sweep: telemetry: %w", err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "sweep: telemetry listening on http://%s\n", srv.Addr())
@@ -252,22 +251,16 @@ func run(grid sweep.Grid, cfg cliConfig) (err error) {
 	if reg != nil {
 		fmt.Fprintln(os.Stderr, "sweep: metrics:")
 		if err := obs.WriteSummary(os.Stderr, reg); err != nil {
-			return err
+			return fmt.Errorf("sweep: metrics: %w", err)
 		}
 		if cfg.storePath != "" {
 			f, err := os.Create(telemetryPath(cfg.storePath))
-			if err != nil {
-				return err
+			if err == nil {
+				meta := map[string]any{"store": cfg.storePath, "stats": stats.String(), "progress": progress.Snapshot()}
+				err = errors.Join(obs.WriteJSONL(f, meta, reg), f.Close())
 			}
-			meta := map[string]any{"store": cfg.storePath, "stats": stats.String(), "progress": progress.Snapshot()}
-			if werr := obs.WriteJSONL(f, meta, reg); werr == nil {
-				werr = f.Close()
-				if werr != nil {
-					return werr
-				}
-			} else {
-				f.Close()
-				return werr
+			if err != nil {
+				return fmt.Errorf("sweep: telemetry: %w", err)
 			}
 			fmt.Fprintf(os.Stderr, "sweep: telemetry written to %s\n", telemetryPath(cfg.storePath))
 		}
@@ -283,11 +276,12 @@ func run(grid sweep.Grid, cfg cliConfig) (err error) {
 		printAggregate(os.Stdout, sweep.Aggregate(slices.Values(ok)))
 	}
 	if cfg.strict {
-		if err := strictErr(records); err != nil {
-			runErr = errors.Join(runErr, err)
-		}
+		runErr = errors.Join(runErr, strictErr(records))
 	}
-	return runErr
+	if runErr != nil {
+		return fmt.Errorf("sweep: %w", runErr)
+	}
+	return nil
 }
 
 // strictErr scans a batch's records for the -strict failure conditions:
@@ -315,11 +309,10 @@ func strictErr(records []sweep.Record) error {
 func runFrontier(scenarios []sweep.Scenario, store sweep.StoreEngine, cfg cliConfig) error {
 	opt := sweep.FrontierOptions{
 		Exec: sweep.Options{
-			Jobs:            1,
-			Workers:         cfg.workers,
-			GenWorkers:      cfg.genWorkers,
-			Artifacts:       sim.NewCache(),
-			MaxRoundsFactor: cfg.maxRoundsFactor,
+			Jobs:       1,
+			Workers:    cfg.workers,
+			GenWorkers: cfg.genWorkers,
+			Artifacts:  sim.NewCache(),
 		},
 	}
 	if cfg.verbose {
@@ -422,7 +415,9 @@ func splitFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
+// fatal prints err as it is: internal/sweep's errors and the CLI's own
+// already carry the "sweep: " prefix.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
+	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
 }

@@ -27,8 +27,8 @@ func TestFrontierRefusesTelemetryFlags(t *testing.T) {
 	} {
 		cfg.frontier = true
 		cfg.storePath = filepath.Join(t.TempDir(), "frontier.jsonl")
-		if err := run(grid, cfg); err == nil || !strings.Contains(err.Error(), flag) {
-			t.Fatalf("%s with -frontier: err = %v, want an error naming %s", flag, err, flag)
+		if err := run(grid, cfg); err == nil || !strings.Contains(err.Error(), flag) || !onePrefix(err) {
+			t.Fatalf("%s with -frontier: err = %v, want an error naming %s after one \"sweep: \"", flag, err, flag)
 		}
 		if _, err := os.Stat(cfg.storePath); !errors.Is(err, fs.ErrNotExist) {
 			t.Fatalf("%s with -frontier opened the store before refusing it (stat: %v)", flag, err)
@@ -70,4 +70,23 @@ func TestStoreRerunAppendsNothing(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatalf("the re-run changed the store: %d bytes, then %d", len(first), len(second))
 	}
+}
+
+// TestErrorsCarryOnePrefix: fatal prints run's error as it is, so an
+// error internal/sweep made (a misspelled workload) must reach it with
+// exactly one "sweep: "; TestFrontierRefusesTelemetryFlags checks the
+// CLI's own refusals the same way.
+func TestErrorsCarryOnePrefix(t *testing.T) {
+	grid := sweep.Grid{
+		Families: []string{sweep.FamilyRegular}, Ns: []int{16}, Params: []int{2},
+		Engines: []string{sweep.EngineAlg1}, Workloads: []string{"matchng"}, BaseSeed: 7,
+	}
+	if err := run(grid, cliConfig{}); err == nil || !onePrefix(err) {
+		t.Fatalf("misspelled workload: err = %v, want an error after one \"sweep: \"", err)
+	}
+}
+
+func onePrefix(err error) bool {
+	msg := err.Error()
+	return strings.HasPrefix(msg, "sweep: ") && !strings.HasPrefix(msg, "sweep: sweep:")
 }

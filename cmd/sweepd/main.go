@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -57,7 +56,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "per-scenario engine workers (0 = auto: serial when jobs > 1)")
 		genWorkers = flag.Int("genworkers", 0, "graph-generation shards for streaming families")
 		maxPending = flag.Int("maxpending", sweep.DefaultMaxPending, "max queued+running scenarios before submissions get 429 (backpressure bound)")
-		maxRF      = flag.Float64("maxroundsfactor", 0, "round-budget guard multiple (0 = uncapped); changes records — hold constant per store")
 		compact    = flag.Bool("compact", false, "compact the store (drop torn/duplicate/invalid lines) and rebuild its index before serving")
 	)
 	flag.Parse()
@@ -86,8 +84,7 @@ func main() {
 	reg := obs.NewRegistry()
 	svc := sweep.NewService(store, sweep.Options{
 		Jobs: *jobs, Workers: *workers, GenWorkers: *genWorkers,
-		MaxPending: *maxPending, MaxRoundsFactor: *maxRF,
-		Artifacts: sim.NewCache(), Metrics: reg,
+		MaxPending: *maxPending, Metrics: reg,
 	})
 	defer svc.Close()
 

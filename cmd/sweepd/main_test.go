@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -313,6 +314,7 @@ func waitForFlightWaiter(t *testing.T) {
 func TestSweepdConcurrentSubmissionsSingleflight(t *testing.T) {
 	oneScenario := `{"families":["regular"],"ns":[14],"params":[3],"epsilons":[0.1],"engines":["alg1"],"workloads":["gossip"],"rounds":2,"replicates":1,"base_seed":2023}`
 	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
 	started := make(chan struct{}, 4)
 	ts, reg := newTestDaemon(t, sweep.Options{
 		Jobs: 2,
@@ -322,13 +324,14 @@ func TestSweepdConcurrentSubmissionsSingleflight(t *testing.T) {
 			return fakeRecords(group), nil
 		},
 	})
+	defer releaseOnce() // before the daemon's cleanup closes the service
 	base := ts.URL
 
 	sr1 := submitGrid(t, base, oneScenario)
 	<-started // the one execution is in flight and blocked
 	sr2 := submitGrid(t, base, oneScenario)
 	waitForFlightWaiter(t)
-	close(release)
+	releaseOnce()
 
 	st1, st2 := waitJob(t, base, sr1.Status), waitJob(t, base, sr2.Status)
 	if st1.Ran+st2.Ran != 1 || st1.Cached+st2.Cached != 1 {
@@ -416,6 +419,7 @@ func TestSweepdRejectsGraphsPastCapacity(t *testing.T) {
 // records of a running job.
 func TestSweepdBackpressureAndErrors(t *testing.T) {
 	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
 	ts, _ := newTestDaemon(t, sweep.Options{
 		Jobs: 1, MaxPending: 1,
 		ExecuteFunc: func(group []sweep.Scenario, _ sweep.ExecOptions) ([]sweep.Record, error) {
@@ -423,6 +427,7 @@ func TestSweepdBackpressureAndErrors(t *testing.T) {
 			return fakeRecords(group), nil
 		},
 	})
+	defer releaseOnce() // before the daemon's cleanup closes the service
 	base := ts.URL
 	oneScenario := `{"families":["regular"],"ns":[14],"params":[3],"epsilons":[0.1],"engines":["alg1"],"workloads":["gossip"],"rounds":2,"replicates":1,"base_seed":2023}`
 	otherScenario := strings.Replace(oneScenario, `"base_seed":2023`, `"base_seed":2024`, 1)
@@ -471,7 +476,7 @@ func TestSweepdBackpressureAndErrors(t *testing.T) {
 		t.Fatalf("unknown job: %s, want 404", resp.Status)
 	}
 
-	close(release)
+	releaseOnce()
 	waitJob(t, base, sr.Status)
 }
 

@@ -21,7 +21,6 @@ package codes
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/bitstring"
 	"repro/internal/rng"
@@ -116,61 +115,6 @@ func (c *BlockedBeepCode) Codeword(cw int) *bitstring.BitString {
 }
 
 var _ BeepCode = (*BlockedBeepCode)(nil)
-
-// blockedCache shares constructed BlockedBeepCodes across callers: a code
-// is an immutable pure function of (weight, blockSize, m, seed) — public
-// shared knowledge in the paper's model — so every runner over the same
-// parameterization can use one instance instead of re-hashing M·W
-// positions. Capacity is bounded by evicting one arbitrary entry per
-// overflow (a sweep grid touches only a handful of parameterizations at
-// a time, so anything beyond the limit is churn either way).
-var (
-	blockedCacheMu sync.Mutex
-	blockedCache   = map[blockedKey]*BlockedBeepCode{}
-)
-
-const blockedCacheLimit = 16
-
-type blockedKey struct {
-	weight, blockSize, m int
-	seed                 uint64
-}
-
-// SharedBlockedBeepCode returns a cached BlockedBeepCode for the given
-// parameters, constructing (and caching) it on first request. The result
-// is shared: callers get the same read-only instance and must not mutate
-// anything reachable from it. Construction happens outside the cache
-// lock, so concurrent runner setup over distinct parameterizations is
-// not serialized; racing constructions of the same key build identical
-// codes and the first insert wins.
-func SharedBlockedBeepCode(weight, blockSize, m int, seed uint64) (*BlockedBeepCode, error) {
-	key := blockedKey{weight: weight, blockSize: blockSize, m: m, seed: seed}
-	blockedCacheMu.Lock()
-	if c, ok := blockedCache[key]; ok {
-		blockedCacheMu.Unlock()
-		return c, nil
-	}
-	blockedCacheMu.Unlock()
-
-	c, err := NewBlockedBeepCode(weight, blockSize, m, seed)
-	if err != nil {
-		return nil, err
-	}
-
-	blockedCacheMu.Lock()
-	defer blockedCacheMu.Unlock()
-	if prior, ok := blockedCache[key]; ok {
-		return prior, nil // lost the construction race; share the winner
-	}
-	if len(blockedCache) >= blockedCacheLimit {
-		for k := range blockedCache {
-			delete(blockedCache, k)
-			break
-		}
-	}
-	blockedCache[key] = c
-	return c, nil
-}
 
 // RandomBeepCode is Theorem 4's construction: M codewords drawn uniformly
 // among weight-W strings of length B, materialized as a flat sorted

@@ -47,7 +47,7 @@ func newDecoder(p Params) (*decoder, error) {
 	if p.W() < 4 {
 		return nil, fmt.Errorf("core: W = R·MsgBits = %d too small (need ≥ 4)", p.W())
 	}
-	code, err := codes.SharedBlockedBeepCode(p.W(), p.BlockSize(), p.M, rng.Mix(p.Seed, 0xc0de))
+	code, err := codes.NewBlockedBeepCode(p.W(), p.BlockSize(), p.M, rng.Mix(p.Seed, 0xc0de))
 	if err != nil {
 		return nil, err
 	}
@@ -55,6 +55,13 @@ func newDecoder(p Params) (*decoder, error) {
 	if err != nil {
 		return nil, err
 	}
+	return (&decoder{code: code, dist: dist}).rebind(p), nil
+}
+
+// rebind returns a decoder for p over d's beep and distance codes, which
+// must have been built for p.TableKey(): only the thresholds are
+// recomputed.
+func (d *decoder) rebind(p Params) *decoder {
 	probes := p.W()
 	if probes > 32 {
 		probes = 32
@@ -68,8 +75,8 @@ func newDecoder(p Params) (*decoder, error) {
 	stageABits := probes * p.BlockSize()
 	return &decoder{
 		p:            p,
-		code:         code,
-		dist:         dist,
+		code:         d.code,
+		dist:         d.dist,
 		stageAProbes: probes,
 		stageAThresh: int(math.Ceil(frac * float64(probes))),
 		stageABits:   stageABits,
@@ -79,7 +86,7 @@ func newDecoder(p Params) (*decoder, error) {
 		stageAWordSweep: stageABits/64 <= 4*probes,
 		theta:           p.MembershipThreshold(),
 		msgBytes:        (p.MsgBits + 7) / 8,
-	}, nil
+	}
 }
 
 // Codes bundles the prebuilt, read-only decode tables of a
@@ -88,8 +95,7 @@ func newDecoder(p Params) (*decoder, error) {
 // the PRG. A Codes value is a pure function of its Params (public
 // shared knowledge in the paper's model), safe to share across any
 // number of concurrent runners, and is the unit the sweep layer's
-// artifact cache stores so a batch builds each parameterization's
-// tables once.
+// artifact cache stores so a batch hashes each TableKey's tables once.
 type Codes struct {
 	p   Params
 	dec *decoder
@@ -104,6 +110,19 @@ func BuildCodes(p Params) (*Codes, error) {
 		return nil, err
 	}
 	return &Codes{p: p, dec: dec}, nil
+}
+
+// Rebind returns the decode tables for p. When p has c's TableKey they
+// share c's beep and distance codes and only the thresholds are
+// recomputed; otherwise (or for a nil c) they are built afresh.
+func (c *Codes) Rebind(p Params) (*Codes, error) {
+	switch {
+	case c == nil || p.TableKey() != c.p.TableKey():
+		return BuildCodes(p)
+	case p == c.p:
+		return c, nil
+	}
+	return &Codes{p: p, dec: c.dec.rebind(p)}, nil
 }
 
 // decodeScratch holds a decoder's per-worker mutable state, so that

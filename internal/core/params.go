@@ -209,6 +209,14 @@ func (p Params) W() int { return p.R * p.MsgBits }
 // BlockSize returns C·K, the positions per block.
 func (p Params) BlockSize() int { return p.C * p.K }
 
+// TableKey is p reduced to the fields its beep and distance codes are
+// hashed from. Params that differ only in ε, the channel, the assignment
+// or the solo filter have one TableKey and share those codes
+// (Codes.Rebind); only their decoding thresholds differ.
+func (p Params) TableKey() Params {
+	return Params{MsgBits: p.MsgBits, K: p.K, C: p.C, R: p.R, M: p.M, Seed: p.Seed}
+}
+
 // PhaseLength returns b = W·BlockSize beep rounds per phase.
 func (p Params) PhaseLength() int { return p.W() * p.BlockSize() }
 

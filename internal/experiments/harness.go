@@ -130,10 +130,6 @@ func runSweep(cfg Config, scs []sweep.Scenario) ([]sweep.Record, error) {
 	return recs, err
 }
 
-// gossipRun executes the gossip workload over the Algorithm 1 runner
-// with explicit (non-default) Params — the escape hatch for ablations
-// whose parameterization a sweep.Scenario cannot express — and reports
-// per-round error rates.
 type gossipStats struct {
 	beepPerRound int
 	msgErrRate   float64
@@ -141,9 +137,14 @@ type gossipStats struct {
 	nodeRounds   int
 }
 
-func runGossip(cfg Config, g *graph.Graph, p core.Params, rounds int, channelSeed, algSeed uint64) (gossipStats, error) {
+// runGossip executes the gossip workload over the Algorithm 1 runner
+// with explicit (non-default) Params — the escape hatch for ablations
+// whose parameterization a sweep.Scenario cannot express — and reports
+// per-round error rates. codes, when non-nil, are p's prebuilt tables.
+func runGossip(cfg Config, g *graph.Graph, p core.Params, codes *core.Codes, rounds int, channelSeed, algSeed uint64) (gossipStats, error) {
 	runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
 		Params:      p,
+		Codes:       codes,
 		ChannelSeed: channelSeed,
 		AlgSeed:     algSeed,
 		Workers:     cfg.poolWorkers(),

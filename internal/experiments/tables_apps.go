@@ -243,13 +243,18 @@ func T10LowerBounds(cfg Config) (*Table, error) {
 // instances with transcript recording and counts distinct right-part
 // transcripts.
 func transcriptDemo(cfg Config, g *graph.Graph, delta, b, inputs int) (int, error) {
+	inner := wire.BitsFor(g.N())
+	p := core.DefaultParams(g.N(), delta, core.AdapterMsgBits(g.N(), inner), 0)
+	codes, err := core.BuildCodes(p) // one parameterization for every input
+	if err != nil {
+		return 0, err
+	}
 	seen := make(map[string]bool)
 	for i := 0; i < inputs; i++ {
 		inst := localbroadcast.NewHardInstance(g, delta, b, rng.New(cfg.Seed+500+uint64(i)))
-		inner := wire.BitsFor(g.N())
-		outer := core.AdapterMsgBits(g.N(), inner)
 		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
-			Params:      core.DefaultParams(g.N(), delta, outer, 0),
+			Params:      p,
+			Codes:       codes,
 			ChannelSeed: cfg.Seed + 600, // same channel seed: transcripts differ only via inputs
 			AlgSeed:     cfg.Seed + 601,
 			RecordBeeps: true,
@@ -290,7 +295,7 @@ func A1RepetitionAblation(cfg Config) (*Table, error) {
 	for _, r := range rs {
 		p := core.DefaultParams(n, g.MaxDegree(), 2*wire.BitsFor(n), eps)
 		p.R = r
-		st, err := runGossip(cfg, g, p, rounds, cfg.Seed+1, cfg.Seed+2)
+		st, err := runGossip(cfg, g, p, nil, rounds, cfg.Seed+1, cfg.Seed+2)
 		if err != nil {
 			return nil, err
 		}
@@ -327,7 +332,7 @@ func A2CodebookAblation(cfg Config) (*Table, error) {
 		p := base
 		p.Assignment = core.AssignRandom
 		p.M = m
-		st, err := runGossip(cfg, g, p, rounds, cfg.Seed+3, cfg.Seed+4)
+		st, err := runGossip(cfg, g, p, nil, rounds, cfg.Seed+3, cfg.Seed+4)
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +340,7 @@ func A2CodebookAblation(cfg Config) (*Table, error) {
 			"random", f("%d", m), f("%.4f", st.memErrRate), f("%.4f", st.msgErrRate),
 		})
 	}
-	st, err := runGossip(cfg, g, base, rounds, cfg.Seed+3, cfg.Seed+4)
+	st, err := runGossip(cfg, g, base, nil, rounds, cfg.Seed+3, cfg.Seed+4)
 	if err != nil {
 		return nil, err
 	}
@@ -363,13 +368,17 @@ func A3SoloDecodingAblation(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	var codes *core.Codes // every row has one TableKey: hash its codes once
 	for _, eps := range epss {
 		for _, naive := range []bool{false, true} {
 			p := core.DefaultParams(n, g.MaxDegree(), 2*wire.BitsFor(n), eps)
 			p.C = 3  // denser blocks make collisions frequent enough to matter
 			p.R = 21 // fixed redundancy across ε so only the decoder varies
 			p.DisableSoloFilter = naive
-			st, err := runGossip(cfg, g, p, rounds, cfg.Seed+5, cfg.Seed+6)
+			if codes, err = codes.Rebind(p); err != nil {
+				return nil, err
+			}
+			st, err := runGossip(cfg, g, p, codes, rounds, cfg.Seed+5, cfg.Seed+6)
 			if err != nil {
 				return nil, err
 			}

@@ -444,8 +444,8 @@ func proveGapCells(invLog float64) (*gapCells, float64) {
 
 // gapCellCache shares each rate's gapCells among its samplers. A table is
 // a pure function of the rate, so evicting one (an arbitrary entry per
-// overflow, as codes.SharedBlockedBeepCode does) never changes a draw; a
-// nil entry records a rate whose table is off.
+// overflow) never changes a draw; a nil entry records a rate whose table
+// is off.
 var (
 	gapCellMu    sync.Mutex
 	gapCellCache = map[float64]*gapCells{}

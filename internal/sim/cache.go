@@ -1,11 +1,10 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -21,55 +20,96 @@ const (
 )
 
 // Cache shares the expensive pure-function artifacts of scenario
-// execution across a batch:
-//
-//   - graphs, which depend only on (family, n, Δ-parameter, graph seed)
-//     — a GraphKey, stored under the SHA-256 content hash of its
-//     canonical JSON;
-//   - Algorithm 1 code tables (core.Codes), which depend only on the
-//     full core.Params value — the key is the content.
-//
-// A 64-scenario grid over ε/engine/replicate axes re-uses each graph
-// and each code table instead of rebuilding them per scenario, and a
-// shared graph additionally memoizes derived structure (the TDMA
-// engine's distance-2 coloring) across the scenarios that run on it.
+// execution across a batch: graphs keyed by their GraphKey, and
+// Algorithm 1 code tables (core.Codes) keyed by the full core.Params
+// value, whose PRG-hashed beep and distance codes are in turn shared by
+// every Params with one core.Params.TableKey. A 64-scenario grid over
+// ε/noise/engine/replicate axes re-uses each graph and hashes each code
+// once instead of rebuilding them per scenario, and a shared graph
+// additionally memoizes derived structure (the TDMA engine's distance-2
+// coloring) across the scenarios that run on it. Every sweep.Service
+// owns one (sweep.Options.Artifacts, or a fresh one).
 //
 // Determinism: both artifact kinds are pure functions of their keys and
 // immutable once built, so cache hits are indistinguishable from fresh
 // construction — records are byte-identical with the cache on or off
-// (TestArtifactCacheRecordsIdentical). Concurrent lookups of one key
-// build once (per-entry sync.Once); each kind is bounded, evicting the
-// oldest *built* entry on overflow — an entry whose build is still in
-// flight is never evicted, so a concurrent waiter can never be left
-// holding a dropped entry while a new lookup rebuilds the same key
-// (the map may transiently exceed its bound by the number of in-flight
-// builds). A nil *Cache is valid and caches nothing.
+// (TestArtifactCacheRecordsIdentical). A nil *Cache is valid and
+// caches nothing.
 type Cache struct {
-	mu          sync.Mutex
-	graphs      map[string]*graphEntry
-	graphOrder  []string
-	codes       map[core.Params]*codesEntry
-	codesOrder  []core.Params
-	maxGraphs   int
-	maxCodes    int
-	graphHits   int64
-	graphMisses int64
-	codeHits    int64
-	codeMisses  int64
+	graphs memo[GraphKey, *graph.Graph]
+	codes  memo[core.Params, *core.Codes]
+	tables memo[core.Params, *core.Codes] // by TableKey: what codes entries rebind
 }
 
-type graphEntry struct {
+// errBuildPanicked is what a memo serves for a key whose build panicked.
+var errBuildPanicked = errors.New("sim: artifact build panicked")
+
+// memo is a bounded build-once map. Concurrent lookups of one key build
+// once (per-entry sync.Once). On overflow it evicts the oldest *built*
+// entry: one still in flight is never evicted, so a waiter can never
+// hold a dropped entry while a new lookup rebuilds its key (the map may
+// transiently exceed its bound by the number of in-flight builds). A
+// failed build stays cached: its key is served the same error, without
+// a rebuild. A build that panics counts as failed: the panic reaches
+// its caller, and every waiter and later lookup gets errBuildPanicked.
+type memo[K comparable, V any] struct {
+	mu           sync.Mutex
+	entries      map[K]*memoEntry[V]
+	order        []K // insertion order, oldest first
+	max          int
+	hits, misses atomic.Int64 // written under mu, read by Stats without it
+}
+
+type memoEntry[V any] struct {
 	once  sync.Once
-	built bool // guarded by Cache.mu: set once the build completed
-	g     *graph.Graph
+	built bool // guarded by memo.mu: set once the build completed
+	v     V
 	err   error
 }
 
-type codesEntry struct {
-	once  sync.Once
-	built bool // guarded by Cache.mu: set once the build completed
-	c     *core.Codes
-	err   error
+// get returns key's cached value, calling build (a pure function of
+// key) at most once per cached entry.
+func (m *memo[K, V]) get(key K, build func() (V, error)) (V, error) {
+	m.mu.Lock()
+	e, ok := m.entries[key]
+	if ok {
+		m.hits.Add(1)
+	} else {
+		m.misses.Add(1)
+		if len(m.entries) >= m.max {
+			m.evictOldestBuilt()
+		}
+		if m.entries == nil {
+			m.entries = make(map[K]*memoEntry[V])
+		}
+		e = &memoEntry[V]{}
+		m.entries[key] = e
+		m.order = append(m.order, key)
+	}
+	m.mu.Unlock()
+	e.once.Do(func() {
+		defer func() {
+			m.mu.Lock()
+			e.built = true
+			m.mu.Unlock()
+		}()
+		e.err = errBuildPanicked // until build returns
+		e.v, e.err = build()
+	})
+	return e.v, e.err
+}
+
+// evictOldestBuilt removes the oldest entry whose build has completed,
+// if any; in-flight entries are skipped (a waiter inside their
+// sync.Once still needs them). Caller holds m.mu.
+func (m *memo[K, V]) evictOldestBuilt() {
+	for i, k := range m.order {
+		if m.entries[k].built {
+			delete(m.entries, k)
+			m.order = append(m.order[:i], m.order[i+1:]...)
+			return
+		}
+	}
 }
 
 // NewCache returns an empty cache with the default bounds.
@@ -78,63 +118,25 @@ func NewCache() *Cache {
 }
 
 // NewCacheBounded returns an empty cache holding at most maxGraphs
-// graphs and maxCodes code tables (each at least 1).
+// graphs and maxCodes code tables per Params and per TableKey (each at
+// least 1).
 func NewCacheBounded(maxGraphs, maxCodes int) *Cache {
 	if maxGraphs < 1 || maxCodes < 1 {
 		panic(fmt.Sprintf("sim: cache bounds must be positive, got %d graphs / %d codes", maxGraphs, maxCodes))
 	}
-	return &Cache{
-		graphs:    make(map[string]*graphEntry),
-		codes:     make(map[core.Params]*codesEntry),
-		maxGraphs: maxGraphs,
-		maxCodes:  maxCodes,
-	}
-}
-
-// evictOldestBuiltGraph removes the oldest graph entry whose build has
-// completed, if any; in-flight entries are skipped (a waiter inside
-// their sync.Once still needs them). Caller holds c.mu.
-func (c *Cache) evictOldestBuiltGraph() {
-	for i, h := range c.graphOrder {
-		if c.graphs[h].built {
-			delete(c.graphs, h)
-			c.graphOrder = append(c.graphOrder[:i], c.graphOrder[i+1:]...)
-			return
-		}
-	}
-}
-
-// evictOldestBuiltCodes is evictOldestBuiltGraph for code tables.
-// Caller holds c.mu.
-func (c *Cache) evictOldestBuiltCodes() {
-	for i, p := range c.codesOrder {
-		if c.codes[p].built {
-			delete(c.codes, p)
-			c.codesOrder = append(c.codesOrder[:i], c.codesOrder[i+1:]...)
-			return
-		}
-	}
+	c := &Cache{}
+	c.graphs.max, c.codes.max, c.tables.max = maxGraphs, maxCodes, maxCodes
+	return c
 }
 
 // GraphKey is the complete identity of a scenario graph: BuildGraph is a
 // pure function of these four fields (DESIGN.md §4), so they are the
 // cache key.
 type GraphKey struct {
-	Family string `json:"family"`
-	N      int    `json:"n"`
-	Param  int    `json:"param"`
-	Seed   uint64 `json:"seed"`
-}
-
-// Hash returns the key's content address: the SHA-256 of its canonical
-// JSON encoding, like the sweep layer's scenario hashes.
-func (k GraphKey) Hash() string {
-	b, err := json.Marshal(k)
-	if err != nil {
-		panic(fmt.Sprintf("sim: marshal graph key: %v", err)) // scalars only; cannot fail
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:16])
+	Family string
+	N      int
+	Param  int
+	Seed   uint64
 }
 
 // Graph returns the cached graph for key, calling build (which must be a
@@ -144,57 +146,25 @@ func (c *Cache) Graph(key GraphKey, build func() (*graph.Graph, error)) (*graph.
 	if c == nil {
 		return build()
 	}
-	h := key.Hash()
-	c.mu.Lock()
-	e, ok := c.graphs[h]
-	if ok {
-		c.graphHits++
-	} else {
-		c.graphMisses++
-		if len(c.graphs) >= c.maxGraphs {
-			c.evictOldestBuiltGraph()
-		}
-		e = &graphEntry{}
-		c.graphs[h] = e
-		c.graphOrder = append(c.graphOrder, h)
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.g, e.err = build()
-		c.mu.Lock()
-		e.built = true
-		c.mu.Unlock()
-	})
-	return e.g, e.err
+	return c.graphs.get(key, build)
 }
 
 // Codes returns the cached Algorithm 1 decode tables for p, building
-// them at most once per cached entry. A nil cache builds fresh tables.
+// them at most once per cached entry, and hashing their beep and
+// distance codes at most once per cached p.TableKey(): a miss rebinds
+// the codes of an earlier Params that differs only in ε, channel,
+// assignment or solo filter. A nil cache builds fresh tables.
 func (c *Cache) Codes(p core.Params) (*core.Codes, error) {
 	if c == nil {
 		return core.BuildCodes(p)
 	}
-	c.mu.Lock()
-	e, ok := c.codes[p]
-	if ok {
-		c.codeHits++
-	} else {
-		c.codeMisses++
-		if len(c.codes) >= c.maxCodes {
-			c.evictOldestBuiltCodes()
+	return c.codes.get(p, func() (*core.Codes, error) {
+		base, err := c.tables.get(p.TableKey(), func() (*core.Codes, error) { return core.BuildCodes(p) })
+		if err != nil {
+			return nil, err
 		}
-		e = &codesEntry{}
-		c.codes[p] = e
-		c.codesOrder = append(c.codesOrder, p)
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.c, e.err = core.BuildCodes(p)
-		c.mu.Lock()
-		e.built = true
-		c.mu.Unlock()
+		return base.Rebind(p)
 	})
-	return e.c, e.err
 }
 
 // CacheStats reports hit/miss counts per artifact kind.
@@ -208,11 +178,9 @@ func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return CacheStats{
-		GraphHits: c.graphHits, GraphMisses: c.graphMisses,
-		CodeHits: c.codeHits, CodeMisses: c.codeMisses,
+		GraphHits: c.graphs.hits.Load(), GraphMisses: c.graphs.misses.Load(),
+		CodeHits: c.codes.hits.Load(), CodeMisses: c.codes.misses.Load(),
 	}
 }
 

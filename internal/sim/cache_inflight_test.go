@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,6 +89,69 @@ func TestCacheEvictionSkipsInFlight(t *testing.T) {
 	}
 	if !rebuilt {
 		t.Fatal("built entries are no longer evictable")
+	}
+}
+
+// TestCacheServesFailedBuild: a failed build stays cached like any
+// other entry. A second lookup of its key is served the very error the
+// build returned, with no second build, for either artifact kind. A
+// build that panics counts as failed: its caller sees the panic, a
+// later lookup an error, and the entry can still be evicted.
+func TestCacheServesFailedBuild(t *testing.T) {
+	c := sim.NewCache()
+	key := sim.GraphKey{Family: "cycle", N: 2}
+	errBuild := errors.New("cycle needs 3 vertices")
+	var builds int
+	build := func() (*graph.Graph, error) {
+		builds++
+		return nil, errBuild
+	}
+	for i := 0; i < 2; i++ {
+		if g, err := c.Graph(key, build); g != nil || err != errBuild {
+			t.Fatalf("graph lookup %d = (%v, %v), want (nil, %v)", i, g, err, errBuild)
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("failed graph built %d times, want 1", builds)
+	}
+
+	// R = 0 leaves no codeword weight, which BuildCodes refuses. A
+	// rebuild would wrap a new error value, so the cached entry is the
+	// only way both lookups return the identical one.
+	p := core.DefaultParams(16, 3, 8, 0.1)
+	p.R = 0
+	first, err := c.Codes(p)
+	if first != nil || err == nil {
+		t.Fatalf("codes with R = 0 = (%v, %v), want an error", first, err)
+	}
+	if again, err2 := c.Codes(p); again != nil || err2 != err {
+		t.Fatalf("second codes lookup = (%v, %v), want the cached (nil, %v)", again, err2, err)
+	}
+	want := sim.CacheStats{GraphHits: 1, GraphMisses: 1, CodeHits: 1, CodeMisses: 1}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+
+	small := sim.NewCacheBounded(1, 1)
+	boom := sim.GraphKey{Family: "cycle", N: 1}
+	var panics int
+	lookup := func() (g *graph.Graph, panicked bool, err error) {
+		defer func() { panicked = recover() != nil }()
+		g, err = small.Graph(boom, func() (*graph.Graph, error) { panics++; panic("boom") })
+		return g, false, err
+	}
+	if _, panicked, _ := lookup(); !panicked {
+		t.Fatal("the panicking build's caller did not see the panic")
+	}
+	if g, panicked, err := lookup(); panicked || g != nil || err == nil || panics != 1 {
+		t.Fatalf("lookup after a panicked build = (%v, panicked %v, %v) after %d builds, want an error and 1 build", g, panicked, err, panics)
+	}
+	// Bound 1: the next key evicts the panicked entry, so it builds again.
+	if _, err := small.Graph(sim.GraphKey{Family: "cycle", N: 3}, func() (*graph.Graph, error) { return graph.Cycle(3), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, panicked, _ := lookup(); !panicked || panics != 2 {
+		t.Fatalf("after eviction: panicked %v after %d builds, want a second build", panicked, panics)
 	}
 }
 

@@ -61,11 +61,9 @@ func (alg1Engine) Prepare(g *graph.Graph, cfg Config) (Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	var codes *core.Codes
-	if cfg.Artifacts != nil {
-		if codes, err = cfg.Artifacts.Codes(p); err != nil {
-			return nil, err
-		}
+	codes, err := cfg.Artifacts.Codes(p)
+	if err != nil {
+		return nil, err
 	}
 	runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
 		Params:      p,

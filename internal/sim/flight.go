@@ -6,13 +6,13 @@ import "sync"
 // key's in-flight execution — the first caller becomes its owner and
 // must Finish it, every other caller joins and can Wait for the owner's
 // value. Once finished the key is forgotten, so a later Begin starts a
-// new flight: unlike Cache (which memoizes pure artifacts for a batch's
-// lifetime), a FlightGroup dedupes only work that is literally in
-// flight. Persistence of completed results is the caller's business —
-// sweep's Service checks its store first and flies only store misses,
-// which generalizes Cache's per-entry sync.Once from the artifact layer
-// to the request layer: identical scenarios submitted by concurrent
-// requests execute exactly once, whichever request got there first.
+// new flight: it sits beside Cache's memo rather than generalizing it.
+// The memo keeps a built artifact (or its build's error) for a batch's
+// lifetime; a FlightGroup dedupes only work that is literally in flight.
+// Persistence of completed results is the caller's business — sweep's
+// Service checks its store first and flies only store misses, so
+// identical scenarios submitted by concurrent requests execute exactly
+// once, whichever request got there first.
 //
 // Claiming and finishing are separate calls so one caller can own
 // several flights at once (a lane group runs all its members in one

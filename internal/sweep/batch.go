@@ -41,13 +41,8 @@ type Options struct {
 	// Metrics, when non-nil, receives observation-only scheduler
 	// instrumentation (store traffic, dedup, group shapes, queue wait,
 	// singleflight) and is threaded down through ExecOptions into the
-	// engines. Like every Options knob but MaxRoundsFactor it never
-	// changes any record.
+	// engines. Like every Options knob it never changes any record.
 	Metrics *obs.Registry
-	// MaxRoundsFactor forwards the round-budget guard to ExecOptions.
-	// Unlike the other knobs it can change records (it bounds the run);
-	// hold it constant across every run feeding one store.
-	MaxRoundsFactor float64
 	// MaxPending bounds a Service's queued-plus-running scenarios across
 	// all jobs (0 = DefaultMaxPending): the backpressure valve. A Submit
 	// that would exceed it fails fast with ErrBackpressure instead of

@@ -3,7 +3,6 @@ package sweep
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/congest"
@@ -38,16 +37,6 @@ type ExecOptions struct {
 	// channel randomness, so records are byte-identical with it on or off
 	// (TestTelemetryRecordsIdentical).
 	Metrics *obs.Registry
-	// MaxRoundsFactor, when positive, caps the engine round budget at
-	// ⌈factor · workload budget⌉: the guard that keeps a jammed or
-	// broken protocol from running unbounded. A tripped cap records a
-	// typed budget-exhausted Failure instead of hanging. This is the one
-	// knob in ExecOptions that CAN change a record (it bounds the run
-	// itself), which is why it is a guard, not a tuning parameter: hold
-	// it constant across every run feeding one store, exactly like a
-	// spec axis. Zero (the default) preserves the workload budget and
-	// the historic records byte for byte.
-	MaxRoundsFactor float64
 }
 
 // execMetrics resolves the sweep execution layer's handles; the zero
@@ -115,7 +104,6 @@ func execute(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error)
 	if msgBits == 0 {
 		msgBits = wl.MsgBits(g)
 	}
-	budget, capped := capBudget(wl.Budget(g, first.Rounds), opt.MaxRoundsFactor)
 	cfg := sim.Config{
 		MsgBits: msgBits,
 		Epsilon: first.Epsilon,
@@ -153,7 +141,7 @@ func execute(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error)
 	em.buildT.Observe(time.Duration(buildNanos))
 	em.lanes.Observe(int64(len(scs)))
 	start := time.Now()
-	results, extras, err := inst.Run(algs, budget)
+	results, extras, err := inst.Run(algs, wl.Budget(g, first.Rounds))
 	if err != nil {
 		return nil, err
 	}
@@ -196,26 +184,10 @@ func execute(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error)
 			outputOK := rec.Counters.AllDone && verr == nil
 			rec.Counters.OutputOK = &outputOK
 		}
-		rec.Failure = failureFor(sc, rec.Counters, verr, capped, budget)
+		rec.Failure = failureFor(sc, rec.Counters, verr)
 		recs[k] = rec
 	}
 	return recs, nil
-}
-
-// capBudget applies the MaxRoundsFactor guard to a workload budget,
-// reporting whether the cap is the binding constraint.
-func capBudget(budget int, factor float64) (int, bool) {
-	if factor <= 0 {
-		return budget, false
-	}
-	c := int(math.Ceil(factor * float64(budget)))
-	if c < 1 {
-		c = 1
-	}
-	if c >= budget {
-		return budget, false
-	}
-	return c, true
 }
 
 // hostileChannel reports whether the scenario runs under a hostile
@@ -230,14 +202,11 @@ func hostileChannel(sc Scenario) bool {
 }
 
 // failureFor distills a completed run into the Record's Failure reason:
-// empty for a healthy run; the budget-guard trip for any channel; and,
-// under a hostile channel only, unfinished nodes or failed output
-// verification — the graceful-degradation contract (a broken protocol
-// terminates with a typed failure, it never hangs or panics).
-func failureFor(sc Scenario, c Counters, verr error, capped bool, budget int) string {
-	if capped && !c.AllDone {
-		return fmt.Sprintf("round budget exhausted: MaxRoundsFactor cap of %d beep rounds hit with unfinished nodes", budget)
-	}
+// empty for a healthy run and, under a hostile channel only, unfinished
+// nodes or failed output verification — the graceful-degradation
+// contract (a broken protocol terminates with a typed failure, it never
+// hangs or panics).
+func failureFor(sc Scenario, c Counters, verr error) string {
 	if !hostileChannel(sc) {
 		return ""
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/noise"
+	"repro/internal/sim"
 )
 
 // FrontierOptions configures a resilience-frontier search.
@@ -12,7 +13,8 @@ type FrontierOptions struct {
 	// is 1 and an auto Workers gives the probe the whole machine). The
 	// store is the resume mechanism: each probe is an ordinary
 	// content-hashed scenario, so a warm store answers repeated probes
-	// with zero re-simulation.
+	// with zero re-simulation. A nil Exec.Artifacts gets one cache for
+	// the whole search, so the probes share the graph and code tables.
 	Exec Options
 	// Progress, when non-nil, receives one call per probe as it
 	// resolves (sequential — no locking needed).
@@ -57,10 +59,13 @@ func (r FrontierResult) Unbroken() bool { return r.Breaking < 0 }
 // store re-answers every probe without simulation.
 //
 // "Broken" is Record.Broken(): the hostile-channel failure attribution
-// of execution (failed output verification, unfinished nodes, or a
-// tripped round-budget guard). Scenarios must therefore use a workload
-// with an output-validity notion (not gossip, which is unverified).
+// of execution (failed output verification or unfinished nodes).
+// Scenarios must therefore use a workload with an output-validity
+// notion (not gossip, which is unverified).
 func FrontierSearch(scenarios []Scenario, store StoreEngine, opt FrontierOptions) ([]FrontierResult, error) {
+	if opt.Exec.Artifacts == nil {
+		opt.Exec.Artifacts = sim.NewCache()
+	}
 	results := make([]FrontierResult, 0, len(scenarios))
 	for i, sc := range scenarios {
 		res, err := frontierOne(i, sc, store, opt)
@@ -107,7 +112,8 @@ func frontierOne(idx int, sc Scenario, store StoreEngine, opt FrontierOptions) (
 	// Bracket first: an unbroken ceiling means the frontier lies beyond
 	// it (Breaking = -1, one probe); a broken floor means even budget 0
 	// fails — with a zero-budget adversary the channel is noiseless, so
-	// this only trips via the round-budget guard.
+	// the protocol fails within its own workload budget without any
+	// corruption.
 	broken, err := probe(res.MaxBudget)
 	if err != nil {
 		return res, err

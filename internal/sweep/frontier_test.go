@@ -56,50 +56,6 @@ func TestExecuteBrokenProtocol(t *testing.T) {
 	}
 }
 
-// TestMaxRoundsFactorGuard: the round-budget cap turns a would-be
-// unbounded (or merely unfinished) run into a typed budget-exhausted
-// failure, and the default factor 0 changes nothing.
-func TestMaxRoundsFactorGuard(t *testing.T) {
-	sc := Scenario{
-		Family: FamilyRegular, N: 8, Param: 2,
-		Engine: EngineTDMA, Workload: WorkloadLeader,
-		GraphSeed: 3, ChannelSeed: 4, AlgSeed: 5,
-	}
-	full, err := Execute(sc, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Broken() || !full.Counters.AllDone {
-		t.Fatalf("uncapped run unhealthy: failure=%q alldone=%v", full.Failure, full.Counters.AllDone)
-	}
-	// Factor 1.0 never binds: byte-identical to the default.
-	same, err := Execute(sc, ExecOptions{MaxRoundsFactor: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full.WallNanos, same.WallNanos = 0, 0
-	full.BuildNanos, same.BuildNanos = 0, 0
-	if !reflect.DeepEqual(full, same) {
-		t.Errorf("MaxRoundsFactor=1 changed the record:\n %+v\n %+v", full, same)
-	}
-	// A binding cap (leader floods for n rounds; a tenth of its budget
-	// cannot finish) records the typed budget-exhausted failure.
-	capped, err := Execute(sc, ExecOptions{MaxRoundsFactor: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !capped.Broken() {
-		t.Fatal("capped run recorded no failure")
-	}
-	if capped.Counters.AllDone {
-		t.Error("capped run claims all nodes done")
-	}
-	var pbe *sim.ProtocolBrokenError
-	if !errors.As(capped.BrokenError(), &pbe) {
-		t.Fatalf("BrokenError() = %v, want *sim.ProtocolBrokenError", capped.BrokenError())
-	}
-}
-
 // TestFrontierSearch: the frontier search brackets and bisects to a
 // well-defined minimal breaking budget, byte-identically across runs,
 // and a warm store answers a repeat search with zero re-simulation.

@@ -60,12 +60,10 @@ type Record struct {
 	Rho         int `json:"rho,omitempty"`
 	SetupRounds int `json:"setup_rounds,omitempty"`
 	// Failure, when non-empty, is the reason the scenario's protocol is
-	// considered broken: the round-budget guard tripped, or a hostile
-	// channel (noise.Hostile) left nodes unfinished or the output
-	// invalid. It stores the reason only; BrokenError reconstructs the
-	// typed *sim.ProtocolBrokenError. Deterministic like every spec
-	// function (MaxRoundsFactor, the guard knob, is documented as part of
-	// a store's execution contract).
+	// considered broken: a hostile channel (noise.Hostile) left nodes
+	// unfinished or the output invalid. It stores the reason only;
+	// BrokenError reconstructs the typed *sim.ProtocolBrokenError.
+	// Deterministic like every spec function.
 	Failure string `json:"failure,omitempty"`
 	// WallNanos is the measured wall time of the engine run alone and
 	// BuildNanos that of everything before it — graph construction,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,6 +75,7 @@ func TestServiceOverlappingLaneGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	held, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
 	reg := obs.NewRegistry()
 	svc := NewService(openStore(t), Options{
 		Jobs: 2, Metrics: reg,
@@ -86,6 +88,7 @@ func TestServiceOverlappingLaneGroups(t *testing.T) {
 		},
 	})
 	defer svc.Close()
+	defer releaseOnce() // before Close, so a failed check never leaves the worker blocked
 
 	job1, err := svc.Submit(scs[:64], nil)
 	if err != nil {
@@ -105,7 +108,7 @@ func TestServiceOverlappingLaneGroups(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-	close(release)
+	releaseOnce()
 
 	recs1, st1, err := job1.Wait()
 	if err != nil {
@@ -178,6 +181,7 @@ func TestServiceSingleflight(t *testing.T) {
 	sc := baseSpec()
 	hash := sc.Hash()
 	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
 	started := make(chan struct{}, 2)
 	reg := obs.NewRegistry()
 	svc := NewService(openStore(t), Options{
@@ -189,6 +193,7 @@ func TestServiceSingleflight(t *testing.T) {
 		},
 	})
 	defer svc.Close()
+	defer releaseOnce() // before Close, so a failed check never leaves the worker blocked
 
 	job1, err := svc.Submit([]Scenario{sc}, nil)
 	if err != nil {
@@ -208,7 +213,7 @@ func TestServiceSingleflight(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	close(release)
+	releaseOnce()
 
 	_, st1, err := job1.Wait()
 	if err != nil {
@@ -277,6 +282,7 @@ func TestServiceStoreHit(t *testing.T) {
 // jobs still complete.
 func TestServiceBackpressure(t *testing.T) {
 	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
 	reg := obs.NewRegistry()
 	svc := NewService(openStore(t), Options{
 		Jobs: 1, MaxPending: 2, Metrics: reg,
@@ -286,6 +292,7 @@ func TestServiceBackpressure(t *testing.T) {
 		},
 	})
 	defer svc.Close()
+	defer releaseOnce() // before Close, so a failed check never leaves the worker blocked
 
 	accepted, err := svc.Submit([]Scenario{specN(0), specN(1)}, nil) // fills the bound
 	if err != nil {
@@ -297,7 +304,7 @@ func TestServiceBackpressure(t *testing.T) {
 	if n := reg.Counter("sweep.service.rejected").Value(); n != 1 {
 		t.Fatalf("rejected=%d, want 1", n)
 	}
-	close(release)
+	releaseOnce()
 	if _, st, err := accepted.Wait(); err != nil || st.Ran != 2 {
 		t.Fatalf("accepted job: stats=%+v err=%v", st, err)
 	}
