@@ -508,7 +508,7 @@ func csrEngineRun(b *testing.B, g *graph.Graph, seed uint64, workers int, progs 
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := nw.Run(progs, maxRounds); err != nil {
+	if _, err := nw.Run(beep.PerNode(progs), maxRounds); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -753,6 +753,32 @@ func BenchmarkLargeSparseGen(b *testing.B) {
 					b.Fatal(err)
 				}
 				if g.N() != largeSide*largeSide {
+					b.Fatal("bad graph size")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLargeGeoGen measures the geo family's build at n = 2^20,
+// serial vs sharded. BenchmarkLargeSparseGen builds only grids, whose
+// rows cost nothing to compute; a geo row reads jittered coordinates,
+// which each chunk of each pass hashes once from its band of five
+// lattice rows. The graph is byte-identical at every worker count.
+func BenchmarkLargeGeoGen(b *testing.B) {
+	const n = 1 << 20
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"sharded", engine.AutoWorkers}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := graph.GeometricCells(n, 7, graph.BuildOptions{Workers: tc.workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if g.N() != n {
 					b.Fatal("bad graph size")
 				}
 			}

@@ -54,7 +54,7 @@ func alarmFlood(g *graph.Graph) {
 		floods[v].Source = v == 0
 		progs[v] = &floods[v]
 	}
-	if _, err := nw.Run(progs, g.N()); err != nil {
+	if _, err := nw.Run(beep.PerNode(progs), g.N()); err != nil {
 		log.Fatal(err)
 	}
 	worst := 0
@@ -81,7 +81,7 @@ func robustFlood(g *graph.Graph) {
 		floods[v] = beep.RobustFlood{Source: v == 0, FrameLen: frame}
 		progs[v] = &floods[v]
 	}
-	if _, err := nw.Run(progs, frame*(g.Diameter()+8)); err != nil {
+	if _, err := nw.Run(beep.PerNode(progs), frame*(g.Diameter()+8)); err != nil {
 		log.Fatal(err)
 	}
 	reached := 0

@@ -75,10 +75,15 @@ func (e Env) StreamInto(dst *rng.Stream) {
 	rng.New(e.Seed).Split2Into(dst, 0x6e6f6465, uint64(e.ID)) // "node"
 }
 
-// Program is a per-node beeping protocol driven by the network.
-// Each round, Step is called for the node's action, then Hear delivers the
-// received bit. Once Done reports true the node ceases participation: it
-// neither beeps nor hears.
+// Program is one node's beeping protocol. Each round, Step is called for
+// the node's action, then Hear delivers the received bit. Once Done
+// reports true the node ceases participation: it neither beeps nor hears.
+//
+// The network drives a ProgramSet, not Programs: a protocol written per
+// node — the floods below, the examples, the tests' programs — reaches
+// Run and RunSparse through PerNode. Protocols that run at scale
+// (beepalgs' wave and MIS) implement the set themselves over flat node
+// state, with no per-node interface value.
 //
 // A Program has no output method: the code that builds the programs
 // reads their results afterwards in their own types (RelayRound,
@@ -95,6 +100,49 @@ type Program interface {
 	Step(round int) Action
 	Hear(round int, bit bool)
 	Done() bool
+}
+
+// ProgramSet is the program of every node of one run, addressed by node
+// index: Init, Step, Hear and Done are Program's methods for node v, and
+// Len is the node count, which must be the network's. A run holds one
+// set, so driving a node costs one indirect call per method and no
+// per-node interface value. Program's concurrency rule holds per index:
+// calls for distinct nodes may run concurrently, so a set keeps each
+// node's mutable state apart, and state it shares across nodes read-only.
+type ProgramSet interface {
+	Len() int
+	Init(v int, env Env)
+	Step(v, round int) Action
+	Hear(v, round int, bit bool)
+	Done(v int) bool
+}
+
+// PerNode is the ProgramSet of one Program per node. It is a QuietSet: a
+// QuietProgram declares its own wake-ups, and any other program is
+// driven every round, which the QuietSet contract allows.
+type PerNode []Program
+
+// Len implements ProgramSet.
+func (p PerNode) Len() int { return len(p) }
+
+// Init implements ProgramSet.
+func (p PerNode) Init(v int, env Env) { p[v].Init(env) }
+
+// Step implements ProgramSet.
+func (p PerNode) Step(v, round int) Action { return p[v].Step(round) }
+
+// Hear implements ProgramSet.
+func (p PerNode) Hear(v, round int, bit bool) { p[v].Hear(round, bit) }
+
+// Done implements ProgramSet.
+func (p PerNode) Done(v int) bool { return p[v].Done() }
+
+// NextWake implements QuietSet.
+func (p PerNode) NextWake(v, round int) int {
+	if q, ok := p[v].(QuietProgram); ok {
+		return q.NextWake(round)
+	}
+	return round + 1
 }
 
 // Params configures a beeping network.
@@ -278,17 +326,11 @@ type Result struct {
 // Run initializes the programs and drives them round-by-round until all are
 // done or maxRounds rounds elapse. Round numbers passed to programs are
 // local to this call, starting at 0.
-func (nw *Network) Run(progs []Program, maxRounds int) (*Result, error) {
+func (nw *Network) Run(progs ProgramSet, maxRounds int) (*Result, error) {
+	if err := nw.initAll(progs, maxRounds); err != nil {
+		return nil, err
+	}
 	n := nw.g.N()
-	if len(progs) != n {
-		return nil, fmt.Errorf("beep: %d programs for %d nodes", len(progs), n)
-	}
-	if maxRounds < 0 {
-		return nil, fmt.Errorf("beep: negative round budget %d", maxRounds)
-	}
-	for v, p := range progs {
-		p.Init(nw.NodeEnv(v))
-	}
 	if nw.noisy {
 		// Materialize samplers before the parallel phases; creation is a
 		// pure function of (model, seed, v), so the order is immaterial.
@@ -298,7 +340,7 @@ func (nw *Network) Run(progs []Program, maxRounds int) (*Result, error) {
 	}
 	beeped := bitstring.New(n)
 	heard := bitstring.New(n)
-	done := func(v int) bool { return progs[v].Done() }
+	done := progs.Done
 	// The phase callbacks are built once per run and read the round
 	// through localRound, so a round allocates nothing.
 	var localRound int
@@ -308,11 +350,10 @@ func (nw *Network) Run(progs []Program, maxRounds int) (*Result, error) {
 	transmit := func(s engine.Span) {
 		var beeps int64
 		for v := s.Lo; v < s.Hi; v++ {
-			p := progs[v]
-			if p.Done() {
+			if progs.Done(v) {
 				continue
 			}
-			if p.Step(localRound) == Beep {
+			if progs.Step(v, localRound) == Beep {
 				beeped.Set(v)
 				beeps++
 			}
@@ -361,15 +402,30 @@ func (nw *Network) Run(progs []Program, maxRounds int) (*Result, error) {
 	return &Result{Rounds: rounds, AllDone: allDone}, nil
 }
 
+// initAll checks a run's program set and budget against the network,
+// then initializes every node's program.
+func (nw *Network) initAll(progs ProgramSet, maxRounds int) error {
+	n := nw.g.N()
+	if progs.Len() != n {
+		return fmt.Errorf("beep: %d programs for %d nodes", progs.Len(), n)
+	}
+	if maxRounds < 0 {
+		return fmt.Errorf("beep: negative round budget %d", maxRounds)
+	}
+	for v := 0; v < n; v++ {
+		progs.Init(v, nw.NodeEnv(v))
+	}
+	return nil
+}
+
 // hearRange delivers round localRound's reception to nodes [lo, hi): the
 // propagated neighborhood bit, OR'd with the node's own beep, through the
 // node's private noise stream. It reads the bitsets word-at-a-time — the
 // reception of node v is bit v&63 of (heard|beeped)'s word v>>6.
-func (nw *Network) hearRange(progs []Program, beeped, heard *bitstring.BitString, localRound, lo, hi int) {
+func (nw *Network) hearRange(progs ProgramSet, beeped, heard *bitstring.BitString, localRound, lo, hi int) {
 	hw, bw := heard.Words(), beeped.Words()
 	for v := lo; v < hi; v++ {
-		p := progs[v]
-		if p.Done() {
+		if progs.Done(v) {
 			continue
 		}
 		mask := uint64(1) << (uint(v) & 63)
@@ -377,7 +433,7 @@ func (nw *Network) hearRange(progs []Program, beeped, heard *bitstring.BitString
 		if nw.noisy && nw.noiseSampler(v).FlipAt(nw.round, bit) {
 			bit = !bit
 		}
-		p.Hear(localRound, bit)
+		progs.Hear(v, localRound, bit)
 	}
 }
 

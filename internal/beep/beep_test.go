@@ -24,11 +24,11 @@ func TestNewNetworkValidation(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	g := graph.Path(3)
 	nw, _ := NewNetwork(g, Params{})
-	if _, err := nw.Run([]Program{&Transmitter{}}, 10); err == nil {
+	if _, err := nw.Run(PerNode{&Transmitter{}}, 10); err == nil {
 		t.Error("wrong program count accepted")
 	}
 	progs := []Program{&Transmitter{}, &Transmitter{}, &Transmitter{}}
-	if _, err := nw.Run(progs, -1); err == nil {
+	if _, err := nw.Run(PerNode(progs), -1); err == nil {
 		t.Error("negative budget accepted")
 	}
 }
@@ -53,7 +53,7 @@ func TestCarrierSense(t *testing.T) {
 		&Transmitter{Pattern: pat("10")},
 		&Transmitter{Pattern: pat("00")},
 	}
-	res, err := nw.Run(progs, 10)
+	res, err := nw.Run(PerNode(progs), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestTotalBeepsAndHistory(t *testing.T) {
 	nw, _ := NewNetwork(g, Params{RecordBeeps: true})
 	a, _ := bitstring.Parse("110")
 	b, _ := bitstring.Parse("010")
-	if _, err := nw.Run([]Program{&Transmitter{Pattern: a}, &Transmitter{Pattern: b}}, 10); err != nil {
+	if _, err := nw.Run(PerNode{&Transmitter{Pattern: a}, &Transmitter{Pattern: b}}, 10); err != nil {
 		t.Fatal(err)
 	}
 	if nw.TotalBeeps() != 3 {
@@ -103,7 +103,7 @@ func TestNoiseRateOnIsolatedListener(t *testing.T) {
 	const eps, rounds = 0.2, 20000
 	nw, _ := NewNetwork(g, Params{Epsilon: eps, Seed: 5})
 	tx := &Transmitter{Rounds: rounds}
-	if _, err := nw.Run([]Program{tx}, rounds); err != nil {
+	if _, err := nw.Run(PerNode{tx}, rounds); err != nil {
 		t.Fatal(err)
 	}
 	rate := float64(tx.Heard().Ones()) / rounds
@@ -121,7 +121,7 @@ func TestNoisyOwnConvention(t *testing.T) {
 	all := bitstring.New(rounds)
 	all.SetRange(0, rounds)
 	tx := &Transmitter{Pattern: all}
-	if _, err := nw.Run([]Program{tx}, rounds); err != nil {
+	if _, err := nw.Run(PerNode{tx}, rounds); err != nil {
 		t.Fatal(err)
 	}
 	rate := float64(tx.Heard().Ones()) / rounds
@@ -210,7 +210,7 @@ func TestRunPhaseEquivalence(t *testing.T) {
 			for v := range progs {
 				progs[v] = &Transmitter{Pattern: patterns[v], Rounds: length}
 			}
-			if _, err := nwGeneric.Run(progs, length); err != nil {
+			if _, err := nwGeneric.Run(PerNode(progs), length); err != nil {
 				t.Fatal(err)
 			}
 
@@ -295,7 +295,7 @@ func TestAlarmFloodDistances(t *testing.T) {
 			for v := range progs {
 				progs[v] = &AlarmFlood{Source: v == 0}
 			}
-			if _, err := nw.Run(progs, tc.g.N()+2); err != nil {
+			if _, err := nw.Run(PerNode(progs), tc.g.N()+2); err != nil {
 				t.Fatal(err)
 			}
 			dist := tc.g.BFS(0)
@@ -312,7 +312,7 @@ func TestAlarmFloodUnreachable(t *testing.T) {
 	g := graph.MustFromEdges(3, [][2]int{{0, 1}})
 	nw, _ := NewNetwork(g, Params{})
 	progs := []Program{&AlarmFlood{Source: true}, &AlarmFlood{}, &AlarmFlood{}}
-	res, err := nw.Run(progs, 20)
+	res, err := nw.Run(PerNode(progs), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestRobustFloodUnderNoise(t *testing.T) {
 	for v := range progs {
 		progs[v] = &RobustFlood{Source: v == 0, FrameLen: 32}
 	}
-	if _, err := nw.Run(progs, 32*20); err != nil {
+	if _, err := nw.Run(PerNode(progs), 32*20); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.N(); v++ {
@@ -349,7 +349,7 @@ func TestRobustFloodNoFalseActivationWithoutSource(t *testing.T) {
 	for v := range progs {
 		progs[v] = &RobustFlood{FrameLen: 32} // nobody is a source
 	}
-	if _, err := nw.Run(progs, 32*10); err != nil {
+	if _, err := nw.Run(PerNode(progs), 32*10); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.N(); v++ {
@@ -477,7 +477,7 @@ func TestRunSerialParallelIdentical(t *testing.T) {
 		for v := range progs {
 			progs[v] = &contender{horizon: horizon}
 		}
-		res, err := nw.Run(progs, horizon+5)
+		res, err := nw.Run(PerNode(progs), horizon+5)
 		if err != nil {
 			t.Fatal(err)
 		}

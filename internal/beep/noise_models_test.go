@@ -85,11 +85,11 @@ func TestNoiseModelSymmetricByteIdentical(t *testing.T) {
 		progsA[v] = &contender{horizon: 60}
 		progsB[v] = &contender{horizon: 60}
 	}
-	resA, err := runA.Run(progsA, 60)
+	resA, err := runA.Run(PerNode(progsA), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := runB.Run(progsB, 60)
+	resB, err := runB.Run(PerNode(progsB), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRunPhaseEquivalenceNoiseModels(t *testing.T) {
 		for v := range progs {
 			progs[v] = &Transmitter{Pattern: patterns[v], Rounds: length}
 		}
-		if _, err := nwGeneric.Run(progs, length); err != nil {
+		if _, err := nwGeneric.Run(PerNode(progs), length); err != nil {
 			t.Fatal(err)
 		}
 		for v := 0; v < gr.N(); v++ {

@@ -8,12 +8,11 @@ package beep
 // drives only the active frontier: nodes that will act this round plus
 // nodes that hear something, tracked word-granularly with dirty-word
 // summary bits so the pool skips quiescent spans entirely. The schedule
-// comes from the programs themselves through the QuietProgram contract,
+// comes from the programs themselves through the QuietSet contract,
 // and the run is observationally identical to Run — same Hear/Step
 // sequences per node, same Result, same network counters.
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -25,20 +24,29 @@ import (
 // the node stays quiescent until a beep reaches it.
 const NoWake = math.MaxInt
 
-// QuietProgram is a Program that can predict its quiescent stretches, the
-// contract that admits it to RunSparse.
+// QuietSet is a ProgramSet that can predict its nodes' quiescent
+// stretches, the contract that admits it to RunSparse.
 //
-// NextWake(round) returns the earliest round > round in which the program
-// may act on its own: beep, change state, or become done — assuming it
-// hears only silence in between. NoWake means it never will (it is purely
-// reactive until a beep arrives). The contract for every skipped round r
-// in between: Step(r) would return Listen, Hear(r, false) would change no
-// observable state, and Done() stays constant. The network re-consults
-// NextWake after every round it drives the node (a heard beep may pull
-// the wake-up earlier), and may conservatively drive the node in any
-// round — extra drives are always safe, per the same contract.
+// NextWake(v, round) returns the earliest round > round in which node v's
+// program may act on its own: beep, change state, or become done —
+// assuming it hears only silence in between. NoWake means it never will
+// (it is purely reactive until a beep arrives). The contract for every
+// skipped round r in between: Step(v, r) would return Listen,
+// Hear(v, r, false) would change no observable state, and Done(v) stays
+// constant. The network re-consults NextWake after every round it drives
+// the node (a heard beep may pull the wake-up earlier), and may
+// conservatively drive the node in any round — extra drives are always
+// safe, per the same contract.
 //
-// NextWake(-1) is the initial query, before round 0.
+// NextWake(v, -1) is the initial query, before round 0.
+type QuietSet interface {
+	ProgramSet
+	NextWake(v, round int) int
+}
+
+// QuietProgram is a Program that can predict its quiescent stretches:
+// NextWake(round) is its answer to QuietSet's NextWake, under the same
+// contract, and PerNode forwards it.
 type QuietProgram interface {
 	Program
 	NextWake(round int) int
@@ -68,7 +76,7 @@ type sparseState struct {
 // schedule makes w, a round ahead of the current one, node v's pending
 // wake. A new declaration replaces the pending one: v's latest NextWake
 // answer promises silence until w, so a superseded wake could only have
-// been an extra drive, which the QuietProgram contract makes a no-op.
+// been an extra drive, which the QuietSet contract makes a no-op.
 // A wave relay re-declares the same round at every beep it hears; that
 // costs one comparison.
 func (st *sparseState) schedule(v int, w int32) {
@@ -150,7 +158,7 @@ func sumAnyRange(a, b []uint64, loW, hiW int) bool {
 	return false
 }
 
-// RunSparse is Run for QuietPrograms on quiet channels: identical
+// RunSparse is Run for QuietSets on quiet channels: identical
 // observable behavior — the same Step/Hear sequence per node, the same
 // Result, round counter, and beep totals — but per-round work
 // proportional to the active frontier, not to n. Rounds in which every
@@ -159,27 +167,20 @@ func sumAnyRange(a, b []uint64, loW, hiW int) bool {
 // The sparse schedule is only sound when silence is exactly the absence
 // of neighbor beeps, so RunSparse falls back to the dense driver when the
 // channel is noisy (a flipped bit can wake any node any round), when
-// Params.RecordBeeps demands a per-round transcript, or when any program
-// does not implement QuietProgram, and for budgets past 2³¹−1 rounds,
-// which its int32 wake schedule cannot hold. Callers never need to pick
-// a path by hand: RunSparse is always correct, and fast when the model
-// admits it.
-func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
-	if nw.noisy || nw.params.RecordBeeps || maxRounds > math.MaxInt32 || !allQuiet(progs) {
+// Params.RecordBeeps demands a per-round transcript, or when the set is
+// not a QuietSet, and for budgets past 2³¹−1 rounds, which its int32
+// wake schedule cannot hold. Callers never need to pick a path by hand:
+// RunSparse is always correct, and fast when the model admits it.
+func (nw *Network) RunSparse(progs ProgramSet, maxRounds int) (*Result, error) {
+	qs, quiet := progs.(QuietSet)
+	if !quiet || nw.noisy || nw.params.RecordBeeps || maxRounds > math.MaxInt32 {
 		return nw.Run(progs, maxRounds)
+	}
+	if err := nw.initAll(qs, maxRounds); err != nil {
+		return nil, err
 	}
 
 	n := nw.g.N()
-	if len(progs) != n {
-		return nil, fmt.Errorf("beep: %d programs for %d nodes", len(progs), n)
-	}
-	if maxRounds < 0 {
-		return nil, fmt.Errorf("beep: negative round budget %d", maxRounds)
-	}
-	for v, p := range progs {
-		p.Init(nw.NodeEnv(v))
-	}
-
 	words := (n + 63) / 64
 	sumLen := (words + 63) / 64
 	st := &sparseState{
@@ -200,12 +201,12 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 	// Seed the schedule: done nodes leave the run, the rest declare their
 	// first wake-up.
 	for v := 0; v < n; v++ {
-		if progs[v].Done() {
+		if qs.Done(v) {
 			st.done.Set(v)
 			st.doneCount++
 			continue
 		}
-		switch w := progs[v].(QuietProgram).NextWake(-1); {
+		switch w := qs.NextWake(v, -1); {
 		case w <= 0:
 			activate(st.active, st.activeSum, v)
 		case w != NoWake && w < maxRounds:
@@ -233,11 +234,10 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 			for w != 0 {
 				v := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
-				p := progs[v]
-				if p.Done() {
+				if qs.Done(v) {
 					continue
 				}
-				if p.Step(localRound) == Beep {
+				if qs.Step(v, localRound) == Beep {
 					bw[wi] |= 1 << (uint(v) & 63)
 					count++
 				}
@@ -261,11 +261,10 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 				pos := bits.TrailingZeros64(w)
 				w &= w - 1
 				v := wi<<6 + pos
-				p := progs[v]
-				if p.Done() {
+				if qs.Done(v) {
 					continue
 				}
-				p.Hear(localRound, (hw[wi]|bw[wi])>>uint(pos)&1 != 0)
+				qs.Hear(v, localRound, (hw[wi]|bw[wi])>>uint(pos)&1 != 0)
 			}
 		}
 	}
@@ -340,13 +339,12 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 				for w != 0 {
 					v := wi<<6 + bits.TrailingZeros64(w)
 					w &= w - 1
-					p := progs[v]
-					if p.Done() {
+					if qs.Done(v) {
 						st.done.Set(v)
 						st.doneCount++
 						continue
 					}
-					switch wk := p.(QuietProgram).NextWake(r); {
+					switch wk := qs.NextWake(v, r); {
 					case wk <= r+1:
 						activate(st.next, st.nextSum, v)
 					case wk != NoWake && wk < maxRounds:
@@ -373,16 +371,6 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 	}
 	nw.m.frontier.Set(int64(st.peak))
 	return &Result{Rounds: rounds, AllDone: allDone}, nil
-}
-
-// allQuiet reports whether every program implements QuietProgram.
-func allQuiet(progs []Program) bool {
-	for _, p := range progs {
-		if _, ok := p.(QuietProgram); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // anySet reports whether any word of a summary is nonzero.

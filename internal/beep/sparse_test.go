@@ -52,11 +52,11 @@ func runPair(t *testing.T, g *graph.Graph, params Params, budget int,
 		t.Fatal(err)
 	}
 	dp, sp := mk(), mk()
-	dr, err := denseNW.Run(dp, budget)
+	dr, err := denseNW.Run(PerNode(dp), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := sparseNW.RunSparse(sp, budget)
+	sr, err := sparseNW.RunSparse(PerNode(sp), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +226,11 @@ func TestSparseFastForward(t *testing.T) {
 	}
 }
 
-// TestSparseFallbacks verifies the three dense-fallback triggers: a noisy
-// channel, a beep transcript request, and a program set that does not
-// implement QuietProgram. Each must behave exactly like Run (same seed ⇒
-// byte-identical, including the noise draws).
+// TestSparseFallbacks verifies two dense-fallback triggers, a noisy
+// channel and a beep transcript request, and a per-node program that is
+// not a QuietProgram, which PerNode drives every round. Each must behave
+// exactly like Run (same seed ⇒ byte-identical, including the noise
+// draws).
 func TestSparseFallbacks(t *testing.T) {
 	g := graph.RandomBoundedDegree(120, 5, 0.05, rng.New(42))
 	mkFlood := func() []Program {
@@ -274,6 +275,38 @@ func TestSparseFallbacks(t *testing.T) {
 	})
 }
 
+// TestSparseNonQuietSetRunsDense: a ProgramSet that is not a QuietSet
+// falls back to the dense driver, which reports no frontier gauge, and
+// its run is the dense run's.
+func TestSparseNonQuietSetRunsDense(t *testing.T) {
+	g := graph.Path(40)
+	reg := obs.NewRegistry()
+	nw, err := NewNetwork(g, Params{Seed: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := make([]Program, g.N())
+	for v := range progs {
+		progs[v] = &AlarmFlood{Source: v == 0}
+	}
+	plain := struct{ ProgramSet }{PerNode(progs)} // hides NextWake
+	res, err := nw.RunSparse(plain, g.N()+2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.AllDone || res.Rounds != g.N() {
+		t.Fatalf("rounds=%d allDone=%v, want %d and true", res.Rounds, res.AllDone, g.N())
+	}
+	if peak := reg.Gauge("beep.frontier.peak").Value(); peak != 0 {
+		t.Fatalf("frontier gauge %d: a set without NextWake ran on the sparse driver", peak)
+	}
+	for v, p := range progs {
+		if got := p.(*AlarmFlood).RelayRound(); got != v {
+			t.Fatalf("node %d relayed at round %d, want %d", v, got, v)
+		}
+	}
+}
+
 // TestSparseFrontierGauge checks that a sparse run reports its peak frontier
 // occupancy, and that it is genuinely sub-linear on a long path (the wave
 // front is O(1) nodes wide).
@@ -288,7 +321,7 @@ func TestSparseFrontierGauge(t *testing.T) {
 	for v := range progs {
 		progs[v] = &AlarmFlood{Source: v == 0}
 	}
-	if _, err := nw.RunSparse(progs, g.N()+2); err != nil {
+	if _, err := nw.RunSparse(PerNode(progs), g.N()+2); err != nil {
 		t.Fatal(err)
 	}
 	peak := reg.Gauge("beep.frontier.peak").Value()

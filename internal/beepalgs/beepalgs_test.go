@@ -100,8 +100,7 @@ func TestNativeMISBudgetFailureDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, progs := NewMIS(g.N())
-	res, err := nw.Run(progs, 3)
+	res, err := nw.Run(NewMIS(g.N()), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

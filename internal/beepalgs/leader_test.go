@@ -145,7 +145,7 @@ func RunLeaderElection(g *graph.Graph, dBound int, seed uint64) ([]leader.Result
 		return nil, 0, err
 	}
 	progs := NewLeaderElection(g.N(), dBound)
-	res, err := nw.Run(progs, LeaderRounds(g.N(), dBound))
+	res, err := nw.Run(beep.PerNode(progs), LeaderRounds(g.N(), dBound))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -58,13 +58,19 @@ const (
 // message-passing MIS in the core simulator instead (that is the paper's
 // whole point).
 //
-// NewMIS lays a run's node state out flat, as the wave does: one []MIS of
-// 32-byte structs that share one misPhase, and one []rng.Stream holding
-// every node's private stream.
+// One MIS is one run, laid out flat as the wave is: the beep.ProgramSet
+// of all n nodes, holding the phase shape and every node's private
+// stream once, and each node's state in one slice of 16-byte misNodes.
 type MIS struct {
-	phase *misPhase
-	rng   *rng.Stream // the node's slot of the run's stream block
+	verifyRounds int     // k, the conflict-detection window
+	length       int     // 1 + k + 1
+	minProb      float64 // floor of the adaptive candidacy probability
+	streams      []rng.Stream
+	nodes        []misNode
+}
 
+// misNode is one node's state in an MIS run.
+type misNode struct {
 	prob      float64
 	status    MISStatus
 	candidate bool
@@ -75,95 +81,85 @@ type MIS struct {
 	beeped bool
 }
 
-// misPhase is the phase shape every node of an n-node run shares.
-type misPhase struct {
-	verifyRounds int     // k, the conflict-detection window
-	length       int     // 1 + k + 1
-	minProb      float64 // floor of the adaptive candidacy probability
+var _ beep.ProgramSet = (*MIS)(nil)
+
+// Len implements beep.ProgramSet.
+func (m *MIS) Len() int { return len(m.nodes) }
+
+// Init implements beep.ProgramSet. It allocates nothing: it seeds node
+// v's slot of the stream block in place.
+func (m *MIS) Init(v int, env beep.Env) {
+	env.StreamInto(&m.streams[v])
+	m.nodes[v] = misNode{prob: 0.5, status: MISUndecided}
 }
 
-var _ beep.Program = (*MIS)(nil)
-
-// Init implements beep.Program. It allocates nothing: it seeds the
-// node's slot of the stream block in place.
-func (m *MIS) Init(env beep.Env) {
-	env.StreamInto(m.rng)
-	m.status = MISUndecided
-	m.prob = 0.5
-}
-
-// phasePos returns the position within the current phase.
-func (m *MIS) phasePos(round int) int { return round % m.phase.length }
-
-// Step implements beep.Program.
-func (m *MIS) Step(round int) beep.Action {
-	pos := m.phasePos(round)
-	m.beeped = false
+// Step implements beep.ProgramSet.
+func (m *MIS) Step(v, round int) beep.Action {
+	nd := &m.nodes[v]
+	pos := round % m.length
+	nd.beeped = false
 	switch {
 	case pos == 0:
 		// Candidacy is a private coin; the round itself is silent (it
 		// exists so that Hear can close the previous phase cleanly).
-		m.candidate = m.rng.Bool(m.prob)
-		m.conflict = false
-	case pos <= m.phase.verifyRounds:
-		if m.candidate && !m.conflict && m.rng.Bool(0.5) {
-			m.beeped = true
+		nd.candidate = m.streams[v].Bool(nd.prob)
+		nd.conflict = false
+	case pos <= m.verifyRounds:
+		if nd.candidate && !nd.conflict && m.streams[v].Bool(0.5) {
+			nd.beeped = true
 		}
 	default: // join round
-		if m.candidate && !m.conflict {
-			m.beeped = true
+		if nd.candidate && !nd.conflict {
+			nd.beeped = true
 		}
 	}
-	if m.beeped {
+	if nd.beeped {
 		return beep.Beep
 	}
 	return beep.Listen
 }
 
-// Hear implements beep.Program.
-func (m *MIS) Hear(round int, bit bool) {
-	pos := m.phasePos(round)
+// Hear implements beep.ProgramSet.
+func (m *MIS) Hear(v, round int, bit bool) {
+	nd := &m.nodes[v]
+	pos := round % m.length
 	switch {
 	case pos == 0:
 		// Quiet round; nothing to learn.
-	case pos <= m.phase.verifyRounds:
+	case pos <= m.verifyRounds:
 		// A beeping node receives its own beep (model convention), so
 		// energy is evidence of a competitor only in rounds we listened.
-		if m.candidate && !m.conflict && bit && !m.beeped {
-			m.conflict = true
-			m.prob /= 2
-			if m.prob < m.phase.minProb {
-				m.prob = m.phase.minProb
+		if nd.candidate && !nd.conflict && bit && !nd.beeped {
+			nd.conflict = true
+			nd.prob /= 2
+			if nd.prob < m.minProb {
+				nd.prob = m.minProb
 			}
 		}
 	default: // join round
-		if m.candidate && !m.conflict {
-			m.status = MISIn
+		if nd.candidate && !nd.conflict {
+			nd.status = MISIn
 			return
 		}
-		if bit && !m.beeped {
-			m.status = MISOut
+		if bit && !nd.beeped {
+			nd.status = MISOut
 		}
 	}
 }
 
-// Done implements beep.Program.
-func (m *MIS) Done() bool { return m.status != MISUndecided }
+// Done implements beep.ProgramSet.
+func (m *MIS) Done(v int) bool { return m.nodes[v].status != MISUndecided }
 
-// NewMIS returns an n-node run's node state, one []MIS whose nodes each
-// own a slot of one []rng.Stream, and the per-node programs, pointers
-// into it.
-func NewMIS(n int) ([]MIS, []beep.Program) {
+// NewMIS returns the program set of an n-node run.
+func NewMIS(n int) *MIS {
 	k := 2*wire.BitsFor(n) + 6
-	phase := &misPhase{verifyRounds: k, length: 1 + k + 1, minProb: 1 / float64(n*n+1)}
-	nodes := make([]MIS, n)
-	streams := make([]rng.Stream, n)
-	progs := make([]beep.Program, n)
-	for v := range nodes {
-		nodes[v] = MIS{phase: phase, rng: &streams[v]}
-		progs[v] = &nodes[v]
+	return &MIS{
+		verifyRounds: k,
+		length:       1 + k + 1,
+		minProb:      1 / float64(n*n+1),
+		streams:      make([]rng.Stream, n),
+		nodes:        make([]misNode, n),
 	}
-	return nodes, progs
 }
 
 // MISMaxRounds returns a generous budget: O(log n) phases of O(log n)
@@ -182,8 +178,8 @@ func RunMIS(g *graph.Graph, seed uint64, metrics *obs.Registry) ([]bool, int, er
 	if err != nil {
 		return nil, 0, err
 	}
-	nodes, progs := NewMIS(g.N())
-	res, err := nw.Run(progs, MISMaxRounds(g.N()))
+	set := NewMIS(g.N())
+	res, err := nw.Run(set, MISMaxRounds(g.N()))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -191,8 +187,8 @@ func RunMIS(g *graph.Graph, seed uint64, metrics *obs.Registry) ([]bool, int, er
 		return nil, res.Rounds, fmt.Errorf("beepalgs: MIS did not stabilize in %d rounds", MISMaxRounds(g.N()))
 	}
 	out := make([]bool, g.N())
-	for v := range nodes {
-		out[v] = nodes[v].status == MISIn
+	for v := range out {
+		out[v] = set.nodes[v].status == MISIn
 	}
 	return out, res.Rounds, nil
 }

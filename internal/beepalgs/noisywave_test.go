@@ -183,7 +183,7 @@ func RunNoisyWaveBroadcast(g *graph.Graph, source int, msg []byte, bits, dBound,
 		return nil, 0, err
 	}
 	progs := NewNoisyWaveBroadcast(g.N(), source, msg, bits, dBound, frameLen)
-	res, err := nw.Run(progs, NoisyWaveRounds(g.N(), bits, dBound, frameLen))
+	res, err := nw.Run(beep.PerNode(progs), NoisyWaveRounds(g.N(), bits, dBound, frameLen))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -26,25 +26,13 @@ import (
 // Every node therefore decodes the message after 3(Bits+1) + D rounds —
 // the O(D + b) bound — versus Θ(D·b) for naive per-bit flooding.
 //
-// One run keeps all node state flat: RunWave allocates the nodes as one
-// []WaveBroadcast of 32-byte structs, each pointing at the run's shared
-// configuration, and every node decodes into its own slot of one shared
-// payload array. The layout stays one slice of structs, not one array
-// per field: a wave front touches a node's fields together, one cache
-// line per node instead of one per field.
+// One WaveBroadcast is one run: the beep.QuietSet of all n nodes. It
+// holds the run's configuration and payload array once, and each node's
+// state in one slice of 16-byte waveNodes; node v decodes into its slot
+// payload[v·stride : (v+1)·stride]. The layout stays one slice of
+// structs, not one array per field: a wave front touches a node's fields
+// together, one cache line per node instead of one per field.
 type WaveBroadcast struct {
-	run       *waveRun
-	marker    int32 // round the marker was heard (−1 until then)
-	lastRelay int32
-	relayAt   int32
-	id        int32 // the node's index
-	finished  bool
-}
-
-// waveRun is what every node of one wave run shares: the broadcast's
-// parameters and the payload array node v decodes into, at
-// payload[v·stride : (v+1)·stride].
-type waveRun struct {
 	source    int
 	message   []byte
 	bits      int
@@ -52,12 +40,18 @@ type waveRun struct {
 	earlyStop bool // WaveOptions.EarlyStop
 	stride    int  // ⌈bits/8⌉ payload bytes per node
 	payload   []byte
+	nodes     []waveNode
 }
 
-var (
-	_ beep.Program      = (*WaveBroadcast)(nil)
-	_ beep.QuietProgram = (*WaveBroadcast)(nil)
-)
+// waveNode is one node's state in a wave run.
+type waveNode struct {
+	marker    int32 // round the marker was heard (−1 until then)
+	lastRelay int32
+	relayAt   int32
+	finished  bool
+}
+
+var _ beep.QuietSet = (*WaveBroadcast)(nil)
 
 // WaveRounds returns the exact running time 3(bits+1) + dBound.
 func WaveRounds(n, bits, dBound int) int {
@@ -67,104 +61,105 @@ func WaveRounds(n, bits, dBound int) int {
 	return 3*(bits+1) + dBound
 }
 
-// source reports whether the node is the broadcaster.
-func (wb *WaveBroadcast) source() bool { return int(wb.id) == wb.run.source }
-
-// received is the node's slot of the run's payload array.
-func (wb *WaveBroadcast) received() []byte {
-	lo := int(wb.id) * wb.run.stride
-	return wb.run.payload[lo : lo+wb.run.stride : lo+wb.run.stride]
+// received is node v's slot of the run's payload array.
+func (wb *WaveBroadcast) received(v int) []byte {
+	lo := v * wb.stride
+	return wb.payload[lo : lo+wb.stride : lo+wb.stride]
 }
 
-// Init implements beep.Program. It allocates nothing: the node's state
+// Len implements beep.ProgramSet.
+func (wb *WaveBroadcast) Len() int { return len(wb.nodes) }
+
+// Init implements beep.ProgramSet. It allocates nothing: the node's state
 // and payload slot already sit in the run's flat arrays.
-func (wb *WaveBroadcast) Init(beep.Env) {
-	wb.marker = -1
-	wb.lastRelay = -3
-	wb.relayAt = -1
-	if wb.source() {
-		wb.marker = 0
-		copy(wb.received(), wb.run.message)
+func (wb *WaveBroadcast) Init(v int, _ beep.Env) {
+	nd := &wb.nodes[v]
+	*nd = waveNode{marker: -1, lastRelay: -3, relayAt: -1}
+	if v == wb.source {
+		nd.marker = 0
+		copy(wb.received(v), wb.message)
 	}
 }
 
-// Step implements beep.Program.
-func (wb *WaveBroadcast) Step(round int) beep.Action {
-	if wb.source() {
+// Step implements beep.ProgramSet.
+func (wb *WaveBroadcast) Step(v, round int) beep.Action {
+	if v == wb.source {
 		if round == 0 {
 			return beep.Beep // marker wave
 		}
 		if round%3 == 0 {
 			i := round/3 - 1
-			if i < wb.run.bits && wire.Bit(wb.run.message, i) {
+			if i < wb.bits && wire.Bit(wb.message, i) {
 				return beep.Beep
 			}
 		}
 		return beep.Listen
 	}
-	if int(wb.relayAt) == round {
-		wb.lastRelay = int32(round)
-		wb.relayAt = -1
+	nd := &wb.nodes[v]
+	if int(nd.relayAt) == round {
+		nd.lastRelay = int32(round)
+		nd.relayAt = -1
 		return beep.Beep
 	}
 	return beep.Listen
 }
 
-// Hear implements beep.Program.
-func (wb *WaveBroadcast) Hear(round int, bit bool) {
+// Hear implements beep.ProgramSet.
+func (wb *WaveBroadcast) Hear(v, round int, bit bool) {
+	nd := &wb.nodes[v]
 	// Refractory: ignore our own relay and its echoes within two rounds.
-	if bit && !wb.source() && round >= int(wb.lastRelay)+2 {
-		if wb.marker == -1 {
-			wb.marker = int32(round)
+	if bit && v != wb.source && round >= int(nd.lastRelay)+2 {
+		if nd.marker == -1 {
+			nd.marker = int32(round)
 		} else {
-			offset := round - int(wb.marker)
+			offset := round - int(nd.marker)
 			if offset%3 == 0 {
 				i := offset/3 - 1
-				if i >= 0 && i < wb.run.bits {
-					wire.SetBit(wb.received(), i, true)
+				if i >= 0 && i < wb.bits {
+					wire.SetBit(wb.received(v), i, true)
 				}
 			}
 		}
-		wb.relayAt = int32(round + 1)
+		nd.relayAt = int32(round + 1)
 	}
-	if round == wb.run.total-1 {
-		wb.finished = true
-	} else if wb.run.earlyStop && wb.marker >= 0 && round >= int(wb.marker)+3*wb.run.bits+1 {
-		wb.finished = true
+	if round == wb.total-1 {
+		nd.finished = true
+	} else if wb.earlyStop && nd.marker >= 0 && round >= int(nd.marker)+3*wb.bits+1 {
+		nd.finished = true
 	}
 }
 
-// Done implements beep.Program.
-func (wb *WaveBroadcast) Done() bool { return wb.finished }
+// Done implements beep.ProgramSet.
+func (wb *WaveBroadcast) Done(v int) bool { return wb.nodes[v].finished }
 
-// NextWake implements beep.QuietProgram, the wave protocol's sparse
-// schedule: between the rounds returned here the node provably listens in
+// NextWake implements beep.QuietSet, the wave protocol's sparse
+// schedule: between the rounds returned here node v provably listens in
 // silence-tolerant quiescence, so the sparse driver skips it entirely.
 // Incoming beeps still drive the node outside this schedule (that is the
 // driver's job); NextWake only declares when the node acts on its own —
 // the source's wave launches, a pending relay, and the finish round.
-func (wb *WaveBroadcast) NextWake(round int) int {
-	if wb.finished {
+func (wb *WaveBroadcast) NextWake(v, round int) int {
+	nd := &wb.nodes[v]
+	if nd.finished {
 		return beep.NoWake
 	}
-	run := wb.run
 	// The round whose Hear sets finished: the global budget's last round,
 	// or the early-stop point once the marker has calibrated the clock.
-	doneRound := run.total - 1
-	if run.earlyStop && wb.marker >= 0 {
-		if d := int(wb.marker) + 3*run.bits + 1; d < doneRound {
+	doneRound := wb.total - 1
+	if wb.earlyStop && nd.marker >= 0 {
+		if d := int(nd.marker) + 3*wb.bits + 1; d < doneRound {
 			doneRound = d
 		}
 	}
 	next := doneRound
-	if wb.source() {
+	if v == wb.source {
 		// Wave launches at rounds 0, 3, ..., 3·bits.
 		if round < 0 {
 			next = 0
-		} else if round < 3*run.bits {
+		} else if round < 3*wb.bits {
 			next = (round/3 + 1) * 3
 		}
-	} else if relay := int(wb.relayAt); relay > round && relay < next {
+	} else if relay := int(nd.relayAt); relay > round && relay < next {
 		next = relay
 	}
 	if next <= round {
@@ -222,17 +217,17 @@ func RunWaveBroadcastOpts(g *graph.Graph, source int, msg []byte, bits, dBound i
 // node's decoded message read in place from the run's flat node state.
 type WaveResult struct {
 	beep.Result
-	nodes []WaveBroadcast
+	wave *WaveBroadcast
 }
 
 // Payload returns node v's decoded message, its capped slot of the run's
 // payload array, or nil if the marker never reached v (a node outside
 // the source's component). The slot is the run's own memory, not a copy.
 func (w *WaveResult) Payload(v int) []byte {
-	if w.nodes[v].marker == -1 {
+	if w.wave.nodes[v].marker == -1 {
 		return nil
 	}
-	return w.nodes[v].received()
+	return w.wave.received(v)
 }
 
 // RunWave is RunWaveBroadcastOpts without the per-node copy: the result
@@ -262,7 +257,7 @@ func RunWave(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint
 	}
 	n := g.N()
 	stride := (bits + 7) / 8
-	run := &waveRun{
+	wave := &WaveBroadcast{
 		source:    source,
 		message:   msg,
 		bits:      bits,
@@ -270,20 +265,15 @@ func RunWave(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint
 		earlyStop: opt.EarlyStop,
 		stride:    stride,
 		payload:   make([]byte, n*stride),
-	}
-	nodes := make([]WaveBroadcast, n)
-	progs := make([]beep.Program, n)
-	for v := range nodes {
-		nodes[v] = WaveBroadcast{run: run, id: int32(v)}
-		progs[v] = &nodes[v]
+		nodes:     make([]waveNode, n),
 	}
 	drive := nw.Run
 	if opt.Sparse {
 		drive = nw.RunSparse
 	}
-	res, err := drive(progs, budget)
+	res, err := drive(wave, budget)
 	if err != nil {
 		return nil, err
 	}
-	return &WaveResult{Result: *res, nodes: nodes}, nil
+	return &WaveResult{Result: *res, wave: wave}, nil
 }

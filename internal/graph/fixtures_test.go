@@ -37,3 +37,36 @@ func CompleteBinaryTreeRows(n int) RowFunc {
 		}
 	}
 }
+
+// GeoRows describes the geo family for n ≥ 17 as a pure RowFunc that
+// hashes every coordinate it reads: the reference GeometricCells's
+// banded build is pinned against.
+func GeoRows(n int, seed uint64) RowFunc {
+	side := geoSide(n)
+	return func(v int, emit func(u int32)) {
+		r, c := v/side, v%side
+		x := geoCoord(seed, geoTagX, v, c)
+		y := geoCoord(seed, geoTagY, v, r)
+		for dr := -2; dr <= 2; dr++ {
+			ur := r + dr
+			if ur < 0 || ur >= side {
+				continue
+			}
+			for dc := -2; dc <= 2; dc++ {
+				uc := c + dc
+				if uc < 0 || uc >= side {
+					continue
+				}
+				u := ur*side + uc
+				if u == v || u >= n {
+					continue
+				}
+				dx := geoCoord(seed, geoTagX, u, uc) - x
+				dy := geoCoord(seed, geoTagY, u, ur) - y
+				if dx*dx+dy*dy <= geoRadius2 {
+					emit(int32(u))
+				}
+			}
+		}
+	}
+}

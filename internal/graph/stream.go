@@ -8,7 +8,8 @@ package graph
 // independently — every array slot belongs to exactly one vertex, so the
 // result is byte-identical for any worker count. Randomized families stay
 // shardable by deriving per-vertex randomness from pure hashes of
-// (seed, vertex) instead of a sequential stream; GeoRows is the model.
+// (seed, vertex) instead of a sequential stream; the geo family is the
+// model, and its build hashes each coordinate once per chunk and pass.
 
 import (
 	"fmt"
@@ -41,6 +42,15 @@ type BuildOptions struct {
 // (unsorted, out-of-range, or self-loop neighbors) as plain errors;
 // it never panics on bad input.
 func FromRowFunc(n int, rows RowFunc, opt BuildOptions) (*Graph, error) {
+	return fromChunkRows(n, func() RowFunc { return rows }, opt)
+}
+
+// fromChunkRows is FromRowFunc for row functions that keep state across
+// the rows of one chunk: each chunk of each pass calls newRows once and
+// asks the RowFunc it returns for the chunk's vertices in increasing
+// order. The state lives and dies with the chunk, so the graph stays
+// byte-identical for any worker count.
+func fromChunkRows(n int, newRows func() RowFunc, opt BuildOptions) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
@@ -71,6 +81,7 @@ func FromRowFunc(n int, rows RowFunc, opt BuildOptions) (*Graph, error) {
 	// Each chunk builds one emit callback and resets the vertex state it
 	// reads, so the build allocates per chunk, not per vertex.
 	runChunks(chunks, workers, func(ci int, lo, hi int) {
+		rows := newRows()
 		var (
 			v, d int
 			prev int32
@@ -137,6 +148,7 @@ func FromRowFunc(n int, rows RowFunc, opt BuildOptions) (*Graph, error) {
 	// nbr[off[lo]:off[hi]); a RowFunc that emits different rows than in
 	// pass 1 is caught by the per-vertex bounds check.
 	runChunks(chunks, workers, func(ci int, lo, hi int) {
+		rows := newRows()
 		var pos, end int64
 		emit := func(u int32) {
 			if pos < end {
@@ -350,7 +362,7 @@ func StarRows(n int) RowFunc {
 
 // --- The geo family: a shardable random geometric graph ---
 
-// Tags separating the two coordinate hash streams of GeoRows.
+// Tags separating the two coordinate hash streams of the geo family.
 const (
 	geoTagX = 0x67656f2d78 // "geo-x"
 	geoTagY = 0x67656f2d79 // "geo-y"
@@ -383,48 +395,70 @@ func geoCoord(seed, tag uint64, v, lattice int) float64 {
 	return float64(lattice) + 0.4*u
 }
 
-// GeoRows describes the geo family for n ≥ 17 (lattice side ≥ 5):
-// vertices on a jittered ⌈√n⌉×⌈√n⌉ lattice, connected within distance
-// 1.7. Candidate neighbors are the ≤24 surrounding cells, scanned in
-// row-major order, which for side ≥ 5 enumerates ids in increasing order.
-func GeoRows(n int, seed uint64) RowFunc {
-	side := geoSide(n)
-	return func(v int, emit func(u int32)) {
-		r, c := v/side, v%side
-		x := geoCoord(seed, geoTagX, v, c)
-		y := geoCoord(seed, geoTagY, v, r)
-		for dr := -2; dr <= 2; dr++ {
-			ur := r + dr
-			if ur < 0 || ur >= side {
+// geoBand is one chunk's ring of the five lattice rows around its
+// current vertex: lattice row r's coordinates sit in slot r mod 5,
+// hashed when the chunk first reads the row. A chunk asks for its
+// vertices in increasing order, so it hashes each row it reads once,
+// and the ring holds 5·side coordinate pairs, never one per node.
+type geoBand struct {
+	n, side int
+	seed    uint64
+	held    [5]int // the lattice row each slot holds, −1 for none
+	xy      []float64
+}
+
+// lattice returns row r's slot: column c's x at 2c and y at 2c+1, for
+// the columns of vertices below n.
+func (b *geoBand) lattice(r int) []float64 {
+	s := r % 5
+	xy := b.xy[2*b.side*s : 2*b.side*(s+1)]
+	if b.held[s] != r {
+		b.held[s] = r
+		for c, u := 0, r*b.side; c < b.side && u < b.n; c, u = c+1, u+1 {
+			xy[2*c] = geoCoord(b.seed, geoTagX, u, c)
+			xy[2*c+1] = geoCoord(b.seed, geoTagY, u, r)
+		}
+	}
+	return xy
+}
+
+// row emits v's neighbors: the vertices of the ≤24 surrounding cells
+// within distance 1.7, scanned in row-major order, which for side ≥ 5
+// enumerates ids in increasing order.
+func (b *geoBand) row(v int, emit func(u int32)) {
+	side := b.side
+	r, c := v/side, v%side
+	here := b.lattice(r)
+	x, y := here[2*c], here[2*c+1]
+	for ur := max(r-2, 0); ur <= min(r+2, side-1); ur++ {
+		xy := b.lattice(ur)
+		for uc := max(c-2, 0); uc <= min(c+2, side-1); uc++ {
+			u := ur*side + uc
+			if u == v || u >= b.n {
 				continue
 			}
-			for dc := -2; dc <= 2; dc++ {
-				uc := c + dc
-				if uc < 0 || uc >= side {
-					continue
-				}
-				u := ur*side + uc
-				if u == v || u >= n {
-					continue
-				}
-				dx := geoCoord(seed, geoTagX, u, uc) - x
-				dy := geoCoord(seed, geoTagY, u, ur) - y
-				if dx*dx+dy*dy <= geoRadius2 {
-					emit(int32(u))
-				}
+			dx := xy[2*uc] - x
+			dy := xy[2*uc+1] - y
+			if dx*dx+dy*dy <= geoRadius2 {
+				emit(int32(u))
 			}
 		}
 	}
 }
 
-// GeometricCells builds the geo family graph for n ≥ 17: the shardable,
-// seed-stable successor to RandomGeometricGrid for large-n runs. The
-// graph is connected for every seed (lattice-adjacent cells are always
-// within radius), has maximum degree ≤ 24, and is byte-identical for any
-// opt.Workers.
+// GeometricCells builds the geo family graph for n ≥ 17 (lattice side
+// ≥ 5): vertices on a jittered ⌈√n⌉×⌈√n⌉ lattice, connected within
+// distance 1.7. It is the shardable, seed-stable successor to
+// RandomGeometricGrid for large-n runs: connected for every seed, of
+// maximum degree ≤ 24, and byte-identical for any opt.Workers. Each
+// chunk of each build pass reads coordinates off its own geoBand.
 func GeometricCells(n int, seed uint64, opt BuildOptions) (*Graph, error) {
-	if side := geoSide(n); side < 5 {
+	side := geoSide(n)
+	if side < 5 {
 		return nil, fmt.Errorf("graph: geo family needs lattice side >= 5 (n >= 17), got n=%d", n)
 	}
-	return FromRowFunc(n, GeoRows(n, seed), opt)
+	return fromChunkRows(n, func() RowFunc {
+		b := &geoBand{n: n, side: side, seed: seed, held: [5]int{-1, -1, -1, -1, -1}, xy: make([]float64, 10*side)}
+		return b.row
+	}, opt)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bitstring"
@@ -191,6 +192,32 @@ func TestGeoDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if _, err := GeometricCells(16, 1, BuildOptions{}); err == nil {
 		t.Fatal("geo with n=16 (side 4) should be rejected")
+	}
+}
+
+// TestGeometricCellsMatchesGeoRows pins the banded geo build to its
+// reference: GeometricCells's CSR arrays equal those FromRowFunc builds
+// from GeoRows, which hashes every coordinate it reads, at square and
+// non-square n (a partial last lattice row), three seeds, and worker
+// counts that move the chunk boundaries where a band starts empty.
+func TestGeometricCellsMatchesGeoRows(t *testing.T) {
+	for _, n := range []int{17, 24, 1000, 4099, 1 << 16} {
+		for _, seed := range []uint64{1, 7, 0xdeadbeef} {
+			ref, err := FromRowFunc(n, GeoRows(n, seed), BuildOptions{Workers: 1})
+			if err != nil {
+				t.Fatalf("GeoRows(n=%d, seed=%d): %v", n, seed, err)
+			}
+			for _, workers := range []int{1, 3, 8} {
+				g, err := GeometricCells(n, seed, BuildOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.n != ref.n || g.m != ref.m || g.maxDeg != ref.maxDeg ||
+					!slices.Equal(g.off, ref.off) || !slices.Equal(g.nbr, ref.nbr) {
+					t.Fatalf("geo(n=%d, seed=%d, workers=%d): CSR arrays differ from GeoRows'", n, seed, workers)
+				}
+			}
+		}
 	}
 }
 

@@ -63,34 +63,75 @@ func TestBatchSecondRunFullyCached(t *testing.T) {
 	}
 }
 
+// sharedGraphScenarios are native geo broadcasts and a native MIS that
+// share one cached graph, interleaved with alg1 and tdma scenarios on
+// hypercube and hard graphs: at Jobs > 1 the native runs read one
+// *graph.Graph at once while Algorithm 1 and TDMA beep windows and the
+// graph builds of the other families run beside them.
+func sharedGraphScenarios(t *testing.T) []Scenario {
+	t.Helper()
+	others, err := Grid{
+		Families: []string{FamilyHypercube, FamilyHard},
+		Ns:       []int{16},
+		Params:   []int{3, 4},
+		Epsilons: []float64{0, 0.1},
+		Engines:  []string{EngineAlg1, EngineTDMA},
+		Rounds:   1,
+		BaseSeed: 13,
+	}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scs []Scenario
+	for i, sc := range others {
+		if i%3 == 0 {
+			wl := WorkloadBroadcast
+			if i == 3 {
+				wl = WorkloadMIS
+			}
+			scs = append(scs, Scenario{Family: FamilyGeo, N: 4099, Engine: EngineBeep, Workload: wl, GraphSeed: 21, AlgSeed: uint64(i + 1)})
+		}
+		scs = append(scs, sc)
+	}
+	return scs
+}
+
 // TestBatchOrderAndConcurrencyInvariance: records line up with the
 // input slice regardless of jobs, and concurrent execution returns the
-// same records as serial (wall time aside).
+// same records as serial (wall time aside), on a small Algorithm 1 and
+// TDMA grid and on scenarios that share one cached graph.
 func TestBatchOrderAndConcurrencyInvariance(t *testing.T) {
-	scs, err := tinyGrid().Expand()
+	tiny, err := tinyGrid().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, st, err := Run(scs, NewMemStore(), Options{Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Unique != len(scs) {
-		t.Fatalf("grid produced duplicate specs: %+v", st)
-	}
-	parallel, _, err := Run(scs, NewMemStore(), Options{Jobs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range scs {
-		if serial[i].Hash != scs[i].Hash() {
-			t.Fatalf("record %d out of order: %s vs %s", i, serial[i].Hash, scs[i].Hash())
+	for name, scs := range map[string][]Scenario{"tiny": tiny, "shared-graph": sharedGraphScenarios(t)} {
+		serial, st, err := Run(scs, NewMemStore(), Options{Jobs: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		a, b := serial[i], parallel[i]
-		a.WallNanos, b.WallNanos = 0, 0
-		a.BuildNanos, b.BuildNanos = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("record %d differs between jobs=1 and jobs=8:\n %+v\n %+v", i, a, b)
+		if st.Unique != len(scs) {
+			t.Fatalf("%s: grid produced duplicate specs: %+v", name, st)
+		}
+		parallel, _, err := Run(scs, NewMemStore(), Options{Jobs: 8})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range scs {
+			if serial[i].Hash != scs[i].Hash() {
+				t.Fatalf("%s: record %d out of order: %s vs %s", name, i, serial[i].Hash, scs[i].Hash())
+			}
+			if scs[i].Engine == EngineBeep {
+				if ok := serial[i].Counters.OutputOK; ok == nil || !*ok {
+					t.Fatalf("%s: native record %d did not verify: %+v", name, i, serial[i].Counters)
+				}
+			}
+			a, b := serial[i], parallel[i]
+			a.WallNanos, b.WallNanos = 0, 0
+			a.BuildNanos, b.BuildNanos = 0, 0
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: record %d differs between jobs=1 and jobs=8:\n %+v\n %+v", name, i, a, b)
+			}
 		}
 	}
 }
