@@ -259,6 +259,7 @@ func BenchmarkT8MatchingNative(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			g := mustRegular(b, n, 8, 10)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng, err := congest.NewBroadcastEngine(g, matching.MsgBits(n), uint64(i))
 				if err != nil {
@@ -313,6 +314,7 @@ func BenchmarkT10LowerBound(b *testing.B) {
 // §7 gap table).
 func BenchmarkT11NativeMIS(b *testing.B) {
 	g := mustRegular(b, 64, 8, 19)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inSet, _, err := beepalgs.RunMIS(g, uint64(i), nil)
 		if err != nil {

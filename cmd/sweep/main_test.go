@@ -72,6 +72,55 @@ func TestStoreRerunAppendsNothing(t *testing.T) {
 	}
 }
 
+// TestApplicationGridsVerify runs README's application grids through run
+// under -strict, each as its command line spells it (the -seed default
+// included): every record finishes with its output verified, and each
+// grid stores the number of records README names.
+func TestApplicationGridsVerify(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		grid    sweep.Grid
+		records int
+	}{
+		{"quickstart gossip round", sweep.Grid{
+			Families: []string{sweep.FamilyRegular}, Ns: []int{6}, Params: []int{2},
+			Epsilons: []float64{0.1}, Engines: []string{sweep.EngineAlg1},
+			Workloads: []string{sweep.WorkloadGossip}, Rounds: 1,
+		}, 1},
+		{"maximal matching", sweep.Grid{
+			Families: []string{sweep.FamilyRegular}, Ns: []int{48}, Params: []int{6},
+			Epsilons: []float64{0.1}, Engines: []string{sweep.EngineAlg1},
+			Workloads: []string{sweep.WorkloadMatching},
+		}, 1},
+		{"mis three ways", sweep.Grid{
+			Families: []string{sweep.FamilyBounded}, Ns: []int{40}, Params: []int{6},
+			Epsilons:  []float64{0, 0.15},
+			Engines:   []string{sweep.EngineCongest, sweep.EngineAlg1, sweep.EngineBeep},
+			Workloads: []string{sweep.WorkloadMIS},
+		}, 4},
+		{"sensor field", sweep.Grid{
+			Families: []string{sweep.FamilyGeo}, Ns: []int{49},
+			Epsilons: []float64{0.1}, Engines: []string{sweep.EngineBeep, sweep.EngineAlg1},
+			Workloads: []string{sweep.WorkloadBroadcast, sweep.WorkloadBFSTree},
+		}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.grid.BaseSeed = 2023
+			path := filepath.Join(t.TempDir(), "app.jsonl")
+			if err := run(tc.grid, cliConfig{storePath: path, strict: true}); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := bytes.Count(data, []byte("\n")); n != tc.records {
+				t.Fatalf("stored %d records, want %d", n, tc.records)
+			}
+		})
+	}
+}
+
 // TestErrorsCarryOnePrefix: fatal prints run's error as it is, so an
 // error internal/sweep made (a misspelled workload) must reach it with
 // exactly one "sweep: "; TestFrontierRefusesTelemetryFlags checks the

@@ -350,14 +350,3 @@ func Verify(g *graph.Graph, outputs []int) error {
 	}
 	return nil
 }
-
-// Size returns the number of matched pairs in outputs.
-func Size(outputs []int) int {
-	matched := 0
-	for _, p := range outputs {
-		if p != Unmatched {
-			matched++
-		}
-	}
-	return matched / 2
-}

@@ -227,12 +227,6 @@ func TestGreedy(t *testing.T) {
 	}
 }
 
-func TestSize(t *testing.T) {
-	if got := Size([]int{1, 0, Unmatched, 4, 3}); got != 2 {
-		t.Errorf("Size = %d, want 2", got)
-	}
-}
-
 func TestMsgBitsAndMaxRounds(t *testing.T) {
 	if MsgBits(128) != 2+2*7+valueBits {
 		t.Errorf("MsgBits(128) = %d", MsgBits(128))

@@ -80,15 +80,14 @@ func (e Env) StreamInto(dst *rng.Stream) {
 // reports true the node ceases participation: it neither beeps nor hears.
 //
 // The network drives a ProgramSet, not Programs: a protocol written per
-// node — the floods below, the examples, the tests' programs — reaches
-// Run and RunSparse through PerNode. Protocols that run at scale
-// (beepalgs' wave and MIS) implement the set themselves over flat node
-// state, with no per-node interface value.
+// node — the tests' programs, such as the floods — reaches Run and
+// RunSparse through PerNode. Protocols that run at scale (beepalgs' wave
+// and MIS) implement the set themselves over flat node state, with no
+// per-node interface value.
 //
 // A Program has no output method: the code that builds the programs
-// reads their results afterwards in their own types (RelayRound,
-// ActivationFrame, beepalgs' typed runs), so a run neither boxes nor
-// copies a per-node value.
+// reads their results afterwards in their own types, so a run neither
+// boxes nor copies a per-node value.
 //
 // When Params.Workers > 1, callbacks for distinct nodes run concurrently
 // within a phase (each node's own calls stay strictly ordered). Programs

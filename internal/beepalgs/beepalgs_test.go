@@ -178,6 +178,30 @@ func TestLeaderElectionRoundsFormula(t *testing.T) {
 	}
 }
 
+// waveOutputs runs RunWave and returns each node's decoded message (nil
+// where the marker never arrived) and the round count.
+func waveOutputs(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint64, opt WaveOptions) ([][]byte, int, error) {
+	res, err := RunWave(g, source, msg, bits, dBound, seed, opt)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make([][]byte, g.N())
+	for v := range out {
+		out[v] = res.Payload(v)
+	}
+	return out, res.Rounds, nil
+}
+
+// geometric builds the geo family graph at n and seed.
+func geometric(t *testing.T, n int, seed uint64) *graph.Graph {
+	t.Helper()
+	g, err := graph.GeometricCells(n, seed, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestWaveBroadcastDeliversMessage(t *testing.T) {
 	msg := []byte{0xa5, 0x3c} // 16 bits
 	tests := []struct {
@@ -192,15 +216,15 @@ func TestWaveBroadcastDeliversMessage(t *testing.T) {
 		{name: "star", g: graph.Star(9), source: 0},
 		{name: "complete", g: graph.Complete(8), source: 2},
 		{name: "hypercube", g: graph.Hypercube(4), source: 9},
-		{name: "random", g: graph.RandomGeometricGrid(36, 8, rng.New(2)), source: 0},
+		{name: "random", g: geometric(t, 36, 2), source: 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			out, rounds, err := RunWaveBroadcast(tt.g, tt.source, msg, 16, 0, 4)
+			out, rounds, err := waveOutputs(tt.g, tt.source, msg, 16, tt.g.N(), 4, WaveOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := WaveRounds(tt.g.N(), 16, 0); rounds != want {
+			if want := WaveRounds(16, tt.g.N()); rounds != want {
 				t.Errorf("rounds = %d, want %d", rounds, want)
 			}
 			for v := 0; v < tt.g.N(); v++ {
@@ -215,7 +239,7 @@ func TestWaveBroadcastDeliversMessage(t *testing.T) {
 func TestWaveBroadcastAllZeroAndAllOneMessages(t *testing.T) {
 	g := graph.Grid(3, 5)
 	for _, msg := range [][]byte{{0x00}, {0xff}} {
-		out, _, err := RunWaveBroadcast(g, 0, msg, 8, 0, 5)
+		out, _, err := waveOutputs(g, 0, msg, 8, g.N(), 5, WaveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +261,7 @@ func TestWaveBroadcastTightDiameterBound(t *testing.T) {
 	for i := range msg {
 		msg[i] = byte(0x5a ^ i)
 	}
-	out, rounds, err := RunWaveBroadcast(g, 0, msg, bits, d, 6)
+	out, rounds, err := waveOutputs(g, 0, msg, bits, d, 6, WaveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +278,7 @@ func TestWaveBroadcastTightDiameterBound(t *testing.T) {
 
 func TestWaveBroadcastDisconnected(t *testing.T) {
 	g := graph.MustFromEdges(4, [][2]int{{0, 1}})
-	out, _, err := RunWaveBroadcast(g, 0, []byte{0x7}, 4, 0, 7)
+	out, _, err := waveOutputs(g, 0, []byte{0x7}, 4, g.N(), 7, WaveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +291,8 @@ func TestWaveBroadcastDisconnected(t *testing.T) {
 }
 
 func TestWaveBroadcastRejectsZeroBits(t *testing.T) {
-	if _, _, err := RunWaveBroadcast(graph.Path(2), 0, nil, 0, 0, 1); err == nil {
+	g := graph.Path(2)
+	if _, _, err := waveOutputs(g, 0, nil, 0, g.N(), 1, WaveOptions{}); err == nil {
 		t.Error("bits=0 accepted")
 	}
 }
@@ -282,7 +307,7 @@ func TestNoisyWaveBroadcastDeliversUnderNoise(t *testing.T) {
 		{name: "path eps0.1", g: graph.Path(8), eps: 0.1},
 		{name: "grid eps0.15", g: graph.Grid(4, 4), eps: 0.15},
 		{name: "cycle eps0.1", g: graph.Cycle(10), eps: 0.1},
-		{name: "geometric eps0.1", g: graph.RandomGeometricGrid(25, 8, rng.New(4)), eps: 0.1},
+		{name: "geometric eps0.1", g: geometric(t, 25, 4), eps: 0.1},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

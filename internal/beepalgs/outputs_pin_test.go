@@ -110,7 +110,7 @@ func digestTail(nodes []byte, rounds int) string {
 }
 
 // TestNativeOutputsPinned pins the per-node outputs and round counts of
-// RunWaveBroadcastOpts (dense and sparse, with and without EarlyStop) and
+// RunWave (dense and sparse, with and without EarlyStop) and
 // of RunMIS to digests generated before the flat program layout.
 func TestNativeOutputsPinned(t *testing.T) {
 	waveGraphs, misGraphs, graphs := pinGraphs(t)
@@ -122,7 +122,7 @@ func TestNativeOutputsPinned(t *testing.T) {
 		for _, early := range []bool{false, true} {
 			key := fmt.Sprintf("%s/early=%v", name, early)
 			for _, sparse := range []bool{false, true} {
-				out, rounds, err := RunWaveBroadcastOpts(g, source, msg, bits, 0, 3, WaveOptions{EarlyStop: early, Sparse: sparse})
+				out, rounds, err := waveOutputs(g, source, msg, bits, 0, 3, WaveOptions{EarlyStop: early, Sparse: sparse})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -54,12 +54,7 @@ type waveNode struct {
 var _ beep.QuietSet = (*WaveBroadcast)(nil)
 
 // WaveRounds returns the exact running time 3(bits+1) + dBound.
-func WaveRounds(n, bits, dBound int) int {
-	if dBound <= 0 {
-		dBound = n
-	}
-	return 3*(bits+1) + dBound
-}
+func WaveRounds(bits, dBound int) int { return 3*(bits+1) + dBound }
 
 // received is node v's slot of the run's payload array.
 func (wb *WaveBroadcast) received(v int) []byte {
@@ -168,17 +163,8 @@ func (wb *WaveBroadcast) NextWake(v, round int) int {
 	return next
 }
 
-// RunWaveBroadcast executes the protocol on a noiseless network and
-// returns each node's decoded message.
-func RunWaveBroadcast(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint64) ([][]byte, int, error) {
-	if dBound <= 0 {
-		dBound = g.N() // the historical loose default, kept for round-count stability
-	}
-	return RunWaveBroadcastOpts(g, source, msg, bits, dBound, seed, WaveOptions{})
-}
-
-// WaveOptions configures RunWaveBroadcastOpts beyond the historical
-// defaults (all-zero = exactly RunWaveBroadcast's behavior).
+// WaveOptions configures RunWave. The zero value drives every node
+// densely through the full round budget.
 type WaveOptions struct {
 	// EarlyStop lets a node finish as soon as it can neither learn nor
 	// relay anything more: marker + 3·bits + 1 rounds after it heard the
@@ -194,23 +180,6 @@ type WaveOptions struct {
 	Sparse bool
 	// Metrics receives channel telemetry (may be nil).
 	Metrics *obs.Registry
-}
-
-// RunWaveBroadcastOpts executes the protocol on a noiseless network with
-// the given execution options and returns each node's decoded message.
-// When dBound <= 0 it is tightened to the source's BFS eccentricity
-// (instead of RunWaveBroadcast's loose default of n), which is what makes
-// the large-n round budget O(D + b) in practice.
-func RunWaveBroadcastOpts(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint64, opt WaveOptions) ([][]byte, int, error) {
-	res, err := RunWave(g, source, msg, bits, dBound, seed, opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([][]byte, g.N())
-	for v := range out {
-		out[v] = res.Payload(v)
-	}
-	return out, res.Rounds, nil
 }
 
 // WaveResult is a finished wave run: the network's Result, and every
@@ -230,9 +199,12 @@ func (w *WaveResult) Payload(v int) []byte {
 	return w.wave.received(v)
 }
 
-// RunWave is RunWaveBroadcastOpts without the per-node copy: the result
-// reads each node's message off the run's payload array, so checking a
-// large run allocates nothing per node.
+// RunWave executes the protocol on a noiseless network with the given
+// execution options. The result reads each node's decoded message off the
+// run's payload array, so checking a large run allocates nothing per node.
+// When dBound <= 0 it is tightened to the source's BFS eccentricity (at
+// least 1), which is what makes the large-n round budget O(D + b) in
+// practice.
 func RunWave(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint64, opt WaveOptions) (*WaveResult, error) {
 	if bits <= 0 {
 		return nil, fmt.Errorf("beepalgs: wave broadcast needs bits > 0")
@@ -247,7 +219,7 @@ func RunWave(g *graph.Graph, source int, msg []byte, bits, dBound int, seed uint
 			dBound = 1
 		}
 	}
-	budget := WaveRounds(g.N(), bits, dBound)
+	budget := WaveRounds(bits, dBound)
 	if budget > math.MaxInt32 {
 		return nil, fmt.Errorf("beepalgs: wave budget of %d rounds exceeds 2^31-1", budget)
 	}

@@ -26,14 +26,14 @@ func TestWaveBroadcastSparseEquivalence(t *testing.T) {
 		"split":   graph.MustFromEdges(12, [][2]int{{0, 1}, {1, 2}, {3, 4}, {5, 6}, {6, 7}}),
 	}
 	for name, g := range graphs {
-		baseline, baseRounds, err := RunWaveBroadcastOpts(g, 0, msg, bits, 0, 4, WaveOptions{})
+		baseline, baseRounds, err := waveOutputs(g, 0, msg, bits, 0, 4, WaveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, earlyStop := range []bool{false, true} {
 			denseRounds := -1
 			for _, sparse := range []bool{false, true} {
-				out, rounds, err := RunWaveBroadcastOpts(g, 0, msg, bits, 0, 4, WaveOptions{
+				out, rounds, err := waveOutputs(g, 0, msg, bits, 0, 4, WaveOptions{
 					EarlyStop: earlyStop,
 					Sparse:    sparse,
 				})
@@ -69,7 +69,7 @@ func TestWaveBroadcastEarlyStopDecodesEverything(t *testing.T) {
 	g := graph.Path(120)
 	msg := []byte{0xff, 0x01, 0x80}
 	const bits = 24
-	out, rounds, err := RunWaveBroadcastOpts(g, 0, msg, bits, 0, 9, WaveOptions{EarlyStop: true, Sparse: true})
+	out, rounds, err := waveOutputs(g, 0, msg, bits, 0, 9, WaveOptions{EarlyStop: true, Sparse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestWaveBroadcastEarlyStopDecodesEverything(t *testing.T) {
 			t.Fatalf("node %d decoded %x, want %x", v, out[v], msg)
 		}
 	}
-	if want := WaveRounds(g.N(), bits, 119); rounds > want {
+	if want := WaveRounds(bits, 119); rounds > want {
 		t.Fatalf("early-stop run took %d rounds, exceeding the full budget %d", rounds, want)
 	}
 }

@@ -675,36 +675,3 @@ func RandomBoundedDegree(n, maxDeg int, p float64, r *rng.Stream) *Graph {
 	}
 	return MustFromEdges(n, edges)
 }
-
-// RandomGeometricGrid places nodes on a jittered √n×√n grid and connects
-// nodes within unit-ish radius while respecting the degree cap. It is the
-// sensor-network-flavoured topology used in the examples: connected-ish,
-// low degree, moderate diameter.
-func RandomGeometricGrid(n, maxDeg int, r *rng.Stream) *Graph {
-	side := 1
-	for side*side < n {
-		side++
-	}
-	type pt struct{ x, y float64 }
-	pts := make([]pt, n)
-	for i := range pts {
-		pts[i] = pt{
-			x: float64(i%side) + 0.4*r.Float64(),
-			y: float64(i/side) + 0.4*r.Float64(),
-		}
-	}
-	deg := make([]int, n)
-	var edges [][2]int
-	const radius2 = 1.7 * 1.7
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			dx, dy := pts[u].x-pts[v].x, pts[u].y-pts[v].y
-			if dx*dx+dy*dy <= radius2 && deg[u] < maxDeg && deg[v] < maxDeg {
-				deg[u]++
-				deg[v]++
-				edges = append(edges, [2]int{u, v})
-			}
-		}
-	}
-	return MustFromEdges(n, edges)
-}

@@ -283,20 +283,6 @@ func TestRandomBoundedDegreeRespectsCap(t *testing.T) {
 	}
 }
 
-func TestRandomGeometricGrid(t *testing.T) {
-	r := rng.New(6)
-	g := RandomGeometricGrid(49, 8, r)
-	if g.N() != 49 {
-		t.Fatalf("N = %d", g.N())
-	}
-	if g.MaxDegree() > 8 {
-		t.Errorf("degree cap violated: %d", g.MaxDegree())
-	}
-	if !g.Connected() {
-		t.Error("geometric grid with this seed should be connected")
-	}
-}
-
 func TestPropertyNeighborsSortedAndSymmetric(t *testing.T) {
 	f := func(seed uint64, nRaw, dRaw uint8) bool {
 		n := int(nRaw%40) + 2

@@ -448,9 +448,8 @@ func (b *geoBand) row(v int, emit func(u int32)) {
 
 // GeometricCells builds the geo family graph for n ≥ 17 (lattice side
 // ≥ 5): vertices on a jittered ⌈√n⌉×⌈√n⌉ lattice, connected within
-// distance 1.7. It is the shardable, seed-stable successor to
-// RandomGeometricGrid for large-n runs: connected for every seed, of
-// maximum degree ≤ 24, and byte-identical for any opt.Workers. Each
+// distance 1.7. It is connected for every seed, of maximum degree ≤ 24,
+// and byte-identical for any opt.Workers. Each
 // chunk of each build pass reads coordinates off its own geoBand.
 func GeometricCells(n int, seed uint64, opt BuildOptions) (*Graph, error) {
 	side := geoSide(n)

@@ -31,6 +31,9 @@ var reachAllowlist = map[string]string{
 	"internal/graph.CompleteBipartite":         "fixture: baseline and matching tests build complete bipartite graphs",
 	"internal/graph.Grid":                      "fixture: tests in 5 packages build grids",
 	"internal/graph.Complete":                  "fixture: tests in 10 packages build complete graphs",
+	"internal/graph.Cycle":                     "fixture: tests in 11 packages build cycles",
+	"internal/graph.Graph.Diameter":            "fixture: graph, bfstree and beepalgs tests measure diameters",
+	"internal/beep.PerNode.Len":                "fixture: beep and beepalgs tests and the root engine benchmarks drive per-node programs through PerNode; the drivers reach its other methods through ProgramSet",
 	"internal/bitstring.Parse":                 "fixture: beep, codes and localbroadcast tests write bit patterns as text",
 	"internal/bitstring.BitString.Equal":       "fixture: beep, codes, core and graph tests compare bit strings",
 	"internal/bitstring.BitString.Flip":        "fixture: codes tests corrupt chosen codeword positions",
