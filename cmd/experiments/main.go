@@ -22,6 +22,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
@@ -94,9 +95,15 @@ func run(quick bool, seed uint64, only string, workers int, jsonPath string, met
 			total++
 		}
 	}
-	progress := obs.NewProgress(total)
+	var done atomic.Int64
+	suiteStart := time.Now()
 	if telemetry != "" {
-		srv, err := obs.Serve(telemetry, cfg.Metrics, progress)
+		// Every finished experiment ran: none is cached, and a failure ends the run.
+		srv, err := obs.Serve(telemetry, cfg.Metrics, func() any {
+			n := done.Load()
+			return map[string]int64{"total": int64(total), "done": n, "cached": 0, "ran": n, "failed": 0,
+				"elapsed_ms": time.Since(suiteStart).Milliseconds()}
+		})
 		if err != nil {
 			return err
 		}
@@ -110,10 +117,9 @@ func run(quick bool, seed uint64, only string, workers int, jsonPath string, met
 		start := time.Now()
 		tbl, err := e.Run(cfg)
 		if err != nil {
-			progress.Observe(false, true)
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		progress.Observe(false, false)
+		done.Add(1)
 		elapsed := time.Since(start)
 		fmt.Print(tbl.Render())
 		fmt.Printf("(%s in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))

@@ -58,20 +58,24 @@
 // the artifact cache's hit/miss counters, e.g.
 // "sweep: total=48 cached=48 run=0 failed=0 wall=12ms artifacts[graphs
 // 2/2 codes 0/1 (hits/misses)]" — a second run of the same grid performs
-// zero engine work.
+// zero engine work. The grid runs as one sweep.Service job, the run's
+// one record of progress: -v prints each slot from the job's log as it
+// lands, naming its hash and spec even when it failed.
 //
 // Telemetry: -metrics collects the deterministic instrumentation
 // registry (phase timers, decode counters, noise-flip accounting, pool
 // and cache traffic) and prints it as a table on stderr; with -store it
-// also writes a one-line JSONL telemetry artifact beside the result
-// store (<store>.telemetry.jsonl). -telemetry ADDR additionally serves
-// live introspection over HTTP (/metrics, /progress, /debug/vars,
-// /debug/pprof/) for the duration of the run. Both are observation-only:
-// records are byte-identical with telemetry on or off. -frontier
-// refuses both.
+// also writes a one-line JSONL telemetry artifact, re-created each run,
+// beside the result store (<store>.telemetry.jsonl), whose meta carries
+// the job's status. -telemetry ADDR additionally serves live
+// introspection over HTTP (/metrics, /progress with the job's status,
+// /debug/vars, /debug/pprof/) for the duration of the run. Both are
+// observation-only: records are byte-identical with telemetry on or
+// off. -frontier refuses both.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -79,6 +83,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"text/tabwriter"
 
 	"repro/internal/noise"
@@ -213,40 +218,56 @@ func run(grid sweep.Grid, cfg cliConfig) (err error) {
 	}
 
 	artifacts := sim.NewCache()
-	opt := sweep.Options{Jobs: cfg.jobs, Workers: cfg.workers, GenWorkers: cfg.genWorkers, Artifacts: artifacts}
 	var reg *obs.Registry
 	if cfg.metrics || cfg.telemetry != "" {
 		reg = obs.NewRegistry()
-		opt.Metrics = reg
 	}
-	progress := obs.NewProgress(len(scenarios))
+	// One job on a service sized to the grid, as sweep.Run runs it.
+	svc := sweep.NewService(store, sweep.Options{
+		Jobs: cfg.jobs, Workers: cfg.workers, GenWorkers: cfg.genWorkers,
+		Artifacts: artifacts, Metrics: reg, MaxPending: len(scenarios),
+	})
+	defer svc.Close()
+	// The listener opens before the job is submitted, so a bad address
+	// fails the run before any scenario starts.
+	var submitted atomic.Pointer[sweep.Job]
 	if cfg.telemetry != "" {
-		srv, err := obs.Serve(cfg.telemetry, reg, progress)
+		srv, err := obs.Serve(cfg.telemetry, reg, func() any {
+			if job := submitted.Load(); job != nil {
+				return job.Status()
+			}
+			return sweep.JobStatus{Total: len(scenarios)}
+		})
 		if err != nil {
 			return fmt.Errorf("sweep: telemetry: %w", err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "sweep: telemetry listening on http://%s\n", srv.Addr())
 	}
-	opt.Progress = func(ev sweep.Event) {
-		progress.Observe(ev.Cached, ev.Err != nil)
-		if !cfg.verbose {
-			return
+	job, err := svc.Submit(scenarios)
+	if err != nil {
+		return err
+	}
+	submitted.Store(job)
+	if cfg.verbose {
+		// The log is read here, not on a worker, so a slow stderr holds
+		// up no scenario.
+		for ev := range job.Events(context.Background()) {
+			status := "ran"
+			switch {
+			case ev.Err != nil:
+				status = "FAILED: " + ev.Err.Error()
+			case ev.Cached:
+				status = "cached"
+			}
+			sc := ev.Spec
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s/%s/%s n=%d param=%d eps=%g rep=%d: %s\n",
+				ev.Done, ev.Total, ev.Hash, sc.Workload, sc.Engine, sc.Family,
+				sc.N, sc.Param, sc.Epsilon, sc.Replicate, status)
 		}
-		status := "ran"
-		switch {
-		case ev.Err != nil:
-			status = "FAILED: " + ev.Err.Error()
-		case ev.Cached:
-			status = "cached"
-		}
-		sc := ev.Record.Spec
-		fmt.Fprintf(os.Stderr, "[%d/%d] %s %s/%s/%s n=%d param=%d eps=%g rep=%d: %s\n",
-			ev.Done, ev.Total, ev.Record.Hash, sc.Workload, sc.Engine, sc.Family,
-			sc.N, sc.Param, sc.Epsilon, sc.Replicate, status)
 	}
 
-	records, stats, runErr := sweep.Run(scenarios, store, opt)
+	records, stats, runErr := job.Wait()
 	fmt.Fprintf(os.Stderr, "sweep: %s\n", sweep.Summary(stats, artifacts.Stats()))
 	if reg != nil {
 		fmt.Fprintln(os.Stderr, "sweep: metrics:")
@@ -256,7 +277,7 @@ func run(grid sweep.Grid, cfg cliConfig) (err error) {
 		if cfg.storePath != "" {
 			f, err := os.Create(telemetryPath(cfg.storePath))
 			if err == nil {
-				meta := map[string]any{"store": cfg.storePath, "stats": stats.String(), "progress": progress.Snapshot()}
+				meta := map[string]any{"store": cfg.storePath, "stats": stats.String(), "progress": job.Status()}
 				err = errors.Join(obs.WriteJSONL(f, meta, reg), f.Close())
 			}
 			if err != nil {

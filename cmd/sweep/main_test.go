@@ -121,6 +121,47 @@ func TestApplicationGridsVerify(t *testing.T) {
 	}
 }
 
+// TestVerboseNamesFailedSlot: -v names a failed slot by its spec hash
+// and spec, as it names every other slot. The hard family needs 2Δ <= n,
+// so its n = 4 point fails to build.
+func TestVerboseNamesFailedSlot(t *testing.T) {
+	grid := sweep.Grid{
+		Families: []string{sweep.FamilyHard, sweep.FamilyRegular}, Ns: []int{4, 8}, Params: []int{3},
+		Epsilons: []float64{0}, Engines: []string{sweep.EngineTDMA},
+		Workloads: []string{sweep.WorkloadGossip}, Rounds: 1, BaseSeed: 2023,
+	}
+	scenarios, err := grid.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	err = run(grid, cliConfig{jobs: 1, verbose: true})
+	os.Stderr = saved
+	if err == nil {
+		t.Fatal("the n = 4 hard instance did not fail")
+	}
+	out, rerr := os.ReadFile(stderr.Name())
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	var failed []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.Contains(line, ": FAILED: ") {
+			failed = append(failed, line)
+		}
+	}
+	want := scenarios[0].Hash() + " gossip/tdma/hard n=4 param=3 "
+	if len(failed) != 1 || !strings.Contains(failed[0], want) {
+		t.Fatalf("failed lines %q, want one naming %q\nstderr:\n%s", failed, want, out)
+	}
+}
+
 // TestErrorsCarryOnePrefix: fatal prints run's error as it is, so an
 // error internal/sweep made (a misspelled workload) must reach it with
 // exactly one "sweep: "; TestFrontierRefusesTelemetryFlags checks the

@@ -3,9 +3,11 @@
 // aggregate reads at interactive latency (the store opens through its
 // sidecar offset index — sweep.IndexedStore — so lookups are disk seeks,
 // not a full corpus load), accepts grid submissions that execute through
-// the resident sweep.Service scheduler with streaming progress and
-// bounded backpressure, and dedupes identical in-flight scenarios across
-// concurrent requests by content hash (request-level singleflight).
+// the resident sweep.Service scheduler with bounded backpressure, and
+// dedupes identical in-flight scenarios across concurrent requests by
+// content hash (request-level singleflight). Each submission is one
+// sweep.Job, its own event log: /jobs/{id}/events replays it from the
+// first slot and follows it live, and /progress sums every job's status.
 // Determinism makes the whole surface trivially cacheable: a record is a
 // pure function of its spec hash, so responses never go stale and
 // identical grids submitted twice cost one execution and N-1 lookups.

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -276,6 +277,13 @@ func TestSweepdEndToEnd(t *testing.T) {
 	}
 	if execsAfter := metric(t, base, "sweep.service.executions"); execsAfter != execsBefore {
 		t.Fatalf("resubmission executed: %d -> %d", execsBefore, execsAfter)
+	}
+
+	// /progress sums every accepted job: the cold run and the full hit.
+	var prog progressBody
+	getJSON(t, base+"/progress", &prog)
+	if prog.Total != 2*st.Total || prog.Done != prog.Total || prog.Ran != st.Total || prog.Cached != st.Total || prog.Failed != 0 {
+		t.Fatalf("/progress = %+v, want both jobs' %d slots, half ran and half cached", prog, 2*st.Total)
 	}
 
 	var jobs map[string][]string
@@ -665,6 +673,91 @@ func TestSweepdJobRecordsFailedSlot(t *testing.T) {
 	}
 	if failedEvents != 1 {
 		t.Fatalf("%d failed events, want 1", failedEvents)
+	}
+}
+
+// TestSweepdFollowsRunningJob streams a job while it runs, one slot
+// released at a time. A subscriber opened right after POST /grids is
+// served (never a 404) and gets each slot's line as the slot lands,
+// with done counting 1..total. A subscriber cancelled mid-job returns
+// while the job still runs, and one opened after completion gets the
+// same bytes as the first.
+func TestSweepdFollowsRunningJob(t *testing.T) {
+	threeReplicates := `{"families":["regular"],"ns":[14],"params":[3],"epsilons":[0.1],"engines":["alg1"],"workloads":["gossip"],"rounds":2,"replicates":3,"base_seed":2023}`
+	release := make(chan struct{})
+	ts, _ := newTestDaemon(t, sweep.Options{
+		Jobs: 1,
+		ExecuteFunc: func(group []sweep.Scenario, _ sweep.ExecOptions) ([]sweep.Record, error) {
+			<-release
+			return fakeRecords(group), nil
+		},
+	})
+	defer close(release) // before the daemon's cleanup closes the service
+	client := &http.Client{Timeout: 60 * time.Second}
+
+	sr := submitGrid(t, ts.URL, threeReplicates)
+	resp, err := client.Get(ts.URL + sr.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("events right after POST /grids: %s, want 200", resp.Status)
+	}
+	var stream bytes.Buffer
+	lines := bufio.NewReader(resp.Body)
+	for done := 1; done <= sr.Total; done++ {
+		release <- struct{}{} // one slot lands
+		line, err := lines.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("line %d: %v", done, err)
+		}
+		var ev jobEvent
+		if err := json.Unmarshal(line, &ev); err != nil || ev.Done != done || ev.Total != sr.Total {
+			t.Fatalf("line %d: %s (%v), want done %d of %d", done, line, err, done, sr.Total)
+		}
+		stream.Write(line)
+		if done == 1 {
+			cancelledSubscriberReturns(t, ts, sr)
+		}
+	}
+	if rest, err := io.ReadAll(lines); err != nil || len(rest) != 0 {
+		t.Fatalf("after %d lines the stream went on: %q, %v", sr.Total, rest, err)
+	}
+
+	replay, err := client.Get(ts.URL + sr.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(replay.Body)
+	replay.Body.Close()
+	if err != nil || !bytes.Equal(body, stream.Bytes()) {
+		t.Fatalf("replay after completion (%v):\n%s\nwant the live stream:\n%s", err, body, stream.Bytes())
+	}
+}
+
+// cancelledSubscriberReturns opens an events subscriber on a running
+// job, cancels its request, and fails unless the handler returns while
+// the job is still running.
+func cancelledSubscriberReturns(t *testing.T, ts *httptest.Server, sr submitResponse) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		req := httptest.NewRequest(http.MethodGet, sr.Events, nil).WithContext(ctx)
+		ts.Config.Handler.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a cancelled subscriber did not return")
+	}
+	var st sweep.JobStatus
+	getJSON(t, ts.URL+sr.Status, &st)
+	if st.Complete {
+		t.Fatalf("the job completed before its slots were released: %+v", st)
 	}
 }
 

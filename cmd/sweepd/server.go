@@ -1,13 +1,12 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sweep"
@@ -26,20 +25,20 @@ import (
 //	GET  /jobs/{id}/events    streaming progress (NDJSON, one line/event)
 //	GET  /jobs/{id}/records   completed job: one line per slot (JSONL)
 //	GET  /metrics, /progress, /debug/...   obs.Handler plumbing
+//
+// The job endpoints read the sweep.Job itself: the server keeps no
+// per-job state.
 type server struct {
-	store    sweep.StoreEngine
-	svc      *sweep.Service
-	progress *obs.Progress
-	mux      *http.ServeMux
-
-	mu    sync.Mutex
-	feeds map[string]*jobFeed
+	store sweep.StoreEngine
+	svc   *sweep.Service
+	mux   *http.ServeMux
+	start time.Time
 }
 
 // newServer wires the HTTP surface. reg may be nil (telemetry off —
 // /metrics then serves an empty snapshot, the obs nil contract).
 func newServer(store sweep.StoreEngine, svc *sweep.Service, reg *obs.Registry) *server {
-	s := &server{store: store, svc: svc, progress: obs.NewProgress(0), mux: http.NewServeMux(), feeds: make(map[string]*jobFeed)}
+	s := &server{store: store, svc: svc, mux: http.NewServeMux(), start: time.Now()}
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -174,20 +173,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The server — not any one HTTP subscriber — records the job's
-	// events in a replayable per-job feed, so any number of /events
-	// streams can follow the job (each from the start) and the global
-	// /progress tracker advances whether or not anyone is watching.
-	feed := newJobFeed()
-	job, err := s.svc.Submit(scenarios, func(ev sweep.Event) {
-		s.progress.Observe(ev.Cached, ev.Err != nil)
-		je := jobEvent{Index: ev.Index, Done: ev.Done, Total: ev.Total, Cached: ev.Cached, Hash: ev.Record.Hash}
-		if ev.Err != nil {
-			// A failed slot has no record: its spec names it.
-			je.Hash, je.Error = scenarios[ev.Index].Hash(), ev.Err.Error()
-		}
-		feed.append(je, ev.Done == ev.Total)
-	})
+	job, err := s.svc.Submit(scenarios)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, sweep.ErrBackpressure) {
@@ -198,10 +184,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	s.progress.Expect(len(scenarios))
-	s.mu.Lock()
-	s.feeds[job.ID()] = feed
-	s.mu.Unlock()
 	st := job.Status()
 	writeJSON(w, http.StatusAccepted, submitResponse{
 		Job: job.ID(), Total: st.Total, Unique: st.Unique, Status: "/jobs/" + job.ID(),
@@ -232,6 +214,32 @@ func (s *server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"jobs": s.svc.JobIDs()})
 }
 
+// progressBody is the /progress body: every accepted job's counts
+// summed, on a clock started with the server.
+type progressBody struct {
+	Total     int   `json:"total"`
+	Done      int   `json:"done"`
+	Cached    int   `json:"cached"`
+	Ran       int   `json:"ran"`
+	Failed    int   `json:"failed"`
+	ElapsedMS int64 `json:"elapsed_ms"`
+}
+
+func (s *server) progress() any {
+	p := progressBody{ElapsedMS: time.Since(s.start).Milliseconds()}
+	for _, id := range s.svc.JobIDs() {
+		if job, ok := s.svc.Job(id); ok {
+			st := job.Status()
+			p.Total += st.Total
+			p.Done += st.Done
+			p.Cached += st.Cached
+			p.Ran += st.Ran
+			p.Failed += st.Failed
+		}
+	}
+	return p
+}
+
 // jobEvent is one NDJSON progress line on /jobs/{id}/events. Hash is
 // the slot's spec hash, which is also its record's.
 type jobEvent struct {
@@ -243,104 +251,29 @@ type jobEvent struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// jobFeed is a replayable event log: the server appends as the job
-// progresses, any number of subscribers read from any position, and a
-// condition broadcast wakes blocked readers on every append (and on
-// subscriber cancellation, via context.AfterFunc).
-type jobFeed struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	lines []jobEvent
-	done  bool
-}
-
-func newJobFeed() *jobFeed {
-	f := &jobFeed{}
-	f.cond = sync.NewCond(&f.mu)
-	return f
-}
-
-// append adds one event; last marks the job's final one.
-func (f *jobFeed) append(ev jobEvent, last bool) {
-	f.mu.Lock()
-	f.lines = append(f.lines, ev)
-	f.done = last
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-// failures returns the feed's failed events by slot index.
-func (f *jobFeed) failures() map[int]jobEvent {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[int]jobEvent)
-	for _, ev := range f.lines {
-		if ev.Error != "" {
-			out[ev.Index] = ev
-		}
-	}
-	return out
-}
-
-// next blocks until line i exists, the feed is complete, or cancelled
-// reports true; ok is false when no line i will ever exist.
-func (f *jobFeed) next(i int, cancelled func() bool) (jobEvent, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for {
-		if i < len(f.lines) {
-			return f.lines[i], true
-		}
-		if f.done || cancelled() {
-			return jobEvent{}, false
-		}
-		f.cond.Wait()
-	}
-}
-
-// handleJobEvents streams the job's progress as NDJSON, one line per
-// completed scenario, flushed as it lands, until the job finishes (or
-// the client disconnects). Every subscriber replays from the start —
-// the feed is a log, not a queue.
+// handleJobEvents streams the job's landings as NDJSON, one line per
+// slot, flushed as it lands, until every slot has landed or the client
+// disconnects. The headers go out at once, so a subscriber knows the
+// stream is open before its first slot lands. Every subscriber replays
+// from the start: the job is a log, not a queue.
 func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	_, feed, ok := s.jobAndFeed(w, r)
+	job, ok := s.job(w, r)
 	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	ctx := r.Context()
-	stop := context.AfterFunc(ctx, feed.cond.Broadcast)
-	defer stop()
-	for i := 0; ; i++ {
-		ev, ok := feed.next(i, func() bool { return ctx.Err() != nil })
-		if !ok {
+	flush := http.NewResponseController(w).Flush
+	flush()
+	for ev := range job.Events(r.Context()) {
+		line := jobEvent{Index: ev.Index, Done: ev.Done, Total: ev.Total, Cached: ev.Cached, Hash: ev.Hash}
+		if ev.Err != nil {
+			line.Error = ev.Err.Error()
+		}
+		if err := sweep.EncodeJSONL(w, line); err != nil {
 			return
 		}
-		if err := sweep.EncodeJSONL(w, ev); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		flush()
 	}
-}
-
-// jobAndFeed looks up the job a request names and its event feed,
-// answering 404 itself when either is missing.
-func (s *server) jobAndFeed(w http.ResponseWriter, r *http.Request) (*sweep.Job, *jobFeed, bool) {
-	job, ok := s.job(w, r)
-	if !ok {
-		return nil, nil, false
-	}
-	s.mu.Lock()
-	feed := s.feeds[job.ID()]
-	s.mu.Unlock()
-	if feed == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no event feed for job %q", job.ID()))
-		return nil, nil, false
-	}
-	return job, feed, true
 }
 
 // failedSlot is the /jobs/{id}/records line of a slot whose scenario
@@ -356,7 +289,7 @@ type failedSlot struct {
 // submission order: the slot's record, or a failedSlot line; 409 while
 // the job is still running.
 func (s *server) handleJobRecords(w http.ResponseWriter, r *http.Request) {
-	job, feed, ok := s.jobAndFeed(w, r)
+	job, ok := s.job(w, r)
 	if !ok {
 		return
 	}
@@ -366,12 +299,17 @@ func (s *server) handleJobRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	recs, _, _ := job.Wait() // complete: returns at once
-	failed := feed.failures()
+	failed := make(map[int]failedSlot)
+	for ev := range job.Events(r.Context()) {
+		if ev.Err != nil {
+			failed[ev.Index] = failedSlot{Index: ev.Index, Hash: ev.Hash, Error: ev.Err.Error()}
+		}
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	for i, rec := range recs {
 		var line any = rec
-		if ev, ok := failed[i]; ok {
-			line = failedSlot{Index: ev.Index, Hash: ev.Hash, Error: ev.Error}
+		if slot, ok := failed[i]; ok {
+			line = slot
 		}
 		if err := sweep.EncodeJSONL(w, line); err != nil {
 			return

@@ -391,5 +391,3 @@ func A3SoloDecodingAblation(cfg Config) (*Table, error) {
 	}
 	return t, nil
 }
-
-var _ = math.Log2

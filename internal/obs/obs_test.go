@@ -142,11 +142,6 @@ func TestNilHandlesNoOp(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry must snapshot to nil")
 	}
-	var p *Progress
-	p.Observe(false, false)
-	if p.Snapshot() != (ProgressSnapshot{}) {
-		t.Fatal("nil progress must snapshot to zero")
-	}
 }
 
 // The zero-overhead contract from ISSUE 7 / DESIGN.md §2.15: the
@@ -248,17 +243,6 @@ func TestWriteJSONL(t *testing.T) {
 	}
 	if decoded.Meta["run"] != "test" || len(decoded.Metrics) != 1 || decoded.Metrics[0].Value != 3 {
 		t.Fatalf("decoded = %+v", decoded)
-	}
-}
-
-func TestProgressCounts(t *testing.T) {
-	p := NewProgress(4)
-	p.Observe(false, false) // ran
-	p.Observe(true, false)  // cached
-	p.Observe(false, true)  // failed
-	s := p.Snapshot()
-	if s.Total != 4 || s.Done != 3 || s.Ran != 1 || s.Cached != 1 || s.Failed != 1 {
-		t.Fatalf("progress snapshot = %+v", s)
 	}
 }
 

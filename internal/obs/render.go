@@ -52,11 +52,11 @@ func nanos(n int64) string {
 	return d.String()
 }
 
-// WriteJSONL appends the registry snapshot to w as a single JSON line —
-// the telemetry artifact format written beside the result store. The
-// envelope carries an arbitrary caller header (run stats, cache stats)
-// under "meta" and the sorted metric snapshot under "metrics", so one
-// file accumulates one self-describing line per batch run.
+// WriteJSONL writes the registry snapshot to w as a single JSON line —
+// the telemetry artifact format: a caller header (run stats, progress)
+// under "meta" and the sorted metric snapshot under "metrics". cmd/sweep
+// re-creates <store>.telemetry.jsonl beside the result store on every
+// run, so the file holds one line, the last run's: one JSON document.
 func WriteJSONL(w io.Writer, meta any, r *Registry) error {
 	line := struct {
 		Meta    any      `json:"meta,omitempty"`

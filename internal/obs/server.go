@@ -9,75 +9,7 @@ import (
 	"net/http/pprof"
 	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// Progress is the live batch progress feed behind the introspection
-// endpoint's /progress: the CLI's sweep callback updates it, HTTP
-// readers snapshot it. Lock-free; nil-safe like every obs handle.
-type Progress struct {
-	total, done, cached, ran, failed atomic.Int64
-	startNanos                       int64
-}
-
-// NewProgress returns a tracker expecting total completions, with the
-// clock started now.
-func NewProgress(total int) *Progress {
-	p := &Progress{startNanos: time.Now().UnixNano()}
-	p.total.Store(int64(total))
-	return p
-}
-
-// Expect raises the expected completion total by n: the long-lived
-// service shape (cmd/sweepd), where submissions keep arriving after the
-// tracker is built. No-op on nil.
-func (p *Progress) Expect(n int) {
-	if p == nil {
-		return
-	}
-	p.total.Add(int64(n))
-}
-
-// Observe records one scenario completion; no-op on nil.
-func (p *Progress) Observe(cached, failed bool) {
-	if p == nil {
-		return
-	}
-	p.done.Add(1)
-	switch {
-	case failed:
-		p.failed.Add(1)
-	case cached:
-		p.cached.Add(1)
-	default:
-		p.ran.Add(1)
-	}
-}
-
-// ProgressSnapshot is the JSON shape served at /progress.
-type ProgressSnapshot struct {
-	Total     int64 `json:"total"`
-	Done      int64 `json:"done"`
-	Cached    int64 `json:"cached"`
-	Ran       int64 `json:"ran"`
-	Failed    int64 `json:"failed"`
-	ElapsedMS int64 `json:"elapsed_ms"`
-}
-
-// Snapshot returns the current progress (zero value on nil).
-func (p *Progress) Snapshot() ProgressSnapshot {
-	if p == nil {
-		return ProgressSnapshot{}
-	}
-	return ProgressSnapshot{
-		Total:     p.total.Load(),
-		Done:      p.done.Load(),
-		Cached:    p.cached.Load(),
-		Ran:       p.ran.Load(),
-		Failed:    p.failed.Load(),
-		ElapsedMS: (time.Now().UnixNano() - p.startNanos) / int64(time.Millisecond),
-	}
-}
 
 // expvar publishes into a process-global namespace, so the registry
 // behind "telemetry" is an atomic pointer swapped per Serve rather than
@@ -88,7 +20,7 @@ var (
 )
 
 // Server is the opt-in -telemetry introspection listener: /metrics
-// (registry snapshot JSON), /progress (live batch progress), /debug/vars
+// (registry snapshot JSON), /progress (live run progress), /debug/vars
 // (expvar), and /debug/pprof. It binds its own mux, so enabling
 // telemetry never touches http.DefaultServeMux.
 type Server struct {
@@ -97,13 +29,12 @@ type Server struct {
 }
 
 // Handler returns the introspection endpoints as a mountable
-// http.Handler: /metrics (registry snapshot JSON), /progress (live
-// progress), /debug/vars (expvar), and /debug/pprof/*. Serve binds it
-// to a private listener for the CLIs; cmd/sweepd mounts the same
-// handler inside its own mux so one server exposes both the sweep API
-// and the telemetry plumbing. progress may be nil, in which case
-// /progress serves zeros.
-func Handler(reg *Registry, progress *Progress) http.Handler {
+// http.Handler: /metrics (registry snapshot JSON), /progress (the JSON
+// of whatever progress returns, called per request), /debug/vars
+// (expvar), and /debug/pprof/*. Serve binds it to a private listener
+// for the CLIs; cmd/sweepd mounts the same handler inside its own mux
+// so one server exposes both the sweep API and the telemetry plumbing.
+func Handler(reg *Registry, progress func() any) http.Handler {
 	expvarOnce.Do(func() {
 		expvar.Publish("telemetry", expvar.Func(func() any {
 			return expvarReg.Load().Snapshot()
@@ -125,7 +56,7 @@ func Handler(reg *Registry, progress *Progress) http.Handler {
 	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(progress.Snapshot())
+		json.NewEncoder(w).Encode(progress())
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -137,9 +68,9 @@ func Handler(reg *Registry, progress *Progress) http.Handler {
 }
 
 // Serve starts the introspection server on addr (e.g. "localhost:6060";
-// ":0" picks a free port — read it back from Addr). progress may be
-// nil, in which case /progress serves zeros.
-func Serve(addr string, reg *Registry, progress *Progress) (*Server, error) {
+// ":0" picks a free port — read it back from Addr), serving Handler(reg,
+// progress).
+func Serve(addr string, reg *Registry, progress func() any) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: telemetry listener: %w", err)

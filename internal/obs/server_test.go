@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"testing"
 )
 
@@ -27,10 +28,11 @@ func get(t *testing.T, url string) []byte {
 func TestServerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sweep.store.hits").Add(9)
-	p := NewProgress(10)
-	p.Observe(false, false)
-
-	s, err := Serve("127.0.0.1:0", r, p)
+	type progress struct{ Total, Done int64 }
+	var calls atomic.Int64
+	s, err := Serve("127.0.0.1:0", r, func() any {
+		return progress{Total: 10, Done: calls.Add(1)}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +47,15 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/metrics = %+v", metrics)
 	}
 
-	var prog ProgressSnapshot
-	if err := json.Unmarshal(get(t, base+"/progress"), &prog); err != nil {
-		t.Fatalf("/progress not JSON: %v", err)
-	}
-	if prog.Total != 10 || prog.Done != 1 || prog.Ran != 1 {
-		t.Fatalf("/progress = %+v", prog)
+	// /progress serves what the caller's func returns, asked per request.
+	for want := int64(1); want <= 2; want++ {
+		var prog progress
+		if err := json.Unmarshal(get(t, base+"/progress"), &prog); err != nil {
+			t.Fatalf("/progress not JSON: %v", err)
+		}
+		if prog != (progress{Total: 10, Done: want}) {
+			t.Fatalf("/progress = %+v, want done %d", prog, want)
+		}
 	}
 
 	// expvar carries the published registry under "telemetry".
@@ -74,7 +79,7 @@ func TestServerEndpoints(t *testing.T) {
 	// must re-point "telemetry" at the new registry.
 	r2 := NewRegistry()
 	r2.Counter("other").Inc()
-	s2, err := Serve("127.0.0.1:0", r2, nil)
+	s2, err := Serve("127.0.0.1:0", r2, func() any { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,6 @@ type Options struct {
 	// the parallelism knobs it never changes any record — cached
 	// artifacts are pure functions of their keys.
 	Artifacts *sim.Cache
-	// Progress, when non-nil, receives one Event per scenario of a Run as
-	// it completes (cache hit or run), serialized — no locking needed. A
-	// Service ignores it: each Submit takes its own callback.
-	Progress func(Event)
 	// Metrics, when non-nil, receives observation-only scheduler
 	// instrumentation (store traffic, dedup, group shapes, queue wait,
 	// singleflight) and is threaded down through ExecOptions into the
@@ -58,17 +54,18 @@ type Options struct {
 	ExecuteFunc func(group []Scenario, opt ExecOptions) ([]Record, error)
 }
 
-// Event reports one scenario's completion to a job's progress callback
-// (Options.Progress for Run).
+// Event is one slot's landing in a job's log (Job.Events).
 type Event struct {
-	// Index is the scenario's position in the input slice; Done and
-	// Total count completions so far.
+	// Index is the slot's position in the submitted slice; Done counts
+	// the job's landings up to this one, out of Total.
 	Index, Done, Total int
-	// Cached reports a cache hit (no engine work).
+	// Hash and Spec name the slot's scenario, which a failed slot has no
+	// record to name.
+	Hash string
+	Spec Scenario
+	// Cached reports a slot served without engine work.
 	Cached bool
-	// Record is the result (zero on error).
-	Record Record
-	// Err is the scenario's failure, if any.
+	// Err is the slot's failure, if any.
 	Err error
 }
 
@@ -113,7 +110,7 @@ func Run(scenarios []Scenario, store StoreEngine, opt Options) ([]Record, Stats,
 	opt.MaxPending = len(scenarios)
 	svc := NewService(store, opt)
 	defer svc.Close()
-	job, err := svc.Submit(scenarios, opt.Progress)
+	job, err := svc.Submit(scenarios)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -1,11 +1,12 @@
 package sweep
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -207,29 +208,41 @@ func TestBatchColoringEmptyPalette(t *testing.T) {
 	}
 }
 
+// runEvents runs scenarios as one job on a service sized to them, the
+// way Run does, and returns the job's event log, read while the job
+// runs, beside Run's results.
+func runEvents(t *testing.T, scs []Scenario, opt Options) ([]Event, []Record, Stats, error) {
+	t.Helper()
+	opt.MaxPending = len(scs)
+	svc := NewService(NewMemStore(), opt)
+	defer svc.Close()
+	job, err := svc.Submit(scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := slices.Collect(job.Events(context.Background()))
+	recs, st, err := job.Wait()
+	return events, recs, st, err
+}
+
 func TestBatchProgressEvents(t *testing.T) {
 	scs, err := tinyGrid().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	seen := make(map[int]bool)
-	_, _, err = Run(scs, NewMemStore(), Options{
-		Jobs: 4,
-		Progress: func(ev Event) {
-			mu.Lock()
-			defer mu.Unlock()
-			if seen[ev.Index] {
-				t.Errorf("duplicate progress event for scenario %d", ev.Index)
-			}
-			seen[ev.Index] = true
-			if ev.Total != len(scs) || ev.Done < 1 || ev.Done > ev.Total {
-				t.Errorf("bad event counters: %+v", ev)
-			}
-		},
-	})
+	events, _, _, err := runEvents(t, scs, Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	seen := make(map[int]bool)
+	for _, ev := range events {
+		if seen[ev.Index] {
+			t.Errorf("duplicate progress event for scenario %d", ev.Index)
+		}
+		seen[ev.Index] = true
+		if ev.Total != len(scs) || ev.Done < 1 || ev.Done > ev.Total {
+			t.Errorf("bad event counters: %+v", ev)
+		}
 	}
 	if len(seen) != len(scs) {
 		t.Fatalf("got %d progress events for %d scenarios", len(seen), len(scs))

@@ -1,8 +1,10 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -16,12 +18,11 @@ import (
 // Service is the sweep scheduler: one worker pool over one store that
 // serves any number of concurrent submissions. Run is one job on a
 // short-lived Service; cmd/sweepd keeps one resident. Each Submit gets
-// its own Job with a per-request record slice and progress callback;
-// the jobs share the worker pool, the store, the artifact cache, and
-// one request-level singleflight group, so identical scenarios
-// submitted concurrently by different requests execute exactly once
-// (sim.FlightGroup — the artifact cache's per-entry sync.Once
-// generalized to the request layer).
+// its own Job, which records its slots as they land; the jobs share
+// the worker pool, the store, the artifact cache, and one request-level
+// singleflight group, so identical scenarios submitted concurrently by
+// different requests execute exactly once (sim.FlightGroup — the
+// artifact cache's per-entry sync.Once generalized to the request layer).
 //
 // A job's unit of work is a task: one lane group (sliceGroups) over the
 // job's first occurrence of each hash; later duplicates within the job
@@ -120,8 +121,7 @@ type flightResult struct {
 }
 
 // NewService starts a service over store: opt.Jobs resident workers
-// draining one shared task queue. Close releases them. opt.Progress is
-// ignored; each Submit takes its own callback.
+// draining one shared task queue. Close releases them.
 func NewService(store StoreEngine, opt Options) *Service {
 	if opt.MaxPending <= 0 {
 		opt.MaxPending = DefaultMaxPending
@@ -170,24 +170,23 @@ func NewService(store StoreEngine, opt Options) *Service {
 func (s *Service) MaxPending() int { return s.maxPending }
 
 // Submit hashes and enqueues scenarios as one Job and returns at once;
-// Job.Wait blocks until it completes. progress, when non-nil, receives
-// one Event per scenario as it completes, serialized, on a worker
-// goroutine: it must not block, and must not call the Job's methods.
+// Job.Wait blocks until it completes and Job.Events follows it.
 // ErrBackpressure reports a full queue (nothing enqueued — admission is
 // all-or-nothing, so a rejected request leaves no orphan tasks) and
 // ErrClosed a closed service. An invalid scenario fails its own slot,
 // like any execution error.
-func (s *Service) Submit(scenarios []Scenario, progress func(Event)) (*Job, error) {
+func (s *Service) Submit(scenarios []Scenario) (*Job, error) {
 	if len(scenarios) == 0 {
 		return nil, errors.New("sweep: empty submission")
 	}
 	j := &Job{
 		scenarios: scenarios,
 		hashes:    make([]string, len(scenarios)),
-		progress:  progress,
 		done:      make(chan struct{}),
 		records:   make([]Record, len(scenarios)),
 		errs:      make([]error, len(scenarios)),
+		cached:    make([]bool, len(scenarios)),
+		landed:    make([]int, 0, len(scenarios)),
 		start:     time.Now(),
 	}
 	// Duplicate specs inside one job run once: the first index with a
@@ -398,21 +397,24 @@ func (s *Service) land(j *Job, i int, rec Record, cached bool, err error) {
 	j.report(i, rec, cached, err)
 }
 
-// Job is one accepted submission: a per-request result slice, progress
-// callback, and completion signal over the service's shared workers.
+// Job is one accepted submission over the service's shared workers, and
+// the one record of its progress: each slot's record or failure and
+// cached flag, and the order in which the slots landed. Events replays
+// that log to any number of readers.
 type Job struct {
 	id        string
 	scenarios []Scenario
 	hashes    []string
 	dups      map[int][]int // owner slot → later slots with its hash
-	progress  func(Event)
 	done      chan struct{}
 
 	mu      sync.Mutex
 	records []Record
 	errs    []error
+	cached  []bool
+	landed  []int         // slot indices in landing order
+	wake    chan struct{} // closed at the next landing; made by a reader that waits for it
 	stats   Stats
-	doneN   int
 	start   time.Time
 }
 
@@ -451,30 +453,26 @@ type JobStatus struct {
 	ElapsedMS int64  `json:"elapsed_ms"`
 }
 
-// Status returns the job's current progress.
+// Status returns the job's current progress. Its clock stops at
+// completion.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	complete, elapsed := len(j.landed) == j.stats.Total, time.Since(j.start)
+	if complete {
+		elapsed = j.stats.Wall
+	}
 	return JobStatus{
 		ID:        j.id,
 		Total:     j.stats.Total,
 		Unique:    j.stats.Unique,
-		Done:      j.doneN,
+		Done:      len(j.landed),
 		Cached:    j.stats.Cached,
 		Ran:       j.stats.Ran,
 		Failed:    j.stats.Failed,
-		Complete:  j.doneN == j.stats.Total,
-		ElapsedMS: int64(j.elapsed() / time.Millisecond),
+		Complete:  complete,
+		ElapsedMS: int64(elapsed / time.Millisecond),
 	}
-}
-
-// elapsed is the job's wall clock: frozen at completion. Caller holds
-// j.mu.
-func (j *Job) elapsed() time.Duration {
-	if j.doneN == j.stats.Total {
-		return j.stats.Wall
-	}
-	return time.Since(j.start)
 }
 
 // report lands an owned slot's outcome and copies it to the slot's
@@ -492,12 +490,12 @@ func (j *Job) report(i int, rec Record, cached bool, err error) {
 	}
 }
 
-// set lands one slot: result slice, stats, progress callback, and — on
-// the last slot — completion. Caller holds j.mu, which keeps callbacks
-// serialized and ordered by their Done counter.
+// set lands one slot: result slice, stats, the landing log, a wake-up
+// for readers waiting on it, and — on the last slot — completion.
+// Caller holds j.mu.
 func (j *Job) set(i int, rec Record, cached bool, err error) {
-	j.records[i], j.errs[i] = rec, err
-	j.doneN++
+	j.records[i], j.errs[i], j.cached[i] = rec, err, cached && err == nil
+	j.landed = append(j.landed, i)
 	switch {
 	case err != nil:
 		j.stats.Failed++
@@ -506,14 +504,50 @@ func (j *Job) set(i int, rec Record, cached bool, err error) {
 	default:
 		j.stats.Ran++
 	}
-	complete := j.doneN == j.stats.Total
-	if complete {
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
+	}
+	if len(j.landed) == j.stats.Total {
 		j.stats.Wall = time.Since(j.start)
-	}
-	if j.progress != nil {
-		j.progress(Event{Index: i, Done: j.doneN, Total: j.stats.Total, Cached: cached && err == nil, Record: rec, Err: err})
-	}
-	if complete {
 		close(j.done)
 	}
+}
+
+// Events iterates the job's landings in order: every slot landed so far,
+// then each later one as it lands, until all of the job's slots have
+// been yielded or ctx is done. Each call replays from the first landing,
+// so any number of readers can follow one job, and none holds up the
+// workers, which only append to the log.
+func (j *Job) Events(ctx context.Context) iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		for k := range len(j.scenarios) {
+			ev, ok := j.event(ctx, k)
+			if !ok || !yield(ev) {
+				return
+			}
+		}
+	}
+}
+
+// event returns the job's k-th landing, waiting for it to land, or
+// false if ctx is done first.
+func (j *Job) event(ctx context.Context, k int) (Event, bool) {
+	j.mu.Lock()
+	for k >= len(j.landed) {
+		if j.wake == nil {
+			j.wake = make(chan struct{})
+		}
+		wake := j.wake
+		j.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return Event{}, false
+		}
+		j.mu.Lock()
+	}
+	defer j.mu.Unlock()
+	i := j.landed[k]
+	return Event{Index: i, Done: k + 1, Total: len(j.scenarios), Hash: j.hashes[i], Spec: j.scenarios[i], Cached: j.cached[i], Err: j.errs[i]}, true
 }

@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,7 +46,7 @@ func TestServiceRunsLaneGroup(t *testing.T) {
 	reg := obs.NewRegistry()
 	svc := NewService(openStore(t), Options{Jobs: 2, Metrics: reg})
 	defer svc.Close()
-	job, err := svc.Submit(scs, nil)
+	job, err := svc.Submit(scs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +92,12 @@ func TestServiceOverlappingLaneGroups(t *testing.T) {
 	defer svc.Close()
 	defer releaseOnce() // before Close, so a failed check never leaves the worker blocked
 
-	job1, err := svc.Submit(scs[:64], nil)
+	job1, err := svc.Submit(scs[:64])
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-held
-	job2, err := svc.Submit(scs[32:], nil)
+	job2, err := svc.Submit(scs[32:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +148,11 @@ func TestServiceOverlappingLaneGroupsNoDeadlock(t *testing.T) {
 	}
 	for iter := 0; iter < 50; iter++ {
 		svc := NewService(NewMemStore(), Options{Jobs: 2, ExecuteFunc: fakeExec})
-		job1, err := svc.Submit(scs[:64], nil)
+		job1, err := svc.Submit(scs[:64])
 		if err != nil {
 			t.Fatal(err)
 		}
-		job2, err := svc.Submit(reversed, nil)
+		job2, err := svc.Submit(reversed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,13 +197,13 @@ func TestServiceSingleflight(t *testing.T) {
 	defer svc.Close()
 	defer releaseOnce() // before Close, so a failed check never leaves the worker blocked
 
-	job1, err := svc.Submit([]Scenario{sc}, nil)
+	job1, err := svc.Submit([]Scenario{sc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started // the flight for hash is open and blocked
 
-	job2, err := svc.Submit([]Scenario{sc}, nil)
+	job2, err := svc.Submit([]Scenario{sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +260,7 @@ func TestServiceStoreHit(t *testing.T) {
 		},
 	})
 	defer svc.Close()
-	job, err := svc.Submit([]Scenario{sc}, nil)
+	job, err := svc.Submit([]Scenario{sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +296,11 @@ func TestServiceBackpressure(t *testing.T) {
 	defer svc.Close()
 	defer releaseOnce() // before Close, so a failed check never leaves the worker blocked
 
-	accepted, err := svc.Submit([]Scenario{specN(0), specN(1)}, nil) // fills the bound
+	accepted, err := svc.Submit([]Scenario{specN(0), specN(1)}) // fills the bound
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Submit([]Scenario{specN(2)}, nil); !errors.Is(err, ErrBackpressure) {
+	if _, err := svc.Submit([]Scenario{specN(2)}); !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("overflow submission: err=%v, want ErrBackpressure", err)
 	}
 	if n := reg.Counter("sweep.service.rejected").Value(); n != 1 {
@@ -309,7 +311,7 @@ func TestServiceBackpressure(t *testing.T) {
 		t.Fatalf("accepted job: stats=%+v err=%v", st, err)
 	}
 	// Capacity freed: the previously rejected scenario is admitted now.
-	job, err := svc.Submit([]Scenario{specN(2)}, nil)
+	job, err := svc.Submit([]Scenario{specN(2)})
 	if err != nil {
 		t.Fatalf("post-drain submission: %v", err)
 	}
@@ -322,26 +324,29 @@ func TestServiceBackpressure(t *testing.T) {
 func TestServiceClosed(t *testing.T) {
 	svc := NewService(openStore(t), Options{Jobs: 1})
 	svc.Close()
-	if _, err := svc.Submit([]Scenario{baseSpec()}, nil); !errors.Is(err, ErrClosed) {
+	if _, err := svc.Submit([]Scenario{baseSpec()}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err=%v, want ErrClosed", err)
 	}
 	svc.Close() // idempotent
 }
 
-// TestServiceEvents: the progress callback receives one event per slot
-// with a strictly increasing Done counter, all before Wait returns.
+// TestServiceEvents: the job's log holds one event per slot with a
+// strictly increasing Done counter, all landed before Wait returns.
 func TestServiceEvents(t *testing.T) {
 	scenarios := []Scenario{specN(0), specN(1), specN(2), specN(0)} // one duplicate
 	svc := NewService(openStore(t), Options{Jobs: 2, ExecuteFunc: fakeExec})
 	defer svc.Close()
-	var events []Event // serialized callbacks, all landed before Wait returns
-	job, err := svc.Submit(scenarios, func(ev Event) { events = append(events, ev) })
+	job, err := svc.Submit(scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := job.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	// Every slot has landed, so the replay ends without waiting.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	events := slices.Collect(job.Events(ctx))
 	seen := make(map[int]bool)
 	for n, ev := range events {
 		if ev.Done != n+1 {
@@ -367,6 +372,113 @@ func TestServiceEvents(t *testing.T) {
 	}
 }
 
+// TestJobEventsNeverBlockWorkers: reading a job's log never holds up
+// the workers that land its slots. A job nobody reads completes, and so
+// does one whose reader stalls inside its first event; a reader started
+// after completion replays every slot; and a reader blocked on a running
+// job returns once its context is cancelled, while the job runs on.
+func TestJobEventsNeverBlockWorkers(t *testing.T) {
+	held := specN(9)
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	svc := NewService(openStore(t), Options{
+		Jobs: 2,
+		ExecuteFunc: func(group []Scenario, opt ExecOptions) ([]Record, error) {
+			if group[0] == held {
+				<-release
+			}
+			return fakeExec(group, opt)
+		},
+	})
+	defer svc.Close()
+	defer releaseOnce() // before Close, so a failed check never leaves a worker blocked
+
+	unread, err := svc.Submit([]Scenario{specN(0), specN(1), specN(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := unread.Wait(); err != nil {
+		t.Fatal(err)
+	}
+
+	scs := []Scenario{specN(3), specN(4), specN(5), specN(3)}
+	job, err := svc.Submit(scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, resume := make(chan Event), make(chan struct{})
+	resumeOnce := sync.OnceFunc(func() { close(resume) })
+	defer resumeOnce() // before Close, so a failed check never leaves the reader stalled
+	go func() {
+		for ev := range job.Events(context.Background()) {
+			stalled <- ev
+			<-resume
+		}
+		close(stalled)
+	}()
+	<-stalled
+	select {
+	case <-job.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job did not complete while its reader stalled")
+	}
+	if _, _, err := job.Wait(); err != nil {
+		t.Fatalf("job with a stalled reader: %v", err)
+	}
+	resumeOnce()
+	n := 1
+	for range stalled {
+		n++
+	}
+	if n != len(scs) {
+		t.Fatalf("the stalled reader got %d events, want %d", n, len(scs))
+	}
+	replay := slices.Collect(job.Events(context.Background()))
+	if len(replay) != len(scs) {
+		t.Fatalf("replay after completion: %d events, want %d", len(replay), len(scs))
+	}
+	seen := make(map[int]bool)
+	for k, ev := range replay {
+		if ev.Done != k+1 || ev.Total != len(scs) || seen[ev.Index] || ev.Hash != scs[ev.Index].Hash() {
+			t.Fatalf("replayed event %d: %+v", k, ev)
+		}
+		seen[ev.Index] = true
+	}
+
+	running, err := svc.Submit([]Scenario{specN(6), held})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	first, got := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for range running.Events(ctx) {
+			if n++; n == 1 {
+				close(first)
+			}
+		}
+		got <- n
+	}()
+	<-first // the landed slot is read; the reader now waits on the held one
+	cancel()
+	select {
+	case n := <-got:
+		if n != 1 {
+			t.Fatalf("the cancelled reader got %d events of a job with one slot landed", n)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a reader blocked on a running job did not return when cancelled")
+	}
+	if st := running.Status(); st.Complete {
+		t.Fatalf("the held job completed before its slot was released: %+v", st)
+	}
+	releaseOnce()
+	if _, _, err := running.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServiceFailure: a failing scenario surfaces once per unique hash
 // from Wait, and failed slots hold zero records.
 func TestServiceFailure(t *testing.T) {
@@ -381,7 +493,7 @@ func TestServiceFailure(t *testing.T) {
 		},
 	})
 	defer svc.Close()
-	job, err := svc.Submit([]Scenario{bad, specN(1), bad}, nil) // failure duplicated
+	job, err := svc.Submit([]Scenario{bad, specN(1), bad}) // failure duplicated
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +538,7 @@ func TestServicePanickingTaskFails(t *testing.T) {
 	})
 	defer svc.Close()
 	scs := []Scenario{specN(0), bad, specN(2)}
-	job, err := svc.Submit(scs, nil)
+	job, err := svc.Submit(scs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +561,7 @@ func TestServicePanickingTaskFails(t *testing.T) {
 	}
 
 	panicking.Store(false)
-	job, err = svc.Submit(scs, nil)
+	job, err = svc.Submit(scs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package sweep
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -98,32 +97,23 @@ func TestTelemetryAdversaryRecordsIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchDoneMonotonic: progress events arrive serialized with Done
-// counting 1..Total in callback order, under concurrency.
+// TestBatchDoneMonotonic: the event log yields Done counting 1..Total
+// in landing order, under concurrency.
 func TestBatchDoneMonotonic(t *testing.T) {
 	scs, err := tinyGrid().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var dones []int
-	_, _, err = Run(scs, NewMemStore(), Options{
-		Jobs: 4,
-		Progress: func(ev Event) {
-			mu.Lock()
-			defer mu.Unlock()
-			dones = append(dones, ev.Done)
-		},
-	})
+	events, _, _, err := runEvents(t, scs, Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dones) != len(scs) {
-		t.Fatalf("got %d events for %d scenarios", len(dones), len(scs))
+	if len(events) != len(scs) {
+		t.Fatalf("got %d events for %d scenarios", len(events), len(scs))
 	}
-	for i, d := range dones {
-		if d != i+1 {
-			t.Fatalf("event %d has Done=%d, want %d (monotonic completion count)", i, d, i+1)
+	for i, ev := range events {
+		if ev.Done != i+1 {
+			t.Fatalf("event %d has Done=%d, want %d (monotonic completion count)", i, ev.Done, i+1)
 		}
 	}
 }
@@ -136,16 +126,11 @@ func TestBatchDuplicateFailureEvents(t *testing.T) {
 	bad := baseSpec()
 	bad.Family = "no-such-family"
 	good := baseSpec()
-	var mu sync.Mutex
+	evs, recs, st, err := runEvents(t, []Scenario{bad, good, bad}, Options{Jobs: 1})
 	events := make(map[int]Event)
-	recs, st, err := Run([]Scenario{bad, good, bad}, NewMemStore(), Options{
-		Jobs: 1,
-		Progress: func(ev Event) {
-			mu.Lock()
-			defer mu.Unlock()
-			events[ev.Index] = ev
-		},
-	})
+	for _, ev := range evs {
+		events[ev.Index] = ev
+	}
 	if err == nil {
 		t.Fatal("expected an error for the invalid scenario")
 	}
@@ -171,11 +156,7 @@ func TestBatchDuplicateFailureEvents(t *testing.T) {
 		t.Errorf("good scenario event: %+v", ev)
 	}
 	// A duplicated *successful* spec still reports its copies cached.
-	var dupEv []Event
-	_, st2, err := Run([]Scenario{good, good}, NewMemStore(), Options{
-		Jobs:     1,
-		Progress: func(ev Event) { dupEv = append(dupEv, ev) },
-	})
+	dupEv, _, st2, err := runEvents(t, []Scenario{good, good}, Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
