@@ -2,10 +2,14 @@ package sweep
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strconv"
 )
 
 // The sidecar offset index: <store>.idx beside the JSONL data file.
@@ -33,17 +37,72 @@ type indexHeader struct {
 	Records   int   `json:"records"`
 }
 
-// indexEntry locates one record line: [Off, Off+Len) in the data file,
-// newline included.
-type indexEntry struct {
-	Hash string `json:"hash"`
-	Off  int64  `json:"off"`
-	Len  int64  `json:"len"`
+// An entry line is {"hash":"<32 lowercase hex>","off":N,"len":N} and a
+// newline, each N a decimal of at most 18 digits with no sign and no
+// leading zero: the bytes encoding/json writes for the entry, which is
+// every line a sidecar has ever held. appendIndexLine and
+// parseIndexLine are its one codec, and any other entry line makes the
+// sidecar stale.
+const (
+	lineHash = `{"hash":"`
+	lineOff  = `","off":`
+	lineLen  = `,"len":`
+	lineEnd  = "}\n"
+	// maxLineDigits keeps every accepted number below 2⁶³.
+	maxLineDigits = 18
+	// minIndexLine is the shortest entry line: the most entries a
+	// sidecar of a given size can hold.
+	minIndexLine = len(lineHash) + 32 + len(lineOff) + 1 + len(lineLen) + 1 + len(lineEnd)
+)
+
+func appendIndexLine(dst []byte, e extent) []byte {
+	dst = append(dst, lineHash...)
+	dst = hex.AppendEncode(dst, e.key[:])
+	dst = append(dst, lineOff...)
+	dst = strconv.AppendInt(dst, e.off, 10)
+	dst = append(dst, lineLen...)
+	dst = strconv.AppendInt(dst, e.n, 10)
+	return append(dst, lineEnd...)
+}
+
+// parseIndexLine parses one entry line, newline included, in exactly the
+// form appendIndexLine writes.
+func parseIndexLine(line []byte) (e extent, ok bool) {
+	rest, ok := bytes.CutPrefix(line, []byte(lineHash))
+	if !ok || len(rest) < 32 {
+		return e, false
+	}
+	if e.key, ok = parseHash(rest[:32]); !ok {
+		return e, false
+	}
+	if e.off, rest, ok = lineNumber(rest[32:], lineOff); !ok {
+		return e, false
+	}
+	if e.n, rest, ok = lineNumber(rest, lineLen); !ok {
+		return e, false
+	}
+	return e, string(rest) == lineEnd
+}
+
+// lineNumber cuts prefix and then an entry line's number off b.
+func lineNumber(b []byte, prefix string) (v int64, rest []byte, ok bool) {
+	b, ok = bytes.CutPrefix(b, []byte(prefix))
+	i := 0
+	for ok && i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	if i == 0 || i > maxLineDigits || i > 1 && b[0] == '0' {
+		return 0, nil, false
+	}
+	for _, c := range b[:i] {
+		v = v*10 + int64(c-'0')
+	}
+	return v, b[i:], true
 }
 
 // writeIndex atomically replaces path's sidecar index (temp file +
-// rename) with the given entries covering dataBytes of the data file.
-func writeIndex(path string, entries []indexEntry, dataBytes int64) error {
+// rename) with the given extents covering dataBytes of the data file.
+func writeIndex(path string, extents []extent, dataBytes int64) error {
 	idxPath := IndexPath(path)
 	tmp, err := os.CreateTemp(dirOf(idxPath), ".sweep-index-*")
 	if err != nil {
@@ -51,15 +110,15 @@ func writeIndex(path string, entries []indexEntry, dataBytes int64) error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after the rename
 	w := bufio.NewWriter(tmp)
-	hdr := indexHeader{Magic: indexMagic, Version: indexVersion, DataBytes: dataBytes, Records: len(entries)}
+	hdr := indexHeader{Magic: indexMagic, Version: indexVersion, DataBytes: dataBytes, Records: len(extents)}
 	if err := EncodeJSONL(w, hdr); err != nil {
 		tmp.Close()
 		return err
 	}
-	for _, e := range entries {
-		if err := EncodeJSONL(w, e); err != nil {
+	for _, e := range extents {
+		if _, err := w.Write(appendIndexLine(w.AvailableBuffer(), e)); err != nil {
 			tmp.Close()
-			return err
+			return fmt.Errorf("sweep: write index: %w", err)
 		}
 	}
 	if err := w.Flush(); err != nil {
@@ -80,52 +139,51 @@ func writeIndex(path string, entries []indexEntry, dataBytes int64) error {
 }
 
 // readIndex loads the sidecar index for path and validates it against
-// dataBytes (the current data-file size). ok is false — with no error —
-// when the index is missing, malformed, or stale: every one of those is
-// the regenerate signal, never a failure, because the data file is the
-// source of truth.
-func readIndex(path string, dataBytes int64) (entries []indexEntry, ok bool) {
+// dataBytes (the current data-file size). ok is false when the index is
+// missing, malformed, or stale: every one of those is the regenerate
+// signal, never a failure, because the data file is the source of truth.
+// Entry lines are parsed in place from the read buffer into the index.
+func readIndex(path string, dataBytes int64) (ix index, ok bool) {
 	f, err := os.Open(IndexPath(path))
 	if err != nil {
-		return nil, false
+		return ix, false
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	hdrLine, err := r.ReadBytes('\n')
+	info, err := f.Stat()
 	if err != nil {
-		return nil, false
+		return ix, false
+	}
+	r := bufio.NewReaderSize(f, 1<<16)
+	line, err := r.ReadSlice('\n')
+	if err != nil {
+		return ix, false
 	}
 	var hdr indexHeader
-	if json.Unmarshal(trimNewline(hdrLine), &hdr) != nil ||
-		hdr.Magic != indexMagic || hdr.Version != indexVersion || hdr.DataBytes != dataBytes {
-		return nil, false
+	if json.Unmarshal(line, &hdr) != nil || hdr.Magic != indexMagic || hdr.Version != indexVersion ||
+		hdr.DataBytes != dataBytes || hdr.Records < 0 {
+		return ix, false
 	}
-	// The header is untrusted input: its record count only checks the
-	// entries read (a count of -1 or 2⁶² must not size an allocation),
-	// and each extent is checked without an Off+Len that could overflow.
+	// The header is untrusted input: its record count sizes the index
+	// only up to what the sidecar's bytes can hold, and each extent is
+	// checked without an off+n that could overflow.
+	ix = newIndex(min(hdr.Records, int(info.Size()/int64(minIndexLine))))
+	lines := 0
 	for {
-		line, err := r.ReadBytes('\n')
-		if len(trimNewline(line)) > 0 {
-			var e indexEntry
-			if json.Unmarshal(trimNewline(line), &e) != nil {
-				return nil, false
-			}
-			if e.Off < 0 || e.Len <= 0 || e.Len > dataBytes-e.Off {
-				return nil, false
-			}
-			entries = append(entries, e)
-		}
-		if err == io.EOF {
+		line, err := r.ReadSlice('\n')
+		if err == io.EOF && len(line) == 0 {
 			break
 		}
-		if err != nil {
-			return nil, false
+		e, ok := parseIndexLine(line)
+		if err != nil || !ok || e.n <= 0 || e.n > dataBytes-e.off {
+			return index{}, false
 		}
+		ix.publish(e)
+		lines++
 	}
-	if len(entries) != hdr.Records {
-		return nil, false
+	if lines != hdr.Records {
+		return index{}, false
 	}
-	return entries, true
+	return ix, true
 }
 
 func dirOf(path string) string {
@@ -173,63 +231,42 @@ func Compact(path string) (CompactStats, error) {
 	}
 	defer f.Close()
 
-	// Pass 1: validate every line, remembering for each hash the extent
-	// of its last occurrence and the first-seen order.
-	type span struct{ off, n int64 }
-	last := make(map[string]span)
-	var order []string
-	err = walkLines(f, func(off int64, line []byte) {
-		cs.LinesIn++
-		rec, err := DecodeRecord(line)
-		if err != nil {
-			cs.DroppedInvalid++
-			return
-		}
-		if _, seen := last[rec.Hash]; !seen {
-			order = append(order, rec.Hash)
-		} else {
-			cs.DroppedDuplicate++
-		}
-		last[rec.Hash] = span{off, int64(len(line))}
-	})
+	// Pass 1: the index OpenIndexed's rescan builds — each hash's last
+	// valid line, in first-seen order.
+	ix, lines, invalid, err := scanIndex(f)
 	if err != nil {
 		return cs, fmt.Errorf("sweep: compact %s: %w", path, err)
 	}
+	cs.LinesIn, cs.DroppedInvalid = lines, invalid
+	cs.DroppedDuplicate = lines - invalid - len(ix.ext)
 	if cs.BytesIn, err = f.Seek(0, io.SeekEnd); err != nil {
 		return cs, fmt.Errorf("sweep: compact %s: %w", path, err)
 	}
 
-	// Pass 2: copy the surviving raw lines into a temp file, recording
-	// their new offsets for the index.
+	// Pass 2: copy the surviving raw lines into a temp file, moving each
+	// extent to its new offset. An extent counts its newline, which a
+	// torn final line lacks, so each line is read without it.
 	tmp, err := os.CreateTemp(dirOf(path), ".sweep-compact-*")
 	if err != nil {
 		return cs, fmt.Errorf("sweep: compact: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after the rename
 	w := bufio.NewWriter(tmp)
-	entries := make([]indexEntry, 0, len(order))
 	var out int64
-	buf := make([]byte, 0, 1<<16)
-	for _, h := range order {
-		sp := last[h]
-		if int64(cap(buf)) < sp.n {
-			buf = make([]byte, sp.n)
-		}
-		buf = buf[:sp.n]
-		if _, err := f.ReadAt(buf, sp.off); err != nil {
+	var buf []byte
+	for i := range ix.ext {
+		e := &ix.ext[i]
+		line := slices.Grow(buf[:0], int(e.n))[:e.n-1]
+		if _, err := f.ReadAt(line, e.off); err != nil {
 			tmp.Close()
 			return cs, fmt.Errorf("sweep: compact %s: reread record: %w", path, err)
 		}
+		buf = append(line, '\n')
 		if _, err := w.Write(buf); err != nil {
 			tmp.Close()
 			return cs, fmt.Errorf("sweep: compact: %w", err)
 		}
-		if _, err := w.Write([]byte{'\n'}); err != nil {
-			tmp.Close()
-			return cs, fmt.Errorf("sweep: compact: %w", err)
-		}
-		entries = append(entries, indexEntry{Hash: h, Off: out, Len: sp.n + 1})
-		out += sp.n + 1
+		e.off, out = out, out+e.n
 	}
 	if err := w.Flush(); err != nil {
 		tmp.Close()
@@ -245,10 +282,10 @@ func Compact(path string) (CompactStats, error) {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return cs, fmt.Errorf("sweep: compact: install: %w", err)
 	}
-	if err := writeIndex(path, entries, out); err != nil {
+	if err := writeIndex(path, ix.ext, out); err != nil {
 		return cs, err
 	}
-	cs.Records = len(order)
+	cs.Records = len(ix.ext)
 	cs.BytesOut = out
 	cs.Reclaimed = cs.BytesIn - cs.BytesOut
 	return cs, nil

@@ -2,14 +2,26 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
+
+// indexEntry is a sidecar entry line's JSON schema: encoding/json's
+// reading of it is the reference appendIndexLine and parseIndexLine are
+// checked against.
+type indexEntry struct {
+	Hash string `json:"hash"`
+	Off  int64  `json:"off"`
+	Len  int64  `json:"len"`
+}
 
 // corruptSidecars are sidecar indexes that once crashed OpenIndexed
 // instead of sending it to a rescan, built for a data file of dataBytes
@@ -28,23 +40,69 @@ func corruptSidecars(dataBytes int64, hash string) map[string][]byte {
 	}
 }
 
+// nonCanonicalLines rewrites the entry line of (hash, off, n) in ways
+// the sidecar codec refuses. encoding/json reads several of them, some
+// as the same entry and some as another.
+func nonCanonicalLines(hash string, off, n int64) map[string]string {
+	o, l := strconv.FormatInt(off, 10), strconv.FormatInt(n, 10)
+	line := func(hash, off, n string) string {
+		return `{"hash":"` + hash + `","off":` + off + `,"len":` + n + "}\n"
+	}
+	return map[string]string{
+		"spaces":           `{"hash": "` + hash + `", "off": ` + o + `, "len": ` + l + "}\n",
+		"reordered":        `{"off":` + o + `,"hash":"` + hash + `","len":` + l + "}\n",
+		"uppercase hex":    line(strings.ToUpper(hash), o, l),
+		"31 hex digits":    line(hash[:31], o, l),
+		"33 hex digits":    line(hash+"0", o, l),
+		"leading zero":     line(hash, "0"+o, l),
+		"plus sign":        line(hash, "+"+o, l),
+		"minus zero":       line(hash, "-0", l),
+		"exponent":         line(hash, o, l+"e0"),
+		"19 digits":        line(hash, o, "1"+strings.Repeat("0", maxLineDigits)),
+		"trailing bytes":   strings.TrimSuffix(line(hash, o, l), "\n") + " \n",
+		"no final newline": strings.TrimSuffix(line(hash, o, l), "\n"),
+		"past the buffer":  strings.Repeat(" ", 1<<16) + line(hash, o, l),
+	}
+}
+
 // TestIndexedStoreRescansCorruptSidecar: a corrupt sidecar is stale like
 // any other — the open rescans the data file, serves every record, and
-// installs a fresh sidecar.
+// installs the canonical sidecar again. An entry line in any form but
+// the codec's (nonCanonicalLines) is corrupt too.
 func TestIndexedStoreRescansCorruptSidecar(t *testing.T) {
-	golden := readGolden(t)
-	first, err := DecodeRecord(golden[0])
+	path := goldenStorePath(t)
+	want := readPlain(t, path)
+	s, err := OpenIndexed(path) // the rescan installs the canonical sidecar
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, sidecar := range corruptSidecars(int64(len(bytes.Join(golden, []byte("\n")))+1), first.Hash) {
+	s.Close()
+	canonical, err := os.ReadFile(IndexPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sidecars := corruptSidecars(info.Size(), want[0].Hash)
+	lines := bytes.SplitAfter(canonical, []byte("\n"))
+	head, last := bytes.Join(lines[:len(lines)-2], nil), lines[len(lines)-2]
+	var e indexEntry
+	if err := json.Unmarshal(last, &e); err != nil {
+		t.Fatal(err)
+	}
+	for name, line := range nonCanonicalLines(e.Hash, e.Off, e.Len) {
+		if got, ok := parseIndexLine([]byte(line)); ok {
+			t.Errorf("parseIndexLine accepted the %s line %q as %+v", name, line, got)
+		}
+		sidecars[name] = append(slices.Clip(head), line...)
+	}
+	for name, sidecar := range sidecars {
 		t.Run(name, func(t *testing.T) {
-			path := goldenStorePath(t)
-			want := readPlain(t, path)
 			if err := os.WriteFile(IndexPath(path), sidecar, 0o644); err != nil {
 				t.Fatal(err)
 			}
-
 			s, err := OpenIndexed(path)
 			if err != nil {
 				t.Fatal(err)
@@ -58,12 +116,11 @@ func TestIndexedStoreRescansCorruptSidecar(t *testing.T) {
 					t.Fatalf("Get(%s) after the rescan: ok=%v", rec.Hash, ok)
 				}
 			}
-			info, err := os.Stat(path)
-			if err != nil {
-				t.Fatal(err)
+			if ix, ok := readIndex(path, info.Size()); !ok || len(ix.ext) != len(want) {
+				t.Fatalf("the rescan left no valid sidecar (ok=%v, %d entries)", ok, len(ix.ext))
 			}
-			if entries, ok := readIndex(path, info.Size()); !ok || len(entries) != len(want) {
-				t.Fatalf("the rescan left no valid sidecar (ok=%v, %d entries)", ok, len(entries))
+			if got, err := os.ReadFile(IndexPath(path)); err != nil || !bytes.Equal(got, canonical) {
+				t.Fatalf("the rescan did not reinstall the canonical sidecar (err=%v)", err)
 			}
 		})
 	}
@@ -150,6 +207,33 @@ func FuzzReadIndex(f *testing.F) {
 			if rec, ok := want[got.Hash]; !ok || !reflect.DeepEqual(got, rec) {
 				t.Fatalf("Records served %s, which is not the store's record under that hash", got.Hash)
 			}
+		}
+	})
+}
+
+// FuzzIndexLine: a sidecar entry line the codec accepts holds the hash,
+// offset and length encoding/json reads in it, and appendIndexLine
+// writes it back byte for byte.
+func FuzzIndexLine(f *testing.F) {
+	const hash = "0123456789abcdef0123456789abcdef"
+	f.Add([]byte(`{"hash":"` + hash + `","off":0,"len":1}` + "\n"))
+	for _, line := range nonCanonicalLines(hash, 1234, 567) {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		e, ok := parseIndexLine(line)
+		if !ok {
+			return
+		}
+		var want indexEntry
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatalf("accepted %q, which encoding/json refuses: %v", line, err)
+		}
+		if got := (indexEntry{Hash: hex.EncodeToString(e.key[:]), Off: e.off, Len: e.n}); got != want {
+			t.Fatalf("parsed %q as %+v, encoding/json as %+v", line, got, want)
+		}
+		if got := appendIndexLine(nil, e); !bytes.Equal(got, line) {
+			t.Fatalf("parsed %q, which appendIndexLine writes as %q", line, got)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"iter"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -14,16 +15,17 @@ import (
 // by a positioned disk read plus a single-record decode, instead of
 // loading — and keeping — every record in memory the way Store does.
 // This is the long-lived-service store: a sweepd process over a large
-// corpus holds the index (a few dozen bytes per record), not the corpus.
+// corpus holds the index (about 75 bytes per record), not the corpus.
 //
 // Concurrency: readers never block each other — record reads are
-// os.File.ReadAt against immutable extents, and the index map is behind
-// an RWMutex taken only for the lookup. A writer (Put) appends under the
-// write lock and publishes the new extent afterwards, so readers are
-// safe against a concurrent writer by construction: an extent, once
-// published, never changes (the data file is append-only between
-// compactions, and compaction replaces the file by rename, which leaves
-// an already-open reader on the old inode with a consistent view).
+// os.File.ReadAt against immutable extents, and the index and the file
+// are behind an RWMutex taken only for the lookup. A writer (Put)
+// appends under the write lock and publishes the new extent afterwards,
+// so readers are safe against a concurrent writer by construction: an
+// extent, once published, never changes (the data file is append-only
+// between compactions, and compaction replaces the file by rename,
+// which leaves an already-open reader on the old inode with a
+// consistent view).
 //
 // The index is pure acceleration, never truth: OpenIndexed regenerates
 // it from the data file whenever it is missing or stale (so old-format
@@ -33,11 +35,69 @@ type IndexedStore struct {
 	mu      sync.RWMutex
 	path    string
 	f       *os.File
-	locs    map[string]indexEntry
-	order   []string
+	idx     index
 	size    int64 // current data-file length == next append offset
 	dropped int
 	dirty   bool // index sidecar is behind the data file
+}
+
+// extent locates one record line, [off, off+n) in the data file with
+// its newline, by its spec hash's 16 bytes.
+type extent struct {
+	key    [16]byte
+	off, n int64
+}
+
+// index is a store's extents in first-seen order, with each hash's
+// position among them. It is what the sidecar holds, what a rescan
+// builds and what Compact keeps.
+type index struct {
+	pos map[[16]byte]int32
+	ext []extent
+}
+
+func newIndex(n int) index {
+	return index{pos: make(map[[16]byte]int32, n), ext: make([]extent, 0, n)}
+}
+
+// publish installs one extent. A duplicate hash keeps its first-seen
+// position and takes the newer extent, like Store.add.
+func (ix *index) publish(e extent) {
+	if i, ok := ix.pos[e.key]; ok {
+		ix.ext[i] = e
+		return
+	}
+	ix.pos[e.key] = int32(len(ix.ext))
+	ix.ext = append(ix.ext, e)
+}
+
+// unhex maps each lowercase hex digit to its value, any other byte to
+// 0xff.
+var unhex = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i, c := range "0123456789abcdef" {
+		t[c] = byte(i)
+	}
+	return t
+}()
+
+// parseHash decodes a content hash, 32 lowercase hex digits as
+// Scenario.Hash writes it, into its 16 bytes. Nothing else is a hash
+// any record is stored under.
+func parseHash[S string | []byte](s S) (k [16]byte, ok bool) {
+	if len(s) != 2*len(k) {
+		return k, false
+	}
+	for i := range k {
+		hi, lo := unhex[s[2*i]], unhex[s[2*i+1]]
+		if hi|lo > 0xf {
+			return k, false
+		}
+		k[i] = hi<<4 | lo
+	}
+	return k, true
 }
 
 // OpenIndexed opens (creating if absent) the JSONL store at path as an
@@ -52,17 +112,14 @@ func OpenIndexed(path string) (*IndexedStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: open store: %w", err)
 	}
-	s := &IndexedStore{path: path, f: f, locs: make(map[string]indexEntry)}
+	s := &IndexedStore{path: path, f: f}
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("sweep: open store %s: %w", path, err)
 	}
-	if entries, ok := readIndex(path, size); ok {
-		for _, e := range entries {
-			s.publish(e)
-		}
-		s.size = size
+	if ix, ok := readIndex(path, size); ok {
+		s.idx, s.size = ix, size
 		return s, nil
 	}
 	if err := s.rebuild(); err != nil {
@@ -72,23 +129,31 @@ func OpenIndexed(path string) (*IndexedStore, error) {
 	return s, nil
 }
 
+// scanIndex rescans a data file into a fresh index, decoding every
+// line: lines counts the non-empty ones, invalid those that fail.
+func scanIndex(f *os.File) (ix index, lines, invalid int, err error) {
+	ix = newIndex(0)
+	err = walkLines(f, func(off int64, line []byte) {
+		lines++
+		rec, err := DecodeRecord(line)
+		if err != nil {
+			invalid++
+			return
+		}
+		key, _ := parseHash(rec.Hash) // DecodeRecord checked it is the spec's hash
+		ix.publish(extent{key: key, off: off, n: int64(len(line)) + 1})
+	})
+	return ix, lines, invalid, err
+}
+
 // rebuild rescans the data file into a fresh in-memory index, repairs a
 // torn tail, and installs a new sidecar.
 func (s *IndexedStore) rebuild() error {
-	s.locs = make(map[string]indexEntry)
-	s.order = nil
-	s.dropped = 0
-	err := walkLines(s.f, func(off int64, line []byte) {
-		rec, err := DecodeRecord(line)
-		if err != nil {
-			s.dropped++
-			return
-		}
-		s.publish(indexEntry{Hash: rec.Hash, Off: off, Len: int64(len(line)) + 1})
-	})
+	ix, _, dropped, err := scanIndex(s.f)
 	if err != nil {
 		return fmt.Errorf("sweep: read store %s: %w", s.path, err)
 	}
+	s.idx, s.dropped = ix, dropped
 	if err := repairTail(s.f); err != nil {
 		return fmt.Errorf("sweep: repair store %s: %w", s.path, err)
 	}
@@ -100,43 +165,45 @@ func (s *IndexedStore) rebuild() error {
 	return s.writeSidecar()
 }
 
-// publish installs one extent, preserving first-seen order across
-// duplicate hashes (the newer extent wins, like Store.add).
-func (s *IndexedStore) publish(e indexEntry) {
-	if _, ok := s.locs[e.Hash]; !ok {
-		s.order = append(s.order, e.Hash)
-	}
-	s.locs[e.Hash] = e
-}
-
-// readAt decodes the record at an extent. The trailing newline is part
-// of the extent; DecodeRecord revalidates the hash, and the record must
-// be the one the extent is indexed under, so neither a corrupt read nor
-// a sidecar that points one hash at another's line can satisfy a lookup.
-func (s *IndexedStore) readAt(e indexEntry) (Record, error) {
-	buf := make([]byte, e.Len)
-	if _, err := s.f.ReadAt(buf, e.Off); err != nil {
-		return Record{}, fmt.Errorf("sweep: store %s: read record %s: %w", s.path, e.Hash, err)
+// readAt decodes the record at an extent of f, the data file as the
+// caller found it under the lock: after Close, the read fails. The
+// trailing newline is part of the extent; DecodeRecord revalidates the
+// hash, and the record must be the one the extent is indexed under, so
+// neither a corrupt read nor a sidecar that points one hash at another's
+// line can satisfy a lookup.
+func (s *IndexedStore) readAt(f *os.File, e extent) (Record, error) {
+	buf := make([]byte, e.n)
+	if _, err := f.ReadAt(buf, e.off); err != nil {
+		return Record{}, fmt.Errorf("sweep: store %s: read record %x: %w", s.path, e.key, err)
 	}
 	rec, err := DecodeRecord(trimNewline(buf))
 	if err != nil {
 		return Record{}, err
 	}
-	if rec.Hash != e.Hash {
-		return Record{}, fmt.Errorf("sweep: store %s: extent of %s holds record %s", s.path, e.Hash, rec.Hash)
+	if key, _ := parseHash(rec.Hash); key != e.key {
+		return Record{}, fmt.Errorf("sweep: store %s: extent of %x holds record %s", s.path, e.key, rec.Hash)
 	}
 	return rec, nil
 }
 
 // Get returns the record stored under a spec hash, read from disk.
 func (s *IndexedStore) Get(hash string) (Record, bool) {
+	key, ok := parseHash(hash)
+	if !ok {
+		return Record{}, false
+	}
 	s.mu.RLock()
-	e, ok := s.locs[hash]
+	f := s.f
+	i, ok := s.idx.pos[key]
+	var e extent
+	if ok {
+		e = s.idx.ext[i]
+	}
 	s.mu.RUnlock()
 	if !ok {
 		return Record{}, false
 	}
-	rec, err := s.readAt(e)
+	rec, err := s.readAt(f, e)
 	if err != nil {
 		return Record{}, false
 	}
@@ -145,8 +212,13 @@ func (s *IndexedStore) Get(hash string) (Record, bool) {
 
 // Put appends rec to the data file and publishes its extent. Encoding
 // happens outside the lock; only the append and the index update are
-// serialized.
+// serialized. A record whose hash is not a content hash is refused: no
+// lookup could ever serve it.
 func (s *IndexedStore) Put(rec Record) error {
+	key, ok := parseHash(rec.Hash)
+	if !ok {
+		return fmt.Errorf("sweep: store append: %q is not a content hash", rec.Hash)
+	}
 	line, err := EncodeLine(rec)
 	if err != nil {
 		return fmt.Errorf("sweep: store append: %w", err)
@@ -159,7 +231,7 @@ func (s *IndexedStore) Put(rec Record) error {
 	if _, err := s.f.WriteAt(line, s.size); err != nil {
 		return fmt.Errorf("sweep: store append: %w", err)
 	}
-	s.publish(indexEntry{Hash: rec.Hash, Off: s.size, Len: int64(len(line))})
+	s.idx.publish(extent{key: key, off: s.size, n: int64(len(line))})
 	s.size += int64(len(line))
 	s.dirty = true
 	return nil
@@ -169,7 +241,7 @@ func (s *IndexedStore) Put(rec Record) error {
 func (s *IndexedStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.locs)
+	return len(s.idx.ext)
 }
 
 // Dropped returns how many lines failed validation, when the open had
@@ -187,13 +259,10 @@ func (s *IndexedStore) Dropped() int {
 func (s *IndexedStore) All() iter.Seq[Record] {
 	return func(yield func(Record) bool) {
 		s.mu.RLock()
-		extents := make([]indexEntry, 0, len(s.order))
-		for _, h := range s.order {
-			extents = append(extents, s.locs[h])
-		}
+		f, extents := s.f, slices.Clone(s.idx.ext)
 		s.mu.RUnlock()
 		for _, e := range extents {
-			rec, err := s.readAt(e)
+			rec, err := s.readAt(f, e)
 			if err != nil {
 				continue // unreadable extent: skipped, like a dropped line
 			}
@@ -207,11 +276,7 @@ func (s *IndexedStore) All() iter.Seq[Record] {
 // writeSidecar installs a sidecar covering the current state. Caller
 // holds the write lock (or has exclusive access).
 func (s *IndexedStore) writeSidecar() error {
-	entries := make([]indexEntry, 0, len(s.order))
-	for _, h := range s.order {
-		entries = append(entries, s.locs[h])
-	}
-	if err := writeIndex(s.path, entries, s.size); err != nil {
+	if err := writeIndex(s.path, s.idx.ext, s.size); err != nil {
 		return err
 	}
 	s.dirty = false
@@ -220,7 +285,9 @@ func (s *IndexedStore) writeSidecar() error {
 
 // Close rewrites the sidecar index if appends outdated it, then
 // releases the backing file. A crash before Close just costs the next
-// open a rescan — the index is regenerable by contract.
+// open a rescan — the index is regenerable by contract. A Get or All
+// that took the file before Close reads a closed file and misses or
+// skips; one that takes it after finds none.
 func (s *IndexedStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -117,9 +117,9 @@ func TestIndexedStoreCrashConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, ok := readIndex(path, info.Size())
-	if !ok || len(entries) != s.Len() || s.Len() < len(acked) {
-		t.Fatalf("sidecar after reopen: valid=%v, %d entries for %d records (%d acknowledged)", ok, len(entries), s.Len(), len(acked))
+	ix, ok := readIndex(path, info.Size())
+	if !ok || len(ix.ext) != s.Len() || s.Len() < len(acked) {
+		t.Fatalf("sidecar after reopen: valid=%v, %d entries for %d records (%d acknowledged)", ok, len(ix.ext), s.Len(), len(acked))
 	}
 	t.Logf("%d acknowledged appends, %d records after reopen, %d torn line(s) dropped", len(acked), s.Len(), s.Dropped())
 }

@@ -15,9 +15,9 @@ cd "$(dirname "$0")/.."
 
 benchtime="${1:-10x}"
 out="${2:-bench.json}"
-pattern='^(BenchmarkT[0-9]+|BenchmarkA[123]|BenchmarkEngine10kRandom|BenchmarkEngineHardInstance|BenchmarkRunPhase10k|BenchmarkSweepGrid64|BenchmarkSweepReplicateHeavy|BenchmarkLargeSparse|BenchmarkObs)'
+pattern='^(BenchmarkT[0-9]+|BenchmarkA[123]|BenchmarkEngine10kRandom|BenchmarkEngineHardInstance|BenchmarkRunPhase10k|BenchmarkSweepGrid64|BenchmarkSweepReplicateHeavy|BenchmarkLargeSparse|BenchmarkObs|BenchmarkOpenIndexed)'
 
-raw="$(go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -timeout 60m . ./internal/obs/)"
+raw="$(go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -timeout 60m . ./internal/obs/ ./internal/sweep/)"
 printf '%s\n' "$raw" >&2
 
 printf '%s\n' "$raw" | awk -v benchtime="$benchtime" '
