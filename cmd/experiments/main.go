@@ -6,14 +6,19 @@
 //	experiments [-quick] [-seed N] [-only T4,T9] [-workers W] [-json FILE]
 //	            [-metrics] [-telemetry ADDR]
 //
+// T3, T4, T6, T8, T9, T11 and A4 are views over sweep records; T5, T7,
+// T10 and A1–A3, which a sweep scenario cannot express, build their
+// Algorithm 1 runner through one helper.
+//
 // -workers parallelizes the simulators' per-round phases (0 = one worker
 // per CPU, 1 = serial); every table is bit-identical for every setting.
 // -json additionally emits each table as one JSONL line ("-" = stdout),
 // in the same framing the sweep result store uses. -metrics collects the
-// deterministic telemetry registry across the suite and prints it as a
-// table on stderr; -telemetry ADDR serves it live over HTTP alongside
-// suite progress (one unit per experiment). Telemetry is observation-only
-// — every table is byte-identical with it on or off.
+// deterministic telemetry registry across the suite, which every table
+// that runs an engine reports into, and prints it as a table on stderr;
+// -telemetry ADDR serves it live over HTTP alongside suite progress (one
+// unit per experiment). Telemetry is observation-only — every table is
+// byte-identical with it on or off.
 package main
 
 import (

@@ -33,11 +33,11 @@ const testGrid = `{"families":["regular"],"ns":[14],"params":[3],"epsilons":[0.1
 // testScenarios expands a POST /grids body the way the server does.
 func testScenarios(t *testing.T, body string) []sweep.Scenario {
 	t.Helper()
-	var gr gridRequest
-	if err := json.Unmarshal([]byte(body), &gr); err != nil {
+	var g sweep.Grid
+	if err := json.Unmarshal([]byte(body), &g); err != nil {
 		t.Fatal(err)
 	}
-	scenarios, err := gr.grid().Expand()
+	scenarios, err := g.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,30 +101,6 @@ func (s *server) handleAggregate(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, sweep.Aggregate(s.store.All()))
 }
 
-// gridRequest is the POST /grids body: sweep.Grid's axes in JSON
-// clothing. Axis defaults match Grid.Expand.
-type gridRequest struct {
-	Families   []string  `json:"families,omitempty"`
-	Ns         []int     `json:"ns,omitempty"`
-	Params     []int     `json:"params,omitempty"`
-	Epsilons   []float64 `json:"epsilons,omitempty"`
-	Engines    []string  `json:"engines,omitempty"`
-	Workloads  []string  `json:"workloads,omitempty"`
-	Noises     []string  `json:"noises,omitempty"`
-	Rounds     int       `json:"rounds,omitempty"`
-	MsgBits    int       `json:"msg_bits,omitempty"`
-	Replicates int       `json:"replicates,omitempty"`
-	BaseSeed   uint64    `json:"base_seed,omitempty"`
-}
-
-func (gr gridRequest) grid() sweep.Grid {
-	return sweep.Grid{
-		Families: gr.Families, Ns: gr.Ns, Params: gr.Params, Epsilons: gr.Epsilons,
-		Engines: gr.Engines, Workloads: gr.Workloads, Noises: gr.Noises,
-		Rounds: gr.Rounds, MsgBits: gr.MsgBits, Replicates: gr.Replicates, BaseSeed: gr.BaseSeed,
-	}
-}
-
 // submitResponse is the POST /grids reply: the job handle and where to
 // follow it.
 type submitResponse struct {
@@ -142,16 +118,17 @@ type submitResponse struct {
 const maxGridBody = 1 << 20
 
 // decodeGrid reads a POST /grids body: at most maxGridBody bytes of one
-// gridRequest, with unknown fields refused. w, which may be nil, is told
-// when the body runs past the cap, so the server closes the connection.
+// sweep.Grid in its JSON form (axis defaults as Grid.Expand's), with
+// unknown fields refused. w, which may be nil, is told when the body
+// runs past the cap, so the server closes the connection.
 func decodeGrid(w http.ResponseWriter, body io.ReadCloser) (sweep.Grid, error) {
-	var gr gridRequest
+	var g sweep.Grid
 	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxGridBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&gr); err != nil {
+	if err := dec.Decode(&g); err != nil {
 		return sweep.Grid{}, fmt.Errorf("bad grid body: %w", err)
 	}
-	return gr.grid(), nil
+	return g, nil
 }
 
 // handleSubmit expands a grid and submits it to the service: 202 with a

@@ -4,10 +4,14 @@
 // renders them all and EXPERIMENTS.md records the measured results
 // against the paper's claims.
 //
-// The scenario-shaped tables (T3, T4, T6, A4) are thin views over the
-// internal/sweep subsystem: they declare sweep.Scenario specs and format
-// the resulting records. Ablations that need non-default core.Params
-// (A1–A3) drive the engines directly through runGossip.
+// A table reaches an engine through one of two doors. The
+// scenario-shaped tables (T3, T4, T6, T8, T9, T11, A4) are thin views
+// over the internal/sweep subsystem: they declare sweep.Scenario specs
+// through runSweep and format the resulting records, reading validity
+// from the records' output check. What a Scenario cannot express — T5's
+// CONGEST probe, T7's Local Broadcast, T10's transcript demo and the
+// non-default core.Params of A1–A3 — builds its Algorithm 1 runner
+// through newRunner.
 package experiments
 
 import (
@@ -137,18 +141,33 @@ type gossipStats struct {
 	nodeRounds   int
 }
 
+// outputOK reports a record's workload output check: true only for a
+// run whose nodes all finished with a valid output.
+func outputOK(rec sweep.Record) bool {
+	ok := rec.Counters.OutputOK
+	return ok != nil && *ok
+}
+
+// newRunner builds the Algorithm 1 runner for what a sweep.Scenario
+// cannot express, with the Config's workers and metrics filled in over
+// whatever rc sets: besides runSweep, the one way a table reaches an
+// engine.
+func newRunner(cfg Config, g *graph.Graph, rc core.RunnerConfig) (*core.BroadcastRunner, error) {
+	rc.Workers = cfg.poolWorkers()
+	rc.Metrics = cfg.Metrics
+	return core.NewBroadcastRunner(g, rc)
+}
+
 // runGossip executes the gossip workload over the Algorithm 1 runner
 // with explicit (non-default) Params — the escape hatch for ablations
 // whose parameterization a sweep.Scenario cannot express — and reports
 // per-round error rates. codes, when non-nil, are p's prebuilt tables.
 func runGossip(cfg Config, g *graph.Graph, p core.Params, codes *core.Codes, rounds int, channelSeed, algSeed uint64) (gossipStats, error) {
-	runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
+	runner, err := newRunner(cfg, g, core.RunnerConfig{
 		Params:      p,
 		Codes:       codes,
 		ChannelSeed: channelSeed,
 		AlgSeed:     algSeed,
-		Workers:     cfg.poolWorkers(),
-		Metrics:     cfg.Metrics,
 	})
 	if err != nil {
 		return gossipStats{}, err

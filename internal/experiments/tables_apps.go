@@ -3,13 +3,12 @@ package experiments
 import (
 	"math"
 
-	"repro/internal/algorithms/matching"
-	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/localbroadcast"
 	"repro/internal/rng"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/wire"
 )
 
@@ -41,11 +40,10 @@ func T7LocalBroadcast(cfg Config) (*Table, error) {
 		inst := localbroadcast.NewHardInstance(g, tc.delta, tc.b, rng.New(cfg.Seed+uint64(i)))
 		inner := wire.BitsFor(n)
 		outer := core.AdapterMsgBits(n, inner)
-		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
+		runner, err := newRunner(cfg, g, core.RunnerConfig{
 			Params:      core.DefaultParams(n, tc.delta, outer, 0.05),
 			ChannelSeed: cfg.Seed + 10 + uint64(i),
 			AlgSeed:     cfg.Seed + 11,
-			Workers:     cfg.poolWorkers(),
 		})
 		if err != nil {
 			return nil, err
@@ -70,7 +68,9 @@ func T7LocalBroadcast(cfg Config) (*Table, error) {
 }
 
 // T8MatchingNative measures Lemma 20: Algorithm 3 terminates within
-// O(log n) Broadcast CONGEST rounds, across sizes and seeds.
+// O(log n) Broadcast CONGEST rounds, across sizes and seeds. A thin view
+// over sweep records: one native-CONGEST scenario per (n, seed); a run
+// that did not finish contributes no rounds to the mean.
 func T8MatchingNative(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "T8",
@@ -84,36 +84,30 @@ func T8MatchingNative(cfg Config) (*Table, error) {
 		ns = []int{64, 256}
 		seeds = 2
 	}
-	var xs, ys []float64
+	var scs []sweep.Scenario
 	for _, n := range ns {
+		for s := 0; s < seeds; s++ {
+			scs = append(scs, sweep.Scenario{
+				Family: sweep.FamilyRegular, N: n, Param: 8,
+				Engine: sweep.EngineCongest, Workload: sweep.WorkloadMatching,
+				GraphSeed: cfg.Seed + uint64(n+s),
+				AlgSeed:   cfg.Seed + uint64(s),
+			})
+		}
+	}
+	recs, err := runSweep(cfg, scs)
+	if err != nil {
+		return nil, err
+	}
+	var xs, ys []float64
+	for i, n := range ns {
 		var rounds []float64
 		valid := true
-		for s := 0; s < seeds; s++ {
-			g, err := regularGraph(n, 8, cfg.Seed+uint64(n+s))
-			if err != nil {
-				return nil, err
+		for _, rec := range recs[i*seeds : (i+1)*seeds] {
+			valid = valid && outputOK(rec)
+			if rec.Counters.AllDone {
+				rounds = append(rounds, float64(rec.Counters.SimRounds))
 			}
-			eng, err := congest.NewBroadcastEngine(g, matching.MsgBits(n), cfg.Seed+uint64(s))
-			if err != nil {
-				return nil, err
-			}
-			eng.SetParallelism(cfg.poolWorkers())
-			res, err := eng.Run(matching.New(n), matching.MaxRounds(n))
-			if err != nil {
-				return nil, err
-			}
-			if !res.AllDone {
-				valid = false
-				continue
-			}
-			outs := make([]int, n)
-			for v, o := range res.Outputs {
-				outs[v] = o.(int)
-			}
-			if matching.Verify(g, outs) != nil {
-				valid = false
-			}
-			rounds = append(rounds, float64(res.Rounds))
 		}
 		mean := stats.Mean(rounds)
 		logn := math.Log2(float64(n))
@@ -131,7 +125,8 @@ func T8MatchingNative(cfg Config) (*Table, error) {
 }
 
 // T9MatchingBeeps is Theorem 21 end-to-end: maximal matching over the
-// noisy beeping model in O(Δ log² n) rounds.
+// noisy beeping model in O(Δ log² n) rounds. A thin view over sweep
+// records: one Algorithm 1 scenario per configuration.
 func T9MatchingBeeps(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "T9",
@@ -139,51 +134,39 @@ func T9MatchingBeeps(cfg Config) (*Table, error) {
 		Claim:   "maximal matching in O(Δ log² n) noisy-beep rounds, w.h.p. correct",
 		Columns: []string{"n", "Δ", "ε", "beep rounds", "per Δ·log₂²n", "decode errs", "valid"},
 	}
-	configs := []struct {
-		n, delta int
-		eps      float64
-	}{
-		{n: 16, delta: 4, eps: 0.1},
-		{n: 32, delta: 4, eps: 0.1},
-		{n: 32, delta: 6, eps: 0.1},
-		{n: 64, delta: 6, eps: 0.1},
+	const eps = 0.1
+	configs := []struct{ n, delta int }{
+		{n: 16, delta: 4},
+		{n: 32, delta: 4},
+		{n: 32, delta: 6},
+		{n: 64, delta: 6},
 	}
 	if cfg.Quick {
 		configs = configs[:2]
 	}
+	var scs []sweep.Scenario
 	for i, tc := range configs {
-		g, err := regularGraph(tc.n, tc.delta, cfg.Seed+uint64(i))
-		if err != nil {
-			return nil, err
-		}
-		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
-			Params:      core.DefaultParams(tc.n, g.MaxDegree(), matching.MsgBits(tc.n), tc.eps),
+		scs = append(scs, sweep.Scenario{
+			Family: sweep.FamilyRegular, N: tc.n, Param: tc.delta, Epsilon: eps,
+			Engine: sweep.EngineAlg1, Workload: sweep.WorkloadMatching,
+			GraphSeed:   cfg.Seed + uint64(i),
 			ChannelSeed: cfg.Seed + 70 + uint64(i),
 			AlgSeed:     cfg.Seed + 71,
-			Workers:     cfg.poolWorkers(),
 		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := runner.Run(matching.New(tc.n), matching.MaxRounds(tc.n))
-		if err != nil {
-			return nil, err
-		}
-		valid := res.AllDone
-		if valid {
-			outs := make([]int, tc.n)
-			for v, o := range res.Outputs {
-				outs[v] = o.(int)
-			}
-			valid = matching.Verify(g, outs) == nil
-		}
-		logn := math.Log2(float64(tc.n))
+	}
+	recs, err := runSweep(cfg, scs)
+	if err != nil {
+		return nil, err
+	}
+	for _, rec := range recs {
+		delta, beeps := rec.Graph.MaxDegree, rec.Counters.BeepRounds
+		logn := math.Log2(float64(rec.Spec.N))
 		t.Rows = append(t.Rows, []string{
-			f("%d", tc.n), f("%d", g.MaxDegree()), f("%.2f", tc.eps),
-			f("%d", res.BeepRounds),
-			f("%.0f", float64(res.BeepRounds)/(float64(g.MaxDegree())*logn*logn)),
-			f("%d", res.MessageErrors),
-			f("%v", valid),
+			f("%d", rec.Spec.N), f("%d", delta), f("%.2f", eps),
+			f("%d", beeps),
+			f("%.0f", float64(beeps)/(float64(delta)*logn*logn)),
+			f("%d", rec.Counters.MessageErrors),
+			f("%v", outputOK(rec)),
 		})
 	}
 	return t, nil
@@ -252,13 +235,12 @@ func transcriptDemo(cfg Config, g *graph.Graph, delta, b, inputs int) (int, erro
 	seen := make(map[string]bool)
 	for i := 0; i < inputs; i++ {
 		inst := localbroadcast.NewHardInstance(g, delta, b, rng.New(cfg.Seed+500+uint64(i)))
-		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
+		runner, err := newRunner(cfg, g, core.RunnerConfig{
 			Params:      p,
 			Codes:       codes,
 			ChannelSeed: cfg.Seed + 600, // same channel seed: transcripts differ only via inputs
 			AlgSeed:     cfg.Seed + 601,
 			RecordBeeps: true,
-			Workers:     cfg.poolWorkers(),
 		})
 		if err != nil {
 			return 0, err

@@ -1,16 +1,16 @@
 package experiments
 
 import (
-	"repro/internal/algorithms/mis"
-	"repro/internal/beepalgs"
-	"repro/internal/core"
+	"repro/internal/sweep"
 )
 
 // T11NativeVsSimulated measures the §7 complexity gap: a problem-specific
 // beeping algorithm (Afek et al.-style MIS, Δ-independent log²n-type cost)
 // against the same problem solved through the generic simulation (Luby MIS
 // over Algorithm 1, Θ(Δ log n) per simulated round). Both run on the
-// noiseless channel so only the communication structure differs.
+// noiseless channel so only the communication structure differs. A thin
+// view over sweep records: a native-beep and an Algorithm 1 scenario per
+// Δ, on one graph.
 func T11NativeVsSimulated(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "T11",
@@ -24,43 +24,33 @@ func T11NativeVsSimulated(cfg Config) (*Table, error) {
 		n = 32
 		deltas = []int{4, 8}
 	}
+	var scs []sweep.Scenario
 	for i, delta := range deltas {
-		g, err := regularGraph(n, delta, cfg.Seed+uint64(i))
-		if err != nil {
-			return nil, err
+		native := sweep.Scenario{
+			Family: sweep.FamilyRegular, N: n, Param: delta,
+			Engine: sweep.EngineBeep, Workload: sweep.WorkloadMIS,
+			GraphSeed: cfg.Seed + uint64(i),
+			AlgSeed:   cfg.Seed + 40 + uint64(i),
 		}
-
-		nativeSet, nativeRounds, err := beepalgs.RunMIS(g, cfg.Seed+40+uint64(i), nil)
-		if err != nil {
-			return nil, err
-		}
-		valid := mis.Verify(g, nativeSet) == nil
-
-		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
-			Params:      core.DefaultParams(n, g.MaxDegree(), mis.MsgBits(n), 0),
-			ChannelSeed: cfg.Seed + 41 + uint64(i),
-			AlgSeed:     cfg.Seed + 42,
-			Workers:     cfg.poolWorkers(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := runner.Run(mis.New(n), mis.MaxRounds(n))
-		if err != nil {
-			return nil, err
-		}
-		simSet := make([]bool, n)
-		for v, o := range res.Outputs {
-			simSet[v] = o.(bool)
-		}
-		valid = valid && res.AllDone && mis.Verify(g, simSet) == nil
-
+		simulated := native
+		simulated.Engine = sweep.EngineAlg1
+		simulated.ChannelSeed = cfg.Seed + 41 + uint64(i)
+		simulated.AlgSeed = cfg.Seed + 42
+		scs = append(scs, native, simulated)
+	}
+	recs, err := runSweep(cfg, scs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range deltas {
+		native, simulated := recs[2*i], recs[2*i+1]
+		nativeRounds, simRounds := native.Counters.BeepRounds, simulated.Counters.BeepRounds
 		t.Rows = append(t.Rows, []string{
-			f("%d", n), f("%d", g.MaxDegree()),
+			f("%d", n), f("%d", simulated.Graph.MaxDegree),
 			f("%d", nativeRounds),
-			f("%d", res.BeepRounds),
-			f("%.0fx", float64(res.BeepRounds)/float64(nativeRounds)),
-			f("%v", valid),
+			f("%d", simRounds),
+			f("%.0fx", float64(simRounds)/float64(nativeRounds)),
+			f("%v", outputOK(native) && outputOK(simulated)),
 		})
 	}
 	t.Notes = append(t.Notes,

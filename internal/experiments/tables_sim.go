@@ -190,11 +190,10 @@ func T5CongestOverhead(cfg Config) (*Table, error) {
 		}
 		inner := wire.BitsFor(n)
 		outer := core.AdapterMsgBits(n, inner)
-		runner, err := core.NewBroadcastRunner(g, core.RunnerConfig{
+		runner, err := newRunner(cfg, g, core.RunnerConfig{
 			Params:      core.DefaultParams(n, g.MaxDegree(), outer, eps),
 			ChannelSeed: cfg.Seed + 7 + uint64(i),
 			AlgSeed:     cfg.Seed + 8,
-			Workers:     cfg.poolWorkers(),
 		})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+
 	"repro/internal/algorithms/bfstree"
 	"repro/internal/algorithms/broadcast"
 	"repro/internal/algorithms/coloring"
@@ -28,6 +30,20 @@ func init() {
 // bfsRoot is the fixed BFS source: node 0 exists in every graph, so the
 // workload needs no extra scenario parameter.
 const bfsRoot = 0
+
+// outputsAs converts a run's per-node outputs to the workload's output
+// type T, or reports the first node whose output is not a T.
+func outputsAs[T any](workload string, outputs []any) ([]T, error) {
+	typed := make([]T, len(outputs))
+	for v, o := range outputs {
+		t, ok := o.(T)
+		if !ok {
+			return nil, &OutputTypeError{Workload: workload, Node: v, Want: reflect.TypeFor[T]().String(), Got: o}
+		}
+		typed[v] = t
+	}
+	return typed, nil
+}
 
 // gossipWorkload: ID broadcast for a configured number of rounds. It is
 // a channel probe with no decision problem, so Verify reports
@@ -60,13 +76,9 @@ func (misWorkload) Algs(g *graph.Graph, rounds int) []congest.BroadcastAlgorithm
 }
 
 func (misWorkload) Verify(g *graph.Graph, outputs []any) error {
-	set := make([]bool, len(outputs))
-	for v, o := range outputs {
-		b, ok := o.(bool)
-		if !ok {
-			return &OutputTypeError{Workload: WorkloadMIS, Node: v, Want: "bool", Got: o}
-		}
-		set[v] = b
+	set, err := outputsAs[bool](WorkloadMIS, outputs)
+	if err != nil {
+		return err
 	}
 	return mis.Verify(g, set)
 }
@@ -93,13 +105,9 @@ func (coloringWorkload) Algs(g *graph.Graph, rounds int) []congest.BroadcastAlgo
 }
 
 func (coloringWorkload) Verify(g *graph.Graph, outputs []any) error {
-	colors := make([]int, len(outputs))
-	for v, o := range outputs {
-		c, ok := o.(int)
-		if !ok {
-			return &OutputTypeError{Workload: WorkloadColoring, Node: v, Want: "int", Got: o}
-		}
-		colors[v] = c
+	colors, err := outputsAs[int](WorkloadColoring, outputs)
+	if err != nil {
+		return err
 	}
 	return coloring.Verify(g, colors)
 }
@@ -119,13 +127,9 @@ func (leaderWorkload) Algs(g *graph.Graph, rounds int) []congest.BroadcastAlgori
 }
 
 func (leaderWorkload) Verify(g *graph.Graph, outputs []any) error {
-	res := make([]leader.Result, len(outputs))
-	for v, o := range outputs {
-		r, ok := o.(leader.Result)
-		if !ok {
-			return &OutputTypeError{Workload: WorkloadLeader, Node: v, Want: "leader.Result", Got: o}
-		}
-		res[v] = r
+	res, err := outputsAs[leader.Result](WorkloadLeader, outputs)
+	if err != nil {
+		return err
 	}
 	return leader.Verify(g, res)
 }
@@ -144,13 +148,9 @@ func (matchingWorkload) Algs(g *graph.Graph, rounds int) []congest.BroadcastAlgo
 }
 
 func (matchingWorkload) Verify(g *graph.Graph, outputs []any) error {
-	partners := make([]int, len(outputs))
-	for v, o := range outputs {
-		p, ok := o.(int)
-		if !ok {
-			return &OutputTypeError{Workload: WorkloadMatching, Node: v, Want: "int", Got: o}
-		}
-		partners[v] = p
+	partners, err := outputsAs[int](WorkloadMatching, outputs)
+	if err != nil {
+		return err
 	}
 	return matching.Verify(g, partners)
 }
@@ -169,13 +169,9 @@ func (bfstreeWorkload) Algs(g *graph.Graph, rounds int) []congest.BroadcastAlgor
 }
 
 func (bfstreeWorkload) Verify(g *graph.Graph, outputs []any) error {
-	res := make([]bfstree.Result, len(outputs))
-	for v, o := range outputs {
-		r, ok := o.(bfstree.Result)
-		if !ok {
-			return &OutputTypeError{Workload: WorkloadBFSTree, Node: v, Want: "bfstree.Result", Got: o}
-		}
-		res[v] = r
+	res, err := outputsAs[bfstree.Result](WorkloadBFSTree, outputs)
+	if err != nil {
+		return err
 	}
 	return bfstree.Verify(g, bfsRoot, res)
 }

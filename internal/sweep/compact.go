@@ -138,22 +138,14 @@ func writeIndex(path string, extents []extent, dataBytes int64) error {
 	return nil
 }
 
-// readIndex loads the sidecar index for path and validates it against
-// dataBytes (the current data-file size). ok is false when the index is
-// missing, malformed, or stale: every one of those is the regenerate
-// signal, never a failure, because the data file is the source of truth.
-// Entry lines are parsed in place from the read buffer into the index.
-func readIndex(path string, dataBytes int64) (ix index, ok bool) {
-	f, err := os.Open(IndexPath(path))
-	if err != nil {
-		return ix, false
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return ix, false
-	}
-	r := bufio.NewReaderSize(f, 1<<16)
+// readIndex parses a sidecar index of size bytes and validates it
+// against dataBytes (the current data-file size). ok is false when the
+// index is unreadable, malformed, or stale: every one of those is the
+// regenerate signal, never a failure, because the data file is the
+// source of truth. Entry lines are parsed in place from the read buffer
+// into the index.
+func readIndex(sidecar io.Reader, size, dataBytes int64) (ix index, ok bool) {
+	r := bufio.NewReaderSize(sidecar, 1<<16)
 	line, err := r.ReadSlice('\n')
 	if err != nil {
 		return ix, false
@@ -166,7 +158,7 @@ func readIndex(path string, dataBytes int64) (ix index, ok bool) {
 	// The header is untrusted input: its record count sizes the index
 	// only up to what the sidecar's bytes can hold, and each extent is
 	// checked without an off+n that could overflow.
-	ix = newIndex(min(hdr.Records, int(info.Size()/int64(minIndexLine))))
+	ix = newIndex(min(hdr.Records, int(size/int64(minIndexLine))))
 	lines := 0
 	for {
 		line, err := r.ReadSlice('\n')

@@ -16,31 +16,32 @@ import (
 // values — never from its position in the enumeration — so adding an
 // axis value to a grid leaves every pre-existing scenario's spec (and
 // therefore its content hash, and therefore its cache entry) unchanged.
+// Its JSON form is sweepd's POST /grids body.
 type Grid struct {
 	// Families, Ns, Params, Epsilons, Engines, Workloads are the axes;
 	// empty axes default to {FamilyRegular}, {64}, {4}, {0.05},
 	// {EngineAlg1}, {WorkloadGossip} respectively. For families that
 	// derive N from Param (pg, grid, hypercube) the Ns axis is ignored.
-	Families  []string
-	Ns        []int
-	Params    []int
-	Epsilons  []float64
-	Engines   []string
-	Workloads []string
+	Families  []string  `json:"families,omitempty"`
+	Ns        []int     `json:"ns,omitempty"`
+	Params    []int     `json:"params,omitempty"`
+	Epsilons  []float64 `json:"epsilons,omitempty"`
+	Engines   []string  `json:"engines,omitempty"`
+	Workloads []string  `json:"workloads,omitempty"`
 	// Noises lists channel-noise models (internal/noise specs). "" and
 	// "symmetric" both select the default symmetric channel, which the
 	// Epsilons axis parameterizes; any other spec owns the channel, so
 	// the ε axis collapses for it (like the native engines' ε) and the
 	// spec is canonicalized before hashing. Empty axis = symmetric only.
-	Noises []string
+	Noises []string `json:"noises,omitempty"`
 	// Rounds is the gossip round count (default 3); MsgBits overrides
 	// the workload's bandwidth default when nonzero.
-	Rounds  int
-	MsgBits int
+	Rounds  int `json:"rounds,omitempty"`
+	MsgBits int `json:"msg_bits,omitempty"`
 	// Replicates repeats every axis point with distinct seeds (default 1).
-	Replicates int
+	Replicates int `json:"replicates,omitempty"`
 	// BaseSeed roots every derived seed.
-	BaseSeed uint64
+	BaseSeed uint64 `json:"base_seed,omitempty"`
 }
 
 // Seed-derivation domains: graph seeds are shared across engines,

@@ -23,6 +23,16 @@ type indexEntry struct {
 	Len  int64  `json:"len"`
 }
 
+// readSidecar reads path's sidecar index from disk through readIndex,
+// as OpenIndexed does, validated against a data file of dataBytes.
+func readSidecar(path string, dataBytes int64) (index, bool) {
+	b, err := os.ReadFile(IndexPath(path))
+	if err != nil {
+		return index{}, false
+	}
+	return readIndex(bytes.NewReader(b), int64(len(b)), dataBytes)
+}
+
 // corruptSidecars are sidecar indexes that once crashed OpenIndexed
 // instead of sending it to a rescan, built for a data file of dataBytes
 // bytes holding a record under hash: a header whose negative record
@@ -116,7 +126,7 @@ func TestIndexedStoreRescansCorruptSidecar(t *testing.T) {
 					t.Fatalf("Get(%s) after the rescan: ok=%v", rec.Hash, ok)
 				}
 			}
-			if ix, ok := readIndex(path, info.Size()); !ok || len(ix.ext) != len(want) {
+			if ix, ok := readSidecar(path, info.Size()); !ok || len(ix.ext) != len(want) {
 				t.Fatalf("the rescan left no valid sidecar (ok=%v, %d entries)", ok, len(ix.ext))
 			}
 			if got, err := os.ReadFile(IndexPath(path)); err != nil || !bytes.Equal(got, canonical) {
@@ -126,9 +136,12 @@ func TestIndexedStoreRescansCorruptSidecar(t *testing.T) {
 	}
 }
 
-// FuzzReadIndex opens a small valid store beside arbitrary sidecar bytes:
-// OpenIndexed must never panic or fail, and every lookup must serve the
-// record stored under the hash asked for, or miss.
+// FuzzReadIndex reads arbitrary sidecar bytes in memory against a small
+// valid store: readIndex must never panic. A sidecar it accepts is then
+// installed beside the store, whose open must not fail and whose every
+// lookup must serve the record stored under the hash asked for, or
+// miss. A sidecar it rejects sends the open to a rescan that never reads
+// the sidecar again (TestIndexedStoreRescansCorruptSidecar).
 func FuzzReadIndex(f *testing.F) {
 	golden := readGolden(f)[:4]
 	data := append(bytes.Join(golden, []byte("\n")), '\n')
@@ -186,6 +199,9 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add([]byte("not an index\n"))
 
 	f.Fuzz(func(t *testing.T, sidecar []byte) {
+		if _, ok := readIndex(bytes.NewReader(sidecar), int64(len(sidecar)), int64(len(data))); !ok {
+			return
+		}
 		path := filepath.Join(t.TempDir(), "store.jsonl")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

@@ -133,7 +133,7 @@ func TestReadIndexSizesFromItsBytes(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, ok := readIndex(path, size)
+	_, ok := readIndex(bytes.NewReader(sidecar.Bytes()), int64(sidecar.Len()), size)
 	runtime.ReadMemStats(&after)
 	if ok {
 		t.Fatal("a sidecar one entry short of its header's 2⁴⁰ was accepted")

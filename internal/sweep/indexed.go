@@ -118,7 +118,14 @@ func OpenIndexed(path string) (*IndexedStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("sweep: open store %s: %w", path, err)
 	}
-	if ix, ok := readIndex(path, size); ok {
+	ix, ok := index{}, false
+	if sidecar, err := os.Open(IndexPath(path)); err == nil {
+		if info, err := sidecar.Stat(); err == nil {
+			ix, ok = readIndex(sidecar, info.Size(), size)
+		}
+		sidecar.Close()
+	}
+	if ok {
 		s.idx, s.size = ix, size
 		return s, nil
 	}

@@ -117,7 +117,7 @@ func TestIndexedStoreCrashConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, ok := readIndex(path, info.Size())
+	ix, ok := readSidecar(path, info.Size())
 	if !ok || len(ix.ext) != s.Len() || s.Len() < len(acked) {
 		t.Fatalf("sidecar after reopen: valid=%v, %d entries for %d records (%d acknowledged)", ok, len(ix.ext), s.Len(), len(acked))
 	}

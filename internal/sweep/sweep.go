@@ -21,8 +21,8 @@
 // scheduler, with lane groups and request-level singleflight, and Run
 // (batch.go), one job on a short-lived Service; Grid (grid.go) —
 // declarative axis expansion; Aggregate (agg.go) — group-by with
-// replicate statistics. internal/experiments routes its T4/T6/A4 tables
-// through this package.
+// replicate statistics. internal/experiments routes its scenario-shaped
+// tables (T3, T4, T6, T8, T9, T11, A4) through this package.
 package sweep
 
 import (
