@@ -699,7 +699,7 @@ func largeGridGraph(b *testing.B) *graph.Graph {
 	largeGridOnce.Do(func() {
 		g, err := graph.FromRowFunc(largeSide*largeSide,
 			graph.GridRows(largeSide, largeSide),
-			graph.BuildOptions{Workers: engine.AutoWorkers})
+			engine.AutoWorkers)
 		if err != nil {
 			panic(err)
 		}
@@ -750,7 +750,7 @@ func BenchmarkLargeSparseGen(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g, err := graph.FromRowFunc(largeSide*largeSide,
 					graph.GridRows(largeSide, largeSide),
-					graph.BuildOptions{Workers: tc.workers})
+					tc.workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -776,7 +776,7 @@ func BenchmarkLargeGeoGen(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g, err := graph.GeometricCells(n, 7, graph.BuildOptions{Workers: tc.workers})
+				g, err := graph.GeometricCells(n, 7, tc.workers)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -19,10 +19,12 @@
 //
 // One scenario is a grid of one point, and its record carries every
 // counter of the run (rounds, beeps, decode errors, all_done,
-// output_ok). The million-node native broadcast, for example:
+// output_ok). The million-node native broadcast, for example, builds
+// its graph on every CPU, as -workers 0 (the width of each scenario's
+// engine pool and graph build) gives a lone scenario the whole machine:
 //
 //	sweep -family geo -n 1000000 -eps 0 -engine beep \
-//	      -workload broadcast -genworkers -1 -strict
+//	      -workload broadcast -strict
 //
 // The channel is an axis too: -noise lists channel models (specs are
 // colon-separated so they compose with the comma-separated axis), e.g.
@@ -107,8 +109,7 @@ func main() {
 		seed       = flag.Uint64("seed", 2023, "base seed (every scenario seed derives from it)")
 		storePath  = flag.String("store", "", "JSONL result store path (empty = in-memory, no caching across runs)")
 		jobs       = flag.Int("jobs", 0, "concurrent scenarios (0 = one per CPU)")
-		workers    = flag.Int("workers", 0, "per-scenario engine workers (0 = auto: serial when jobs > 1)")
-		genWorkers = flag.Int("genworkers", 0, "graph-generation shards for streaming families (0/1 = serial, -1 = one per CPU); never changes records")
+		workers    = flag.Int("workers", 0, "per-scenario engine and graph-generation workers (0 = auto: serial when jobs > 1)")
 		noAgg      = flag.Bool("noagg", false, "skip the aggregate table")
 		verbose    = flag.Bool("v", false, "stream per-scenario progress to stderr")
 		metrics    = flag.Bool("metrics", false, "collect telemetry and print a metrics table to stderr (with -store, also write <store>.telemetry.jsonl)")
@@ -156,7 +157,7 @@ func main() {
 
 	cfg := cliConfig{
 		storePath: *storePath,
-		jobs:      *jobs, workers: *workers, genWorkers: *genWorkers,
+		jobs:      *jobs, workers: *workers,
 		agg: !*noAgg, verbose: *verbose, metrics: *metrics,
 		telemetry: *telemetry,
 		frontier:  *frontier, strict: *strict,
@@ -169,11 +170,11 @@ func main() {
 // cliConfig carries the non-grid flags (everything that is not a
 // scenario axis) through the run.
 type cliConfig struct {
-	storePath                 string
-	jobs, workers, genWorkers int
-	agg, verbose, metrics     bool
-	telemetry                 string
-	frontier, strict          bool
+	storePath             string
+	jobs, workers         int
+	agg, verbose, metrics bool
+	telemetry             string
+	frontier, strict      bool
 }
 
 // telemetryPath is the JSONL telemetry artifact written beside the
@@ -224,7 +225,7 @@ func run(grid sweep.Grid, cfg cliConfig) (err error) {
 	}
 	// One job on a service sized to the grid, as sweep.Run runs it.
 	svc := sweep.NewService(store, sweep.Options{
-		Jobs: cfg.jobs, Workers: cfg.workers, GenWorkers: cfg.genWorkers,
+		Jobs: cfg.jobs, Workers: cfg.workers,
 		Artifacts: artifacts, Metrics: reg, MaxPending: len(scenarios),
 	})
 	defer svc.Close()
@@ -330,10 +331,9 @@ func strictErr(records []sweep.Record) error {
 func runFrontier(scenarios []sweep.Scenario, store sweep.StoreEngine, cfg cliConfig) error {
 	opt := sweep.FrontierOptions{
 		Exec: sweep.Options{
-			Jobs:       1,
-			Workers:    cfg.workers,
-			GenWorkers: cfg.genWorkers,
-			Artifacts:  sim.NewCache(),
+			Jobs:      1,
+			Workers:   cfg.workers,
+			Artifacts: sim.NewCache(),
 		},
 	}
 	if cfg.verbose {

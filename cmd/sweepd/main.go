@@ -31,9 +31,10 @@
 //
 // Records served or produced here are byte-identical to cmd/sweep batch
 // runs over the same specs — the store format, hashes, and execution
-// path are shared; only the scheduling differs. -compact rewrites the
-// store (dropping torn/duplicate/invalid lines) and installs a fresh
-// index before serving.
+// path are shared; only the scheduling differs (-jobs, and -workers, the
+// width of each scenario's engine pool and graph build). -compact
+// rewrites the store (dropping torn/duplicate/invalid lines) and
+// installs a fresh index before serving.
 package main
 
 import (
@@ -55,8 +56,7 @@ func main() {
 		storePath  = flag.String("store", "", "JSONL result store path (required; created if absent)")
 		addr       = flag.String("addr", "localhost:8344", "HTTP listen address")
 		jobs       = flag.Int("jobs", 0, "concurrent scenario executions (0 = one per CPU)")
-		workers    = flag.Int("workers", 0, "per-scenario engine workers (0 = auto: serial when jobs > 1)")
-		genWorkers = flag.Int("genworkers", 0, "graph-generation shards for streaming families")
+		workers    = flag.Int("workers", 0, "per-scenario engine and graph-generation workers (0 = auto: serial when jobs > 1)")
 		maxPending = flag.Int("maxpending", sweep.DefaultMaxPending, "max queued+running scenarios before submissions get 429 (backpressure bound)")
 		compact    = flag.Bool("compact", false, "compact the store (drop torn/duplicate/invalid lines) and rebuild its index before serving")
 	)
@@ -85,8 +85,7 @@ func main() {
 
 	reg := obs.NewRegistry()
 	svc := sweep.NewService(store, sweep.Options{
-		Jobs: *jobs, Workers: *workers, GenWorkers: *genWorkers,
-		MaxPending: *maxPending, Metrics: reg,
+		Jobs: *jobs, Workers: *workers, MaxPending: *maxPending, Metrics: reg,
 	})
 	defer svc.Close()
 

@@ -357,8 +357,12 @@ func TestSweepdConcurrentSubmissionsSingleflight(t *testing.T) {
 }
 
 // badGridBodies are POST /grids bodies the server answers with 400: an
-// unknown family, an unknown field, and bytes that are not JSON.
-var badGridBodies = []string{`{"families":["nope"]}`, `{"unknown_field":1}`, `not json`}
+// unknown family, an unknown field, bytes that are not JSON, and a grid
+// followed by garbage or by a second object.
+var badGridBodies = []string{
+	`{"families":["nope"]}`, `{"unknown_field":1}`, `not json`,
+	`{"families":["regular"]} garbage`, `{"families":["regular"]}{"ns":[16]}`,
+}
 
 // capacityGridBodies ask for more than a run can hold. The first two
 // derive more vertices than a graph holds: 2⁶⁴ for hypercube 64 and

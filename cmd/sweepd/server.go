@@ -119,14 +119,18 @@ const maxGridBody = 1 << 20
 
 // decodeGrid reads a POST /grids body: at most maxGridBody bytes of one
 // sweep.Grid in its JSON form (axis defaults as Grid.Expand's), with
-// unknown fields refused. w, which may be nil, is told when the body
-// runs past the cap, so the server closes the connection.
+// unknown fields and anything but whitespace after the grid refused. w,
+// which may be nil, is told when the body runs past the cap, so the
+// server closes the connection.
 func decodeGrid(w http.ResponseWriter, body io.ReadCloser) (sweep.Grid, error) {
 	var g sweep.Grid
 	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxGridBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&g); err != nil {
 		return sweep.Grid{}, fmt.Errorf("bad grid body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return sweep.Grid{}, errors.New("bad grid body: data after the grid")
 	}
 	return g, nil
 }

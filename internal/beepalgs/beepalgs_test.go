@@ -195,7 +195,7 @@ func waveOutputs(g *graph.Graph, source int, msg []byte, bits, dBound int, seed 
 // geometric builds the geo family graph at n and seed.
 func geometric(t *testing.T, n int, seed uint64) *graph.Graph {
 	t.Helper()
-	g, err := graph.GeometricCells(n, seed, graph.BuildOptions{})
+	g, err := graph.GeometricCells(n, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

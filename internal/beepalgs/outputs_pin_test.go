@@ -28,7 +28,7 @@ func pinGraphs(t *testing.T) (wave, mis []string, graphs map[string]*graph.Graph
 	t.Helper()
 	graphs = make(map[string]*graph.Graph)
 	for seed := uint64(1); seed <= 3; seed++ {
-		g, err := graph.GeometricCells(1<<14, seed, graph.BuildOptions{})
+		g, err := graph.GeometricCells(1<<14, seed, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,8 @@
 // (internal/baseline), and the Algorithm 1 runner (internal/core) all
 // drive their per-round node phases through one deterministic sharded
 // worker pool instead of ad-hoc serial loops or hand-rolled goroutine
-// striding.
+// striding, and the streaming graph builder (internal/graph) runs its
+// two passes on it too.
 //
 // # Determinism contract
 //

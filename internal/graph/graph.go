@@ -496,7 +496,7 @@ func NumColors(colors []int) int {
 // mustBuild is the serial FromRowFunc for generators whose inputs are
 // valid by construction; it panics on the (impossible) builder error.
 func mustBuild(n int, rows RowFunc) *Graph {
-	g, err := FromRowFunc(n, rows, BuildOptions{})
+	g, err := FromRowFunc(n, rows, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -518,7 +518,7 @@ func HardInstance(n, delta int) (*Graph, error) {
 	if delta < 1 || 2*delta > n {
 		return nil, fmt.Errorf("graph: hard instance needs 1 <= Δ and 2Δ <= n, got n=%d Δ=%d", n, delta)
 	}
-	return FromRowFunc(n, HardInstanceRows(n, delta), BuildOptions{})
+	return FromRowFunc(n, HardInstanceRows(n, delta), 1)
 }
 
 // Cycle returns the n-cycle (n >= 3).

@@ -4,20 +4,19 @@ package graph
 // pure function from vertex to sorted neighbor row; FromRowFunc turns it
 // into CSR with a two-pass degree-count→fill build that writes straight
 // into the flat arrays, never materializing a [][2]int edge list. Both
-// passes shard [0, n) into contiguous chunks that workers process
-// independently — every array slot belongs to exactly one vertex, so the
-// result is byte-identical for any worker count. Randomized families stay
-// shardable by deriving per-vertex randomness from pure hashes of
-// (seed, vertex) instead of a sequential stream; the geo family is the
-// model, and its build hashes each coordinate once per chunk and pass.
+// passes run on an engine.Pool, whose spans are the build's chunks and
+// which workers process independently — every array slot belongs to
+// exactly one vertex, so the result is byte-identical for any worker
+// count. Randomized families stay shardable by deriving per-vertex
+// randomness from pure hashes of (seed, vertex) instead of a sequential
+// stream; the geo family is the model, and its build hashes each
+// coordinate once per chunk and pass.
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/engine"
 	"repro/internal/rng"
 )
 
@@ -28,59 +27,40 @@ import (
 // appears in u's), and must emit ids in [0, n) excluding v itself.
 type RowFunc func(v int, emit func(u int32))
 
-// BuildOptions configures FromRowFunc.
-type BuildOptions struct {
-	// Workers is the number of generation shards: 0 or 1 build serially,
-	// k > 1 uses k goroutines, and any negative value uses GOMAXPROCS.
-	// The built graph is byte-identical for every value.
-	Workers int
-}
-
 // FromRowFunc builds a graph with n vertices from a streaming row
-// function via the two-pass degree-count→fill CSR builder. Capacity
+// function via the two-pass degree-count→fill CSR builder, on an
+// engine.Pool of the given width (0 or 1 serial, engine.AutoWorkers one
+// per CPU); the graph is byte-identical for every width. Capacity
 // overflow surfaces as a typed *CapacityError, row-contract violations
 // (unsorted, out-of-range, or self-loop neighbors) as plain errors;
 // it never panics on bad input.
-func FromRowFunc(n int, rows RowFunc, opt BuildOptions) (*Graph, error) {
-	return fromChunkRows(n, func() RowFunc { return rows }, opt)
+func FromRowFunc(n int, rows RowFunc, workers int) (*Graph, error) {
+	return fromChunkRows(n, func() RowFunc { return rows }, workers)
 }
 
 // fromChunkRows is FromRowFunc for row functions that keep state across
-// the rows of one chunk: each chunk of each pass calls newRows once and
-// asks the RowFunc it returns for the chunk's vertices in increasing
-// order. The state lives and dies with the chunk, so the graph stays
-// byte-identical for any worker count.
-func fromChunkRows(n int, newRows func() RowFunc, opt BuildOptions) (*Graph, error) {
+// the rows of one chunk: a chunk is one of the pool's spans, and each
+// chunk of each pass calls newRows once and asks the RowFunc it returns
+// for the chunk's vertices in increasing order. The state lives and dies
+// with the chunk, so the graph stays byte-identical for any worker count.
+func fromChunkRows(n int, newRows func() RowFunc, workers int) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
 	if n > MaxVertices {
 		return nil, &CapacityError{Vertices: n}
 	}
-	workers := opt.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 0 { // n == 0
-		workers = 1
-	}
+	pool := engine.NewPool(workers)
 
-	// Pass 1: per-vertex degree count with contract validation. Chunks
-	// are contiguous vertex ranges; each worker writes only its own deg
-	// slots, so scheduling order cannot influence the result.
+	// Pass 1: per-vertex degree count with contract validation. Each
+	// chunk writes only its own deg slots and its Span.Index slots, so
+	// scheduling order cannot influence the result.
 	deg := make([]int32, n)
-	chunks := chunkRanges(n, workers)
-	errs := make([]error, len(chunks))
-	maxDegs := make([]int, len(chunks))
+	errs := make([]error, pool.NumShards(n))
+	maxDegs := make([]int, len(errs))
 	// Each chunk builds one emit callback and resets the vertex state it
 	// reads, so the build allocates per chunk, not per vertex.
-	runChunks(chunks, workers, func(ci int, lo, hi int) {
+	pool.Do(n, func(s engine.Span) {
 		rows := newRows()
 		var (
 			v, d int
@@ -103,18 +83,18 @@ func fromChunkRows(n int, newRows func() RowFunc, opt BuildOptions) (*Graph, err
 			d++
 		}
 		maxDeg := 0
-		for v = lo; v < hi; v++ {
+		for v = s.Lo; v < s.Hi; v++ {
 			d, prev, bad = 0, -1, nil
 			rows(v, emit)
-			if bad != nil && errs[ci] == nil {
-				errs[ci] = bad
+			if bad != nil && errs[s.Index] == nil {
+				errs[s.Index] = bad
 			}
 			deg[v] = int32(d)
 			if d > maxDeg {
 				maxDeg = d
 			}
 		}
-		maxDegs[ci] = maxDeg
+		maxDegs[s.Index] = maxDeg
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -145,9 +125,9 @@ func fromChunkRows(n int, newRows func() RowFunc, opt BuildOptions) (*Graph, err
 	}
 
 	// Pass 2: fill. Each chunk writes the disjoint region
-	// nbr[off[lo]:off[hi]); a RowFunc that emits different rows than in
+	// nbr[off[Lo]:off[Hi]); a RowFunc that emits different rows than in
 	// pass 1 is caught by the per-vertex bounds check.
-	runChunks(chunks, workers, func(ci int, lo, hi int) {
+	pool.Do(n, func(s engine.Span) {
 		rows := newRows()
 		var pos, end int64
 		emit := func(u int32) {
@@ -158,11 +138,11 @@ func fromChunkRows(n int, newRows func() RowFunc, opt BuildOptions) (*Graph, err
 				pos = end + 1
 			}
 		}
-		for v := lo; v < hi; v++ {
+		for v := s.Lo; v < s.Hi; v++ {
 			pos, end = int64(off[v]), int64(off[v+1])
 			rows(v, emit)
-			if pos != end && errs[ci] == nil {
-				errs[ci] = fmt.Errorf("graph: RowFunc emitted different rows for %d across passes", v)
+			if pos != end && errs[s.Index] == nil {
+				errs[s.Index] = fmt.Errorf("graph: RowFunc emitted different rows for %d across passes", v)
 			}
 		}
 	})
@@ -172,70 +152,6 @@ func fromChunkRows(n int, newRows func() RowFunc, opt BuildOptions) (*Graph, err
 		}
 	}
 	return g, nil
-}
-
-// chunkRanges splits [0, n) into contiguous ranges, several per worker so
-// uneven row funcs still balance; the split is a pure function of
-// (n, workers) but the result never depends on it — chunks only decide
-// which goroutine writes which disjoint slots.
-func chunkRanges(n, workers int) [][2]int {
-	if n == 0 {
-		return [][2]int{{0, 0}}
-	}
-	per := 4 * workers
-	size := (n + per - 1) / per
-	if size < 1 {
-		size = 1
-	}
-	var out [][2]int
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
-// runChunks dispatches the chunk list over up to `workers` goroutines
-// (inline when workers is 1). A chunk's panic is re-raised on the caller's
-// goroutine once every worker has stopped.
-func runChunks(chunks [][2]int, workers int, fn func(ci, lo, hi int)) {
-	if workers <= 1 || len(chunks) <= 1 {
-		for ci, c := range chunks {
-			fn(ci, c[0], c[1])
-		}
-		return
-	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicked atomic.Pointer[any]
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					panicked.CompareAndSwap(nil, &v)
-				}
-			}()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= len(chunks) {
-					return
-				}
-				fn(ci, chunks[ci][0], chunks[ci][1])
-			}
-		}()
-	}
-	wg.Wait()
-	if v := panicked.Load(); v != nil {
-		panic(*v)
-	}
 }
 
 // --- Row functions for the deterministic families ---
@@ -389,10 +305,11 @@ func geoSide(n int) int {
 // geoCoord returns vertex v's position along one axis: its lattice
 // coordinate plus a jitter in [0, 0.4) hashed purely from (seed, tag, v).
 // Pure per-vertex hashing — no sequential rng stream — is what lets
-// sharded generation produce identical graphs for any worker count.
+// sharded generation produce identical graphs for any worker count. The
+// conversion rounds the product, so no GOARCH fuses it into the add.
 func geoCoord(seed, tag uint64, v, lattice int) float64 {
 	u := float64(rng.Mix(seed, tag, uint64(v))>>11) / (1 << 53)
-	return float64(lattice) + 0.4*u
+	return float64(lattice) + float64(0.4*u)
 }
 
 // geoBand is one chunk's ring of the five lattice rows around its
@@ -439,7 +356,8 @@ func (b *geoBand) row(v int, emit func(u int32)) {
 			}
 			dx := xy[2*uc] - x
 			dy := xy[2*uc+1] - y
-			if dx*dx+dy*dy <= geoRadius2 {
+			// Rounded products: no GOARCH may fuse this edge decision.
+			if float64(dx*dx)+float64(dy*dy) <= geoRadius2 {
 				emit(int32(u))
 			}
 		}
@@ -449,9 +367,9 @@ func (b *geoBand) row(v int, emit func(u int32)) {
 // GeometricCells builds the geo family graph for n ≥ 17 (lattice side
 // ≥ 5): vertices on a jittered ⌈√n⌉×⌈√n⌉ lattice, connected within
 // distance 1.7. It is connected for every seed, of maximum degree ≤ 24,
-// and byte-identical for any opt.Workers. Each
+// and byte-identical for any worker count (FromRowFunc's convention). Each
 // chunk of each build pass reads coordinates off its own geoBand.
-func GeometricCells(n int, seed uint64, opt BuildOptions) (*Graph, error) {
+func GeometricCells(n int, seed uint64, workers int) (*Graph, error) {
 	side := geoSide(n)
 	if side < 5 {
 		return nil, fmt.Errorf("graph: geo family needs lattice side >= 5 (n >= 17), got n=%d", n)
@@ -459,5 +377,5 @@ func GeometricCells(n int, seed uint64, opt BuildOptions) (*Graph, error) {
 	return fromChunkRows(n, func() RowFunc {
 		b := &geoBand{n: n, side: side, seed: seed, held: [5]int{-1, -1, -1, -1, -1}, xy: make([]float64, 10*side)}
 		return b.row
-	}, opt)
+	}, workers)
 }

@@ -105,6 +105,7 @@ func TestFromRowFuncMatchesEdgeListGenerators(t *testing.T) {
 			}
 			return MustFromEdges(11, e)
 		}()},
+		{"empty", 0, PathRows(0), MustFromEdges(0, nil)},
 		{"path9", 9, PathRows(9), func() *Graph {
 			var e [][2]int
 			for i := 0; i+1 < 9; i++ {
@@ -130,7 +131,7 @@ func TestFromRowFuncMatchesEdgeListGenerators(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{0, 1, 2, 3, 8, -1} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				g, err := FromRowFunc(tc.n, tc.rows, BuildOptions{Workers: workers})
+				g, err := FromRowFunc(tc.n, tc.rows, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,7 +161,7 @@ func TestGeneratorsDelegateToRowFuncs(t *testing.T) {
 func TestGeoDeterministicAcrossWorkers(t *testing.T) {
 	for _, n := range []int{17, 25, 49, 100, 1000} {
 		for _, seed := range []uint64{1, 7, 0xdeadbeef} {
-			ref, err := GeometricCells(n, seed, BuildOptions{Workers: 1})
+			ref, err := GeometricCells(n, seed, 1)
 			if err != nil {
 				t.Fatalf("geo(n=%d, seed=%d): %v", n, seed, err)
 			}
@@ -171,7 +172,7 @@ func TestGeoDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("geo(n=%d, seed=%d): Δ = %d > 24", n, seed, ref.MaxDegree())
 			}
 			for _, workers := range []int{2, 5, 8, -1} {
-				g, err := GeometricCells(n, seed, BuildOptions{Workers: workers})
+				g, err := GeometricCells(n, seed, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +182,7 @@ func TestGeoDeterministicAcrossWorkers(t *testing.T) {
 			}
 			// Different seeds give different graphs (with overwhelming
 			// probability for n this size).
-			other, err := GeometricCells(n, seed+1, BuildOptions{})
+			other, err := GeometricCells(n, seed+1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +191,7 @@ func TestGeoDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
-	if _, err := GeometricCells(16, 1, BuildOptions{}); err == nil {
+	if _, err := GeometricCells(16, 1, 0); err == nil {
 		t.Fatal("geo with n=16 (side 4) should be rejected")
 	}
 }
@@ -203,12 +204,12 @@ func TestGeoDeterministicAcrossWorkers(t *testing.T) {
 func TestGeometricCellsMatchesGeoRows(t *testing.T) {
 	for _, n := range []int{17, 24, 1000, 4099, 1 << 16} {
 		for _, seed := range []uint64{1, 7, 0xdeadbeef} {
-			ref, err := FromRowFunc(n, GeoRows(n, seed), BuildOptions{Workers: 1})
+			ref, err := FromRowFunc(n, GeoRows(n, seed), 1)
 			if err != nil {
 				t.Fatalf("GeoRows(n=%d, seed=%d): %v", n, seed, err)
 			}
 			for _, workers := range []int{1, 3, 8} {
-				g, err := GeometricCells(n, seed, BuildOptions{Workers: workers})
+				g, err := GeometricCells(n, seed, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -224,7 +225,7 @@ func TestGeometricCellsMatchesGeoRows(t *testing.T) {
 // TestGeoRowsSymmetric: the geo RowFunc must be symmetric — the builder
 // trusts symmetry, so it is pinned here.
 func TestGeoRowsSymmetric(t *testing.T) {
-	g, err := GeometricCells(200, 42, BuildOptions{Workers: 4})
+	g, err := GeometricCells(200, 42, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,12 +271,12 @@ func TestFromRowFuncContractViolations(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := FromRowFunc(tc.n, tc.rows, BuildOptions{}); err == nil {
+			if _, err := FromRowFunc(tc.n, tc.rows, 0); err == nil {
 				t.Fatal("contract violation not reported")
 			}
 		})
 	}
-	if _, err := FromRowFunc(-1, PathRows(4), BuildOptions{}); err == nil {
+	if _, err := FromRowFunc(-1, PathRows(4), 0); err == nil {
 		t.Fatal("negative n not reported")
 	}
 }
@@ -289,7 +290,7 @@ func TestCapacityErrorPaths(t *testing.T) {
 	defer func() { maxOffset32 = saved }()
 
 	// FromRowFunc beyond the narrow capacity: typed error.
-	_, err := FromRowFunc(20, CompleteRows(20), BuildOptions{}) // 380 directed edges
+	_, err := FromRowFunc(20, CompleteRows(20), 0) // 380 directed edges
 	var ce *CapacityError
 	if !errors.As(err, &ce) {
 		t.Fatalf("FromRowFunc overflow: got %v, want *CapacityError", err)
@@ -312,7 +313,7 @@ func TestCapacityErrorPaths(t *testing.T) {
 	// Square path: a graph within capacity whose square overflows fails
 	// with the same typed error instead of panicking.
 	maxOffset32 = 60
-	st, err := FromRowFunc(16, StarRows(16), BuildOptions{}) // 30 directed edges; square is K16 = 240
+	st, err := FromRowFunc(16, StarRows(16), 0) // 30 directed edges; square is K16 = 240
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func TestFromRowFuncAllocationsFlat(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		allocs := func(side int) float64 {
 			return testing.AllocsPerRun(5, func() {
-				g, err := FromRowFunc(side*side, GridRows(side, side), BuildOptions{Workers: workers})
+				g, err := FromRowFunc(side*side, GridRows(side, side), workers)
 				if err != nil || g.N() != side*side {
 					t.Fatalf("side %d: %v", side, err)
 				}
@@ -435,7 +436,7 @@ func BenchmarkFromRowFuncGrid1M(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g, err := FromRowFunc(1000*1000, GridRows(1000, 1000), BuildOptions{Workers: workers})
+				g, err := FromRowFunc(1000*1000, GridRows(1000, 1000), workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -460,7 +461,7 @@ func TestFromRowFuncReraisesRowPanic(t *testing.T) {
 	for _, workers := range []int{1, 3, -1} {
 		got := func() (v any) {
 			defer func() { v = recover() }()
-			FromRowFunc(32*32, rows, BuildOptions{Workers: workers})
+			FromRowFunc(32*32, rows, workers)
 			return nil
 		}()
 		if got != "row 700" {

@@ -14,20 +14,18 @@ type Options struct {
 	// Jobs bounds scenario-level concurrency (0 = one per CPU). The two
 	// parallelism levels compose without oversubscription: when Jobs
 	// leaves room for more than one concurrent scenario and Workers is 0
-	// (auto), each scenario's engine pool runs serial — the cores belong
-	// to the scenario level; with Jobs = 1 an auto Workers gives the
-	// single scenario the whole machine, matching cmd/experiments. Jobs
-	// never exceeds MaxPending, so a Run of one scenario is Jobs = 1.
+	// (auto), each scenario's engine pool and graph generation run
+	// serial — the cores belong to the scenario level; with Jobs = 1 an
+	// auto Workers gives the single scenario the whole machine, to build
+	// its graph and to run, matching cmd/experiments. Jobs never exceeds
+	// MaxPending, so a Run of one scenario is Jobs = 1.
 	Jobs int
-	// Workers configures each scenario's per-round engine pool
-	// (ExecOptions). 0 = auto as described above; any explicit value
-	// (1 = serial, engine.AutoWorkers = GOMAXPROCS) passes through. By
-	// the determinism contract, no setting changes any record.
+	// Workers configures each scenario's per-round engine pool, and the
+	// pool that generates its graph (ExecOptions). 0 = auto as described
+	// above; any explicit value (1 = serial, engine.AutoWorkers =
+	// GOMAXPROCS) passes through. By the determinism contract, no
+	// setting changes any record.
 	Workers int
-	// GenWorkers shards graph generation for the streaming families
-	// (ExecOptions.GenWorkers): 0 or 1 = serial, negative = one per CPU.
-	// Byte-invisible in every record, like the other parallelism knobs.
-	GenWorkers int
 	// Artifacts is the scheduler's shared artifact cache (graphs + code
 	// tables); nil creates a fresh one, so a Run builds each graph and
 	// code table once and a Service shares them over its lifetime. Like

@@ -19,13 +19,10 @@ import (
 // inputs only.
 type ExecOptions struct {
 	// Workers follows the engine convention: 0 or 1 = serial,
-	// engine.AutoWorkers = one per CPU.
+	// engine.AutoWorkers = one per CPU. It sizes the engine's pool and
+	// the pool that generates a streaming family's graph
+	// (Scenario.BuildGraphWorkers).
 	Workers int
-	// GenWorkers shards graph generation for the streaming families
-	// (Scenario.BuildGraphWorkers): 0 or 1 = serial, negative = one per
-	// CPU. The built graph — and therefore the record — is byte-identical
-	// for every value.
-	GenWorkers int
 	// Artifacts, when non-nil, shares graphs and code tables across
 	// executions (the scheduler passes one cache per Service).
 	// Cached artifacts are pure functions of their keys, so records are
@@ -96,7 +93,7 @@ func execute(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error)
 	eng, _ := sim.EngineFor(first.Engine)
 
 	buildStart := time.Now()
-	g, err := first.buildGraphCached(opt.Artifacts, opt.GenWorkers)
+	g, err := first.buildGraphCached(opt.Artifacts, opt.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %s: build graph: %w", first.Hash(), err)
 	}

@@ -58,8 +58,9 @@ func TestGeoBroadcastEndToEnd(t *testing.T) {
 }
 
 // TestGenWorkersRecordIdentity pins the streaming-generation determinism
-// contract at the record level: sharded generation may never change a
-// stored byte (timing fields aside).
+// contract at the record level: the pool width that generates the graph
+// (ExecOptions.Workers, which sizes the engine's pool too) may never
+// change a stored byte (timing fields aside).
 func TestGenWorkersRecordIdentity(t *testing.T) {
 	specs := []Scenario{
 		geoSpec(),
@@ -68,10 +69,10 @@ func TestGenWorkersRecordIdentity(t *testing.T) {
 	}
 	for _, sc := range specs {
 		var want Record
-		for i, gw := range []int{0, 1, 8, engine.AutoWorkers} {
-			rec, err := Execute(sc, ExecOptions{GenWorkers: gw})
+		for i, w := range []int{0, 1, 8, engine.AutoWorkers} {
+			rec, err := Execute(sc, ExecOptions{Workers: w})
 			if err != nil {
-				t.Fatalf("%s genworkers=%d: %v", sc.Family, gw, err)
+				t.Fatalf("%s workers=%d: %v", sc.Family, w, err)
 			}
 			rec.WallNanos, rec.BuildNanos = 0, 0
 			if i == 0 {
@@ -79,8 +80,8 @@ func TestGenWorkersRecordIdentity(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(rec, want) {
-				t.Fatalf("%s: record differs between genworkers=0 and %d:\n%+v\nvs\n%+v",
-					sc.Family, gw, rec, want)
+				t.Fatalf("%s: record differs between workers=0 and %d:\n%+v\nvs\n%+v",
+					sc.Family, w, rec, want)
 			}
 		}
 	}

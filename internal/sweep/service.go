@@ -147,8 +147,7 @@ func NewService(store StoreEngine, opt Options) *Service {
 	s := &Service{
 		store: store,
 		exec: ExecOptions{
-			Workers: workers, GenWorkers: opt.GenWorkers,
-			Artifacts: opt.Artifacts, Metrics: opt.Metrics,
+			Workers: workers, Artifacts: opt.Artifacts, Metrics: opt.Metrics,
 		},
 		executeFunc: opt.ExecuteFunc,
 		// Every task holds at least one pending scenario, so a queue of

@@ -282,25 +282,25 @@ func (sc Scenario) Hash() string {
 // count byte-invisible by the streaming builder's contract — so
 // scenarios differing only in other axes share one instance. A nil
 // cache builds directly.
-func (sc Scenario) buildGraphCached(cache *sim.Cache, genWorkers int) (*graph.Graph, error) {
+func (sc Scenario) buildGraphCached(cache *sim.Cache, workers int) (*graph.Graph, error) {
 	key := sim.GraphKey{Family: sc.Family, N: sc.N, Param: sc.Param}
 	if graphSeedMatters(sc.Family) {
 		key.Seed = sc.GraphSeed
 	}
-	return cache.Graph(key, func() (*graph.Graph, error) { return sc.BuildGraphWorkers(genWorkers) })
+	return cache.Graph(key, func() (*graph.Graph, error) { return sc.BuildGraphWorkers(workers) })
 }
 
 // BuildGraph constructs the scenario's graph from Family, N, Param, and
 // GraphSeed alone, serially.
 func (sc Scenario) BuildGraph() (*graph.Graph, error) { return sc.BuildGraphWorkers(1) }
 
-// BuildGraphWorkers is BuildGraph with a generation worker count for the
-// streaming (row-function) families — grid, hypercube, hard, complete,
-// geo. The built graph is byte-identical for every worker count (0 or 1
-// serial, negative = one per CPU); the edge-list families (regular,
-// bounded, pg) draw from a sequential stream and always build serially.
+// BuildGraphWorkers is BuildGraph on an engine pool of the given width
+// (0 or 1 serial, engine.AutoWorkers one per CPU; execute passes
+// ExecOptions.Workers) for the streaming (row-function) families — grid,
+// hypercube, hard, complete, geo — byte-identical at every width. The
+// edge-list families (regular, bounded, pg) draw from a sequential
+// stream and always build serially.
 func (sc Scenario) BuildGraphWorkers(workers int) (*graph.Graph, error) {
-	opt := graph.BuildOptions{Workers: workers}
 	switch sc.Family {
 	case FamilyRegular:
 		// Δ-regular when realizable, bounded-degree otherwise — the same
@@ -315,18 +315,18 @@ func (sc Scenario) BuildGraphWorkers(workers int) (*graph.Graph, error) {
 	case FamilyPG:
 		return graph.ProjectivePlaneIncidence(sc.Param)
 	case FamilyGrid:
-		return graph.FromRowFunc(sc.Param*sc.Param, graph.GridRows(sc.Param, sc.Param), opt)
+		return graph.FromRowFunc(sc.Param*sc.Param, graph.GridRows(sc.Param, sc.Param), workers)
 	case FamilyHypercube:
-		return graph.FromRowFunc(1<<uint(sc.Param), graph.HypercubeRows(sc.Param), opt)
+		return graph.FromRowFunc(1<<uint(sc.Param), graph.HypercubeRows(sc.Param), workers)
 	case FamilyHard:
 		if sc.Param < 1 || 2*sc.Param > sc.N {
 			return nil, fmt.Errorf("graph: hard instance needs 1 <= Δ and 2Δ <= n, got n=%d Δ=%d", sc.N, sc.Param)
 		}
-		return graph.FromRowFunc(sc.N, graph.HardInstanceRows(sc.N, sc.Param), opt)
+		return graph.FromRowFunc(sc.N, graph.HardInstanceRows(sc.N, sc.Param), workers)
 	case FamilyComplete:
-		return graph.FromRowFunc(sc.N, graph.CompleteRows(sc.N), opt)
+		return graph.FromRowFunc(sc.N, graph.CompleteRows(sc.N), workers)
 	case FamilyGeo:
-		return graph.GeometricCells(sc.N, sc.GraphSeed, opt)
+		return graph.GeometricCells(sc.N, sc.GraphSeed, workers)
 	}
 	return nil, fmt.Errorf("sweep: unknown family %q", sc.Family)
 }
