@@ -261,7 +261,7 @@ func run(grid sweep.Grid, cfg cliConfig) (err error) {
 			case ev.Cached:
 				status = "cached"
 			}
-			sc := ev.Spec
+			sc := scenarios[ev.Index]
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s/%s/%s n=%d param=%d eps=%g rep=%d: %s\n",
 				ev.Done, ev.Total, ev.Hash, sc.Workload, sc.Engine, sc.Family,
 				sc.N, sc.Param, sc.Epsilon, sc.Replicate, status)

@@ -680,6 +680,86 @@ func TestSweepdJobRecordsFailedSlot(t *testing.T) {
 	}
 }
 
+// TestJobRecordsReadBackFromStore: a job's records are the store's. Once
+// the store no longer serves them — here it is closed — Wait fails every
+// slot of the completed job with a *sweep.MissingRecordError naming the
+// slot's index and hash, and /jobs/{id}/records still answers 200 with
+// one failed-slot line per slot, never a zero record.
+func TestJobRecordsReadBackFromStore(t *testing.T) {
+	store, err := sweep.OpenIndexed(filepath.Join(t.TempDir(), "store.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := sweep.NewService(store, sweep.Options{
+		Jobs: 2,
+		ExecuteFunc: func(group []sweep.Scenario, _ sweep.ExecOptions) ([]sweep.Record, error) {
+			return fakeRecords(group), nil
+		},
+	})
+	ts := httptest.NewServer(newServer(store, svc, nil))
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+		store.Close()
+	})
+	scenarios := testScenarios(t, testGrid)
+	sr := submitGrid(t, ts.URL, testGrid)
+	if st := waitJob(t, ts.URL, sr.Status); st.Ran != len(scenarios) {
+		t.Fatalf("job: %+v, want every slot ran", st)
+	}
+	job, ok := svc.Job(sr.Job)
+	if !ok {
+		t.Fatalf("no job %s", sr.Job)
+	}
+	if recs, _, err := job.Wait(); err != nil || recs[0].Hash != scenarios[0].Hash() {
+		t.Fatalf("before the store closed: err %v, slot 0 hash %q", err, recs[0].Hash)
+	}
+
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, st, err := job.Wait()
+	if st.Failed != len(scenarios) || st.Ran != 0 {
+		t.Fatalf("stats %+v, want every slot failed", st)
+	}
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok || len(joined.Unwrap()) != len(scenarios) {
+		t.Fatalf("Wait: %v, want one failure per slot", err)
+	}
+	for i, err := range joined.Unwrap() {
+		var missing *sweep.MissingRecordError
+		if !errors.As(err, &missing) || missing.Index != i || missing.Hash != scenarios[i].Hash() || recs[i].Hash != "" {
+			t.Fatalf("slot %d: %v (record hash %q), want a *sweep.MissingRecordError naming it", i, err, recs[i].Hash)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + sr.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s, %v", sr.Records, resp.Status, err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+	if len(lines) != len(scenarios) {
+		t.Fatalf("served %d lines, want one per slot:\n%s", len(lines), body)
+	}
+	for i, line := range lines {
+		var failed failedSlot
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&failed); err != nil {
+			t.Fatalf("slot %d is not a failed-slot line: %v: %s", i, err, line)
+		}
+		want := (&sweep.MissingRecordError{Index: i, Hash: scenarios[i].Hash()}).Error()
+		if failed.Index != i || failed.Hash != scenarios[i].Hash() || failed.Error != want {
+			t.Fatalf("slot %d: %+v, want index %d, hash %s and error %q", i, failed, i, scenarios[i].Hash(), want)
+		}
+	}
+}
+
 // TestSweepdFollowsRunningJob streams a job while it runs, one slot
 // released at a time. A subscriber opened right after POST /grids is
 // served (never a 404) and gets each slot's line as the slot lands,

@@ -267,8 +267,9 @@ type failedSlot struct {
 }
 
 // handleJobRecords serves a completed job as JSONL, one line per slot in
-// submission order: the slot's record, or a failedSlot line; 409 while
-// the job is still running.
+// submission order: the slot's record, which Job.Wait reads back from
+// the store, or a failedSlot line — for a slot that failed, or one whose
+// record the store no longer serves; 409 while the job is still running.
 func (s *server) handleJobRecords(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.job(w, r)
 	if !ok {
@@ -282,8 +283,11 @@ func (s *server) handleJobRecords(w http.ResponseWriter, r *http.Request) {
 	recs, _, _ := job.Wait() // complete: returns at once
 	failed := make(map[int]failedSlot)
 	for ev := range job.Events(r.Context()) {
-		if ev.Err != nil {
-			failed[ev.Index] = failedSlot{Index: ev.Index, Hash: ev.Hash, Error: ev.Err.Error()}
+		if err := ev.Err; recs[ev.Index].Hash == "" {
+			if err == nil { // landed, but the store no longer serves its record
+				err = &sweep.MissingRecordError{Index: ev.Index, Hash: ev.Hash}
+			}
+			failed[ev.Index] = failedSlot{Index: ev.Index, Hash: ev.Hash, Error: err.Error()}
 		}
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -302,7 +302,8 @@ func (m GilbertElliott) FlipRates() (p01, p10 float64) {
 	if d := m.PGoodToBad + m.PBadToGood; d > 0 {
 		piBad = m.PGoodToBad / d
 	}
-	rate := (1-piBad)*m.PGood + piBad*m.PBad
+	// The rate that picks R and θ; products rounded explicitly (DESIGN.md §4).
+	rate := float64((1-piBad)*m.PGood) + float64(piBad*m.PBad)
 	return rate, rate
 }
 

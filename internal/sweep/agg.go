@@ -76,14 +76,15 @@ func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	pos := p * float64(len(sorted)-1)
+	// Products are rounded explicitly, so no GOARCH fuses them (§4).
+	pos := float64(p * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Group is one aggregation cell: the replicate distributions of the

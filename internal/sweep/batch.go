@@ -57,10 +57,9 @@ type Event struct {
 	// Index is the slot's position in the submitted slice; Done counts
 	// the job's landings up to this one, out of Total.
 	Index, Done, Total int
-	// Hash and Spec name the slot's scenario, which a failed slot has no
-	// record to name.
+	// Hash names the slot's scenario, which a failed slot has no record
+	// to name; the submitter's slice at Index holds its spec.
 	Hash string
-	Spec Scenario
 	// Cached reports a slot served without engine work.
 	Cached bool
 	// Err is the slot's failure, if any.
@@ -95,7 +94,8 @@ func Summary(st Stats, cs sim.CacheStats) string {
 // Service: cache hits are served without engine work, misses are
 // executed (at most Options.Jobs at a time) and persisted. Any
 // StoreEngine serves — the in-memory Store or the seek-lookup
-// IndexedStore. The returned slice is indexed like the input —
+// IndexedStore — and every returned record is read back from it
+// (Job.Wait). The returned slice is indexed like the input —
 // records[i] is scenarios[i]'s record regardless of completion order,
 // so batch output is deterministic even under concurrency. On scenario
 // failures Run keeps going, returns every successful record, and

@@ -18,7 +18,7 @@ import (
 // Service is the sweep scheduler: one worker pool over one store that
 // serves any number of concurrent submissions. Run is one job on a
 // short-lived Service; cmd/sweepd keeps one resident. Each Submit gets
-// its own Job, which records its slots as they land; the jobs share
+// its own Job, which logs its slots as they land; the jobs share
 // the worker pool, the store, the artifact cache, and one request-level
 // singleflight group, so identical scenarios submitted concurrently by
 // different requests execute exactly once (sim.FlightGroup — the
@@ -43,7 +43,7 @@ type Service struct {
 	executeFunc func([]Scenario, ExecOptions) ([]Record, error)
 
 	tasks   chan task
-	flights sim.FlightGroup[string, flightResult]
+	flights sim.FlightGroup[string, error] // a flight's outcome is its owner's error
 	wg      sync.WaitGroup
 	m       serviceMetrics
 
@@ -106,18 +106,13 @@ func newServiceMetrics(reg *obs.Registry, artifacts *sim.Cache) serviceMetrics {
 }
 
 // task is one lane group of a job: owner slot indices in first-seen
-// order, and the span timing its wait in the queue.
+// order into the submitted scenarios, which only tasks hold, and the
+// span timing its wait in the queue.
 type task struct {
-	job   *Job
-	group []int
-	wait  obs.Span
-}
-
-// flightResult is a flight's outcome. rec points at the owner's record
-// (nil on failure), so the flight a Begin allocates stays small.
-type flightResult struct {
-	rec *Record
-	err error
+	job       *Job
+	scenarios []Scenario
+	group     []int
+	wait      obs.Span
 }
 
 // NewService starts a service over store: opt.Jobs resident workers
@@ -179,14 +174,13 @@ func (s *Service) Submit(scenarios []Scenario) (*Job, error) {
 		return nil, errors.New("sweep: empty submission")
 	}
 	j := &Job{
-		scenarios: scenarios,
-		hashes:    make([]string, len(scenarios)),
-		done:      make(chan struct{}),
-		records:   make([]Record, len(scenarios)),
-		errs:      make([]error, len(scenarios)),
-		cached:    make([]bool, len(scenarios)),
-		landed:    make([]int, 0, len(scenarios)),
-		start:     time.Now(),
+		store:  s.store,
+		hashes: make([]string, len(scenarios)),
+		done:   make(chan struct{}),
+		errs:   make([]error, len(scenarios)),
+		cached: make([]bool, len(scenarios)),
+		landed: make([]int, 0, len(scenarios)),
+		start:  time.Now(),
 	}
 	// Duplicate specs inside one job run once: the first index with a
 	// given hash owns execution, later ones copy its outcome. Hashes are
@@ -225,7 +219,7 @@ func (s *Service) Submit(scenarios []Scenario) (*Job, error) {
 	j.id = fmt.Sprintf("j%d", s.nextJob)
 	s.jobs[j.id] = j
 	for _, g := range groups {
-		s.tasks <- task{job: j, group: g, wait: s.m.queueWait.Start()}
+		s.tasks <- task{job: j, scenarios: scenarios, group: g, wait: s.m.queueWait.Start()}
 	}
 	s.mu.Unlock()
 	s.m.submissions.Inc()
@@ -284,7 +278,8 @@ func (s *Service) worker() {
 // per miss. Members whose flight it owns run together and finish their
 // flights; only then does it wait on the members it joined, which count
 // as cached — the requester did no engine work — and increment the
-// dedup counter.
+// dedup counter. A slot lands with its outcome only: a success is in
+// the store by then, and Wait reads it back from there.
 //
 // An owned member re-checks the store before running. That closes the
 // exactly-once gap where a task misses the store, another job's flight
@@ -293,12 +288,12 @@ func (s *Service) worker() {
 func (s *Service) runTask(t task) {
 	j := t.job
 	var owned, joined []int
-	var flights []*sim.Flight[flightResult]
+	var flights []*sim.Flight[error]
 	for _, i := range t.group {
 		hash := j.hashes[i]
-		if rec, ok := s.store.Get(hash); ok {
+		if _, ok := s.store.Get(hash); ok {
 			s.m.storeHits.Inc()
-			s.land(j, i, rec, true, nil)
+			s.land(j, i, true, nil)
 			continue
 		}
 		s.m.storeMisses.Inc()
@@ -308,51 +303,43 @@ func (s *Service) runTask(t task) {
 			flights = append(flights, f)
 			continue
 		}
-		if rec, ok := s.store.Get(hash); ok {
+		if _, ok := s.store.Get(hash); ok {
 			s.m.storeHits.Inc()
-			hit := rec // only a hit pays for a heap copy
-			s.flights.Finish(hash, flightResult{rec: &hit})
-			s.land(j, i, rec, true, nil)
+			s.flights.Finish(hash, nil)
+			s.land(j, i, true, nil)
 			continue
 		}
 		owned = append(owned, i)
 	}
 	if len(owned) > 0 {
-		s.runOwned(j, owned)
+		s.runOwned(j, t.scenarios, owned)
 	}
 	for k, i := range joined {
-		res := flights[k].Wait()
+		err := flights[k].Wait()
 		s.m.dedup.Inc()
-		var rec Record
-		if res.rec != nil {
-			rec = *res.rec
-		}
-		s.land(j, i, rec, true, res.err)
+		s.land(j, i, true, err)
 	}
 }
 
 // runOwned executes the members a task owns in one pass, persists each
 // record, and finishes its flight: Put before Finish, so a task that
 // Begins a new flight for the hash afterwards finds the record on its
-// store re-check.
-func (s *Service) runOwned(j *Job, owned []int) {
+// store re-check, and a joiner told nil finds it on Wait's read-back.
+func (s *Service) runOwned(j *Job, scenarios []Scenario, owned []int) {
 	scs := make([]Scenario, len(owned))
 	hashes := make([]string, len(owned))
 	for k, i := range owned {
-		scs[k], hashes[k] = j.scenarios[i], j.hashes[i]
+		scs[k], hashes[k] = scenarios[i], j.hashes[i]
 	}
 	s.m.executions.Add(int64(len(owned)))
 	recs, err := s.execute(scs, hashes)
 	for k, i := range owned {
-		var rec Record
-		res := flightResult{err: err}
-		if err == nil {
-			if res.err = s.store.Put(recs[k]); res.err == nil {
-				rec, res.rec = recs[k], &recs[k]
-			}
+		res := err
+		if res == nil {
+			res = s.store.Put(recs[k])
 		}
 		s.flights.Finish(hashes[k], res)
-		s.land(j, i, rec, false, res.err)
+		s.land(j, i, false, res)
 	}
 }
 
@@ -388,33 +375,35 @@ func (e *PanicError) Error() string {
 // land releases an owned slot and its in-job duplicates from the
 // pending bound, then reports the outcome to the job. Releasing first
 // means a caller whose Wait has returned can resubmit at once.
-func (s *Service) land(j *Job, i int, rec Record, cached bool, err error) {
+func (s *Service) land(j *Job, i int, cached bool, err error) {
 	s.mu.Lock()
 	s.pending -= 1 + len(j.dups[i])
 	s.m.queueDepth.Set(int64(s.pending))
 	s.mu.Unlock()
-	j.report(i, rec, cached, err)
+	j.report(i, cached, err)
 }
 
 // Job is one accepted submission over the service's shared workers, and
-// the one record of its progress: each slot's record or failure and
-// cached flag, and the order in which the slots landed. Events replays
-// that log to any number of readers.
+// the one record of its progress. Per slot it keeps only what the store
+// cannot give back: the spec hash, the failure, the cached flag and the
+// order in which the slots landed. A success's record is the store's,
+// read back by hash when Wait asks for it, so a completed job holds no
+// record and no scenario. Events replays the landing log to any number
+// of readers.
 type Job struct {
-	id        string
-	scenarios []Scenario
-	hashes    []string
-	dups      map[int][]int // owner slot → later slots with its hash
-	done      chan struct{}
+	id     string
+	store  StoreEngine // the service's, which holds every success's record
+	hashes []string
+	dups   map[int][]int // owner slot → later slots with its hash
+	done   chan struct{}
 
-	mu      sync.Mutex
-	records []Record
-	errs    []error
-	cached  []bool
-	landed  []int         // slot indices in landing order
-	wake    chan struct{} // closed at the next landing; made by a reader that waits for it
-	stats   Stats
-	start   time.Time
+	mu     sync.Mutex
+	errs   []error
+	cached []bool
+	landed []int         // slot indices in landing order
+	wake   chan struct{} // closed at the next landing; made by a reader that waits for it
+	stats  Stats
+	start  time.Time
 }
 
 // ID returns the service-assigned job identifier.
@@ -422,20 +411,45 @@ func (j *Job) ID() string { return j.id }
 
 // Wait blocks until the job completes and returns it like Run would: a
 // record per input slot (zero on failure), batch stats, and the joined
-// scenario failures, one per unique scenario. The record slice is the
-// job's own, complete and no longer written.
+// scenario failures, one per unique scenario. Each record is read back
+// from the service's store by hash on every call (a map lookup for a
+// Store, a disk read for an IndexedStore); a slot whose record the store
+// no longer serves fails with a *MissingRecordError, counted as failed.
 func (j *Job) Wait() ([]Record, Stats, error) {
 	<-j.done
+	recs, st := make([]Record, len(j.hashes)), j.stats
 	var failures []error
 	seen := make(map[string]bool)
 	for i, err := range j.errs {
-		if err == nil || seen[j.hashes[i]] {
-			continue
+		if err == nil {
+			var ok bool
+			if recs[i], ok = j.store.Get(j.hashes[i]); ok {
+				continue
+			}
+			err = &MissingRecordError{Index: i, Hash: j.hashes[i]}
+			if st.Failed++; j.cached[i] {
+				st.Cached--
+			} else {
+				st.Ran--
+			}
 		}
-		seen[j.hashes[i]] = true
-		failures = append(failures, err)
+		if !seen[j.hashes[i]] {
+			seen[j.hashes[i]] = true
+			failures = append(failures, err)
+		}
 	}
-	return j.records, j.stats, errors.Join(failures...)
+	return recs, st, errors.Join(failures...)
+}
+
+// MissingRecordError fails a completed job's slot whose record the
+// service's store no longer serves: the store was closed or lost it.
+type MissingRecordError struct {
+	Index int
+	Hash  string
+}
+
+func (e *MissingRecordError) Error() string {
+	return fmt.Sprintf("scenario %d (%s): the store no longer serves its record", e.Index, e.Hash)
 }
 
 // JobStatus is a point-in-time progress snapshot (the cmd/sweepd
@@ -477,23 +491,23 @@ func (j *Job) Status() JobStatus {
 // report lands an owned slot's outcome and copies it to the slot's
 // in-job duplicates: an in-job duplicate of a success is cached (no
 // engine work for it), a duplicate of a failure is just a failure.
-func (j *Job) report(i int, rec Record, cached bool, err error) {
+func (j *Job) report(i int, cached bool, err error) {
 	if err != nil {
 		err = fmt.Errorf("scenario %d (%s): %w", i, j.hashes[i], err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.set(i, rec, cached, err)
+	j.set(i, cached, err)
 	for _, d := range j.dups[i] {
-		j.set(d, rec, err == nil, err)
+		j.set(d, err == nil, err)
 	}
 }
 
-// set lands one slot: result slice, stats, the landing log, a wake-up
+// set lands one slot: its outcome, stats, the landing log, a wake-up
 // for readers waiting on it, and — on the last slot — completion.
 // Caller holds j.mu.
-func (j *Job) set(i int, rec Record, cached bool, err error) {
-	j.records[i], j.errs[i], j.cached[i] = rec, err, cached && err == nil
+func (j *Job) set(i int, cached bool, err error) {
+	j.errs[i], j.cached[i] = err, cached && err == nil
 	j.landed = append(j.landed, i)
 	switch {
 	case err != nil:
@@ -520,7 +534,7 @@ func (j *Job) set(i int, rec Record, cached bool, err error) {
 // workers, which only append to the log.
 func (j *Job) Events(ctx context.Context) iter.Seq[Event] {
 	return func(yield func(Event) bool) {
-		for k := range len(j.scenarios) {
+		for k := range len(j.hashes) {
 			ev, ok := j.event(ctx, k)
 			if !ok || !yield(ev) {
 				return
@@ -548,5 +562,5 @@ func (j *Job) event(ctx context.Context, k int) (Event, bool) {
 	}
 	defer j.mu.Unlock()
 	i := j.landed[k]
-	return Event{Index: i, Done: k + 1, Total: len(j.scenarios), Hash: j.hashes[i], Spec: j.scenarios[i], Cached: j.cached[i], Err: j.errs[i]}, true
+	return Event{Index: i, Done: k + 1, Total: len(j.hashes), Hash: j.hashes[i], Cached: j.cached[i], Err: j.errs[i]}, true
 }

@@ -569,3 +569,53 @@ func TestServicePanickingTaskFails(t *testing.T) {
 		t.Fatalf("resubmission: stats %+v, err %v; want the panicked scenario re-run", st, err)
 	}
 }
+
+// TestCompletedJobsRetainNoRecords: a completed job keeps per slot only
+// what the store cannot give back — hash, failure, cached flag and
+// landing order — and Wait reads each record back from the store. 32
+// full-hit jobs of a 256-replicate grid, each freshly expanded as
+// sweepd expands a request, may leave at most 128 live heap bytes per
+// slot once every job has been waited for and the heap collected.
+func TestCompletedJobsRetainNoRecords(t *testing.T) {
+	const jobs, replicates, maxPerSlot = 32, 256, 128
+	svc := NewService(openStore(t), Options{Jobs: 2})
+	defer svc.Close()
+	grid := func() []Scenario {
+		scs, err := replicateGrid(replicates).Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scs
+	}
+	fill, err := svc.Submit(grid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st, err := fill.Wait(); err != nil || st.Ran != replicates {
+		t.Fatalf("filling the store: stats %+v, err %v", st, err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range jobs {
+		job, err := svc.Submit(grid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, st, err := job.Wait()
+		if err != nil || st.Cached != replicates || len(recs) != replicates || recs[replicates-1].Hash != job.hashes[replicates-1] {
+			t.Fatalf("full-hit job %s: stats %+v, %d records, err %v", job.ID(), st, len(recs), err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := len(svc.JobIDs()); n != jobs+1 {
+		t.Fatalf("the service holds %d jobs, want %d", n, jobs+1)
+	}
+	perSlot := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / (jobs * replicates)
+	t.Logf("%d B retained per completed slot", perSlot)
+	if perSlot > maxPerSlot {
+		t.Fatalf("completed jobs retain %d B per slot, want at most %d", perSlot, maxPerSlot)
+	}
+}

@@ -157,23 +157,24 @@ const MaxGraphEntries = 1 << 28
 // its family's bound on directed edges. It computes in float64, which
 // is exact below 2⁵³ and rounds monotonically above, so comparing the
 // result with MaxGraphEntries decides exactly and no product overflows.
+// Products are rounded explicitly, so no GOARCH fuses them (§4).
 func (sc Scenario) graphEntries() float64 {
 	n, p := float64(sc.N), float64(sc.Param)
 	switch sc.Family {
 	case FamilyRegular, FamilyBounded:
-		return n + n*p
+		return n + float64(n*p)
 	case FamilyHard:
-		return n + 2*p*p // K_{Δ,Δ} plus isolated vertices
+		return n + float64(2*p*p) // K_{Δ,Δ} plus isolated vertices
 	case FamilyComplete:
-		return n + n*(n-1)
+		return n + float64(n*(n-1))
 	case FamilyGeo:
-		return n + 24*n
+		return n + float64(24*n)
 	case FamilyGrid:
-		return p*p + 4*p*p
+		return float64(p*p) + float64(4*p*p)
 	case FamilyHypercube:
 		return math.Ldexp(1+p, sc.Param) // 2^Param vertices of degree Param
 	case FamilyPG:
-		return 2*(p*p+p+1) + 2*(p+1)*(p*p+p+1)
+		return float64(2*(float64(p*p)+p+1)) + float64(2*(p+1)*(float64(p*p)+p+1))
 	}
 	return 0
 }

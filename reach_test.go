@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -59,7 +60,7 @@ var reachMethodNames = map[string]bool{
 // reached and its name is that of an interface method that reached code
 // names, or one of reachMethodNames.
 func TestEveryFunctionHasANonTestCaller(t *testing.T) {
-	l := loadModule(t)
+	l := sharedModule(t)
 	s := &reachScan{
 		info:    l.info,
 		decls:   map[*types.Func]*ast.FuncDecl{},
@@ -249,6 +250,23 @@ type reachLoader struct {
 	linked map[string]bool // packages that some main package imports
 }
 
+// module is the one type-checked load of the module that the root
+// package's tests share: a load takes seconds.
+var module struct {
+	once sync.Once
+	l    *reachLoader
+}
+
+// sharedModule returns the shared load, loading it on first use. A
+// load that failed fails every later caller too.
+func sharedModule(t *testing.T) *reachLoader {
+	module.once.Do(func() { module.l = loadModule(t) })
+	if module.l == nil {
+		t.Fatal("loading the module failed")
+	}
+	return module.l
+}
+
 func loadModule(t *testing.T) *reachLoader {
 	root, err := os.Getwd()
 	if err != nil {
@@ -263,7 +281,7 @@ func loadModule(t *testing.T) *reachLoader {
 		root:   root,
 		fset:   fset,
 		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		info:   &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		info:   &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
 		byPath: map[string]*reachPkg{},
 		linked: map[string]bool{},
 	}
