@@ -23,6 +23,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/localbroadcast"
+	"repro/internal/noise"
 	"repro/internal/rng"
 	"repro/internal/sweep"
 	"repro/internal/wire"
@@ -216,7 +217,7 @@ func BenchmarkT6Baseline(b *testing.B) {
 	b.Run("tdma", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			runner, err := baseline.NewRunner(g, baseline.Config{
-				MsgBits: msgBits, Epsilon: 0.05, ChannelSeed: uint64(i),
+				MsgBits: msgBits, Channel: noise.Symmetric{Eps: 0.05}, ChannelSeed: uint64(i),
 			}, []uint64{7})
 			if err != nil {
 				b.Fatal(err)
@@ -628,7 +629,7 @@ func BenchmarkRunPhase10k(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				nw, err := beep.NewNetwork(g, beep.Params{Epsilon: 0.05, Seed: uint64(i), Workers: tc.workers})
+				nw, err := beep.NewNetwork(g, beep.Params{Channel: noise.Symmetric{Eps: 0.05}, Seed: uint64(i), Workers: tc.workers})
 				if err != nil {
 					b.Fatal(err)
 				}

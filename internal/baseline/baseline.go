@@ -36,14 +36,10 @@ import (
 type Config struct {
 	// MsgBits is the simulated Broadcast CONGEST bandwidth.
 	MsgBits int
-	// Epsilon is the channel noise rate of the default symmetric
-	// channel; leave it 0 when Noise is set.
-	Epsilon float64
-	// Noise is the canonical channel-model spec (internal/noise.Parse);
-	// empty selects the symmetric{Epsilon} channel. A non-empty spec
-	// owns the channel, and ρ calibrates against the model's worst
-	// marginal flip rate.
-	Noise string
+	// Channel is the beeping channel (internal/noise), such as the
+	// paper's noise.Symmetric{Eps: ε}; nil is the noiseless channel. ρ
+	// calibrates against its noise.CalibrationRate.
+	Channel noise.Model
 	// ChannelSeed drives the channel noise, as in core.RunnerConfig. A
 	// channel that cannot flip a bit draws no randomness and ignores it.
 	ChannelSeed uint64
@@ -163,75 +159,40 @@ type shardScratch struct {
 	truthPool congest.MessagePool
 }
 
-// channelModel validates cfg's channel and returns its model. A
-// non-empty Noise spec owns the channel (ε must be 0); otherwise the
-// channel is symmetric{Epsilon}.
-func channelModel(cfg Config) (noise.Model, error) {
-	if cfg.Noise == "" {
-		model := noise.Symmetric{Eps: cfg.Epsilon}
-		if err := model.Validate(); err != nil {
-			return nil, fmt.Errorf("baseline: %w", err)
-		}
-		return model, nil
+// channel returns cfg's channel, the nil channel resolved to the
+// noiseless symmetric{0}.
+func channel(cfg Config) noise.Model {
+	if cfg.Channel == nil {
+		return noise.Symmetric{}
 	}
-	if cfg.Epsilon != 0 {
-		return nil, fmt.Errorf("baseline: both ε = %v and channel %s given; the model owns the channel, leave ε 0", cfg.Epsilon, cfg.Noise)
-	}
-	model, err := noise.Parse(cfg.Noise)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	return model, nil
+	return cfg.Channel
 }
 
-// resolveChannel validates cfg's bandwidth and channel and returns the
-// channel model and ρ. Hostile models calibrate ρ against their
-// worst-case per-window rate, stochastic ones against their worst
-// marginal flip rate.
-func resolveChannel(cfg Config) (noise.Model, int, error) {
-	if cfg.MsgBits <= 0 {
-		return nil, 0, fmt.Errorf("baseline: MsgBits = %d", cfg.MsgBits)
-	}
-	model, err := channelModel(cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	calibEps := noise.CalibrationRate(model)
-	if calibEps >= 0.5 {
-		return nil, 0, fmt.Errorf("baseline: channel %s: calibration rate %v outside [0, 0.5)", model.Spec(), calibEps)
-	}
-	return model, DefaultRho(calibEps), nil
-}
-
-// Lanes returns how many replicates one Runner over cfg's channel
-// advances together (lanesFor). An invalid channel gets 1, and
-// NewRunner reports its error.
+// Lanes is the one quiet-channel test: how many replicates one Runner
+// over cfg's channel advances together — 64, delivered directly, when
+// the channel cannot flip a bit; else 1, since each noisy replicate
+// reads its own beep windows.
 func Lanes(cfg Config) int {
-	model, err := channelModel(cfg)
-	if err != nil {
-		return 1
-	}
-	return lanesFor(model)
-}
-
-// lanesFor is the one quiet-channel test: 64 lanes, delivered directly,
-// when model cannot flip a bit; else 1, since each noisy replicate reads
-// its own beep windows.
-func lanesFor(model noise.Model) int {
-	if model.Noiseless() {
+	if channel(cfg).Noiseless() {
 		return maxLanes
 	}
 	return 1
 }
 
 // NewRunner builds a baseline runner over g with one lane per algorithm
-// seed, at most Lanes(cfg) of them.
+// seed, at most Lanes(cfg) of them. Hostile channels calibrate ρ against
+// their worst-case per-window rate, stochastic ones against their worst
+// marginal flip rate (noise.CalibrationRate).
 func NewRunner(g *graph.Graph, cfg Config, algSeeds []uint64) (*Runner, error) {
-	model, rho, err := resolveChannel(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.MsgBits <= 0 {
+		return nil, fmt.Errorf("baseline: MsgBits = %d", cfg.MsgBits)
 	}
-	limit, lanes := lanesFor(model), len(algSeeds)
+	model := channel(cfg)
+	if err := model.Validate(); err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
+	}
+	rho := DefaultRho(noise.CalibrationRate(model))
+	limit, lanes := Lanes(cfg), len(algSeeds)
 	if lanes == 0 || lanes > limit {
 		return nil, fmt.Errorf("baseline: %d lanes outside [1, %d] on channel %s", lanes, limit, model.Spec())
 	}
@@ -248,17 +209,13 @@ func NewRunner(g *graph.Graph, cfg Config, algSeeds []uint64) (*Runner, error) {
 		numColors: graph.NumColors(colors),
 	}
 	if limit == 1 {
-		if err := r.attachWindows(model); err != nil {
+		if err := r.attachWindows(); err != nil {
 			return nil, err
 		}
 	} else {
 		r.pool = engine.NewPool(cfg.Workers)
+		r.pool.Instrument(cfg.Metrics)
 		if reg := cfg.Metrics; reg != nil {
-			r.pool.Instrument(&engine.PoolMetrics{
-				Do:    reg.Counter("pool.do"),
-				Spans: reg.Counter("pool.spans"),
-				Wait:  reg.Timer("pool.do_wait_nanos"),
-			})
 			r.m.lanes = reg.Counter("tdma.sliced.lanes")
 			r.m.laneRounds = reg.Counter("tdma.sliced.lane_rounds")
 			r.m.retired = reg.Counter("tdma.sliced.retired_early")
@@ -296,20 +253,16 @@ func NewRunner(g *graph.Graph, cfg Config, algSeeds []uint64) (*Runner, error) {
 	return r, nil
 }
 
-// attachWindows gives the runner a beep network over model, seeded by
-// ChannelSeed, and the slot-pattern and reception buffers its windows
-// use; the network's pool runs the runner's phases.
-func (r *Runner) attachWindows(model noise.Model) error {
-	params := beep.Params{
-		Epsilon: r.cfg.Epsilon,
+// attachWindows gives the runner a beep network over its channel,
+// seeded by ChannelSeed, and the slot-pattern and reception buffers its
+// windows use; the network's pool runs the runner's phases.
+func (r *Runner) attachWindows() error {
+	nw, err := beep.NewNetwork(r.g, beep.Params{
+		Channel: r.cfg.Channel,
 		Seed:    r.cfg.ChannelSeed,
 		Workers: r.cfg.Workers,
 		Metrics: r.cfg.Metrics,
-	}
-	if r.cfg.Noise != "" {
-		params.Noise = model
-	}
-	nw, err := beep.NewNetwork(r.g, params)
+	})
 	if err != nil {
 		return err
 	}

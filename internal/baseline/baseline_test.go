@@ -8,6 +8,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/noise"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -65,7 +66,7 @@ func TestBaselineConfigValidation(t *testing.T) {
 	if _, err := NewRunner(g, Config{MsgBits: 0}, []uint64{0}); err == nil {
 		t.Error("MsgBits=0 accepted")
 	}
-	if _, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0.7}, []uint64{0}); err == nil {
+	if _, err := NewRunner(g, Config{MsgBits: 8, Channel: noise.Symmetric{Eps: 0.7}}, []uint64{0}); err == nil {
 		t.Error("ε=0.7 accepted")
 	}
 }
@@ -87,7 +88,7 @@ func TestBaselineMatchesNativeNoiseless(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runner, err := NewRunner(g, Config{MsgBits: 12, Epsilon: 0, ChannelSeed: 1}, []uint64{algSeed})
+	runner, err := NewRunner(g, Config{MsgBits: 12, ChannelSeed: 1}, []uint64{algSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestBaselineMatchesNativeNoiseless(t *testing.T) {
 
 func TestBaselineUnderNoise(t *testing.T) {
 	g := graph.RandomBoundedDegree(20, 4, 0.2, rng.New(101))
-	runner, err := NewRunner(g, Config{MsgBits: 10, Epsilon: 0.1, ChannelSeed: 2}, []uint64{9})
+	runner, err := NewRunner(g, Config{MsgBits: 10, Channel: noise.Symmetric{Eps: 0.1}, ChannelSeed: 2}, []uint64{9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestBaselineOverheadHasColorFactor(t *testing.T) {
 	// paper eliminates: on K_{Δ,Δ} the distance-2 coloring needs 2Δ colors
 	// (every pair of same-side vertices is at distance 2).
 	g := graph.CompleteBipartite(6, 6)
-	runner, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0}, []uint64{0})
+	runner, err := NewRunner(g, Config{MsgBits: 8}, []uint64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestBaselineSerialParallelIdentical(t *testing.T) {
 	runOnce := func(workers int) *core.Result {
 		r, err := NewRunner(g, Config{
 			MsgBits:     10,
-			Epsilon:     0.1,
+			Channel:     noise.Symmetric{Eps: 0.1},
 			ChannelSeed: 4,
 			Workers:     workers,
 		}, []uint64{5})
@@ -239,7 +240,7 @@ func TestBaselineSteadyStateAllocs(t *testing.T) {
 		cfg   Config
 		lanes int
 	}{
-		{Config{MsgBits: 8, Epsilon: 0.1, ChannelSeed: 3}, 1},
+		{Config{MsgBits: 8, Channel: noise.Symmetric{Eps: 0.1}, ChannelSeed: 3}, 1},
 		{Config{MsgBits: 8}, 3},
 	} {
 		runner, err := NewRunner(g, tc.cfg, laneSeeds(tc.lanes))
@@ -268,8 +269,8 @@ func TestBaselineSteadyStateAllocs(t *testing.T) {
 		run(2) // warm lazy pattern buffers and noise samplers
 		short, long := run(2), run(12)
 		if perRound := (long - short) / 10; perRound > 0 {
-			t.Errorf("ε=%v, %d lanes: steady-state TDMA round allocates %.2f times (run(12)=%.1f run(2)=%.1f)",
-				tc.cfg.Epsilon, tc.lanes, perRound, long, short)
+			t.Errorf("channel %v, %d lanes: steady-state TDMA round allocates %.2f times (run(12)=%.1f run(2)=%.1f)",
+				tc.cfg.Channel, tc.lanes, perRound, long, short)
 		}
 	}
 }
@@ -313,7 +314,7 @@ func TestBaselineSkipsNodesDoneAfterBroadcast(t *testing.T) {
 		lanes   int
 		windows bool
 	}{
-		{"noisy", Config{MsgBits: 8, Epsilon: 0.4, ChannelSeed: 9}, 1, true},
+		{"noisy", Config{MsgBits: 8, Channel: noise.Symmetric{Eps: 0.4}, ChannelSeed: 9}, 1, true},
 		{"quiet", Config{MsgBits: 8}, 1, false},
 		{"quiet-3-lanes", Config{MsgBits: 8}, 3, false},
 		{"quiet-windows", Config{MsgBits: 8}, 1, true},

@@ -8,6 +8,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/noise"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -79,6 +80,19 @@ type quietChannel struct {
 	noise string
 }
 
+// channelOf parses a channel spec of the test tables; the empty spec is
+// the nil channel.
+func channelOf(spec string) noise.Model {
+	if spec == "" {
+		return nil
+	}
+	m, err := noise.Parse(spec)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // quietChannels lists the channels that cannot flip a bit, where the
 // runner delivers directly: ε = 0 on the default channel (ρ = 1), every
 // stochastic model's zero-rate form, a zero-budget adversary, whose
@@ -106,11 +120,7 @@ func windowRunner(t *testing.T, g *graph.Graph, cfg Config, seed uint64) *Runner
 		t.Fatal(err)
 	}
 	if r.nw == nil {
-		model, _, err := resolveChannel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.attachWindows(model); err != nil {
+		if err := r.attachWindows(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,7 +135,7 @@ func windowRunner(t *testing.T, g *graph.Graph, cfg Config, seed uint64) *Runner
 // reference results.
 func checkLanes(t *testing.T, g *graph.Graph, c quietChannel, seeds []uint64, newAlg func() congest.BroadcastAlgorithm, budget int) []*core.Result {
 	t.Helper()
-	cfg := Config{MsgBits: 8, Noise: c.noise}
+	cfg := Config{MsgBits: 8, Channel: channelOf(c.noise)}
 	newAlgs := func() []congest.BroadcastAlgorithm {
 		algs := make([]congest.BroadcastAlgorithm, g.N())
 		for v := range algs {
@@ -244,43 +254,38 @@ func TestSlicedRunnerValidation(t *testing.T) {
 	if _, err := NewRunner(g, Config{MsgBits: 0}, laneSeeds(2)); err == nil {
 		t.Error("MsgBits=0 accepted")
 	}
-	if _, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0.7}, laneSeeds(2)); err == nil {
+	if _, err := NewRunner(g, Config{MsgBits: 8, Channel: noise.Symmetric{Eps: 0.7}}, laneSeeds(2)); err == nil {
 		t.Error("ε=0.7 accepted")
-	}
-	if _, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0.1, Noise: "erasure:0.1:0"}, laneSeeds(2)); err == nil {
-		t.Error("ε and model both set accepted")
 	}
 	// Every channel that can flip a bit runs one lane, through beep
 	// windows.
-	for _, cfg := range []Config{
-		{MsgBits: 8, Epsilon: 0.1},
-		{MsgBits: 8, Noise: "asymmetric:0.01:0"},
-		{MsgBits: 8, Noise: "erasure:0.1:0"},
-		{MsgBits: 8, Noise: "gilbert-elliott:0:0.3:0.1:0.2"},
-		{MsgBits: 8, Noise: "adversary:solo:1"},
-		{MsgBits: 8, Noise: "jam:1:10"},
+	for _, spec := range []string{
+		"symmetric:0.1",
+		"asymmetric:0.01:0",
+		"erasure:0.1:0",
+		"gilbert-elliott:0:0.3:0.1:0.2",
+		"adversary:solo:1",
+		"jam:1:10",
 	} {
+		cfg := Config{MsgBits: 8, Channel: channelOf(spec)}
 		if got := Lanes(cfg); got != 1 {
-			t.Errorf("channel ε=%v %q can flip bits but has %d lanes", cfg.Epsilon, cfg.Noise, got)
+			t.Errorf("channel %s can flip bits but has %d lanes", spec, got)
 		}
 		if _, err := NewRunner(g, cfg, laneSeeds(2)); err == nil {
-			t.Errorf("channel ε=%v %q can flip bits but accepted 2 lanes", cfg.Epsilon, cfg.Noise)
+			t.Errorf("channel %s can flip bits but accepted 2 lanes", spec)
 		}
 		if r, err := NewRunner(g, cfg, laneSeeds(1)); err != nil || r.nw == nil {
-			t.Errorf("channel ε=%v %q: one lane without beep windows (err %v)", cfg.Epsilon, cfg.Noise, err)
+			t.Errorf("channel %s: one lane without beep windows (err %v)", spec, err)
 		}
 	}
 	for _, c := range quietChannels() {
-		if got := Lanes(Config{MsgBits: 8, Noise: c.noise}); got != 64 {
+		if got := Lanes(Config{MsgBits: 8, Channel: channelOf(c.noise)}); got != 64 {
 			t.Errorf("quiet channel %s has %d lanes, want 64", c.label, got)
 		}
 	}
-	if got := Lanes(Config{Noise: "nope"}); got != 1 {
-		t.Errorf("an unparsable channel has %d lanes, want 1", got)
-	}
 	// A zero-budget adversary is noiseless, and ρ still calibrates
 	// against its worst-case rate.
-	sr, err := NewRunner(g, Config{MsgBits: 8, Noise: "adversary:solo:0"}, laneSeeds(2))
+	sr, err := NewRunner(g, Config{MsgBits: 8, Channel: channelOf("adversary:solo:0")}, laneSeeds(2))
 	if err != nil {
 		t.Fatal(err)
 	}

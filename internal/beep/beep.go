@@ -2,10 +2,10 @@
 // rounds in which each node either beeps or listens, listeners hear a beep
 // iff at least one neighbor beeped, and — in the noisy model of Ashkenazi,
 // Gelles & Leshem — every received bit is flipped independently with
-// probability ε ∈ [0, ½). The channel is pluggable (Params.Noise): any
-// internal/noise model — asymmetric, erasure, Gilbert–Elliott burst
-// noise — can replace the default symmetric{ε} channel, through the same
-// two execution paths and with the same determinism guarantees.
+// probability ε ∈ [0, ½). The channel is one internal/noise model
+// (Params.Channel): the paper's symmetric{ε}, or an asymmetric, erasure,
+// Gilbert–Elliott burst, adversarial or jamming channel, with the same
+// determinism guarantees.
 //
 // Reception follows the paper's §1.5 convention: a node "receives 1" in a
 // round if it beeps itself or hears a beep, and 0 otherwise; in the noisy
@@ -18,7 +18,9 @@
 // arbitrary Programs (Run), and a word-parallel batch path for protocols
 // whose beep pattern over a window is fixed up front (RunPhaseInto) — the
 // shape of Algorithm 1's two phases. The two paths are observationally
-// equivalent; TestRunPhaseEquivalence asserts bit-for-bit agreement.
+// equivalent; TestRunPhaseEquivalence asserts bit-for-bit agreement. Both
+// noise their receptions through the sampler's one method, ApplyInto: a
+// window at a time in RunPhaseInto, one slot a round in Run.
 //
 // Both paths execute their per-node phases on the deterministic sharded
 // worker pool of internal/engine: Run propagates each round's beeps
@@ -146,14 +148,10 @@ func (p PerNode) NextWake(v, round int) int {
 
 // Params configures a beeping network.
 type Params struct {
-	// Epsilon is the noise probability ε ∈ [0, ½). Zero selects the
-	// noiseless model. It parameterizes the default symmetric channel;
-	// leave it 0 when Noise is set.
-	Epsilon float64
-	// Noise selects a non-default channel-noise model (internal/noise).
-	// Nil means the symmetric{Epsilon} channel, bit-for-bit the historic
-	// behavior. A non-nil model owns the channel: Epsilon must be 0.
-	Noise noise.Model
+	// Channel is the channel-noise model (internal/noise), such as the
+	// paper's noise.Symmetric{Eps: ε}. Nil is the noiseless channel,
+	// symmetric{0}.
+	Channel noise.Model
 	// Seed derives all channel randomness.
 	Seed uint64
 	// RecordBeeps retains a per-round bitstring of which nodes beeped,
@@ -196,7 +194,7 @@ type Network struct {
 	params Params
 	pool   *engine.Pool
 
-	// model is the resolved channel (params.Noise, or symmetric{ε});
+	// model is the resolved channel (params.Channel, or symmetric{0});
 	// noisy caches whether it can flip any bit at all.
 	model noise.Model
 	noisy bool
@@ -206,6 +204,11 @@ type Network struct {
 	noise      []noise.Sampler // per-node samplers; nil on a noiseless channel
 	history    []*bitstring.BitString
 	m          netMetrics
+
+	// hearSlot is Run's per-node scratch word: each round's reception
+	// goes through the node's sampler as a one-slot window in bit 0.
+	// Nil until Run drives a noisy channel.
+	hearSlot []uint64
 
 	// Reusable batch-phase state: the span callback is built once and
 	// reads the current window through these fields, so a RunPhaseInto
@@ -231,19 +234,12 @@ type Network struct {
 
 // NewNetwork creates a beeping network on g.
 func NewNetwork(g *graph.Graph, params Params) (*Network, error) {
-	if !noise.ValidRate(params.Epsilon) {
-		return nil, fmt.Errorf("beep: ε = %v outside [0, 0.5)", params.Epsilon)
-	}
-	model := params.Noise
+	model := params.Channel
 	if model == nil {
-		model = noise.Symmetric{Eps: params.Epsilon}
-	} else {
-		if params.Epsilon != 0 {
-			return nil, fmt.Errorf("beep: both Epsilon = %v and Noise = %s set; the model owns the channel, leave ε 0", params.Epsilon, model.Spec())
-		}
-		if err := model.Validate(); err != nil {
-			return nil, fmt.Errorf("beep: %w", err)
-		}
+		model = noise.Symmetric{}
+	}
+	if err := model.Validate(); err != nil {
+		return nil, fmt.Errorf("beep: %w", err)
 	}
 	// Topology-aware models (the adversary's hub strategy) see the public
 	// graph structure. Binding is deterministic and consumes no
@@ -266,6 +262,7 @@ func NewNetwork(g *graph.Graph, params Params) (*Network, error) {
 	if nw.noisy {
 		nw.noise = make([]noise.Sampler, g.N())
 	}
+	nw.pool.Instrument(params.Metrics)
 	if reg := params.Metrics; reg != nil {
 		nw.m = netMetrics{
 			rounds:    reg.Counter("beep.rounds"),
@@ -282,11 +279,6 @@ func NewNetwork(g *graph.Graph, params Params) (*Network, error) {
 			// flip counter.
 			nw.m.spent = reg.Counter("noise.adversary.spent")
 		}
-		nw.pool.Instrument(&engine.PoolMetrics{
-			Do:    reg.Counter("pool.do"),
-			Spans: reg.Counter("pool.spans"),
-			Wait:  reg.Timer("pool.do_wait_nanos"),
-		})
 	}
 	return nw, nil
 }
@@ -335,6 +327,9 @@ func (nw *Network) Run(progs ProgramSet, maxRounds int) (*Result, error) {
 		// pure function of (model, seed, v), so the order is immaterial.
 		for v := 0; v < n; v++ {
 			nw.noiseSampler(v)
+		}
+		if nw.hearSlot == nil {
+			nw.hearSlot = make([]uint64, n)
 		}
 	}
 	beeped := bitstring.New(n)
@@ -419,8 +414,9 @@ func (nw *Network) initAll(progs ProgramSet, maxRounds int) error {
 
 // hearRange delivers round localRound's reception to nodes [lo, hi): the
 // propagated neighborhood bit, OR'd with the node's own beep, through the
-// node's private noise stream. It reads the bitsets word-at-a-time — the
-// reception of node v is bit v&63 of (heard|beeped)'s word v>>6.
+// node's private noise stream as a one-slot window at the network's
+// round. It reads the bitsets word-at-a-time — the reception of node v is
+// bit v&63 of (heard|beeped)'s word v>>6.
 func (nw *Network) hearRange(progs ProgramSet, beeped, heard *bitstring.BitString, localRound, lo, hi int) {
 	hw, bw := heard.Words(), beeped.Words()
 	for v := lo; v < hi; v++ {
@@ -429,8 +425,14 @@ func (nw *Network) hearRange(progs ProgramSet, beeped, heard *bitstring.BitStrin
 		}
 		mask := uint64(1) << (uint(v) & 63)
 		bit := (hw[v>>6]|bw[v>>6])&mask != 0
-		if nw.noisy && nw.noiseSampler(v).FlipAt(nw.round, bit) {
-			bit = !bit
+		if nw.noisy {
+			slot := nw.hearSlot[v : v+1]
+			slot[0] = 0
+			if bit {
+				slot[0] = 1
+			}
+			nw.noiseSampler(v).ApplyInto(slot, nw.round, nw.round+1)
+			bit = slot[0] != 0
 		}
 		progs.Hear(v, localRound, bit)
 	}

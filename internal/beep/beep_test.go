@@ -6,17 +6,18 @@ import (
 
 	"repro/internal/bitstring"
 	"repro/internal/graph"
+	"repro/internal/noise"
 	"repro/internal/rng"
 )
 
 func TestNewNetworkValidation(t *testing.T) {
 	g := graph.Path(3)
 	for _, eps := range []float64{-0.1, 0.5, 0.9, math.NaN()} {
-		if _, err := NewNetwork(g, Params{Epsilon: eps}); err == nil {
+		if _, err := NewNetwork(g, Params{Channel: noise.Symmetric{Eps: eps}}); err == nil {
 			t.Errorf("ε=%v accepted", eps)
 		}
 	}
-	if _, err := NewNetwork(g, Params{Epsilon: 0.49}); err != nil {
+	if _, err := NewNetwork(g, Params{Channel: noise.Symmetric{Eps: 0.49}}); err != nil {
 		t.Errorf("ε=0.49 rejected: %v", err)
 	}
 }
@@ -101,7 +102,7 @@ func TestNoiseRateOnIsolatedListener(t *testing.T) {
 	// rate ≈ ε.
 	g := graph.MustFromEdges(1, nil)
 	const eps, rounds = 0.2, 20000
-	nw, _ := NewNetwork(g, Params{Epsilon: eps, Seed: 5})
+	nw, _ := NewNetwork(g, Params{Channel: noise.Symmetric{Eps: eps}, Seed: 5})
 	tx := &Transmitter{Rounds: rounds}
 	if _, err := nw.Run(PerNode{tx}, rounds); err != nil {
 		t.Fatal(err)
@@ -117,7 +118,7 @@ func TestNoisyOwnConvention(t *testing.T) {
 	// receives ≈(1-ε) ones.
 	g := graph.MustFromEdges(1, nil)
 	const rounds = 5000
-	nw, _ := NewNetwork(g, Params{Epsilon: 0.3, Seed: 6})
+	nw, _ := NewNetwork(g, Params{Channel: noise.Symmetric{Eps: 0.3}, Seed: 6})
 	all := bitstring.New(rounds)
 	all.SetRange(0, rounds)
 	tx := &Transmitter{Pattern: all}
@@ -180,8 +181,8 @@ func TestRunPhaseEquivalence(t *testing.T) {
 		p    Params
 	}{
 		{name: "noiseless", p: Params{Seed: 9}},
-		{name: "eps0.1", p: Params{Epsilon: 0.1, Seed: 9}},
-		{name: "eps0.3 noisyOwn", p: Params{Epsilon: 0.3, Seed: 9}},
+		{name: "eps0.1", p: Params{Channel: noise.Symmetric{Eps: 0.1}, Seed: 9}},
+		{name: "eps0.3 noisyOwn", p: Params{Channel: noise.Symmetric{Eps: 0.3}, Seed: 9}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			patterns := make([]*bitstring.BitString, gr.N())
@@ -245,13 +246,13 @@ func TestRunPhaseNoiseContinuityAcrossWindows(t *testing.T) {
 		return pats
 	}
 	full := mk()
-	nwOne, _ := NewNetwork(g, Params{Epsilon: 0.2, Seed: 12})
+	nwOne, _ := NewNetwork(g, Params{Channel: noise.Symmetric{Eps: 0.2}, Seed: 12})
 	whole, err := nwOne.RunPhase(full)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	nwTwo, _ := NewNetwork(g, Params{Epsilon: 0.2, Seed: 12})
+	nwTwo, _ := NewNetwork(g, Params{Channel: noise.Symmetric{Eps: 0.2}, Seed: 12})
 	first := make([]*bitstring.BitString, 4)
 	second := make([]*bitstring.BitString, 4)
 	for v, p := range mk() {
@@ -326,7 +327,7 @@ func TestAlarmFloodUnreachable(t *testing.T) {
 
 func TestRobustFloodUnderNoise(t *testing.T) {
 	g := graph.Path(6)
-	nw, _ := NewNetwork(g, Params{Epsilon: 0.2, Seed: 21})
+	nw, _ := NewNetwork(g, Params{Channel: noise.Symmetric{Eps: 0.2}, Seed: 21})
 	progs := make([]Program, g.N())
 	for v := range progs {
 		progs[v] = &RobustFlood{Source: v == 0, FrameLen: 32}
@@ -344,7 +345,7 @@ func TestRobustFloodUnderNoise(t *testing.T) {
 
 func TestRobustFloodNoFalseActivationWithoutSource(t *testing.T) {
 	g := graph.Path(4)
-	nw, _ := NewNetwork(g, Params{Epsilon: 0.2, Seed: 22})
+	nw, _ := NewNetwork(g, Params{Channel: noise.Symmetric{Eps: 0.2}, Seed: 22})
 	progs := make([]Program, g.N())
 	for v := range progs {
 		progs[v] = &RobustFlood{FrameLen: 32} // nobody is a source
@@ -374,7 +375,7 @@ func BenchmarkRunPhase(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw, _ := NewNetwork(g, Params{Epsilon: 0.05, Seed: uint64(i)})
+		nw, _ := NewNetwork(g, Params{Channel: noise.Symmetric{Eps: 0.05}, Seed: uint64(i)})
 		if _, err := nw.RunPhase(patterns); err != nil {
 			b.Fatal(err)
 		}
@@ -404,12 +405,12 @@ func TestRunPhaseParallelEquivalence(t *testing.T) {
 		return patterns
 	}
 	for _, eps := range []float64{0, 0.15} {
-		serialNW, _ := NewNetwork(gr, Params{Epsilon: eps, Seed: 13})
+		serialNW, _ := NewNetwork(gr, Params{Channel: noise.Symmetric{Eps: eps}, Seed: 13})
 		serial, err := serialNW.RunPhase(mkPatterns())
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallelNW, _ := NewNetwork(gr, Params{Epsilon: eps, Seed: 13, Workers: 8})
+		parallelNW, _ := NewNetwork(gr, Params{Channel: noise.Symmetric{Eps: eps}, Seed: 13, Workers: 8})
 		parallel, err := parallelNW.RunPhase(mkPatterns())
 		if err != nil {
 			t.Fatal(err)
@@ -465,7 +466,7 @@ func TestRunSerialParallelIdentical(t *testing.T) {
 	const horizon = 40
 	runOnce := func(workers int, eps float64) (outcome, []*bitstring.BitString, int64) {
 		nw, err := NewNetwork(gr, Params{
-			Epsilon:     eps,
+			Channel:     noise.Symmetric{Eps: eps},
 			Seed:        7,
 			RecordBeeps: true,
 			Workers:     workers,
@@ -574,11 +575,11 @@ func TestRunPhaseIntoMatchesRunPhase(t *testing.T) {
 		}
 		return patterns
 	}
-	nwA, err := NewNetwork(g, Params{Epsilon: 0.1, Seed: seed})
+	nwA, err := NewNetwork(g, Params{Channel: noise.Symmetric{Eps: 0.1}, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nwB, err := NewNetwork(g, Params{Epsilon: 0.1, Seed: seed})
+	nwB, err := NewNetwork(g, Params{Channel: noise.Symmetric{Eps: 0.1}, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

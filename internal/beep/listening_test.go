@@ -65,7 +65,7 @@ func TestRunPhaseIntoListeningSet(t *testing.T) {
 		_, budgeted := model.(noise.Adversary)
 		for _, workers := range []int{1, 3} {
 			// want[w][v] is v's reception in window w when every node listens.
-			ref, err := NewNetwork(g, Params{Noise: model, Seed: 8, Workers: workers})
+			ref, err := NewNetwork(g, Params{Channel: model, Seed: 8, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestRunPhaseIntoListeningSet(t *testing.T) {
 			}
 			for sched, listens := range schedules {
 				reg := obs.NewRegistry()
-				nw, err := NewNetwork(g, Params{Noise: model, Seed: 8, Workers: workers, Metrics: reg})
+				nw, err := NewNetwork(g, Params{Channel: model, Seed: 8, Workers: workers, Metrics: reg})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -132,7 +132,7 @@ func TestRunPhaseIntoListeningSet(t *testing.T) {
 		}
 	}
 
-	nw, err := NewNetwork(g, Params{Epsilon: 0.1, Seed: 8})
+	nw, err := NewNetwork(g, Params{Channel: noise.Symmetric{Eps: 0.1}, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

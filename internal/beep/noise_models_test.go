@@ -39,14 +39,29 @@ func noisePatterns(g *graph.Graph, length int, seed uint64) []*bitstring.BitStri
 	return patterns
 }
 
-// TestNoiseModelSymmetricByteIdentical pins the refactor's anchor at the
-// network level: a Params{Noise: Symmetric{ε}} channel is bit-for-bit a
-// Params{Epsilon: ε} channel, on both execution paths.
+// historicEps is the beep layer's original ε channel, written out as a
+// model: each listener flips with one geometric sampler over the stream
+// rng.New(seed).Split("noise", node).
+type historicEps struct{ noise.Symmetric }
+
+func (m historicEps) Sampler(seed uint64, node int) noise.Sampler {
+	return historicSampler{rng.NewFlipSampler(rng.New(seed).Split(0x6e6f697365, uint64(node)), m.Eps)}
+}
+
+type historicSampler struct{ fs *rng.FlipSampler }
+
+func (s historicSampler) ApplyInto(words []uint64, start, end int) {
+	s.fs.XorFlipsInto(words, start, end)
+}
+
+// TestNoiseModelSymmetricByteIdentical pins the model's anchor at the
+// network level: a Symmetric{ε} channel is bit-for-bit the historic ε
+// channel, on both execution paths.
 func TestNoiseModelSymmetricByteIdentical(t *testing.T) {
 	const length = 257
 	gr := graph.RandomBoundedDegree(24, 5, 0.2, rng.New(31))
-	legacy := Params{Epsilon: 0.17, Seed: 9}
-	model := Params{Noise: noise.Symmetric{Eps: 0.17}, Seed: 9}
+	legacy := Params{Channel: historicEps{noise.Symmetric{Eps: 0.17}}, Seed: 9}
+	model := Params{Channel: noise.Symmetric{Eps: 0.17}, Seed: 9}
 
 	nwA, err := NewNetwork(gr, legacy)
 	if err != nil {
@@ -112,12 +127,12 @@ func TestNoiseModelSymmetricByteIdentical(t *testing.T) {
 
 // TestRunPhaseEquivalenceNoiseModels extends the batch ≡ generic
 // equivalence to every pluggable model: RunPhase's ApplyInto windows and
-// Run's per-round FlipAt deliveries must agree bit-for-bit.
+// Run's per-round one-slot ApplyInto deliveries must agree bit-for-bit.
 func TestRunPhaseEquivalenceNoiseModels(t *testing.T) {
 	const length = 257
 	gr := graph.RandomBoundedDegree(24, 5, 0.2, rng.New(31))
 	for label, m := range channelModels() {
-		p := Params{Noise: m, Seed: 9}
+		p := Params{Channel: m, Seed: 9}
 		patterns := noisePatterns(gr, length, 77)
 
 		nwBatch, err := NewNetwork(gr, p)
@@ -155,7 +170,7 @@ func TestRunPhaseParallelEquivalenceNoiseModels(t *testing.T) {
 	const length = 321
 	gr := graph.RandomBoundedDegree(40, 6, 0.15, rng.New(51))
 	for label, m := range channelModels() {
-		serialNW, err := NewNetwork(gr, Params{Noise: m, Seed: 13})
+		serialNW, err := NewNetwork(gr, Params{Channel: m, Seed: 13})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +178,7 @@ func TestRunPhaseParallelEquivalenceNoiseModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallelNW, err := NewNetwork(gr, Params{Noise: m, Seed: 13, Workers: 8})
+		parallelNW, err := NewNetwork(gr, Params{Channel: m, Seed: 13, Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +220,7 @@ func TestNoiseModelContinuityAcrossWindows(t *testing.T) {
 	}
 	for label, m := range channelModels() {
 		full := mk()
-		nwOne, err := NewNetwork(g, Params{Noise: m, Seed: 12})
+		nwOne, err := NewNetwork(g, Params{Channel: m, Seed: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +228,7 @@ func TestNoiseModelContinuityAcrossWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nwTwo, err := NewNetwork(g, Params{Noise: m, Seed: 12})
+		nwTwo, err := NewNetwork(g, Params{Channel: m, Seed: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,17 +261,14 @@ func TestNoiseModelContinuityAcrossWindows(t *testing.T) {
 	}
 }
 
-// TestNewNetworkNoiseValidation: a model channel owns ε, and invalid
-// models are rejected at construction.
+// TestNewNetworkNoiseValidation: invalid models are rejected at
+// construction.
 func TestNewNetworkNoiseValidation(t *testing.T) {
 	g := graph.Path(3)
-	if _, err := NewNetwork(g, Params{Epsilon: 0.1, Noise: noise.Asymmetric{P01: 0.1, P10: 0.1}}); err == nil {
-		t.Error("Epsilon and Noise both set was accepted")
-	}
-	if _, err := NewNetwork(g, Params{Noise: noise.Asymmetric{P01: 0.7, P10: 0.1}}); err == nil {
+	if _, err := NewNetwork(g, Params{Channel: noise.Asymmetric{P01: 0.7, P10: 0.1}}); err == nil {
 		t.Error("invalid model was accepted")
 	}
-	if _, err := NewNetwork(g, Params{Noise: noise.GilbertElliott{PGood: 0.01, PBad: 0.4, PGoodToBad: 0.05, PBadToGood: 0.25}}); err != nil {
+	if _, err := NewNetwork(g, Params{Channel: noise.GilbertElliott{PGood: 0.01, PBad: 0.4, PGoodToBad: 0.05, PBadToGood: 0.25}}); err != nil {
 		t.Errorf("valid model rejected: %v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bitstring"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
@@ -243,7 +244,7 @@ func TestSparseFallbacks(t *testing.T) {
 
 	t.Run("noisy", func(t *testing.T) {
 		dense, sparse, dnw, snw := runPair(t, g,
-			Params{Seed: 17, Epsilon: 0.2}, g.N()+2, mkFlood)
+			Params{Seed: 17, Channel: noise.Symmetric{Eps: 0.2}}, g.N()+2, mkFlood)
 		assertIdentical(t, "noisy", dense, sparse, dnw, snw)
 	})
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/beep"
 	"repro/internal/graph"
+	"repro/internal/noise"
 	"repro/internal/wire"
 )
 
@@ -178,7 +179,7 @@ func RunNoisyWaveBroadcast(g *graph.Graph, source int, msg []byte, bits, dBound,
 	if bits <= 0 {
 		return nil, 0, fmt.Errorf("beepalgs: noisy wave broadcast needs bits > 0")
 	}
-	nw, err := beep.NewNetwork(g, beep.Params{Epsilon: eps, Seed: seed})
+	nw, err := beep.NewNetwork(g, beep.Params{Channel: noise.Symmetric{Eps: eps}, Seed: seed})
 	if err != nil {
 		return nil, 0, err
 	}

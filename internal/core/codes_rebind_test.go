@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/noise"
 )
 
 // TestCodesRebindSharesTables: Params that differ only outside TableKey
@@ -18,7 +20,7 @@ func TestCodesRebindSharesTables(t *testing.T) {
 		t.Fatalf("Rebind to its own Params = (%p, %v), want the receiver %p", same, err, base)
 	}
 	q := p
-	q.Epsilon, q.Noise, q.Assignment, q.DisableSoloFilter = 0, "asymmetric:0.05:0.2", AssignRandom, true
+	q.Channel, q.Assignment, q.DisableSoloFilter = noise.Asymmetric{P01: 0.05, P10: 0.2}, AssignRandom, true
 	got, err := base.Rebind(q)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bitstring"
 	"repro/internal/congest"
 	"repro/internal/graph"
+	"repro/internal/noise"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -77,8 +78,8 @@ func TestParamsValidate(t *testing.T) {
 		{name: "K too small", mutate: func(p *Params) { p.K = g.MaxDegree() }},
 		{name: "C too small", mutate: func(p *Params) { p.C = 1 }},
 		{name: "R too small", mutate: func(p *Params) { p.R = 0 }},
-		{name: "eps too big", mutate: func(p *Params) { p.Epsilon = 0.5 }},
-		{name: "eps NaN", mutate: func(p *Params) { p.Epsilon = math.NaN() }},
+		{name: "eps too big", mutate: func(p *Params) { p.Channel = noise.Symmetric{Eps: 0.5} }},
+		{name: "eps NaN", mutate: func(p *Params) { p.Channel = noise.Symmetric{Eps: math.NaN()} }},
 		{name: "M below n for ByID", mutate: func(p *Params) { p.M = g.N() - 1 }},
 		{name: "bad assignment", mutate: func(p *Params) { p.Assignment = 0 }},
 	}
@@ -97,7 +98,7 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestParamsDerivedQuantities(t *testing.T) {
-	p := Params{MsgBits: 10, K: 5, C: 6, R: 3, M: 64, Epsilon: 0.1, Assignment: AssignByID}
+	p := Params{MsgBits: 10, K: 5, C: 6, R: 3, M: 64, Channel: noise.Symmetric{Eps: 0.1}, Assignment: AssignByID}
 	if p.W() != 30 {
 		t.Errorf("W = %d, want 30", p.W())
 	}

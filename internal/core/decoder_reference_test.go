@@ -13,6 +13,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitstring"
+	"repro/internal/noise"
 	"repro/internal/rng"
 )
 
@@ -117,7 +118,7 @@ func randomDecoderParams(r *rng.Stream) Params {
 		C:          2 + r.Intn(4),
 		R:          5 + 2*r.Intn(5),
 		M:          2 + r.Intn(96),
-		Epsilon:    float64(r.Intn(4)) * 0.08,
+		Channel:    noise.Symmetric{Eps: float64(r.Intn(4)) * 0.08},
 		Assignment: AssignRandom,
 		Seed:       r.Uint64(),
 	}
@@ -159,7 +160,7 @@ func TestPropertyOptimizedMatchesNaive(t *testing.T) {
 			y.OrInPlace(d.encodePhase2(cw, msg))
 		}
 		for _, s := range []*bitstring.BitString{x, y} {
-			rng.NewFlipSampler(r, 0.02+p.Epsilon).XorFlipsInto(s.Words(), 0, s.Len())
+			rng.NewFlipSampler(r, 0.02+p.Channel.(noise.Symmetric).Eps).XorFlipsInto(s.Words(), 0, s.Len())
 		}
 
 		members := d.members(x, nil)

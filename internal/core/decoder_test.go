@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitstring"
+	"repro/internal/noise"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -50,6 +51,10 @@ func allOnes(n int) *bitstring.BitString {
 	return s
 }
 
+// testEps is testParams' channel rate, at which the noisy decoder tests
+// flip their receptions.
+const testEps = 0.1
+
 func testParams() Params {
 	return Params{
 		MsgBits:    8,
@@ -57,7 +62,7 @@ func testParams() Params {
 		C:          4,
 		R:          9,
 		M:          40,
-		Epsilon:    0.1,
+		Channel:    noise.Symmetric{Eps: testEps},
 		Assignment: AssignByID,
 		Seed:       0x5eed,
 	}
@@ -109,7 +114,7 @@ func TestMembersUnderNoise(t *testing.T) {
 		for _, cw := range members {
 			x.OrInPlace(d.encodePhase1(cw))
 		}
-		rng.NewFlipSampler(r, p.Epsilon).XorFlipsInto(x.Words(), 0, x.Len())
+		rng.NewFlipSampler(r, testEps).XorFlipsInto(x.Words(), 0, x.Len())
 		got := d.membersAlloc(x)
 		if len(got) != len(members) {
 			t.Fatalf("trial %d: decoded %v, want %v", trial, got, members)
@@ -135,7 +140,7 @@ func TestMembersEmptyOnSilence(t *testing.T) {
 		t.Errorf("silence decoded as %v", got)
 	}
 	// Pure noise at ε.
-	rng.NewFlipSampler(rng.New(4), p.Epsilon).XorFlipsInto(x.Words(), 0, x.Len())
+	rng.NewFlipSampler(rng.New(4), testEps).XorFlipsInto(x.Words(), 0, x.Len())
 	if got := d.membersAlloc(x); len(got) != 0 {
 		t.Errorf("pure noise decoded as %v", got)
 	}
@@ -259,7 +264,7 @@ func TestPhase2RoundTripUnderNoise(t *testing.T) {
 			w.WriteUint(msgs[cw], 8)
 			y.OrInPlace(d.encodePhase2(cw, w.PaddedBytes(p.MsgBits)))
 		}
-		rng.NewFlipSampler(r, p.Epsilon).XorFlipsInto(y.Words(), 0, y.Len())
+		rng.NewFlipSampler(r, testEps).XorFlipsInto(y.Words(), 0, y.Len())
 		for _, cw := range members {
 			got := d.decodeFor(cw, y, members)
 			if !wire.Equal(got, encodeMsg8(msgs[cw]), 8) {
@@ -291,7 +296,6 @@ func TestPropertyDecoderPipelineFuzz(t *testing.T) {
 			C:          3 + int(cRaw%4),
 			R:          5 + 2*int(rRaw%4),
 			M:          24,
-			Epsilon:    0,
 			Assignment: AssignByID,
 			Seed:       seed,
 		}

@@ -61,17 +61,13 @@ type Params struct {
 	R int
 	// M is the codebook size. AssignByID requires M ≥ n.
 	M int
-	// Epsilon is the channel noise rate the decoder is calibrated for.
-	// When Noise is set it is the model's worst marginal flip rate
-	// (DefaultParamsNoise derives it), kept so the repetition and
-	// validation math stay meaningful.
-	Epsilon float64
-	// Noise is the canonical channel-model spec (internal/noise.Parse);
-	// empty selects the symmetric{Epsilon} channel, bit-for-bit the
-	// historic behavior. The spec is part of the parameterization's
-	// identity: decode tables built for one channel are cached and
-	// validated under (Params including Noise).
-	Noise string
+	// Channel is the beeping channel (internal/noise), such as the
+	// paper's noise.Symmetric{Eps: ε}; nil is the noiseless channel. It
+	// sets the membership threshold θ, and the runner's beep network
+	// runs over it. It is part of the parameterization's identity:
+	// decode tables are cached under the whole Params, so every model
+	// is a comparable value.
+	Channel noise.Model
 	// Assignment selects codeword assignment (default AssignByID).
 	Assignment Assignment
 	// Seed derives the public codebook and distance-code permutation
@@ -86,11 +82,27 @@ type Params struct {
 }
 
 // DefaultParams returns a practical parameterization for an n-node graph
-// with maximum degree maxDeg, bandwidth msgBits, and noise eps. The
-// repetition factor grows with eps the way c_ε does in the paper; all
-// choices keep the phase length Θ(Δ·msgBits), i.e. Θ(Δ log n) for
-// logarithmic bandwidth — the paper's headline overhead.
+// with maximum degree maxDeg, bandwidth msgBits, and the paper's
+// symmetric channel at noise eps: DefaultParamsFor over
+// noise.Symmetric{Eps: eps}.
 func DefaultParams(n, maxDeg, msgBits int, eps float64) Params {
+	return DefaultParamsFor(n, maxDeg, msgBits, noise.Symmetric{Eps: eps})
+}
+
+// DefaultParamsFor returns a practical parameterization over channel ch
+// (nil is noiseless). The repetition factor R grows with the channel's
+// calibration rate (noise.CalibrationRate: the worst marginal flip rate
+// of a stochastic model, the worst-case per-window rate of a hostile
+// one) the way c_ε grows with ε in the paper; all choices keep the phase
+// length Θ(Δ·msgBits), i.e. Θ(Δ log n) for logarithmic bandwidth — the
+// paper's headline overhead. An adversary that corrupts more than its
+// calibration rate per window breaks the protocol by design
+// (sim.ProtocolBrokenError); it does not get a larger R.
+func DefaultParamsFor(n, maxDeg, msgBits int, ch noise.Model) Params {
+	eps := 0.0
+	if ch != nil {
+		eps = noise.CalibrationRate(ch)
+	}
 	// The repetition factor must grow like (1/2−ε)⁻² as noise approaches
 	// the capacity limit — the same blowup the paper's c_ε constraints
 	// exhibit (T0).
@@ -117,46 +129,10 @@ func DefaultParams(n, maxDeg, msgBits int, eps float64) Params {
 		C:          4,
 		R:          r,
 		M:          n,
-		Epsilon:    eps,
+		Channel:    ch,
 		Assignment: AssignByID,
 		Seed:       0xbeef,
 	}
-}
-
-// DefaultParamsNoise is DefaultParams generalized to a pluggable channel
-// model: an empty spec is exactly DefaultParams(n, maxDeg, msgBits, eps);
-// a non-empty spec (internal/noise.Parse) replaces eps with the model's
-// calibration rate (worst marginal flip rate for stochastic models,
-// worst-case per-window rate for hostile ones — noise.CalibrationRate)
-// for the repetition-factor calibration and
-// rides along in Params.Noise, where the membership threshold θ and the
-// beeping channel itself consult it.
-func DefaultParamsNoise(n, maxDeg, msgBits int, eps float64, spec string) (Params, error) {
-	if spec == "" {
-		return DefaultParams(n, maxDeg, msgBits, eps), nil
-	}
-	if eps != 0 {
-		// Same contract as beep.NewNetwork: a model owns the channel, a
-		// nonzero ε alongside it is a double specification, not an input
-		// to silently drop.
-		return Params{}, fmt.Errorf("core: both ε = %v and channel %s given; the model owns the channel, pass ε 0", eps, spec)
-	}
-	m, err := noise.Parse(spec)
-	if err != nil {
-		return Params{}, fmt.Errorf("core: %w", err)
-	}
-	// Hostile (adversarial/jamming) models have no meaningful marginal
-	// rate; calibrate against their worst-case per-window rate instead.
-	// An adversary that corrupts more than that per window breaks the
-	// protocol by design (sim.ProtocolBrokenError), it does not get a
-	// larger repetition factor.
-	rate := noise.CalibrationRate(m)
-	if rate >= 0.5 {
-		return Params{}, fmt.Errorf("core: channel %s: calibration rate %v outside [0, 0.5)", m.Spec(), rate)
-	}
-	p := DefaultParams(n, maxDeg, msgBits, rate)
-	p.Noise = m.Spec() // canonical spelling, whatever the caller wrote
-	return p, nil
 }
 
 // Validate checks p for a graph with n nodes and maximum degree maxDeg.
@@ -173,19 +149,9 @@ func (p Params) Validate(n, maxDeg int) error {
 	if p.R < 1 {
 		return fmt.Errorf("core: repetition factor R = %d < 1", p.R)
 	}
-	if !noise.ValidRate(p.Epsilon) {
-		return fmt.Errorf("core: ε = %v outside [0, 0.5)", p.Epsilon)
-	}
-	if p.Noise != "" {
-		m, err := noise.Parse(p.Noise)
-		if err != nil {
+	if p.Channel != nil {
+		if err := p.Channel.Validate(); err != nil {
 			return fmt.Errorf("core: %w", err)
-		}
-		if spec := m.Spec(); spec != p.Noise {
-			return fmt.Errorf("core: noise spec %q is not canonical (want %q)", p.Noise, spec)
-		}
-		if r := noise.CalibrationRate(m); r >= 0.5 {
-			return fmt.Errorf("core: channel %s: calibration rate %v outside [0, 0.5)", p.Noise, r)
 		}
 	}
 	switch p.Assignment {
@@ -210,7 +176,7 @@ func (p Params) W() int { return p.R * p.MsgBits }
 func (p Params) BlockSize() int { return p.C * p.K }
 
 // TableKey is p reduced to the fields its beep and distance codes are
-// hashed from. Params that differ only in ε, the channel, the assignment
+// hashed from. Params that differ only in the channel, the assignment
 // or the solo filter have one TableKey and share those codes
 // (Codes.Rebind); only their decoding thresholds differ.
 func (p Params) TableKey() Params {
@@ -233,20 +199,17 @@ func (p Params) RoundsPerSimRound() int { return 2 * p.PhaseLength() }
 // read 0 at the channel's marginal 1→0 rate p10, and θ sits at the
 // midpoint of p10·W (expected misses when present) and W/2 (the
 // conservative absence rate the paper uses). For the symmetric channel
-// p10 = ε and the expression is unchanged.
+// p10 = ε and the expression is unchanged; a nil channel is ε = 0.
 func (p Params) MembershipThreshold() int {
-	eps := p.Epsilon
-	if p.Noise != "" {
-		if m, err := noise.Parse(p.Noise); err == nil {
-			if noise.Hostile(m) {
-				// A hostile channel suppresses beeps at up to its
-				// worst-case rate within a window; provision θ for it.
-				eps = noise.CalibrationRate(m)
-			} else {
-				_, p10 := m.FlipRates()
-				eps = p10
-			}
-		}
+	eps := 0.0
+	switch {
+	case p.Channel == nil:
+	case noise.Hostile(p.Channel):
+		// A hostile channel suppresses beeps at up to its worst-case
+		// rate within a window; provision θ for it.
+		eps = noise.CalibrationRate(p.Channel)
+	default:
+		_, eps = p.Channel.FlipRates()
 	}
 	return int((2*eps + 1) / 4 * float64(p.W()))
 }
@@ -300,11 +263,12 @@ func PaperParams(n, maxDeg int, gamma, eps float64) (PaperSizes, error) {
 		}
 	}
 	logn := math.Log2(float64(n))
+	// Products rounded explicitly, so no GOARCH fuses them (DESIGN.md §4).
 	sizes := PaperSizes{
 		CEps:         ceps,
-		CodewordBits: ceps * gamma * logn,
-		DistanceLen:  ceps * ceps * gamma * logn,
-		PhaseLen:     ceps * ceps * ceps * gamma * float64(maxDeg+1) * logn,
+		CodewordBits: float64(ceps * gamma * logn),
+		DistanceLen:  float64(ceps * ceps * gamma * logn),
+		PhaseLen:     float64(ceps * ceps * ceps * gamma * float64(maxDeg+1) * logn),
 	}
 	sizes.TotalPerRound = 2 * sizes.PhaseLen
 	return sizes, nil

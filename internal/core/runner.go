@@ -10,7 +10,6 @@ import (
 	"repro/internal/congest"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
@@ -168,23 +167,13 @@ func NewBroadcastRunner(g *graph.Graph, cfg RunnerConfig) (*BroadcastRunner, err
 			return nil, err
 		}
 	}
-	// Resolve the channel: a non-empty Noise spec replaces the symmetric
-	// ε channel (Params.Epsilon then only calibrates the decoder).
-	beepParams := beep.Params{
-		Epsilon:     cfg.Params.Epsilon,
+	nw, err := beep.NewNetwork(g, beep.Params{
+		Channel:     cfg.Params.Channel,
 		Seed:        cfg.ChannelSeed,
 		RecordBeeps: cfg.RecordBeeps,
 		Workers:     cfg.Workers,
 		Metrics:     cfg.Metrics,
-	}
-	if cfg.Params.Noise != "" {
-		model, err := noise.Parse(cfg.Params.Noise)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		beepParams.Epsilon, beepParams.Noise = 0, model
-	}
-	nw, err := beep.NewNetwork(g, beepParams)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -59,7 +59,7 @@ type Pool struct {
 	// metrics, when set via Instrument, observes Do calls. Observation
 	// only: per the determinism contract it never changes what or where
 	// anything is computed.
-	metrics atomic.Pointer[PoolMetrics]
+	metrics atomic.Pointer[poolMetrics]
 	// live is DoMasked's reusable list of admitted spans. A call takes it
 	// out for its duration and puts it back after, so a steady stream of
 	// calls allocates nothing; a concurrent call that finds it taken
@@ -67,23 +67,32 @@ type Pool struct {
 	live atomic.Pointer[[]Span]
 }
 
-// PoolMetrics are the pool's telemetry sinks (internal/obs handles):
-// Do counts phase dispatches, Spans counts spans executed, and Wait
-// times each Do call (dispatch to completion barrier — the "span wait"
-// a caller experiences). Any field may be nil.
-type PoolMetrics struct {
-	Do    *obs.Counter
-	Spans *obs.Counter
-	Wait  *obs.Timer
+// poolMetrics are the pool's telemetry handles: do counts phase
+// dispatches (pool.do), spans counts spans executed (pool.spans), and
+// wait times each Do call, dispatch to completion barrier — the "span
+// wait" a caller experiences (pool.do_wait_nanos).
+type poolMetrics struct {
+	do    *obs.Counter
+	spans *obs.Counter
+	wait  *obs.Timer
 }
 
-// Instrument attaches metrics to the pool. Call once at construction
-// time; passing nil detaches. Safe concurrently with Do, though the
-// intended use is configure-then-run.
-func (p *Pool) Instrument(m *PoolMetrics) {
-	if p != nil {
-		p.metrics.Store(m)
+// Instrument reports the pool's dispatches into reg; a nil reg
+// detaches. Call once at construction time. Safe concurrently with Do,
+// though the intended use is configure-then-run.
+func (p *Pool) Instrument(reg *obs.Registry) {
+	if p == nil {
+		return
 	}
+	var m *poolMetrics
+	if reg != nil {
+		m = &poolMetrics{
+			do:    reg.Counter("pool.do"),
+			spans: reg.Counter("pool.spans"),
+			wait:  reg.Timer("pool.do_wait_nanos"),
+		}
+	}
+	p.metrics.Store(m)
 }
 
 type spanCache struct {
@@ -208,9 +217,9 @@ func (p *Pool) DoMasked(n int, active func(lo, hi int) bool, fn func(Span)) {
 func (p *Pool) dispatch(spans []Span, fn func(Span)) {
 	if p != nil {
 		if m := p.metrics.Load(); m != nil {
-			m.Do.Inc()
-			m.Spans.Add(int64(len(spans)))
-			sp := m.Wait.Start()
+			m.do.Inc()
+			m.spans.Add(int64(len(spans)))
+			sp := m.wait.Start()
 			defer sp.Stop()
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // shardedPool is NewPool with an explicit shard count in place of the
@@ -73,9 +75,14 @@ func TestSpansIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// TestDoCoversEveryVertexOnce also checks Do's accounting: an
+// instrumented pool reports the call and its spans under the pool's
+// three names, and a nil registry detaches.
 func TestDoCoversEveryVertexOnce(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := NewPool(workers)
+		reg := obs.NewRegistry()
+		p.Instrument(reg)
 		const n = 517
 		var hits [n]int32
 		p.Do(n, func(s Span) {
@@ -86,6 +93,18 @@ func TestDoCoversEveryVertexOnce(t *testing.T) {
 		for v, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: vertex %d visited %d times", workers, v, h)
+			}
+		}
+		p.Instrument(nil)
+		p.Do(n, func(Span) {})
+		want := map[string]int64{"pool.do": 1, "pool.spans": int64(p.NumShards(n)), "pool.do_wait_nanos": 1}
+		snap := reg.Snapshot()
+		if len(snap) != len(want) {
+			t.Fatalf("workers=%d: registry holds %+v, want the pool's three metrics", workers, snap)
+		}
+		for _, m := range snap {
+			if got := m.Value + m.Count; got != want[m.Name] {
+				t.Errorf("workers=%d: %s reads %d, want %d", workers, m.Name, got, want[m.Name])
 			}
 		}
 	}

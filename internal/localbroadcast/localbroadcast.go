@@ -177,7 +177,8 @@ func Lemma14SuccessExponent(rounds, delta, b int) float64 {
 // matching on K_{Δ,Δ} with IDs from [n⁴]: an r-round algorithm succeeds
 // with probability at most 2^r/n^{3Δ}.
 func Theorem22SuccessExponent(rounds, delta, n int) float64 {
-	return float64(rounds) - 3*float64(delta)*math.Log2(float64(n))
+	// The product is rounded explicitly, so no GOARCH fuses it (DESIGN.md §4).
+	return float64(rounds) - float64(3*float64(delta)*math.Log2(float64(n)))
 }
 
 // RightTranscript extracts what every right-part node of the hard

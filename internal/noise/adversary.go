@@ -21,8 +21,8 @@ import (
 //     the absolute slot index, public topology (when bound), and one
 //     private uniform per slot — never protocol state, other nodes'
 //     receptions, or the future. That keeps samplers position-
-//     deterministic: the two execution paths (ApplyInto, FlipAt) share
-//     one decision procedure and stay bit-identical.
+//     deterministic: any partition of the slots into ApplyInto windows
+//     yields the same bits.
 //   - Budget is per sampler, i.e. per listener: the adversary may
 //     corrupt at most Budget receptions of each listener. Spending is
 //     greedy — every slot the strategy targets is corrupted until the
@@ -125,7 +125,7 @@ type View struct {
 // (drawn for every slot whether or not the strategy uses it, so stream
 // consumption never depends on the decision). It must be a pure
 // function of its arguments — no internal state — which is what keeps
-// the scalar and batch paths interchangeable mid-run.
+// a sampler's bits independent of how its slots are windowed.
 type Strategy interface {
 	Name() string
 	Corrupt(v View, t int, bit bool, u float64) bool
@@ -367,7 +367,7 @@ func (m boundAdversary) Sampler(seed uint64, node int) Sampler {
 // advSampler walks slots like geSampler: a position counter advances
 // through every observed slot, each consuming exactly one uniform —
 // drawn before the budget check, so consumption stays position-
-// deterministic after exhaustion — and both paths share step().
+// deterministic after exhaustion.
 type advSampler struct {
 	strat Strategy
 	view  View
@@ -407,14 +407,6 @@ func (s *advSampler) ApplyInto(words []uint64, start, end int) {
 			words[i>>6] ^= mask
 		}
 	}
-}
-
-func (s *advSampler) FlipAt(t int, bit bool) bool {
-	if t < s.pos {
-		return false // already-consumed slot, like the stochastic samplers
-	}
-	s.skipTo(t)
-	return s.step(bit)
 }
 
 // --- jam ---
@@ -477,8 +469,4 @@ func (s jamSampler) ApplyInto(words []uint64, start, end int) {
 			words[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-}
-
-func (s jamSampler) FlipAt(t int, bit bool) bool {
-	return s.jammed(t) && !bit
 }

@@ -131,10 +131,10 @@ func TestHostileCalibration(t *testing.T) {
 }
 
 // TestHostileThreePathConformance is the hostile-model edition of
-// TestApplyIntoMatchesFlipAt: per strategy, the scalar FlipAt path, the
-// batch ApplyInto path, and one sampler alternating the two window by
+// TestApplyIntoMatchesFlipAt: per strategy, one-slot windows (flipAt),
+// the given windows, and one sampler alternating the two window by
 // window produce identical post-noise bits — and identical budget
-// spend — over identical pre-noise data and windows.
+// spend — over identical pre-noise data.
 func TestHostileThreePathConformance(t *testing.T) {
 	windows := []int{1, 63, 64, 65, 300, 5, 128}
 	total := 0
@@ -149,11 +149,11 @@ func TestHostileThreePathConformance(t *testing.T) {
 				pre[i] = data.Bool(0.5)
 			}
 			batch := applyBits(m.Sampler(42, 3), pre, windows)
-			// Scalar reference.
+			// One slot at a time.
 			scalar := m.Sampler(42, 3)
 			for tSlot := 0; tSlot < total; tSlot++ {
 				want := pre[tSlot]
-				if scalar.FlipAt(tSlot, pre[tSlot]) {
+				if flipAt(scalar, tSlot, pre[tSlot]) {
 					want = !want
 				}
 				if batch[tSlot] != want {
@@ -162,14 +162,14 @@ func TestHostileThreePathConformance(t *testing.T) {
 				}
 			}
 			// Interleaved: one sampler takes even windows slot by slot and
-			// odd windows as a batch; the paths are interchangeable mid-run.
+			// odd windows whole; the windowings are interchangeable mid-run.
 			mixed := m.Sampler(42, 3)
 			off := 0
 			for wi, w := range windows {
 				got := make([]bool, w)
 				if wi%2 == 0 {
 					for i := range got {
-						got[i] = pre[off+i] != mixed.FlipAt(off+i, pre[off+i])
+						got[i] = pre[off+i] != flipAt(mixed, off+i, pre[off+i])
 					}
 				} else {
 					words := make([]uint64, (w+63)/64)
@@ -195,7 +195,7 @@ func TestHostileThreePathConformance(t *testing.T) {
 }
 
 // countFlips runs a sampler over pre-noise data and counts applied
-// flips, alternating the scalar and batch paths window by window.
+// flips, alternating one-slot and 64-slot windows.
 func countFlips(t *testing.T, m Model, seed uint64, node, slots int, preBit func(int) bool) int {
 	t.Helper()
 	s := m.Sampler(seed, node)
@@ -208,13 +208,13 @@ func countFlips(t *testing.T, m Model, seed uint64, node, slots int, preBit func
 			w = slots - tSlot
 		}
 		switch mode % 2 {
-		case 0: // scalar
+		case 0: // one slot at a time
 			for i := 0; i < w; i++ {
-				if s.FlipAt(tSlot+i, preBit(tSlot+i)) {
+				if flipAt(s, tSlot+i, preBit(tSlot+i)) {
 					flips++
 				}
 			}
-		case 1: // batch
+		case 1: // one window
 			words := make([]uint64, (w+63)/64)
 			for i := 0; i < w; i++ {
 				if preBit(tSlot + i) {
@@ -301,8 +301,8 @@ func TestAdversaryPositionDeterminism(t *testing.T) {
 		spent := 0
 		for tSlot := 0; tSlot < 2000; tSlot++ {
 			bit := tSlot%3 != 0
-			fa := a.FlipAt(tSlot, bit)
-			fb := b.FlipAt(tSlot, bit)
+			fa := flipAt(a, tSlot, bit)
+			fb := flipAt(b, tSlot, bit)
 			if spent < 20 && fa != fb {
 				t.Fatalf("%s: budgets diverged at slot %d before exhaustion", strat, tSlot)
 			}
@@ -363,13 +363,13 @@ func TestJamSchedule(t *testing.T) {
 	other := m.Sampler(456, 9)
 	for tSlot := 0; tSlot < 200; tSlot++ {
 		wantJam := tSlot%10 < 3
-		if got := s.FlipAt(tSlot, false); got != wantJam {
+		if got := flipAt(s, tSlot, false); got != wantJam {
 			t.Fatalf("slot %d: silent-slot jam = %v, want %v", tSlot, got, wantJam)
 		}
-		if s.FlipAt(tSlot, true) {
+		if flipAt(s, tSlot, true) {
 			t.Fatalf("slot %d: jam erased a beep", tSlot)
 		}
-		if other.FlipAt(tSlot, false) != wantJam {
+		if flipAt(other, tSlot, false) != wantJam {
 			t.Fatalf("slot %d: jam schedule varies across seed/node", tSlot)
 		}
 	}
@@ -380,8 +380,8 @@ func TestJamSchedule(t *testing.T) {
 }
 
 // FuzzAdversaryBudget fuzzes the budget invariants across strategies:
-// applied flips never exceed the budget, and the batch path agrees with
-// a fresh scalar-path sampler bit for bit.
+// applied flips never exceed the budget, and one window agrees with a
+// fresh sampler fed one slot at a time, bit for bit.
 func FuzzAdversaryBudget(f *testing.F) {
 	f.Add(uint64(1), 10, 0, uint8(0), 128)
 	f.Add(uint64(7), 0, 3, uint8(1), 64)
@@ -406,7 +406,7 @@ func FuzzAdversaryBudget(f *testing.F) {
 		if flips > budget {
 			t.Fatalf("%s: %d flips exceed budget %d", m.Spec(), flips, budget)
 		}
-		// Batch ≡ scalar over the same traffic.
+		// One window ≡ one slot at a time over the same traffic.
 		batchS := m.Sampler(seed, node)
 		scalarS := m.Sampler(seed, node)
 		words := make([]uint64, (slots+63)/64)
@@ -418,7 +418,7 @@ func FuzzAdversaryBudget(f *testing.F) {
 		batchS.ApplyInto(words, 0, slots)
 		for i := 0; i < slots; i++ {
 			want := pre(i)
-			if scalarS.FlipAt(i, pre(i)) {
+			if flipAt(scalarS, i, pre(i)) {
 				want = !want
 			}
 			if (words[i>>6]>>(uint(i)&63)&1 == 1) != want {

@@ -22,9 +22,10 @@ type Accountant interface {
 // never reorders or adds stream reads, and counts by comparing words
 // before and after (XOR popcount) rather than by re-deriving the
 // model's decisions, so receptions are byte-identical wrapped or not.
-// Erasure slots that happen to re-assert the current value change no
-// bits and count zero, matching the FlipAt definition of a flip
-// (returns true iff the reception changes).
+// It counts a window of any width the same way, beep.Network.Run's
+// one-slot windows included. A flip is a reception that
+// changes: erasure slots that happen to re-assert the current value
+// change no bits and count zero.
 //
 // acc == nil or s == nil returns s unchanged, so call sites can wrap
 // unconditionally.
@@ -58,14 +59,6 @@ func (c *countingSampler) ApplyInto(words []uint64, start, end int) {
 	if flips != 0 {
 		c.acc.Add(flips)
 	}
-}
-
-func (c *countingSampler) FlipAt(t int, bit bool) bool {
-	flip := c.s.FlipAt(t, bit)
-	if flip {
-		c.acc.Add(1)
-	}
-	return flip
 }
 
 func (c *countingSampler) snapshot(words []uint64) []uint64 {

@@ -23,24 +23,37 @@ func prenoise(r *rand.Rand, w int) []uint64 {
 
 func bitAt(words []uint64, i int) bool { return words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// scalarFlips replays the window through a fresh sampler's FlipAt path
-// — the scalar reference the package's equivalence tests already pin
+// flipAt delivers slot t's pre-noise bit through a one-slot ApplyInto
+// window, as beep.Network.Run delivers each round, and reports whether
+// the reception flipped: the slot-serial reference the windowed tests
+// compare against.
+func flipAt(s Sampler, t int, bit bool) bool {
+	var w [1]uint64
+	if bit {
+		w[0] = 1
+	}
+	s.ApplyInto(w[:], t, t+1)
+	return (w[0] != 0) != bit
+}
+
+// scalarFlips replays the window through a fresh sampler one slot at a
+// time (flipAt) — the reference the package's equivalence tests pin
 // ApplyInto to — and returns how many slots report a flip.
 func scalarFlips(m Model, seed uint64, node int, start, end int, pre []uint64) int64 {
 	s := m.Sampler(seed, node)
 	var flips int64
 	for t := start; t < end; t++ {
-		if s.FlipAt(t, bitAt(pre, t-start)) {
+		if flipAt(s, t, bitAt(pre, t-start)) {
 			flips++
 		}
 	}
 	return flips
 }
 
-// TestCountingMatchesScalarReference is the accounting-hook coverage
-// from ISSUE 7: for every model, the flip counts reported by the
-// Counting wrapper on the batch path must equal the scalar FlipAt
-// reference count over the same windows — the FuzzXorFlipsInto-style
+// TestCountingMatchesScalarReference is the accounting-hook coverage:
+// for every model, the flip counts reported by the Counting wrapper on
+// multi-slot windows must equal the one-slot-at-a-time reference count
+// over the same slots — the FuzzXorFlipsInto-style
 // pinning, applied to accounting. It also checks the wrapper changed
 // nothing: the perturbed words must equal an unwrapped sampler's.
 func TestCountingMatchesScalarReference(t *testing.T) {
@@ -76,9 +89,9 @@ func TestCountingMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// TestCountingFlipAtPath pins the scalar path of the wrapper itself:
-// counted flips are exactly the FlipAt-true returns, and return values
-// pass through untouched.
+// TestCountingFlipAtPath pins the wrapper on one-slot windows, the way
+// beep.Network.Run delivers: counted flips are exactly the
+// slots flipAt reports flipped, and receptions pass through untouched.
 func TestCountingFlipAtPath(t *testing.T) {
 	const seed, node = 7, 3
 	for label, m := range testModels() {
@@ -89,17 +102,17 @@ func TestCountingFlipAtPath(t *testing.T) {
 		var want int64
 		for t2 := 0; t2 < 700; t2++ {
 			bit := r.Intn(2) == 1
-			got := wrapped.FlipAt(t2, bit)
-			ref := plain.FlipAt(t2, bit)
+			got := flipAt(wrapped, t2, bit)
+			ref := flipAt(plain, t2, bit)
 			if got != ref {
-				t.Fatalf("%s: FlipAt(%d) = %v through wrapper, want %v", label, t2, got, ref)
+				t.Fatalf("%s: flipAt(%d) = %v through wrapper, want %v", label, t2, got, ref)
 			}
 			if ref {
 				want++
 			}
 		}
 		if acc.n != want {
-			t.Fatalf("%s: counted %d flips on the scalar path, want %d", label, acc.n, want)
+			t.Fatalf("%s: counted %d flips one slot at a time, want %d", label, acc.n, want)
 		}
 	}
 }

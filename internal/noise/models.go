@@ -89,23 +89,6 @@ func (s *symmetricSampler) ApplyInto(words []uint64, start, end int) {
 	s.fs.XorFlipsInto(words, start, end)
 }
 
-func (s *symmetricSampler) FlipAt(t int, bit bool) bool {
-	return consumeAt(s.fs, t)
-}
-
-// consumeAt advances fs through slot t, reporting whether a flip landed
-// exactly on t. Stale positions before t are consumed and discarded.
-func consumeAt(fs *rng.FlipSampler, t int) bool {
-	for fs.Peek() < t {
-		fs.Skip()
-	}
-	if fs.Peek() != t {
-		return false
-	}
-	fs.Skip()
-	return true
-}
-
 // --- asymmetric ---
 
 // Asymmetric is a binary channel with direction-dependent error: a
@@ -157,18 +140,6 @@ func (s *asymmetricSampler) ApplyInto(words []uint64, start, end int) {
 		// 0→1 flips land on 0-bits, 1→0 flips on 1-bits.
 		words[i] ^= (s.buf01[i] &^ words[i]) | (s.buf10[i] & words[i])
 	}
-}
-
-func (s *asymmetricSampler) FlipAt(t int, bit bool) bool {
-	// Both processes consume their streams unconditionally: the draw an
-	// opposite-bit slot wastes here is the draw ApplyInto's mask build
-	// would have spent.
-	hit01 := consumeAt(s.fs01, t)
-	hit10 := consumeAt(s.fs10, t)
-	if bit {
-		return hit10
-	}
-	return hit01
 }
 
 // zeroed returns buf resized to n words, all zero.
@@ -242,13 +213,6 @@ func (s *erasureSampler) ApplyInto(words []uint64, start, end int) {
 			words[i] &^= s.buf[i]
 		}
 	}
-}
-
-func (s *erasureSampler) FlipAt(t int, bit bool) bool {
-	if !consumeAt(s.fs, t) {
-		return false
-	}
-	return bit != s.readAs1 // erased slots read as the policy constant
 }
 
 // --- gilbert-elliott ---
@@ -325,10 +289,10 @@ func (m GilbertElliott) Sampler(seed uint64, node int) Sampler {
 
 // geSampler walks the Markov chain slot by slot. Every slot consumes
 // exactly two uniforms — one flip draw, one transition draw — so
-// consumption is position-determined and the batch and scalar paths
-// agree by construction. Unlike the i.i.d. samplers there is no
-// geometric skipping (state must advance through every slot); the batch
-// path still writes word-at-a-time.
+// consumption is position-determined and any partition of the slots
+// into windows yields the same bits. Unlike the i.i.d. samplers there
+// is no geometric skipping (state must advance through every slot);
+// ApplyInto still writes word-at-a-time.
 type geSampler struct {
 	m   GilbertElliott
 	r   *rng.Stream
@@ -373,14 +337,4 @@ func (s *geSampler) ApplyInto(words []uint64, start, end int) {
 	if wi >= 0 {
 		words[wi] ^= acc
 	}
-}
-
-func (s *geSampler) FlipAt(t int, bit bool) bool {
-	if t < s.pos {
-		return false // already-consumed slot, like the i.i.d. samplers
-	}
-	for s.pos < t {
-		s.step()
-	}
-	return s.step()
 }

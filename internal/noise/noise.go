@@ -17,13 +17,13 @@
 //
 // A Model is a pure description (validatable, canonically
 // serializable via Spec, registered by name for parsing); a Sampler is
-// the model bound to one listener's private randomness. Samplers expose
-// the same two execution paths the beep layer has always had: a
-// word-parallel ApplyInto batch path mirroring rng.FlipSampler's
-// XorFlipsInto for windowed phases, and a slot-serial FlipAt path for
-// the round-by-round driver. The two paths consume the underlying
-// stream identically, so they are interchangeable mid-run — the
-// package tests pin ApplyInto ≡ FlipAt bit-for-bit per model.
+// the model bound to one listener's private randomness. A sampler has
+// one execution path, ApplyInto, word-parallel over a window of slots
+// like rng.FlipSampler's XorFlipsInto; beep.Network.Run delivers each
+// round through a one-slot window. Consumption is
+// position-determined, so any partition of the slots into windows
+// yields the same bits — the package tests pin windowed ≡ one slot at a
+// time per model.
 //
 // Determinism contract: a sampler is a pure function of (model, seed,
 // node). The symmetric model's sampler derives its stream and consumes
@@ -72,21 +72,18 @@ type Model interface {
 	Sampler(seed uint64, node int) Sampler
 }
 
-// Sampler applies one listener's channel noise. Both paths consume the
-// sampler's randomness for every slot they pass over, so noise
-// downstream of a window never depends on what the window contained.
-// Every slot is noisy, a beeping node's own slots included: its own
-// reception goes through the channel (the paper's §1.5 convention).
+// Sampler applies one listener's channel noise. It consumes its
+// randomness for every slot it passes over, so noise downstream of a
+// window never depends on what the window contained. Every slot is
+// noisy, a beeping node's own slots included: its own reception goes
+// through the channel (the paper's §1.5 convention).
 type Sampler interface {
 	// ApplyInto perturbs the pre-noise reception words for absolute
 	// slots [start, end): slot abs is bit abs-start. Slots before start
 	// that the sampler has not yet passed are consumed and discarded,
-	// exactly like rng.FlipSampler.XorFlipsInto.
+	// exactly like rng.FlipSampler.XorFlipsInto; a window already passed
+	// changes nothing.
 	ApplyInto(words []uint64, start, end int)
-	// FlipAt reports whether the reception at absolute slot t — whose
-	// pre-noise value is bit — flips. It must consume randomness
-	// identically to ApplyInto covering t.
-	FlipAt(t int, bit bool) bool
 }
 
 // streamKey is the split domain of per-node channel noise. It is the

@@ -183,10 +183,10 @@ func applyBits(s Sampler, pre []bool, windows []int) []bool {
 	return out
 }
 
-// TestApplyIntoMatchesFlipAt is the scalar-reference equivalence test:
-// for every model, the word-parallel batch path and the slot-serial
-// FlipAt path produce identical post-noise bits over identical
-// pre-noise data and window partitions.
+// TestApplyIntoMatchesFlipAt is the slot-serial equivalence test: for
+// every model, ApplyInto over multi-slot windows and one slot at a time
+// (flipAt, as beep.Network.Run delivers) produce identical
+// post-noise bits over identical pre-noise data.
 func TestApplyIntoMatchesFlipAt(t *testing.T) {
 	windows := []int{1, 63, 64, 65, 300, 5, 128}
 	total := 0
@@ -204,7 +204,7 @@ func TestApplyIntoMatchesFlipAt(t *testing.T) {
 			scalar := m.Sampler(42, 3)
 			for tSlot := 0; tSlot < total; tSlot++ {
 				want := pre[tSlot]
-				if scalar.FlipAt(tSlot, pre[tSlot]) {
+				if flipAt(scalar, tSlot, pre[tSlot]) {
 					want = !want
 				}
 				if batch[tSlot] != want {
@@ -226,7 +226,7 @@ func TestMarginalRates(t *testing.T) {
 			s := m.Sampler(1234, 9)
 			flips := 0
 			for tSlot := 0; tSlot < slots; tSlot++ {
-				if s.FlipAt(tSlot, bit) {
+				if flipAt(s, tSlot, bit) {
 					flips++
 				}
 			}
@@ -270,7 +270,7 @@ func TestGilbertElliottBursts(t *testing.T) {
 			}
 			return flip
 		}()
-		got := s.FlipAt(tSlot, false)
+		got := flipAt(s, tSlot, false)
 		if got != wantFlip {
 			t.Fatalf("slot %d: flip %v, reference chain says %v", tSlot, got, wantFlip)
 		}
@@ -301,7 +301,7 @@ func TestSamplerDeterminism(t *testing.T) {
 			// Alternate the pre-noise bit so one-sided models (erasure)
 			// expose their flip process on both channel values.
 			bit := tSlot%2 == 1
-			fa, fb, fc := a.FlipAt(tSlot, bit), b.FlipAt(tSlot, bit), c.FlipAt(tSlot, bit)
+			fa, fb, fc := flipAt(a, tSlot, bit), flipAt(b, tSlot, bit), flipAt(c, tSlot, bit)
 			if fa != fb {
 				t.Fatalf("%s: equal (seed, node) samplers diverged at slot %d", label, tSlot)
 			}

@@ -211,20 +211,13 @@ func NewFlipSampler(r *Stream, p float64) *FlipSampler {
 	return fs
 }
 
-// Peek returns the next flip position without consuming it. If p = 0 the
-// returned position is effectively infinite (math.MaxInt).
-func (fs *FlipSampler) Peek() int { return fs.next }
-
-// Skip consumes the current flip position.
-func (fs *FlipSampler) Skip() { fs.advance() }
-
 // XorFlipsInto XORs the sampler's flip positions in [start, end) into
 // words: absolute position abs lands on bit abs-start. Positions before
 // start are consumed and discarded (they belong to windows the caller
 // already processed). It is the batch form of enumerating positions one
-// Peek/Skip at a time and flipping each — one call per reception window
-// instead of one call and one bounds-checked bit flip per noise event —
-// and consumes the underlying stream identically, so the enumerated
+// at a time and flipping each — one call per reception window instead
+// of one call and one bounds-checked bit flip per noise event — and
+// consumes the underlying stream identically, so the enumerated
 // positions are bit-for-bit those the scalar loop yields
 // (FuzzXorFlipsInto pins the two).
 func (fs *FlipSampler) XorFlipsInto(words []uint64, start, end int) {

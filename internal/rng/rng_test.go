@@ -24,6 +24,11 @@ func (fs *FlipSampler) Next(limit int) (int, bool) {
 	return pos, true
 }
 
+// Peek returns the next flip position without consuming it (math.MaxInt
+// when p = 0): the stream position the batch and scalar paths must
+// agree on.
+func (fs *FlipSampler) Peek() int { return fs.next }
+
 func TestDeterminism(t *testing.T) {
 	a := New(42)
 	b := New(42)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/noise"
 	"repro/internal/sim"
 )
 
@@ -156,15 +157,12 @@ func TestCacheServesFailedBuild(t *testing.T) {
 }
 
 // TestCacheCodesKeyedByNoise: the decode-table cache key is the full
-// Params including the channel spec — equal sizes under different
-// channels must not share tables (their thresholds differ).
+// Params including the channel — equal sizes under different channels
+// must not share tables (their thresholds differ).
 func TestCacheCodesKeyedByNoise(t *testing.T) {
 	c := sim.NewCache()
 	sym := core.DefaultParams(16, 3, 8, 0.2)
-	asym, err := core.DefaultParamsNoise(16, 3, 8, 0, "asymmetric:0.05:0.2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	asym := core.DefaultParamsFor(16, 3, 8, noise.Asymmetric{P01: 0.05, P10: 0.2})
 	a, err := c.Codes(sym)
 	if err != nil {
 		t.Fatal(err)

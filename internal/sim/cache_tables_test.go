@@ -4,9 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/noise"
 )
 
-// TestCacheSharesTablesAcrossThresholds: Params that differ only in ε,
+// TestCacheSharesTablesAcrossThresholds: Params that differ only in
 // channel or solo filter are separate code entries (their thresholds
 // differ) but hash their beep and distance codes once; a Params with
 // another TableKey hashes its own.
@@ -14,7 +15,7 @@ func TestCacheSharesTablesAcrossThresholds(t *testing.T) {
 	c := NewCache()
 	p := core.DefaultParams(16, 3, 8, 0.1)
 	noisy := p
-	noisy.Epsilon, noisy.Noise = 0, "adversary:solo:64"
+	noisy.Channel = noise.Adversary{Strategy: noise.StrategySolo, Budget: 64}
 	naive := p
 	naive.DisableSoloFilter = true
 	wider := p

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/graph"
+	"repro/internal/noise"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -46,7 +47,7 @@ func TestDoneIsMonotone(t *testing.T) {
 			eng, _ := sim.EngineFor(en)
 			inst, err := eng.Prepare(g, sim.Config{
 				MsgBits:     wl.MsgBits(g),
-				Epsilon:     0.1,
+				Channel:     noise.Symmetric{Eps: 0.1},
 				ChannelSeed: 3,
 				AlgSeeds:    []uint64{4},
 				Workload:    wl,

@@ -57,10 +57,7 @@ func (alg1Engine) Prepare(g *graph.Graph, cfg Config) (Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.DefaultParamsNoise(g.N(), g.MaxDegree(), cfg.MsgBits, cfg.Epsilon, cfg.Noise)
-	if err != nil {
-		return nil, err
-	}
+	p := core.DefaultParamsFor(g.N(), g.MaxDegree(), cfg.MsgBits, cfg.Channel)
 	codes, err := cfg.Artifacts.Codes(p)
 	if err != nil {
 		return nil, err
@@ -94,14 +91,13 @@ func (tdmaEngine) Supports(w Workload) bool { return true }
 func (tdmaEngine) DrivesAlgs() bool         { return true }
 
 func (tdmaEngine) Lanes(cfg Config) int {
-	return baseline.Lanes(baseline.Config{Epsilon: cfg.Epsilon, Noise: cfg.Noise})
+	return baseline.Lanes(baseline.Config{Channel: cfg.Channel})
 }
 
 func (tdmaEngine) Prepare(g *graph.Graph, cfg Config) (Instance, error) {
 	bl, err := baseline.NewRunner(g, baseline.Config{
 		MsgBits:     cfg.MsgBits,
-		Epsilon:     cfg.Epsilon,
-		Noise:       cfg.Noise,
+		Channel:     cfg.Channel,
 		ChannelSeed: cfg.ChannelSeed,
 		Workers:     cfg.Workers,
 		Metrics:     cfg.Metrics,

@@ -88,14 +88,11 @@ type Config struct {
 	// MsgBits is the resolved Broadcast CONGEST bandwidth (the workload
 	// default unless the scenario overrides it).
 	MsgBits int
-	// Epsilon is the beeping-channel noise rate; native engines have no
-	// beeping channel and ignore it.
-	Epsilon float64
-	// Noise is the canonical channel-model spec (internal/noise.Parse)
-	// for a non-default channel; empty means the symmetric{Epsilon}
-	// channel. Like Epsilon it only reaches the engines that simulate
-	// over beeps (see SupportsNoise); Epsilon must be 0 when set.
-	Noise string
+	// Channel is the beeping channel (internal/noise), resolved once
+	// from the scenario: noise.Symmetric{Eps: ε} on the paper's channel,
+	// else the parsed model. Nil is the noiseless channel. Native engines
+	// have no beeping channel and ignore it.
+	Channel noise.Model
 	// ChannelSeed drives channel noise (ignored by native engines and by
 	// channels that cannot flip a bit).
 	ChannelSeed uint64
@@ -138,9 +135,9 @@ type Instance interface {
 type Engine interface {
 	// Name is the engine's registry key (Engine* constants).
 	Name() string
-	// Native reports that the engine has no beeping channel: Epsilon and
-	// ChannelSeed are ignored, and grid expansion normalizes both to
-	// zero so equal work shares one scenario hash.
+	// Native reports that the engine has no beeping channel: the
+	// channel and ChannelSeed are ignored, and grid expansion normalizes
+	// ε and the seed to zero so equal work shares one scenario hash.
 	Native() bool
 	// Supports reports whether the engine can execute the workload.
 	Supports(w Workload) bool

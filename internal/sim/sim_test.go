@@ -9,6 +9,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -31,7 +32,7 @@ func runOnce(t *testing.T, g *graph.Graph, eng sim.Engine, wl sim.Workload, work
 	}
 	cfg := sim.Config{
 		MsgBits:     wl.MsgBits(g),
-		Epsilon:     0.05,
+		Channel:     noise.Symmetric{Eps: 0.05},
 		ChannelSeed: 7,
 		AlgSeeds:    []uint64{9},
 		Workers:     workers,
@@ -184,17 +185,17 @@ func TestEngineLanes(t *testing.T) {
 		want   int
 	}{
 		{sim.EngineTDMA, sim.Config{}, 64},
-		{sim.EngineTDMA, sim.Config{Noise: "asymmetric:0:0"}, 64},
-		{sim.EngineTDMA, sim.Config{Noise: "jam:0:10"}, 64},
-		{sim.EngineTDMA, sim.Config{Epsilon: 0.05}, 1},
-		{sim.EngineTDMA, sim.Config{Noise: "jam:1:10"}, 1},
+		{sim.EngineTDMA, sim.Config{Channel: noise.Asymmetric{}}, 64},
+		{sim.EngineTDMA, sim.Config{Channel: noise.Jam{Duty: 0, Period: 10}}, 64},
+		{sim.EngineTDMA, sim.Config{Channel: noise.Symmetric{Eps: 0.05}}, 1},
+		{sim.EngineTDMA, sim.Config{Channel: noise.Jam{Duty: 1, Period: 10}}, 1},
 		{sim.EngineAlg1, sim.Config{}, 1},
 		{sim.EngineCongest, sim.Config{}, 1},
 		{sim.EngineBeep, sim.Config{}, 1},
 	} {
 		eng, _ := sim.EngineFor(tc.engine)
 		if got := eng.Lanes(tc.cfg); got != tc.want {
-			t.Errorf("%s ε=%v %q: Lanes = %d, want %d", tc.engine, tc.cfg.Epsilon, tc.cfg.Noise, got, tc.want)
+			t.Errorf("%s channel %v: Lanes = %d, want %d", tc.engine, tc.cfg.Channel, got, tc.want)
 		}
 	}
 	for _, en := range []string{sim.EngineAlg1, sim.EngineCongest} {
@@ -291,7 +292,7 @@ func TestCacheCodesSharedAndKeyed(t *testing.T) {
 		t.Fatal("same Params produced distinct code tables")
 	}
 	q := p
-	q.Epsilon = 0.2
+	q.Channel = noise.Symmetric{Eps: 0.2}
 	other, err := c.Codes(q)
 	if err != nil {
 		t.Fatal(err)

@@ -27,17 +27,18 @@ func LinearFit(x, y []float64) (slope, intercept float64, err error) {
 		return 0, 0, fmt.Errorf("stats: need ≥2 paired points, got %d/%d", len(x), len(y))
 	}
 	mx, my := Mean(x), Mean(y)
+	// Products rounded explicitly, so no GOARCH fuses them (DESIGN.md §4).
 	var sxx, sxy float64
 	for i := range x {
 		dx := x[i] - mx
-		sxx += dx * dx
-		sxy += dx * (y[i] - my)
+		sxx += float64(dx * dx)
+		sxy += float64(dx * (y[i] - my))
 	}
 	if sxx == 0 {
 		return 0, 0, fmt.Errorf("stats: zero variance in x")
 	}
 	slope = sxy / sxx
-	return slope, my - slope*mx, nil
+	return slope, my - float64(slope*mx), nil
 }
 
 // LogLogSlope fits log(y) against log(x) and returns the slope — the

@@ -139,11 +139,16 @@ func sliceGroups(scenarios []Scenario, order []int) [][]int {
 }
 
 // lanes returns how many replicates of sc one engine pass runs: the
-// engine's Lanes under sc's channel, 1 for an unknown engine.
+// engine's Lanes under sc's channel, 1 for an unknown engine or an
+// unparsable channel.
 func lanes(sc Scenario) int {
 	eng, ok := sim.EngineFor(sc.Engine)
 	if !ok {
 		return 1
 	}
-	return eng.Lanes(sim.Config{Epsilon: sc.Epsilon, Noise: sc.Noise})
+	ch, err := sc.channel()
+	if err != nil {
+		return 1
+	}
+	return eng.Lanes(sim.Config{Channel: ch})
 }

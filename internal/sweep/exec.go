@@ -80,17 +80,24 @@ func execute(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error)
 		return nil, errors.New("sweep: empty lane group")
 	}
 	first := scs[0]
+	// Validate reads none of the fields sliceKey zeroes, so the first
+	// spec's verdict, and its channel, are the whole group's.
+	if err := first.Validate(); err != nil {
+		return nil, err
+	}
 	key := sliceKey(first)
-	for _, sc := range scs {
-		if err := sc.Validate(); err != nil {
-			return nil, err
-		}
+	for _, sc := range scs[1:] {
 		if sliceKey(sc) != key {
 			return nil, fmt.Errorf("sweep: lane group mixes scenarios beyond their seeds (%s vs %s)", sc.Hash(), first.Hash())
 		}
 	}
 	wl, _ := sim.WorkloadFor(first.Workload) // Validate resolved both
 	eng, _ := sim.EngineFor(first.Engine)
+	ch, err := first.channel()
+	if err != nil {
+		return nil, err
+	}
+	hostile := noise.Hostile(ch)
 
 	buildStart := time.Now()
 	g, err := first.buildGraphCached(opt.Artifacts, opt.Workers)
@@ -103,8 +110,7 @@ func execute(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error)
 	}
 	cfg := sim.Config{
 		MsgBits: msgBits,
-		Epsilon: first.Epsilon,
-		Noise:   first.Noise,
+		Channel: ch,
 		// Lanes share one channel seed: only a channel that cannot flip
 		// a bit, which draws none, runs more than one lane.
 		ChannelSeed: first.ChannelSeed,
@@ -181,30 +187,20 @@ func execute(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error)
 			outputOK := rec.Counters.AllDone && verr == nil
 			rec.Counters.OutputOK = &outputOK
 		}
-		rec.Failure = failureFor(sc, rec.Counters, verr)
+		rec.Failure = failureFor(hostile, rec.Counters, verr)
 		recs[k] = rec
 	}
 	return recs, nil
 }
 
-// hostileChannel reports whether the scenario runs under a hostile
-// (adversarial or jamming) channel model; failures are then attributed
-// to the channel rather than the algorithm.
-func hostileChannel(sc Scenario) bool {
-	if sc.Noise == "" {
-		return false
-	}
-	m, err := noise.Parse(sc.Noise)
-	return err == nil && noise.Hostile(m)
-}
-
 // failureFor distills a completed run into the Record's Failure reason:
-// empty for a healthy run and, under a hostile channel only, unfinished
-// nodes or failed output verification — the graceful-degradation
-// contract (a broken protocol terminates with a typed failure, it never
-// hangs or panics).
-func failureFor(sc Scenario, c Counters, verr error) string {
-	if !hostileChannel(sc) {
+// empty for a healthy run and, under a hostile (adversarial or jamming)
+// channel only, unfinished nodes or failed output verification — the
+// graceful-degradation contract (a broken protocol terminates with a
+// typed failure, it never hangs or panics). Only a hostile channel's
+// failures are attributed to the channel rather than the algorithm.
+func failureFor(hostile bool, c Counters, verr error) string {
+	if !hostile {
 		return ""
 	}
 	if !c.AllDone {

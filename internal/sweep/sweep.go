@@ -260,6 +260,16 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
+// channel resolves the scenario's channel for the engines:
+// noise.Symmetric{Eps: Epsilon} when Noise is empty, otherwise the
+// parsed spec.
+func (sc Scenario) channel() (noise.Model, error) {
+	if sc.Noise == "" {
+		return noise.Symmetric{Eps: sc.Epsilon}, nil
+	}
+	return noise.Parse(sc.Noise)
+}
+
 // Hash returns the scenario's content address: the first 128 bits (32
 // hex characters) of the SHA-256 of the canonical JSON encoding of the
 // spec (struct field order, shortest float representation — both

@@ -12,8 +12,8 @@
 # a different value off amd64, and a record is meant to be the same bytes
 # on every GOARCH (DESIGN.md §4). The open sites are ROADMAP's
 # per-architecture item; a fix removes its line here. rng's three compute
-# brackets with a margin that no rounding crosses; the other three move
-# experiment-table text, not records.
+# brackets with a margin that no rounding crosses; they wait for rng's
+# own unfused log and log1p.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export LC_ALL=C # sort and comm must collate alike
@@ -21,10 +21,7 @@ export LC_ALL=C # sort and comm must collate alike
 # One function per line, as go tool objdump names it.
 open_sites='repro/internal/rng.fastGap
 repro/internal/rng.proveGapCells
-repro/internal/rng.init
-repro/internal/core.PaperParams
-repro/internal/experiments.T10LowerBounds
-repro/internal/stats.LinearFit'
+repro/internal/rng.init'
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
